@@ -1,0 +1,55 @@
+"""Behaviour lock: SHA-256 digests of `tickslab run` output on tasks50.
+
+Behaviour is the bytes of ``episodes.jsonl`` and ``metrics.json``.  A
+refactor or a speed-up must leave these digests where they are.  They were
+recorded with the numpy version below; if a different numpy build moves
+them, regenerate them in a change of their own and say why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from tickslab.harness.cli import main
+
+RECORDED_NUMPY = "2.4.6"
+TASKS = Path(__file__).parent / "fixtures" / "tasks50.jsonl"
+
+# (policy, seed override) -> (episodes.jsonl digest, metrics.json digest)
+GOLDEN = {
+    ("ctm", None): (
+        "d0d4078ddb9ac2a9c46325c40f62b5e520941f4259374f833d2a90d8c798ba0b",
+        "462cf01c11590b9287f91f1eec9cfe994c33f735a19907d7ab44713c64b6e5f9",
+    ),
+    ("ctm", 5): (
+        "c5993a38595edb987af2e038660d6040ce704751f7699ce2f73abe874496aa10",
+        "228049d5fcbfa3b82e1f98c9fd737b86727dae9c8b89b5421386084b63d7ae29",
+    ),
+    ("oracle", None): (
+        "e8a7a67922b764d8186807e5e830db64e6eb909090a7f79bc9d5c1c033591bf0",
+        "0a615a92af80d356e70f991affb4637f454673d42fec2eac33d7f6c0a0047b24",
+    ),
+}
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "policy,seed", list(GOLDEN), ids=[f"{p}-seed{s or 0}" for p, s in GOLDEN]
+)
+def test_run_digests(tmp_path, policy, seed):
+    argv = ["run", "--tasks", str(TASKS), "--policy", policy, "--out", str(tmp_path)]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    assert main(argv) == 0
+    got = (sha256(tmp_path / "episodes.jsonl"), sha256(tmp_path / "metrics.json"))
+    assert got == GOLDEN[(policy, seed)], (
+        f"{policy} digests moved (recorded with numpy {RECORDED_NUMPY}, "
+        f"installed numpy {np.__version__}): got {got}"
+    )
