@@ -24,7 +24,6 @@ from .consensus import (
     DecisionDeadline,
     WaitPolicy,
     merge,
-    spawn_branches,
     timeout_safe_pass,
     wait_extra_slab,
 )

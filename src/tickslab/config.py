@@ -56,7 +56,6 @@ class ConsensusConfig:
     deadline_ticks: int = 32          # 4 slabs at the default tick count
     deadline_ms: float = 250.0
     live: bool = False
-    threaded: bool = False            # worker threads in deterministic mode
 
 
 @dataclass(frozen=True)

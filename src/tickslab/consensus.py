@@ -1,10 +1,18 @@
-"""Parallel branch racing and confidence-vote consensus.
+"""Branch readouts of one shared trajectory, and confidence-vote consensus.
 
-k clones of a seed state reason concurrently; each clone's synchrony-pair
-evaluation order is reshuffled by a stream derived from (episode seed,
-branch id), which makes clones diverge deterministically with zero extra
-parameters.  Completion order may vary with scheduling; branch content may
-not.  Outcomes are merged by entropy-based confidence weights after a
+A decision step has k branches.  They differ only in the order of their
+synchrony pairs, a permutation drawn from a stream derived from (episode
+seed, branch id); the pairs play no part in the tick math, so the hidden
+state and depth history are the same in every branch.  The deterministic
+step therefore runs one shared tick trajectory, slab by slab, and treats
+the branches as readouts of it: a branch's accumulators are its decayed
+accumulators plus the slab's pair-product contribution gathered through
+its permutation, followed by its own certainty and halt decision.  The
+trajectory stops once every branch has halted, or once it is past the
+logical cutoff (earliest halt plus the deadline's tick limit), since a
+branch that halts later never enters the decision.  ``run_branch`` runs
+one branch on its own and is the reference that the readouts equal bit for
+bit.  Outcomes are merged by entropy-based confidence weights after a
 canonical sort, so the merge is bitwise order-independent.
 
 Exactly one consensus result is produced per decision step: the normal path
@@ -12,9 +20,10 @@ and the timeout path are mutually exclusive through a once-only latch, and
 the timeout path is total (it falls back to the cached result, or to a zero
 no-op result on the first step).
 
-This is the only concurrent module.  Workers own their states exclusively;
-the single collector does all merging; no lock is held while a branch
-computes.
+Live mode is the only concurrent path: ``decide_step_live`` races
+``run_branch`` workers against a wall-clock deadline.  Workers own their
+states exclusively; the single collector does all merging; no lock is held
+while a branch computes.
 """
 
 from __future__ import annotations
@@ -30,7 +39,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import BranchState, CtmParams, certainty, run_until_halt
+from .engine import (
+    BranchState,
+    CtmParams,
+    accumulate,
+    certainty,
+    halt_readout,
+    run_until_halt,
+    slab_contribution,
+    slab_length,
+    slab_ticks,
+)
 from .errors import BranchPanic, EmptyOutcomeList
 from .rng import SplitMix64, derive_seed
 
@@ -79,15 +98,44 @@ def default_deadline(params: CtmParams) -> DecisionDeadline:
     return DecisionDeadline(logical_tick_limit=4 * params.ticks_per_slab, wall_clock_ms=250.0)
 
 
+class PermutationCache:
+    """The branch pair permutations of the current episode, read-only.
+
+    Only one (episode seed, pair count) is held at a time: asking for
+    another replaces the arrays, so the cache never grows past k of them.
+    The arrays are a pure function of that key, so sharing one cache
+    between callers and live-mode worker threads changes no result.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._key: tuple = ()
+        self._perms: list[np.ndarray] = []
+
+    def get(self, episode_seed: int, pair_count: int, k: int) -> list[np.ndarray]:
+        """Permutations of branches 0..k-1."""
+        with self._lock:
+            if self._key != (episode_seed, pair_count):
+                self._key, self._perms = (episode_seed, pair_count), []
+            for branch_id in range(len(self._perms), k):
+                stream = SplitMix64(derive_seed(episode_seed, f"branch/{branch_id}"))
+                perm = stream.permutation(pair_count)
+                perm.flags.writeable = False
+                self._perms.append(perm)
+            return self._perms[:k]
+
+
+_PERMUTATIONS = PermutationCache()
+
+
 def perturb_for_branch(params: CtmParams, episode_seed: int, branch_id: int) -> CtmParams:
     """Branch-specific params: synchrony pairs reshuffled by the branch stream.
 
     Accumulator k of branch b tracks pair perm_b[k]; the certainty head and
-    everything downstream read the reshuffled vector, so branches genuinely
-    diverge while staying reproducible.
+    everything downstream read the reshuffled vector, so branches read
+    different certainties off the same trajectory while staying reproducible.
     """
-    stream = SplitMix64(derive_seed(episode_seed, f"branch/{branch_id}"))
-    perm = stream.permutation(params.pair_count)
+    perm = _PERMUTATIONS.get(episode_seed, params.pair_count, branch_id + 1)[branch_id]
     return replace(params, pair_p=params.pair_p[perm], pair_q=params.pair_q[perm])
 
 
@@ -99,7 +147,11 @@ def run_branch(
     episode_seed: int,
     branch_id: int,
 ) -> tuple[BranchOutcome, BranchState]:
-    """Run one clone to its halt decision; pure given its arguments."""
+    """Run one branch on its own to its halt decision; pure given its arguments.
+
+    The per-branch reference: ``shared_branches`` reads the same outcome
+    and final state out of the shared trajectory.
+    """
     branch_params = perturb_for_branch(params, episode_seed, branch_id)
     state, last = run_until_halt(seed_state.clone(), f, branch_params, epsilon)
     reached = last.certainty >= min(epsilon, params.halt_cap)
@@ -114,60 +166,89 @@ def run_branch(
     return outcome, state
 
 
-def spawn_branches_with_states(
+def shared_branches(
     seed_state: BranchState,
     f: np.ndarray,
-    k: int,
     params: CtmParams,
     epsilon: float,
+    k: int,
     episode_seed: int,
+    tick_limit: Optional[int] = None,
     branch_hook: Optional[Callable[[int], None]] = None,
 ) -> list[tuple[BranchOutcome, BranchState]]:
-    """Run k clones on worker threads; failed branches are logged and dropped.
+    """(outcome, final state) of each branch that halts by the cutoff.
 
-    Returns (outcome, final state) pairs in completion order.  ``branch_hook``
-    runs at the start of each worker (tests inject delays or faults there).
+    One tick trajectory is run from ``seed_state``; per slab, its pair
+    contribution is computed once in the unpermuted order and each branch
+    still running gathers it through its permutation, reads its certainty
+    and makes its halt call.  Each pair equals ``run_branch``'s for that
+    branch bit for bit.  With a ``tick_limit`` the trajectory stops before
+    a slab that would end past the cutoff (earliest halt plus the limit);
+    branches that would halt later are left out.  Pairs come in
+    (ticks_used, branch_id) order.
+
+    ``branch_hook`` runs once per branch before the trajectory (tests
+    inject faults there).  A branch whose hook raises, or that is still
+    running when the trajectory raises, is logged as a ``BranchPanic`` and
+    left out.
     """
     if k < 1:
         raise ValueError("need at least one branch")
-    results: queue.SimpleQueue = queue.SimpleQueue()
-
-    def worker(branch_id: int) -> None:
-        if branch_hook is not None:
-            branch_hook(branch_id)
-        results.put(run_branch(seed_state, f, params, epsilon, episode_seed, branch_id))
-
-    collected: list[tuple[BranchOutcome, BranchState]] = []
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        futures = {pool.submit(worker, i): i for i in range(k)}
-        for future, branch_id in futures.items():
-            exc = future.exception()
-            if exc is not None:
-                logger.warning("%s", BranchPanic(branch_id, exc))
-    while True:
+    perms = _PERMUTATIONS.get(episode_seed, params.pair_count, k)
+    running: dict[int, tuple[np.ndarray, tuple]] = {}   # id -> (sync, certainty trace)
+    for branch_id in range(k):
         try:
-            collected.append(results.get_nowait())
-        except queue.Empty:
+            if branch_hook is not None:
+                branch_hook(branch_id)
+        except Exception as exc:
+            logger.warning("%s", BranchPanic(branch_id, exc))
+            continue
+        running[branch_id] = (seed_state.sync, seed_state.certainty_trace)
+
+    halted: list[tuple[BranchOutcome, BranchState]] = []
+    trajectory = seed_state
+    cutoff = None       # earliest halt + tick_limit, in ticks used this step
+    while running:
+        try:
+            n = slab_length(trajectory, f, params)
+            if cutoff is not None and trajectory.tick + n - seed_state.tick > cutoff:
+                break
+            states, history, carried = slab_ticks(
+                trajectory.z, trajectory.history, f, params, n
+            )
+            contribution = slab_contribution(states, params)
+        except Exception as exc:
+            for branch_id in running:
+                logger.warning("%s", BranchPanic(branch_id, exc))
             break
-    return collected
-
-
-def spawn_branches(
-    seed_state: BranchState,
-    f: np.ndarray,
-    k: int,
-    params: CtmParams,
-    epsilon: float,
-    episode_seed: int,
-    branch_hook: Optional[Callable[[int], None]] = None,
-) -> list[BranchOutcome]:
-    """Outcomes of k concurrent clones, in completion order."""
-    return [
-        outcome
-        for outcome, _ in spawn_branches_with_states(
-            seed_state, f, k, params, epsilon, episode_seed, branch_hook
+        trajectory = replace(
+            trajectory, z=carried, history=history,
+            tick=trajectory.tick + n, slab=trajectory.slab + 1,
         )
-    ]
+        ticks_used = trajectory.tick - seed_state.tick
+        for branch_id, (sync, trace) in list(running.items()):
+            sync = accumulate(sync, contribution[perms[branch_id]], n, params.decay)
+            logits, c, trace, stop = halt_readout(
+                sync, trace, trajectory.tick, trajectory.slab, epsilon, params
+            )
+            if not stop:
+                running[branch_id] = (sync, trace)
+                continue
+            del running[branch_id]
+            outcome = BranchOutcome(
+                branch_id=branch_id,
+                sync=sync,
+                logits=logits,
+                confidence=c,
+                ticks_used=ticks_used,
+                reached_threshold=c >= min(epsilon, params.halt_cap),
+            )
+            halted.append(
+                (outcome, replace(trajectory, sync=sync, certainty_trace=trace))
+            )
+        if cutoff is None and halted and tick_limit is not None:
+            cutoff = ticks_used + tick_limit
+    return halted
 
 
 def merge(outcomes: list[BranchOutcome], params: CtmParams) -> ConsensusResult:
@@ -268,53 +349,30 @@ class StepDecision:
     ticks: int
 
 
-def decide_step(
+def select_step(
+    pairs: list[tuple[BranchOutcome, BranchState]],
     seed_state: BranchState,
-    f: np.ndarray,
     params: CtmParams,
-    epsilon: float,
-    k: int,
-    episode_seed: int,
     cache: Optional[ConsensusResult],
-    wait_policy: WaitPolicy = WaitPolicy.OFF,
-    deadline: Optional[DecisionDeadline] = None,
-    branch_hook: Optional[Callable[[int], None]] = None,
-    threaded: bool = True,
+    wait_policy: WaitPolicy,
+    tick_limit: Optional[int],
 ) -> StepDecision:
-    """Deterministic decision step: race k branches on logical ticks.
+    """The decision over finished branches, raced on logical ticks.
 
-    All branches run to their halt decision (losers run to budget).
     Completion order is canonicalized as (ticks_used, branch_id); the
-    deadline window opens at the earliest completion.  The winner's final
-    state seeds the next round, with its accumulators overwritten by the
-    merged vector on the normal path.
-
-    ``threaded=False`` runs the same pure per-branch function in-line;
-    branch content is identical either way (that equality is under test),
-    it just skips worker overhead where logical time makes real
-    concurrency unobservable.
+    deadline window opens at the earliest completion and closes
+    ``tick_limit`` ticks later.  The first threshold-reaching branch in the
+    window wins, and its final state seeds the next round with its
+    accumulators overwritten by the merged vector.  With no winner the
+    timeout path fires and the earliest branch seeds the next round; with
+    no branch at all, nothing does.
     """
-    deadline = deadline or default_deadline(params)
-    if threaded:
-        pairs = spawn_branches_with_states(
-            seed_state, f, k, params, epsilon, episode_seed, branch_hook
-        )
-    else:
-        pairs = []
-        for i in range(k):
-            try:
-                if branch_hook is not None:
-                    branch_hook(i)
-                pairs.append(run_branch(seed_state, f, params, epsilon, episode_seed, i))
-            except Exception as exc:
-                logger.warning("%s", BranchPanic(i, exc))
-    pairs.sort(key=lambda ps: (ps[0].ticks_used, ps[0].branch_id))
+    pairs = sorted(pairs, key=lambda ps: (ps[0].ticks_used, ps[0].branch_id))
     if not pairs:
         result = timeout_safe_pass(cache, params.pair_count)
         return StepDecision(result, None, seed_state.slab, seed_state.tick)
 
-    limit = deadline.logical_tick_limit
-    cutoff = None if limit is None else pairs[0][0].ticks_used + limit
+    cutoff = None if tick_limit is None else pairs[0][0].ticks_used + tick_limit
     in_time = [
         ps for ps in pairs if cutoff is None or ps[0].ticks_used <= cutoff
     ]
@@ -332,6 +390,34 @@ def decide_step(
         _, next_seed = pairs[0]
 
     return StepDecision(result, next_seed, next_seed.slab, next_seed.tick)
+
+
+def decide_step(
+    seed_state: BranchState,
+    f: np.ndarray,
+    params: CtmParams,
+    epsilon: float,
+    k: int,
+    episode_seed: int,
+    cache: Optional[ConsensusResult],
+    wait_policy: WaitPolicy = WaitPolicy.OFF,
+    deadline: Optional[DecisionDeadline] = None,
+    branch_hook: Optional[Callable[[int], None]] = None,
+) -> StepDecision:
+    """Deterministic decision step over k branch readouts.
+
+    One shared trajectory runs slab by slab and stops at the logical
+    cutoff (see ``shared_branches``); the branches are readouts of it, and
+    ``select_step`` makes the decision.  The result is the one
+    ``select_step`` gives on all k ``run_branch`` runs: a branch that halts
+    after the cutoff can never be chosen or merged.
+    """
+    deadline = deadline or default_deadline(params)
+    limit = deadline.logical_tick_limit
+    pairs = shared_branches(
+        seed_state, f, params, epsilon, k, episode_seed, limit, branch_hook
+    )
+    return select_step(pairs, seed_state, params, cache, wait_policy, limit)
 
 
 def decide_step_live(

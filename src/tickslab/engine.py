@@ -155,6 +155,28 @@ def mu_mlp(
     return bounded_tanh(pre)
 
 
+def slab_contribution(slab_states: list[np.ndarray], params: CtmParams) -> np.ndarray:
+    """One slab's decay-weighted pair products, float64 (pair_count,).
+
+    C_k = sum_{j=1..L} decay^(L-j) * z_j[p_k] * z_j[q_k].  The sum over the
+    slab runs column by column, so permuting the pairs permutes C exactly:
+    the contribution under ``pair_p[perm]``/``pair_q[perm]`` is ``C[perm]``
+    bit for bit.
+    """
+    n = len(slab_states)
+    if n == 0:
+        raise EmptySlab("a slab needs at least one state")
+    stack = np.stack(slab_states).astype(np.float64)            # (L, neurons)
+    prods = stack[:, params.pair_p] * stack[:, params.pair_q]   # (L, pair_count)
+    w = params.decay ** np.arange(n - 1, -1, -1, dtype=np.float64)
+    return np.sum(prods * w[:, None], axis=0)
+
+
+def accumulate(sync: np.ndarray, contribution: np.ndarray, n: int, decay: float) -> np.ndarray:
+    """Accumulators after an n-state slab: decay^n * S + C, stored as float32."""
+    return ((decay**n) * sync.astype(np.float64) + contribution).astype(np.float32)
+
+
 def sync_update(
     sync: np.ndarray, slab_states: list[np.ndarray], params: CtmParams
 ) -> np.ndarray:
@@ -163,16 +185,8 @@ def sync_update(
     S'_k = decay^L * S_k + sum_{j=1..L} decay^(L-j) * z_j[p_k] * z_j[q_k]
     where L is the number of states actually collected this slab.
     """
-    n = len(slab_states)
-    if n == 0:
-        raise EmptySlab("sync_update needs at least one state")
-    stack = np.stack(slab_states).astype(np.float64)            # (L, neurons)
-    prods = stack[:, params.pair_p] * stack[:, params.pair_q]   # (L, pair_count)
-    w = params.decay ** np.arange(n - 1, -1, -1, dtype=np.float64)
-    updated = (params.decay**n) * sync.astype(np.float64) + np.sum(
-        prods * w[:, None], axis=0
-    )
-    return updated.astype(np.float32)
+    contribution = slab_contribution(slab_states, params)
+    return accumulate(sync, contribution, len(slab_states), params.decay)
 
 
 def sync_scan_tick(sync: np.ndarray, z: np.ndarray, params: CtmParams) -> np.ndarray:
@@ -241,15 +255,8 @@ def gated_carry(z_a: np.ndarray, z_b: np.ndarray, beta: float) -> np.ndarray:
     return out.astype(np.float32)
 
 
-def run_slab(
-    state: BranchState, f: np.ndarray, params: CtmParams, epsilon: float
-) -> tuple[BranchState, SlabResult]:
-    """Run one slab (up to ticks_per_slab ticks, fewer at the tick budget).
-
-    Collects the post-readout states, folds them into the synchrony
-    accumulators, reads certainty, decides halt/continue, and blends the
-    hidden state for the next slab through the gated carry.
-    """
+def slab_length(state: BranchState, f: np.ndarray, params: CtmParams) -> int:
+    """Ticks in the next slab: ticks_per_slab, fewer at the tick budget."""
     ticks_left = params.tick_budget - state.tick
     if ticks_left <= 0:
         raise EmptySlab("tick budget exhausted before the slab started")
@@ -258,8 +265,19 @@ def run_slab(
             f"synapse input {state.z.shape[0]}+{f.shape[0]} != "
             f"{params.synapse_w.shape[1]}"
         )
-    n = min(params.ticks_per_slab, ticks_left)
+    return min(params.ticks_per_slab, ticks_left)
 
+
+def slab_ticks(
+    z: np.ndarray, history: np.ndarray, f: np.ndarray, params: CtmParams, n: int
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Run n ticks from (z, history); the tick math lives only here.
+
+    Returns the post-readout states, the new depth history (a fresh array;
+    ``history`` is not touched) and the hidden state carried into the next
+    slab through the gated carry.  The synchrony pairs play no part, so
+    every branch of a decision step shares this trajectory.
+    """
     # Inlined synapse -> push -> readout loop: float64 mirrors are hoisted
     # out of the loop, every reduction is the same einsum the public ops
     # use, so each tick is bit-identical to composing those ops directly
@@ -272,8 +290,7 @@ def run_slab(
     x64 = np.empty(w64.shape[1])
     x64[d:] = f.astype(np.float64)
 
-    z = state.z
-    hist = state.history.copy()
+    hist = history.copy()
     states = []
     for _ in range(n):
         x64[:d] = z
@@ -283,12 +300,25 @@ def run_slab(
         proj = np.einsum("dm,mr->dr", hist.astype(np.float64), a64)
         z = bounded_tanh(bias64 + np.einsum("dr,dr->d", proj, b64))
         states.append(z)
+    carried = gated_carry(z, synapse(z, f, params.synapse_w), params.carry_beta)
+    return states, hist, carried
 
-    sync = sync_update(state.sync, states, params)
+
+def halt_readout(
+    sync: np.ndarray,
+    certainty_trace: tuple,
+    tick: int,
+    slab: int,
+    epsilon: float,
+    params: CtmParams,
+) -> tuple[np.ndarray, float, tuple, bool]:
+    """Certainty read off the accumulators after a slab, and the halt call.
+
+    Returns (logits, certainty, trailing certainty trace, halted); ``tick``
+    and ``slab`` are the counters after the slab.
+    """
     logits, c = certainty(sync, params.certainty_w, params)
-    trace = (state.certainty_trace + (c,))[-params.plateau_window :]
-    tick = state.tick + n
-    slab = state.slab + 1
+    trace = (certainty_trace + (c,))[-params.plateau_window :]
     halted = halt_decision(
         c,
         epsilon,
@@ -299,7 +329,26 @@ def run_slab(
         plateau_window=params.plateau_window,
         plateau_epsilon=params.plateau_epsilon,
     )
-    carried = gated_carry(z, synapse(z, f, params.synapse_w), params.carry_beta)
+    return logits, c, trace, halted
+
+
+def run_slab(
+    state: BranchState, f: np.ndarray, params: CtmParams, epsilon: float
+) -> tuple[BranchState, SlabResult]:
+    """Run one slab (up to ticks_per_slab ticks, fewer at the tick budget).
+
+    Collects the post-readout states, folds them into the synchrony
+    accumulators, reads certainty, decides halt/continue, and blends the
+    hidden state for the next slab through the gated carry.
+    """
+    n = slab_length(state, f, params)
+    states, hist, carried = slab_ticks(state.z, state.history, f, params, n)
+    sync = sync_update(state.sync, states, params)
+    tick = state.tick + n
+    slab = state.slab + 1
+    logits, c, trace, halted = halt_readout(
+        sync, state.certainty_trace, tick, slab, epsilon, params
+    )
     new_state = BranchState(
         z=carried, history=hist, sync=sync, tick=tick, slab=slab, certainty_trace=trace
     )

@@ -1,8 +1,9 @@
 """Episode control loop: perceive, think, gate, act, log.
 
 Each decision step featurizes the goal and world into modality frames,
-fuses them, races k reasoning branches, and merges their outcomes (or takes
-the cached fallback when nothing converges in time).  The policy gate sends
+fuses them, reasons with k branches (readouts of one shared tick trajectory;
+raced on threads in live mode), and merges their outcomes (or takes the
+cached fallback when nothing converges in time).  The policy gate sends
 low-confidence results back for more slabs until the slab budget forces a
 dispatch.  The chosen tool call is serialized into an envelope, dispatched
 over the transport, and applied to the world; the affect readout of the
@@ -187,7 +188,6 @@ def run_episode(
                         cache,
                         wait_policy=wait_policy,
                         deadline=deadline,
-                        threaded=config.consensus.threaded,
                     )
                 if not decision.result.fallback:
                     cache = decision.result

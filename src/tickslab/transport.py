@@ -28,6 +28,7 @@ STATUS_OK = "ok"
 STATUS_ERROR = "error"
 
 _CODE_METHOD_NOT_FOUND = -32601
+_CODE_INVALID_PARAMS = -32602
 _CODE_INVALID_REQUEST = -32600
 _CODE_PARSE_ERROR = -32700
 
@@ -158,7 +159,13 @@ class ToolServer:
             return self._error_frame(None, _CODE_INVALID_REQUEST, "invalid request")
         req_id = doc["id"]
         method = doc["method"]
-        params = doc.get("params") or {}
+        params = doc.get("params")
+        if params is None:
+            params = {}
+        elif not isinstance(params, dict):
+            return self._error_frame(
+                req_id, _CODE_INVALID_PARAMS, "invalid params: params must be an object"
+            )
 
         if method == "registry/list":
             tools = [

@@ -1,14 +1,16 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_ctm
+from conftest import fusion_vector, make_ctm
 from tickslab.consensus import (
     BranchOutcome,
     DecisionDeadline,
+    PermutationCache,
     WaitPolicy,
     decide_step,
     decide_step_live,
@@ -16,13 +18,14 @@ from tickslab.consensus import (
     merge,
     perturb_for_branch,
     run_branch,
-    spawn_branches,
+    select_step,
+    shared_branches,
     timeout_safe_pass,
     wait_extra_slab,
 )
-from tickslab.engine import certainty, initial_state
+from tickslab.engine import BranchState, certainty, initial_state, run_slab
 from tickslab.errors import EmptyOutcomeList
-from tickslab.rng import SplitMix64
+from tickslab.rng import SplitMix64, derive_seed
 
 
 def make_outcome(branch_id, sync, logits, params, ticks=8, reached=True):
@@ -114,45 +117,38 @@ class TestMerge:
             assert o.confidence == pytest.approx(again, abs=1e-7)
 
 
+def assert_same_outcome(a, b):
+    assert a.branch_id == b.branch_id
+    assert a.sync.dtype == b.sync.dtype and a.sync.tobytes() == b.sync.tobytes()
+    assert a.logits.dtype == b.logits.dtype and a.logits.tobytes() == b.logits.tobytes()
+    assert a.confidence == b.confidence
+    assert a.ticks_used == b.ticks_used
+    assert a.reached_threshold == b.reached_threshold
+
+
+def assert_same_state(a, b):
+    for name in ("z", "history", "sync"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert (a.tick, a.slab, a.certainty_trace) == (b.tick, b.slab, b.certainty_trace)
+
+
 class TestSpawnBranches:
+    """k branches spawned from one seed state, read out of one trajectory."""
+
     def test_k1_matches_inline_run(self, small_params, fvec):
         seed_state = initial_state(small_params)
-        outcomes = spawn_branches(seed_state, fvec, 1, small_params, 0.75, episode_seed=42)
-        inline, _ = run_branch(seed_state, fvec, small_params, 0.75, 42, 0)
-        assert len(outcomes) == 1
-        got = outcomes[0]
-        assert got.branch_id == inline.branch_id
-        assert np.array_equal(got.sync, inline.sync)
-        assert np.array_equal(got.logits, inline.logits)
-        assert got.confidence == inline.confidence
-        assert got.ticks_used == inline.ticks_used
-
-    def test_multiset_stable_under_injected_sleeps(self, small_params, fvec):
-        seed_state = initial_state(small_params)
-        runs = []
-        for trial in range(3):
-            rng = np.random.default_rng(trial)
-
-            def hook(branch_id):
-                time.sleep(float(rng.uniform(0, 0.003)))
-
-            outcomes = spawn_branches(
-                seed_state, fvec, 4, small_params, 0.75, episode_seed=7, branch_hook=hook
-            )
-            runs.append(sorted(outcomes, key=lambda o: o.branch_id))
-        for other in runs[1:]:
-            for a, b in zip(runs[0], other):
-                assert a.branch_id == b.branch_id
-                assert np.array_equal(a.sync, b.sync)
-                assert np.array_equal(a.logits, b.logits)
-                assert a.confidence == b.confidence
-                assert a.ticks_used == b.ticks_used
+        pairs = shared_branches(seed_state, fvec, small_params, 0.75, 1, episode_seed=42)
+        inline, inline_state = run_branch(seed_state, fvec, small_params, 0.75, 42, 0)
+        assert len(pairs) == 1
+        assert_same_outcome(pairs[0][0], inline)
+        assert_same_state(pairs[0][1], inline_state)
 
     def test_branches_differ_from_each_other(self, small_params, fvec):
-        outcomes = spawn_branches(
-            initial_state(small_params), fvec, 4, small_params, 0.75, episode_seed=7
+        pairs = shared_branches(
+            initial_state(small_params), fvec, small_params, 0.75, 4, episode_seed=7
         )
-        syncs = {o.sync.tobytes() for o in outcomes}
+        syncs = {o.sync.tobytes() for o, _ in pairs}
         assert len(syncs) > 1
 
     def test_failed_branch_excluded_and_logged(self, small_params, fvec, caplog):
@@ -161,11 +157,11 @@ class TestSpawnBranches:
                 raise RuntimeError("injected fault")
 
         with caplog.at_level("WARNING", logger="tickslab.consensus"):
-            outcomes = spawn_branches(
-                initial_state(small_params), fvec, 4, small_params, 0.75,
+            pairs = shared_branches(
+                initial_state(small_params), fvec, small_params, 0.75, 4,
                 episode_seed=7, branch_hook=hook,
             )
-        assert sorted(o.branch_id for o in outcomes) == [0, 1, 3]
+        assert sorted(o.branch_id for o, _ in pairs) == [0, 1, 3]
         assert any("branch 2" in r.message for r in caplog.records)
 
     def test_perturbation_is_pair_permutation(self, small_params):
@@ -257,22 +253,6 @@ class TestDecideStep:
         assert decision.result.fallback
         assert decision.next_seed is None
 
-    def test_inline_equals_threaded(self, small_params, fvec):
-        seed_state = initial_state(small_params)
-        threaded = decide_step(
-            seed_state, fvec, small_params, 0.75, 4, 11, None, threaded=True
-        )
-        inline = decide_step(
-            seed_state, fvec, small_params, 0.75, 4, 11, None, threaded=False
-        )
-        assert np.array_equal(
-            threaded.result.sync_merged, inline.result.sync_merged
-        )
-        assert threaded.result.confidence_merged == inline.result.confidence_merged
-        assert threaded.result.contributors == inline.result.contributors
-        assert threaded.slab_count == inline.slab_count
-        assert np.array_equal(threaded.next_seed.z, inline.next_seed.z)
-
     def test_wait_one_can_widen_merge_set(self, small_params, fvec):
         base = decide_step(
             initial_state(small_params), fvec, small_params, 0.2, 4, 11, None,
@@ -317,3 +297,149 @@ class TestLiveRace:
                 assert decision.result.contributors == ()
             else:
                 assert len(decision.result.contributors) >= 1
+
+
+def warm_state(params, f, slabs, reset):
+    """A seed state after ``slabs`` slabs; ``reset`` zeroes the step counters.
+
+    Without the reset this is the rethink path (tick/slab carry on); with
+    it, the start of a later decision step (the thought state carries on).
+    """
+    state = initial_state(params)
+    for _ in range(slabs):
+        state, _ = run_slab(state, f, params, epsilon=2.0)
+    if reset:
+        state = BranchState(state.z, state.history, state.sync)
+    return state
+
+
+def reference_pairs(seed_state, f, params, epsilon, k, episode_seed, failing):
+    """run_branch for every branch that neither fails its hook nor raises."""
+    pairs = {}
+    for branch_id in range(k):
+        if branch_id in failing:
+            continue
+        try:
+            pairs[branch_id] = run_branch(seed_state, f, params, epsilon, episode_seed, branch_id)
+        except Exception:
+            continue
+    return pairs
+
+
+class TestSharedTrajectory:
+    @given(
+        params_seed=st.integers(0, 40),
+        f_seed=st.integers(0, 1000),
+        episode_seed=st.integers(0, 2**40),
+        k=st.integers(1, 8),
+        epsilon=st.floats(0.02, 1.2),
+        wait=st.sampled_from(list(WaitPolicy)),
+        limit=st.one_of(st.none(), st.integers(0, 8)),
+        ticks_per_slab=st.integers(1, 4),
+        max_slabs=st.integers(2, 6),
+        warm_slabs=st.integers(0, 6),
+        reset=st.booleans(),
+        failing=st.sets(st.integers(0, 7), max_size=3),
+        with_cache=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_equals_run_branch(
+        self, params_seed, f_seed, episode_seed, k, epsilon, wait, limit,
+        ticks_per_slab, max_slabs, warm_slabs, reset, failing, with_cache,
+    ):
+        params = make_ctm(seed=params_seed, ticks_per_slab=ticks_per_slab, max_slabs=max_slabs)
+        f = fusion_vector(f_seed)
+        seed_state = warm_state(params, f, min(warm_slabs, max_slabs), reset)
+        cache = None
+        if with_cache:
+            cache = merge(random_outcomes(np.random.default_rng(f_seed), params, 2), params)
+
+        def hook(branch_id):
+            if branch_id in failing:
+                raise RuntimeError("injected fault")
+
+        shared = shared_branches(
+            seed_state, f, params, epsilon, k, episode_seed, limit, hook
+        )
+        reference = reference_pairs(seed_state, f, params, epsilon, k, episode_seed, failing)
+
+        # Every reported branch equals its own run, bit for bit.
+        for outcome, state in shared:
+            ref_outcome, ref_state = reference[outcome.branch_id]
+            assert_same_outcome(outcome, ref_outcome)
+            assert_same_state(state, ref_state)
+
+        # Omitted: exactly the branches that halt after the cutoff.
+        if reference:
+            earliest = min(o.ticks_used for o, _ in reference.values())
+            cutoff = None if limit is None else earliest + limit
+        kept = {
+            b for b, (o, _) in reference.items() if cutoff is None or o.ticks_used <= cutoff
+        }
+        assert [o.branch_id for o, _ in shared] == sorted(
+            kept, key=lambda b: (reference[b][0].ticks_used, b)
+        )
+
+        # The decision is the one the same selection makes on all k runs.
+        deadline = DecisionDeadline(logical_tick_limit=limit, wall_clock_ms=250.0)
+        got = decide_step(
+            seed_state, f, params, epsilon, k, episode_seed, cache,
+            wait_policy=wait, deadline=deadline, branch_hook=hook,
+        )
+        want = select_step(list(reference.values()), seed_state, params, cache, wait, limit)
+        assert got.result.sync_merged.tobytes() == want.result.sync_merged.tobytes()
+        assert got.result.confidence_merged == want.result.confidence_merged
+        assert got.result.contributors == want.result.contributors
+        assert got.result.fallback == want.result.fallback
+        assert (got.slab_count, got.ticks) == (want.slab_count, want.ticks)
+        if want.next_seed is None:
+            assert got.next_seed is None
+        else:
+            assert_same_state(got.next_seed, want.next_seed)
+
+    def test_one_failing_branch_is_dropped_from_the_decision(self, small_params, fvec, caplog):
+        seed_state = initial_state(small_params)
+
+        def hook(branch_id):
+            if branch_id == 1:
+                raise RuntimeError("injected fault")
+
+        with caplog.at_level("WARNING", logger="tickslab.consensus"):
+            got = decide_step(
+                seed_state, fvec, small_params, 0.3, 3, 11, None, branch_hook=hook
+            )
+        panics = [r.message for r in caplog.records if "failed" in r.message]
+        assert panics == ["branch 1 failed: RuntimeError('injected fault')"]
+        assert 1 not in got.result.contributors
+        reference = reference_pairs(seed_state, fvec, small_params, 0.3, 3, 11, {1})
+        want = select_step(
+            list(reference.values()), seed_state, small_params, None, WaitPolicy.OFF,
+            4 * small_params.ticks_per_slab,
+        )
+        assert got.result.sync_merged.tobytes() == want.result.sync_merged.tobytes()
+        assert_same_state(got.next_seed, want.next_seed)
+
+    def test_trajectory_failure_fails_every_running_branch(self, small_params, fvec, caplog):
+        # Tick budget already spent: the first slab raises, as in run_branch.
+        spent = replace(
+            initial_state(small_params), tick=small_params.tick_budget, slab=0
+        )
+        with caplog.at_level("WARNING", logger="tickslab.consensus"):
+            decision = decide_step(spent, fvec, small_params, 0.75, 3, 11, None)
+        assert sum("failed" in r.message for r in caplog.records) == 3
+        assert decision.result.fallback
+        assert decision.next_seed is None
+
+    def test_permutation_cache_holds_one_episode(self):
+        cache = PermutationCache()
+        first = cache.get(5, 12, 3)
+        assert len(first) == 3
+        assert all(a is b for a, b in zip(first, cache.get(5, 12, 3)))
+        for branch_id, perm in enumerate(first):
+            fresh = SplitMix64(derive_seed(5, f"branch/{branch_id}")).permutation(12)
+            assert np.array_equal(perm, fresh)
+            assert not perm.flags.writeable
+        cache.get(6, 12, 3)
+        again = cache.get(5, 12, 3)
+        assert all(a is not b for a, b in zip(first, again))
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import make_ctm
 from tickslab.engine import (
     BranchState,
+    accumulate,
     certainty,
     gated_carry,
     halt_decision,
@@ -14,6 +17,7 @@ from tickslab.engine import (
     push_history,
     run_slab,
     run_until_halt,
+    slab_contribution,
     sync_scan_tick,
     sync_update,
     synapse,
@@ -146,6 +150,20 @@ class TestSyncUpdate:
             np.testing.assert_allclose(
                 scanned.astype(np.float32), closed, rtol=1e-5, atol=1e-8
             )
+
+    @given(st.integers(0, 10_000), st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_permuted_pairs_gather_the_contribution(self, seed, n):
+        # The shared-trajectory identity: under pair_p[perm]/pair_q[perm]
+        # the slab update is decay^n * S + C[perm], bit for bit.
+        params = make_ctm(seed=seed % 50)
+        rng = np.random.default_rng(seed)
+        states = [rng.uniform(-1, 1, size=8).astype(np.float32) for _ in range(n)]
+        sync = rng.normal(size=12).astype(np.float32)
+        perm = rng.permutation(12)
+        permuted = replace(params, pair_p=params.pair_p[perm], pair_q=params.pair_q[perm])
+        gathered = accumulate(sync, slab_contribution(states, params)[perm], n, params.decay)
+        assert gathered.tobytes() == sync_update(sync, states, permuted).tobytes()
 
     def test_empty_slab(self, small_params):
         with pytest.raises(EmptySlab):

@@ -123,7 +123,57 @@ class TestRegistryList:
         assert response["error"]["code"] == -32601
 
 
+    @pytest.mark.parametrize("method", ["tool/noop", "registry/list"])
+    @pytest.mark.parametrize("params", [[1], [], "x", 3, True])
+    def test_non_object_params_get_invalid_params(self, method, params):
+        server = make_server()
+        frame = json.dumps(
+            {"jsonrpc": "2.0", "id": 5, "method": method, "params": params}
+        ).encode()
+        response = json.loads(server.handle_frame(frame))
+        assert response["id"] == 5
+        assert response["error"]["code"] == -32602
+        assert "result" not in response
+
+    def test_null_params_are_no_params(self):
+        server = make_server()
+        frame = json.dumps(
+            {"jsonrpc": "2.0", "id": 6, "method": "tool/noop", "params": None}
+        ).encode()
+        response = json.loads(server.handle_frame(frame))
+        assert response["result"]["status"] == "ok"
+
+
 class TestTcp:
+    def test_non_object_params_do_not_stop_server(self):
+        server = make_server()
+        ready = threading.Event()
+        port_holder = {}
+
+        def set_port(port):
+            port_holder["port"] = port
+            ready.set()
+
+        thread = threading.Thread(
+            target=server.serve_tcp, args=("127.0.0.1", 0, 1, set_port), daemon=True
+        )
+        thread.start()
+        assert ready.wait(5.0)
+        # a timeout turns a dead server into a failure instead of a hang
+        sock = socket.create_connection(("127.0.0.1", port_holder["port"]), timeout=5.0)
+        transport = TcpTransport(sock)
+        try:
+            bad = {"jsonrpc": "2.0", "id": 1, "method": "tool/noop", "params": [1]}
+            transport.send_frame(json.dumps(bad).encode())
+            response = json.loads(transport.recv_frame())
+            assert response["id"] == 1
+            assert response["error"]["code"] == -32602
+            assert dispatch(envelope(env_id=2), transport).ok
+        finally:
+            transport.close()
+        thread.join(5.0)
+        assert not thread.is_alive()
+
     def test_round_trip_over_tcp(self):
         server = make_server()
         ready = threading.Event()
