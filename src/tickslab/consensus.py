@@ -16,24 +16,23 @@ bit.  Outcomes are merged by entropy-based confidence weights after a
 canonical sort, so the merge is bitwise order-independent.
 
 Exactly one consensus result is produced per decision step: the normal path
-and the timeout path are mutually exclusive through a once-only latch, and
-the timeout path is total (it falls back to the cached result, or to a zero
-no-op result on the first step).
+and the timeout path are mutually exclusive, and the timeout path is total
+(it falls back to the cached result, or to a zero no-op result on the first
+step).
 
-Live mode is the only concurrent path: ``decide_step_live`` races
-``run_branch`` workers against a wall-clock deadline.  Workers own their
-states exclusively; the single collector does all merging; no lock is held
-while a branch computes.
+Live mode (``decide_step_live``) is the same step with a wall-clock stop:
+the trajectory also ends before a slab that would start after the expiry,
+so a step returns within its deadline plus one slab, and branches still
+running then are left out.  With a deadline that does not expire, its
+decision equals the deterministic one bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
-import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -83,7 +82,10 @@ class ConsensusResult:
 
 @dataclass(frozen=True)
 class DecisionDeadline:
-    """Deadline in logical ticks (deterministic mode) and/or wall-clock ms."""
+    """Deadline in logical ticks and/or wall-clock ms.
+
+    Deterministic mode uses the tick limit only; live mode honours both.
+    """
 
     logical_tick_limit: Optional[int] = None
     wall_clock_ms: Optional[float] = None
@@ -104,7 +106,7 @@ class PermutationCache:
     Only one (episode seed, pair count) is held at a time: asking for
     another replaces the arrays, so the cache never grows past k of them.
     The arrays are a pure function of that key, so sharing one cache
-    between callers and live-mode worker threads changes no result.
+    between callers, on any thread, changes no result.
     """
 
     def __init__(self) -> None:
@@ -149,8 +151,9 @@ def run_branch(
 ) -> tuple[BranchOutcome, BranchState]:
     """Run one branch on its own to its halt decision; pure given its arguments.
 
-    The per-branch reference: ``shared_branches`` reads the same outcome
-    and final state out of the shared trajectory.
+    The per-branch reference only; no decision step calls it.
+    ``shared_branches`` reads the same outcome and final state out of the
+    shared trajectory, and the tests compare the two.
     """
     branch_params = perturb_for_branch(params, episode_seed, branch_id)
     state, last = run_until_halt(seed_state.clone(), f, branch_params, epsilon)
@@ -175,6 +178,7 @@ def shared_branches(
     episode_seed: int,
     tick_limit: Optional[int] = None,
     branch_hook: Optional[Callable[[int], None]] = None,
+    expiry: Optional[float] = None,
 ) -> list[tuple[BranchOutcome, BranchState]]:
     """(outcome, final state) of each branch that halts by the cutoff.
 
@@ -184,8 +188,10 @@ def shared_branches(
     and makes its halt call.  Each pair equals ``run_branch``'s for that
     branch bit for bit.  With a ``tick_limit`` the trajectory stops before
     a slab that would end past the cutoff (earliest halt plus the limit);
-    branches that would halt later are left out.  Pairs come in
-    (ticks_used, branch_id) order.
+    branches that would halt later are left out.  With an ``expiry`` (a
+    ``time.monotonic()`` value) it also stops before a slab that would
+    start at or after it; branches still running are left out.  Pairs come
+    in (ticks_used, branch_id) order.
 
     ``branch_hook`` runs once per branch before the trajectory (tests
     inject faults there).  A branch whose hook raises, or that is still
@@ -209,6 +215,8 @@ def shared_branches(
     trajectory = seed_state
     cutoff = None       # earliest halt + tick_limit, in ticks used this step
     while running:
+        if expiry is not None and time.monotonic() >= expiry:
+            break
         try:
             n = slab_length(trajectory, f, params)
             if cutoff is not None and trajectory.tick + n - seed_state.tick > cutoff:
@@ -433,68 +441,24 @@ def decide_step_live(
     branch_hook: Optional[Callable[[int], None]] = None,
     latch: Optional[DecisionLatch] = None,
 ) -> StepDecision:
-    """Wall-clock decision step for live mode.
+    """Live decision step: ``decide_step`` under a wall-clock stop.
 
-    A single collector consumes completions from the worker queue; the
-    first threshold-reaching completion inside the deadline wins.  When the
-    deadline expires first, the timeout path fires instead.  The two paths
-    are mutually exclusive through the latch, so exactly one consensus
-    result is emitted no matter how completions interleave with expiry.
+    The shared trajectory stops at the logical cutoff or once
+    ``deadline.wall_clock_ms`` has passed since the call, whichever comes
+    first, so the call returns within the deadline plus one slab.  The
+    branches that halted by then go through ``select_step``; if none
+    reached the threshold, the timeout path gives the fallback.  The latch
+    fires once for the one result.
     """
     if deadline.wall_clock_ms is None:
         raise ValueError("live mode needs a wall-clock deadline")
+    expiry = time.monotonic() + deadline.wall_clock_ms / 1000.0
     latch = latch or DecisionLatch()
-    results: queue.SimpleQueue = queue.SimpleQueue()
-
-    def worker(branch_id: int) -> None:
-        if branch_hook is not None:
-            branch_hook(branch_id)
-        results.put(run_branch(seed_state, f, params, epsilon, episode_seed, branch_id))
-
-    start = time.monotonic()
-    budget_s = deadline.wall_clock_ms / 1000.0
-    collected: list[tuple[BranchOutcome, BranchState]] = []
-    winner: Optional[tuple[BranchOutcome, BranchState]] = None
-
-    pool = ThreadPoolExecutor(max_workers=k)
-    try:
-        futures = [pool.submit(worker, i) for i in range(k)]
-        while len(collected) < k:
-            remaining = budget_s - (time.monotonic() - start)
-            if remaining <= 0:
-                break
-            try:
-                item = results.get(timeout=remaining)
-            except queue.Empty:
-                break
-            collected.append(item)
-            if item[0].reached_threshold:
-                winner = item
-                break
-
-        if winner is not None and latch.fire():
-            merge_set = [winner[0]]
-            if wait_policy is WaitPolicy.ONE:
-                remaining = budget_s - (time.monotonic() - start)
-                if remaining > 0:
-                    try:
-                        extra = results.get(timeout=remaining)
-                        collected.append(extra)
-                        merge_set.append(extra[0])
-                    except queue.Empty:
-                        pass
-            result = merge(merge_set, params)
-            next_seed = replace(winner[1], sync=result.sync_merged.copy())
-            return StepDecision(result, next_seed, next_seed.slab, next_seed.tick)
-
-        if latch.fire():
-            result = timeout_safe_pass(cache, params.pair_count)
-            if collected:
-                collected.sort(key=lambda ps: (ps[0].ticks_used, ps[0].branch_id))
-                next_seed = collected[0][1]
-                return StepDecision(result, next_seed, next_seed.slab, next_seed.tick)
-            return StepDecision(result, None, seed_state.slab, seed_state.tick)
-
-        raise RuntimeError("decision latch fired twice")  # pragma: no cover
-    finally:
-        pool.shutdown(wait=True)
+    limit = deadline.logical_tick_limit
+    pairs = shared_branches(
+        seed_state, f, params, epsilon, k, episode_seed, limit, branch_hook, expiry
+    )
+    decision = select_step(pairs, seed_state, params, cache, wait_policy, limit)
+    if not latch.fire():
+        raise RuntimeError("decision latch fired twice")
+    return decision

@@ -1,11 +1,11 @@
 """Episode control loop: perceive, think, gate, act, log.
 
 Each decision step featurizes the goal and world into modality frames,
-fuses them, reasons with k branches (readouts of one shared tick trajectory;
-raced on threads in live mode), and merges their outcomes (or takes the
-cached fallback when nothing converges in time).  The policy gate sends
-low-confidence results back for more slabs until the slab budget forces a
-dispatch.  The chosen tool call is serialized into an envelope, dispatched
+fuses them, reasons with k branches (readouts of one shared tick trajectory,
+stopped by the wall clock as well in live mode), and merges their outcomes
+(or takes the cached fallback when nothing converges in time).  The policy
+gate sends low-confidence results back for more slabs until the slab budget
+forces a dispatch.  The chosen tool call is serialized into an envelope, dispatched
 over the transport, and applied to the world; the affect readout of the
 final merged vector sets the halting threshold for the next step.
 
@@ -138,6 +138,7 @@ def run_episode(
         wall_clock_ms=config.consensus.deadline_ms,
     )
     wait_policy = WaitPolicy(config.consensus.wait_policy)
+    decide = decide_step_live if config.consensus.live else decide_step
 
     log = EpisodeLog(task_id=task.id)
     seed_state = initial_state(ctm)
@@ -165,30 +166,17 @@ def run_episode(
 
             decision = None
             while True:
-                if config.consensus.live:
-                    decision = decide_step_live(
-                        seed_state,
-                        f,
-                        ctm,
-                        epsilon,
-                        config.consensus.branches,
-                        episode_seed,
-                        cache,
-                        deadline,
-                        wait_policy=wait_policy,
-                    )
-                else:
-                    decision = decide_step(
-                        seed_state,
-                        f,
-                        ctm,
-                        epsilon,
-                        config.consensus.branches,
-                        episode_seed,
-                        cache,
-                        wait_policy=wait_policy,
-                        deadline=deadline,
-                    )
+                decision = decide(
+                    seed_state,
+                    f,
+                    ctm,
+                    epsilon,
+                    config.consensus.branches,
+                    episode_seed,
+                    cache,
+                    wait_policy=wait_policy,
+                    deadline=deadline,
+                )
                 if not decision.result.fallback:
                     cache = decision.result
                 if decision.next_seed is not None:

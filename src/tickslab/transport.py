@@ -147,7 +147,8 @@ class ToolServer:
     def handle_frame(self, frame: bytes) -> bytes:
         try:
             doc = json.loads(frame.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the decoder can follow
             return self._error_frame(None, _CODE_PARSE_ERROR, f"parse error: {exc}")
         if (
             not isinstance(doc, dict)
@@ -222,15 +223,26 @@ class ToolServer:
             return
 
     def serve_tcp(self, host: str, port: int, max_clients: Optional[int] = None, ready=None) -> None:
-        """Accept clients serially; ``ready`` (if given) receives the bound port."""
+        """Accept clients serially; ``ready`` (if given) receives the bound port.
+
+        A client whose connection fails for any other reason than hanging up
+        is logged and disconnected; the server goes on to the next one.
+        """
         with socket.create_server((host, port)) as listener:
             if ready is not None:
                 ready(listener.getsockname()[1])
             served = 0
             while max_clients is None or served < max_clients:
                 conn, _ = listener.accept()
-                with conn:
-                    self.serve_stream(TcpTransport(conn))
+                # closing the transport closes its makefile streams too, so
+                # the client sees EOF instead of waiting on an open descriptor
+                transport = TcpTransport(conn)
+                try:
+                    self.serve_stream(transport)
+                except Exception:
+                    logger.exception("dropped a client after an unexpected error")
+                finally:
+                    transport.close()
                 served += 1
 
 

@@ -298,6 +298,31 @@ class TestLiveRace:
             else:
                 assert len(decision.result.contributors) >= 1
 
+    def test_deadline_bounds_return_time(self, fvec):
+        # No certainty weights (threshold out of reach), no plateau stop and
+        # a slab budget of seconds: only the wall clock can end the step.
+        params = make_ctm(
+            seed=4, neurons=64, pair_count=256, ticks_per_slab=8, max_slabs=3000,
+            certainty_w=np.zeros((4, 256), dtype=np.float32), plateau_epsilon=0.0,
+        )
+        state, _ = run_slab(initial_state(params), fvec, params, epsilon=0.5)
+        start = time.monotonic()
+        run_slab(state, fvec, params, epsilon=0.5)
+        slab_s = time.monotonic() - start
+
+        deadline = DecisionDeadline(wall_clock_ms=50.0)
+        start = time.monotonic()
+        decision = decide_step_live(
+            initial_state(params), fvec, params, 0.5, 4, 7, None, deadline
+        )
+        elapsed = time.monotonic() - start
+        assert decision.result.fallback
+        assert decision.result.contributors == ()
+        assert decision.next_seed is None
+        assert elapsed <= 0.050 + 4 * slab_s + 0.25, (
+            f"returned after {elapsed * 1000:.0f} ms (one slab {slab_s * 1000:.2f} ms)"
+        )
+
 
 def warm_state(params, f, slabs, reset):
     """A seed state after ``slabs`` slabs; ``reset`` zeroes the step counters.
@@ -385,22 +410,29 @@ class TestSharedTrajectory:
             kept, key=lambda b: (reference[b][0].ticks_used, b)
         )
 
-        # The decision is the one the same selection makes on all k runs.
+        # The decision is the one the same selection makes on all k runs, in
+        # deterministic mode and in live mode with a deadline that never expires.
         deadline = DecisionDeadline(logical_tick_limit=limit, wall_clock_ms=250.0)
-        got = decide_step(
+        decided = decide_step(
             seed_state, f, params, epsilon, k, episode_seed, cache,
             wait_policy=wait, deadline=deadline, branch_hook=hook,
         )
+        live = decide_step_live(
+            seed_state, f, params, epsilon, k, episode_seed, cache,
+            DecisionDeadline(logical_tick_limit=limit, wall_clock_ms=60_000),
+            wait_policy=wait, branch_hook=hook,
+        )
         want = select_step(list(reference.values()), seed_state, params, cache, wait, limit)
-        assert got.result.sync_merged.tobytes() == want.result.sync_merged.tobytes()
-        assert got.result.confidence_merged == want.result.confidence_merged
-        assert got.result.contributors == want.result.contributors
-        assert got.result.fallback == want.result.fallback
-        assert (got.slab_count, got.ticks) == (want.slab_count, want.ticks)
-        if want.next_seed is None:
-            assert got.next_seed is None
-        else:
-            assert_same_state(got.next_seed, want.next_seed)
+        for got in (decided, live):
+            assert got.result.sync_merged.tobytes() == want.result.sync_merged.tobytes()
+            assert got.result.confidence_merged == want.result.confidence_merged
+            assert got.result.contributors == want.result.contributors
+            assert got.result.fallback == want.result.fallback
+            assert (got.slab_count, got.ticks) == (want.slab_count, want.ticks)
+            if want.next_seed is None:
+                assert got.next_seed is None
+            else:
+                assert_same_state(got.next_seed, want.next_seed)
 
     def test_trajectory_failure_fails_every_running_branch(self, small_params, fvec, caplog):
         # Tick budget already spent: the first slab raises, as in run_branch.

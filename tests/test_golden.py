@@ -9,6 +9,7 @@ them, regenerate them in a change of their own and say why.
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -40,16 +41,34 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def run_digests(tmp_path: Path, *extra: str) -> tuple[str, str]:
+    argv = ["run", "--tasks", str(TASKS), "--out", str(tmp_path), *extra]
+    assert main(argv) == 0
+    return sha256(tmp_path / "episodes.jsonl"), sha256(tmp_path / "metrics.json")
+
+
 @pytest.mark.parametrize(
     "policy,seed", list(GOLDEN), ids=[f"{p}-seed{s or 0}" for p, s in GOLDEN]
 )
 def test_run_digests(tmp_path, policy, seed):
-    argv = ["run", "--tasks", str(TASKS), "--policy", policy, "--out", str(tmp_path)]
+    extra = ["--policy", policy]
     if seed is not None:
-        argv += ["--seed", str(seed)]
-    assert main(argv) == 0
-    got = (sha256(tmp_path / "episodes.jsonl"), sha256(tmp_path / "metrics.json"))
+        extra += ["--seed", str(seed)]
+    got = run_digests(tmp_path, *extra)
     assert got == GOLDEN[(policy, seed)], (
         f"{policy} digests moved (recorded with numpy {RECORDED_NUMPY}, "
         f"installed numpy {np.__version__}): got {got}"
+    )
+
+
+def test_live_run_with_generous_deadline_matches_ctm(tmp_path):
+    # Live mode is the deterministic step under a wall-clock stop; a clock
+    # that never runs out leaves the output byte for byte the same.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"consensus": {"live": True, "deadline_ms": 600000}}))
+    out = tmp_path / "out"
+    got = run_digests(out, "--policy", "ctm", "--config", str(config))
+    assert got == GOLDEN[("ctm", None)], (
+        f"live ctm digests differ from deterministic ones (recorded with numpy "
+        f"{RECORDED_NUMPY}, installed numpy {np.__version__}): got {got}"
     )

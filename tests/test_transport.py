@@ -2,6 +2,7 @@ import json
 import socket
 import struct
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -116,6 +117,12 @@ class TestRegistryList:
         response = json.loads(server.handle_frame(b"{nope"))
         assert response["error"]["code"] == -32700
 
+    def test_nested_frame_gets_parse_error(self):
+        server = make_server()
+        response = json.loads(server.handle_frame(b"[" * 100_000))
+        assert response["id"] is None
+        assert response["error"]["code"] == -32700
+
     def test_unknown_method(self):
         server = make_server()
         frame = json.dumps({"jsonrpc": "2.0", "id": 4, "method": "shutdown"}).encode()
@@ -144,60 +151,67 @@ class TestRegistryList:
         assert response["result"]["status"] == "ok"
 
 
+CLIENT_TIMEOUT_S = 5.0
+
+
+@contextmanager
+def serving_tcp(server, max_clients):
+    """Run ``server.serve_tcp`` on a thread; yield (port, thread).
+
+    On exit the server must have ended by itself after ``max_clients``.
+    """
+    ready = threading.Event()
+    port_holder = {}
+
+    def set_port(port):
+        port_holder["port"] = port
+        ready.set()
+
+    thread = threading.Thread(
+        target=server.serve_tcp, args=("127.0.0.1", 0, max_clients, set_port), daemon=True
+    )
+    thread.start()
+    assert ready.wait(5.0)
+    yield port_holder["port"], thread
+    thread.join(5.0)
+    assert not thread.is_alive()
+
+
+def client_socket(port):
+    # a timeout turns a dead server into a failure instead of a hang
+    return socket.create_connection(("127.0.0.1", port), timeout=CLIENT_TIMEOUT_S)
+
+
+def connect(port):
+    return TcpTransport(client_socket(port))
+
+
 class TestTcp:
     def test_non_object_params_do_not_stop_server(self):
-        server = make_server()
-        ready = threading.Event()
-        port_holder = {}
-
-        def set_port(port):
-            port_holder["port"] = port
-            ready.set()
-
-        thread = threading.Thread(
-            target=server.serve_tcp, args=("127.0.0.1", 0, 1, set_port), daemon=True
-        )
-        thread.start()
-        assert ready.wait(5.0)
-        # a timeout turns a dead server into a failure instead of a hang
-        sock = socket.create_connection(("127.0.0.1", port_holder["port"]), timeout=5.0)
-        transport = TcpTransport(sock)
-        try:
-            bad = {"jsonrpc": "2.0", "id": 1, "method": "tool/noop", "params": [1]}
-            transport.send_frame(json.dumps(bad).encode())
-            response = json.loads(transport.recv_frame())
-            assert response["id"] == 1
-            assert response["error"]["code"] == -32602
-            assert dispatch(envelope(env_id=2), transport).ok
-        finally:
-            transport.close()
-        thread.join(5.0)
-        assert not thread.is_alive()
+        with serving_tcp(make_server(), 1) as (port, _):
+            transport = connect(port)
+            try:
+                bad = {"jsonrpc": "2.0", "id": 1, "method": "tool/noop", "params": [1]}
+                transport.send_frame(json.dumps(bad).encode())
+                response = json.loads(transport.recv_frame())
+                assert response["id"] == 1
+                assert response["error"]["code"] == -32602
+                assert dispatch(envelope(env_id=2), transport).ok
+            finally:
+                transport.close()
 
     def test_round_trip_over_tcp(self):
-        server = make_server()
-        ready = threading.Event()
-        port_holder = {}
-
-        def set_port(port):
-            port_holder["port"] = port
-            ready.set()
-
-        thread = threading.Thread(
-            target=server.serve_tcp, args=("127.0.0.1", 0, 1, set_port), daemon=True
-        )
-        thread.start()
-        assert ready.wait(5.0)
-        transport = TcpTransport.connect("127.0.0.1", port_holder["port"])
-        try:
-            result = dispatch(envelope(), transport)
-            assert result.ok
-            result = dispatch(envelope(method="tool/echo", env_id=2, args={"object": "x"}), transport)
-            assert result.payload == {"echo": {"object": "x"}}
-        finally:
-            transport.close()
-        thread.join(5.0)
-        assert not thread.is_alive()
+        with serving_tcp(make_server(), 1) as (port, _):
+            transport = connect(port)
+            try:
+                result = dispatch(envelope(), transport)
+                assert result.ok
+                result = dispatch(
+                    envelope(method="tool/echo", env_id=2, args={"object": "x"}), transport
+                )
+                assert result.payload == {"echo": {"object": "x"}}
+            finally:
+                transport.close()
 
     def test_peer_close_raises(self):
         listener = socket.create_server(("127.0.0.1", 0))
@@ -209,42 +223,70 @@ class TestTcp:
 
         thread = threading.Thread(target=close_on_accept, daemon=True)
         thread.start()
-        transport = TcpTransport.connect("127.0.0.1", port)
+        transport = connect(port)
         with pytest.raises(TransportClosed):
             transport.send_frame(b"{}")
             transport.recv_frame()
         listener.close()
 
     def test_client_reset_does_not_stop_server(self):
+        with serving_tcp(make_server(), 2) as (port, thread):
+            # first client sends requests without reading the replies, then
+            # resets the connection (linger 0 makes close send a RST)
+            resetter = client_socket(port)
+            frame = json.dumps({"jsonrpc": "2.0", "id": 1, "method": "tool/noop"}).encode()
+            resetter.sendall((frame + b"\n") * 50)
+            resetter.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            resetter.close()
+
+            transport = connect(port)
+            try:
+                assert thread.is_alive()
+                assert dispatch(envelope(), transport).ok
+            finally:
+                transport.close()
+
+    def test_nested_frame_does_not_stop_server(self):
+        with serving_tcp(make_server(), 2) as (port, _):
+            transport = connect(port)
+            try:
+                transport.send_frame(b"[" * 100_000)
+                response = json.loads(transport.recv_frame())
+                assert response["error"]["code"] == -32700
+            finally:
+                transport.close()
+            transport = connect(port)
+            try:
+                assert dispatch(envelope(), transport).ok
+            finally:
+                transport.close()
+
+    def test_server_error_disconnects_client_and_serves_next(self, monkeypatch):
         server = make_server()
-        ready = threading.Event()
-        port_holder = {}
+        handle_frame = server.handle_frame
+        calls = []
 
-        def set_port(port):
-            port_holder["port"] = port
-            ready.set()
+        def fail_first(frame):
+            calls.append(frame)
+            if len(calls) == 1:
+                raise RuntimeError("server bug")
+            return handle_frame(frame)
 
-        thread = threading.Thread(
-            target=server.serve_tcp, args=("127.0.0.1", 0, 2, set_port), daemon=True
-        )
-        thread.start()
-        assert ready.wait(5.0)
-        # first client sends requests without reading the replies, then
-        # resets the connection (linger 0 makes close send a RST)
-        resetter = socket.create_connection(("127.0.0.1", port_holder["port"]))
-        frame = json.dumps({"jsonrpc": "2.0", "id": 1, "method": "tool/noop"}).encode()
-        resetter.sendall((frame + b"\n") * 50)
-        resetter.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
-        resetter.close()
-
-        transport = TcpTransport.connect("127.0.0.1", port_holder["port"])
-        try:
-            assert thread.is_alive()
-            assert dispatch(envelope(), transport).ok
-        finally:
-            transport.close()
-        thread.join(5.0)
-        assert not thread.is_alive()
+        monkeypatch.setattr(server, "handle_frame", fail_first)
+        with serving_tcp(server, 2) as (port, _):
+            transport = connect(port)
+            try:
+                with pytest.raises(TransportClosed) as info:
+                    dispatch(envelope(), transport)
+                # closed by the server, not by the client's own timeout
+                assert not isinstance(info.value.__cause__, TimeoutError)
+            finally:
+                transport.close()
+            transport = connect(port)
+            try:
+                assert dispatch(envelope(), transport).ok
+            finally:
+                transport.close()
 
 
 class TestFraming:
