@@ -36,6 +36,13 @@ GOLDEN = {
     ),
 }
 
+# ctm seed 0 under {"consensus": {"wait_policy": "one"}}: the winner is
+# merged with the next branch to halt inside the window.
+GOLDEN_WAIT_ONE = (
+    "69e70df3db60a03f4e2673a513e3b3611953e67b6afa95f6f0ea7c79c9712ba9",
+    "95601e9b09033d0a406a3badd6db57f9de80ea439db6f7bd8e7d978b80c0197d",
+)
+
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -71,4 +78,15 @@ def test_live_run_with_generous_deadline_matches_ctm(tmp_path):
     assert got == GOLDEN[("ctm", None)], (
         f"live ctm digests differ from deterministic ones (recorded with numpy "
         f"{RECORDED_NUMPY}, installed numpy {np.__version__}): got {got}"
+    )
+
+
+def test_wait_policy_one_run_digests(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"consensus": {"wait_policy": "one"}}))
+    out = tmp_path / "out"
+    got = run_digests(out, "--policy", "ctm", "--config", str(config))
+    assert got == GOLDEN_WAIT_ONE, (
+        f"wait_policy one digests moved (recorded with numpy {RECORDED_NUMPY}, "
+        f"installed numpy {np.__version__}): got {got}"
     )
