@@ -8,12 +8,15 @@ step therefore runs one shared tick trajectory, slab by slab, and treats
 the branches as readouts of it: a branch's accumulators are its decayed
 accumulators plus the slab's pair-product contribution gathered through
 its permutation, followed by its own certainty and halt decision.  The
-trajectory stops once every branch has halted, or once it is past the
-logical cutoff (earliest halt plus the deadline's tick limit), since a
-branch that halts later never enters the decision.  ``run_branch`` runs
-one branch on its own and is the reference that the readouts equal bit for
-bit.  Outcomes are merged by entropy-based confidence weights after a
-canonical sort, so the merge is bitwise order-independent.
+trajectory stops after the slab in which the decision is settled, since
+no later halt can enter it: under wait policy OFF that is the first slab
+in which a branch halts at its threshold, under ONE the first slab in
+which another halt also follows that winner.  It also stops once every
+branch has halted, or before a slab that would end past the logical
+cutoff (earliest halt plus the deadline's tick limit).  ``run_branch``
+runs one branch on its own and is the reference that the readouts equal
+bit for bit.  Outcomes are merged by entropy-based confidence weights
+after a canonical sort, so the merge is bitwise order-independent.
 
 Exactly one consensus result is produced per decision step: the normal path
 and the timeout path are mutually exclusive, and the timeout path is total
@@ -176,22 +179,25 @@ def shared_branches(
     epsilon: float,
     k: int,
     episode_seed: int,
+    wait_policy: WaitPolicy,
     tick_limit: Optional[int] = None,
     branch_hook: Optional[Callable[[int], None]] = None,
     expiry: Optional[float] = None,
 ) -> list[tuple[BranchOutcome, BranchState]]:
-    """(outcome, final state) of each branch that halts by the cutoff.
+    """(outcome, final state) of each branch that halts before the stop.
 
     One tick trajectory is run from ``seed_state``; per slab, its pair
     contribution is computed once in the unpermuted order and each branch
     still running gathers it through its permutation, reads its certainty
     and makes its halt call.  Each pair equals ``run_branch``'s for that
-    branch bit for bit.  With a ``tick_limit`` the trajectory stops before
-    a slab that would end past the cutoff (earliest halt plus the limit);
-    branches that would halt later are left out.  With an ``expiry`` (a
-    ``time.monotonic()`` value) it also stops before a slab that would
-    start at or after it; branches still running are left out.  Pairs come
-    in (ticks_used, branch_id) order.
+    branch bit for bit.  The trajectory stops after the slab in which the
+    decision under ``wait_policy`` is settled (see ``decision_settled``),
+    or once every branch has halted.  With a ``tick_limit`` it also stops
+    before a slab that would end past the cutoff (earliest halt plus the
+    limit).  With an ``expiry`` (a ``time.monotonic()`` value) it also
+    stops before a slab that would start at or after it.  Branches that
+    would halt after the stop are left out.  Pairs come in
+    (ticks_used, branch_id) order.
 
     ``branch_hook`` runs once per branch before the trajectory (tests
     inject faults there).  A branch whose hook raises, or that is still
@@ -254,6 +260,8 @@ def shared_branches(
             halted.append(
                 (outcome, replace(trajectory, sync=sync, certainty_trace=trace))
             )
+        if decision_settled(halted, wait_policy):
+            break
         if cutoff is None and halted and tick_limit is not None:
             cutoff = ticks_used + tick_limit
     return halted
@@ -357,6 +365,24 @@ class StepDecision:
     ticks: int
 
 
+def decision_settled(
+    pairs: list[tuple[BranchOutcome, BranchState]], wait_policy: WaitPolicy
+) -> bool:
+    """True once no later halt can change ``select_step``'s decision.
+
+    ``pairs`` are the halts so far, in (ticks_used, branch_id) order and
+    all inside the window; any later halt sorts after them.  The first
+    threshold-reaching pair is then the winner.  Under OFF it is merged
+    alone; under ONE it is merged with the pair that follows it, so the
+    decision is settled once one does.  This must agree with
+    ``select_step`` and ``wait_extra_slab``.
+    """
+    for position, (outcome, _) in enumerate(pairs):
+        if outcome.reached_threshold:
+            return wait_policy is WaitPolicy.OFF or position + 1 < len(pairs)
+    return False
+
+
 def select_step(
     pairs: list[tuple[BranchOutcome, BranchState]],
     seed_state: BranchState,
@@ -414,16 +440,17 @@ def decide_step(
 ) -> StepDecision:
     """Deterministic decision step over k branch readouts.
 
-    One shared trajectory runs slab by slab and stops at the logical
-    cutoff (see ``shared_branches``); the branches are readouts of it, and
-    ``select_step`` makes the decision.  The result is the one
-    ``select_step`` gives on all k ``run_branch`` runs: a branch that halts
-    after the cutoff can never be chosen or merged.
+    One shared trajectory runs slab by slab and stops once the decision is
+    settled or at the logical cutoff (see ``shared_branches``); the
+    branches are readouts of it, and ``select_step`` makes the decision.
+    The result is the one ``select_step`` gives on all k ``run_branch``
+    runs: a branch that halts after either stop can never be chosen or
+    merged.
     """
     deadline = deadline or default_deadline(params)
     limit = deadline.logical_tick_limit
     pairs = shared_branches(
-        seed_state, f, params, epsilon, k, episode_seed, limit, branch_hook
+        seed_state, f, params, epsilon, k, episode_seed, wait_policy, limit, branch_hook
     )
     return select_step(pairs, seed_state, params, cache, wait_policy, limit)
 
@@ -443,7 +470,7 @@ def decide_step_live(
 ) -> StepDecision:
     """Live decision step: ``decide_step`` under a wall-clock stop.
 
-    The shared trajectory stops at the logical cutoff or once
+    The shared trajectory stops as in ``decide_step``, or once
     ``deadline.wall_clock_ms`` has passed since the call, whichever comes
     first, so the call returns within the deadline plus one slab.  The
     branches that halted by then go through ``select_step``; if none
@@ -456,7 +483,8 @@ def decide_step_live(
     latch = latch or DecisionLatch()
     limit = deadline.logical_tick_limit
     pairs = shared_branches(
-        seed_state, f, params, epsilon, k, episode_seed, limit, branch_hook, expiry
+        seed_state, f, params, epsilon, k, episode_seed, wait_policy, limit,
+        branch_hook, expiry,
     )
     decision = select_step(pairs, seed_state, params, cache, wait_policy, limit)
     if not latch.fire():

@@ -281,7 +281,8 @@ def slab_ticks(
     # Inlined synapse -> push -> readout loop: float64 mirrors are hoisted
     # out of the loop, every reduction is the same einsum the public ops
     # use, so each tick is bit-identical to composing those ops directly
-    # (see the composition test).
+    # (see the composition test).  The history is kept in float64; its
+    # entries are float32 values, so rounding it back on return is exact.
     d = params.neurons
     w64 = params.synapse_w.astype(np.float64)
     a64 = params.factor_a.astype(np.float64)
@@ -290,18 +291,18 @@ def slab_ticks(
     x64 = np.empty(w64.shape[1])
     x64[d:] = f.astype(np.float64)
 
-    hist = history.copy()
+    hist = history.astype(np.float64)
     states = []
     for _ in range(n):
         x64[:d] = z
         candidate = bounded_tanh(np.einsum("ij,j->i", w64, x64))
         hist[:, :-1] = hist[:, 1:]
         hist[:, -1] = candidate
-        proj = np.einsum("dm,mr->dr", hist.astype(np.float64), a64)
+        proj = np.einsum("dm,mr->dr", hist, a64)
         z = bounded_tanh(bias64 + np.einsum("dr,dr->d", proj, b64))
         states.append(z)
     carried = gated_carry(z, synapse(z, f, params.synapse_w), params.carry_beta)
-    return states, hist, carried
+    return states, hist.astype(np.float32), carried
 
 
 def halt_readout(

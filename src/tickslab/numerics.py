@@ -32,7 +32,10 @@ def matvec(weights: np.ndarray, vec: np.ndarray) -> np.ndarray:
 def bounded_tanh(pre: np.ndarray) -> np.ndarray:
     """tanh in float64, stored as float32 strictly inside (-1, 1)."""
     out = np.tanh(pre.astype(np.float64, copy=False))
-    return np.clip(out, -F32_INTERIOR, F32_INTERIOR).astype(np.float32)
+    # the same clamp as np.clip, without its Python-level wrapper
+    np.maximum(out, -F32_INTERIOR, out=out)
+    np.minimum(out, F32_INTERIOR, out=out)
+    return out.astype(np.float32)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 import time
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fusion_vector, make_ctm
+from tickslab import consensus
 from tickslab.consensus import (
     BranchOutcome,
     DecisionDeadline,
@@ -23,7 +26,7 @@ from tickslab.consensus import (
     timeout_safe_pass,
     wait_extra_slab,
 )
-from tickslab.engine import BranchState, certainty, initial_state, run_slab
+from tickslab.engine import BranchState, certainty, initial_state, run_slab, slab_ticks
 from tickslab.errors import EmptyOutcomeList
 from tickslab.rng import SplitMix64, derive_seed
 
@@ -138,7 +141,9 @@ class TestSpawnBranches:
 
     def test_k1_matches_inline_run(self, small_params, fvec):
         seed_state = initial_state(small_params)
-        pairs = shared_branches(seed_state, fvec, small_params, 0.75, 1, episode_seed=42)
+        pairs = shared_branches(
+            seed_state, fvec, small_params, 0.75, 1, 42, WaitPolicy.OFF
+        )
         inline, inline_state = run_branch(seed_state, fvec, small_params, 0.75, 42, 0)
         assert len(pairs) == 1
         assert_same_outcome(pairs[0][0], inline)
@@ -146,7 +151,7 @@ class TestSpawnBranches:
 
     def test_branches_differ_from_each_other(self, small_params, fvec):
         pairs = shared_branches(
-            initial_state(small_params), fvec, small_params, 0.75, 4, episode_seed=7
+            initial_state(small_params), fvec, small_params, 0.75, 4, 7, WaitPolicy.OFF
         )
         syncs = {o.sync.tobytes() for o, _ in pairs}
         assert len(syncs) > 1
@@ -158,8 +163,8 @@ class TestSpawnBranches:
 
         with caplog.at_level("WARNING", logger="tickslab.consensus"):
             pairs = shared_branches(
-                initial_state(small_params), fvec, small_params, 0.75, 4,
-                episode_seed=7, branch_hook=hook,
+                initial_state(small_params), fvec, small_params, 0.75, 4, 7,
+                WaitPolicy.ONE, branch_hook=hook,
             )
         assert sorted(o.branch_id for o, _ in pairs) == [0, 1, 3]
         assert any("branch 2" in r.message for r in caplog.records)
@@ -338,6 +343,45 @@ def warm_state(params, f, slabs, reset):
     return state
 
 
+def reference_stop(reference, seed_state, params, limit, wait):
+    """Branches the shared trajectory reports and slabs it runs, from the reference.
+
+    Worked out from the ``run_branch`` outcomes alone: the trajectory ends
+    after the slab that settles the decision (the first threshold halt in
+    the window under OFF, the halt after it under ONE), after the last
+    halt, or before a slab that would end past the cutoff.
+    """
+    pairs = sorted(reference.values(), key=lambda ps: (ps[0].ticks_used, ps[0].branch_id))
+    if not pairs:
+        return [], 0
+    cutoff = None if limit is None else pairs[0][0].ticks_used + limit
+    in_time = [ps for ps in pairs if cutoff is None or ps[0].ticks_used <= cutoff]
+    winner = next((i for i, (o, _) in enumerate(in_time) if o.reached_threshold), None)
+    if winner is not None:
+        settling = winner if wait is WaitPolicy.OFF else winner + 1
+        if settling < len(in_time):
+            outcome, state = in_time[settling]
+            kept = [o.branch_id for o, _ in in_time if o.ticks_used <= outcome.ticks_used]
+            return kept, state.slab - seed_state.slab
+    kept = [o.branch_id for o, _ in in_time]
+    if len(in_time) == len(pairs):
+        return kept, pairs[-1][1].slab - seed_state.slab
+    # A branch halts past the cutoff: every slab that ends by it runs.
+    slabs, used = 0, 0
+    while True:
+        n = min(params.ticks_per_slab, params.tick_budget - seed_state.tick - used)
+        if used + n > cutoff:
+            return kept, slabs
+        slabs, used = slabs + 1, used + n
+
+
+@contextmanager
+def counting_slab_ticks():
+    """Count the slabs the decision step runs (calls of ``slab_ticks``)."""
+    with mock.patch.object(consensus, "slab_ticks", wraps=slab_ticks) as counter:
+        yield counter
+
+
 def reference_pairs(seed_state, f, params, epsilon, k, episode_seed, failing):
     """run_branch for every branch that neither fails its hook nor raises."""
     pairs = {}
@@ -389,7 +433,7 @@ class TestSharedTrajectory:
                 raise RuntimeError("injected fault")
 
         shared = shared_branches(
-            seed_state, f, params, epsilon, k, episode_seed, limit, hook
+            seed_state, f, params, epsilon, k, episode_seed, wait, limit, hook
         )
         reference = reference_pairs(seed_state, f, params, epsilon, k, episode_seed, failing)
 
@@ -399,29 +443,28 @@ class TestSharedTrajectory:
             assert_same_outcome(outcome, ref_outcome)
             assert_same_state(state, ref_state)
 
-        # Omitted: exactly the branches that halt after the cutoff.
-        if reference:
-            earliest = min(o.ticks_used for o, _ in reference.values())
-            cutoff = None if limit is None else earliest + limit
-        kept = {
-            b for b, (o, _) in reference.items() if cutoff is None or o.ticks_used <= cutoff
-        }
-        assert [o.branch_id for o, _ in shared] == sorted(
-            kept, key=lambda b: (reference[b][0].ticks_used, b)
-        )
+        # Omitted: exactly the branches that halt after the cutoff or after
+        # the slab that settles the decision.
+        kept, slabs = reference_stop(reference, seed_state, params, limit, wait)
+        assert [o.branch_id for o, _ in shared] == kept
 
         # The decision is the one the same selection makes on all k runs, in
-        # deterministic mode and in live mode with a deadline that never expires.
+        # deterministic mode and in live mode with a deadline that never
+        # expires; both run exactly the slabs up to the stop.
         deadline = DecisionDeadline(logical_tick_limit=limit, wall_clock_ms=250.0)
-        decided = decide_step(
-            seed_state, f, params, epsilon, k, episode_seed, cache,
-            wait_policy=wait, deadline=deadline, branch_hook=hook,
-        )
-        live = decide_step_live(
-            seed_state, f, params, epsilon, k, episode_seed, cache,
-            DecisionDeadline(logical_tick_limit=limit, wall_clock_ms=60_000),
-            wait_policy=wait, branch_hook=hook,
-        )
+        with counting_slab_ticks() as counter:
+            decided = decide_step(
+                seed_state, f, params, epsilon, k, episode_seed, cache,
+                wait_policy=wait, deadline=deadline, branch_hook=hook,
+            )
+        assert counter.call_count == slabs
+        with counting_slab_ticks() as counter:
+            live = decide_step_live(
+                seed_state, f, params, epsilon, k, episode_seed, cache,
+                DecisionDeadline(logical_tick_limit=limit, wall_clock_ms=60_000),
+                wait_policy=wait, branch_hook=hook,
+            )
+        assert counter.call_count == slabs
         want = select_step(list(reference.values()), seed_state, params, cache, wait, limit)
         for got in (decided, live):
             assert got.result.sync_merged.tobytes() == want.result.sync_merged.tobytes()
@@ -433,6 +476,25 @@ class TestSharedTrajectory:
                 assert got.next_seed is None
             else:
                 assert_same_state(got.next_seed, want.next_seed)
+
+    def test_wait_one_runs_on_to_a_later_follower(self, small_params, fvec):
+        # Branch 2 halts at the threshold after 2 slabs; the next halt is
+        # branch 1's, 3 slabs later.  OFF stops at the winner's slab, ONE at
+        # the follower's, and neither runs on to the cutoff.
+        seed_state = initial_state(small_params)
+        halts = sorted(
+            (run_branch(seed_state, fvec, small_params, 0.75, 17, b)[1].slab, b)
+            for b in range(3)
+        )
+        assert halts[:2] == [(2, 2), (5, 1)]
+        for wait, contributors, slabs in ((WaitPolicy.OFF, (2,), 2), (WaitPolicy.ONE, (1, 2), 5)):
+            with counting_slab_ticks() as counter:
+                decision = decide_step(
+                    seed_state, fvec, small_params, 0.75, 3, 17, None, wait_policy=wait
+                )
+            assert decision.result.contributors == contributors
+            assert counter.call_count == slabs
+            assert decision.slab_count == 2
 
     def test_trajectory_failure_fails_every_running_branch(self, small_params, fvec, caplog):
         # Tick budget already spent: the first slab raises, as in run_branch.
