@@ -64,6 +64,10 @@ class TransportClosed(TickslabError):
     pass
 
 
+class TransportTimeout(TickslabError):
+    """The stream timed out; the peer may still be there."""
+
+
 class IdMismatch(TickslabError):
     pass
 

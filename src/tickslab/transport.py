@@ -5,8 +5,9 @@ calls and a ``registry/list`` introspection method; the client side writes
 one envelope frame and consumes exactly one response frame with a matching
 id.  A peer that goes away, whether the stream ends (EOF) or the stream
 raises an ``OSError`` such as a connection reset or a broken pipe, surfaces
-as ``TransportClosed``.  Unknown tools come back as error results, not
-crashes.
+as ``TransportClosed``; a socket timeout surfaces as ``TransportTimeout``.
+Unknown tools come back as error results, not crashes, and a result that
+cannot be encoded comes back as an internal-error frame.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import BinaryIO, Callable, Optional
 
 from .envelope import JSONRPC_VERSION, canonical_json_bytes, serialize_envelope
-from .errors import IdMismatch, TransportClosed
+from .errors import IdMismatch, TransportClosed, TransportTimeout
 from .router import ToolRegistry
 
 logger = logging.getLogger("tickslab.transport")
@@ -31,6 +32,7 @@ _CODE_METHOD_NOT_FOUND = -32601
 _CODE_INVALID_PARAMS = -32602
 _CODE_INVALID_REQUEST = -32600
 _CODE_PARSE_ERROR = -32700
+_CODE_INTERNAL_ERROR = -32603
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,9 @@ class StreamTransport(Transport):
 
     EOF on the reader and any ``OSError`` from the reader or writer (a reset
     or a broken pipe) raise ``TransportClosed``, chained from the ``OSError``
-    so its errno stays visible.
+    so its errno stays visible.  A timeout (``TimeoutError``, also an
+    ``OSError``) is not a hang-up: it raises ``TransportTimeout``, chained
+    the same way.
     """
 
     def __init__(self, reader: BinaryIO, writer: BinaryIO):
@@ -85,6 +89,8 @@ class StreamTransport(Transport):
         try:
             self._writer.write(frame + b"\n")
             self._writer.flush()
+        except TimeoutError as exc:
+            raise TransportTimeout(f"timed out writing the stream: {exc}") from exc
         except OSError as exc:
             raise TransportClosed(f"peer closed the stream: {exc}") from exc
 
@@ -93,6 +99,8 @@ class StreamTransport(Transport):
             raise TransportClosed("transport is closed")
         try:
             line = self._reader.readline()
+        except TimeoutError as exc:
+            raise TransportTimeout(f"timed out reading the stream: {exc}") from exc
         except OSError as exc:
             raise TransportClosed(f"peer closed the stream: {exc}") from exc
         if not line:
@@ -192,9 +200,16 @@ class ToolServer:
             except Exception as exc:  # tool failures are results, not crashes
                 logger.warning("tool %s raised: %r", name, exc)
                 result = error_result(f"tool raised: {exc!r}")
-            return self._result_frame(
-                req_id, {"status": result.status, "payload": result.payload}
-            )
+            try:
+                return self._result_frame(
+                    req_id, {"status": result.status, "payload": result.payload}
+                )
+            except (RecursionError, TypeError, ValueError) as exc:
+                # too deep, not JSON data, or not finite
+                logger.warning("tool %s result not encodable: %r", name, exc)
+                return self._error_frame(
+                    req_id, _CODE_INTERNAL_ERROR, f"internal error: unencodable result: {exc!r}"
+                )
 
         return self._error_frame(req_id, _CODE_METHOD_NOT_FOUND, f"no such method: {method}")
 

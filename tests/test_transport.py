@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tickslab.envelope import Envelope, EnvelopeMeta, sync_digest
-from tickslab.errors import IdMismatch, TransportClosed
+from tickslab.errors import IdMismatch, TransportClosed, TransportTimeout
 from tickslab.router import SlotKind, ToolRegistry, ToolSpec
 from tickslab.transport import (
     LoopbackTransport,
@@ -123,6 +123,12 @@ class TestRegistryList:
         assert response["id"] is None
         assert response["error"]["code"] == -32700
 
+    def test_unencodable_result_gets_internal_error(self):
+        server = make_server()
+        response = deepest_echo(server.handle_frame)
+        assert response["id"] == 7
+        assert response["error"]["code"] == -32603
+
     def test_unknown_method(self):
         server = make_server()
         frame = json.dumps({"jsonrpc": "2.0", "id": 4, "method": "shutdown"}).encode()
@@ -186,7 +192,55 @@ def connect(port):
     return TcpTransport(client_socket(port))
 
 
+def echo_frame(depth, req_id=7):
+    args = '{"object":' + "[" * depth + "]" * depth + "}"
+    frame = '{"jsonrpc":"2.0","id":%d,"method":"tool/echo","params":{"args":%s}}'
+    return (frame % (req_id, args)).encode()
+
+
+def deepest_echo(send):
+    """Response to the echo frame nested as deep as the server still decodes.
+
+    How deep the JSON decoder gets depends on the stack it starts from (about
+    990 levels from a plain script, less under pytest), so the depth is
+    searched for.  Echoed back, those args sit two levels deeper in the
+    result frame, which the encoder cannot reach.  ``send`` returns the raw
+    response; only error frames are decoded, since an echo result may nest
+    deeper than the test's own stack can decode.
+    """
+
+    def parse_error(depth):
+        raw = send(echo_frame(depth))
+        return raw.startswith(b'{"error"') and json.loads(raw)["error"]["code"] == -32700
+
+    decodes, fails = 1, 2000
+    assert parse_error(fails)
+    while fails - decodes > 1:
+        depth = (decodes + fails) // 2
+        if parse_error(depth):
+            fails = depth
+        else:
+            decodes = depth
+    return json.loads(send(echo_frame(decodes)))
+
+
 class TestTcp:
+    def test_unencodable_result_does_not_stop_server(self):
+        with serving_tcp(make_server(), 1) as (port, _):
+            transport = connect(port)
+            try:
+
+                def send(frame):
+                    transport.send_frame(frame)
+                    return transport.recv_frame()
+
+                response = deepest_echo(send)
+                assert response["id"] == 7
+                assert response["error"]["code"] == -32603
+                assert dispatch(envelope(env_id=2), transport).ok
+            finally:
+                transport.close()
+
     def test_non_object_params_do_not_stop_server(self):
         with serving_tcp(make_server(), 1) as (port, _):
             transport = connect(port)
@@ -276,10 +330,10 @@ class TestTcp:
         with serving_tcp(server, 2) as (port, _):
             transport = connect(port)
             try:
-                with pytest.raises(TransportClosed) as info:
+                # closed by the server; the client's own timeout would raise
+                # TransportTimeout instead
+                with pytest.raises(TransportClosed):
                     dispatch(envelope(), transport)
-                # closed by the server, not by the client's own timeout
-                assert not isinstance(info.value.__cause__, TimeoutError)
             finally:
                 transport.close()
             transport = connect(port)
@@ -337,3 +391,21 @@ class TestFraming:
             with pytest.raises(TransportClosed) as info:
                 StreamTransport(ResetReader(), writer).send_frame(b"{}")
             assert isinstance(info.value.__cause__, BrokenPipeError)
+
+    def test_stream_timeout_is_not_a_hang_up(self):
+        from tickslab.transport import StreamTransport
+
+        class SlowReader:
+            def readline(self):
+                raise TimeoutError("timed out")
+
+        class SlowWriter:
+            def write(self, data):
+                raise TimeoutError("timed out")
+
+        with pytest.raises(TransportTimeout) as info:
+            StreamTransport(SlowReader(), SlowWriter()).recv_frame()
+        assert isinstance(info.value.__cause__, TimeoutError)
+        with pytest.raises(TransportTimeout) as info:
+            StreamTransport(SlowReader(), SlowWriter()).send_frame(b"{}")
+        assert isinstance(info.value.__cause__, TimeoutError)
