@@ -25,7 +25,6 @@ from .consensus import (
     WaitPolicy,
     merge,
     timeout_safe_pass,
-    wait_extra_slab,
 )
 from .engine import (
     BranchState,

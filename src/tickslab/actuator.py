@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DimensionMismatch, MalformedTable
 from .numerics import matvec
 
-DEFAULT_JOINTS = 12
 DEFAULT_FILTER_WINDOW = 5
 DEFAULT_SAMPLES = 10
 

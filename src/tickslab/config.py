@@ -16,6 +16,25 @@ from pathlib import Path
 from .errors import ConfigError
 
 
+def _check_type(name: str, value, default):
+    """``value`` if it has the JSON type of ``default``, else a ConfigError.
+
+    Python counts a bool as an int, so bools are told apart here: a bool
+    field takes only a bool, an int field an int, a float field an int or
+    a float, and a str field a str.
+    """
+    kind = type(default)
+    if kind is bool:
+        ok = isinstance(value, bool)
+    elif kind is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind) and not isinstance(value, bool)
+    if not ok:
+        raise ConfigError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class PerceptionConfig:
     vision_in: int = 768
@@ -68,6 +87,8 @@ class AffectConfig:
 
 @dataclass(frozen=True)
 class RouterConfig:
+    # Between typical mid-range confidences and the baseline halting
+    # threshold, so both gate branches occur in practice.
     gamma: float = 0.70
     slot_embed_width: int = 16
 
@@ -82,11 +103,6 @@ class ActuatorConfig:
 
 
 @dataclass(frozen=True)
-class HarnessConfig:
-    budget_steps_default: int = 20
-
-
-@dataclass(frozen=True)
 class Config:
     seed: int = 0
     weights_path: str = ""            # optional weight-container override
@@ -96,7 +112,6 @@ class Config:
     affect: AffectConfig = field(default_factory=AffectConfig)
     router: RouterConfig = field(default_factory=RouterConfig)
     actuator: ActuatorConfig = field(default_factory=ActuatorConfig)
-    harness: HarnessConfig = field(default_factory=HarnessConfig)
 
     def validate(self) -> None:
         if self.perception.concat_dim <= 0:
@@ -121,8 +136,6 @@ class Config:
             raise ConfigError("gamma must be in [0, 1]")
         if self.actuator.torque_limit <= 0:
             raise ConfigError("torque limit must be positive")
-        if self.harness.budget_steps_default < 1:
-            raise ConfigError("step budget must be at least 1")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -138,7 +151,6 @@ class Config:
             "affect": AffectConfig,
             "router": RouterConfig,
             "actuator": ActuatorConfig,
-            "harness": HarnessConfig,
         }
         kwargs = {}
         for key, value in doc.items():
@@ -149,9 +161,11 @@ class Config:
                 unknown = set(value) - known
                 if unknown:
                     raise ConfigError(f"unknown keys in {key!r}: {sorted(unknown)}")
+                for name, item in value.items():
+                    _check_type(f"{key}.{name}", item, getattr(sections[key], name))
                 kwargs[key] = sections[key](**value)
             elif key in ("seed", "weights_path"):
-                kwargs[key] = value
+                kwargs[key] = _check_type(key, value, getattr(cls, key))
             else:
                 raise ConfigError(f"unknown config key {key!r}")
         config = cls(**kwargs)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import enum
 import logging
-import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -109,25 +108,23 @@ class PermutationCache:
     Only one (episode seed, pair count) is held at a time: asking for
     another replaces the arrays, so the cache never grows past k of them.
     The arrays are a pure function of that key, so sharing one cache
-    between callers, on any thread, changes no result.
+    between callers changes no result.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._key: tuple = ()
         self._perms: list[np.ndarray] = []
 
     def get(self, episode_seed: int, pair_count: int, k: int) -> list[np.ndarray]:
         """Permutations of branches 0..k-1."""
-        with self._lock:
-            if self._key != (episode_seed, pair_count):
-                self._key, self._perms = (episode_seed, pair_count), []
-            for branch_id in range(len(self._perms), k):
-                stream = SplitMix64(derive_seed(episode_seed, f"branch/{branch_id}"))
-                perm = stream.permutation(pair_count)
-                perm.flags.writeable = False
-                self._perms.append(perm)
-            return self._perms[:k]
+        if self._key != (episode_seed, pair_count):
+            self._key, self._perms = (episode_seed, pair_count), []
+        for branch_id in range(len(self._perms), k):
+            stream = SplitMix64(derive_seed(episode_seed, f"branch/{branch_id}"))
+            perm = stream.permutation(pair_count)
+            perm.flags.writeable = False
+            self._perms.append(perm)
+        return self._perms[:k]
 
 
 _PERMUTATIONS = PermutationCache()
@@ -299,29 +296,6 @@ def merge(outcomes: list[BranchOutcome], params: CtmParams) -> ConsensusResult:
     )
 
 
-def wait_extra_slab(
-    first: BranchOutcome,
-    later: list[BranchOutcome],
-    policy: WaitPolicy,
-    deadline_tick: Optional[int] = None,
-) -> list[BranchOutcome]:
-    """Merge set after the first branch passes the threshold.
-
-    ``later`` holds the completions after ``first`` in completion order.
-    Policy OFF keeps only the winner; ONE admits the next completion inside
-    the remaining deadline (measured in the same logical ticks as
-    ``ticks_used``); an expired or empty wait keeps only the winner.
-    """
-    if not first.reached_threshold:
-        raise ValueError("wait_extra_slab requires a threshold-reaching winner")
-    if policy is WaitPolicy.OFF:
-        return [first]
-    for outcome in later:
-        if deadline_tick is None or outcome.ticks_used <= deadline_tick:
-            return [first, outcome]
-    return [first]
-
-
 def timeout_safe_pass(
     cache: Optional[ConsensusResult], pair_count: int
 ) -> ConsensusResult:
@@ -340,21 +314,6 @@ def timeout_safe_pass(
     )
 
 
-class DecisionLatch:
-    """Once-only gate: exactly one of the normal/timeout paths may fire."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.fired = 0
-
-    def fire(self) -> bool:
-        with self._lock:
-            if self.fired:
-                return False
-            self.fired = 1
-            return True
-
-
 @dataclass(frozen=True)
 class StepDecision:
     """One decision step's consensus plus the state that seeds the next round."""
@@ -365,22 +324,33 @@ class StepDecision:
     ticks: int
 
 
+def merge_set(
+    pairs: list[tuple[BranchOutcome, BranchState]], wait_policy: WaitPolicy
+) -> list[tuple[BranchOutcome, BranchState]]:
+    """The pairs a decision merges; empty when none reached the threshold.
+
+    ``pairs`` come in (ticks_used, branch_id) order, all inside the
+    deadline window.  The first threshold-reaching pair is the winner.
+    Under OFF it is merged alone; under ONE together with the pair right
+    after it, if there is one, whether or not that pair reached the
+    threshold.
+    """
+    for position, (outcome, _) in enumerate(pairs):
+        if outcome.reached_threshold:
+            return pairs[position : position + 1 + (wait_policy is WaitPolicy.ONE)]
+    return []
+
+
 def decision_settled(
     pairs: list[tuple[BranchOutcome, BranchState]], wait_policy: WaitPolicy
 ) -> bool:
     """True once no later halt can change ``select_step``'s decision.
 
-    ``pairs`` are the halts so far, in (ticks_used, branch_id) order and
-    all inside the window; any later halt sorts after them.  The first
-    threshold-reaching pair is then the winner.  Under OFF it is merged
-    alone; under ONE it is merged with the pair that follows it, so the
-    decision is settled once one does.  This must agree with
-    ``select_step`` and ``wait_extra_slab``.
+    ``pairs`` are the halts so far, ordered and windowed as ``merge_set``
+    needs them; any later halt sorts after them, so the decision is
+    settled once the merge set is full.
     """
-    for position, (outcome, _) in enumerate(pairs):
-        if outcome.reached_threshold:
-            return wait_policy is WaitPolicy.OFF or position + 1 < len(pairs)
-    return False
+    return len(merge_set(pairs, wait_policy)) == 1 + (wait_policy is WaitPolicy.ONE)
 
 
 def select_step(
@@ -395,9 +365,9 @@ def select_step(
 
     Completion order is canonicalized as (ticks_used, branch_id); the
     deadline window opens at the earliest completion and closes
-    ``tick_limit`` ticks later.  The first threshold-reaching branch in the
-    window wins, and its final state seeds the next round with its
-    accumulators overwritten by the merged vector.  With no winner the
+    ``tick_limit`` ticks later.  ``merge_set`` picks the pairs to merge
+    from the window, and the winner's final state seeds the next round with
+    its accumulators overwritten by the merged vector.  With no winner the
     timeout path fires and the earliest branch seeds the next round; with
     no branch at all, nothing does.
     """
@@ -407,18 +377,11 @@ def select_step(
         return StepDecision(result, None, seed_state.slab, seed_state.tick)
 
     cutoff = None if tick_limit is None else pairs[0][0].ticks_used + tick_limit
-    in_time = [
-        ps for ps in pairs if cutoff is None or ps[0].ticks_used <= cutoff
-    ]
-    winners = [ps for ps in in_time if ps[0].reached_threshold]
-
-    if winners:
-        first_outcome, first_state = winners[0]
-        position = next(i for i, ps in enumerate(in_time) if ps is winners[0])
-        later = [o for o, _ in in_time[position + 1 :]]
-        merge_set = wait_extra_slab(first_outcome, later, wait_policy, cutoff)
-        result = merge(merge_set, params)
-        next_seed = replace(first_state, sync=result.sync_merged.copy())
+    in_time = [ps for ps in pairs if cutoff is None or ps[0].ticks_used <= cutoff]
+    merged = merge_set(in_time, wait_policy)
+    if merged:
+        result = merge([outcome for outcome, _ in merged], params)
+        next_seed = replace(merged[0][1], sync=result.sync_merged.copy())
     else:
         result = timeout_safe_pass(cache, params.pair_count)
         _, next_seed = pairs[0]
@@ -466,7 +429,6 @@ def decide_step_live(
     deadline: DecisionDeadline,
     wait_policy: WaitPolicy = WaitPolicy.OFF,
     branch_hook: Optional[Callable[[int], None]] = None,
-    latch: Optional[DecisionLatch] = None,
 ) -> StepDecision:
     """Live decision step: ``decide_step`` under a wall-clock stop.
 
@@ -474,19 +436,14 @@ def decide_step_live(
     ``deadline.wall_clock_ms`` has passed since the call, whichever comes
     first, so the call returns within the deadline plus one slab.  The
     branches that halted by then go through ``select_step``; if none
-    reached the threshold, the timeout path gives the fallback.  The latch
-    fires once for the one result.
+    reached the threshold, the timeout path gives the fallback.
     """
     if deadline.wall_clock_ms is None:
         raise ValueError("live mode needs a wall-clock deadline")
     expiry = time.monotonic() + deadline.wall_clock_ms / 1000.0
-    latch = latch or DecisionLatch()
     limit = deadline.logical_tick_limit
     pairs = shared_branches(
         seed_state, f, params, epsilon, k, episode_seed, wait_policy, limit,
         branch_hook, expiry,
     )
-    decision = select_step(pairs, seed_state, params, cache, wait_policy, limit)
-    if not latch.fire():
-        raise RuntimeError("decision latch fired twice")
-    return decision
+    return select_step(pairs, seed_state, params, cache, wait_policy, limit)

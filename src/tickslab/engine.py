@@ -30,7 +30,7 @@ PLATEAU_EPSILON = 1e-3
 
 @dataclass(frozen=True)
 class CtmParams:
-    """Immutable engine parameters; shareable across branches and threads."""
+    """Immutable engine parameters; shareable across branches."""
 
     neurons: int = 64          # hidden-state width
     history: int = 8           # depth-history length per neuron

@@ -21,9 +21,6 @@ from .envelope import Envelope, EnvelopeMeta, sync_digest
 from .errors import NoCandidates
 from .numerics import matvec
 
-GAMMA = 0.70           # between typical mid-range confidences and the
-                       # baseline halting threshold, so both gate branches
-                       # occur in practice
 SLOT_EMBED_WIDTH = 16
 NOOP_TOOL = "noop"
 

@@ -295,7 +295,7 @@ def dispatch(envelope, transport: Transport) -> ToolResult:
     raw = transport.recv_frame()
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise TransportClosed(f"unreadable response frame: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("jsonrpc") != JSONRPC_VERSION:
         raise TransportClosed("response is not a JSON-RPC 2.0 object")

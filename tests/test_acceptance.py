@@ -7,19 +7,16 @@ lines; every tolerance is pinned here, nothing is deferred.
 import json
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import make_ctm, fusion_vector
+from tickslab import consensus
 from tickslab.actuator import ActuatorParams, interpolate_trajectory, plan_torque
 from tickslab.config import Config
-from tickslab.consensus import (
-    DecisionDeadline,
-    DecisionLatch,
-    decide_step_live,
-    merge,
-)
+from tickslab.consensus import DecisionDeadline, decide_step_live, merge
 from tickslab.engine import certainty, initial_state, mu_mlp, sync_scan_tick, sync_update
 from tickslab.envelope import parse_envelope, serialize_envelope
 from tickslab.errors import SchemaViolation
@@ -148,25 +145,34 @@ class TestAcceptance:
         deadline = DecisionDeadline(wall_clock_ms=1.0)
         rng = np.random.default_rng(505)
         saw_normal = saw_fallback = 0
-        for trial in range(1000):
-            latch = DecisionLatch()
-            delays = rng.uniform(0.0, 0.002, size=2)
+        with (
+            mock.patch.object(consensus, "merge", wraps=consensus.merge) as merged,
+            mock.patch.object(
+                consensus, "timeout_safe_pass", wraps=consensus.timeout_safe_pass
+            ) as fell_back,
+        ):
+            for trial in range(1000):
+                merged.reset_mock()
+                fell_back.reset_mock()
+                delays = rng.uniform(0.0, 0.002, size=2)
 
-            def hook(branch_id, delays=delays):
-                time.sleep(float(delays[branch_id]))
+                def hook(branch_id, delays=delays):
+                    time.sleep(float(delays[branch_id]))
 
-            decision = decide_step_live(
-                seed_state, fvec, params, 0.05, 2, trial, None,
-                deadline, branch_hook=hook, latch=latch,
-            )
-            assert latch.fired == 1, "more than one consensus result emitted"
-            if decision.result.fallback:
-                saw_fallback += 1
-                assert decision.result.contributors == ()
-                assert decision.result.confidence_merged == 0.0
-            else:
-                saw_normal += 1
-                assert len(decision.result.contributors) >= 1
+                decision = decide_step_live(
+                    seed_state, fvec, params, 0.05, 2, trial, None,
+                    deadline, branch_hook=hook,
+                )
+                paths = (merged.call_count, fell_back.call_count)
+                if decision.result.fallback:
+                    saw_fallback += 1
+                    assert paths == (0, 1), f"paths run (merge, timeout): {paths}"
+                    assert decision.result.contributors == ()
+                    assert decision.result.confidence_merged == 0.0
+                else:
+                    saw_normal += 1
+                    assert paths == (1, 0), f"paths run (merge, timeout): {paths}"
+                    assert len(decision.result.contributors) >= 1
         assert saw_normal > 0 and saw_fallback > 0, (
             f"race never exercised both paths (normal={saw_normal}, "
             f"fallback={saw_fallback})"

@@ -17,14 +17,12 @@ from tickslab.consensus import (
     WaitPolicy,
     decide_step,
     decide_step_live,
-    DecisionLatch,
     merge,
     perturb_for_branch,
     run_branch,
     select_step,
     shared_branches,
     timeout_safe_pass,
-    wait_extra_slab,
 )
 from tickslab.engine import BranchState, certainty, initial_state, run_slab, slab_ticks
 from tickslab.errors import EmptyOutcomeList
@@ -177,33 +175,42 @@ class TestSpawnBranches:
         assert not np.array_equal(perturbed.pair_p, small_params.pair_p)
 
 
-class TestWaitExtraSlab:
-    def _outcome(self, branch_id, ticks, reached=True):
-        sync = np.zeros(4, dtype=np.float32)
-        logits = np.zeros(3, dtype=np.float32)
-        return BranchOutcome(branch_id, sync, logits, 0.5, ticks, reached)
+class TestMergeSet:
+    def _contributors(self, params, halts, policy):
+        """select_step's contributors for (branch_id, ticks_used, reached) halts
+        under a 40-tick window."""
+        rng = np.random.default_rng(0)
+        state = initial_state(params)
+        pairs = []
+        for branch_id, ticks, reached in halts:
+            sync = rng.normal(size=params.pair_count).astype(np.float32)
+            logits = np.zeros(params.logit_count, dtype=np.float32)
+            outcome = BranchOutcome(branch_id, sync, logits, 0.5, ticks, reached)
+            pairs.append((outcome, replace(state, tick=ticks)))
+        decision = select_step(pairs, state, params, None, policy, 40)
+        assert not decision.result.fallback
+        return decision.result.contributors
 
-    def test_policy_off(self):
-        first = self._outcome(0, 8)
-        later = [self._outcome(1, 9), self._outcome(2, 10)]
-        assert wait_extra_slab(first, later, WaitPolicy.OFF) == [first]
+    def test_policy_off(self, small_params):
+        halts = [(0, 8, True), (1, 9, True), (2, 10, True)]
+        assert self._contributors(small_params, halts, WaitPolicy.OFF) == (0,)
 
-    def test_policy_one_takes_next(self):
-        first = self._outcome(0, 8)
-        later = [self._outcome(1, 9), self._outcome(2, 10)]
-        assert wait_extra_slab(first, later, WaitPolicy.ONE, deadline_tick=40) == [
-            first,
-            later[0],
-        ]
+    def test_policy_one_takes_next(self, small_params):
+        halts = [(0, 8, True), (1, 9, True), (2, 10, True)]
+        assert self._contributors(small_params, halts, WaitPolicy.ONE) == (0, 1)
 
-    def test_policy_one_expiry(self):
-        first = self._outcome(0, 8)
-        later = [self._outcome(1, 50)]
-        assert wait_extra_slab(first, later, WaitPolicy.ONE, deadline_tick=40) == [first]
+    def test_policy_one_expiry(self, small_params):
+        halts = [(0, 8, True), (1, 50, True)]
+        assert self._contributors(small_params, halts, WaitPolicy.ONE) == (0,)
 
-    def test_policy_one_nothing_pending(self):
-        first = self._outcome(0, 8)
-        assert wait_extra_slab(first, [], WaitPolicy.ONE, deadline_tick=40) == [first]
+    def test_policy_one_nothing_pending(self, small_params):
+        assert self._contributors(small_params, [(0, 8, True)], WaitPolicy.ONE) == (0,)
+
+    def test_policy_one_merges_the_follower_not_the_leader(self, small_params):
+        # Branch 0 halts first below the threshold, branch 1 wins and branch
+        # 2 follows below the threshold: ONE merges 1 and 2, never 0.
+        halts = [(0, 8, False), (1, 9, True), (2, 10, False), (3, 11, True)]
+        assert self._contributors(small_params, halts, WaitPolicy.ONE) == (1, 2)
 
 
 class TestTimeoutSafePass:
@@ -287,21 +294,30 @@ class TestLiveRace:
         seed_state = initial_state(params)
         deadline = DecisionDeadline(wall_clock_ms=3.0)
         rng = np.random.default_rng(0)
-        for trial in range(50):
-            latch = DecisionLatch()
+        with (
+            mock.patch.object(consensus, "merge", wraps=consensus.merge) as merged,
+            mock.patch.object(
+                consensus, "timeout_safe_pass", wraps=consensus.timeout_safe_pass
+            ) as fell_back,
+        ):
+            for trial in range(50):
+                merged.reset_mock()
+                fell_back.reset_mock()
 
-            def hook(branch_id):
-                time.sleep(float(rng.uniform(0, 0.004)))
+                def hook(branch_id):
+                    time.sleep(float(rng.uniform(0, 0.004)))
 
-            decision = decide_step_live(
-                seed_state, fvec, params, 0.10, 2, trial, None,
-                deadline, branch_hook=hook, latch=latch,
-            )
-            assert latch.fired == 1
-            if decision.result.fallback:
-                assert decision.result.contributors == ()
-            else:
-                assert len(decision.result.contributors) >= 1
+                decision = decide_step_live(
+                    seed_state, fvec, params, 0.10, 2, trial, None,
+                    deadline, branch_hook=hook,
+                )
+                fallback = decision.result.fallback
+                paths = (merged.call_count, fell_back.call_count)
+                assert paths == ((0, 1) if fallback else (1, 0))
+                if fallback:
+                    assert decision.result.contributors == ()
+                else:
+                    assert len(decision.result.contributors) >= 1
 
     def test_deadline_bounds_return_time(self, fvec):
         # No certainty weights (threshold out of reach), no plateau stop and

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tickslab.config import Config
 from tickslab.errors import (
@@ -341,6 +343,8 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             Config.from_dict({"engine": {"neurons": 8, "warp": 1}})
+        with pytest.raises(ConfigError, match="unknown config key 'harness'"):
+            Config.from_dict({"harness": {"budget_steps_default": 20}})
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -352,6 +356,43 @@ class TestConfig:
             Config.from_dict({"affect": {"dims": 4}})
         with pytest.raises(ConfigError):
             Config.from_dict({"perception": {"audio_in": 64}})
+
+    @pytest.mark.parametrize(
+        "doc, name",
+        [
+            ({"consensus": {"branches": "4"}}, "consensus.branches"),
+            ({"seed": "abc"}, "seed"),
+            ({"consensus": {"deadline_ticks": "x"}}, "consensus.deadline_ticks"),
+            ({"consensus": {"live": "no"}}, "consensus.live"),
+            ({"consensus": {"branches": True}}, "consensus.branches"),
+            ({"consensus": {"deadline_ticks": 32.0}}, "consensus.deadline_ticks"),
+            ({"engine": {"decay": False}}, "engine.decay"),
+        ],
+    )
+    def test_wrong_json_type_rejected(self, doc, name):
+        with pytest.raises(ConfigError, match=name):
+            Config.from_dict(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_json_values_give_config_or_config_error(self, data):
+        json_values = st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+            max_leaves=5,
+        )
+        defaults = Config().to_dict()
+        doc = {}
+        for name in data.draw(st.sets(st.sampled_from(sorted(defaults)))):
+            if isinstance(defaults[name], dict):
+                keys = data.draw(st.sets(st.sampled_from(sorted(defaults[name]))))
+                doc[name] = {key: data.draw(json_values) for key in keys}
+            else:
+                doc[name] = data.draw(json_values)
+        try:
+            Config.from_dict(doc)
+        except ConfigError:
+            pass
 
     def test_section_override(self):
         config = Config.from_dict({"engine": {"neurons": 16}, "seed": 9})

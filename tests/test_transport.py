@@ -14,6 +14,7 @@ from tickslab.transport import (
     LoopbackTransport,
     TcpTransport,
     ToolServer,
+    Transport,
     dispatch,
     error_result,
     ok_result,
@@ -83,6 +84,17 @@ class TestLoopback:
         transport.close()
         with pytest.raises(TransportClosed):
             dispatch(envelope(), transport)
+
+    def test_response_nested_too_deep_is_closed(self):
+        class Deep(Transport):
+            def send_frame(self, frame):
+                pass
+
+            def recv_frame(self):
+                return b"[" * 100_000
+
+        with pytest.raises(TransportClosed):
+            dispatch(envelope(), Deep())
 
     def test_handler_exception_becomes_error_result(self):
         def handler(name, args, meta):
