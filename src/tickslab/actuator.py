@@ -11,11 +11,10 @@ velocities, then mapped to [0, 1] duty cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedTable
+from .errors import DimensionMismatch
 from .numerics import matvec
 
 DEFAULT_FILTER_WINDOW = 5
@@ -28,23 +27,12 @@ class ActuatorParams:
     tau_min: np.ndarray                 # (joints,) N*m
     tau_max: np.ndarray
     gain: np.ndarray                    # (joints,)
-    pwm_table: Optional[tuple] = None   # per-joint ((torque, duty), ...) or None
     filter_window: int = DEFAULT_FILTER_WINDOW
     samples_per_move: int = DEFAULT_SAMPLES
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not np.all(self.tau_min < self.tau_max):
             raise ValueError("tau_min must be strictly below tau_max per joint")
-        if self.pwm_table is not None:
-            for j, table in enumerate(self.pwm_table):
-                torques = [t for t, _ in table]
-                duties = [d for _, d in table]
-                if len(table) < 2 or any(
-                    b <= a for a, b in zip(torques, torques[1:])
-                ):
-                    raise MalformedTable(f"joint {j}: breakpoints must strictly increase")
-                if any(not 0.0 <= d <= 1.0 for d in duties):
-                    raise MalformedTable(f"joint {j}: duties must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -125,34 +113,12 @@ def compliance_filter(
     return out
 
 
-def _interp_table(table: tuple, torque: float) -> float:
-    torques = [t for t, _ in table]
-    duties = [d for _, d in table]
-    if torque <= torques[0]:
-        return duties[0]
-    if torque >= torques[-1]:
-        return duties[-1]
-    hi = next(k for k, t in enumerate(torques) if t >= torque)
-    lo = hi - 1
-    frac = (torque - torques[lo]) / (torques[hi] - torques[lo])
-    return duties[lo] + frac * (duties[hi] - duties[lo])
-
-
 def torque_to_pwm(tau: np.ndarray, params: ActuatorParams) -> np.ndarray:
-    """Per-joint duty cycles in [0, 1].
-
-    Default mapping is bipolar around 0.5: duty = 0.5 + 0.5 * clamp(gain *
-    tau / tau_max, -1, 1).  A custom table interpolates linearly between its
-    breakpoints.
-    """
+    """Per-joint duty cycles in [0, 1], bipolar around 0.5:
+    duty = 0.5 + 0.5 * clamp(gain * tau / tau_max, -1, 1)."""
     if tau.shape[0] != params.tau_max.shape[0]:
         raise DimensionMismatch(
             f"{tau.shape[0]} torques for {params.tau_max.shape[0]} joints"
         )
-    params.validate()
-    if params.pwm_table is None:
-        scaled = params.gain.astype(np.float64) * tau / params.tau_max.astype(np.float64)
-        return 0.5 + 0.5 * np.clip(scaled, -1.0, 1.0)
-    return np.array(
-        [_interp_table(params.pwm_table[j], float(tau[j])) for j in range(tau.shape[0])]
-    )
+    scaled = params.gain.astype(np.float64) * tau / params.tau_max.astype(np.float64)
+    return 0.5 + 0.5 * np.clip(scaled, -1.0, 1.0)

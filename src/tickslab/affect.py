@@ -27,7 +27,7 @@ class AffectParams:
     epsilon0: float = EPSILON0  # baseline halting threshold
     alpha: float = ALPHA        # modulation sensitivity
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.w2.shape[1] != self.w1.shape[0]:
             raise ValueError(f"layer widths differ: {self.w1.shape} vs {self.w2.shape}")
         if self.epsilon0 <= 0.0 or self.alpha < 0.0:

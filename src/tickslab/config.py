@@ -4,16 +4,19 @@ The dataclass defaults are the reference operating points (synchrony decay
 0.999, logit scale 8.0, 4 logits, baseline threshold 0.75 with sensitivity
 0.5, carry blend 0.9, 224-to-256 fusion, 32/8 affect stack); the audit test
 pins them.  Everything else is a desk-scale default and fair game to tune.
+Each section checks its values when built, so no invalid section can exist.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
+from .perception import WAVE_SAMPLES
 
 
 def _check_type(name: str, value, default):
@@ -35,16 +38,50 @@ def _check_type(name: str, value, default):
     return value
 
 
+def _at_least(low):
+    return (lambda v: v >= low), f">= {low}"
+
+
+def _between(low, high):
+    return (lambda v: low <= v <= high), f"in [{low}, {high}]"
+
+
+_POSITIVE = (lambda v: v > 0), "> 0"
+_UNIT = _between(0, 1)
+
+
+def _check_fields(section, prefix: str, **rules) -> None:
+    """Check every field of a config section when it is built.
+
+    Each value must have the JSON type of its default, and a float must be
+    finite.  ``rules[name]`` is a ``(test, text)`` pair the value must also
+    pass; an int without one must be at least 1 (the ints are sizes and
+    counts).
+    """
+    for f in dataclasses.fields(section):
+        name, value = f"{prefix}.{f.name}", getattr(section, f.name)
+        _check_type(name, value, f.default)
+        # false for NaN, the infinities and ints too large for a float
+        if type(f.default) is float and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+        rule = rules.get(f.name, _at_least(1) if type(f.default) is int else None)
+        if rule is not None and not rule[0](value):
+            raise ConfigError(f"{name} must be {rule[1]}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PerceptionConfig:
     vision_in: int = 768
-    audio_in: int = 80
+    audio_in: int = 80                # spectrum bins of the audio frame
     proprio_in: int = 64
     vision_latent: int = 128
     audio_latent: int = 64
     proprio_latent: int = 32
     fusion_dim: int = 256
-    spectrum_bins: int = 80
+
+    def __post_init__(self):
+        # the featurizer's audio window gives at most WAVE_SAMPLES // 2 bins
+        _check_fields(self, "perception", audio_in=_between(1, WAVE_SAMPLES // 2))
 
     @property
     def concat_dim(self) -> int:
@@ -67,6 +104,13 @@ class EngineConfig:
     plateau_window: int = 3
     plateau_epsilon: float = 1e-3
 
+    def __post_init__(self):
+        pairs = ((lambda v: 1 <= v <= self.neurons**2), "in [1, neurons**2]")
+        _check_fields(
+            self, "engine", sync_pairs=pairs, logit_count=_at_least(2),
+            decay=((lambda v: 0 < v <= 1), "in (0, 1]"), carry_beta=_UNIT, halt_cap=_UNIT,
+        )
+
 
 @dataclass(frozen=True)
 class ConsensusConfig:
@@ -76,13 +120,21 @@ class ConsensusConfig:
     deadline_ms: float = 250.0
     live: bool = False
 
+    def __post_init__(self):
+        _check_fields(
+            self, "consensus", deadline_ticks=_at_least(0), deadline_ms=_POSITIVE,
+            wait_policy=((lambda v: v in ("off", "one")), '"off" or "one"'),
+        )
+
 
 @dataclass(frozen=True)
 class AffectConfig:
     hidden: int = 32
-    dims: int = 8
     epsilon0: float = 0.75
     alpha: float = 0.5
+
+    def __post_init__(self):
+        _check_fields(self, "affect", epsilon0=_POSITIVE, alpha=_at_least(0))
 
 
 @dataclass(frozen=True)
@@ -92,6 +144,9 @@ class RouterConfig:
     gamma: float = 0.70
     slot_embed_width: int = 16
 
+    def __post_init__(self):
+        _check_fields(self, "router", gamma=_UNIT)
+
 
 @dataclass(frozen=True)
 class ActuatorConfig:
@@ -100,6 +155,9 @@ class ActuatorConfig:
     gain: float = 1.0
     filter_window: int = 5
     samples_per_move: int = 10
+
+    def __post_init__(self):
+        _check_fields(self, "actuator", torque_limit=_POSITIVE, samples_per_move=_at_least(2))
 
 
 @dataclass(frozen=True)
@@ -113,30 +171,6 @@ class Config:
     router: RouterConfig = field(default_factory=RouterConfig)
     actuator: ActuatorConfig = field(default_factory=ActuatorConfig)
 
-    def validate(self) -> None:
-        if self.perception.concat_dim <= 0:
-            raise ConfigError("latent dims must be positive")
-        if self.engine.sync_pairs > self.engine.neurons**2:
-            raise ConfigError("more sync pairs than ordered neuron pairs")
-        if not 0.0 < self.engine.decay <= 1.0:
-            raise ConfigError("decay must be in (0, 1]")
-        if self.engine.logit_count < 2:
-            raise ConfigError("need at least 2 logits")
-        if self.consensus.branches < 1:
-            raise ConfigError("need at least one branch")
-        if self.consensus.wait_policy not in ("off", "one"):
-            raise ConfigError(f"unknown wait policy {self.consensus.wait_policy!r}")
-        if self.affect.epsilon0 <= 0 or self.affect.alpha < 0:
-            raise ConfigError("epsilon0 must be positive and alpha non-negative")
-        if self.affect.dims != 8:
-            raise ConfigError("the envelope wire format carries exactly 8 affect reals")
-        if self.perception.audio_in != self.perception.spectrum_bins:
-            raise ConfigError("audio frame width must equal the spectrum bin count")
-        if not 0.0 <= self.router.gamma <= 1.0:
-            raise ConfigError("gamma must be in [0, 1]")
-        if self.actuator.torque_limit <= 0:
-            raise ConfigError("torque limit must be positive")
-
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -144,33 +178,23 @@ class Config:
     def from_dict(cls, doc: dict) -> "Config":
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        sections = {
-            "perception": PerceptionConfig,
-            "engine": EngineConfig,
-            "consensus": ConsensusConfig,
-            "affect": AffectConfig,
-            "router": RouterConfig,
-            "actuator": ActuatorConfig,
-        }
+        fields = {f.name: f for f in dataclasses.fields(cls)}
         kwargs = {}
         for key, value in doc.items():
-            if key in sections:
+            if key not in fields:
+                raise ConfigError(f"unknown config key {key!r}")
+            section = fields[key].default_factory
+            if section is dataclasses.MISSING:  # seed, weights_path
+                value = _check_type(key, value, fields[key].default)
+            else:
                 if not isinstance(value, dict):
                     raise ConfigError(f"section {key!r} must be an object")
-                known = {f.name for f in dataclasses.fields(sections[key])}
-                unknown = set(value) - known
+                unknown = set(value) - {f.name for f in dataclasses.fields(section)}
                 if unknown:
                     raise ConfigError(f"unknown keys in {key!r}: {sorted(unknown)}")
-                for name, item in value.items():
-                    _check_type(f"{key}.{name}", item, getattr(sections[key], name))
-                kwargs[key] = sections[key](**value)
-            elif key in ("seed", "weights_path"):
-                kwargs[key] = _check_type(key, value, getattr(cls, key))
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-        config = cls(**kwargs)
-        config.validate()
-        return config
+                value = section(**value)
+            kwargs[key] = value
+        return cls(**kwargs)
 
     @classmethod
     def load(cls, path: str | Path) -> "Config":
@@ -178,7 +202,7 @@ class Config:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
 

@@ -57,7 +57,7 @@ class CtmParams:
     def tick_budget(self) -> int:
         return self.ticks_per_slab * self.max_slabs
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (0.0 < self.decay <= 1.0):
             raise ValueError(f"decay must be in (0, 1], got {self.decay}")
         if self.logit_count < 2:

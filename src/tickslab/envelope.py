@@ -26,6 +26,7 @@ from .errors import MalformedJson, NonFiniteMetadata, SchemaViolation
 JSONRPC_VERSION = "2.0"
 METHOD_PREFIX = "tool/"
 DIGEST_LENGTH = 64
+AFFECT_DIMS = 8                # affect reals per envelope
 _HEX_DIGITS = set("0123456789abcdef")
 
 _TOP_KEYS = {"jsonrpc", "id", "method", "params"}
@@ -49,7 +50,7 @@ class EnvelopeMeta:
     slab_count: int
     ticks: int
     confidence: float
-    affect: tuple          # 8 floats
+    affect: tuple          # AFFECT_DIMS floats
     sync_digest: str       # 64 lowercase hex chars
     fallback: bool
 
@@ -140,7 +141,7 @@ def _loads_strict(data: bytes):
         return json.loads(
             text, object_pairs_hook=_reject_duplicates, parse_constant=reject_constant
         )
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or too deep a nesting
         raise MalformedJson(str(exc)) from exc
 
 
@@ -226,8 +227,8 @@ def parse_envelope(data: bytes) -> Envelope:
     if not 0.0 <= confidence <= 1.0:
         raise SchemaViolation("params.meta.confidence", "must be in [0, 1]")
     affect_raw = raw_meta["affect"]
-    if not isinstance(affect_raw, list) or len(affect_raw) != 8:
-        raise SchemaViolation("params.meta.affect", "expected a list of 8 numbers")
+    if not isinstance(affect_raw, list) or len(affect_raw) != AFFECT_DIMS:
+        raise SchemaViolation("params.meta.affect", f"expected a list of {AFFECT_DIMS} numbers")
     affect = tuple(
         _expect_number(a, f"params.meta.affect[{i}]") for i, a in enumerate(affect_raw)
     )

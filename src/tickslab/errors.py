@@ -72,10 +72,6 @@ class IdMismatch(TickslabError):
     pass
 
 
-class MalformedTable(TickslabError):
-    pass
-
-
 class WeightFileError(TickslabError):
     pass
 

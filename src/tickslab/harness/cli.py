@@ -25,7 +25,6 @@ def _load_config(args) -> Config:
         import dataclasses
 
         config = dataclasses.replace(config, seed=args.seed)
-    config.validate()
     return config
 
 

@@ -119,7 +119,6 @@ def run_episode(
     model: Optional[ModelParams] = None,
 ) -> EpisodeLog:
     """Run one task to success, budget exhaustion, or a logged error."""
-    config.validate()
     registry = build_registry()
     if model is None:
         model = build_model(config, len(registry), registry.max_slots)

@@ -14,13 +14,12 @@ import re
 
 import numpy as np
 
-from ..perception import Modality, ModalityFrame, spectrum
+from ..perception import WAVE_SAMPLES, Modality, ModalityFrame, spectrum
 from ..rng import SplitMix64, fnv1a64
 from .world import WorldState
 
 PROBES = 4
 TOKEN_MAGNITUDE = 0.5
-WAVE_SAMPLES = 256
 WAVE_COMPONENTS = 3
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -67,12 +66,12 @@ def goal_waveform(goal: str) -> np.ndarray:
 def featurize(goal: str, world: WorldState, dims) -> dict[Modality, ModalityFrame]:
     """Build the three frames for one decision step.
 
-    ``dims`` is the perception config (vision_in / proprio_in /
-    spectrum_bins are used; the audio frame width equals spectrum_bins).
+    ``dims`` is the perception config; its ``*_in`` widths size the frames
+    (the audio frame holds ``audio_in`` spectrum bins).
     """
     vision = scatter_tokens(tokenize(goal), dims.vision_in)
     proprio = scatter_tokens(world_tokens(world), dims.proprio_in)
-    audio = spectrum(goal_waveform(goal), dims.spectrum_bins)
+    audio = spectrum(goal_waveform(goal), dims.audio_in)
     return {
         Modality.VISION: ModalityFrame(Modality.VISION, vision),
         Modality.AUDIO: ModalityFrame(Modality.AUDIO, audio),

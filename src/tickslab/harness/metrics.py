@@ -7,13 +7,13 @@ per line in canonical JSON so identical runs produce identical bytes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..envelope import canonical_json_bytes
 from ..errors import EmptyLogs, ParseError
 from .episode import OUTCOME_SUCCESS, EpisodeLog
+from .tasks import read_jsonl
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,11 @@ def write_logs(path: str | Path, logs: list[EpisodeLog]) -> None:
 
 def read_logs(path: str | Path) -> list[EpisodeLog]:
     logs = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                logs.append(EpisodeLog.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ParseError(lineno, str(exc)) from exc
+    for lineno, doc in read_jsonl(path):
+        try:
+            logs.append(EpisodeLog.from_dict(doc))
+        except (KeyError, TypeError) as exc:
+            raise ParseError(lineno, str(exc)) from exc
     return logs
 
 

@@ -99,19 +99,20 @@ def _validate_record(doc: dict, line: int) -> TaskRecord:
     )
 
 
+def read_jsonl(path: str | Path):
+    """(line number, JSON value) per non-blank line; undecodable lines raise ParseError."""
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
+            if line.strip():
+                yield lineno, json.loads(line)
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep
+            raise ParseError(lineno, str(exc)) from exc
+
+
 def load_tasks(path: str | Path) -> list[TaskRecord]:
     """Read one task per JSONL line; strict schema, order preserved."""
-    tasks = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(lineno, str(exc)) from exc
-            tasks.append(_validate_record(doc, lineno))
-    return tasks
+    return [_validate_record(doc, lineno) for lineno, doc in read_jsonl(path)]
 
 
 def save_tasks(path: str | Path, tasks: list[TaskRecord]) -> None:

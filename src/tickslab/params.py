@@ -16,6 +16,7 @@ from .actuator import ActuatorParams
 from .affect import AffectParams
 from .config import Config
 from .engine import CtmParams
+from .envelope import AFFECT_DIMS
 from .errors import ConfigError
 from .perception import EncoderWeights
 from .rng import derive_seed, fan_in_matrix, sample_pairs
@@ -67,7 +68,6 @@ def build_model(
     config: Config, registry_size: int, max_slots: int, overrides: dict | None = None
 ) -> ModelParams:
     """Build all parameter bundles for one model seed."""
-    config.validate()
     seed = config.seed
     over = dict(overrides or {})
     if config.weights_path:
@@ -108,16 +108,14 @@ def build_model(
         pair_p=pair_p,
         pair_q=pair_q,
     )
-    ctm.validate()
 
     a = config.affect
     affect = AffectParams(
         w1=_tensor(seed, "affect/w1", a.hidden, e.sync_pairs, over),
-        w2=_tensor(seed, "affect/w2", a.dims, a.hidden, over),
+        w2=_tensor(seed, "affect/w2", AFFECT_DIMS, a.hidden, over),
         epsilon0=a.epsilon0,
         alpha=a.alpha,
     )
-    affect.validate()
 
     r = config.router
     action_head = _tensor(seed, "router/action", registry_size, e.sync_pairs, over)
@@ -134,7 +132,6 @@ def build_model(
         filter_window=act.filter_window,
         samples_per_move=act.samples_per_move,
     )
-    actuator.validate()
 
     return ModelParams(
         encoder=encoder,

@@ -17,6 +17,10 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteInput, WindowTooShort
 from .numerics import bounded_tanh, matvec, require_finite
 
+# Length of the audio window the harness featurizer synthesizes; its
+# spectrum has at most WAVE_SAMPLES // 2 bins.
+WAVE_SAMPLES = 256
+
 
 class Modality(enum.Enum):
     VISION = "vision"

@@ -36,9 +36,7 @@ def make_ctm(
         pair_q=pair_q,
     )
     fields.update(overrides)
-    params = CtmParams(**fields)
-    params.validate()
-    return params
+    return CtmParams(**fields)
 
 
 def fusion_vector(seed: int, dim: int = 16) -> np.ndarray:

@@ -18,7 +18,7 @@ from tickslab.actuator import ActuatorParams, interpolate_trajectory, plan_torqu
 from tickslab.config import Config
 from tickslab.consensus import DecisionDeadline, decide_step_live, merge
 from tickslab.engine import certainty, initial_state, mu_mlp, sync_scan_tick, sync_update
-from tickslab.envelope import parse_envelope, serialize_envelope
+from tickslab.envelope import AFFECT_DIMS, parse_envelope, serialize_envelope
 from tickslab.errors import SchemaViolation
 from tickslab.harness.cli import main as cli_main
 from tickslab.harness.episode import OUTCOME_ERROR, Policy, run_episode
@@ -354,5 +354,5 @@ class TestAcceptance:
         assert config.perception.concat_dim == 224
         assert config.perception.fusion_dim == 256
         assert config.affect.hidden == 32
-        assert config.affect.dims == 8
+        assert AFFECT_DIMS == 8
         report(12, "reference operating constants audited in the defaults")

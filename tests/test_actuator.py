@@ -9,17 +9,16 @@ from tickslab.actuator import (
     torque_to_pwm,
     TrajectorySample,
 )
-from tickslab.errors import DimensionMismatch, MalformedTable
+from tickslab.errors import DimensionMismatch
 
 
-def make_params(joints=3, pairs=6, limit=5.0, seed=0, **kw):
+def make_params(joints=3, pairs=6, limit=5.0, seed=0):
     rng = np.random.default_rng(seed)
     return ActuatorParams(
         mapping=rng.normal(size=(joints, pairs)).astype(np.float32),
         tau_min=np.full(joints, -limit),
         tau_max=np.full(joints, limit),
         gain=np.ones(joints),
-        **kw,
     )
 
 
@@ -185,20 +184,6 @@ class TestTorqueToPwm:
         np.testing.assert_array_equal(duty, np.ones(3))
         duty = torque_to_pwm(np.full(3, -5.0), params)
         np.testing.assert_array_equal(duty, np.zeros(3))
-
-    def test_custom_table_midpoint_interpolation(self):
-        table = ((-5.0, 0.0), (0.0, 0.4), (5.0, 1.0))
-        params = make_params(joints=1, pwm_table=(table,))
-        duty = torque_to_pwm(np.array([2.5]), params)
-        assert duty[0] == pytest.approx(0.7)
-        duty = torque_to_pwm(np.array([-2.5]), params)
-        assert duty[0] == pytest.approx(0.2)
-
-    def test_malformed_table(self):
-        table = ((0.0, 0.1), (0.0, 0.9))
-        params = make_params(joints=1, pwm_table=(table,))
-        with pytest.raises(MalformedTable):
-            torque_to_pwm(np.array([0.0]), params)
 
     def test_duty_range_random(self):
         rng = np.random.default_rng(5)

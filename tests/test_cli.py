@@ -77,6 +77,23 @@ class TestRun:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "data", [b"\xff\xfe{}\n", b"[" * 100_000], ids=["not-utf8", "deep"]
+    )
+    @pytest.mark.parametrize("flag", ["--config", "--tasks", "--logs"])
+    def test_malformed_input_file_exits_2(self, tmp_path, task_file, capsys, flag, data):
+        bad = tmp_path / "bad" / "bad.jsonl"
+        bad.parent.mkdir()
+        bad.write_bytes(data)
+        run = ["run", "--policy", "oracle", "--out", str(tmp_path / "out")]
+        argv = {
+            "--config": run + ["--tasks", str(task_file), "--config", str(bad)],
+            "--tasks": run + ["--tasks", str(bad)],
+            "--logs": ["metrics", "--logs", str(bad.parent)],
+        }[flag]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_config_exits_2(self, tmp_path, task_file):
         bad = tmp_path / "bad.json"
         bad.write_text('{"engine": {"decay": 0.0}}')

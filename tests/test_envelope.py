@@ -188,6 +188,13 @@ class TestParseRejections:
         with pytest.raises(MalformedJson):
             parse_envelope(doc)
 
+    @pytest.mark.parametrize(
+        "data", [b"[" * 100_000, b'{"id": 1' + b"0" * 5000 + b"}"], ids=["deep", "long-int"]
+    )
+    def test_undecodable_json_is_malformed(self, data):
+        with pytest.raises(MalformedJson):
+            parse_envelope(data)
+
     def test_duplicate_key_rejected(self):
         doc = GOLDEN_BYTES.replace(b'"id":7', b'"id":7,"id":8')
         with pytest.raises(SchemaViolation) as err:

@@ -1,16 +1,18 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tickslab.config import Config
+from tickslab.config import Config, ConsensusConfig
 from tickslab.errors import (
     ConfigError,
     EmptyLogs,
     ParseError,
     SchemaViolation,
+    TickslabError,
     UnknownTool,
 )
 from tickslab.harness.episode import EpisodeLog, StepRecord
@@ -32,6 +34,7 @@ from tickslab.harness.world import (
 )
 from tickslab.params import build_model
 from tickslab.perception import Modality
+from tickslab.weights import MAGIC, load_weights
 
 
 class TestLoadTasks:
@@ -351,11 +354,81 @@ class TestConfig:
             Config.from_dict({"engine": {"decay": 0.0}})
         with pytest.raises(ConfigError):
             Config.from_dict({"consensus": {"branches": 0}})
-        # wire-format pins: 8 affect reals, audio frame = spectrum bins
-        with pytest.raises(ConfigError):
-            Config.from_dict({"affect": {"dims": 4}})
-        with pytest.raises(ConfigError):
-            Config.from_dict({"perception": {"audio_in": 64}})
+        # keys that had a single legal value are gone: setting one is unknown
+        with pytest.raises(ConfigError, match="unknown keys"):
+            Config.from_dict({"affect": {"dims": 8}})
+        with pytest.raises(ConfigError, match="unknown keys"):
+            Config.from_dict({"perception": {"spectrum_bins": 80}})
+
+    SIZES = {
+        "engine": (
+            "neurons", "history", "rank", "sync_pairs", "ticks_per_slab",
+            "max_slabs", "plateau_window",
+        ),
+        "perception": (
+            "vision_in", "audio_in", "proprio_in", "vision_latent",
+            "audio_latent", "proprio_latent", "fusion_dim",
+        ),
+        "affect": ("hidden",),
+        "router": ("slot_embed_width",),
+        "actuator": ("joints", "filter_window"),
+    }
+    FLOATS = [
+        (section, key)
+        for section, fields in Config().to_dict().items()
+        if isinstance(fields, dict)
+        for key, value in fields.items()
+        if type(value) is float
+    ]
+
+    @pytest.mark.parametrize(
+        "doc, name",
+        [
+            ({"engine": {"neurons": -3, "sync_pairs": 4}}, "engine.neurons"),
+            *(
+                ({section: {key: 0}}, f"{section}.{key}")
+                for section, keys in SIZES.items()
+                for key in keys
+            ),
+            ({"engine": {"logit_count": 1}}, "engine.logit_count"),
+            ({"consensus": {"deadline_ticks": -5}}, "consensus.deadline_ticks"),
+            ({"consensus": {"deadline_ms": float("nan")}}, "consensus.deadline_ms"),
+            ({"consensus": {"deadline_ms": 0.0}}, "consensus.deadline_ms"),
+            ({"perception": {"audio_in": 200}}, "perception.audio_in"),
+            ({"perception": {"audio_in": 129}}, "perception.audio_in"),
+            ({"actuator": {"samples_per_move": 1}}, "actuator.samples_per_move"),
+            *(
+                ({section: {key: bad}}, f"{section}.{key}")
+                for section, key in FLOATS
+                for bad in (float("inf"), float("-inf"), float("nan"))
+            ),
+            ({"affect": {"epsilon0": 10**400}}, "affect.epsilon0"),
+            ({"engine": {"halt_cap": 1.5}}, "engine.halt_cap"),
+            ({"engine": {"carry_beta": -0.1}}, "engine.carry_beta"),
+        ],
+    )
+    def test_out_of_range_value_rejected(self, doc, name):
+        with pytest.raises(ConfigError, match=name):
+            Config.from_dict(doc)
+
+    def test_range_edges_accepted(self):
+        config = Config.from_dict({
+            "perception": {"audio_in": 128},
+            "consensus": {"deadline_ticks": 0},
+            "actuator": {"samples_per_move": 2},
+            "engine": {"halt_cap": 1.0, "carry_beta": 0.0},
+        })
+        assert config.perception.audio_in == 128
+
+    def test_sections_are_checked_when_built(self):
+        with pytest.raises(ConfigError, match="consensus.branches"):
+            ConsensusConfig(branches=0)
+        config = Config()
+        with pytest.raises(ConfigError, match="consensus.deadline_ms"):
+            dataclasses.replace(
+                config,
+                consensus=dataclasses.replace(config.consensus, deadline_ms=float("nan")),
+            )
 
     @pytest.mark.parametrize(
         "doc, name",
@@ -399,6 +472,37 @@ class TestConfig:
         assert config.engine.neurons == 16
         assert config.engine.decay == 0.999
         assert config.seed == 9
+
+
+# Pieces that make byte strings look like JSON lines or weight files, so
+# the loaders get past their first check more often than random bytes do.
+FRAGMENTS = (
+    b"[", b"]", b"{", b"}", b'"', b":", b",", b"\n", b"\r", b" ", b"1", b"-",
+    b"1e999", b"null", b"true", b"NaN", b'"id"', b'"records"', b'"engine"',
+    b"\xff", b"\xc3", b"\x00", MAGIC,
+)
+
+
+class TestMalformedBytes:
+    @pytest.mark.parametrize(
+        "load", [Config.load, load_tasks, read_logs, load_weights],
+        ids=["config", "tasks", "logs", "weights"],
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.binary(max_size=200)
+        | st.lists(st.sampled_from(FRAGMENTS), max_size=40).map(b"".join)
+    )
+    @example(data=b"[" * 100_000)
+    @example(data=b"\xff\xfe\n")
+    @example(data=b'{"seed": 1' + b"0" * 5000 + b"}")
+    def test_any_bytes_give_a_named_error(self, tmp_path_factory, load, data):
+        path = tmp_path_factory.getbasetemp() / "malformed_input"
+        path.write_bytes(data)
+        try:
+            load(path)
+        except TickslabError:
+            pass
 
 
 class TestModelBuild:
