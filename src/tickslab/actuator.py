@@ -10,15 +10,13 @@ velocities, then mapped to [0, 1] duty cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ActuatorConfig
 from .errors import DimensionMismatch
 from .numerics import matvec
-
-DEFAULT_FILTER_WINDOW = 5
-DEFAULT_SAMPLES = 10
 
 
 @dataclass(frozen=True)
@@ -27,8 +25,7 @@ class ActuatorParams:
     tau_min: np.ndarray                 # (joints,) N*m
     tau_max: np.ndarray
     gain: np.ndarray                    # (joints,)
-    filter_window: int = DEFAULT_FILTER_WINDOW
-    samples_per_move: int = DEFAULT_SAMPLES
+    config: ActuatorConfig = field(default_factory=ActuatorConfig)
 
     def __post_init__(self):
         if not np.all(self.tau_min < self.tau_max):

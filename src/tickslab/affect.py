@@ -9,29 +9,24 @@ without making halting unreachable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import AffectConfig
 from .errors import DimensionMismatch
 from .numerics import bounded_tanh, matvec
-
-EPSILON0 = 0.75
-ALPHA = 0.5
 
 
 @dataclass(frozen=True)
 class AffectParams:
-    w1: np.ndarray              # (hidden, pair_count), hidden = 32
+    w1: np.ndarray              # (hidden, sync_pairs)
     w2: np.ndarray              # (affect_dim, hidden), affect_dim = 8
-    epsilon0: float = EPSILON0  # baseline halting threshold
-    alpha: float = ALPHA        # modulation sensitivity
+    config: AffectConfig = field(default_factory=AffectConfig)
 
     def __post_init__(self):
         if self.w2.shape[1] != self.w1.shape[0]:
             raise ValueError(f"layer widths differ: {self.w1.shape} vs {self.w2.shape}")
-        if self.epsilon0 <= 0.0 or self.alpha < 0.0:
-            raise ValueError("epsilon0 must be positive and alpha non-negative")
 
 
 def affect_decode(sync: np.ndarray, params: AffectParams) -> np.ndarray:
@@ -51,4 +46,4 @@ def modulate_epsilon(affect: np.ndarray, params: AffectParams) -> float:
     value it actually compares against certainty.
     """
     norm = float(np.linalg.norm(affect.astype(np.float64)))
-    return params.epsilon0 * (1.0 + params.alpha * norm)
+    return params.config.epsilon0 * (1.0 + params.config.alpha * norm)

@@ -111,6 +111,10 @@ class EngineConfig:
             decay=((lambda v: 0 < v <= 1), "in (0, 1]"), carry_beta=_UNIT, halt_cap=_UNIT,
         )
 
+    @property
+    def tick_budget(self) -> int:
+        return self.ticks_per_slab * self.max_slabs
+
 
 @dataclass(frozen=True)
 class ConsensusConfig:

@@ -97,11 +97,6 @@ class DecisionDeadline:
             raise ValueError("a deadline needs at least one limit")
 
 
-def default_deadline(params: CtmParams) -> DecisionDeadline:
-    """Default logical window: 4 slabs' worth of ticks after the first halt."""
-    return DecisionDeadline(logical_tick_limit=4 * params.ticks_per_slab, wall_clock_ms=250.0)
-
-
 class PermutationCache:
     """The branch pair permutations of the current episode, read-only.
 
@@ -137,7 +132,7 @@ def perturb_for_branch(params: CtmParams, episode_seed: int, branch_id: int) -> 
     everything downstream read the reshuffled vector, so branches read
     different certainties off the same trajectory while staying reproducible.
     """
-    perm = _PERMUTATIONS.get(episode_seed, params.pair_count, branch_id + 1)[branch_id]
+    perm = _PERMUTATIONS.get(episode_seed, params.config.sync_pairs, branch_id + 1)[branch_id]
     return replace(params, pair_p=params.pair_p[perm], pair_q=params.pair_q[perm])
 
 
@@ -157,7 +152,7 @@ def run_branch(
     """
     branch_params = perturb_for_branch(params, episode_seed, branch_id)
     state, last = run_until_halt(seed_state.clone(), f, branch_params, epsilon)
-    reached = last.certainty >= min(epsilon, params.halt_cap)
+    reached = last.certainty >= min(epsilon, params.config.halt_cap)
     outcome = BranchOutcome(
         branch_id=branch_id,
         sync=last.sync,
@@ -203,7 +198,7 @@ def shared_branches(
     """
     if k < 1:
         raise ValueError("need at least one branch")
-    perms = _PERMUTATIONS.get(episode_seed, params.pair_count, k)
+    perms = _PERMUTATIONS.get(episode_seed, params.config.sync_pairs, k)
     running: dict[int, tuple[np.ndarray, tuple]] = {}   # id -> (sync, certainty trace)
     for branch_id in range(k):
         try:
@@ -238,10 +233,8 @@ def shared_branches(
         )
         ticks_used = trajectory.tick - seed_state.tick
         for branch_id, (sync, trace) in list(running.items()):
-            sync = accumulate(sync, contribution[perms[branch_id]], n, params.decay)
-            logits, c, trace, stop = halt_readout(
-                sync, trace, trajectory.tick, trajectory.slab, epsilon, params
-            )
+            sync = accumulate(sync, contribution[perms[branch_id]], n, params.config.decay)
+            logits, c, trace, stop = halt_readout(sync, trace, trajectory.slab, epsilon, params)
             if not stop:
                 running[branch_id] = (sync, trace)
                 continue
@@ -252,7 +245,7 @@ def shared_branches(
                 logits=logits,
                 confidence=c,
                 ticks_used=ticks_used,
-                reached_threshold=c >= min(epsilon, params.halt_cap),
+                reached_threshold=c >= min(epsilon, params.config.halt_cap),
             )
             halted.append(
                 (outcome, replace(trajectory, sync=sync, certainty_trace=trace))
@@ -373,7 +366,7 @@ def select_step(
     """
     pairs = sorted(pairs, key=lambda ps: (ps[0].ticks_used, ps[0].branch_id))
     if not pairs:
-        result = timeout_safe_pass(cache, params.pair_count)
+        result = timeout_safe_pass(cache, params.config.sync_pairs)
         return StepDecision(result, None, seed_state.slab, seed_state.tick)
 
     cutoff = None if tick_limit is None else pairs[0][0].ticks_used + tick_limit
@@ -383,7 +376,7 @@ def select_step(
         result = merge([outcome for outcome, _ in merged], params)
         next_seed = replace(merged[0][1], sync=result.sync_merged.copy())
     else:
-        result = timeout_safe_pass(cache, params.pair_count)
+        result = timeout_safe_pass(cache, params.config.sync_pairs)
         _, next_seed = pairs[0]
 
     return StepDecision(result, next_seed, next_seed.slab, next_seed.tick)
@@ -397,8 +390,8 @@ def decide_step(
     k: int,
     episode_seed: int,
     cache: Optional[ConsensusResult],
+    deadline: DecisionDeadline,
     wait_policy: WaitPolicy = WaitPolicy.OFF,
-    deadline: Optional[DecisionDeadline] = None,
     branch_hook: Optional[Callable[[int], None]] = None,
 ) -> StepDecision:
     """Deterministic decision step over k branch readouts.
@@ -410,7 +403,6 @@ def decide_step(
     runs: a branch that halts after either stop can never be chosen or
     merged.
     """
-    deadline = deadline or default_deadline(params)
     limit = deadline.logical_tick_limit
     pairs = shared_branches(
         seed_state, f, params, epsilon, k, episode_seed, wait_policy, limit, branch_hook

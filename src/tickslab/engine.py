@@ -20,54 +20,28 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import EngineConfig
 from .errors import DimensionMismatch, EmptySlab
 from .numerics import bounded_tanh, entropy, matvec, softmax
-
-HALT_CAP = 0.995
-PLATEAU_WINDOW = 3
-PLATEAU_EPSILON = 1e-3
 
 
 @dataclass(frozen=True)
 class CtmParams:
     """Immutable engine parameters; shareable across branches."""
 
-    neurons: int = 64          # hidden-state width
-    history: int = 8           # depth-history length per neuron
-    rank: int = 4              # shared low-rank readout rank
-    pair_count: int = 256      # number of synchrony accumulators
-    ticks_per_slab: int = 8
-    max_slabs: int = 16
-    decay: float = 0.999
-    logit_scale: float = 8.0
-    logit_count: int = 4
-    carry_beta: float = 0.9
-    halt_cap: float = HALT_CAP
-    plateau_window: int = PLATEAU_WINDOW
-    plateau_epsilon: float = PLATEAU_EPSILON
-    synapse_w: np.ndarray = None      # (neurons, neurons + fusion_dim)
-    factor_a: np.ndarray = None       # (history, rank)
-    factor_b: np.ndarray = None       # (neurons, rank)
-    bias: np.ndarray = None           # (neurons,)
-    certainty_w: np.ndarray = None    # (logit_count, pair_count)
-    pair_p: np.ndarray = None         # (pair_count,) int indices
-    pair_q: np.ndarray = None
-
-    @property
-    def tick_budget(self) -> int:
-        return self.ticks_per_slab * self.max_slabs
+    config: EngineConfig
+    synapse_w: np.ndarray      # (neurons, neurons + fusion_dim)
+    factor_a: np.ndarray       # (history, rank)
+    factor_b: np.ndarray       # (neurons, rank)
+    bias: np.ndarray           # (neurons,)
+    certainty_w: np.ndarray    # (logit_count, sync_pairs)
+    pair_p: np.ndarray         # (sync_pairs,) int indices
+    pair_q: np.ndarray
 
     def __post_init__(self):
-        if not (0.0 < self.decay <= 1.0):
-            raise ValueError(f"decay must be in (0, 1], got {self.decay}")
-        if self.logit_count < 2:
-            raise ValueError("need at least 2 logits")
         pairs = set(zip(self.pair_p.tolist(), self.pair_q.tolist()))
-        if len(pairs) != self.pair_count:
+        if len(pairs) != self.config.sync_pairs:
             raise ValueError("synchrony pairs must be distinct ordered pairs")
-        for name in ("synapse_w", "factor_a", "factor_b", "bias", "certainty_w"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -90,9 +64,9 @@ class BranchState:
 def initial_state(params: CtmParams) -> BranchState:
     """Zeroed state: empty history, silent accumulators."""
     return BranchState(
-        z=np.zeros(params.neurons, dtype=np.float32),
-        history=np.zeros((params.neurons, params.history), dtype=np.float32),
-        sync=np.zeros(params.pair_count, dtype=np.float32),
+        z=np.zeros(params.config.neurons, dtype=np.float32),
+        history=np.zeros((params.config.neurons, params.config.history), dtype=np.float32),
+        sync=np.zeros(params.config.sync_pairs, dtype=np.float32),
     )
 
 
@@ -168,7 +142,7 @@ def slab_contribution(slab_states: list[np.ndarray], params: CtmParams) -> np.nd
         raise EmptySlab("a slab needs at least one state")
     stack = np.stack(slab_states).astype(np.float64)            # (L, neurons)
     prods = stack[:, params.pair_p] * stack[:, params.pair_q]   # (L, pair_count)
-    w = params.decay ** np.arange(n - 1, -1, -1, dtype=np.float64)
+    w = params.config.decay ** np.arange(n - 1, -1, -1, dtype=np.float64)
     return np.sum(prods * w[:, None], axis=0)
 
 
@@ -186,7 +160,7 @@ def sync_update(
     where L is the number of states actually collected this slab.
     """
     contribution = slab_contribution(slab_states, params)
-    return accumulate(sync, contribution, len(slab_states), params.decay)
+    return accumulate(sync, contribution, len(slab_states), params.config.decay)
 
 
 def sync_scan_tick(sync: np.ndarray, z: np.ndarray, params: CtmParams) -> np.ndarray:
@@ -196,7 +170,7 @@ def sync_scan_tick(sync: np.ndarray, z: np.ndarray, params: CtmParams) -> np.nda
     a multi-tick scan (the closed form also rounds only once, at the end),
     float32 to mimic stored state.
     """
-    s64 = params.decay * sync.astype(np.float64)
+    s64 = params.config.decay * sync.astype(np.float64)
     z64 = z.astype(np.float64)
     out = s64 + z64[params.pair_p] * z64[params.pair_q]
     return out.astype(sync.dtype)
@@ -210,9 +184,9 @@ def certainty(
     c = 1 - H(softmax(h)) / ln(logit_count), h = logit_scale * (W_c S).
     Returns (h as float32, c as float in [0, 1]).
     """
-    logits = (params.logit_scale * matvec(certainty_w, sync)).astype(np.float32)
+    logits = (params.config.logit_scale * matvec(certainty_w, sync)).astype(np.float32)
     h = entropy(softmax(logits))
-    c = 1.0 - h / np.log(params.logit_count)
+    c = 1.0 - h / np.log(params.config.logit_count)
     return logits, float(min(max(c, 0.0), 1.0))
 
 
@@ -220,27 +194,23 @@ def halt_decision(
     c: float,
     epsilon: float,
     certainty_trace: tuple,
-    tick_budget_left: int,
     slab_budget_left: int,
-    *,
-    halt_cap: float = HALT_CAP,
-    plateau_window: int = PLATEAU_WINDOW,
-    plateau_epsilon: float = PLATEAU_EPSILON,
+    config: EngineConfig,
 ) -> bool:
     """True to halt: threshold reached, slab budget gone, or certainty plateau.
 
-    The threshold is capped (default 0.995) because the affect-modulated
-    epsilon can exceed 1 while certainty cannot.  ``certainty_trace`` must
-    already include the current value.  The tick budget binds earlier, in
-    the slab loop, by shortening the final slab.
+    The threshold is capped at ``config.halt_cap`` because the
+    affect-modulated epsilon can exceed 1 while certainty cannot.
+    ``certainty_trace`` must already include the current value.  The tick
+    budget binds earlier, in the slab loop, by shortening the final slab.
     """
-    if c >= min(epsilon, halt_cap):
+    if c >= min(epsilon, config.halt_cap):
         return True
     if slab_budget_left == 0:
         return True
-    if len(certainty_trace) >= plateau_window:
-        window = certainty_trace[-plateau_window:]
-        if max(window) - min(window) < plateau_epsilon:
+    if len(certainty_trace) >= config.plateau_window:
+        window = certainty_trace[-config.plateau_window :]
+        if max(window) - min(window) < config.plateau_epsilon:
             return True
     return False
 
@@ -257,7 +227,7 @@ def gated_carry(z_a: np.ndarray, z_b: np.ndarray, beta: float) -> np.ndarray:
 
 def slab_length(state: BranchState, f: np.ndarray, params: CtmParams) -> int:
     """Ticks in the next slab: ticks_per_slab, fewer at the tick budget."""
-    ticks_left = params.tick_budget - state.tick
+    ticks_left = params.config.tick_budget - state.tick
     if ticks_left <= 0:
         raise EmptySlab("tick budget exhausted before the slab started")
     if state.z.shape[0] + f.shape[0] != params.synapse_w.shape[1]:
@@ -265,7 +235,7 @@ def slab_length(state: BranchState, f: np.ndarray, params: CtmParams) -> int:
             f"synapse input {state.z.shape[0]}+{f.shape[0]} != "
             f"{params.synapse_w.shape[1]}"
         )
-    return min(params.ticks_per_slab, ticks_left)
+    return min(params.config.ticks_per_slab, ticks_left)
 
 
 def slab_ticks(
@@ -283,7 +253,7 @@ def slab_ticks(
     # use, so each tick is bit-identical to composing those ops directly
     # (see the composition test).  The history is kept in float64; its
     # entries are float32 values, so rounding it back on return is exact.
-    d = params.neurons
+    d = params.config.neurons
     w64 = params.synapse_w.astype(np.float64)
     a64 = params.factor_a.astype(np.float64)
     b64 = params.factor_b.astype(np.float64)
@@ -301,35 +271,26 @@ def slab_ticks(
         proj = np.einsum("dm,mr->dr", hist, a64)
         z = bounded_tanh(bias64 + np.einsum("dr,dr->d", proj, b64))
         states.append(z)
-    carried = gated_carry(z, synapse(z, f, params.synapse_w), params.carry_beta)
+    carried = gated_carry(z, synapse(z, f, params.synapse_w), params.config.carry_beta)
     return states, hist.astype(np.float32), carried
 
 
 def halt_readout(
     sync: np.ndarray,
     certainty_trace: tuple,
-    tick: int,
     slab: int,
     epsilon: float,
     params: CtmParams,
 ) -> tuple[np.ndarray, float, tuple, bool]:
     """Certainty read off the accumulators after a slab, and the halt call.
 
-    Returns (logits, certainty, trailing certainty trace, halted); ``tick``
-    and ``slab`` are the counters after the slab.
+    Returns (logits, certainty, trailing certainty trace, halted); ``slab``
+    is the slab counter after the slab.
     """
+    config = params.config
     logits, c = certainty(sync, params.certainty_w, params)
-    trace = (certainty_trace + (c,))[-params.plateau_window :]
-    halted = halt_decision(
-        c,
-        epsilon,
-        trace,
-        tick_budget_left=params.tick_budget - tick,
-        slab_budget_left=params.max_slabs - slab,
-        halt_cap=params.halt_cap,
-        plateau_window=params.plateau_window,
-        plateau_epsilon=params.plateau_epsilon,
-    )
+    trace = (certainty_trace + (c,))[-config.plateau_window :]
+    halted = halt_decision(c, epsilon, trace, config.max_slabs - slab, config)
     return logits, c, trace, halted
 
 
@@ -347,9 +308,7 @@ def run_slab(
     sync = sync_update(state.sync, states, params)
     tick = state.tick + n
     slab = state.slab + 1
-    logits, c, trace, halted = halt_readout(
-        sync, state.certainty_trace, tick, slab, epsilon, params
-    )
+    logits, c, trace, halted = halt_readout(sync, state.certainty_trace, slab, epsilon, params)
     new_state = BranchState(
         z=carried, history=hist, sync=sync, tick=tick, slab=slab, certainty_trace=trace
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from ..affect import affect_decode, modulate_epsilon
@@ -52,6 +52,34 @@ class Policy(enum.Enum):
 OUTCOME_SUCCESS = "success"
 OUTCOME_BUDGET = "budget_exhausted"
 OUTCOME_ERROR = "error"
+
+
+# The JSON types a log field of each annotation may take.
+_LOG_TYPES = {
+    "int": (int,), "float": (int, float), "str": (str,), "bool": (bool,),
+    "dict": (dict,), "list": (list,),
+}
+
+
+def _check_log_types(cls, doc) -> dict:
+    """``doc`` if it is an object whose ``cls`` fields have their JSON types.
+
+    Raises TypeError naming the first field that does not, and ValueError
+    for an int outside [0, 2**63): ints are counts, and bounding them keeps
+    every metric over them a finite float.  Missing and unknown fields are
+    left to the constructor.
+    """
+    if not isinstance(doc, dict):
+        raise TypeError(f"{cls.__name__} must be an object, got {type(doc).__name__}")
+    for f in fields(cls):
+        if f.name not in doc:
+            continue
+        value, kinds = doc[f.name], _LOG_TYPES[f.type]
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            raise TypeError(f"{f.name} must be {f.type}, got {type(value).__name__}")
+        if f.type == "int" and not 0 <= value < 2**63:
+            raise ValueError(f"{f.name} must be in [0, 2**63), got {value}")
+    return doc
 
 
 @dataclass(frozen=True)
@@ -101,6 +129,7 @@ class EpisodeLog:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EpisodeLog":
+        _check_log_types(cls, doc)
         log = cls(
             task_id=doc["task_id"],
             outcome=doc["outcome"],
@@ -108,7 +137,7 @@ class EpisodeLog:
             rethinks=doc.get("rethinks", 0),
             forced_dispatches=doc.get("forced_dispatches", 0),
         )
-        log.records = [StepRecord(**r) for r in doc["records"]]
+        log.records = [StepRecord(**_check_log_types(StepRecord, r)) for r in doc["records"]]
         return log
 
 
@@ -141,7 +170,7 @@ def run_episode(
 
     log = EpisodeLog(task_id=task.id)
     seed_state = initial_state(ctm)
-    epsilon = model.affect.epsilon0
+    epsilon = model.affect.config.epsilon0
     cache: Optional[ConsensusResult] = None
     script_index = 0
 
@@ -182,12 +211,12 @@ def run_episode(
                     seed_state = decision.next_seed
                 gate = policy_gate(
                     decision.result.confidence_merged,
-                    router_params.gamma,
+                    router_params.config.gamma,
                     decision.slab_count,
-                    ctm.max_slabs,
+                    ctm.config.max_slabs,
                 )
                 if gate is GateOutcome.DISPATCH or decision.next_seed is None:
-                    if decision.result.confidence_merged < router_params.gamma:
+                    if decision.result.confidence_merged < router_params.config.gamma:
                         log.forced_dispatches += 1
                     break
                 log.rethinks += 1

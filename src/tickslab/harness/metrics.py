@@ -58,7 +58,7 @@ def read_logs(path: str | Path) -> list[EpisodeLog]:
     for lineno, doc in read_jsonl(path):
         try:
             logs.append(EpisodeLog.from_dict(doc))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(lineno, str(exc)) from exc
     return logs
 

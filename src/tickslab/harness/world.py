@@ -111,9 +111,9 @@ def _actuate(sync: np.ndarray, params: ActuatorParams) -> ToolResult:
     """Demo joint chain: plan torque, interpolate, smooth, map to PWM."""
     tau = plan_torque(sync, params)
     path = interpolate_trajectory(
-        np.zeros_like(tau), tau * 0.1, params.samples_per_move
+        np.zeros_like(tau), tau * 0.1, params.config.samples_per_move
     )
-    path = compliance_filter(path, params.filter_window)
+    path = compliance_filter(path, params.config.filter_window)
     duty = torque_to_pwm(tau, params)
     if not np.all(np.isfinite(duty)):
         return error_result("torque plan produced non-finite duties")

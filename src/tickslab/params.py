@@ -3,7 +3,7 @@
 All tensors are drawn uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) from a
 splitmix64 stream seeded by mix64(model_seed XOR fnv1a64(tensor_name)), so
 the same (config, seed) always yields the same bytes.  A weight container
-can override any tensor by name.
+can override any tensor by name with a finite tensor of the same shape.
 """
 
 from __future__ import annotations
@@ -60,7 +60,10 @@ def _tensor(seed: int, name: str, rows: int, cols: int, overrides: dict) -> np.n
             raise ConfigError(
                 f"weight override {name!r} has shape {arr.shape}, expected {(rows, cols)}"
             )
-        return arr.astype(np.float32)
+        arr = arr.astype(np.float32)
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError(f"weight override {name!r} has non-finite values")
+        return arr
     return fan_in_matrix(derive_seed(seed, name), rows, cols)
 
 
@@ -87,19 +90,7 @@ def build_model(
     e = config.engine
     pair_p, pair_q = sample_pairs(derive_seed(seed, "ctm/pairs"), e.neurons, e.sync_pairs)
     ctm = CtmParams(
-        neurons=e.neurons,
-        history=e.history,
-        rank=e.rank,
-        pair_count=e.sync_pairs,
-        ticks_per_slab=e.ticks_per_slab,
-        max_slabs=e.max_slabs,
-        decay=e.decay,
-        logit_scale=e.logit_scale,
-        logit_count=e.logit_count,
-        carry_beta=e.carry_beta,
-        halt_cap=e.halt_cap,
-        plateau_window=e.plateau_window,
-        plateau_epsilon=e.plateau_epsilon,
+        config=e,
         synapse_w=_tensor(seed, "ctm/synapse", e.neurons, e.neurons + p.fusion_dim, over),
         factor_a=_tensor(seed, "ctm/readout_a", e.history, e.rank, over),
         factor_b=_tensor(seed, "ctm/readout_b", e.neurons, e.rank, over),
@@ -113,8 +104,7 @@ def build_model(
     affect = AffectParams(
         w1=_tensor(seed, "affect/w1", a.hidden, e.sync_pairs, over),
         w2=_tensor(seed, "affect/w2", AFFECT_DIMS, a.hidden, over),
-        epsilon0=a.epsilon0,
-        alpha=a.alpha,
+        config=a,
     )
 
     r = config.router
@@ -129,8 +119,7 @@ def build_model(
         tau_min=np.full(act.joints, -act.torque_limit),
         tau_max=np.full(act.joints, act.torque_limit),
         gain=np.full(act.joints, act.gain),
-        filter_window=act.filter_window,
-        samples_per_move=act.samples_per_move,
+        config=act,
     )
 
     return ModelParams(
@@ -166,9 +155,8 @@ def build_router_params(
             f"registry has {len(registry)}"
         )
     return RouterParams(
-        gamma=config.router.gamma,
         action_head=model.action_head,
         slot_head=model.slot_head,
         candidates=embedded,
-        embed_width=width,
+        config=config.router,
     )

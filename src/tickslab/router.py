@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RouterConfig
 from .consensus import ConsensusResult
 from .envelope import Envelope, EnvelopeMeta, sync_digest
 from .errors import NoCandidates
 from .numerics import matvec
 
-SLOT_EMBED_WIDTH = 16
 NOOP_TOOL = "noop"
 
 
@@ -65,11 +65,10 @@ class ToolRegistry:
 
 @dataclass(frozen=True)
 class RouterParams:
-    gamma: float                       # dispatch threshold on merged confidence
-    action_head: np.ndarray            # (len(registry), pair_count)
-    slot_head: np.ndarray              # (max_slots * embed_width, pair_count)
+    action_head: np.ndarray            # (len(registry), sync_pairs)
+    slot_head: np.ndarray              # (max_slots * slot_embed_width, sync_pairs)
     candidates: tuple                  # ordered (name, embedding) pairs
-    embed_width: int = SLOT_EMBED_WIDTH
+    config: RouterConfig = field(default_factory=RouterConfig)
 
 
 class GateOutcome(enum.Enum):
@@ -89,7 +88,7 @@ def policy_gate(
 def _fill_slot(
     slot_index: int, kind: SlotKind, sync: np.ndarray, params: RouterParams
 ):
-    width = params.embed_width
+    width = params.config.slot_embed_width
     rows = params.slot_head[slot_index * width : (slot_index + 1) * width]
     projection = matvec(rows, sync)
     if kind is SlotKind.OBJECT_REF:

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from tickslab.config import EngineConfig
 from tickslab.engine import CtmParams
 from tickslab.rng import derive_seed, fan_in_matrix, sample_pairs
+
+ENGINE_KEYS = {f.name for f in dataclasses.fields(EngineConfig)}
 
 
 def make_ctm(
@@ -12,30 +17,38 @@ def make_ctm(
     neurons: int = 8,
     history: int = 4,
     rank: int = 2,
-    pair_count: int = 12,
+    sync_pairs: int = 12,
     ticks_per_slab: int = 4,
     max_slabs: int = 6,
     fusion_dim: int = 16,
     **overrides,
 ) -> CtmParams:
-    """Small seeded engine params for fast tests."""
-    pair_p, pair_q = sample_pairs(derive_seed(seed, "ctm/pairs"), neurons, pair_count)
-    fields = dict(
+    """Small seeded engine params for fast tests.
+
+    Overrides named after an ``EngineConfig`` field go to the config, the
+    rest replace arrays of the bundle.
+    """
+    config = EngineConfig(
         neurons=neurons,
         history=history,
         rank=rank,
-        pair_count=pair_count,
+        sync_pairs=sync_pairs,
         ticks_per_slab=ticks_per_slab,
         max_slabs=max_slabs,
+        **{k: v for k, v in overrides.items() if k in ENGINE_KEYS},
+    )
+    pair_p, pair_q = sample_pairs(derive_seed(seed, "ctm/pairs"), neurons, sync_pairs)
+    fields = dict(
+        config=config,
         synapse_w=fan_in_matrix(derive_seed(seed, "ctm/synapse"), neurons, neurons + fusion_dim),
         factor_a=fan_in_matrix(derive_seed(seed, "ctm/readout_a"), history, rank),
         factor_b=fan_in_matrix(derive_seed(seed, "ctm/readout_b"), neurons, rank),
         bias=fan_in_matrix(derive_seed(seed, "ctm/bias"), 1, neurons).reshape(-1),
-        certainty_w=fan_in_matrix(derive_seed(seed, "ctm/certainty"), 4, pair_count),
+        certainty_w=fan_in_matrix(derive_seed(seed, "ctm/certainty"), 4, sync_pairs),
         pair_p=pair_p,
         pair_q=pair_q,
     )
-    fields.update(overrides)
+    fields.update({k: v for k, v in overrides.items() if k not in ENGINE_KEYS})
     return CtmParams(**fields)
 
 

@@ -60,9 +60,9 @@ class TestAcceptance:
         for trial in range(1000):
             n_ticks = int(rng.integers(1, 33))
             params = make_ctm(seed=int(trial % 50))
-            sync = rng.normal(size=params.pair_count).astype(np.float32)
+            sync = rng.normal(size=params.config.sync_pairs).astype(np.float32)
             states = [
-                rng.uniform(-1, 1, size=params.neurons).astype(np.float32)
+                rng.uniform(-1, 1, size=params.config.neurons).astype(np.float32)
                 for _ in range(n_ticks)
             ]
             closed = sync_update(sync, states, params)
@@ -75,7 +75,7 @@ class TestAcceptance:
         report(2, "incremental sync scan equals closed form (1e-5, L in 1..32)")
 
     def test_c03_certainty_calibration(self):
-        params = make_ctm(seed=3, pair_count=32)
+        params = make_ctm(seed=3, sync_pairs=32)
         # uniform logits -> certainty 0
         w_uniform = np.ones((4, 32), dtype=np.float32)
         _, c = certainty(np.ones(32, dtype=np.float32), w_uniform, params)
@@ -95,8 +95,8 @@ class TestAcceptance:
             _, c = certainty(sync, w, params)
             assert 0.0 <= c <= 1.0
         # scale monotonicity
-        lo = make_ctm(seed=3, pair_count=32, logit_scale=1.0)
-        hi = make_ctm(seed=3, pair_count=32, logit_scale=8.0)
+        lo = make_ctm(seed=3, sync_pairs=32, logit_scale=1.0)
+        hi = make_ctm(seed=3, sync_pairs=32, logit_scale=8.0)
         for _ in range(1000):
             sync = rng.normal(size=32).astype(np.float32)
             _, c1 = certainty(sync, w, lo)
@@ -111,12 +111,12 @@ class TestAcceptance:
             n = int(rng.integers(2, 9))
             outcomes = []
             for i in range(n):
-                sync = rng.normal(size=params.pair_count).astype(np.float32)
-                logits = (rng.normal(size=params.logit_count) * 4).astype(np.float32)
+                sync = rng.normal(size=params.config.sync_pairs).astype(np.float32)
+                logits = (rng.normal(size=params.config.logit_count) * 4).astype(np.float32)
                 from tickslab.numerics import entropy, softmax
 
                 conf = max(
-                    0.0, 1.0 - entropy(softmax(logits)) / np.log(params.logit_count)
+                    0.0, 1.0 - entropy(softmax(logits)) / np.log(params.config.logit_count)
                 )
                 from tickslab.consensus import BranchOutcome
 
@@ -137,7 +137,7 @@ class TestAcceptance:
 
     def test_c05_exactly_one_output_race(self):
         params = make_ctm(
-            seed=5, neurons=4, history=2, rank=1, pair_count=4,
+            seed=5, neurons=4, history=2, rank=1, sync_pairs=4,
             ticks_per_slab=2, max_slabs=2, fusion_dim=4,
         )
         fvec = fusion_vector(5, dim=4)

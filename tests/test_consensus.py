@@ -29,6 +29,11 @@ from tickslab.errors import EmptyOutcomeList
 from tickslab.rng import SplitMix64, derive_seed
 
 
+def four_slab_window(params):
+    """The logical window the episode loop uses: 4 slabs after the first halt."""
+    return DecisionDeadline(logical_tick_limit=4 * params.config.ticks_per_slab)
+
+
 def make_outcome(branch_id, sync, logits, params, ticks=8, reached=True):
     sync = np.asarray(sync, dtype=np.float32)
     logits = np.asarray(logits, dtype=np.float32)
@@ -36,15 +41,15 @@ def make_outcome(branch_id, sync, logits, params, ticks=8, reached=True):
     # confidence must be the entropy confidence of the stored logits
     from tickslab.numerics import entropy, softmax
 
-    conf = 1.0 - entropy(softmax(logits)) / np.log(params.logit_count)
+    conf = 1.0 - entropy(softmax(logits)) / np.log(params.config.logit_count)
     return BranchOutcome(branch_id, sync, logits, float(max(conf, 0.0)), ticks, reached)
 
 
 def random_outcomes(rng, params, n):
     outs = []
     for i in range(n):
-        sync = rng.normal(size=params.pair_count).astype(np.float32)
-        logits = rng.normal(size=params.logit_count).astype(np.float32) * 3
+        sync = rng.normal(size=params.config.sync_pairs).astype(np.float32)
+        logits = rng.normal(size=params.config.logit_count).astype(np.float32) * 3
         outs.append(make_outcome(i, sync, logits, params, ticks=int(rng.integers(4, 40))))
     return outs
 
@@ -114,7 +119,7 @@ class TestMerge:
         for o in random_outcomes(rng, small_params, 6):
             from tickslab.numerics import entropy, softmax
 
-            again = 1.0 - entropy(softmax(o.logits)) / np.log(small_params.logit_count)
+            again = 1.0 - entropy(softmax(o.logits)) / np.log(small_params.config.logit_count)
             assert o.confidence == pytest.approx(again, abs=1e-7)
 
 
@@ -183,8 +188,8 @@ class TestMergeSet:
         state = initial_state(params)
         pairs = []
         for branch_id, ticks, reached in halts:
-            sync = rng.normal(size=params.pair_count).astype(np.float32)
-            logits = np.zeros(params.logit_count, dtype=np.float32)
+            sync = rng.normal(size=params.config.sync_pairs).astype(np.float32)
+            logits = np.zeros(params.config.logit_count, dtype=np.float32)
             outcome = BranchOutcome(branch_id, sync, logits, 0.5, ticks, reached)
             pairs.append((outcome, replace(state, tick=ticks)))
         decision = select_step(pairs, state, params, None, policy, 40)
@@ -217,26 +222,27 @@ class TestTimeoutSafePass:
     def test_cache_present(self, small_params):
         rng = np.random.default_rng(0)
         cached = merge(random_outcomes(rng, small_params, 2), small_params)
-        result = timeout_safe_pass(cached, small_params.pair_count)
+        result = timeout_safe_pass(cached, small_params.config.sync_pairs)
         assert result.fallback
         assert np.array_equal(result.sync_merged, cached.sync_merged)
         assert result.confidence_merged == cached.confidence_merged
 
     def test_no_cache_zero_result(self, small_params):
-        result = timeout_safe_pass(None, small_params.pair_count)
+        result = timeout_safe_pass(None, small_params.config.sync_pairs)
         assert result.fallback
         assert result.confidence_merged == 0.0
         assert result.contributors == ()
         assert np.array_equal(
-            result.sync_merged, np.zeros(small_params.pair_count, dtype=np.float32)
+            result.sync_merged, np.zeros(small_params.config.sync_pairs, dtype=np.float32)
         )
 
 
 class TestDecideStep:
     def test_deterministic_repeat(self, small_params, fvec):
         seed_state = initial_state(small_params)
-        d1 = decide_step(seed_state, fvec, small_params, 0.75, 4, 11, None)
-        d2 = decide_step(seed_state, fvec, small_params, 0.75, 4, 11, None)
+        deadline = four_slab_window(small_params)
+        d1 = decide_step(seed_state, fvec, small_params, 0.75, 4, 11, None, deadline)
+        d2 = decide_step(seed_state, fvec, small_params, 0.75, 4, 11, None, deadline)
         assert np.array_equal(d1.result.sync_merged, d2.result.sync_merged)
         assert d1.result.confidence_merged == d2.result.confidence_merged
         assert d1.result.contributors == d2.result.contributors
@@ -246,13 +252,15 @@ class TestDecideStep:
     def test_unreachable_threshold_uses_fallback(self, fvec):
         # zero certainty head: c = 0 always, so no branch can reach threshold
         params = make_ctm(seed=1, certainty_w=np.zeros((4, 12), dtype=np.float32))
-        decision = decide_step(initial_state(params), fvec, params, 0.75, 3, 11, None)
+        decision = decide_step(
+            initial_state(params), fvec, params, 0.75, 3, 11, None, four_slab_window(params)
+        )
         assert decision.result.fallback
         assert decision.result.contributors == ()
         assert decision.result.confidence_merged == 0.0
         assert decision.next_seed is not None
         # plateau interrupt fires after the trace fills up
-        assert decision.next_seed.slab == params.plateau_window
+        assert decision.next_seed.slab == params.config.plateau_window
 
     def test_all_branches_failing_dispatches_fallback(self, small_params, fvec):
         def hook(branch_id):
@@ -260,7 +268,7 @@ class TestDecideStep:
 
         decision = decide_step(
             initial_state(small_params), fvec, small_params, 0.75, 3, 11, None,
-            branch_hook=hook,
+            four_slab_window(small_params), branch_hook=hook,
         )
         assert decision.result.fallback
         assert decision.next_seed is None
@@ -268,11 +276,11 @@ class TestDecideStep:
     def test_wait_one_can_widen_merge_set(self, small_params, fvec):
         base = decide_step(
             initial_state(small_params), fvec, small_params, 0.2, 4, 11, None,
-            wait_policy=WaitPolicy.OFF,
+            four_slab_window(small_params), wait_policy=WaitPolicy.OFF,
         )
         wide = decide_step(
             initial_state(small_params), fvec, small_params, 0.2, 4, 11, None,
-            wait_policy=WaitPolicy.ONE,
+            four_slab_window(small_params), wait_policy=WaitPolicy.ONE,
         )
         assert len(base.result.contributors) == 1
         assert len(wide.result.contributors) in (1, 2)
@@ -323,7 +331,7 @@ class TestLiveRace:
         # No certainty weights (threshold out of reach), no plateau stop and
         # a slab budget of seconds: only the wall clock can end the step.
         params = make_ctm(
-            seed=4, neurons=64, pair_count=256, ticks_per_slab=8, max_slabs=3000,
+            seed=4, neurons=64, sync_pairs=256, ticks_per_slab=8, max_slabs=3000,
             certainty_w=np.zeros((4, 256), dtype=np.float32), plateau_epsilon=0.0,
         )
         state, _ = run_slab(initial_state(params), fvec, params, epsilon=0.5)
@@ -385,7 +393,7 @@ def reference_stop(reference, seed_state, params, limit, wait):
     # A branch halts past the cutoff: every slab that ends by it runs.
     slabs, used = 0, 0
     while True:
-        n = min(params.ticks_per_slab, params.tick_budget - seed_state.tick - used)
+        n = min(params.config.ticks_per_slab, params.config.tick_budget - seed_state.tick - used)
         if used + n > cutoff:
             return kept, slabs
         slabs, used = slabs + 1, used + n
@@ -506,7 +514,8 @@ class TestSharedTrajectory:
         for wait, contributors, slabs in ((WaitPolicy.OFF, (2,), 2), (WaitPolicy.ONE, (1, 2), 5)):
             with counting_slab_ticks() as counter:
                 decision = decide_step(
-                    seed_state, fvec, small_params, 0.75, 3, 17, None, wait_policy=wait
+                    seed_state, fvec, small_params, 0.75, 3, 17, None,
+                    four_slab_window(small_params), wait_policy=wait,
                 )
             assert decision.result.contributors == contributors
             assert counter.call_count == slabs
@@ -515,10 +524,12 @@ class TestSharedTrajectory:
     def test_trajectory_failure_fails_every_running_branch(self, small_params, fvec, caplog):
         # Tick budget already spent: the first slab raises, as in run_branch.
         spent = replace(
-            initial_state(small_params), tick=small_params.tick_budget, slab=0
+            initial_state(small_params), tick=small_params.config.tick_budget, slab=0
         )
         with caplog.at_level("WARNING", logger="tickslab.consensus"):
-            decision = decide_step(spent, fvec, small_params, 0.75, 3, 11, None)
+            decision = decide_step(
+                spent, fvec, small_params, 0.75, 3, 11, None, four_slab_window(small_params)
+            )
         assert sum("failed" in r.message for r in caplog.records) == 3
         assert decision.result.fallback
         assert decision.next_seed is None

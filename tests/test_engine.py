@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_ctm
+from tickslab.config import EngineConfig
 from tickslab.engine import (
     BranchState,
     accumulate,
@@ -162,7 +163,8 @@ class TestSyncUpdate:
         sync = rng.normal(size=12).astype(np.float32)
         perm = rng.permutation(12)
         permuted = replace(params, pair_p=params.pair_p[perm], pair_q=params.pair_q[perm])
-        gathered = accumulate(sync, slab_contribution(states, params)[perm], n, params.decay)
+        contribution = slab_contribution(states, params)[perm]
+        gathered = accumulate(sync, contribution, n, params.config.decay)
         assert gathered.tobytes() == sync_update(sync, states, permuted).tobytes()
 
     def test_empty_slab(self, small_params):
@@ -208,25 +210,25 @@ class TestCertainty:
 
 class TestHaltDecision:
     def test_threshold_halt(self):
-        assert halt_decision(0.9, 0.75, (0.1, 0.5, 0.9), 10, 5)
+        assert halt_decision(0.9, 0.75, (0.1, 0.5, 0.9), 5, EngineConfig())
 
     def test_continue_mid_run(self):
-        assert not halt_decision(0.5, 0.75, (0.3, 0.4, 0.5), 10, 5)
+        assert not halt_decision(0.5, 0.75, (0.3, 0.4, 0.5), 5, EngineConfig())
 
     def test_capped_epsilon(self):
         # epsilon above the cap: 0.99 < 0.995 so the branch keeps thinking.
-        assert not halt_decision(0.99, 1.125, (0.2, 0.3, 0.4), 10, 5)
+        assert not halt_decision(0.99, 1.125, (0.2, 0.3, 0.4), 5, EngineConfig())
         # but certainty at the cap halts even though epsilon is higher
-        assert halt_decision(0.996, 1.125, (0.2, 0.3, 0.4), 10, 5)
+        assert halt_decision(0.996, 1.125, (0.2, 0.3, 0.4), 5, EngineConfig())
 
     def test_budget_halt(self):
-        assert halt_decision(0.0, 0.75, (0.0, 0.1, 0.2), 0, 0)
+        assert halt_decision(0.0, 0.75, (0.0, 0.1, 0.2), 0, EngineConfig())
 
     def test_plateau_halt(self):
-        assert halt_decision(0.5, 0.75, (0.5001, 0.5005, 0.5002), 10, 5)
+        assert halt_decision(0.5, 0.75, (0.5001, 0.5005, 0.5002), 5, EngineConfig())
 
     def test_short_trace_no_plateau(self):
-        assert not halt_decision(0.5, 0.75, (0.5, 0.5), 10, 5)
+        assert not halt_decision(0.5, 0.75, (0.5, 0.5), 5, EngineConfig())
 
 
 class TestGatedCarry:
@@ -270,15 +272,15 @@ class TestRunSlab:
 
     def test_full_slab_tick_count(self, small_params, fvec):
         _, result = run_slab(initial_state(small_params), fvec, small_params, 0.75)
-        assert result.ticks_used == small_params.ticks_per_slab
+        assert result.ticks_used == small_params.config.ticks_per_slab
 
     def test_short_final_slab(self, small_params, fvec):
         state = initial_state(small_params)
         # exhaust all but 2 ticks of the budget
-        budget = small_params.tick_budget
+        budget = small_params.config.tick_budget
         state = BranchState(
             z=state.z, history=state.history, sync=state.sync,
-            tick=budget - 2, slab=small_params.max_slabs - 1,
+            tick=budget - 2, slab=small_params.config.max_slabs - 1,
         )
         _, result = run_slab(state, fvec, small_params, 0.75)
         assert result.ticks_used == 2
@@ -305,7 +307,7 @@ class TestRunSlab:
         state = initial_state(small_params)
         state = BranchState(
             z=state.z, history=state.history, sync=state.sync,
-            tick=small_params.tick_budget, slab=small_params.max_slabs,
+            tick=small_params.config.tick_budget, slab=small_params.config.max_slabs,
         )
         with pytest.raises(EmptySlab):
             run_slab(state, fvec, small_params, 0.75)
@@ -314,8 +316,8 @@ class TestRunSlab:
         params = make_ctm(seed=4)
         state, result = run_until_halt(initial_state(params), fvec, params, epsilon=2.0)
         assert result.halted
-        assert state.tick <= params.tick_budget
-        assert state.slab <= params.max_slabs
+        assert state.tick <= params.config.tick_budget
+        assert state.slab <= params.config.max_slabs
 
     def test_slab_equals_op_composition_bitwise(self, small_params, fvec):
         # the slab's internal loop must match composing the public ops
@@ -326,14 +328,14 @@ class TestRunSlab:
         z = state.z
         hist = state.history
         states = []
-        for _ in range(params.ticks_per_slab):
+        for _ in range(params.config.ticks_per_slab):
             cand = synapse(z, fvec, params.synapse_w)
             hist = push_history(hist, cand)
             z = mu_mlp(hist, params.factor_a, params.factor_b, params.bias)
             states.append(z)
         sync = sync_update(state.sync, states, params)
         logits, c = certainty(sync, params.certainty_w, params)
-        carried = gated_carry(z, synapse(z, fvec, params.synapse_w), params.carry_beta)
+        carried = gated_carry(z, synapse(z, fvec, params.synapse_w), params.config.carry_beta)
 
         assert np.array_equal(result.sync, sync)
         assert np.array_equal(result.logits, logits)

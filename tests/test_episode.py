@@ -73,7 +73,7 @@ class TestCtmPolicy:
             "ctm/synapse": np.zeros_like(base.ctm.synapse_w),
             "ctm/readout_a": np.zeros_like(base.ctm.factor_a),
             "ctm/readout_b": np.zeros_like(base.ctm.factor_b),
-            "ctm/bias": np.zeros((1, base.ctm.neurons), dtype=np.float32),
+            "ctm/bias": np.zeros((1, base.ctm.config.neurons), dtype=np.float32),
             "ctm/certainty": np.zeros_like(base.ctm.certainty_w),
             "affect/w1": np.zeros_like(base.affect.w1),
             "affect/w2": np.zeros_like(base.affect.w2),

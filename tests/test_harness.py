@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tickslab.config import Config, ConsensusConfig
+from tickslab.config import Config, ConsensusConfig, EngineConfig
+from tickslab.engine import halt_readout
 from tickslab.errors import (
     ConfigError,
     EmptyLogs,
@@ -15,6 +16,7 @@ from tickslab.errors import (
     TickslabError,
     UnknownTool,
 )
+from tickslab.harness.cli import main as cli_main
 from tickslab.harness.episode import EpisodeLog, StepRecord
 from tickslab.harness.featurize import featurize, scatter_tokens, tokenize
 from tickslab.harness.metrics import (
@@ -32,7 +34,7 @@ from tickslab.harness.world import (
     step_env,
     world_from_task,
 )
-from tickslab.params import build_model
+from tickslab.params import TENSOR_NAMES, build_model, build_router_params
 from tickslab.perception import Modality
 from tickslab.weights import MAGIC, load_weights
 
@@ -335,6 +337,62 @@ class TestMetrics:
         logs = read_log_dir(tmp_path)
         assert [log.task_id for log in logs] == ["a", "b"]  # sorted by file
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("steps_used", "x"), ("rethinks", True), ("steps_used", -1),
+            ("steps_used", 2**63), ("outcome", 1), ("records", {}),
+        ],
+    )
+    def test_mistyped_field_names_line_and_field(self, tmp_path, capsys, field, value):
+        doc = self._log("a", "success", ["ok"]).to_dict()
+        path = tmp_path / "episodes.jsonl"
+        write_logs(path, [self._log("b", "success", ["ok"])])
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({**doc, field: value}) + "\n")
+        with pytest.raises(ParseError, match=f"line 2: {field}") as info:
+            read_logs(path)
+        assert info.value.line == 2
+        assert cli_main(["metrics", "--logs", str(tmp_path)]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value", [("c_merged", "0.5"), ("fallback", 0), ("args", []), ("ticks", 1.5)]
+    )
+    def test_mistyped_record_field_rejected(self, tmp_path, field, value):
+        doc = self._log("a", "success", ["ok"]).to_dict()
+        doc["records"][0][field] = value
+        path = tmp_path / "episodes.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(ParseError, match=f"line 1: {field}"):
+            read_logs(path)
+
+    JSON_VALUES = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+        max_leaves=6,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_json_on_a_log_line_gives_logs_or_parse_error(self, tmp_path_factory, data):
+        doc = self._log("a", "success", ["ok", "error"]).to_dict()
+        where = data.draw(st.sampled_from(["line", "log", "record"]))
+        if where == "line":
+            doc = data.draw(self.JSON_VALUES)
+        elif where == "log":
+            doc[data.draw(st.sampled_from(sorted(doc)))] = data.draw(self.JSON_VALUES)
+        else:
+            record = doc["records"][data.draw(st.integers(0, 1))]
+            record[data.draw(st.sampled_from(sorted(record)))] = data.draw(self.JSON_VALUES)
+        path = tmp_path_factory.getbasetemp() / "any_log.jsonl"
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        try:
+            logs = read_logs(path)
+        except ParseError:
+            return
+        compute_metrics(logs)
+
 
 class TestConfig:
     def test_defaults_round_trip(self, tmp_path):
@@ -505,6 +563,26 @@ class TestMalformedBytes:
             pass
 
 
+def model_tensors(model) -> dict:
+    """Every overridable tensor of a model, by its container name."""
+    return {
+        "enc/vision": model.encoder.vision,
+        "enc/audio": model.encoder.audio,
+        "enc/proprio": model.encoder.proprio,
+        "enc/fusion": model.encoder.fusion,
+        "ctm/synapse": model.ctm.synapse_w,
+        "ctm/readout_a": model.ctm.factor_a,
+        "ctm/readout_b": model.ctm.factor_b,
+        "ctm/bias": model.ctm.bias,
+        "ctm/certainty": model.ctm.certainty_w,
+        "affect/w1": model.affect.w1,
+        "affect/w2": model.affect.w2,
+        "router/action": model.action_head,
+        "router/slots": model.slot_head,
+        "actuator/mapping": model.actuator.mapping,
+    }
+
+
 class TestModelBuild:
     def test_deterministic_in_seed(self):
         config = Config(seed=5)
@@ -539,24 +617,8 @@ class TestModelBuild:
         config = Config(seed=8)
         registry = build_registry()
         base = build_model(config, len(registry), registry.max_slots)
-        tensors = {
-            "enc/vision": base.encoder.vision,
-            "enc/audio": base.encoder.audio,
-            "enc/proprio": base.encoder.proprio,
-            "enc/fusion": base.encoder.fusion,
-            "ctm/synapse": base.ctm.synapse_w,
-            "ctm/readout_a": base.ctm.factor_a,
-            "ctm/readout_b": base.ctm.factor_b,
-            "ctm/bias": base.ctm.bias,
-            "ctm/certainty": base.ctm.certainty_w,
-            "affect/w1": base.affect.w1,
-            "affect/w2": base.affect.w2,
-            "router/action": base.action_head,
-            "router/slots": base.slot_head,
-            "actuator/mapping": base.actuator.mapping,
-        }
         path = tmp_path / "model.bin"
-        save_weights(path, tensors)
+        save_weights(path, model_tensors(base))
         # different seed, but every tensor overridden from the container
         other = dataclasses.replace(Config(seed=999), weights_path=str(path))
         rebuilt = build_model(other, len(registry), registry.max_slots)
@@ -577,3 +639,52 @@ class TestModelBuild:
         registry = build_registry()
         with pytest.raises(ConfigError):
             build_model(config, len(registry), registry.max_slots)
+
+    @pytest.mark.parametrize("name", TENSOR_NAMES)
+    def test_non_finite_override_is_a_config_error(self, tmp_path, capsys, name):
+        from tickslab.weights import save_weights
+
+        registry = build_registry()
+        tensor = model_tensors(build_model(Config(), len(registry), registry.max_slots))[name]
+        tensor = np.atleast_2d(tensor).copy()
+        tensor.flat[tensor.size // 2] = np.nan
+        weights = tmp_path / "w.bin"
+        save_weights(weights, {name: tensor})
+        config = dataclasses.replace(Config(), weights_path=str(weights))
+        with pytest.raises(ConfigError, match=name):
+            build_model(config, len(registry), registry.max_slots)
+
+        config_path, tasks_path = tmp_path / "config.json", tmp_path / "tasks.jsonl"
+        config.save(config_path)
+        save_tasks(tasks_path, gen_tasks(1, 1))
+        code = cli_main([
+            "run", "--tasks", str(tasks_path), "--config", str(config_path),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert name in capsys.readouterr().err
+
+    def test_bundles_carry_their_config_sections(self):
+        config = Config(seed=2)
+        registry = build_registry()
+        model = build_model(config, len(registry), registry.max_slots)
+        assert model.ctm.config is config.engine
+        assert model.affect.config is config.affect
+        assert model.actuator.config is config.actuator
+        router = build_router_params(model, config, registry, ["cup"], episode_seed=7)
+        assert router.config is config.router
+
+    def test_plateau_window_reaches_halt_readout(self):
+        config = Config(engine=EngineConfig(plateau_window=5))
+        registry = build_registry()
+        flat = {"ctm/certainty": np.zeros((4, config.engine.sync_pairs), dtype=np.float32)}
+        model = build_model(config, len(registry), registry.max_slots, flat)
+        sync = np.ones(config.engine.sync_pairs, dtype=np.float32)
+        trace, halts = (), []
+        for slab in range(1, 7):
+            _, c, trace, halted = halt_readout(sync, trace, slab, 0.75, model.ctm)
+            halts.append(halted)
+        # certainty is 0 at every slab, so only the plateau can halt
+        assert c == 0.0
+        assert halts == [False] * 4 + [True] * 2
+        assert len(trace) == 5

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tickslab.config import RouterConfig
 from tickslab.consensus import ConsensusResult
 from tickslab.errors import NoCandidates
 from tickslab.router import (
@@ -36,11 +37,10 @@ def make_router(seed=0, candidates=("cup", "plate", "book"), registry=None):
         (name, rng.normal(size=WIDTH).astype(np.float32)) for name in candidates
     )
     return RouterParams(
-        gamma=0.70,
         action_head=fan_in_matrix(seed + 1, len(registry), PAIRS),
         slot_head=fan_in_matrix(seed + 2, registry.max_slots * WIDTH, PAIRS),
         candidates=embeds,
-        embed_width=WIDTH,
+        config=RouterConfig(gamma=0.70, slot_embed_width=WIDTH),
     ), registry
 
 
@@ -85,11 +85,10 @@ class TestSelectAction:
         head[1, 0] = 0.9
         head[0, 0] = 0.4
         params = RouterParams(
-            gamma=0.70,
             action_head=head,
             slot_head=np.zeros((WIDTH, PAIRS), dtype=np.float32),
             candidates=(("cup", np.ones(WIDTH, dtype=np.float32)),),
-            embed_width=WIDTH,
+            config=RouterConfig(gamma=0.70, slot_embed_width=WIDTH),
         )
         sync = np.zeros(PAIRS, dtype=np.float32)
         sync[0] = 1.0
@@ -102,11 +101,10 @@ class TestSelectAction:
         head[0, 0] = 0.5
         head[1, 0] = 0.5
         params = RouterParams(
-            gamma=0.70,
             action_head=head,
             slot_head=np.zeros((WIDTH, PAIRS), dtype=np.float32),
             candidates=(("cup", np.ones(WIDTH, dtype=np.float32)),),
-            embed_width=WIDTH,
+            config=RouterConfig(gamma=0.70, slot_embed_width=WIDTH),
         )
         sync = np.zeros(PAIRS, dtype=np.float32)
         sync[0] = 1.0
@@ -161,11 +159,10 @@ class TestSelectAction:
         head = np.zeros((3, PAIRS), dtype=np.float32)
         head[1, 0] = 1.0
         params = RouterParams(
-            gamma=params.gamma,
             action_head=head,
             slot_head=params.slot_head,
             candidates=(),
-            embed_width=WIDTH,
+            config=params.config,
         )
         sync = np.zeros(PAIRS, dtype=np.float32)
         sync[0] = 1.0
@@ -178,11 +175,10 @@ class TestSelectAction:
         head = np.zeros((3, PAIRS), dtype=np.float32)
         head[2, 0] = 1.0
         params = RouterParams(
-            gamma=params.gamma,
             action_head=head,
             slot_head=params.slot_head,
             candidates=params.candidates,
-            embed_width=WIDTH,
+            config=params.config,
         )
         sync = np.arange(1, PAIRS + 1, dtype=np.float32)
         spec, args = select_action(consensus(sync), params, registry)
