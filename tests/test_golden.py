@@ -90,3 +90,10 @@ def test_wait_policy_one_run_digests(tmp_path):
         f"wait_policy one digests moved (recorded with numpy {RECORDED_NUMPY}, "
         f"installed numpy {np.__version__}): got {got}"
     )
+
+
+def test_gen_tasks_reproduces_the_fixture(tmp_path):
+    # The fixture was written by gen-tasks; this pins the task-file bytes.
+    out = tmp_path / "tasks.jsonl"
+    assert main(["gen-tasks", "--seed", "20260810", "--count", "50", "--out", str(out)]) == 0
+    assert out.read_bytes() == TASKS.read_bytes()
