@@ -17,25 +17,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .perception import WAVE_SAMPLES
-
-
-def _check_type(name: str, value, default):
-    """``value`` if it has the JSON type of ``default``, else a ConfigError.
-
-    Python counts a bool as an int, so bools are told apart here: a bool
-    field takes only a bool, an int field an int, a float field an int or
-    a float, and a str field a str.
-    """
-    kind = type(default)
-    if kind is bool:
-        ok = isinstance(value, bool)
-    elif kind is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, kind) and not isinstance(value, bool)
-    if not ok:
-        raise ConfigError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
-    return value
+from .schema import json_type_ok
 
 
 def _at_least(low):
@@ -53,18 +35,19 @@ _UNIT = _between(0, 1)
 def _check_fields(section, prefix: str, **rules) -> None:
     """Check every field of a config section when it is built.
 
-    Each value must have the JSON type of its default, and a float must be
+    Each value must have the JSON type of its annotation, and a float must be
     finite.  ``rules[name]`` is a ``(test, text)`` pair the value must also
     pass; an int without one must be at least 1 (the ints are sizes and
     counts).
     """
     for f in dataclasses.fields(section):
         name, value = f"{prefix}.{f.name}", getattr(section, f.name)
-        _check_type(name, value, f.default)
+        if not json_type_ok(value, f.type):
+            raise ConfigError(f"{name} must be {f.type}, got {type(value).__name__}")
         # false for NaN, the infinities and ints too large for a float
-        if type(f.default) is float and not abs(value) <= sys.float_info.max:
+        if f.type == "float" and not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{name} must be finite, got {value!r}")
-        rule = rules.get(f.name, _at_least(1) if type(f.default) is int else None)
+        rule = rules.get(f.name, _at_least(1) if f.type == "int" else None)
         if rule is not None and not rule[0](value):
             raise ConfigError(f"{name} must be {rule[1]}, got {value!r}")
 
@@ -189,7 +172,9 @@ class Config:
                 raise ConfigError(f"unknown config key {key!r}")
             section = fields[key].default_factory
             if section is dataclasses.MISSING:  # seed, weights_path
-                value = _check_type(key, value, fields[key].default)
+                kind = fields[key].type
+                if not json_type_ok(value, kind):
+                    raise ConfigError(f"{key} must be {kind}, got {type(value).__name__}")
             else:
                 if not isinstance(value, dict):
                     raise ConfigError(f"section {key!r} must be an object")

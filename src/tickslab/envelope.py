@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedJson, NonFiniteMetadata, SchemaViolation
+from .schema import check_record, json_type_ok
 
 JSONRPC_VERSION = "2.0"
 METHOD_PREFIX = "tool/"
@@ -31,16 +32,6 @@ _HEX_DIGITS = set("0123456789abcdef")
 
 _TOP_KEYS = {"jsonrpc", "id", "method", "params"}
 _PARAMS_KEYS = {"args", "meta"}
-_META_KEYS = {
-    "episode",
-    "step",
-    "slab_count",
-    "ticks",
-    "confidence",
-    "affect",
-    "sync_digest",
-    "fallback",
-}
 
 
 @dataclass(frozen=True)
@@ -93,7 +84,7 @@ def serialize_envelope(envelope: Envelope) -> bytes:
     affect = [_check_finite(a, "affect entry") for a in envelope.meta.affect]
     args = {}
     for slot, value in envelope.args.items():
-        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        if not (json_type_ok(value, "str") or json_type_ok(value, "float")):
             raise NonFiniteMetadata(f"arg {slot!r} must be a string or number")
         if isinstance(value, float):
             value = _check_finite(value, f"arg {slot!r}")
@@ -154,22 +145,16 @@ def _require_keys(obj: dict, allowed: set, path: str) -> None:
             raise SchemaViolation(f"{path}{key}" if path else key, "missing field")
 
 
-def _expect_int(value, path: str, minimum: int = 0) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+def _expect_int(value, path: str) -> int:
+    if not json_type_ok(value, "int"):
         raise SchemaViolation(path, "expected an integer")
-    if value < minimum:
-        raise SchemaViolation(path, f"must be >= {minimum}")
-    return value
-
-
-def _expect_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaViolation(path, "expected a string")
+    if value < 0:
+        raise SchemaViolation(path, "must be >= 0")
     return value
 
 
 def _expect_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not json_type_ok(value, "float"):
         raise SchemaViolation(path, "expected a number")
     value = float(value)
     if not math.isfinite(value):
@@ -190,8 +175,9 @@ def parse_envelope(data: bytes) -> Envelope:
     if doc["jsonrpc"] != JSONRPC_VERSION:
         raise SchemaViolation("jsonrpc", f"expected {JSONRPC_VERSION!r}")
     env_id = _expect_int(doc["id"], "id")
-    method = _expect_str(doc["method"], "method")
-    if not method.startswith(METHOD_PREFIX) or len(method) == len(METHOD_PREFIX):
+    method = doc["method"]
+    named = json_type_ok(method, "str") and method.startswith(METHOD_PREFIX)
+    if not named or method == METHOD_PREFIX:
         raise SchemaViolation("method", f"expected {METHOD_PREFIX}<name>")
 
     params = doc["params"]
@@ -204,21 +190,14 @@ def parse_envelope(data: bytes) -> Envelope:
         raise SchemaViolation("params.args", "expected an object")
     args = {}
     for slot, value in raw_args.items():
-        if isinstance(value, str):
-            args[slot] = value
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        if isinstance(value, float):
+            value = _expect_number(value, f"params.args.{slot}")
+        elif not (json_type_ok(value, "str") or json_type_ok(value, "int")):
             raise SchemaViolation(f"params.args.{slot}", "expected a string or number")
-        else:
-            args[slot] = _expect_number(value, f"params.args.{slot}") if isinstance(
-                value, float
-            ) else value
+        args[slot] = value
 
-    raw_meta = params["meta"]
-    if not isinstance(raw_meta, dict):
-        raise SchemaViolation("params.meta", "expected an object")
-    _require_keys(raw_meta, _META_KEYS, "params.meta.")
-
-    digest = _expect_str(raw_meta["sync_digest"], "params.meta.sync_digest")
+    raw_meta = check_record(EnvelopeMeta, params["meta"], "params.meta.", SchemaViolation)
+    digest = raw_meta["sync_digest"]
     if len(digest) != DIGEST_LENGTH or not set(digest) <= _HEX_DIGITS:
         raise SchemaViolation(
             "params.meta.sync_digest", f"expected {DIGEST_LENGTH} lowercase hex chars"
@@ -226,23 +205,12 @@ def parse_envelope(data: bytes) -> Envelope:
     confidence = _expect_number(raw_meta["confidence"], "params.meta.confidence")
     if not 0.0 <= confidence <= 1.0:
         raise SchemaViolation("params.meta.confidence", "must be in [0, 1]")
-    affect_raw = raw_meta["affect"]
-    if not isinstance(affect_raw, list) or len(affect_raw) != AFFECT_DIMS:
+    if len(raw_meta["affect"]) != AFFECT_DIMS:
         raise SchemaViolation("params.meta.affect", f"expected a list of {AFFECT_DIMS} numbers")
     affect = tuple(
-        _expect_number(a, f"params.meta.affect[{i}]") for i, a in enumerate(affect_raw)
+        _expect_number(a, f"params.meta.affect[{i}]") for i, a in enumerate(raw_meta["affect"])
     )
-    if not isinstance(raw_meta["fallback"], bool):
-        raise SchemaViolation("params.meta.fallback", "expected a boolean")
-
-    meta = EnvelopeMeta(
-        episode=_expect_str(raw_meta["episode"], "params.meta.episode"),
-        step=_expect_int(raw_meta["step"], "params.meta.step"),
-        slab_count=_expect_int(raw_meta["slab_count"], "params.meta.slab_count"),
-        ticks=_expect_int(raw_meta["ticks"], "params.meta.ticks"),
-        confidence=confidence,
-        affect=affect,
-        sync_digest=digest,
-        fallback=raw_meta["fallback"],
-    )
+    for name in ("step", "slab_count", "ticks"):
+        _expect_int(raw_meta[name], f"params.meta.{name}")
+    meta = EnvelopeMeta(**{**raw_meta, "confidence": confidence, "affect": affect})
     return Envelope(id=env_id, method=method, args=args, meta=meta)

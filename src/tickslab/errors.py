@@ -50,8 +50,7 @@ class SchemaViolation(TickslabError):
     """Structural error; ``path`` names the offending field."""
 
     def __init__(self, path: str, detail: str = ""):
-        msg = path if not detail else f"{path}: {detail}"
-        super().__init__(msg)
+        super().__init__(": ".join(part for part in (path, detail) if part))
         self.path = path
         self.detail = detail
 

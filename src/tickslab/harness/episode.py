@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from ..affect import affect_decode, modulate_epsilon
@@ -31,11 +31,12 @@ from ..consensus import (
     decide_step_live,
 )
 from ..engine import initial_state
-from ..errors import ConfigError
+from ..errors import ConfigError, SchemaViolation
 from ..params import ModelParams, build_model, build_router_params
 from ..perception import Modality, encode_modality, fuse
 from ..router import EnvelopeSession, GateOutcome, policy_gate, select_action
 from ..rng import derive_seed
+from ..schema import check_record
 from ..transport import LoopbackTransport, ToolServer, dispatch
 from .featurize import featurize
 from .tasks import TaskRecord
@@ -54,34 +55,6 @@ OUTCOME_BUDGET = "budget_exhausted"
 OUTCOME_ERROR = "error"
 
 
-# The JSON types a log field of each annotation may take.
-_LOG_TYPES = {
-    "int": (int,), "float": (int, float), "str": (str,), "bool": (bool,),
-    "dict": (dict,), "list": (list,),
-}
-
-
-def _check_log_types(cls, doc) -> dict:
-    """``doc`` if it is an object whose ``cls`` fields have their JSON types.
-
-    Raises TypeError naming the first field that does not, and ValueError
-    for an int outside [0, 2**63): ints are counts, and bounding them keeps
-    every metric over them a finite float.  Missing and unknown fields are
-    left to the constructor.
-    """
-    if not isinstance(doc, dict):
-        raise TypeError(f"{cls.__name__} must be an object, got {type(doc).__name__}")
-    for f in fields(cls):
-        if f.name not in doc:
-            continue
-        value, kinds = doc[f.name], _LOG_TYPES[f.type]
-        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-            raise TypeError(f"{f.name} must be {f.type}, got {type(value).__name__}")
-        if f.type == "int" and not 0 <= value < 2**63:
-            raise ValueError(f"{f.name} must be in [0, 2**63), got {value}")
-    return doc
-
-
 @dataclass(frozen=True)
 class StepRecord:
     step: int
@@ -94,51 +67,37 @@ class StepRecord:
     tool_status: str
     fallback: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "slab_count": self.slab_count,
-            "ticks": self.ticks,
-            "c_merged": self.c_merged,
-            "epsilon": self.epsilon,
-            "action": self.action,
-            "args": dict(self.args),
-            "tool_status": self.tool_status,
-            "fallback": self.fallback,
-        }
-
 
 @dataclass
 class EpisodeLog:
     task_id: str
-    records: list = field(default_factory=list)
-    outcome: str = OUTCOME_ERROR
-    steps_used: int = 0
+    records: list
+    outcome: str
+    steps_used: int
     rethinks: int = 0
     forced_dispatches: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "outcome": self.outcome,
-            "steps_used": self.steps_used,
-            "rethinks": self.rethinks,
-            "forced_dispatches": self.forced_dispatches,
-            "records": [r.to_dict() for r in self.records],
-        }
+        return {**vars(self), "records": [dict(vars(r)) for r in self.records]}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EpisodeLog":
-        _check_log_types(cls, doc)
-        log = cls(
-            task_id=doc["task_id"],
-            outcome=doc["outcome"],
-            steps_used=doc["steps_used"],
-            rethinks=doc.get("rethinks", 0),
-            forced_dispatches=doc.get("forced_dispatches", 0),
-        )
-        log.records = [StepRecord(**_check_log_types(StepRecord, r)) for r in doc["records"]]
-        return log
+        """The log in ``doc``; a field that does not fit raises SchemaViolation."""
+        records = [StepRecord(**_checked(StepRecord, r)) for r in _checked(cls, doc)["records"]]
+        return cls(**{**doc, "records": records})
+
+
+def _checked(cls, doc) -> dict:
+    """``doc`` if it fits record ``cls`` and its ints are in [0, 2**63).
+
+    Ints are counts, and bounding them keeps every metric over them a
+    finite float.
+    """
+    check_record(cls, doc, "", SchemaViolation)
+    for f in fields(cls):
+        if f.type == "int" and f.name in doc and not 0 <= doc[f.name] < 2**63:
+            raise SchemaViolation(f.name, f"must be in [0, 2**63), got {doc[f.name]}")
+    return doc
 
 
 def run_episode(
@@ -168,7 +127,7 @@ def run_episode(
     wait_policy = WaitPolicy(config.consensus.wait_policy)
     decide = decide_step_live if config.consensus.live else decide_step
 
-    log = EpisodeLog(task_id=task.id)
+    log = EpisodeLog(task_id=task.id, records=[], outcome=OUTCOME_ERROR, steps_used=0)
     seed_state = initial_state(ctm)
     epsilon = model.affect.config.epsilon0
     cache: Optional[ConsensusResult] = None

@@ -7,11 +7,11 @@ per line in canonical JSON so identical runs produce identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..envelope import canonical_json_bytes
-from ..errors import EmptyLogs, ParseError
+from ..errors import EmptyLogs, ParseError, SchemaViolation
 from .episode import OUTCOME_SUCCESS, EpisodeLog
 from .tasks import read_jsonl
 
@@ -24,12 +24,7 @@ class MetricsReport:
     episode_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "tsr": self.tsr,
-            "esr": self.esr,
-            "ael": self.ael,
-            "episode_count": self.episode_count,
-        }
+        return asdict(self)
 
 
 def compute_metrics(logs: list[EpisodeLog]) -> MetricsReport:
@@ -58,7 +53,7 @@ def read_logs(path: str | Path) -> list[EpisodeLog]:
     for lineno, doc in read_jsonl(path):
         try:
             logs.append(EpisodeLog.from_dict(doc))
-        except (KeyError, TypeError, ValueError) as exc:
+        except SchemaViolation as exc:
             raise ParseError(lineno, str(exc)) from exc
     return logs
 

@@ -10,11 +10,12 @@ final step's expected string doubles as the episode's goal predicate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..errors import ParseError, SchemaViolation
 from ..rng import SplitMix64, derive_seed
+from ..schema import check_record, json_type_ok
 
 DEFAULT_BUDGET_STEPS = 20
 
@@ -41,62 +42,39 @@ class TaskRecord:
     budget_steps: int = DEFAULT_BUDGET_STEPS
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "goal": self.goal,
-            "context": list(self.context),
-            "steps": [
-                {"tool": s.tool, "args": dict(s.args), "expected": s.expected}
-                for s in self.steps
-            ],
-            "budget_steps": self.budget_steps,
-        }
+        return asdict(self)
 
 
 def _validate_record(doc: dict, line: int) -> TaskRecord:
+    """The task in ``doc``; anything that does not fit raises SchemaViolation.
+
+    Beyond the JSON types: strings are non-empty, there is at least one
+    step, and a string arg names a context entry.
+    """
     def fail(fieldname: str, why: str):
         raise SchemaViolation(f"line {line}: {fieldname}", why)
 
-    if not isinstance(doc, dict):
-        fail("", "record must be an object")
-    known = {"id", "goal", "context", "steps", "budget_steps"}
-    for key in doc:
-        if key not in known:
-            fail(key, "unknown field")
+    check_record(TaskRecord, doc, f"line {line}: ", SchemaViolation)
     for key in ("id", "goal"):
-        if not isinstance(doc.get(key), str) or not doc[key]:
+        if not doc[key]:
             fail(key, "expected a non-empty string")
-    context = doc.get("context")
-    if not isinstance(context, list) or any(not isinstance(c, str) for c in context):
+    if not all(json_type_ok(c, "str") for c in doc["context"]):
         fail("context", "expected a list of names")
-    raw_steps = doc.get("steps")
-    if not isinstance(raw_steps, list) or not raw_steps:
+    if not doc["steps"]:
         fail("steps", "expected a non-empty list")
     steps = []
-    names = set(context)
-    for i, raw in enumerate(raw_steps):
-        if not isinstance(raw, dict):
-            fail(f"steps[{i}]", "expected an object")
+    for i, raw in enumerate(doc["steps"]):
+        check_record(TaskStep, raw, f"line {line}: steps[{i}].", SchemaViolation)
         for key in ("tool", "expected"):
-            if not isinstance(raw.get(key), str) or not raw[key]:
+            if not raw[key]:
                 fail(f"steps[{i}].{key}", "expected a non-empty string")
-        args = raw.get("args")
-        if not isinstance(args, dict):
-            fail(f"steps[{i}].args", "expected an object")
-        for slot, value in args.items():
-            if isinstance(value, str) and value not in names:
+        for slot, value in raw["args"].items():
+            if json_type_ok(value, "str") and value not in doc["context"]:
                 fail(f"steps[{i}].args.{slot}", f"{value!r} is not in context")
-        steps.append(TaskStep(raw["tool"], dict(args), raw["expected"]))
-    budget = doc.get("budget_steps", DEFAULT_BUDGET_STEPS)
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
+        steps.append(TaskStep(**raw))
+    if doc.get("budget_steps", DEFAULT_BUDGET_STEPS) < 1:
         fail("budget_steps", "expected a positive integer")
-    return TaskRecord(
-        id=doc["id"],
-        goal=doc["goal"],
-        context=tuple(context),
-        steps=tuple(steps),
-        budget_steps=budget,
-    )
+    return TaskRecord(**{**doc, "context": tuple(doc["context"]), "steps": tuple(steps)})
 
 
 def read_jsonl(path: str | Path):

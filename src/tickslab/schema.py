@@ -1,0 +1,42 @@
+"""The one rule that matches a JSON object against a record's fields.
+
+A record is a dataclass whose field annotations name JSON types.  Python
+counts a bool as an int, so bools are told apart here: a bool field takes
+only a bool, an int field an int, a float field an int or a float.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+_JSON_TYPES = {
+    "bool": bool, "int": int, "float": (int, float), "str": str,
+    "dict": dict, "list": list, "tuple": list,
+}
+
+
+def json_type_ok(value, kind: str) -> bool:
+    """Whether ``value`` has the JSON type of a field annotated ``kind``."""
+    return isinstance(value, _JSON_TYPES[kind]) and (kind == "bool" or not isinstance(value, bool))
+
+
+def check_record(cls, doc, path: str, error) -> dict:
+    """``doc`` if it is an object that fits the fields of dataclass ``cls``.
+
+    Unknown keys are refused, a field without a default must be present and
+    each present field must have its JSON type.  A failure raises
+    ``error(path + name, reason)``, so callers keep their own error type.
+    """
+    if not isinstance(doc, dict):
+        raise error(path.rstrip("."), "expected an object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for key in doc:
+        if key not in fields:
+            raise error(f"{path}{key}", "unknown field")
+    for name, f in fields.items():
+        if name in doc:
+            if not json_type_ok(doc[name], f.type):
+                raise error(f"{path}{name}", f"expected {f.type}, got {type(doc[name]).__name__}")
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise error(f"{path}{name}", "missing field")
+    return doc

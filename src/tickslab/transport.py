@@ -21,6 +21,7 @@ from typing import BinaryIO, Callable, Optional
 
 from .envelope import JSONRPC_VERSION, canonical_json_bytes, serialize_envelope
 from .errors import IdMismatch, TransportClosed, TransportTimeout
+from .schema import json_type_ok
 from .router import ToolRegistry
 
 logger = logging.getLogger("tickslab.transport")
@@ -162,8 +163,7 @@ class ToolServer:
             not isinstance(doc, dict)
             or doc.get("jsonrpc") != JSONRPC_VERSION
             or not isinstance(doc.get("method"), str)
-            or isinstance(doc.get("id"), bool)
-            or not isinstance(doc.get("id"), int)
+            or not json_type_ok(doc.get("id"), "int")
         ):
             return self._error_frame(None, _CODE_INVALID_REQUEST, "invalid request")
         req_id = doc["id"]

@@ -97,6 +97,17 @@ class TestLoadTasks:
         with pytest.raises(SchemaViolation):
             load_tasks(path)
 
+    def test_unknown_step_key_rejected(self, tmp_path):
+        doc = {
+            "id": "t", "goal": "g", "context": [],
+            "steps": [{"tool": "noop", "args": {}, "expected": "x", "why": "y"}],
+        }
+        path = tmp_path / "tasks.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(SchemaViolation) as err:
+            load_tasks(path)
+        assert err.value.path == "line 1: steps[0].why"
+
 
 class TestGenTasks:
     def test_byte_identical_outputs(self, tmp_path):
@@ -317,9 +328,7 @@ class TestMetrics:
         write_logs(path, logs)
         replayed = read_logs(path)
         assert compute_metrics(replayed) == compute_metrics(logs)
-        assert [r.to_dict() for r in replayed[0].records] == [
-            r.to_dict() for r in logs[0].records
-        ]
+        assert replayed[0].records == logs[0].records
 
     def test_report_file(self, tmp_path):
         report = compute_metrics([self._log("a", "success", ["ok"])])
@@ -365,6 +374,23 @@ class TestMetrics:
         path = tmp_path / "episodes.jsonl"
         path.write_text(json.dumps(doc) + "\n")
         with pytest.raises(ParseError, match=f"line 1: {field}"):
+            read_logs(path)
+
+    @pytest.mark.parametrize("where", ["log", "record"])
+    def test_unknown_key_names_line_and_key(self, tmp_path, where):
+        doc = self._log("a", "success", ["ok"]).to_dict()
+        (doc if where == "log" else doc["records"][0])["extra"] = 1
+        path = tmp_path / "episodes.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(ParseError, match="line 1: extra: unknown field"):
+            read_logs(path)
+
+    def test_missing_outcome_names_line_and_field(self, tmp_path):
+        doc = self._log("a", "success", ["ok"]).to_dict()
+        del doc["outcome"]
+        path = tmp_path / "episodes.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(ParseError, match="line 1: .*outcome"):
             read_logs(path)
 
     JSON_VALUES = st.recursive(
