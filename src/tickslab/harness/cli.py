@@ -76,8 +76,8 @@ def cmd_serve(args) -> int:
         server.serve_stream(StdioTransport())
         return EXIT_OK
     host, _, port = args.addr.rpartition(":")
-    if not host or not port.isdigit():
-        raise TickslabError(f"bad --addr {args.addr!r}, expected HOST:PORT")
+    if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise TickslabError(f"bad --addr {args.addr!r}, expected HOST:PORT with PORT 0-65535")
     server.serve_tcp(host, int(port))
     return EXIT_OK
 

@@ -10,6 +10,7 @@ final step's expected string doubles as the episode's goal predicate.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -49,7 +50,8 @@ def _validate_record(doc: dict, line: int) -> TaskRecord:
     """The task in ``doc``; anything that does not fit raises SchemaViolation.
 
     Beyond the JSON types: strings are non-empty, there is at least one
-    step, and a string arg names a context entry.
+    step, and an arg is a context name or a finite number, the values an
+    envelope can carry.
     """
     def fail(fieldname: str, why: str):
         raise SchemaViolation(f"line {line}: {fieldname}", why)
@@ -69,8 +71,10 @@ def _validate_record(doc: dict, line: int) -> TaskRecord:
             if not raw[key]:
                 fail(f"steps[{i}].{key}", "expected a non-empty string")
         for slot, value in raw["args"].items():
-            if json_type_ok(value, "str") and value not in doc["context"]:
-                fail(f"steps[{i}].args.{slot}", f"{value!r} is not in context")
+            # context holds only strings, so every other type is refused
+            finite = json_type_ok(value, "float") and abs(value) < math.inf
+            if not finite and value not in doc["context"]:
+                fail(f"steps[{i}].args.{slot}", f"{value!r} is not in context or a finite number")
         steps.append(TaskStep(**raw))
     if doc.get("budget_steps", DEFAULT_BUDGET_STEPS) < 1:
         fail("budget_steps", "expected a positive integer")

@@ -66,19 +66,18 @@ class WorldState:
 def world_from_task(task) -> WorldState:
     """Initial placement implied by the script.
 
-    Locations are the navigate targets.  A picked object starts wherever
-    the robot last navigated before its first pick (the dock if none).
-    Context names that are neither locations nor picked objects are
-    distractors, parked at a location chosen by a stable hash.
+    Locations are the navigate targets that are names.  A picked object
+    starts wherever the robot last navigated before its first pick (the
+    dock if none).  Context names that are neither locations nor picked
+    objects are distractors, parked at a location chosen by a stable hash.
     """
-    locations = [s.args["to"] for s in task.steps if s.tool == "navigate" and "to" in s.args]
-    location_set = set(locations) | {START_LOCATION}
-
+    location_set = {START_LOCATION}
     placement: dict[str, str] = {}
     here = START_LOCATION
     for step in task.steps:
-        if step.tool == "navigate" and "to" in step.args:
+        if step.tool == "navigate" and isinstance(step.args.get("to"), str):
             here = step.args["to"]
+            location_set.add(here)
         elif step.tool == "pick":
             obj = step.args.get("object")
             if isinstance(obj, str) and obj not in placement:

@@ -289,7 +289,9 @@ def dispatch(envelope, transport: Transport) -> ToolResult:
     """Send one envelope frame and consume its matching response frame.
 
     JSON-RPC error objects surface as error ToolResults; a response id that
-    does not echo the request id raises IdMismatch.
+    does not echo the request id raises IdMismatch.  A malformed response,
+    such as an error, result or payload that is not an object, raises
+    TransportClosed.
     """
     transport.send_frame(serialize_envelope(envelope))
     raw = transport.recv_frame()
@@ -302,11 +304,17 @@ def dispatch(envelope, transport: Transport) -> ToolResult:
     if doc.get("id") != envelope.id:
         raise IdMismatch(f"request id {envelope.id}, response id {doc.get('id')}")
     if "error" in doc:
-        err = doc["error"] or {}
+        err = doc["error"]
+        if not isinstance(err, dict):
+            raise TransportClosed("response error is not an object")
         return error_result(str(err.get("message", "error")), code=err.get("code"))
-    result = doc.get("result") or {}
+    result = doc.get("result", {})
+    if not isinstance(result, dict):
+        raise TransportClosed("response result is not an object")
     status = result.get("status", STATUS_OK)
     payload = result.get("payload", {})
     if status not in (STATUS_OK, STATUS_ERROR):
         raise TransportClosed(f"unknown result status {status!r}")
+    if not isinstance(payload, dict):
+        raise TransportClosed("response payload is not an object")
     return ToolResult(status, payload)

@@ -103,6 +103,30 @@ class TestRun:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "to, code",
+        [(5, 0), ({"k": 1}, 2), (["table"], 2), (float("nan"), 2)],
+        ids=["number", "object", "array", "nan"],
+    )
+    def test_task_arg_of_any_json_type_exits_cleanly(self, tmp_path, config_file, capsys, to, code):
+        doc = {
+            "id": "t", "goal": "go to the table", "context": ["table"], "budget_steps": 2,
+            "steps": [{"tool": "navigate", "args": {"to": to}, "expected": "robot_at:table"}],
+        }
+        tasks = tmp_path / "tasks.jsonl"
+        tasks.write_text(json.dumps(doc) + "\n")
+        argv = ["run", "--tasks", str(tasks), "--config", str(config_file), "--out", str(tmp_path)]
+        assert run_cli(*argv, "--policy", "oracle") == code
+        if code:
+            assert "line 1: steps[0].args.to" in capsys.readouterr().err
+
+
+class TestServeTcp:
+    @pytest.mark.parametrize("port", ["99999", "65536", "\u00b2"])
+    def test_port_out_of_range_exits_2(self, capsys, port):
+        assert run_cli("serve", "--transport", "tcp", "--addr", f"127.0.0.1:{port}") == 2
+        assert "bad --addr" in capsys.readouterr().err
+
 
 class TestServeStdio:
     def test_serve_answers_frames_over_stdio(self):

@@ -96,6 +96,28 @@ class TestLoopback:
         with pytest.raises(TransportClosed):
             dispatch(envelope(), Deep())
 
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            {"error": "boom"},
+            {"error": [1]},
+            {"result": "ok"},
+            {"result": [1]},
+            {"result": {"status": "ok", "payload": "x"}},
+            {"result": {"status": "error", "payload": [1]}},
+        ],
+    )
+    def test_response_member_that_is_not_an_object_is_closed(self, reply):
+        class Stub(Transport):
+            def send_frame(self, frame):
+                pass
+
+            def recv_frame(self):
+                return json.dumps({"jsonrpc": "2.0", "id": 1, **reply}).encode()
+
+        with pytest.raises(TransportClosed, match="not an object"):
+            dispatch(envelope(), Stub())
+
     def test_handler_exception_becomes_error_result(self):
         def handler(name, args, meta):
             raise RuntimeError("tool exploded")
