@@ -18,14 +18,7 @@ from .actuator import (
     torque_to_pwm,
 )
 from .config import Config
-from .consensus import (
-    BranchOutcome,
-    ConsensusResult,
-    DecisionDeadline,
-    WaitPolicy,
-    merge,
-    timeout_safe_pass,
-)
+from .consensus import BranchOutcome, ConsensusResult, merge, timeout_safe_pass
 from .engine import (
     BranchState,
     CtmParams,

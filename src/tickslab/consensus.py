@@ -9,11 +9,11 @@ the branches as readouts of it: a branch's accumulators are its decayed
 accumulators plus the slab's pair-product contribution gathered through
 its permutation, followed by its own certainty and halt decision.  The
 trajectory stops after the slab in which the decision is settled, since
-no later halt can enter it: under wait policy OFF that is the first slab
-in which a branch halts at its threshold, under ONE the first slab in
+no later halt can enter it: under wait policy "off" that is the first slab
+in which a branch halts at its threshold, under "one" the first slab in
 which another halt also follows that winner.  It also stops once every
 branch has halted, or before a slab that would end past the logical
-cutoff (earliest halt plus the deadline's tick limit).  ``run_branch``
+cutoff (earliest halt plus ``consensus.deadline_ticks``).  ``run_branch``
 runs one branch on its own and is the reference that the readouts equal
 bit for bit.  Outcomes are merged by entropy-based confidence weights
 after a canonical sort, so the merge is bitwise order-independent.
@@ -23,16 +23,16 @@ and the timeout path are mutually exclusive, and the timeout path is total
 (it falls back to the cached result, or to a zero no-op result on the first
 step).
 
-Live mode (``decide_step_live``) is the same step with a wall-clock stop:
-the trajectory also ends before a slab that would start after the expiry,
-so a step returns within its deadline plus one slab, and branches still
-running then are left out.  With a deadline that does not expire, its
-decision equals the deterministic one bit for bit.
+Live mode (``decide_step_live``) is the same step with a wall-clock stop
+``consensus.deadline_ms`` after the call: the trajectory also ends before a
+slab that would start after that expiry, so a step returns within its
+deadline plus one slab, and branches still running then are left out.
+With a deadline that does not expire, its decision equals the
+deterministic one bit for bit.
 """
 
 from __future__ import annotations
 
-import enum
 import logging
 import time
 from dataclasses import dataclass, replace
@@ -40,6 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .config import ConsensusConfig
 from .engine import (
     BranchState,
     CtmParams,
@@ -59,11 +60,6 @@ logger = logging.getLogger("tickslab.consensus")
 ZERO_CONFIDENCE = 1e-9
 
 
-class WaitPolicy(enum.Enum):
-    OFF = "off"
-    ONE = "one"
-
-
 @dataclass(frozen=True)
 class BranchOutcome:
     branch_id: int
@@ -80,21 +76,6 @@ class ConsensusResult:
     confidence_merged: float
     contributors: tuple        # sorted branch ids; empty on the no-cache fallback
     fallback: bool
-
-
-@dataclass(frozen=True)
-class DecisionDeadline:
-    """Deadline in logical ticks and/or wall-clock ms.
-
-    Deterministic mode uses the tick limit only; live mode honours both.
-    """
-
-    logical_tick_limit: Optional[int] = None
-    wall_clock_ms: Optional[float] = None
-
-    def __post_init__(self):
-        if self.logical_tick_limit is None and self.wall_clock_ms is None:
-            raise ValueError("a deadline needs at least one limit")
 
 
 class PermutationCache:
@@ -169,38 +150,35 @@ def shared_branches(
     f: np.ndarray,
     params: CtmParams,
     epsilon: float,
-    k: int,
     episode_seed: int,
-    wait_policy: WaitPolicy,
-    tick_limit: Optional[int] = None,
+    consensus: ConsensusConfig,
     branch_hook: Optional[Callable[[int], None]] = None,
     expiry: Optional[float] = None,
 ) -> list[tuple[BranchOutcome, BranchState]]:
-    """(outcome, final state) of each branch that halts before the stop.
+    """(outcome, final state) of each of ``consensus.branches`` branches
+    that halts before the stop.
 
     One tick trajectory is run from ``seed_state``; per slab, its pair
     contribution is computed once in the unpermuted order and each branch
     still running gathers it through its permutation, reads its certainty
     and makes its halt call.  Each pair equals ``run_branch``'s for that
     branch bit for bit.  The trajectory stops after the slab in which the
-    decision under ``wait_policy`` is settled (see ``decision_settled``),
-    or once every branch has halted.  With a ``tick_limit`` it also stops
-    before a slab that would end past the cutoff (earliest halt plus the
-    limit).  With an ``expiry`` (a ``time.monotonic()`` value) it also
-    stops before a slab that would start at or after it.  Branches that
-    would halt after the stop are left out.  Pairs come in
-    (ticks_used, branch_id) order.
+    decision under ``consensus.wait_policy`` is settled (see
+    ``decision_settled``), once every branch has halted, or before a slab
+    that would end past the cutoff (earliest halt plus
+    ``consensus.deadline_ticks``).  With an ``expiry`` (a
+    ``time.monotonic()`` value) it also stops before a slab that would
+    start at or after it.  Branches that would halt after the stop are left
+    out.  Pairs come in (ticks_used, branch_id) order.
 
     ``branch_hook`` runs once per branch before the trajectory (tests
     inject faults there).  A branch whose hook raises, or that is still
     running when the trajectory raises, is logged as a ``BranchPanic`` and
     left out.
     """
-    if k < 1:
-        raise ValueError("need at least one branch")
-    perms = _PERMUTATIONS.get(episode_seed, params.config.sync_pairs, k)
+    perms = _PERMUTATIONS.get(episode_seed, params.config.sync_pairs, consensus.branches)
     running: dict[int, tuple[np.ndarray, tuple]] = {}   # id -> (sync, certainty trace)
-    for branch_id in range(k):
+    for branch_id in range(consensus.branches):
         try:
             if branch_hook is not None:
                 branch_hook(branch_id)
@@ -211,7 +189,7 @@ def shared_branches(
 
     halted: list[tuple[BranchOutcome, BranchState]] = []
     trajectory = seed_state
-    cutoff = None       # earliest halt + tick_limit, in ticks used this step
+    cutoff = None       # earliest halt + deadline_ticks, in ticks used this step
     while running:
         if expiry is not None and time.monotonic() >= expiry:
             break
@@ -250,10 +228,10 @@ def shared_branches(
             halted.append(
                 (outcome, replace(trajectory, sync=sync, certainty_trace=trace))
             )
-        if decision_settled(halted, wait_policy):
+        if decision_settled(halted, consensus.wait_policy):
             break
-        if cutoff is None and halted and tick_limit is not None:
-            cutoff = ticks_used + tick_limit
+        if cutoff is None and halted:
+            cutoff = ticks_used + consensus.deadline_ticks
     return halted
 
 
@@ -318,24 +296,24 @@ class StepDecision:
 
 
 def merge_set(
-    pairs: list[tuple[BranchOutcome, BranchState]], wait_policy: WaitPolicy
+    pairs: list[tuple[BranchOutcome, BranchState]], wait_policy: str
 ) -> list[tuple[BranchOutcome, BranchState]]:
     """The pairs a decision merges; empty when none reached the threshold.
 
     ``pairs`` come in (ticks_used, branch_id) order, all inside the
     deadline window.  The first threshold-reaching pair is the winner.
-    Under OFF it is merged alone; under ONE together with the pair right
-    after it, if there is one, whether or not that pair reached the
-    threshold.
+    Under wait policy "off" it is merged alone; under "one" together with
+    the pair right after it, if there is one, whether or not that pair
+    reached the threshold.
     """
     for position, (outcome, _) in enumerate(pairs):
         if outcome.reached_threshold:
-            return pairs[position : position + 1 + (wait_policy is WaitPolicy.ONE)]
+            return pairs[position : position + 1 + (wait_policy == "one")]
     return []
 
 
 def decision_settled(
-    pairs: list[tuple[BranchOutcome, BranchState]], wait_policy: WaitPolicy
+    pairs: list[tuple[BranchOutcome, BranchState]], wait_policy: str
 ) -> bool:
     """True once no later halt can change ``select_step``'s decision.
 
@@ -343,7 +321,7 @@ def decision_settled(
     needs them; any later halt sorts after them, so the decision is
     settled once the merge set is full.
     """
-    return len(merge_set(pairs, wait_policy)) == 1 + (wait_policy is WaitPolicy.ONE)
+    return len(merge_set(pairs, wait_policy)) == 1 + (wait_policy == "one")
 
 
 def select_step(
@@ -351,27 +329,26 @@ def select_step(
     seed_state: BranchState,
     params: CtmParams,
     cache: Optional[ConsensusResult],
-    wait_policy: WaitPolicy,
-    tick_limit: Optional[int],
+    consensus: ConsensusConfig,
 ) -> StepDecision:
     """The decision over finished branches, raced on logical ticks.
 
     Completion order is canonicalized as (ticks_used, branch_id); the
     deadline window opens at the earliest completion and closes
-    ``tick_limit`` ticks later.  ``merge_set`` picks the pairs to merge
-    from the window, and the winner's final state seeds the next round with
-    its accumulators overwritten by the merged vector.  With no winner the
-    timeout path fires and the earliest branch seeds the next round; with
-    no branch at all, nothing does.
+    ``consensus.deadline_ticks`` ticks later.  ``merge_set`` picks the
+    pairs to merge from the window, and the winner's final state seeds the
+    next round with its accumulators overwritten by the merged vector.
+    With no winner the timeout path fires and the earliest branch seeds
+    the next round; with no branch at all, nothing does.
     """
     pairs = sorted(pairs, key=lambda ps: (ps[0].ticks_used, ps[0].branch_id))
     if not pairs:
         result = timeout_safe_pass(cache, params.config.sync_pairs)
         return StepDecision(result, None, seed_state.slab, seed_state.tick)
 
-    cutoff = None if tick_limit is None else pairs[0][0].ticks_used + tick_limit
-    in_time = [ps for ps in pairs if cutoff is None or ps[0].ticks_used <= cutoff]
-    merged = merge_set(in_time, wait_policy)
+    cutoff = pairs[0][0].ticks_used + consensus.deadline_ticks
+    in_time = [ps for ps in pairs if ps[0].ticks_used <= cutoff]
+    merged = merge_set(in_time, consensus.wait_policy)
     if merged:
         result = merge([outcome for outcome, _ in merged], params)
         next_seed = replace(merged[0][1], sync=result.sync_merged.copy())
@@ -387,27 +364,24 @@ def decide_step(
     f: np.ndarray,
     params: CtmParams,
     epsilon: float,
-    k: int,
     episode_seed: int,
     cache: Optional[ConsensusResult],
-    deadline: DecisionDeadline,
-    wait_policy: WaitPolicy = WaitPolicy.OFF,
+    consensus: ConsensusConfig,
     branch_hook: Optional[Callable[[int], None]] = None,
 ) -> StepDecision:
-    """Deterministic decision step over k branch readouts.
+    """Deterministic decision step over ``consensus.branches`` branch readouts.
 
     One shared trajectory runs slab by slab and stops once the decision is
     settled or at the logical cutoff (see ``shared_branches``); the
     branches are readouts of it, and ``select_step`` makes the decision.
-    The result is the one ``select_step`` gives on all k ``run_branch``
-    runs: a branch that halts after either stop can never be chosen or
-    merged.
+    The result is the one ``select_step`` gives on ``run_branch`` runs of
+    every branch: a branch that halts after either stop can never be
+    chosen or merged.
     """
-    limit = deadline.logical_tick_limit
     pairs = shared_branches(
-        seed_state, f, params, epsilon, k, episode_seed, wait_policy, limit, branch_hook
+        seed_state, f, params, epsilon, episode_seed, consensus, branch_hook
     )
-    return select_step(pairs, seed_state, params, cache, wait_policy, limit)
+    return select_step(pairs, seed_state, params, cache, consensus)
 
 
 def decide_step_live(
@@ -415,27 +389,21 @@ def decide_step_live(
     f: np.ndarray,
     params: CtmParams,
     epsilon: float,
-    k: int,
     episode_seed: int,
     cache: Optional[ConsensusResult],
-    deadline: DecisionDeadline,
-    wait_policy: WaitPolicy = WaitPolicy.OFF,
+    consensus: ConsensusConfig,
     branch_hook: Optional[Callable[[int], None]] = None,
 ) -> StepDecision:
     """Live decision step: ``decide_step`` under a wall-clock stop.
 
     The shared trajectory stops as in ``decide_step``, or once
-    ``deadline.wall_clock_ms`` has passed since the call, whichever comes
+    ``consensus.deadline_ms`` has passed since the call, whichever comes
     first, so the call returns within the deadline plus one slab.  The
     branches that halted by then go through ``select_step``; if none
     reached the threshold, the timeout path gives the fallback.
     """
-    if deadline.wall_clock_ms is None:
-        raise ValueError("live mode needs a wall-clock deadline")
-    expiry = time.monotonic() + deadline.wall_clock_ms / 1000.0
-    limit = deadline.logical_tick_limit
+    expiry = time.monotonic() + consensus.deadline_ms / 1000.0
     pairs = shared_branches(
-        seed_state, f, params, epsilon, k, episode_seed, wait_policy, limit,
-        branch_hook, expiry,
+        seed_state, f, params, epsilon, episode_seed, consensus, branch_hook, expiry
     )
-    return select_step(pairs, seed_state, params, cache, wait_policy, limit)
+    return select_step(pairs, seed_state, params, cache, consensus)

@@ -23,13 +23,7 @@ from typing import Optional
 
 from ..affect import affect_decode, modulate_epsilon
 from ..config import Config
-from ..consensus import (
-    ConsensusResult,
-    DecisionDeadline,
-    WaitPolicy,
-    decide_step,
-    decide_step_live,
-)
+from ..consensus import ConsensusResult, decide_step, decide_step_live
 from ..engine import initial_state
 from ..errors import ConfigError, SchemaViolation
 from ..params import ModelParams, build_model, build_router_params
@@ -120,11 +114,6 @@ def run_episode(
     envelopes = EnvelopeSession(task.id)
 
     ctm = model.ctm
-    deadline = DecisionDeadline(
-        logical_tick_limit=config.consensus.deadline_ticks,
-        wall_clock_ms=config.consensus.deadline_ms,
-    )
-    wait_policy = WaitPolicy(config.consensus.wait_policy)
     decide = decide_step_live if config.consensus.live else decide_step
 
     log = EpisodeLog(task_id=task.id, records=[], outcome=OUTCOME_ERROR, steps_used=0)
@@ -154,15 +143,7 @@ def run_episode(
             decision = None
             while True:
                 decision = decide(
-                    seed_state,
-                    f,
-                    ctm,
-                    epsilon,
-                    config.consensus.branches,
-                    episode_seed,
-                    cache,
-                    wait_policy=wait_policy,
-                    deadline=deadline,
+                    seed_state, f, ctm, epsilon, episode_seed, cache, config.consensus
                 )
                 if not decision.result.fallback:
                     cache = decision.result

@@ -15,8 +15,8 @@ import pytest
 from conftest import make_ctm, fusion_vector
 from tickslab import consensus
 from tickslab.actuator import ActuatorParams, interpolate_trajectory, plan_torque
-from tickslab.config import Config
-from tickslab.consensus import DecisionDeadline, decide_step_live, merge
+from tickslab.config import Config, ConsensusConfig
+from tickslab.consensus import decide_step_live, merge
 from tickslab.engine import certainty, initial_state, mu_mlp, sync_scan_tick, sync_update
 from tickslab.envelope import AFFECT_DIMS, parse_envelope, serialize_envelope
 from tickslab.errors import SchemaViolation
@@ -142,7 +142,9 @@ class TestAcceptance:
         )
         fvec = fusion_vector(5, dim=4)
         seed_state = initial_state(params)
-        deadline = DecisionDeadline(wall_clock_ms=1.0)
+        window = ConsensusConfig(
+            branches=2, deadline_ticks=params.config.tick_budget, deadline_ms=1.0
+        )
         rng = np.random.default_rng(505)
         saw_normal = saw_fallback = 0
         with (
@@ -160,8 +162,7 @@ class TestAcceptance:
                     time.sleep(float(delays[branch_id]))
 
                 decision = decide_step_live(
-                    seed_state, fvec, params, 0.05, 2, trial, None,
-                    deadline, branch_hook=hook,
+                    seed_state, fvec, params, 0.05, trial, None, window, branch_hook=hook,
                 )
                 paths = (merged.call_count, fell_back.call_count)
                 if decision.result.fallback:

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import fusion_vector, make_ctm
 from tickslab import consensus
+from tickslab.config import ConsensusConfig
 from tickslab.consensus import (
     BranchOutcome,
-    DecisionDeadline,
     PermutationCache,
-    WaitPolicy,
     decide_step,
     decide_step_live,
     merge,
@@ -29,9 +28,20 @@ from tickslab.errors import EmptyOutcomeList
 from tickslab.rng import SplitMix64, derive_seed
 
 
-def four_slab_window(params):
+def four_slab_window(params, branches, wait_policy="off"):
     """The logical window the episode loop uses: 4 slabs after the first halt."""
-    return DecisionDeadline(logical_tick_limit=4 * params.config.ticks_per_slab)
+    return ConsensusConfig(
+        branches=branches, wait_policy=wait_policy,
+        deadline_ticks=4 * params.config.ticks_per_slab,
+    )
+
+
+def no_cutoff(params, branches, wait_policy="off", **live):
+    """A window that never binds: no halt comes later than the tick budget."""
+    return ConsensusConfig(
+        branches=branches, wait_policy=wait_policy,
+        deadline_ticks=params.config.tick_budget, **live,
+    )
 
 
 def make_outcome(branch_id, sync, logits, params, ticks=8, reached=True):
@@ -145,7 +155,7 @@ class TestSpawnBranches:
     def test_k1_matches_inline_run(self, small_params, fvec):
         seed_state = initial_state(small_params)
         pairs = shared_branches(
-            seed_state, fvec, small_params, 0.75, 1, 42, WaitPolicy.OFF
+            seed_state, fvec, small_params, 0.75, 42, no_cutoff(small_params, 1)
         )
         inline, inline_state = run_branch(seed_state, fvec, small_params, 0.75, 42, 0)
         assert len(pairs) == 1
@@ -154,7 +164,7 @@ class TestSpawnBranches:
 
     def test_branches_differ_from_each_other(self, small_params, fvec):
         pairs = shared_branches(
-            initial_state(small_params), fvec, small_params, 0.75, 4, 7, WaitPolicy.OFF
+            initial_state(small_params), fvec, small_params, 0.75, 7, no_cutoff(small_params, 4)
         )
         syncs = {o.sync.tobytes() for o, _ in pairs}
         assert len(syncs) > 1
@@ -166,8 +176,8 @@ class TestSpawnBranches:
 
         with caplog.at_level("WARNING", logger="tickslab.consensus"):
             pairs = shared_branches(
-                initial_state(small_params), fvec, small_params, 0.75, 4, 7,
-                WaitPolicy.ONE, branch_hook=hook,
+                initial_state(small_params), fvec, small_params, 0.75, 7,
+                no_cutoff(small_params, 4, "one"), branch_hook=hook,
             )
         assert sorted(o.branch_id for o, _ in pairs) == [0, 1, 3]
         assert any("branch 2" in r.message for r in caplog.records)
@@ -192,30 +202,31 @@ class TestMergeSet:
             logits = np.zeros(params.config.logit_count, dtype=np.float32)
             outcome = BranchOutcome(branch_id, sync, logits, 0.5, ticks, reached)
             pairs.append((outcome, replace(state, tick=ticks)))
-        decision = select_step(pairs, state, params, None, policy, 40)
+        window = ConsensusConfig(wait_policy=policy, deadline_ticks=40)
+        decision = select_step(pairs, state, params, None, window)
         assert not decision.result.fallback
         return decision.result.contributors
 
     def test_policy_off(self, small_params):
         halts = [(0, 8, True), (1, 9, True), (2, 10, True)]
-        assert self._contributors(small_params, halts, WaitPolicy.OFF) == (0,)
+        assert self._contributors(small_params, halts, "off") == (0,)
 
     def test_policy_one_takes_next(self, small_params):
         halts = [(0, 8, True), (1, 9, True), (2, 10, True)]
-        assert self._contributors(small_params, halts, WaitPolicy.ONE) == (0, 1)
+        assert self._contributors(small_params, halts, "one") == (0, 1)
 
     def test_policy_one_expiry(self, small_params):
         halts = [(0, 8, True), (1, 50, True)]
-        assert self._contributors(small_params, halts, WaitPolicy.ONE) == (0,)
+        assert self._contributors(small_params, halts, "one") == (0,)
 
     def test_policy_one_nothing_pending(self, small_params):
-        assert self._contributors(small_params, [(0, 8, True)], WaitPolicy.ONE) == (0,)
+        assert self._contributors(small_params, [(0, 8, True)], "one") == (0,)
 
     def test_policy_one_merges_the_follower_not_the_leader(self, small_params):
         # Branch 0 halts first below the threshold, branch 1 wins and branch
         # 2 follows below the threshold: ONE merges 1 and 2, never 0.
         halts = [(0, 8, False), (1, 9, True), (2, 10, False), (3, 11, True)]
-        assert self._contributors(small_params, halts, WaitPolicy.ONE) == (1, 2)
+        assert self._contributors(small_params, halts, "one") == (1, 2)
 
 
 class TestTimeoutSafePass:
@@ -240,9 +251,9 @@ class TestTimeoutSafePass:
 class TestDecideStep:
     def test_deterministic_repeat(self, small_params, fvec):
         seed_state = initial_state(small_params)
-        deadline = four_slab_window(small_params)
-        d1 = decide_step(seed_state, fvec, small_params, 0.75, 4, 11, None, deadline)
-        d2 = decide_step(seed_state, fvec, small_params, 0.75, 4, 11, None, deadline)
+        window = four_slab_window(small_params, 4)
+        d1 = decide_step(seed_state, fvec, small_params, 0.75, 11, None, window)
+        d2 = decide_step(seed_state, fvec, small_params, 0.75, 11, None, window)
         assert np.array_equal(d1.result.sync_merged, d2.result.sync_merged)
         assert d1.result.confidence_merged == d2.result.confidence_merged
         assert d1.result.contributors == d2.result.contributors
@@ -253,7 +264,7 @@ class TestDecideStep:
         # zero certainty head: c = 0 always, so no branch can reach threshold
         params = make_ctm(seed=1, certainty_w=np.zeros((4, 12), dtype=np.float32))
         decision = decide_step(
-            initial_state(params), fvec, params, 0.75, 3, 11, None, four_slab_window(params)
+            initial_state(params), fvec, params, 0.75, 11, None, four_slab_window(params, 3)
         )
         assert decision.result.fallback
         assert decision.result.contributors == ()
@@ -267,20 +278,20 @@ class TestDecideStep:
             raise RuntimeError("boom")
 
         decision = decide_step(
-            initial_state(small_params), fvec, small_params, 0.75, 3, 11, None,
-            four_slab_window(small_params), branch_hook=hook,
+            initial_state(small_params), fvec, small_params, 0.75, 11, None,
+            four_slab_window(small_params, 3), branch_hook=hook,
         )
         assert decision.result.fallback
         assert decision.next_seed is None
 
     def test_wait_one_can_widen_merge_set(self, small_params, fvec):
         base = decide_step(
-            initial_state(small_params), fvec, small_params, 0.2, 4, 11, None,
-            four_slab_window(small_params), wait_policy=WaitPolicy.OFF,
+            initial_state(small_params), fvec, small_params, 0.2, 11, None,
+            four_slab_window(small_params, 4, "off"),
         )
         wide = decide_step(
-            initial_state(small_params), fvec, small_params, 0.2, 4, 11, None,
-            four_slab_window(small_params), wait_policy=WaitPolicy.ONE,
+            initial_state(small_params), fvec, small_params, 0.2, 11, None,
+            four_slab_window(small_params, 4, "one"),
         )
         assert len(base.result.contributors) == 1
         assert len(wide.result.contributors) in (1, 2)
@@ -289,18 +300,15 @@ class TestDecideStep:
 class TestLiveRace:
     def test_live_wait_one_merges_up_to_two(self, fvec):
         params = make_ctm(seed=3, max_slabs=2, ticks_per_slab=2)
-        deadline = DecisionDeadline(wall_clock_ms=200.0)
-        decision = decide_step_live(
-            initial_state(params), fvec, params, 0.05, 3, 7, None,
-            deadline, wait_policy=WaitPolicy.ONE,
-        )
+        window = no_cutoff(params, 3, "one", deadline_ms=200.0)
+        decision = decide_step_live(initial_state(params), fvec, params, 0.05, 7, None, window)
         assert not decision.result.fallback
         assert 1 <= len(decision.result.contributors) <= 2
 
     def test_exactly_one_result_smoke(self, fvec):
         params = make_ctm(seed=3, max_slabs=2, ticks_per_slab=2)
         seed_state = initial_state(params)
-        deadline = DecisionDeadline(wall_clock_ms=3.0)
+        window = no_cutoff(params, 2, deadline_ms=3.0)
         rng = np.random.default_rng(0)
         with (
             mock.patch.object(consensus, "merge", wraps=consensus.merge) as merged,
@@ -316,8 +324,7 @@ class TestLiveRace:
                     time.sleep(float(rng.uniform(0, 0.004)))
 
                 decision = decide_step_live(
-                    seed_state, fvec, params, 0.10, 2, trial, None,
-                    deadline, branch_hook=hook,
+                    seed_state, fvec, params, 0.10, trial, None, window, branch_hook=hook,
                 )
                 fallback = decision.result.fallback
                 paths = (merged.call_count, fell_back.call_count)
@@ -339,11 +346,9 @@ class TestLiveRace:
         run_slab(state, fvec, params, epsilon=0.5)
         slab_s = time.monotonic() - start
 
-        deadline = DecisionDeadline(wall_clock_ms=50.0)
+        window = no_cutoff(params, 4, deadline_ms=50.0)
         start = time.monotonic()
-        decision = decide_step_live(
-            initial_state(params), fvec, params, 0.5, 4, 7, None, deadline
-        )
+        decision = decide_step_live(initial_state(params), fvec, params, 0.5, 7, None, window)
         elapsed = time.monotonic() - start
         assert decision.result.fallback
         assert decision.result.contributors == ()
@@ -378,11 +383,11 @@ def reference_stop(reference, seed_state, params, limit, wait):
     pairs = sorted(reference.values(), key=lambda ps: (ps[0].ticks_used, ps[0].branch_id))
     if not pairs:
         return [], 0
-    cutoff = None if limit is None else pairs[0][0].ticks_used + limit
-    in_time = [ps for ps in pairs if cutoff is None or ps[0].ticks_used <= cutoff]
+    cutoff = pairs[0][0].ticks_used + limit
+    in_time = [ps for ps in pairs if ps[0].ticks_used <= cutoff]
     winner = next((i for i, (o, _) in enumerate(in_time) if o.reached_threshold), None)
     if winner is not None:
-        settling = winner if wait is WaitPolicy.OFF else winner + 1
+        settling = winner if wait == "off" else winner + 1
         if settling < len(in_time):
             outcome, state = in_time[settling]
             kept = [o.branch_id for o, _ in in_time if o.ticks_used <= outcome.ticks_used]
@@ -426,7 +431,7 @@ class TestSharedTrajectory:
         episode_seed=st.integers(0, 2**40),
         k=st.integers(1, 8),
         epsilon=st.floats(0.02, 1.2),
-        wait=st.sampled_from(list(WaitPolicy)),
+        wait=st.sampled_from(["off", "one"]),
         limit_slabs=st.one_of(st.none(), st.integers(0, 3)),
         limit_offset=st.integers(-1, 1),
         ticks_per_slab=st.integers(1, 4),
@@ -442,8 +447,9 @@ class TestSharedTrajectory:
         limit_offset, ticks_per_slab, max_slabs, warm_slabs, reset, failing, with_cache,
     ):
         params = make_ctm(seed=params_seed, ticks_per_slab=ticks_per_slab, max_slabs=max_slabs)
-        # Tick limits on, just before and just after slab boundaries.
-        limit = None
+        # Tick limits on, just before and just after slab boundaries; the
+        # tick budget as a limit never binds.
+        limit = params.config.tick_budget
         if limit_slabs is not None:
             limit = max(0, limit_slabs * ticks_per_slab + limit_offset)
         f = fusion_vector(f_seed)
@@ -456,9 +462,10 @@ class TestSharedTrajectory:
             if branch_id in failing:
                 raise RuntimeError("injected fault")
 
-        shared = shared_branches(
-            seed_state, f, params, epsilon, k, episode_seed, wait, limit, hook
+        window = ConsensusConfig(
+            branches=k, wait_policy=wait, deadline_ticks=limit, deadline_ms=60_000
         )
+        shared = shared_branches(seed_state, f, params, epsilon, episode_seed, window, hook)
         reference = reference_pairs(seed_state, f, params, epsilon, k, episode_seed, failing)
 
         # Every reported branch equals its own run, bit for bit.
@@ -475,21 +482,17 @@ class TestSharedTrajectory:
         # The decision is the one the same selection makes on all k runs, in
         # deterministic mode and in live mode with a deadline that never
         # expires; both run exactly the slabs up to the stop.
-        deadline = DecisionDeadline(logical_tick_limit=limit, wall_clock_ms=250.0)
         with counting_slab_ticks() as counter:
             decided = decide_step(
-                seed_state, f, params, epsilon, k, episode_seed, cache,
-                wait_policy=wait, deadline=deadline, branch_hook=hook,
+                seed_state, f, params, epsilon, episode_seed, cache, window, branch_hook=hook
             )
         assert counter.call_count == slabs
         with counting_slab_ticks() as counter:
             live = decide_step_live(
-                seed_state, f, params, epsilon, k, episode_seed, cache,
-                DecisionDeadline(logical_tick_limit=limit, wall_clock_ms=60_000),
-                wait_policy=wait, branch_hook=hook,
+                seed_state, f, params, epsilon, episode_seed, cache, window, branch_hook=hook
             )
         assert counter.call_count == slabs
-        want = select_step(list(reference.values()), seed_state, params, cache, wait, limit)
+        want = select_step(list(reference.values()), seed_state, params, cache, window)
         for got in (decided, live):
             assert got.result.sync_merged.tobytes() == want.result.sync_merged.tobytes()
             assert got.result.confidence_merged == want.result.confidence_merged
@@ -511,11 +514,11 @@ class TestSharedTrajectory:
             for b in range(3)
         )
         assert halts[:2] == [(2, 2), (5, 1)]
-        for wait, contributors, slabs in ((WaitPolicy.OFF, (2,), 2), (WaitPolicy.ONE, (1, 2), 5)):
+        for wait, contributors, slabs in (("off", (2,), 2), ("one", (1, 2), 5)):
             with counting_slab_ticks() as counter:
                 decision = decide_step(
-                    seed_state, fvec, small_params, 0.75, 3, 17, None,
-                    four_slab_window(small_params), wait_policy=wait,
+                    seed_state, fvec, small_params, 0.75, 17, None,
+                    four_slab_window(small_params, 3, wait),
                 )
             assert decision.result.contributors == contributors
             assert counter.call_count == slabs
@@ -528,7 +531,7 @@ class TestSharedTrajectory:
         )
         with caplog.at_level("WARNING", logger="tickslab.consensus"):
             decision = decide_step(
-                spent, fvec, small_params, 0.75, 3, 11, None, four_slab_window(small_params)
+                spent, fvec, small_params, 0.75, 11, None, four_slab_window(small_params, 3)
             )
         assert sum("failed" in r.message for r in caplog.records) == 3
         assert decision.result.fallback
