@@ -155,12 +155,12 @@ def shared_branches(
     branch_hook: Optional[Callable[[int], None]] = None,
     expiry: Optional[float] = None,
 ) -> list[tuple[BranchOutcome, BranchState]]:
-    """(outcome, final state) of each of ``consensus.branches`` branches
-    that halts before the stop.
+    """(outcome, final state) of each branch that halts before the stop.
 
-    One tick trajectory is run from ``seed_state``; per slab, its pair
-    contribution is computed once in the unpermuted order and each branch
-    still running gathers it through its permutation, reads its certainty
+    One tick trajectory is run from ``seed_state`` for
+    ``consensus.branches`` branches; per slab, its pair contribution is
+    computed once in the unpermuted order and each branch still running
+    gathers it through its permutation, reads its certainty
     and makes its halt call.  Each pair equals ``run_branch``'s for that
     branch bit for bit.  The trajectory stops after the slab in which the
     decision under ``consensus.wait_policy`` is settled (see

@@ -84,7 +84,7 @@ def encode_modality(frame: ModalityFrame, weights: EncoderWeights) -> ModalityLa
     return ModalityLatent(frame.modality, bounded_tanh(matvec(w, frame.values)))
 
 
-def spectrum(samples: np.ndarray, n_bins: int = 80) -> np.ndarray:
+def spectrum(samples: np.ndarray, n_bins: int) -> np.ndarray:
     """First ``n_bins`` magnitude values of the window's discrete Fourier
     transform (rectangular window, single frame)."""
     x = np.asarray(samples, dtype=np.float64).reshape(-1)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import RouterConfig
 from .consensus import ConsensusResult
-from .envelope import Envelope, EnvelopeMeta, sync_digest
+from .envelope import METHOD_PREFIX, Envelope, EnvelopeMeta, sync_digest
 from .errors import NoCandidates
 from .numerics import matvec
 
@@ -147,7 +147,7 @@ class EnvelopeSession:
     ) -> Envelope:
         envelope = Envelope(
             id=self._next_id,
-            method=f"tool/{tool.name}",
+            method=METHOD_PREFIX + tool.name,
             args=dict(args),
             meta=EnvelopeMeta(
                 episode=self.episode,

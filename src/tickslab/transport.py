@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Optional
 
-from .envelope import JSONRPC_VERSION, canonical_json_bytes, serialize_envelope
+from .envelope import JSONRPC_VERSION, METHOD_PREFIX, canonical_json_bytes, serialize_envelope
 from .errors import IdMismatch, TransportClosed, TransportTimeout
 from .schema import json_type_ok
 from .router import ToolRegistry
@@ -122,10 +122,6 @@ class TcpTransport(StreamTransport):
         self._sock = sock
         super().__init__(sock.makefile("rb"), sock.makefile("wb"))
 
-    @classmethod
-    def connect(cls, host: str, port: int) -> "TcpTransport":
-        return cls(socket.create_connection((host, port)))
-
     def close(self) -> None:
         super().close()
         # makefile objects keep the fd alive; close them before the socket
@@ -156,8 +152,8 @@ class ToolServer:
     def handle_frame(self, frame: bytes) -> bytes:
         try:
             doc = json.loads(frame.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            # RecursionError: nesting deeper than the decoder can follow
+        except (ValueError, RecursionError) as exc:
+            # bad UTF-8 or JSON, an int past Python's digit limit, too deep
             return self._error_frame(None, _CODE_PARSE_ERROR, f"parse error: {exc}")
         if (
             not isinstance(doc, dict)
@@ -187,8 +183,8 @@ class ToolServer:
             ]
             return self._result_frame(req_id, {"tools": tools})
 
-        if method.startswith("tool/"):
-            name = method[len("tool/") :]
+        if method.startswith(METHOD_PREFIX):
+            name = method[len(METHOD_PREFIX) :]
             if name not in self.registry:
                 return self._error_frame(
                     req_id, _CODE_METHOD_NOT_FOUND, f"UnknownTool: {name}"
@@ -289,19 +285,20 @@ def dispatch(envelope, transport: Transport) -> ToolResult:
     """Send one envelope frame and consume its matching response frame.
 
     JSON-RPC error objects surface as error ToolResults; a response id that
-    does not echo the request id raises IdMismatch.  A malformed response,
-    such as an error, result or payload that is not an object, raises
-    TransportClosed.
+    is not the request id, an int equal to it (``true`` and ``1.0`` are
+    not ``1``), raises IdMismatch.  A malformed response, such as one that
+    does not decode or an error, result or payload that is not an object,
+    raises TransportClosed.
     """
     transport.send_frame(serialize_envelope(envelope))
     raw = transport.recv_frame()
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # as in ToolServer.handle_frame
         raise TransportClosed(f"unreadable response frame: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("jsonrpc") != JSONRPC_VERSION:
         raise TransportClosed("response is not a JSON-RPC 2.0 object")
-    if doc.get("id") != envelope.id:
+    if not json_type_ok(doc.get("id"), "int") or doc["id"] != envelope.id:
         raise IdMismatch(f"request id {envelope.id}, response id {doc.get('id')}")
     if "error" in doc:
         err = doc["error"]

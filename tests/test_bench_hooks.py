@@ -3,7 +3,9 @@
 ``perfbench/worker.py`` and ``perfbench/serve.py`` wrap functions of the
 program by attribute name at run time, so renaming or deleting one of them
 breaks the benchmark only when it runs.  These tests install the
-benchmark's own hooks on the real modules and take them off again.
+benchmark's own hooks on the real modules and take them off again, and run
+an episode through them, so a changed signature of a wrapped function
+fails here too.
 """
 
 from pathlib import Path
@@ -11,9 +13,13 @@ from pathlib import Path
 import pytest
 
 from tickslab import consensus, engine, router, transport
+from tickslab.config import Config, ConsensusConfig
 from tickslab.harness import cli, episode, world
+from tickslab.harness.tasks import load_tasks
+from tickslab.params import build_model
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TASKS = Path(__file__).parent / "fixtures" / "tasks50.jsonl"
 
 
 @pytest.fixture
@@ -56,3 +62,36 @@ def test_worker_hooks_install_and_uninstall(perfbench):
 )
 def test_serve_patch_targets_exist(owner, attr):
     assert callable(getattr(owner, attr))
+
+
+@pytest.mark.parametrize("live", [False, True])
+def test_an_episode_runs_through_the_worker_hooks(perfbench, caplog, live):
+    tracing, worker = perfbench
+    config = Config(consensus=ConsensusConfig(live=live))
+    registry = world.build_registry()
+    model = build_model(config, len(registry), registry.max_slots)
+    task = load_tasks(TASKS)[0]
+    plain = episode.run_episode(task, config, episode.Policy.CTM, model=model)
+
+    # installed and removed in the order of the worker's traced phase
+    tracer = tracing.Tracer()
+    counts = worker.CallCounts()
+    clock = worker.OpClock(tracer)
+    try:
+        worker.install_layers(tracer, (episode, engine, consensus, transport, world, router))
+        counts.install(engine, consensus)
+        clock.install(episode)
+        with caplog.at_level("WARNING"):
+            hooked = episode.run_episode(task, config, episode.Policy.CTM, model=model)
+    finally:
+        clock.uninstall()
+        counts.uninstall()
+        tracer.uninstall()
+
+    # a hook that raises ends the episode early with a logged warning
+    assert caplog.records == []
+    assert hooked.to_dict() == plain.to_dict()
+    assert len(clock.latencies) == len(plain.records)
+    layers = tracing.layer_totals(tracer.spans)
+    assert layers["consensus.decide"]["calls"] >= len(plain.records)
+    worker.consensus_stats(tracer.spans)

@@ -154,6 +154,24 @@ class TestServeStdio:
         assert response["id"] == 2
         assert response["result"]["status"] == "ok"
 
+    def test_number_past_the_digit_limit_gets_parse_error(self):
+        from test_transport import HUGE_FRAMES
+
+        frames = "".join(frame + "\n" for frame in HUGE_FRAMES).encode() + (
+            b'{"jsonrpc":"2.0","id":3,"method":"registry/list"}\n'
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "tickslab.harness.cli", "serve", "--transport", "stdio"],
+            input=frames,
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.strip().splitlines()
+        assert len(lines) == 3
+        assert [json.loads(line)["error"]["code"] for line in lines[:2]] == [-32700, -32700]
+        assert json.loads(lines[2])["id"] == 3
+
 
 class TestSubprocessEntryPoint:
     def test_module_invocation(self, tmp_path):

@@ -224,7 +224,7 @@ class TestMergeSet:
 
     def test_policy_one_merges_the_follower_not_the_leader(self, small_params):
         # Branch 0 halts first below the threshold, branch 1 wins and branch
-        # 2 follows below the threshold: ONE merges 1 and 2, never 0.
+        # 2 follows below the threshold: "one" merges 1 and 2, never 0.
         halts = [(0, 8, False), (1, 9, True), (2, 10, False), (3, 11, True)]
         assert self._contributors(small_params, halts, "one") == (1, 2)
 

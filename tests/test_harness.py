@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +18,9 @@ from tickslab.errors import (
     TickslabError,
     UnknownTool,
 )
+from tickslab.harness import episode
 from tickslab.harness.cli import main as cli_main
-from tickslab.harness.episode import EpisodeLog, StepRecord
+from tickslab.harness.episode import EpisodeLog, Policy, StepRecord, run_episode
 from tickslab.harness.featurize import featurize, scatter_tokens, tokenize
 from tickslab.harness.metrics import (
     compute_metrics,
@@ -699,6 +702,18 @@ class TestModelBuild:
         assert model.actuator.config is config.actuator
         router = build_router_params(model, config, registry, ["cup"], episode_seed=7)
         assert router.config is config.router
+
+    @pytest.mark.parametrize("name", ["decide_step", "decide_step_live"])
+    def test_decision_step_gets_the_consensus_section(self, name):
+        live = name == "decide_step_live"
+        config = dataclasses.replace(Config(seed=2), consensus=ConsensusConfig(live=live))
+        decide = getattr(episode, name)
+        with mock.patch.object(episode, name, wraps=decide) as wrapped:
+            run_episode(gen_tasks(1, 1)[0], config, Policy.CTM)
+        assert wrapped.call_count >= 1
+        for call in wrapped.call_args_list:
+            bound = inspect.signature(decide).bind(*call.args, **call.kwargs)
+            assert bound.arguments["consensus"] is config.consensus
 
     def test_plateau_window_reaches_halt_readout(self):
         config = Config(engine=EngineConfig(plateau_window=5))

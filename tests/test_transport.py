@@ -34,6 +34,14 @@ def make_server(handler=None):
     return ToolServer(registry, handler or default_handler)
 
 
+# An int literal with more digits than Python converts from a string.
+HUGE = "9" * 5000
+HUGE_FRAMES = [
+    '{"jsonrpc":"2.0","id":%s,"method":"registry/list"}' % HUGE,
+    '{"jsonrpc":"2.0","id":1,"method":"tool/echo","params":{"args":{"object":%s}}}' % HUGE,
+]
+
+
 def envelope(method="tool/noop", env_id=1, args=None):
     sync = np.zeros(4, dtype=np.float32)
     return Envelope(
@@ -79,6 +87,19 @@ class TestLoopback:
         with pytest.raises(IdMismatch):
             dispatch(envelope(), Rewriter(server))
 
+    @pytest.mark.parametrize("response_id", [True, 1.0])
+    def test_id_of_another_type_raises(self, response_id):
+        # Python's True == 1 == 1.0; the JSON values are still not the id 1
+        class Stub(Transport):
+            def send_frame(self, frame):
+                pass
+
+            def recv_frame(self):
+                return json.dumps({"jsonrpc": "2.0", "id": response_id, "result": {}}).encode()
+
+        with pytest.raises(IdMismatch):
+            dispatch(envelope(), Stub())
+
     def test_closed_transport(self):
         transport = LoopbackTransport(make_server())
         transport.close()
@@ -95,6 +116,25 @@ class TestLoopback:
 
         with pytest.raises(TransportClosed):
             dispatch(envelope(), Deep())
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            '{"jsonrpc":"2.0","id":%s,"result":{}}' % HUGE,
+            '{"jsonrpc":"2.0","id":1,"result":{"payload":{"n":%s}}}' % HUGE,
+        ],
+        ids=["id", "payload"],
+    )
+    def test_response_number_past_the_digit_limit_is_closed(self, reply):
+        class Stub(Transport):
+            def send_frame(self, frame):
+                pass
+
+            def recv_frame(self):
+                return reply.encode()
+
+        with pytest.raises(TransportClosed, match="unreadable response frame"):
+            dispatch(envelope(), Stub())
 
     @pytest.mark.parametrize(
         "reply",
@@ -149,6 +189,12 @@ class TestRegistryList:
     def test_malformed_frame_gets_parse_error(self):
         server = make_server()
         response = json.loads(server.handle_frame(b"{nope"))
+        assert response["error"]["code"] == -32700
+
+    @pytest.mark.parametrize("frame", HUGE_FRAMES, ids=["id", "arg"])
+    def test_number_past_the_digit_limit_gets_parse_error(self, frame):
+        response = json.loads(make_server().handle_frame(frame.encode()))
+        assert response["id"] is None
         assert response["error"]["code"] == -32700
 
     def test_nested_frame_gets_parse_error(self):
@@ -284,6 +330,18 @@ class TestTcp:
                 response = json.loads(transport.recv_frame())
                 assert response["id"] == 1
                 assert response["error"]["code"] == -32602
+                assert dispatch(envelope(env_id=2), transport).ok
+            finally:
+                transport.close()
+
+    def test_number_past_the_digit_limit_does_not_stop_server(self):
+        with serving_tcp(make_server(), 1) as (port, _):
+            transport = connect(port)
+            try:
+                for frame in HUGE_FRAMES:
+                    transport.send_frame(frame.encode())
+                    response = json.loads(transport.recv_frame())
+                    assert response["error"]["code"] == -32700
                 assert dispatch(envelope(env_id=2), transport).ok
             finally:
                 transport.close()
