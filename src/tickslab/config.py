@@ -140,7 +140,6 @@ class ActuatorConfig:
     joints: int = 12
     torque_limit: float = 5.0
     gain: float = 1.0
-    filter_window: int = 5
     samples_per_move: int = 10
 
     def __post_init__(self):

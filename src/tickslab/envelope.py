@@ -53,10 +53,6 @@ class Envelope:
     args: dict             # slot name -> str | int | float
     meta: EnvelopeMeta
 
-    @property
-    def tool_name(self) -> str:
-        return self.method[len(METHOD_PREFIX) :]
-
 
 def sync_digest(sync: np.ndarray) -> str:
     """SHA-256 (lowercase hex) of the little-endian float32 bytes of the vector."""

@@ -63,6 +63,10 @@ class TransportClosed(TickslabError):
     pass
 
 
+class FrameTooLong(TransportClosed):
+    """A frame line ran past ``transport.MAX_FRAME_BYTES``; the stream is unusable."""
+
+
 class TransportTimeout(TickslabError):
     """The stream timed out; the peer may still be there."""
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -19,17 +20,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 
 
-def _load_config(args) -> Config:
-    config = Config.load(args.config) if args.config else Config()
-    if getattr(args, "seed", None) is not None:
-        import dataclasses
-
-        config = dataclasses.replace(config, seed=args.seed)
-    return config
-
-
 def cmd_run(args) -> int:
-    config = _load_config(args)
+    config = Config.load(args.config) if args.config else Config()
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
     tasks = load_tasks(args.tasks)
     registry = build_registry()
     model = build_model(config, len(registry), registry.max_slots)
@@ -67,11 +61,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    config = _load_config(args)
-    registry = build_registry()
-    model = build_model(config, len(registry), registry.max_slots)
-    session = WorldSession(demo_world(), model.actuator)
-    server = ToolServer(registry, session.handler)
+    server = ToolServer(build_registry(), WorldSession(demo_world()).handler)
     if args.transport == "stdio":
         server.serve_stream(StdioTransport())
         return EXIT_OK
@@ -110,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("serve", help="expose the tool registry")
     serve.add_argument("--transport", choices=["stdio", "tcp"], default="stdio")
     serve.add_argument("--addr", default="127.0.0.1:7351", help="HOST:PORT for tcp")
-    serve.add_argument("--config", default=None)
-    serve.add_argument("--seed", type=int, default=None)
     serve.set_defaults(func=cmd_serve)
 
     return parser

@@ -13,13 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..actuator import (
-    ActuatorParams,
-    compliance_filter,
-    interpolate_trajectory,
-    plan_torque,
-    torque_to_pwm,
-)
+from ..actuator import ActuatorParams, plan_torque, torque_to_pwm
 from ..errors import UnknownTool
 from ..router import SlotKind, ToolRegistry, ToolSpec
 from ..rng import fnv1a64
@@ -107,18 +101,13 @@ def goal_holds(state: WorldState, predicate: str) -> bool:
 
 
 def _actuate(sync: np.ndarray, params: ActuatorParams) -> ToolResult:
-    """Demo joint chain: plan torque, interpolate, smooth, map to PWM."""
-    tau = plan_torque(sync, params)
-    path = interpolate_trajectory(
-        np.zeros_like(tau), tau * 0.1, params.config.samples_per_move
-    )
-    path = compliance_filter(path, params.config.filter_window)
-    duty = torque_to_pwm(tau, params)
+    """Demo joint chain: plan torque, map to PWM; a move is ``samples_per_move`` waypoints."""
+    duty = torque_to_pwm(plan_torque(sync, params), params)
     if not np.all(np.isfinite(duty)):
         return error_result("torque plan produced non-finite duties")
     return ok_result(
         duty=[round(float(d), 6) for d in duty],
-        waypoints=len(path),
+        waypoints=params.config.samples_per_move,
     )
 
 
@@ -186,7 +175,7 @@ class WorldSession:
         self.actuator_params = actuator_params
         self.current_sync: Optional[np.ndarray] = None
 
-    def handler(self, name: str, args: dict, meta: Optional[dict]) -> ToolResult:
+    def handler(self, name: str, args: dict) -> ToolResult:
         self.state, result = step_env(
             self.state, name, args, sync=self.current_sync,
             actuator_params=self.actuator_params,

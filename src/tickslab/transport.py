@@ -6,6 +6,8 @@ one envelope frame and consumes exactly one response frame with a matching
 id.  A peer that goes away, whether the stream ends (EOF) or the stream
 raises an ``OSError`` such as a connection reset or a broken pipe, surfaces
 as ``TransportClosed``; a socket timeout surfaces as ``TransportTimeout``.
+A line longer than ``MAX_FRAME_BYTES`` raises ``FrameTooLong``, which the
+server answers with one invalid-request frame before it ends the connection.
 Unknown tools come back as error results, not crashes, and a result that
 cannot be encoded comes back as an internal-error frame.
 """
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import BinaryIO, Callable, Optional
 
 from .envelope import JSONRPC_VERSION, METHOD_PREFIX, canonical_json_bytes, serialize_envelope
-from .errors import IdMismatch, TransportClosed, TransportTimeout
+from .errors import FrameTooLong, IdMismatch, TransportClosed, TransportTimeout
 from .schema import json_type_ok
 from .router import ToolRegistry
 
@@ -34,6 +36,8 @@ _CODE_INVALID_PARAMS = -32602
 _CODE_INVALID_REQUEST = -32600
 _CODE_PARSE_ERROR = -32700
 _CODE_INTERNAL_ERROR = -32603
+
+MAX_FRAME_BYTES = 1 << 20      # longest frame a stream reads, newline excluded
 
 
 @dataclass(frozen=True)
@@ -99,13 +103,15 @@ class StreamTransport(Transport):
         if self._closed:
             raise TransportClosed("transport is closed")
         try:
-            line = self._reader.readline()
+            line = self._reader.readline(MAX_FRAME_BYTES + 1)
         except TimeoutError as exc:
             raise TransportTimeout(f"timed out reading the stream: {exc}") from exc
         except OSError as exc:
             raise TransportClosed(f"peer closed the stream: {exc}") from exc
         if not line:
             raise TransportClosed("peer closed the stream")
+        if len(line) > MAX_FRAME_BYTES and not line.endswith(b"\n"):
+            raise FrameTooLong(f"frame longer than {MAX_FRAME_BYTES} bytes")
         return line.rstrip(b"\n")
 
     def close(self) -> None:
@@ -141,11 +147,11 @@ class TcpTransport(StreamTransport):
 class ToolServer:
     """Executes tool calls against a handler and serves registry introspection.
 
-    ``handler(name, args, meta)`` returns a ToolResult; ``meta`` is the
-    envelope metadata when present (None for bare requests).
+    ``handler(name, args)`` returns a ToolResult; no handler reads the
+    envelope metadata, so it is not passed on.
     """
 
-    def __init__(self, registry: ToolRegistry, handler: Callable[[str, dict, Optional[dict]], ToolResult]):
+    def __init__(self, registry: ToolRegistry, handler: Callable[[str, dict], ToolResult]):
         self.registry = registry
         self.handler = handler
 
@@ -189,10 +195,13 @@ class ToolServer:
                 return self._error_frame(
                     req_id, _CODE_METHOD_NOT_FOUND, f"UnknownTool: {name}"
                 )
-            args = params.get("args") or {}
-            meta = params.get("meta")
+            args = params.get("args", {})
+            if not isinstance(args, dict):
+                return self._error_frame(
+                    req_id, _CODE_INVALID_PARAMS, "invalid params: args must be an object"
+                )
             try:
-                result = self.handler(name, args, meta)
+                result = self.handler(name, args)
             except Exception as exc:  # tool failures are results, not crashes
                 logger.warning("tool %s raised: %r", name, exc)
                 result = error_result(f"tool raised: {exc!r}")
@@ -226,10 +235,21 @@ class ToolServer:
         )
 
     def serve_stream(self, transport: Transport) -> None:
-        """Answer frames until the peer hangs up, while reading or replying."""
+        """Answer frames until the peer hangs up, while reading or replying.
+
+        A frame past ``MAX_FRAME_BYTES`` gets one ``-32600`` frame, then the
+        connection ends: the rest of that line cannot be skipped unread.
+        """
         try:
             while True:
-                transport.send_frame(self.handle_frame(transport.recv_frame()))
+                try:
+                    reply = self.handle_frame(transport.recv_frame())
+                except FrameTooLong:
+                    transport.send_frame(
+                        self._error_frame(None, _CODE_INVALID_REQUEST, "frame too long")
+                    )
+                    return
+                transport.send_frame(reply)
         except TransportClosed:
             return
 

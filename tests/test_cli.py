@@ -1,10 +1,16 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from tickslab.harness.cli import main
+from tickslab.harness.cli import build_parser, main
+from tickslab.transport import MAX_FRAME_BYTES
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv):
@@ -121,6 +127,26 @@ class TestRun:
             assert "line 1: steps[0].args.to" in capsys.readouterr().err
 
 
+class TestServeOptions:
+    def test_serve_takes_only_transport_and_addr(self):
+        parser = build_parser()
+        args = parser.parse_args(["serve", "--transport", "tcp", "--addr", "127.0.0.1:0"])
+        assert sorted(vars(args)) == ["addr", "command", "func", "transport"]
+        for removed in (["--config", "c.json"], ["--seed", "5"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["serve", *removed])
+
+
+class TestReadmeCli:
+    def test_every_readme_command_parses(self):
+        block = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+        block = re.search(r"```bash\n(.*?)```", block, re.S).group(1)
+        commands = [shlex.split(line) for line in block.splitlines() if line.startswith("tickslab ")]
+        assert {argv[1] for argv in commands} == {"gen-tasks", "run", "metrics", "serve"}
+        for argv in commands:
+            build_parser().parse_args(argv[1:])
+
+
 class TestServeTcp:
     @pytest.mark.parametrize("port", ["99999", "65536", "\u00b2"])
     def test_port_out_of_range_exits_2(self, capsys, port):
@@ -137,6 +163,8 @@ class TestServeStdio:
             b'{"jsonrpc":"2.0","id":1,"method":"registry/list"}\n'
             + serialize_envelope(envelope(env_id=2))
             + b"\n"
+            + serialize_envelope(envelope(method="tool/actuate", env_id=3))
+            + b"\n"
         )
         proc = subprocess.run(
             [sys.executable, "-m", "tickslab.harness.cli", "serve", "--transport", "stdio"],
@@ -146,13 +174,31 @@ class TestServeStdio:
         )
         assert proc.returncode == 0
         lines = proc.stdout.strip().splitlines()
-        assert len(lines) == 2
+        assert len(lines) == 3
         listing = json.loads(lines[0])
         names = [t["name"] for t in listing["result"]["tools"]]
         assert names == ["noop", "navigate", "pick", "place", "actuate"]
         response = json.loads(lines[1])
         assert response["id"] == 2
         assert response["result"]["status"] == "ok"
+        # serve mode has no controller publishing a sync vector
+        assert lines[2] == (
+            b'{"id":3,"jsonrpc":"2.0","result":{"payload":'
+            b'{"reason":"no sync vector available to actuate on"},"status":"error"}}'
+        )
+
+    def test_frame_too_long_gets_one_error_frame_and_exit_0(self):
+        frames = b"[" * (MAX_FRAME_BYTES + 1) + b'\n{"jsonrpc":"2.0","id":4,"method":"registry/list"}\n'
+        proc = subprocess.run(
+            [sys.executable, "-m", "tickslab.harness.cli", "serve", "--transport", "stdio"],
+            input=frames,
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            b'{"error":{"code":-32600,"message":"frame too long"},"id":null,"jsonrpc":"2.0"}\n'
+        )
 
     def test_number_past_the_digit_limit_gets_parse_error(self):
         from test_transport import HUGE_FRAMES

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import json
 from unittest import mock
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from tickslab.config import Config, ConsensusConfig, EngineConfig
 from tickslab.engine import halt_readout
+from tickslab.envelope import canonical_json_bytes
 from tickslab.errors import (
     ConfigError,
     EmptyLogs,
@@ -40,6 +42,9 @@ from tickslab.harness.world import (
 from tickslab.params import TENSOR_NAMES, build_model, build_router_params
 from tickslab.perception import Modality
 from tickslab.weights import MAGIC, load_weights
+
+# Canonical actuate reply to the fixed sync vector below (numpy 2.4.6).
+ACTUATE_REPLY_SHA256 = "f93897936ae6aaa3f58af274cd58f976cc091d1b32d1272c8cdf96d24279f104"
 
 
 class TestLoadTasks:
@@ -225,6 +230,9 @@ class TestWorld:
         duties = result.payload["duty"]
         assert len(duties) == 12
         assert all(0.0 <= d <= 1.0 for d in duties)
+        assert result.payload["waypoints"] == config.actuator.samples_per_move
+        reply = canonical_json_bytes({"status": result.status, "payload": result.payload})
+        assert hashlib.sha256(reply).hexdigest() == ACTUATE_REPLY_SHA256
 
     def test_goal_predicates(self):
         from tickslab.harness.world import ObjectState
@@ -458,7 +466,7 @@ class TestConfig:
         ),
         "affect": ("hidden",),
         "router": ("slot_embed_width",),
-        "actuator": ("joints", "filter_window"),
+        "actuator": ("joints",),
     }
     FLOATS = [
         (section, key)
@@ -477,6 +485,7 @@ class TestConfig:
                 for section, keys in SIZES.items()
                 for key in keys
             ),
+            ({"actuator": {"joints": -1}}, "actuator.joints"),
             ({"engine": {"logit_count": 1}}, "engine.logit_count"),
             ({"consensus": {"deadline_ticks": -5}}, "consensus.deadline_ticks"),
             ({"consensus": {"deadline_ms": float("nan")}}, "consensus.deadline_ms"),

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from tickslab.envelope import Envelope, EnvelopeMeta, sync_digest
-from tickslab.errors import IdMismatch, TransportClosed, TransportTimeout
+from tickslab.errors import FrameTooLong, IdMismatch, TransportClosed, TransportTimeout
+from tickslab.harness.world import WorldSession, build_registry, demo_world
 from tickslab.router import SlotKind, ToolRegistry, ToolSpec
 from tickslab.transport import (
+    MAX_FRAME_BYTES,
     LoopbackTransport,
+    StreamTransport,
     TcpTransport,
     ToolServer,
     Transport,
@@ -26,7 +29,7 @@ def make_server(handler=None):
         [ToolSpec("noop"), ToolSpec("echo", (("object", SlotKind.OBJECT_REF),))]
     )
 
-    def default_handler(name, args, meta):
+    def default_handler(name, args):
         if name == "noop":
             return ok_result()
         return ok_result(echo=args)
@@ -159,7 +162,7 @@ class TestLoopback:
             dispatch(envelope(), Stub())
 
     def test_handler_exception_becomes_error_result(self):
-        def handler(name, args, meta):
+        def handler(name, args):
             raise RuntimeError("tool exploded")
 
         transport = LoopbackTransport(make_server(handler))
@@ -235,6 +238,33 @@ class TestRegistryList:
         ).encode()
         response = json.loads(server.handle_frame(frame))
         assert response["result"]["status"] == "ok"
+
+
+def world_server():
+    return ToolServer(build_registry(), WorldSession(demo_world()).handler)
+
+
+def navigate_frame(req_id, params):
+    return json.dumps(
+        {"jsonrpc": "2.0", "id": req_id, "method": "tool/navigate", "params": params}
+    ).encode()
+
+
+class TestToolArgs:
+    @pytest.mark.parametrize("args", [[1], "x", 0, False, None])
+    def test_args_that_are_not_an_object_get_invalid_params(self, args, caplog):
+        response = json.loads(world_server().handle_frame(navigate_frame(8, {"args": args})))
+        assert response["id"] == 8
+        assert response["error"]["code"] == -32602
+        assert "args must be an object" in response["error"]["message"]
+        assert not caplog.records  # refused before the handler, nothing raised
+
+    @pytest.mark.parametrize("params", [{}, None], ids=["no-args", "null-params"])
+    def test_absent_args_are_empty(self, params):
+        response = json.loads(world_server().handle_frame(navigate_frame(9, params)))
+        assert response["result"] == {
+            "status": "error", "payload": {"reason": "navigate needs a location name"},
+        }
 
 
 CLIENT_TIMEOUT_S = 5.0
@@ -331,6 +361,39 @@ class TestTcp:
                 assert response["id"] == 1
                 assert response["error"]["code"] == -32602
                 assert dispatch(envelope(env_id=2), transport).ok
+            finally:
+                transport.close()
+
+    def test_non_object_args_do_not_stop_server(self):
+        with serving_tcp(world_server(), 1) as (port, _):
+            transport = connect(port)
+            try:
+                transport.send_frame(navigate_frame(1, {"args": [1]}))
+                response = json.loads(transport.recv_frame())
+                assert response["id"] == 1
+                assert response["error"]["code"] == -32602
+                result = dispatch(envelope("tool/navigate", 2, {"to": "sink"}), transport)
+                assert result.payload == {"robot_at": "sink"}
+            finally:
+                transport.close()
+
+    def test_frame_too_long_ends_the_connection_and_serves_next(self):
+        with serving_tcp(make_server(), 2) as (port, _):
+            with client_socket(port) as sock, sock.makefile("rb") as reader:
+                try:
+                    sock.sendall(b"[" * (MAX_FRAME_BYTES + 1) + b"\n")
+                    reply = reader.readline()
+                except (BrokenPipeError, ConnectionResetError):
+                    # the server closes with the rest of the line unread,
+                    # which may reset the connection before the reply is read
+                    reply = None
+            if reply is not None:
+                response = json.loads(reply)
+                assert response["id"] is None
+                assert response["error"] == {"code": -32600, "message": "frame too long"}
+            transport = connect(port)
+            try:
+                assert dispatch(envelope(), transport).ok
             finally:
                 transport.close()
 
@@ -458,11 +521,21 @@ class TestFraming:
         assert buffer.getvalue() == b'{"ping":1}\n'
         assert writer_side.recv_frame() == b'{"pong":1}'
 
+    def test_frame_length_is_bounded(self):
+        from io import BytesIO
+
+        longest = b"x" * MAX_FRAME_BYTES
+        for tail in (b"\n", b""):
+            assert StreamTransport(BytesIO(longest + tail), BytesIO()).recv_frame() == longest
+        with pytest.raises(FrameTooLong):
+            StreamTransport(BytesIO(longest + b"x\n"), BytesIO()).recv_frame()
+        assert issubclass(FrameTooLong, TransportClosed)
+
     def test_stream_oserrors_become_transport_closed(self):
         from tickslab.transport import StreamTransport
 
         class ResetReader:
-            def readline(self):
+            def readline(self, size=-1):
                 raise ConnectionResetError(104, "Connection reset by peer")
 
         class BrokenWriter:
@@ -488,7 +561,7 @@ class TestFraming:
         from tickslab.transport import StreamTransport
 
         class SlowReader:
-            def readline(self):
+            def readline(self, size=-1):
                 raise TimeoutError("timed out")
 
         class SlowWriter:
