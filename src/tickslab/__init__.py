@@ -35,15 +35,7 @@ from .engine import (
 )
 from .envelope import Envelope, EnvelopeMeta, parse_envelope, serialize_envelope
 from .params import ModelParams, build_model
-from .perception import (
-    EncoderWeights,
-    Modality,
-    ModalityFrame,
-    ModalityLatent,
-    encode_modality,
-    fuse,
-    spectrum,
-)
+from .perception import EncoderWeights, encode_modality, fuse, spectrum
 from .router import GateOutcome, RouterParams, ToolRegistry, ToolSpec, policy_gate, select_action
 from .transport import LoopbackTransport, StdioTransport, TcpTransport, ToolServer, dispatch
 from .weights import load_weights, save_weights

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .perception import WAVE_SAMPLES
-from .schema import json_type_ok
+from .schema import json_type_ok, type_name
 
 
 def _at_least(low):
@@ -43,7 +43,7 @@ def _check_fields(section, prefix: str, **rules) -> None:
     for f in dataclasses.fields(section):
         name, value = f"{prefix}.{f.name}", getattr(section, f.name)
         if not json_type_ok(value, f.type):
-            raise ConfigError(f"{name} must be {f.type}, got {type(value).__name__}")
+            raise ConfigError(f"{name} must be {f.type}, got {type_name(value)}")
         # false for NaN, the infinities and ints too large for a float
         if f.type == "float" and not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{name} must be finite, got {value!r}")
@@ -173,7 +173,7 @@ class Config:
             if section is dataclasses.MISSING:  # seed, weights_path
                 kind = fields[key].type
                 if not json_type_ok(value, kind):
-                    raise ConfigError(f"{key} must be {kind}, got {type(value).__name__}")
+                    raise ConfigError(f"{key} must be {kind}, got {type_name(value)}")
             else:
                 if not isinstance(value, dict):
                     raise ConfigError(f"section {key!r} must be an object")

@@ -27,7 +27,7 @@ from ..consensus import ConsensusResult, decide_step, decide_step_live
 from ..engine import initial_state
 from ..errors import ConfigError, SchemaViolation
 from ..params import ModelParams, build_model, build_router_params
-from ..perception import Modality, encode_modality, fuse
+from ..perception import encode_modality, fuse
 from ..router import EnvelopeSession, GateOutcome, policy_gate, select_action
 from ..rng import derive_seed
 from ..schema import check_record
@@ -124,16 +124,13 @@ def run_episode(
 
     try:
         for step in range(task.budget_steps):
-            frames = featurize(task.goal, session.state, config.perception)
-            latents = {
-                m: encode_modality(frames[m], model.encoder)
-                for m in (Modality.VISION, Modality.AUDIO, Modality.PROPRIO)
-            }
+            vision, audio, proprio = featurize(task.goal, session.state, config.perception)
+            enc = model.encoder
             f = fuse(
-                latents[Modality.VISION],
-                latents[Modality.AUDIO],
-                latents[Modality.PROPRIO],
-                model.encoder,
+                encode_modality(vision, enc.vision),
+                encode_modality(audio, enc.audio),
+                encode_modality(proprio, enc.proprio),
+                enc,
             )
 
             # Per-step budget: counters and certainty trace restart; the

@@ -14,7 +14,7 @@ import re
 
 import numpy as np
 
-from ..perception import WAVE_SAMPLES, Modality, ModalityFrame, spectrum
+from ..perception import WAVE_SAMPLES, spectrum
 from ..rng import SplitMix64, fnv1a64
 from .world import WorldState
 
@@ -63,8 +63,8 @@ def goal_waveform(goal: str) -> np.ndarray:
     return wave
 
 
-def featurize(goal: str, world: WorldState, dims) -> dict[Modality, ModalityFrame]:
-    """Build the three frames for one decision step.
+def featurize(goal: str, world: WorldState, dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (vision, audio, proprio) float32 frames for one decision step.
 
     ``dims`` is the perception config; its ``*_in`` widths size the frames
     (the audio frame holds ``audio_in`` spectrum bins).
@@ -72,8 +72,4 @@ def featurize(goal: str, world: WorldState, dims) -> dict[Modality, ModalityFram
     vision = scatter_tokens(tokenize(goal), dims.vision_in)
     proprio = scatter_tokens(world_tokens(world), dims.proprio_in)
     audio = spectrum(goal_waveform(goal), dims.audio_in)
-    return {
-        Modality.VISION: ModalityFrame(Modality.VISION, vision),
-        Modality.AUDIO: ModalityFrame(Modality.AUDIO, audio),
-        Modality.PROPRIO: ModalityFrame(Modality.PROPRIO, proprio),
-    }
+    return vision, audio, proprio

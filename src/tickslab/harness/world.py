@@ -17,6 +17,7 @@ from ..actuator import ActuatorParams, plan_torque, torque_to_pwm
 from ..errors import UnknownTool
 from ..router import SlotKind, ToolRegistry, ToolSpec
 from ..rng import fnv1a64
+from ..schema import json_type_ok
 from ..transport import ToolResult, error_result, ok_result
 
 START_LOCATION = "dock"
@@ -124,7 +125,7 @@ def step_env(
 
     if tool == "navigate":
         to = args.get("to")
-        if not isinstance(to, str) or not to:
+        if not json_type_ok(to, "str") or not to:
             return state, error_result("navigate needs a location name")
         new = state.copy()
         return replace(new, robot_at=to), ok_result(robot_at=to)

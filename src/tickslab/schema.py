@@ -2,7 +2,9 @@
 
 A record is a dataclass whose field annotations name JSON types.  Python
 counts a bool as an int, so bools are told apart here: a bool field takes
-only a bool, an int field an int, a float field an int or a float.
+only a bool, an int field an int, a float field an int or a float.  JSON's
+``\ud800`` escapes decode to lone surrogates, which no UTF-8 text can hold,
+so a str field takes only a string that encodes as UTF-8.
 """
 
 from __future__ import annotations
@@ -10,14 +12,34 @@ from __future__ import annotations
 import dataclasses
 
 _JSON_TYPES = {
-    "bool": bool, "int": int, "float": (int, float), "str": str,
+    "bool": bool, "int": int, "float": (int, float),
     "dict": dict, "list": list, "tuple": list,
 }
 
 
 def json_type_ok(value, kind: str) -> bool:
     """Whether ``value`` has the JSON type of a field annotated ``kind``."""
+    if kind == "str":
+        return isinstance(value, str) and _unicode_ok(value)
     return isinstance(value, _JSON_TYPES[kind]) and (kind == "bool" or not isinstance(value, bool))
+
+
+def type_name(value) -> str:
+    """The type of ``value`` as a refusal names it; a string that is not valid
+    Unicode says so."""
+    if isinstance(value, str) and not _unicode_ok(value):
+        return "a string that is not valid Unicode (lone surrogate)"
+    return type(value).__name__
+
+
+def _unicode_ok(text: str) -> bool:
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def check_record(cls, doc, path: str, error) -> dict:
@@ -36,7 +58,7 @@ def check_record(cls, doc, path: str, error) -> dict:
     for name, f in fields.items():
         if name in doc:
             if not json_type_ok(doc[name], f.type):
-                raise error(f"{path}{name}", f"expected {f.type}, got {type(doc[name]).__name__}")
+                raise error(f"{path}{name}", f"expected {f.type}, got {type_name(doc[name])}")
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise error(f"{path}{name}", "missing field")
     return doc

@@ -164,7 +164,7 @@ class ToolServer:
         if (
             not isinstance(doc, dict)
             or doc.get("jsonrpc") != JSONRPC_VERSION
-            or not isinstance(doc.get("method"), str)
+            or not json_type_ok(doc.get("method"), "str")
             or not json_type_ok(doc.get("id"), "int")
         ):
             return self._error_frame(None, _CODE_INVALID_REQUEST, "invalid request")

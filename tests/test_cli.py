@@ -1,3 +1,4 @@
+import importlib
 import json
 import re
 import shlex
@@ -126,6 +127,21 @@ class TestRun:
         if code:
             assert "line 1: steps[0].args.to" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["id", "goal", "config"])
+    def test_lone_surrogate_string_exits_2(self, tmp_path, task_file, capsys, field):
+        doc = json.loads(task_file.read_text().splitlines()[0])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"weights_path": "\ud800"} if field == "config" else {}))
+        if field != "config":
+            doc[field] += "\ud800"
+        tasks = tmp_path / "bad.jsonl"
+        tasks.write_text(json.dumps(doc) + "\n")
+        argv = ["run", "--tasks", str(tasks), "--config", str(config), "--out", str(tmp_path / "out")]
+        assert run_cli(*argv, "--policy", "oracle") == 2
+        err = capsys.readouterr().err
+        assert ("weights_path" if field == "config" else f"line 1: {field}") in err
+        assert "not valid Unicode" in err
+
 
 class TestServeOptions:
     def test_serve_takes_only_transport_and_addr(self):
@@ -145,6 +161,34 @@ class TestReadmeCli:
         assert {argv[1] for argv in commands} == {"gen-tasks", "run", "metrics", "serve"}
         for argv in commands:
             build_parser().parse_args(argv[1:])
+
+
+def resolve(dotted):
+    """The object a dotted ``tickslab....`` name refers to: the longest
+    prefix that imports as a module, then one getattr per remaining part."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            obj = getattr(obj, name)
+        return obj
+    raise ImportError(dotted)
+
+
+class TestReadmeNames:
+    def test_every_dotted_name_resolves(self):
+        names = set(re.findall(r"\btickslab(?:\.\w+)+", README.read_text(encoding="utf-8")))
+        assert {
+            "tickslab.schema.json_type_ok",
+            "tickslab.transport.MAX_FRAME_BYTES",
+            "tickslab.envelope.AFFECT_DIMS",
+            "tickslab.params.TENSOR_NAMES",
+        } <= names
+        for dotted in sorted(names):
+            resolve(dotted)
 
 
 class TestServeTcp:
@@ -216,6 +260,24 @@ class TestServeStdio:
         lines = proc.stdout.strip().splitlines()
         assert len(lines) == 3
         assert [json.loads(line)["error"]["code"] for line in lines[:2]] == [-32700, -32700]
+        assert json.loads(lines[2])["id"] == 3
+
+    def test_lone_surrogate_method_gets_invalid_request(self):
+        from test_transport import SURROGATE_FRAMES
+
+        frames = b"".join(frame + b"\n" for frame in SURROGATE_FRAMES) + (
+            b'{"jsonrpc":"2.0","id":3,"method":"registry/list"}\n'
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "tickslab.harness.cli", "serve", "--transport", "stdio"],
+            input=frames,
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.strip().splitlines()
+        assert len(lines) == 3
+        assert [json.loads(line)["error"]["code"] for line in lines[:2]] == [-32600, -32600]
         assert json.loads(lines[2])["id"] == 3
 
 

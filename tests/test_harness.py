@@ -40,11 +40,20 @@ from tickslab.harness.world import (
     world_from_task,
 )
 from tickslab.params import TENSOR_NAMES, build_model, build_router_params
-from tickslab.perception import Modality
+from tickslab.perception import encode_modality, fuse
 from tickslab.weights import MAGIC, load_weights
 
 # Canonical actuate reply to the fixed sync vector below (numpy 2.4.6).
 ACTUATE_REPLY_SHA256 = "f93897936ae6aaa3f58af274cd58f976cc091d1b32d1272c8cdf96d24279f104"
+# SHA-256 of the float32 bytes of the vision, audio and proprio frames and
+# of the fused context vector for "move the cup" on demo_world(), default
+# config (numpy 2.4.6).
+FRAME_SHA256 = (
+    "c71fd11cd6a15d2953e74b94b5684923f772b343fae2b705c1a1e107a4774284",
+    "e877432e42a6310793457382bb136f0b74c47d64b204b7725be06468146cc200",
+    "1bbdddfd55f9b7001fb493f90b5faf1937cc97e3fe851a80bdf1d9db5b2ba207",
+)
+FUSED_SHA256 = "988e6fe54a575541a245f5a3c2c4c42aefd726862ada6a82557a0de311a2b4cf"
 
 
 class TestLoadTasks:
@@ -255,34 +264,42 @@ class TestFeaturize:
         world = demo_world()
         f1 = featurize("move the cup", world, config.perception)
         f2 = featurize("move the cup", world, config.perception)
-        for m in Modality:
-            assert np.array_equal(f1[m].values, f2[m].values)
+        for a, b in zip(f1, f2, strict=True):
+            assert np.array_equal(a, b)
 
     def test_shapes(self):
         config = Config()
-        frames = featurize("move the cup", demo_world(), config.perception)
-        assert frames[Modality.VISION].values.shape == (768,)
-        assert frames[Modality.AUDIO].values.shape == (80,)
-        assert frames[Modality.PROPRIO].values.shape == (64,)
+        vision, audio, proprio = featurize("move the cup", demo_world(), config.perception)
+        assert vision.shape == (768,)
+        assert audio.shape == (80,)
+        assert proprio.shape == (64,)
+        assert vision.dtype == audio.dtype == proprio.dtype == np.float32
 
     def test_goal_changes_vision_frame(self):
         config = Config()
         world = demo_world()
         a = featurize("move the cup", world, config.perception)
         b = featurize("stack the plates", world, config.perception)
-        assert not np.array_equal(
-            a[Modality.VISION].values, b[Modality.VISION].values
-        )
-        assert not np.array_equal(a[Modality.AUDIO].values, b[Modality.AUDIO].values)
+        assert not np.array_equal(a[0], b[0])
+        assert not np.array_equal(a[1], b[1])
 
     def test_world_changes_proprio_frame(self):
         config = Config()
         a = featurize("g", demo_world(), config.perception)
         moved, _ = step_env(demo_world(), "navigate", {"to": "shelf"})
         b = featurize("g", moved, config.perception)
-        assert not np.array_equal(
-            a[Modality.PROPRIO].values, b[Modality.PROPRIO].values
-        )
+        assert not np.array_equal(a[2], b[2])
+
+    def test_frames_and_fused_context_are_pinned(self):
+        config = Config()
+        registry = build_registry()
+        enc = build_model(config, len(registry), registry.max_slots).encoder
+        frames = featurize("move the cup", demo_world(), config.perception)
+        assert tuple(hashlib.sha256(x.tobytes()).hexdigest() for x in frames) == FRAME_SHA256
+        latents = [encode_modality(x, w) for x, w in zip(frames, (enc.vision, enc.audio, enc.proprio))]
+        fused = fuse(*latents, enc)
+        assert fused.dtype == np.float32
+        assert hashlib.sha256(fused.tobytes()).hexdigest() == FUSED_SHA256
 
     def test_scatter_is_sparse_and_finite(self):
         vec = scatter_tokens(tokenize("Move the cup, now!"), 128)

@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from tickslab.errors import DimensionMismatch, NonFiniteInput, WindowTooShort
-from tickslab.perception import (
-    EncoderWeights,
-    Modality,
-    ModalityFrame,
-    ModalityLatent,
-    encode_modality,
-    fuse,
-    spectrum,
-)
+from tickslab.perception import EncoderWeights, encode_modality, fuse, spectrum
 from tickslab.rng import fan_in_matrix
 
 
@@ -44,9 +36,8 @@ class TestEncodeModality:
             proprio=enc.proprio,
             fusion=enc.fusion,
         )
-        frame = ModalityFrame(Modality.VISION, np.ones(10, dtype=np.float32))
-        latent = encode_modality(frame, enc)
-        assert np.array_equal(latent.latent, np.zeros(6, dtype=np.float32))
+        latent = encode_modality(np.ones(10, dtype=np.float32), enc.vision)
+        assert np.array_equal(latent, np.zeros(6, dtype=np.float32))
 
     def test_one_by_one_analytic(self):
         enc = EncoderWeights(
@@ -55,9 +46,9 @@ class TestEncodeModality:
             proprio=np.zeros((1, 1), dtype=np.float32),
             fusion=np.zeros((1, 3), dtype=np.float32),
         )
-        latent = encode_modality(ModalityFrame(Modality.VISION, [0.5]), enc)
-        assert latent.latent[0] == pytest.approx(np.tanh(0.5), abs=1e-7)
-        assert abs(float(latent.latent[0]) - 0.462117) < 1e-6
+        latent = encode_modality([0.5], enc.vision)
+        assert latent[0] == pytest.approx(np.tanh(0.5), abs=1e-7)
+        assert abs(float(latent[0]) - 0.462117) < 1e-6
 
     def test_saturation_stays_inside_open_interval(self):
         rng = np.random.default_rng(5)
@@ -73,7 +64,7 @@ class TestEncodeModality:
             proprio=enc.proprio,
             fusion=enc.fusion,
         )
-        latent = encode_modality(ModalityFrame(Modality.VISION, x), enc).latent
+        latent = encode_modality(x, enc.vision)
         # float32 storage: the tightest representable saturation below 1.0
         # is 1 - 2^-24, so assert at float32 resolution.
         assert np.all(np.abs(latent) > 1.0 - 1e-7)
@@ -82,14 +73,14 @@ class TestEncodeModality:
     def test_dimension_mismatch(self):
         enc = make_encoder()
         with pytest.raises(DimensionMismatch):
-            encode_modality(ModalityFrame(Modality.VISION, np.ones(11)), enc)
+            encode_modality(np.ones(11), enc.vision)
 
     def test_non_finite_input(self):
         enc = make_encoder()
         bad = np.ones(10, dtype=np.float32)
         bad[3] = np.nan
         with pytest.raises(NonFiniteInput):
-            encode_modality(ModalityFrame(Modality.VISION, bad), enc)
+            encode_modality(bad, enc.vision)
 
 
 class TestSpectrum:
@@ -121,19 +112,14 @@ class TestSpectrum:
 class TestFuse:
     def _latents(self, enc, seed=0):
         rng = np.random.default_rng(seed)
-        frames = {
-            Modality.VISION: ModalityFrame(Modality.VISION, rng.normal(size=10)),
-            Modality.AUDIO: ModalityFrame(Modality.AUDIO, rng.normal(size=8)),
-            Modality.PROPRIO: ModalityFrame(Modality.PROPRIO, rng.normal(size=5)),
-        }
-        return {m: encode_modality(f, enc) for m, f in frames.items()}
+        frames = (rng.normal(size=10), rng.normal(size=8), rng.normal(size=5))
+        encoders = (enc.vision, enc.audio, enc.proprio)
+        return tuple(encode_modality(x, w) for x, w in zip(frames, encoders))
 
     def test_zero_latents_fuse_to_zero(self):
         enc = make_encoder()
-        zero = lambda m, d: ModalityLatent(m, np.zeros(d, dtype=np.float32))
-        f = fuse(
-            zero(Modality.VISION, 6), zero(Modality.AUDIO, 4), zero(Modality.PROPRIO, 3), enc
-        )
+        zero = lambda d: np.zeros(d, dtype=np.float32)
+        f = fuse(zero(6), zero(4), zero(3), enc)
         assert np.array_equal(f, np.zeros(9, dtype=np.float32))
 
     def test_shapes_default_scale(self):
@@ -145,12 +131,12 @@ class TestFuse:
             fusion=fan_in_matrix(4, 256, 224),
         )
         rng = np.random.default_rng(0)
-        vis = encode_modality(ModalityFrame(Modality.VISION, rng.normal(size=768)), enc)
-        aud = encode_modality(ModalityFrame(Modality.AUDIO, rng.normal(size=80)), enc)
-        pro = encode_modality(ModalityFrame(Modality.PROPRIO, rng.normal(size=64)), enc)
-        assert vis.latent.shape == (128,)
-        assert aud.latent.shape == (64,)
-        assert pro.latent.shape == (32,)
+        vis = encode_modality(rng.normal(size=768), enc.vision)
+        aud = encode_modality(rng.normal(size=80), enc.audio)
+        pro = encode_modality(rng.normal(size=64), enc.proprio)
+        assert vis.shape == (128,)
+        assert aud.shape == (64,)
+        assert pro.shape == (32,)
         f = fuse(vis, aud, pro, enc)
         assert f.shape == (256,)
         assert np.all(np.abs(f) < 1.0)
@@ -158,30 +144,38 @@ class TestFuse:
     def test_repeatable_across_calls(self):
         enc = make_encoder(seed=9)
         latents = self._latents(enc, seed=1)
-        first = fuse(latents[Modality.VISION], latents[Modality.AUDIO], latents[Modality.PROPRIO], enc)
+        first = fuse(*latents, enc)
         for _ in range(100):
-            again = fuse(
-                latents[Modality.VISION], latents[Modality.AUDIO], latents[Modality.PROPRIO], enc
-            )
+            again = fuse(*latents, enc)
             assert np.array_equal(first, again)
 
     def test_processing_order_does_not_matter(self):
         # Encode modalities in a different order; fusion must not change.
         enc = make_encoder(seed=9)
         rng = np.random.default_rng(2)
-        frames = {
-            Modality.VISION: ModalityFrame(Modality.VISION, rng.normal(size=10)),
-            Modality.AUDIO: ModalityFrame(Modality.AUDIO, rng.normal(size=8)),
-            Modality.PROPRIO: ModalityFrame(Modality.PROPRIO, rng.normal(size=5)),
-        }
-        forward = {m: encode_modality(frames[m], enc) for m in (Modality.VISION, Modality.AUDIO, Modality.PROPRIO)}
-        backward = {m: encode_modality(frames[m], enc) for m in (Modality.PROPRIO, Modality.AUDIO, Modality.VISION)}
-        fa = fuse(forward[Modality.VISION], forward[Modality.AUDIO], forward[Modality.PROPRIO], enc)
-        fb = fuse(backward[Modality.VISION], backward[Modality.AUDIO], backward[Modality.PROPRIO], enc)
+        frames = {"vision": rng.normal(size=10), "audio": rng.normal(size=8), "proprio": rng.normal(size=5)}
+        forward = {m: encode_modality(frames[m], getattr(enc, m)) for m in ("vision", "audio", "proprio")}
+        backward = {m: encode_modality(frames[m], getattr(enc, m)) for m in ("proprio", "audio", "vision")}
+        fa = fuse(forward["vision"], forward["audio"], forward["proprio"], enc)
+        fb = fuse(backward["vision"], backward["audio"], backward["proprio"], enc)
         assert np.array_equal(fa, fb)
 
     def test_wrong_order_rejected(self):
         enc = make_encoder()
-        latents = self._latents(enc)
-        with pytest.raises(DimensionMismatch):
-            fuse(latents[Modality.AUDIO], latents[Modality.VISION], latents[Modality.PROPRIO], enc)
+        vis, aud, pro = self._latents(enc)
+        with pytest.raises(DimensionMismatch, match="vision latent has 4 entries"):
+            fuse(aud, vis, pro, enc)
+
+    def test_latent_width_checked_against_its_encoder(self):
+        # 7 + 3 + 3 entries fill the 13-wide fusion input, but the vision
+        # encoder gives 6 and the audio encoder 4.
+        enc = make_encoder()
+        z = lambda d: np.zeros(d, dtype=np.float32)
+        with pytest.raises(DimensionMismatch, match="vision latent has 7 entries"):
+            fuse(z(7), z(3), z(3), enc)
+
+    def test_fusion_width_mismatch_rejected(self):
+        enc = make_encoder()
+        narrow = EncoderWeights(enc.vision, enc.audio, enc.proprio, fan_in_matrix(4, 9, 12))
+        with pytest.raises(DimensionMismatch, match="fusion expects 12"):
+            fuse(*self._latents(enc), narrow)

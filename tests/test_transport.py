@@ -6,6 +6,8 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tickslab.envelope import Envelope, EnvelopeMeta, sync_digest
 from tickslab.errors import FrameTooLong, IdMismatch, TransportClosed, TransportTimeout
@@ -267,6 +269,75 @@ class TestToolArgs:
         }
 
 
+# Requests whose method holds a lone surrogate, which JSON's \ud800 escape
+# decodes to and which no UTF-8 frame can carry back.
+SURROGATE_FRAMES = [
+    b'{"jsonrpc":"2.0","id":1,"method":"\\ud800"}',
+    b'{"jsonrpc":"2.0","id":2,"method":"tool/\\ud800"}',
+]
+
+
+class TestLoneSurrogates:
+    @pytest.mark.parametrize("frame", SURROGATE_FRAMES)
+    def test_method_gets_invalid_request(self, frame):
+        response = json.loads(make_server().handle_frame(frame))
+        assert response["id"] is None
+        assert response["error"]["code"] == -32600
+
+    def test_escaped_pair_is_a_method_name(self):
+        frame = b'{"jsonrpc":"2.0","id":3,"method":"tool/\\ud83d\\ude00"}'
+        response = json.loads(make_server().handle_frame(frame))
+        assert response["error"] == {"code": -32601, "message": "UnknownTool: \U0001f600"}
+
+    def test_navigate_to_a_lone_surrogate_leaves_the_world_as_it_was(self):
+        server = world_server()
+        response = json.loads(server.handle_frame(navigate_frame(4, {"args": {"to": "\ud800"}})))
+        assert response["result"]["payload"] == {"reason": "navigate needs a location name"}
+        response = json.loads(server.handle_frame(navigate_frame(5, {"args": {"to": "sink"}})))
+        assert response["result"]["payload"] == {"robot_at": "sink"}
+
+
+# Strings over every code point, lone surrogates included; json.dumps
+# escapes them, so every drawn object becomes an ASCII frame.
+ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | ANY_TEXT,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(ANY_TEXT, kids, max_size=4),
+    max_leaves=12,
+)
+TOOL_NAMES = ["noop", "echo", "navigate", "pick", "place", "actuate"]
+REQUESTS = st.tuples(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "jsonrpc": st.just("2.0") | JSON_VALUES,
+            "id": st.integers() | JSON_VALUES,
+            "method": st.sampled_from(["registry/list"] + [f"tool/{t}" for t in TOOL_NAMES])
+            | ANY_TEXT.map("tool/".__add__)
+            | JSON_VALUES,
+            "params": st.fixed_dictionaries({}, optional={"args": JSON_VALUES}) | JSON_VALUES,
+        },
+    ),
+    st.dictionaries(ANY_TEXT, JSON_VALUES, max_size=3),
+).map(lambda parts: {**parts[1], **parts[0]})
+
+
+class TestFrameFuzz:
+    @pytest.mark.parametrize("server", [make_server, world_server], ids=["echo", "world"])
+    @settings(max_examples=300, deadline=None)
+    @given(
+        frame=st.binary(max_size=200)
+        | REQUESTS.map(lambda doc: json.dumps(doc, ensure_ascii=True).encode())
+    )
+    @example(frame=SURROGATE_FRAMES[0])
+    def test_any_frame_gets_one_reply_frame(self, server, frame):
+        reply = server().handle_frame(frame)
+        assert b"\n" not in reply
+        response = json.loads(reply)
+        assert response["jsonrpc"] == "2.0"
+        assert ("result" in response) != ("error" in response)
+
+
 CLIENT_TIMEOUT_S = 5.0
 
 
@@ -374,6 +445,18 @@ class TestTcp:
                 assert response["error"]["code"] == -32602
                 result = dispatch(envelope("tool/navigate", 2, {"to": "sink"}), transport)
                 assert result.payload == {"robot_at": "sink"}
+            finally:
+                transport.close()
+
+    def test_lone_surrogate_method_does_not_stop_server(self):
+        with serving_tcp(make_server(), 1) as (port, _):
+            transport = connect(port)
+            try:
+                for frame in SURROGATE_FRAMES:
+                    transport.send_frame(frame)
+                    response = json.loads(transport.recv_frame())
+                    assert response["error"]["code"] == -32600
+                assert dispatch(envelope(env_id=3), transport).ok
             finally:
                 transport.close()
 
