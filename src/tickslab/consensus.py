@@ -46,7 +46,7 @@ from .engine import (
     CtmParams,
     accumulate,
     certainty,
-    halt_readout,
+    halt_decision,
     run_until_halt,
     slab_contribution,
     slab_length,
@@ -159,9 +159,9 @@ def shared_branches(
 
     One tick trajectory is run from ``seed_state`` for
     ``consensus.branches`` branches; per slab, its pair contribution is
-    computed once in the unpermuted order and each branch still running
-    gathers it through its permutation, reads its certainty
-    and makes its halt call.  Each pair equals ``run_branch``'s for that
+    computed once in the unpermuted order, the branches still running
+    gather it through their stacked permutations and read their certainties
+    in one call, and each makes its own halt call.  Each pair equals ``run_branch``'s for that
     branch bit for bit.  The trajectory stops after the slab in which the
     decision under ``consensus.wait_policy`` is settled (see
     ``decision_settled``), once every branch has halted, or before a slab
@@ -176,8 +176,8 @@ def shared_branches(
     running when the trajectory raises, is logged as a ``BranchPanic`` and
     left out.
     """
-    perms = _PERMUTATIONS.get(episode_seed, params.config.sync_pairs, consensus.branches)
-    running: dict[int, tuple[np.ndarray, tuple]] = {}   # id -> (sync, certainty trace)
+    config = params.config
+    ids = []            # the running branches; row r of each stack below is ids[r]'s
     for branch_id in range(consensus.branches):
         try:
             if branch_hook is not None:
@@ -185,12 +185,15 @@ def shared_branches(
         except Exception as exc:
             logger.warning("%s", BranchPanic(branch_id, exc))
             continue
-        running[branch_id] = (seed_state.sync, seed_state.certainty_trace)
+        ids.append(branch_id)
+    perms = np.stack(_PERMUTATIONS.get(episode_seed, config.sync_pairs, consensus.branches))[ids]
+    syncs = np.tile(seed_state.sync, (len(ids), 1))
+    traces = [seed_state.certainty_trace] * len(ids)
 
     halted: list[tuple[BranchOutcome, BranchState]] = []
     trajectory = seed_state
     cutoff = None       # earliest halt + deadline_ticks, in ticks used this step
-    while running:
+    while ids:
         if expiry is not None and time.monotonic() >= expiry:
             break
         try:
@@ -202,7 +205,7 @@ def shared_branches(
             )
             contribution = slab_contribution(states, params)
         except Exception as exc:
-            for branch_id in running:
+            for branch_id in ids:
                 logger.warning("%s", BranchPanic(branch_id, exc))
             break
         trajectory = replace(
@@ -210,24 +213,28 @@ def shared_branches(
             tick=trajectory.tick + n, slab=trajectory.slab + 1,
         )
         ticks_used = trajectory.tick - seed_state.tick
-        for branch_id, (sync, trace) in list(running.items()):
-            sync = accumulate(sync, contribution[perms[branch_id]], n, params.config.decay)
-            logits, c, trace, stop = halt_readout(sync, trace, trajectory.slab, epsilon, params)
-            if not stop:
-                running[branch_id] = (sync, trace)
+        syncs = accumulate(syncs, contribution[perms], n, config.decay)
+        logits, cs = certainty(syncs, params.certainty_w, params)
+        keep = []
+        for row, (branch_id, c) in enumerate(zip(ids, cs)):
+            traces[row] = trace = (traces[row] + (c,))[-config.plateau_window :]
+            if not halt_decision(c, epsilon, trace, config.max_slabs - trajectory.slab, config):
+                keep.append(row)
                 continue
-            del running[branch_id]
             outcome = BranchOutcome(
                 branch_id=branch_id,
-                sync=sync,
-                logits=logits,
+                sync=syncs[row],
+                logits=logits[row],
                 confidence=c,
                 ticks_used=ticks_used,
-                reached_threshold=c >= min(epsilon, params.config.halt_cap),
+                reached_threshold=c >= min(epsilon, config.halt_cap),
             )
             halted.append(
-                (outcome, replace(trajectory, sync=sync, certainty_trace=trace))
+                (outcome, replace(trajectory, sync=syncs[row], certainty_trace=trace))
             )
+        if len(keep) < len(ids):
+            ids, traces = [ids[r] for r in keep], [traces[r] for r in keep]
+            syncs, perms = syncs[keep], perms[keep]
         if decision_settled(halted, consensus.wait_policy):
             break
         if cutoff is None and halted:

@@ -176,18 +176,19 @@ def sync_scan_tick(sync: np.ndarray, z: np.ndarray, params: CtmParams) -> np.nda
     return out.astype(sync.dtype)
 
 
-def certainty(
-    sync: np.ndarray, certainty_w: np.ndarray, params: CtmParams
-) -> tuple[np.ndarray, float]:
+def certainty(sync: np.ndarray, certainty_w: np.ndarray, params: CtmParams):
     """Scaled logits read from the sync vector and 1 - normalized entropy.
 
     c = 1 - H(softmax(h)) / ln(logit_count), h = logit_scale * (W_c S).
-    Returns (h as float32, c as float in [0, 1]).
+    Returns (h as float32, c as float in [0, 1]).  ``sync`` may also be a
+    (rows, pair_count) stack: then h has a row per vector and c is a list,
+    each row bit for bit the result for that vector alone.
     """
-    logits = (params.config.logit_scale * matvec(certainty_w, sync)).astype(np.float32)
-    h = entropy(softmax(logits))
-    c = 1.0 - h / np.log(params.config.logit_count)
-    return logits, float(min(max(c, 0.0), 1.0))
+    rows = np.atleast_2d(sync)
+    logits = (params.config.logit_scale * matvec(certainty_w, rows)).astype(np.float32)
+    c = 1.0 - entropy(softmax(logits)) / np.log(params.config.logit_count)
+    c = np.minimum(np.maximum(c, 0.0), 1.0).tolist()
+    return (logits[0], c[0]) if sync.ndim == 1 else (logits, c)
 
 
 def halt_decision(

@@ -1,13 +1,16 @@
 """Episode control loop: perceive, think, gate, act, log.
 
-Each decision step featurizes the goal and world into modality frames,
-fuses them, reasons with k branches (readouts of one shared tick trajectory,
-stopped by the wall clock as well in live mode), and merges their outcomes
-(or takes the cached fallback when nothing converges in time).  The policy
-gate sends low-confidence results back for more slabs until the slab budget
-forces a dispatch.  The chosen tool call is serialized into an envelope, dispatched
-over the transport, and applied to the world; the affect readout of the
-final merged vector sets the halting threshold for the next step.
+The goal's vision and audio frames and their latents depend on the goal
+alone, so they are built once per episode, before the first step.  Each
+decision step featurizes the world into the proprio frame, fuses its latent
+with the goal's, reasons with k branches (readouts of one shared tick
+trajectory, stopped by the wall clock as well in live mode), and merges
+their outcomes (or takes the cached fallback when nothing converges in
+time).  The policy gate sends low-confidence results back for more slabs
+until the slab budget forces a dispatch.  The chosen tool call is
+serialized into an envelope, dispatched over the transport, and applied to
+the world; the affect readout of the final merged vector sets the halting
+threshold for the next step.
 
 Hidden state, depth history, and synchrony accumulators persist across
 decision steps (the thought is continuous); tick/slab counters and the
@@ -32,7 +35,7 @@ from ..router import EnvelopeSession, GateOutcome, policy_gate, select_action
 from ..rng import derive_seed
 from ..schema import check_record
 from ..transport import LoopbackTransport, ToolServer, dispatch
-from .featurize import featurize
+from .featurize import featurize, goal_frames
 from .tasks import TaskRecord
 from .world import WorldSession, build_registry, world_from_task
 
@@ -123,15 +126,12 @@ def run_episode(
     script_index = 0
 
     try:
+        enc = model.encoder
+        vision, audio = goal_frames(task.goal, config.perception)
+        goal_latents = (encode_modality(vision, enc.vision), encode_modality(audio, enc.audio))
         for step in range(task.budget_steps):
-            vision, audio, proprio = featurize(task.goal, session.state, config.perception)
-            enc = model.encoder
-            f = fuse(
-                encode_modality(vision, enc.vision),
-                encode_modality(audio, enc.audio),
-                encode_modality(proprio, enc.proprio),
-                enc,
-            )
+            proprio = featurize(session.state, config.perception)
+            f = fuse(*goal_latents, encode_modality(proprio, enc.proprio), enc)
 
             # Per-step budget: counters and certainty trace restart; the
             # thought state itself carries over.

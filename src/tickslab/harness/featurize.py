@@ -1,11 +1,13 @@
-"""Hash featurizer: (goal, world) -> deterministic modality frames.
+"""Hash featurizer: goal and world -> deterministic modality frames.
 
 No text model: tokens are scattered into the frames by stable 64-bit
 hashing.  Each token seeds a splitmix64 stream (FNV-1a of the token string)
 and contributes ``PROBES`` index/sign pairs of magnitude 0.5; goal tokens
 land in the vision frame, world-state tokens in the proprio frame.  The
 audio frame is the magnitude spectrum of a small bank of sinusoids whose
-frequencies and amplitudes are drawn from a goal-seeded stream.
+frequencies and amplitudes are drawn from a goal-seeded stream.  Only the
+proprio frame follows the world, so ``goal_frames`` builds the other two
+once per episode and ``featurize`` builds it once per decision step.
 """
 
 from __future__ import annotations
@@ -63,13 +65,18 @@ def goal_waveform(goal: str) -> np.ndarray:
     return wave
 
 
-def featurize(goal: str, world: WorldState, dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (vision, audio, proprio) float32 frames for one decision step.
+def goal_frames(goal: str, dims) -> tuple[np.ndarray, np.ndarray]:
+    """The (vision, audio) float32 frames; they depend on the goal alone.
 
-    ``dims`` is the perception config; its ``*_in`` widths size the frames
-    (the audio frame holds ``audio_in`` spectrum bins).
+    ``dims`` is the perception config; its ``vision_in`` and ``audio_in``
+    widths size the frames (the audio frame holds ``audio_in`` spectrum
+    bins).
     """
     vision = scatter_tokens(tokenize(goal), dims.vision_in)
-    proprio = scatter_tokens(world_tokens(world), dims.proprio_in)
     audio = spectrum(goal_waveform(goal), dims.audio_in)
-    return vision, audio, proprio
+    return vision, audio
+
+
+def featurize(world: WorldState, dims) -> np.ndarray:
+    """The proprio float32 frame for one decision step, ``proprio_in`` wide."""
+    return scatter_tokens(world_tokens(world), dims.proprio_in)

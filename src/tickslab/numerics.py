@@ -19,14 +19,14 @@ F32_INTERIOR = float(np.nextafter(np.float32(1.0), np.float32(0.0)))
 
 
 def matvec(weights: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """float64 product ``weights @ vec`` with a fixed accumulation order."""
-    if weights.ndim != 2 or weights.shape[1] != vec.shape[0]:
+    """float64 product ``weights @ vec``, per row if ``vec`` is 2-D; fixed order."""
+    if weights.ndim != 2 or weights.shape[1] != vec.shape[-1]:
         raise DimensionMismatch(
-            f"matvec: {weights.shape} incompatible with vector of {vec.shape[0]}"
+            f"matvec: {weights.shape} incompatible with vector of {vec.shape[-1]}"
         )
     w = weights.astype(np.float64, copy=False)
     x = vec.astype(np.float64, copy=False)
-    return np.einsum("ij,j->i", w, x)
+    return np.einsum("ij,j->i" if vec.ndim == 1 else "ij,bj->bi", w, x)
 
 
 def bounded_tanh(pre: np.ndarray) -> np.ndarray:
@@ -39,17 +39,24 @@ def bounded_tanh(pre: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax in float64 (max-subtraction)."""
+    """Stable softmax in float64 (max-subtraction), along the last axis."""
     h = logits.astype(np.float64, copy=False)
-    shifted = h - np.max(h)
+    # the ufunc reductions np.max and np.sum run, without their wrappers
+    shifted = h - np.maximum.reduce(h, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def entropy(probs: np.ndarray) -> float:
-    """Shannon entropy in nats; 0 * log 0 treated as 0."""
-    p = probs[probs > 0.0]
-    return float(-np.sum(p * np.log(p)))
+def entropy(probs: np.ndarray):
+    """Shannon entropy in nats along the last axis; 0 * log 0 treated as 0.
+
+    A float for one distribution, an array for a stack of them.  Zero
+    entries add exact zeros; numpy sums rows of fewer than 8 entries in
+    order, so there that equals summing the nonzero terms alone.
+    """
+    terms = probs * np.log(np.where(probs > 0.0, probs, 1.0))
+    h = -np.add.reduce(terms, axis=-1)
+    return float(h) if probs.ndim == 1 else h
 
 
 def require_finite(arr: np.ndarray, what: str, exc: type[Exception]) -> None:

@@ -12,8 +12,9 @@ independent implementation can reproduce the exact bytes:
 Stream seeds are namespaced with FNV-1a 64 over UTF-8 names
 (offset 0xCBF29CE484222325, prime 0x100000001B3), xor-combined with the
 parent seed.  Shuffles are Fisher-Yates with ``j = next_u64() % (i + 1)``
-(modulo bias is irrelevant at the sizes used here and keeps the recipe
-one line).
+for i from n - 1 down to 1 (modulo bias is irrelevant at the sizes used
+here and keeps the recipe one line); the n - 1 indices are drawn in one
+bulk call, which leaves the stream where n - 1 ``next_u64`` calls would.
 """
 
 from __future__ import annotations
@@ -74,14 +75,20 @@ class SplitMix64:
 
     def shuffle(self, items) -> None:
         """In-place Fisher-Yates shuffle of any mutable sequence."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]
+        n = len(items)
+        if n < 2:
+            return
+        draws = bulk_u64(self._state, n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
+        self._state = (self._state + (n - 1) * _GAMMA) & _MASK64
+        seq = list(items)
+        for i, j in zip(range(n - 1, 0, -1), draws.tolist()):
+            seq[i], seq[j] = seq[j], seq[i]
+        items[:] = seq
 
     def permutation(self, n: int) -> np.ndarray:
-        out = np.arange(n, dtype=np.int64)
+        out = list(range(n))
         self.shuffle(out)
-        return out
+        return np.array(out, dtype=np.int64)
 
 
 def bulk_u64(seed: int, n: int) -> np.ndarray:
@@ -118,7 +125,5 @@ def sample_pairs(seed: int, neurons: int, count: int) -> tuple[np.ndarray, np.nd
     total = neurons * neurons
     if count > total:
         raise ValueError(f"cannot draw {count} distinct pairs from {total}")
-    flat = np.arange(total, dtype=np.int64)
-    SplitMix64(seed).shuffle(flat)
-    chosen = flat[:count]
+    chosen = SplitMix64(seed).permutation(total)[:count]
     return (chosen // neurons).astype(np.int64), (chosen % neurons).astype(np.int64)

@@ -91,7 +91,8 @@ def test_an_episode_runs_through_the_worker_hooks(perfbench, caplog, live):
     # a hook that raises ends the episode early with a logged warning
     assert caplog.records == []
     assert hooked.to_dict() == plain.to_dict()
-    assert len(clock.latencies) == len(plain.records)
+    # one featurize call per step: OpClock times the kernel on each of them
+    assert len(clock.kernel_ns) == len(clock.latencies) == len(plain.records)
     layers = tracing.layer_totals(tracer.spans)
     assert layers["consensus.decide"]["calls"] >= len(plain.records)
     worker.consensus_stats(tracer.spans)

@@ -24,6 +24,7 @@ from tickslab.engine import (
     synapse,
 )
 from tickslab.errors import DimensionMismatch, EmptySlab
+from tickslab.numerics import softmax
 
 
 def dense_readout_oracle(history, factor_a, factor_b, bias):
@@ -206,6 +207,64 @@ class TestCertainty:
             sync = (rng.normal(size=12) * 100).astype(np.float32)
             _, c = certainty(sync, small_params.certainty_w, small_params)
             assert 0.0 <= c <= 1.0
+
+
+def one_vector_certainty(sync, w, params):
+    """The certainty readout as one vector at a time computes it: the
+    matvec, then the entropy of the softmax over its nonzero entries only."""
+    logits = (
+        params.config.logit_scale * np.einsum("ij,j->i", w.astype(np.float64), sync.astype(np.float64))
+    ).astype(np.float32)
+    h = logits.astype(np.float64)
+    e = np.exp(h - np.max(h))
+    p = e / np.sum(e)
+    p = p[p > 0.0]
+    c = 1.0 - float(-np.sum(p * np.log(p))) / np.log(params.config.logit_count)
+    return logits, float(min(max(c, 0.0), 1.0))
+
+
+class TestBatchedCertainty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 6),
+        logit_count=st.integers(2, 12),
+        spread=st.sampled_from([0.1, 1.0, 30.0, 1000.0]),
+    )
+    def test_rows_equal_one_vector_calls(self, seed, rows, logit_count, spread):
+        # a large spread makes softmax entries underflow to exact zeros
+        rng = np.random.default_rng(seed)
+        params = make_ctm(seed=1, logit_count=logit_count)
+        w = rng.normal(size=(logit_count, 12)).astype(np.float32)
+        stack = (rng.normal(size=(rows, 12)) * spread).astype(np.float32)
+        logits, cs = certainty(stack, w, params)
+        assert logits.shape == (rows, logit_count) and logits.dtype == np.float32
+        assert len(cs) == rows
+        for row in range(rows):
+            one_logits, one_c = certainty(stack[row], w, params)
+            assert np.array_equal(logits[row], one_logits)
+            assert cs[row] == one_c and type(one_c) is float
+            ref_logits, ref_c = one_vector_certainty(stack[row], w, params)
+            assert np.array_equal(one_logits, ref_logits)
+            # numpy sums fewer than 8 entries in order, so the zero terms
+            # keep the nonzero-only sum there (the default has 4 logits)
+            if logit_count < 8:
+                assert one_c == ref_c
+
+    def test_underflowing_row_beside_ordinary_rows(self, small_params):
+        w = np.zeros((4, 12), dtype=np.float32)
+        w[0, 0], w[1, 1] = 100.0, 1.0
+        stack = np.zeros((3, 12), dtype=np.float32)
+        stack[0, 0] = 2.0        # h = [1600, 0, 0, 0]: three probabilities are 0
+        stack[1, 1] = 0.5
+        stack[2, :2] = 1.0       # h = [800, 8, 0, 0]
+        logits, cs = certainty(stack, w, small_params)
+        assert np.count_nonzero(softmax(logits[0])) == np.count_nonzero(softmax(logits[2])) == 1
+        assert cs[0] == 1.0
+        for row in range(3):
+            one_logits, one_c = certainty(stack[row], w, small_params)
+            assert np.array_equal(logits[row], one_logits)
+            assert cs[row] == one_c == one_vector_certainty(stack[row], w, small_params)[1]
 
 
 class TestHaltDecision:

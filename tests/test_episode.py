@@ -133,11 +133,11 @@ class TestCrashFreedom:
         calls = {"n": 0}
         original = episode_mod.featurize
 
-        def flaky(goal, world, dims):
+        def flaky(world, dims):
             calls["n"] += 1
             if calls["n"] >= 3:
                 raise ValueError("sensor exploded")
-            return original(goal, world, dims)
+            return original(world, dims)
 
         monkeypatch.setattr(episode_mod, "featurize", flaky)
         config = small_config()
@@ -145,6 +145,32 @@ class TestCrashFreedom:
         log = run_episode(task, config, Policy.SCRIPTED_ORACLE, model=build_for(config))
         assert log.outcome == "error"
         assert log.steps_used == 2  # two steps completed before the failure
+
+
+class TestGoalFrames:
+    def test_goal_frames_once_per_episode_featurize_once_per_step(self, monkeypatch):
+        import tickslab.harness.episode as episode_mod
+
+        calls = {"goal_frames": 0, "featurize": 0}
+
+        def counted(name):
+            original = getattr(episode_mod, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(episode_mod, name, wrapper)
+
+        config = small_config()
+        task = gen_tasks(21, 1)[0]
+        plain = run_episode(task, config, Policy.CTM, model=build_for(config))
+        counted("goal_frames")
+        counted("featurize")
+        log = run_episode(task, config, Policy.CTM, model=build_for(config))
+        assert log.to_dict() == plain.to_dict()
+        assert log.steps_used == len(log.records) > 1
+        assert calls == {"goal_frames": 1, "featurize": log.steps_used}
 
 
 class TestLiveMode:

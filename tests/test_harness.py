@@ -23,7 +23,7 @@ from tickslab.errors import (
 from tickslab.harness import episode
 from tickslab.harness.cli import main as cli_main
 from tickslab.harness.episode import EpisodeLog, Policy, StepRecord, run_episode
-from tickslab.harness.featurize import featurize, scatter_tokens, tokenize
+from tickslab.harness.featurize import featurize, goal_frames, scatter_tokens, tokenize
 from tickslab.harness.metrics import (
     compute_metrics,
     read_logs,
@@ -262,14 +262,15 @@ class TestFeaturize:
     def test_deterministic(self):
         config = Config()
         world = demo_world()
-        f1 = featurize("move the cup", world, config.perception)
-        f2 = featurize("move the cup", world, config.perception)
+        f1 = (*goal_frames("move the cup", config.perception), featurize(world, config.perception))
+        f2 = (*goal_frames("move the cup", config.perception), featurize(world, config.perception))
         for a, b in zip(f1, f2, strict=True):
             assert np.array_equal(a, b)
 
     def test_shapes(self):
         config = Config()
-        vision, audio, proprio = featurize("move the cup", demo_world(), config.perception)
+        vision, audio = goal_frames("move the cup", config.perception)
+        proprio = featurize(demo_world(), config.perception)
         assert vision.shape == (768,)
         assert audio.shape == (80,)
         assert proprio.shape == (64,)
@@ -277,24 +278,26 @@ class TestFeaturize:
 
     def test_goal_changes_vision_frame(self):
         config = Config()
-        world = demo_world()
-        a = featurize("move the cup", world, config.perception)
-        b = featurize("stack the plates", world, config.perception)
+        a = goal_frames("move the cup", config.perception)
+        b = goal_frames("stack the plates", config.perception)
         assert not np.array_equal(a[0], b[0])
         assert not np.array_equal(a[1], b[1])
 
     def test_world_changes_proprio_frame(self):
         config = Config()
-        a = featurize("g", demo_world(), config.perception)
+        a = featurize(demo_world(), config.perception)
         moved, _ = step_env(demo_world(), "navigate", {"to": "shelf"})
-        b = featurize("g", moved, config.perception)
-        assert not np.array_equal(a[2], b[2])
+        b = featurize(moved, config.perception)
+        assert not np.array_equal(a, b)
 
     def test_frames_and_fused_context_are_pinned(self):
         config = Config()
         registry = build_registry()
         enc = build_model(config, len(registry), registry.max_slots).encoder
-        frames = featurize("move the cup", demo_world(), config.perception)
+        frames = (
+            *goal_frames("move the cup", config.perception),
+            featurize(demo_world(), config.perception),
+        )
         assert tuple(hashlib.sha256(x.tobytes()).hexdigest() for x in frames) == FRAME_SHA256
         latents = [encode_modality(x, w) for x, w in zip(frames, (enc.vision, enc.audio, enc.proprio))]
         fused = fuse(*latents, enc)

@@ -1,5 +1,12 @@
-import numpy as np
+import hashlib
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tickslab.config import Config
+from tickslab.harness.world import build_registry
+from tickslab.params import build_model
 from tickslab.rng import (
     SplitMix64,
     bulk_u64,
@@ -73,3 +80,38 @@ def test_shuffle_deterministic_for_lists():
     SplitMix64(77).shuffle(items2)
     assert items1 == items2
     assert sorted(items1) == list(range(10))
+
+
+# SHA-256 of the int64 bytes of the default model's synchrony pairs, drawn by
+# a 4096-item shuffle (numpy 2.4.6).
+PAIR_P_SHA256 = "28ddfa578a78db43d3a9396546ef46be84dac1ed61773f4cebf2aef384401d6f"
+PAIR_Q_SHA256 = "3ee64185b300e74a8d224ee75c59873a662551feacdc419ba4fcf101d753f008"
+
+
+def one_draw_shuffle(stream, items):
+    """Fisher-Yates with one ``below`` draw per swap, the recipe's plain form."""
+    for i in range(len(items) - 1, 0, -1):
+        j = stream.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 600), as_array=st.booleans())
+def test_shuffle_equals_one_draw_per_swap(seed, n, as_array):
+    make = (lambda: np.arange(n, dtype=np.int64)) if as_array else (lambda: list(range(n)))
+    got, want = make(), make()
+    stream, reference = SplitMix64(seed), SplitMix64(seed)
+    stream.shuffle(got)
+    one_draw_shuffle(reference, want)
+    if as_array:
+        assert got.dtype == np.int64
+    assert list(got) == list(want)
+    # the stream is left where the n - 1 single draws leave it
+    assert stream.next_u64() == reference.next_u64()
+
+
+def test_default_model_pairs_are_pinned():
+    registry = build_registry()
+    ctm = build_model(Config(), len(registry), registry.max_slots).ctm
+    assert hashlib.sha256(ctm.pair_p.tobytes()).hexdigest() == PAIR_P_SHA256
+    assert hashlib.sha256(ctm.pair_q.tobytes()).hexdigest() == PAIR_Q_SHA256
