@@ -29,6 +29,10 @@ slab that would start after that expiry, so a step returns within its
 deadline plus one slab, and branches still running then are left out.
 With a deadline that does not expire, its decision equals the
 deterministic one bit for bit.
+
+When the world stops changing, f repeats and the float32 trajectory falls
+into exact limit cycles (period 2 to 6) that repeat half the slabs of a
+tasks50 run; a ``SlabMemo``, kept for one episode only, runs each once.
 """
 
 from __future__ import annotations
@@ -106,6 +110,33 @@ class PermutationCache:
 _PERMUTATIONS = PermutationCache()
 
 
+class SlabMemo:
+    """Read-only slab results of one (params, f), keyed by the start state's bytes.
+
+    A lookup under another (params, f) empties the memo.  A slab is a pure
+    function of its key, so a hit equals a fresh run bit for bit.
+    """
+
+    def __init__(self) -> None:
+        self._scope, self._slabs = (None, b""), {}
+
+    def __len__(self) -> int:
+        return len(self._slabs)
+
+    def lookup(self, z, history, f, params: CtmParams, n: int) -> tuple:
+        """(history, carried, contribution) of the n-tick slab from (z, history)."""
+        if params is not self._scope[0] or f.tobytes() != self._scope[1]:
+            self._scope, self._slabs = (params, f.tobytes()), {}
+        key = (n, z.tobytes(), history.tobytes())
+        if key not in self._slabs:
+            states, new_history, carried = slab_ticks(z, history, f, params, n)
+            slab = (new_history, carried, slab_contribution(states, params))
+            for array in slab:
+                array.flags.writeable = False
+            self._slabs[key] = slab
+        return self._slabs[key]
+
+
 def perturb_for_branch(params: CtmParams, episode_seed: int, branch_id: int) -> CtmParams:
     """Branch-specific params: synchrony pairs reshuffled by the branch stream.
 
@@ -154,6 +185,7 @@ def shared_branches(
     consensus: ConsensusConfig,
     branch_hook: Optional[Callable[[int], None]] = None,
     expiry: Optional[float] = None,
+    slabs: Optional[SlabMemo] = None,
 ) -> list[tuple[BranchOutcome, BranchState]]:
     """(outcome, final state) of each branch that halts before the stop.
 
@@ -169,7 +201,8 @@ def shared_branches(
     ``consensus.deadline_ticks``).  With an ``expiry`` (a
     ``time.monotonic()`` value) it also stops before a slab that would
     start at or after it.  Branches that would halt after the stop are left
-    out.  Pairs come in (ticks_used, branch_id) order.
+    out.  Pairs come in (ticks_used, branch_id) order.  Slabs come from
+    ``slabs``, the episode's memo (a fresh one if omitted).
 
     ``branch_hook`` runs once per branch before the trajectory (tests
     inject faults there).  A branch whose hook raises, or that is still
@@ -177,6 +210,7 @@ def shared_branches(
     left out.
     """
     config = params.config
+    slabs = SlabMemo() if slabs is None else slabs
     ids = []            # the running branches; row r of each stack below is ids[r]'s
     for branch_id in range(consensus.branches):
         try:
@@ -200,10 +234,9 @@ def shared_branches(
             n = slab_length(trajectory, f, params)
             if cutoff is not None and trajectory.tick + n - seed_state.tick > cutoff:
                 break
-            states, history, carried = slab_ticks(
+            history, carried, contribution = slabs.lookup(
                 trajectory.z, trajectory.history, f, params, n
             )
-            contribution = slab_contribution(states, params)
         except Exception as exc:
             for branch_id in ids:
                 logger.warning("%s", BranchPanic(branch_id, exc))
@@ -375,6 +408,7 @@ def decide_step(
     cache: Optional[ConsensusResult],
     consensus: ConsensusConfig,
     branch_hook: Optional[Callable[[int], None]] = None,
+    slabs: Optional[SlabMemo] = None,
 ) -> StepDecision:
     """Deterministic decision step over ``consensus.branches`` branch readouts.
 
@@ -386,7 +420,7 @@ def decide_step(
     chosen or merged.
     """
     pairs = shared_branches(
-        seed_state, f, params, epsilon, episode_seed, consensus, branch_hook
+        seed_state, f, params, epsilon, episode_seed, consensus, branch_hook, slabs=slabs
     )
     return select_step(pairs, seed_state, params, cache, consensus)
 
@@ -400,6 +434,7 @@ def decide_step_live(
     cache: Optional[ConsensusResult],
     consensus: ConsensusConfig,
     branch_hook: Optional[Callable[[int], None]] = None,
+    slabs: Optional[SlabMemo] = None,
 ) -> StepDecision:
     """Live decision step: ``decide_step`` under a wall-clock stop.
 
@@ -411,6 +446,6 @@ def decide_step_live(
     """
     expiry = time.monotonic() + consensus.deadline_ms / 1000.0
     pairs = shared_branches(
-        seed_state, f, params, epsilon, episode_seed, consensus, branch_hook, expiry
+        seed_state, f, params, epsilon, episode_seed, consensus, branch_hook, expiry, slabs
     )
     return select_step(pairs, seed_state, params, cache, consensus)

@@ -3,18 +3,19 @@
 The goal's vision and audio frames and their latents depend on the goal
 alone, so they are built once per episode, before the first step.  Each
 decision step featurizes the world into the proprio frame, fuses its latent
-with the goal's, reasons with k branches (readouts of one shared tick
-trajectory, stopped by the wall clock as well in live mode), and merges
-their outcomes (or takes the cached fallback when nothing converges in
-time).  The policy gate sends low-confidence results back for more slabs
-until the slab budget forces a dispatch.  The chosen tool call is
-serialized into an envelope, dispatched over the transport, and applied to
-the world; the affect readout of the final merged vector sets the halting
-threshold for the next step.
+with the goal's (an unchanged frame reuses the last fusion vector), reasons
+with k branches (readouts of one shared tick trajectory, stopped by the
+wall clock as well in live mode), and merges their outcomes (or takes the
+cached fallback when nothing converges in time).  The policy gate sends
+low-confidence results back for more slabs until the slab budget forces a
+dispatch.  The chosen tool call is serialized into an envelope, dispatched
+over the transport, and applied to the world; the affect readout of the
+final merged vector sets the halting threshold for the next step.
 
 Hidden state, depth history, and synchrony accumulators persist across
 decision steps (the thought is continuous); tick/slab counters and the
-certainty trace reset per step so budgets are per-decision.
+certainty trace reset per step so budgets are per-decision.  One
+``SlabMemo`` serves the episode's decision calls, and no other episode.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Optional
 
 from ..affect import affect_decode, modulate_epsilon
 from ..config import Config
-from ..consensus import ConsensusResult, decide_step, decide_step_live
+from ..consensus import ConsensusResult, SlabMemo, decide_step, decide_step_live
 from ..engine import initial_state
 from ..errors import ConfigError, SchemaViolation
 from ..params import ModelParams, build_model, build_router_params
@@ -123,7 +124,9 @@ def run_episode(
     seed_state = initial_state(ctm)
     epsilon = model.affect.config.epsilon0
     cache: Optional[ConsensusResult] = None
+    slabs = SlabMemo()
     script_index = 0
+    frame = None
 
     try:
         enc = model.encoder
@@ -131,16 +134,18 @@ def run_episode(
         goal_latents = (encode_modality(vision, enc.vision), encode_modality(audio, enc.audio))
         for step in range(task.budget_steps):
             proprio = featurize(session.state, config.perception)
-            f = fuse(*goal_latents, encode_modality(proprio, enc.proprio), enc)
+            if proprio.tobytes() != frame:
+                frame = proprio.tobytes()
+                f = fuse(*goal_latents, encode_modality(proprio, enc.proprio), enc)
 
             # Per-step budget: counters and certainty trace restart; the
             # thought state itself carries over.
             seed_state = replace(seed_state, tick=0, slab=0, certainty_trace=())
 
-            decision = None
             while True:
                 decision = decide(
-                    seed_state, f, ctm, epsilon, episode_seed, cache, config.consensus
+                    seed_state, f, ctm, epsilon, episode_seed, cache, config.consensus,
+                    slabs=slabs,
                 )
                 if not decision.result.fallback:
                     cache = decision.result

@@ -14,6 +14,7 @@ from tickslab.config import ConsensusConfig
 from tickslab.consensus import (
     BranchOutcome,
     PermutationCache,
+    SlabMemo,
     decide_step,
     decide_step_live,
     merge,
@@ -550,3 +551,108 @@ class TestSharedTrajectory:
         again = cache.get(5, 12, 3)
         assert all(a is not b for a, b in zip(first, again))
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+
+def reset_counters(state):
+    """The start of the next decision step: the thought state carries on."""
+    return replace(state, tick=0, slab=0, certainty_trace=())
+
+
+class TestSlabMemo:
+    @given(
+        params_seed=st.integers(0, 40),
+        f_seeds=st.lists(st.integers(0, 1000), min_size=2, max_size=2, unique=True),
+        episode_seed=st.integers(0, 2**40),
+        k=st.integers(1, 6),
+        epsilon=st.floats(0.02, 1.2),
+        wait=st.sampled_from(["off", "one"]),
+        ticks_per_slab=st.integers(1, 4),
+        max_slabs=st.integers(2, 6),
+        warm_slabs=st.integers(0, 6),
+        live=st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shared_memo_equals_a_fresh_memo_per_call(
+        self, params_seed, f_seeds, episode_seed, k, epsilon, wait, ticks_per_slab,
+        max_slabs, warm_slabs, live,
+    ):
+        params = make_ctm(seed=params_seed, ticks_per_slab=ticks_per_slab, max_slabs=max_slabs)
+        f_a, f_b = (fusion_vector(seed) for seed in f_seeds)
+        start = warm_state(params, f_a, min(warm_slabs, max_slabs), reset=True)
+        window = no_cutoff(params, k, wait, deadline_ms=60_000)
+
+        def run(slabs):
+            """A decision sequence; each call gets ``slabs`` or, if None, a fresh memo."""
+            decisions, cache = [], None
+
+            def decide(seed_state, f):
+                nonlocal cache
+                step = decide_step_live if live[len(decisions)] else decide_step
+                decision = step(
+                    seed_state, f, params, epsilon, episode_seed, cache, window, slabs=slabs
+                )
+                decisions.append(decision)
+                if not decision.result.fallback:
+                    cache = decision.result
+                return decision.next_seed or seed_state
+
+            seed = decide(start, f_a)
+            seed = decide(seed, f_a)            # a rethink from next_seed
+            decide(start, f_a)                  # a repeated seed
+            decide(start, f_b)                  # f changes under the same seed
+            decide(reset_counters(seed), f_b)
+            decide(start, f_a)                  # and changes back
+            return decisions
+
+        with counting_slab_ticks() as counter:
+            shared = run(SlabMemo())
+        computed_shared = counter.call_count
+        with counting_slab_ticks() as counter:
+            fresh = run(None)
+        assert computed_shared < counter.call_count  # the repeated seed runs no slab
+
+        for got, want in zip(shared, fresh):
+            assert got.result.sync_merged.tobytes() == want.result.sync_merged.tobytes()
+            assert got.result.confidence_merged == want.result.confidence_merged
+            assert got.result.contributors == want.result.contributors
+            assert got.result.fallback == want.result.fallback
+            assert (got.slab_count, got.ticks) == (want.slab_count, want.ticks)
+            if want.next_seed is None:
+                assert got.next_seed is None
+            else:
+                assert_same_state(got.next_seed, want.next_seed)
+                for array in (got.next_seed.z, got.next_seed.history):
+                    with pytest.raises(ValueError):
+                        array[0] = 0
+
+    def test_lookup_equals_the_slab_and_is_read_only(self, small_params, fvec):
+        state = warm_state(small_params, fvec, 2, reset=True)
+        memo = SlabMemo()
+        got = memo.lookup(state.z, state.history, fvec, small_params, 3)
+        states, history, carried = slab_ticks(state.z, state.history, fvec, small_params, 3)
+        want = (history, carried, consensus.slab_contribution(states, small_params))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            with pytest.raises(ValueError):
+                a[0] = 0
+        assert all(
+            a is b for a, b in zip(got, memo.lookup(state.z, state.history, fvec, small_params, 3))
+        )
+        assert len(memo) == 1
+
+    def test_holds_one_params_and_f(self, small_params, fvec):
+        state = initial_state(small_params)
+        memo = SlabMemo()
+        memo.lookup(state.z, state.history, fvec, small_params, 4)
+        memo.lookup(state.z, state.history, fvec, small_params, 2)
+        assert len(memo) == 2
+        memo.lookup(state.z, state.history, fvec.copy(), small_params, 4)  # same bytes
+        assert len(memo) == 2
+        with counting_slab_ticks() as counter:
+            memo.lookup(state.z, state.history, fusion_vector(4), small_params, 4)
+            assert len(memo) == 1
+            # equal params that are another object start a new scope
+            memo.lookup(state.z, state.history, fusion_vector(4), replace(small_params), 4)
+            memo.lookup(state.z, state.history, fvec, small_params, 4)
+        assert counter.call_count == 3
+        assert len(memo) == 1

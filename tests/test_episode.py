@@ -1,16 +1,35 @@
-import numpy as np
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+from tickslab import consensus
 from tickslab.config import Config
+from tickslab.consensus import SlabMemo
+from tickslab.engine import accumulate, slab_ticks
 from tickslab.envelope import canonical_json_bytes
+from tickslab.harness import episode
 from tickslab.harness.episode import (
     OUTCOME_BUDGET,
     OUTCOME_SUCCESS,
     Policy,
     run_episode,
 )
-from tickslab.harness.tasks import gen_tasks
+from tickslab.harness.tasks import gen_tasks, load_tasks
 from tickslab.harness.world import build_registry
 from tickslab.params import build_model
+
+TASKS = Path(__file__).parent / "fixtures" / "tasks50.jsonl"
+
+
+def recording(function, outputs):
+    """``function``, appending each of its results to ``outputs``."""
+
+    def recorded(*args):
+        outputs.append(function(*args))
+        return outputs[-1]
+
+    return recorded
 
 
 def small_config(seed=7, **engine_overrides):
@@ -171,6 +190,75 @@ class TestGoalFrames:
         assert log.to_dict() == plain.to_dict()
         assert log.steps_used == len(log.records) > 1
         assert calls == {"goal_frames": 1, "featurize": log.steps_used}
+
+    def test_an_unchanged_frame_reuses_the_fusion_vector(self, monkeypatch):
+        outputs = {"featurize": [], "fuse": []}
+        for name, seen in outputs.items():
+            monkeypatch.setattr(episode, name, recording(getattr(episode, name), seen))
+        frames, fused = outputs["featurize"], outputs["fuse"]
+        task = load_tasks(TASKS)[0]
+        log = run_episode(task, Config(), Policy.CTM)
+        changed = [a.tobytes() != b.tobytes() for a, b in zip(frames, frames[1:])]
+        # the repeated 'place' fails and leaves the world as it was
+        assert len(frames) == log.steps_used and not all(changed)
+        assert len(fused) == 1 + sum(changed)
+
+
+class TestSlabMemo:
+    # Task 0 keeps one f all episode and its trajectory falls into a period-2
+    # limit cycle, so most of its slabs repeat a start state it has run;
+    # task 16 changes f once.
+    @pytest.mark.parametrize("index, scopes", [(0, 1), (16, 2)])
+    def test_each_start_state_runs_once_per_fusion_vector(self, monkeypatch, index, scopes):
+        memos, computed, stepped = [], [], []
+        names = {}
+
+        def name(*arrays):
+            """A small int per distinct byte string, so failures print short."""
+            return names.setdefault(b"|".join(a.tobytes() for a in arrays), len(names))
+
+        class Recorder(SlabMemo):
+            def __init__(self):
+                super().__init__()
+                self.lookups = []      # (f, start state, entries held after the lookup)
+                memos.append(self)
+
+            def lookup(self, z, history, f, params, n):
+                result = super().lookup(z, history, f, params, n)
+                self.lookups.append((name(f), (n, name(z, history)), len(self)))
+                return result
+
+        def counted_ticks(z, history, f, params, n):
+            computed.append((name(f), (n, name(z, history))))
+            return slab_ticks(z, history, f, params, n)
+
+        def counted_accumulate(*args):
+            stepped.append(None)
+            return accumulate(*args)
+
+        monkeypatch.setattr(episode, "SlabMemo", Recorder)
+        monkeypatch.setattr(consensus, "slab_ticks", counted_ticks)
+        monkeypatch.setattr(consensus, "accumulate", counted_accumulate)
+        task = load_tasks(TASKS)[index]
+        assert task.id == f"synth-20260810-{index}"
+        run_episode(task, Config(), Policy.CTM)
+
+        [memo] = memos
+        # one lookup per slab the trajectories stepped
+        assert len(memo.lookups) == len(stepped)
+        # a lookup computes exactly the start states not yet seen under its
+        # f since f last changed, and the memo holds those entries only
+        want, scope, seen, changes = [], None, set(), 0
+        for f, key, held in memo.lookups:
+            if f != scope:
+                scope, seen, changes = f, set(), changes + 1
+            if key not in seen:
+                seen.add(key)
+                want.append((f, key))
+            assert held == len(seen)
+        assert computed == want
+        assert changes == scopes
+        assert len(computed) < len(memo.lookups)
 
 
 class TestLiveMode:
