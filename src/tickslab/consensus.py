@@ -94,17 +94,26 @@ class PermutationCache:
     def __init__(self) -> None:
         self._key: tuple = ()
         self._perms: list[np.ndarray] = []
+        self._stacked: Optional[np.ndarray] = None   # the last ``stacked`` result
 
     def get(self, episode_seed: int, pair_count: int, k: int) -> list[np.ndarray]:
         """Permutations of branches 0..k-1."""
         if self._key != (episode_seed, pair_count):
-            self._key, self._perms = (episode_seed, pair_count), []
+            self._key, self._perms, self._stacked = (episode_seed, pair_count), [], None
         for branch_id in range(len(self._perms), k):
             stream = SplitMix64(derive_seed(episode_seed, f"branch/{branch_id}"))
             perm = stream.permutation(pair_count)
             perm.flags.writeable = False
             self._perms.append(perm)
         return self._perms[:k]
+
+    def stacked(self, episode_seed: int, pair_count: int, k: int) -> np.ndarray:
+        """The permutations of branches 0..k-1 as one (k, pair_count) array."""
+        perms = self.get(episode_seed, pair_count, k)
+        if self._stacked is None or len(self._stacked) != k:
+            self._stacked = np.stack(perms)
+            self._stacked.flags.writeable = False
+        return self._stacked
 
 
 _PERMUTATIONS = PermutationCache()
@@ -220,38 +229,35 @@ def shared_branches(
             logger.warning("%s", BranchPanic(branch_id, exc))
             continue
         ids.append(branch_id)
-    perms = np.stack(_PERMUTATIONS.get(episode_seed, config.sync_pairs, consensus.branches))[ids]
+    perms = _PERMUTATIONS.stacked(episode_seed, config.sync_pairs, consensus.branches)[ids]
     syncs = np.tile(seed_state.sync, (len(ids), 1))
     traces = [seed_state.certainty_trace] * len(ids)
 
     halted: list[tuple[BranchOutcome, BranchState]] = []
-    trajectory = seed_state
+    # the shared trajectory, kept in locals; a BranchState is built only for
+    # a branch that halts
+    z, history, tick, slab = seed_state.z, seed_state.history, seed_state.tick, seed_state.slab
     cutoff = None       # earliest halt + deadline_ticks, in ticks used this step
     while ids:
         if expiry is not None and time.monotonic() >= expiry:
             break
         try:
-            n = slab_length(trajectory, f, params)
-            if cutoff is not None and trajectory.tick + n - seed_state.tick > cutoff:
+            n = slab_length(tick, z, f, params)
+            if cutoff is not None and tick + n - seed_state.tick > cutoff:
                 break
-            history, carried, contribution = slabs.lookup(
-                trajectory.z, trajectory.history, f, params, n
-            )
+            history, z, contribution = slabs.lookup(z, history, f, params, n)
         except Exception as exc:
             for branch_id in ids:
                 logger.warning("%s", BranchPanic(branch_id, exc))
             break
-        trajectory = replace(
-            trajectory, z=carried, history=history,
-            tick=trajectory.tick + n, slab=trajectory.slab + 1,
-        )
-        ticks_used = trajectory.tick - seed_state.tick
-        syncs = accumulate(syncs, contribution[perms], n, config.decay)
+        tick, slab = tick + n, slab + 1
+        ticks_used = tick - seed_state.tick
+        syncs = accumulate(syncs, contribution.take(perms), n, config.decay)
         logits, cs = certainty(syncs, params.certainty_w, params)
         keep = []
         for row, (branch_id, c) in enumerate(zip(ids, cs)):
             traces[row] = trace = (traces[row] + (c,))[-config.plateau_window :]
-            if not halt_decision(c, epsilon, trace, config.max_slabs - trajectory.slab, config):
+            if not halt_decision(c, epsilon, trace, config.max_slabs - slab, config):
                 keep.append(row)
                 continue
             outcome = BranchOutcome(
@@ -262,9 +268,11 @@ def shared_branches(
                 ticks_used=ticks_used,
                 reached_threshold=c >= min(epsilon, config.halt_cap),
             )
-            halted.append(
-                (outcome, replace(trajectory, sync=syncs[row], certainty_trace=trace))
+            state = BranchState(
+                z=z, history=history, sync=syncs[row],
+                tick=tick, slab=slab, certainty_trace=trace,
             )
+            halted.append((outcome, state))
         if len(keep) < len(ids):
             ids, traces = [ids[r] for r in keep], [traces[r] for r in keep]
             syncs, perms = syncs[keep], perms[keep]

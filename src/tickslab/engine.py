@@ -17,12 +17,13 @@ states.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .config import EngineConfig
 from .errors import DimensionMismatch, EmptySlab
-from .numerics import bounded_tanh, entropy, matvec, softmax
+from .numerics import bounded_tanh, einsum, entropy, matvec, softmax
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,16 @@ class CtmParams:
         pairs = set(zip(self.pair_p.tolist(), self.pair_q.tolist()))
         if len(pairs) != self.config.sync_pairs:
             raise ValueError("synchrony pairs must be distinct ordered pairs")
+        # float64 mirrors of the tick weights (synapse_w64, factor_a64,
+        # factor_b64, bias64), cast once here instead of once per slab; the
+        # weights turn read-only, so an in-place write raises instead of
+        # leaving a mirror stale
+        for name in ("synapse_w", "factor_a", "factor_b", "bias"):
+            weights = getattr(self, name)
+            weights.flags.writeable = False
+            object.__setattr__(self, f"{name}64", weights.astype(np.float64))
+        # certainty's normaliser ln(logit_count), the same np.log value
+        object.__setattr__(self, "log_logit_count", np.log(self.config.logit_count))
 
 
 @dataclass(frozen=True)
@@ -124,14 +135,17 @@ def mu_mlp(
     h64 = history.astype(np.float64)
     a64 = factor_a.astype(np.float64)
     b64 = factor_b.astype(np.float64)
-    proj = np.einsum("dm,mr->dr", h64, a64)                    # (neurons, rank)
-    pre = bias.astype(np.float64) + np.einsum("dr,dr->d", proj, b64)
+    proj = einsum("dm,mr->dr", h64, a64)                       # (neurons, rank)
+    pre = bias.astype(np.float64) + einsum("dr,dr->d", proj, b64)
     return bounded_tanh(pre)
 
 
-def slab_contribution(slab_states: list[np.ndarray], params: CtmParams) -> np.ndarray:
+def slab_contribution(
+    slab_states: list[np.ndarray] | np.ndarray, params: CtmParams
+) -> np.ndarray:
     """One slab's decay-weighted pair products, float64 (pair_count,).
 
+    ``slab_states`` is a list of states or an (L, neurons) array of them.
     C_k = sum_{j=1..L} decay^(L-j) * z_j[p_k] * z_j[q_k].  The sum over the
     slab runs column by column, so permuting the pairs permutes C exactly:
     the contribution under ``pair_p[perm]``/``pair_q[perm]`` is ``C[perm]``
@@ -140,10 +154,22 @@ def slab_contribution(slab_states: list[np.ndarray], params: CtmParams) -> np.nd
     n = len(slab_states)
     if n == 0:
         raise EmptySlab("a slab needs at least one state")
-    stack = np.stack(slab_states).astype(np.float64)            # (L, neurons)
-    prods = stack[:, params.pair_p] * stack[:, params.pair_q]   # (L, pair_count)
-    w = params.config.decay ** np.arange(n - 1, -1, -1, dtype=np.float64)
-    return np.sum(prods * w[:, None], axis=0)
+    # One state per column: each pair's products lie contiguous in a row of
+    # ``prods``, so add.reduce sums every row with the same pairwise order
+    # that np.sum used on the column-major gather of the (L, neurons) stack.
+    cols = np.asarray(slab_states, dtype=np.float64).T.copy()  # (neurons, L)
+    prods = cols.take(params.pair_p, axis=0)                    # (pair_count, L)
+    prods *= cols.take(params.pair_q, axis=0)
+    prods *= _decay_weights(params.config.decay, n)
+    return np.add.reduce(prods, axis=1)
+
+
+@lru_cache(maxsize=64)
+def _decay_weights(decay: float, n: int) -> np.ndarray:
+    """Read-only weights decay^(n-1), ..., decay^0 of an n-state slab."""
+    w = decay ** np.arange(n - 1, -1, -1, dtype=np.float64)
+    w.flags.writeable = False
+    return w
 
 
 def accumulate(sync: np.ndarray, contribution: np.ndarray, n: int, decay: float) -> np.ndarray:
@@ -184,10 +210,12 @@ def certainty(sync: np.ndarray, certainty_w: np.ndarray, params: CtmParams):
     (rows, pair_count) stack: then h has a row per vector and c is a list,
     each row bit for bit the result for that vector alone.
     """
-    rows = np.atleast_2d(sync)
-    logits = (params.config.logit_scale * matvec(certainty_w, rows)).astype(np.float32)
-    c = 1.0 - entropy(softmax(logits)) / np.log(params.config.logit_count)
-    c = np.minimum(np.maximum(c, 0.0), 1.0).tolist()
+    h = matvec(certainty_w, np.atleast_2d(sync))
+    h *= params.config.logit_scale
+    logits = h.astype(np.float32)
+    c = 1.0 - entropy(softmax(logits)) / params.log_logit_count
+    np.maximum(c, 0.0, out=c)
+    c = np.minimum(c, 1.0, out=c).tolist()
     return (logits[0], c[0]) if sync.ndim == 1 else (logits, c)
 
 
@@ -226,53 +254,53 @@ def gated_carry(z_a: np.ndarray, z_b: np.ndarray, beta: float) -> np.ndarray:
     return out.astype(np.float32)
 
 
-def slab_length(state: BranchState, f: np.ndarray, params: CtmParams) -> int:
-    """Ticks in the next slab: ticks_per_slab, fewer at the tick budget."""
-    ticks_left = params.config.tick_budget - state.tick
+def slab_length(tick: int, z: np.ndarray, f: np.ndarray, params: CtmParams) -> int:
+    """Ticks in the next slab from (tick, z): ticks_per_slab, fewer at the tick budget."""
+    ticks_left = params.config.tick_budget - tick
     if ticks_left <= 0:
         raise EmptySlab("tick budget exhausted before the slab started")
-    if state.z.shape[0] + f.shape[0] != params.synapse_w.shape[1]:
+    if z.shape[0] + f.shape[0] != params.synapse_w.shape[1]:
         raise DimensionMismatch(
-            f"synapse input {state.z.shape[0]}+{f.shape[0]} != "
-            f"{params.synapse_w.shape[1]}"
+            f"synapse input {z.shape[0]}+{f.shape[0]} != {params.synapse_w.shape[1]}"
         )
     return min(params.config.ticks_per_slab, ticks_left)
 
 
 def slab_ticks(
     z: np.ndarray, history: np.ndarray, f: np.ndarray, params: CtmParams, n: int
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run n ticks from (z, history); the tick math lives only here.
 
-    Returns the post-readout states, the new depth history (a fresh array;
-    ``history`` is not touched) and the hidden state carried into the next
-    slab through the gated carry.  The synchrony pairs play no part, so
-    every branch of a decision step shares this trajectory.
+    Returns the post-readout states as one (n, neurons) float32 array, the
+    new depth history (a fresh array; ``history`` is not touched) and the
+    hidden state carried into the next slab through the gated carry.  The
+    synchrony pairs play no part, so every branch of a decision step shares
+    this trajectory.
     """
-    # Inlined synapse -> push -> readout loop: float64 mirrors are hoisted
-    # out of the loop, every reduction is the same einsum the public ops
-    # use, so each tick is bit-identical to composing those ops directly
-    # (see the composition test).  The history is kept in float64; its
+    # Inlined synapse -> push -> readout loop on the float64 mirrors that
+    # CtmParams casts once.  [z || f] lives in one float64 buffer whose f
+    # half is written once; the carry's candidate goes through the same
+    # buffer.  Every reduction is the einsum the public ops use, so each
+    # tick and the carry are bit-identical to composing those ops directly
+    # (see the composition tests).  The history is kept in float64; its
     # entries are float32 values, so rounding it back on return is exact.
     d = params.config.neurons
-    w64 = params.synapse_w.astype(np.float64)
-    a64 = params.factor_a.astype(np.float64)
-    b64 = params.factor_b.astype(np.float64)
-    bias64 = params.bias.astype(np.float64)
+    w64, a64, b64 = params.synapse_w64, params.factor_a64, params.factor_b64
     x64 = np.empty(w64.shape[1])
-    x64[d:] = f.astype(np.float64)
+    x64[d:] = f
 
     hist = history.astype(np.float64)
-    states = []
-    for _ in range(n):
+    states = np.empty((n, d), dtype=np.float32)
+    for t in range(n):
         x64[:d] = z
-        candidate = bounded_tanh(np.einsum("ij,j->i", w64, x64))
+        candidate = bounded_tanh(einsum("ij,j->i", w64, x64))
         hist[:, :-1] = hist[:, 1:]
         hist[:, -1] = candidate
-        proj = np.einsum("dm,mr->dr", hist, a64)
-        z = bounded_tanh(bias64 + np.einsum("dr,dr->d", proj, b64))
-        states.append(z)
-    carried = gated_carry(z, synapse(z, f, params.synapse_w), params.config.carry_beta)
+        proj = einsum("dm,mr->dr", hist, a64)
+        z = states[t] = bounded_tanh(params.bias64 + einsum("dr,dr->d", proj, b64))
+    x64[:d] = z
+    candidate = bounded_tanh(einsum("ij,j->i", w64, x64))
+    carried = gated_carry(z, candidate, params.config.carry_beta)
     return states, hist.astype(np.float32), carried
 
 
@@ -304,7 +332,7 @@ def run_slab(
     accumulators, reads certainty, decides halt/continue, and blends the
     hidden state for the next slab through the gated carry.
     """
-    n = slab_length(state, f, params)
+    n = slab_length(state.tick, state.z, f, params)
     states, hist, carried = slab_ticks(state.z, state.history, f, params, n)
     sync = sync_update(state.sync, states, params)
     tick = state.tick + n

@@ -10,12 +10,21 @@ round to exactly +-1.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .errors import DimensionMismatch
 
 # Largest float32 below 1.0; activations are clamped to +-this value.
 F32_INTERIOR = float(np.nextafter(np.float32(1.0), np.float32(0.0)))
+# np.einsum without its __array_function__ dispatch, a per-call cost that
+# only array types other than ndarray need; inspect.unwrap reaches the same
+# function that np.einsum runs on ndarrays.
+einsum = inspect.unwrap(np.einsum)
+# The clamp bounds as 0-d float64 arrays: a ufunc takes these as they are,
+# while a Python float is converted to an array again on every call.
+_LOWER, _UPPER = np.array(-F32_INTERIOR), np.array(F32_INTERIOR)
 
 
 def matvec(weights: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -26,25 +35,27 @@ def matvec(weights: np.ndarray, vec: np.ndarray) -> np.ndarray:
         )
     w = weights.astype(np.float64, copy=False)
     x = vec.astype(np.float64, copy=False)
-    return np.einsum("ij,j->i" if vec.ndim == 1 else "ij,bj->bi", w, x)
+    return einsum("ij,j->i" if vec.ndim == 1 else "ij,bj->bi", w, x)
 
 
 def bounded_tanh(pre: np.ndarray) -> np.ndarray:
     """tanh in float64, stored as float32 strictly inside (-1, 1)."""
     out = np.tanh(pre.astype(np.float64, copy=False))
-    # the same clamp as np.clip, without its Python-level wrapper
-    np.maximum(out, -F32_INTERIOR, out=out)
-    np.minimum(out, F32_INTERIOR, out=out)
+    # np.clip's clamp without its Python-level wrapper, against bounds built
+    # once; the same float64 values, so the same results
+    np.maximum(out, _LOWER, out=out)
+    np.minimum(out, _UPPER, out=out)
     return out.astype(np.float32)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Stable softmax in float64 (max-subtraction), along the last axis."""
-    h = logits.astype(np.float64, copy=False)
+    e = logits.astype(np.float64)       # a fresh array, worked on in place
     # the ufunc reductions np.max and np.sum run, without their wrappers
-    shifted = h - np.maximum.reduce(h, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def entropy(probs: np.ndarray):
@@ -54,7 +65,9 @@ def entropy(probs: np.ndarray):
     entries add exact zeros; numpy sums rows of fewer than 8 entries in
     order, so there that equals summing the nonzero terms alone.
     """
-    terms = probs * np.log(np.where(probs > 0.0, probs, 1.0))
+    terms = np.where(probs > 0.0, probs, 1.0)
+    np.log(terms, out=terms)
+    terms *= probs
     h = -np.add.reduce(terms, axis=-1)
     return float(h) if probs.ndim == 1 else h
 

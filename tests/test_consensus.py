@@ -552,6 +552,20 @@ class TestSharedTrajectory:
         assert all(a is not b for a, b in zip(first, again))
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
+    def test_permutation_cache_stacks_the_episode_once(self):
+        cache = PermutationCache()
+        stacked = cache.stacked(5, 12, 3)
+        assert stacked.shape == (3, 12)
+        assert np.array_equal(stacked, np.stack(cache.get(5, 12, 3)))
+        assert not stacked.flags.writeable
+        assert cache.stacked(5, 12, 3) is stacked
+        # a second episode seed rebuilds it from that episode's permutations
+        second = cache.stacked(6, 12, 3)
+        assert np.array_equal(second, np.stack(cache.get(6, 12, 3)))
+        assert not np.array_equal(second, stacked)
+        assert not second.flags.writeable
+        assert np.array_equal(cache.stacked(6, 12, 2), second[:2])
+
 
 def reset_counters(state):
     """The start of the next decision step: the thought state carries on."""

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import make_ctm
-from tickslab.config import EngineConfig
+from tickslab.config import Config, EngineConfig
 from tickslab.engine import (
     BranchState,
     accumulate,
@@ -19,12 +20,23 @@ from tickslab.engine import (
     run_slab,
     run_until_halt,
     slab_contribution,
+    slab_ticks,
     sync_scan_tick,
     sync_update,
     synapse,
 )
 from tickslab.errors import DimensionMismatch, EmptySlab
 from tickslab.numerics import softmax
+from tickslab.params import build_model
+
+TICK_WEIGHTS = ("synapse_w", "factor_a", "factor_b", "bias")
+# the small_params bundle, the default-size one, and slabs past numpy's
+# 8-wide pairwise summation blocks
+SLAB_BUNDLES = (
+    make_ctm(seed=1),
+    build_model(Config(), registry_size=1, max_slots=1).ctm,
+    make_ctm(seed=2, ticks_per_slab=20),
+)
 
 
 def dense_readout_oracle(history, factor_a, factor_b, bias):
@@ -32,6 +44,67 @@ def dense_readout_oracle(history, factor_a, factor_b, bias):
     w = factor_b.astype(np.float64) @ factor_a.astype(np.float64).T
     pre = bias.astype(np.float64) + np.sum(w * history.astype(np.float64), axis=1)
     return np.tanh(pre)
+
+
+def composed_slab(z, history, f, params, n):
+    """One slab by composing the public ops: the reference for slab_ticks."""
+    states = []
+    for _ in range(n):
+        history = push_history(history, synapse(z, f, params.synapse_w))
+        z = mu_mlp(history, params.factor_a, params.factor_b, params.bias)
+        states.append(z)
+    carried = gated_carry(z, synapse(z, f, params.synapse_w), params.config.carry_beta)
+    return states, history, carried
+
+
+def stacked_contribution(states, params):
+    """slab_contribution as first written: stack, gather pairs, weight, np.sum."""
+    stack = np.stack(states).astype(np.float64)
+    prods = stack[:, params.pair_p] * stack[:, params.pair_q]
+    w = params.config.decay ** np.arange(len(states) - 1, -1, -1, dtype=np.float64)
+    return np.sum(prods * w[:, None], axis=0)
+
+
+def unit_arrays(shape):
+    """float32 arrays inside (-1, 1): hypothesis-built (signed zeros
+    included) or dense seeded draws."""
+    inside = st.floats(-1.0, 1.0, width=32, exclude_min=True, exclude_max=True)
+    dense = st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([0.1, 1.0, 5.0])).map(
+        lambda seed_scale: np.tanh(
+            seed_scale[1] * np.random.default_rng(seed_scale[0]).normal(size=shape)
+        ).astype(np.float32)
+    )
+    return st.one_of(hnp.arrays(np.float32, shape, elements=inside), dense)
+
+
+@st.composite
+def slab_inputs(draw):
+    params = draw(st.sampled_from(SLAB_BUNDLES))
+    c = params.config
+    z = draw(unit_arrays(c.neurons))
+    history = draw(unit_arrays((c.neurons, c.history)))
+    f = draw(unit_arrays(params.synapse_w.shape[1] - c.neurons))
+    return params, z, history, f, draw(st.integers(1, c.ticks_per_slab))
+
+
+class TestCtmParams:
+    def test_weights_are_read_only(self, small_params):
+        # an in-place write would leave the float64 mirror stale
+        for name in TICK_WEIGHTS:
+            with pytest.raises(ValueError):
+                getattr(small_params, name)[0] = 0.0
+
+    def test_replace_rebuilds_the_mirrors(self, small_params):
+        perm = np.random.default_rng(0).permutation(12)
+        branch = replace(small_params, pair_p=small_params.pair_p[perm],
+                         pair_q=small_params.pair_q[perm])
+        halved = replace(small_params, synapse_w=small_params.synapse_w * 0.5)
+        for params in (small_params, branch, halved):
+            for name in TICK_WEIGHTS:
+                mirror = getattr(params, f"{name}64")
+                assert mirror.dtype == np.float64
+                assert mirror.tobytes() == getattr(params, name).astype(np.float64).tobytes()
+        assert not np.array_equal(halved.synapse_w64, small_params.synapse_w64)
 
 
 class TestSynapse:
@@ -377,6 +450,23 @@ class TestRunSlab:
         assert result.halted
         assert state.tick <= params.config.tick_budget
         assert state.slab <= params.config.max_slabs
+
+    @given(slab_inputs())
+    @settings(max_examples=80, deadline=None)
+    def test_slab_ticks_equal_op_composition_bytes(self, inputs):
+        # tobytes: a -0.0 where the composition gives +0.0 counts as a difference
+        params, z, history, f, n = inputs
+        before = history.copy()
+        states, new_history, carried = slab_ticks(z, history, f, params, n)
+        want_states, want_history, want_carried = composed_slab(z, history, f, params, n)
+        assert states.dtype == new_history.dtype == carried.dtype == np.float32
+        assert states.tobytes() == np.stack(want_states).tobytes()
+        assert new_history.tobytes() == want_history.tobytes()
+        assert carried.tobytes() == want_carried.tobytes()
+        assert history.tobytes() == before.tobytes()
+        want = stacked_contribution(want_states, params).tobytes()
+        assert slab_contribution(states, params).tobytes() == want
+        assert slab_contribution(want_states, params).tobytes() == want
 
     def test_slab_equals_op_composition_bitwise(self, small_params, fvec):
         # the slab's internal loop must match composing the public ops
