@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .envelope import AFFECT_DIMS
 from .errors import ConfigError
 from .perception import WAVE_SAMPLES
 from .schema import json_type_ok, type_name
@@ -30,6 +31,11 @@ def _between(low, high):
 
 _POSITIVE = (lambda v: v > 0), "> 0"
 _UNIT = _between(0, 1)
+
+# The most weights a model may hold, 2**24 (64 MiB as float32, about 84
+# times the defaults); a config asking for more is refused before any
+# array exists.
+MAX_PARAMETERS = 2**24
 
 
 def _check_fields(section, prefix: str, **rules) -> None:
@@ -156,6 +162,47 @@ class Config:
     affect: AffectConfig = field(default_factory=AffectConfig)
     router: RouterConfig = field(default_factory=RouterConfig)
     actuator: ActuatorConfig = field(default_factory=ActuatorConfig)
+
+    def __post_init__(self):
+        tensors = self.weight_counts()
+        total = sum(count for _, count, _ in tensors)
+        if total > MAX_PARAMETERS:
+            name, count, sizes = max(tensors, key=lambda t: t[1])
+            raise ConfigError(
+                f"the model would hold {total} weights, more than {MAX_PARAMETERS}; "
+                f"{name} alone holds {count}, sized by {sizes}"
+            )
+
+    def weight_counts(self) -> list[tuple[str, int, str]]:
+        """(name, weights, sizing keys) of each tensor ``build_model`` draws.
+
+        Worked out from the sizes alone; the router heads are counted at one
+        tool and one slot, the least they hold.
+        """
+        p, e, a, r, act = self.perception, self.engine, self.affect, self.router, self.actuator
+        latents = "(perception.vision_latent + audio_latent + proprio_latent)"
+        return [
+            ("enc/vision", p.vision_latent * p.vision_in,
+             "perception.vision_latent x perception.vision_in"),
+            ("enc/audio", p.audio_latent * p.audio_in,
+             "perception.audio_latent x perception.audio_in"),
+            ("enc/proprio", p.proprio_latent * p.proprio_in,
+             "perception.proprio_latent x perception.proprio_in"),
+            ("enc/fusion", p.fusion_dim * p.concat_dim, f"perception.fusion_dim x {latents}"),
+            ("ctm/synapse", e.neurons * (e.neurons + p.fusion_dim),
+             "engine.neurons x (engine.neurons + perception.fusion_dim)"),
+            ("ctm/readout_a", e.history * e.rank, "engine.history x engine.rank"),
+            ("ctm/readout_b", e.neurons * e.rank, "engine.neurons x engine.rank"),
+            ("ctm/bias", e.neurons, "engine.neurons"),
+            ("ctm/certainty", e.logit_count * e.sync_pairs,
+             "engine.logit_count x engine.sync_pairs"),
+            ("affect/w1", a.hidden * e.sync_pairs, "affect.hidden x engine.sync_pairs"),
+            ("affect/w2", AFFECT_DIMS * a.hidden, "affect.hidden"),
+            ("router/action", e.sync_pairs, "engine.sync_pairs"),
+            ("router/slots", r.slot_embed_width * e.sync_pairs,
+             "router.slot_embed_width x engine.sync_pairs"),
+            ("actuator/mapping", act.joints * e.sync_pairs, "actuator.joints x engine.sync_pairs"),
+        ]
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

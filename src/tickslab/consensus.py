@@ -38,6 +38,7 @@ tasks50 run; a ``SlabMemo``, kept for one episode only, runs each once.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -229,8 +230,10 @@ def shared_branches(
             logger.warning("%s", BranchPanic(branch_id, exc))
             continue
         ids.append(branch_id)
-    perms = _PERMUTATIONS.stacked(episode_seed, config.sync_pairs, consensus.branches)[ids]
-    syncs = np.tile(seed_state.sync, (len(ids), 1))
+    perms = _PERMUTATIONS.stacked(episode_seed, config.sync_pairs, consensus.branches)
+    perms = perms if len(ids) == consensus.branches else perms[ids]
+    # one row, which the first accumulate broadcasts to a row per branch
+    syncs = seed_state.sync[None]
     traces = [seed_state.certainty_trace] * len(ids)
 
     halted: list[tuple[BranchOutcome, BranchState]] = []
@@ -290,10 +293,16 @@ def merge(outcomes: list[BranchOutcome], params: CtmParams) -> ConsensusResult:
     bitwise independent of arrival order.  If every confidence is below
     1e-9 the weights fall back to the unweighted mean (avoids 0/0).  The
     merged confidence is re-read from the merged vector by the certainty
-    head.
+    head.  A lone outcome with a finite confidence passes through as read:
+    its weight is exactly 1, its confidence is already the certainty of its
+    sync vector, and the sum (which starts from +0.0) only turns -0.0 to +0.0.
     """
     if not outcomes:
         raise EmptyOutcomeList("merge needs at least one outcome")
+    if len(outcomes) == 1 and math.isfinite(outcomes[0].confidence):
+        (o,) = outcomes
+        sync = np.add(o.sync, 0.0, dtype=np.float32)
+        return ConsensusResult(sync, o.confidence, (o.branch_id,), False)
     if len({o.sync.shape[0] for o in outcomes}) > 1:
         raise ValueError("outcomes disagree on sync width")
     if len({o.logits.shape[0] for o in outcomes}) > 1:

@@ -23,7 +23,9 @@ import numpy as np
 
 from .config import EngineConfig
 from .errors import DimensionMismatch, EmptySlab
-from .numerics import bounded_tanh, einsum, entropy, matvec, softmax
+from .numerics import F32_INTERIOR, bounded_tanh, einsum, entropy, matvec, softmax
+
+_LOWER, _UPPER = np.array(-F32_INTERIOR), np.array(F32_INTERIOR)  # bounded_tanh's clamp
 
 
 @dataclass(frozen=True)
@@ -266,6 +268,14 @@ def slab_length(tick: int, z: np.ndarray, f: np.ndarray, params: CtmParams) -> i
     return min(params.config.ticks_per_slab, ticks_left)
 
 
+def _bounded_tanh_into(out: np.ndarray, pre: np.ndarray) -> None:
+    """``out[...] = bounded_tanh(pre)``, overwriting the float64 ``pre``."""
+    np.tanh(pre, out=pre)
+    np.maximum(pre, _LOWER, out=pre)
+    np.minimum(pre, _UPPER, out=pre)
+    out[...] = pre
+
+
 def slab_ticks(
     z: np.ndarray, history: np.ndarray, f: np.ndarray, params: CtmParams, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -277,31 +287,37 @@ def slab_ticks(
     synchrony pairs play no part, so every branch of a decision step shares
     this trajectory.
     """
-    # Inlined synapse -> push -> readout loop on the float64 mirrors that
-    # CtmParams casts once.  [z || f] lives in one float64 buffer whose f
-    # half is written once; the carry's candidate goes through the same
-    # buffer.  Every reduction is the einsum the public ops use, so each
-    # tick and the carry are bit-identical to composing those ops directly
-    # (see the composition tests).  The history is kept in float64; its
-    # entries are float32 values, so rounding it back on return is exact.
-    d = params.config.neurons
+    # Inlined synapse -> push -> readout loop on CtmParams' float64 weight
+    # mirrors.  Each reduction is the public ops' einsum, written into a
+    # preallocated buffer, and bounded_tanh's float64 steps run in place, so
+    # every tick and the carry equal composing those ops bit for bit (see the
+    # composition tests).  [z || f] is one float64 buffer with f written
+    # once.  The depth history is a window over one float64 buffer holding
+    # the slab's candidates (float32 values) after it, so a push moves the
+    # window instead of shifting, and rounding the last window back is exact.
+    d, m = history.shape
     w64, a64, b64 = params.synapse_w64, params.factor_a64, params.factor_b64
     x64 = np.empty(w64.shape[1])
     x64[d:] = f
 
-    hist = history.astype(np.float64)
+    window = np.empty((d, m + n))
+    window[:, :m] = history
     states = np.empty((n, d), dtype=np.float32)
+    pre, proj = np.empty(d), np.empty((d, a64.shape[1]))
+    candidate = np.empty(d, dtype=np.float32)
     for t in range(n):
         x64[:d] = z
-        candidate = bounded_tanh(einsum("ij,j->i", w64, x64))
-        hist[:, :-1] = hist[:, 1:]
-        hist[:, -1] = candidate
-        proj = einsum("dm,mr->dr", hist, a64)
-        z = states[t] = bounded_tanh(params.bias64 + einsum("dr,dr->d", proj, b64))
+        _bounded_tanh_into(candidate, einsum("ij,j->i", w64, x64, out=pre))
+        window[:, m + t] = candidate
+        einsum("dm,mr->dr", window[:, t + 1 : t + 1 + m], a64, out=proj)
+        einsum("dr,dr->d", proj, b64, out=pre)
+        pre += params.bias64
+        z = states[t]
+        _bounded_tanh_into(z, pre)
     x64[:d] = z
-    candidate = bounded_tanh(einsum("ij,j->i", w64, x64))
+    _bounded_tanh_into(candidate, einsum("ij,j->i", w64, x64, out=pre))
     carried = gated_carry(z, candidate, params.config.carry_beta)
-    return states, hist.astype(np.float32), carried
+    return states, window[:, n:].astype(np.float32), carried
 
 
 def halt_readout(

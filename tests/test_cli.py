@@ -111,6 +111,29 @@ class TestRun:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("perception", "vision_in", 2**70),
+            ("engine", "rank", 2**70),
+            ("router", "slot_embed_width", 2**70),
+            ("affect", "hidden", 2**70),
+            ("engine", "neurons", 100_000),
+        ],
+    )
+    def test_config_past_the_weight_cap_exits_2(
+        self, tmp_path, task_file, capsys, section, key, value
+    ):
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps({section: {key: value}}))
+        code = run_cli(
+            "run", "--tasks", str(task_file), "--config", str(bad),
+            "--policy", "ctm", "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{section}.{key}" in err
+
+    @pytest.mark.parametrize(
         "to, code",
         [(5, 0), ({"k": 1}, 2), (["table"], 2), (float("nan"), 2)],
         ids=["number", "object", "array", "nan"],

@@ -5,8 +5,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import fusion_vector, make_ctm
 from tickslab import consensus
@@ -24,7 +25,14 @@ from tickslab.consensus import (
     shared_branches,
     timeout_safe_pass,
 )
-from tickslab.engine import BranchState, certainty, initial_state, run_slab, slab_ticks
+from tickslab.engine import (
+    BranchState,
+    certainty,
+    initial_state,
+    run_slab,
+    slab_length,
+    slab_ticks,
+)
 from tickslab.errors import EmptyOutcomeList
 from tickslab.rng import SplitMix64, derive_seed
 
@@ -54,6 +62,19 @@ def make_outcome(branch_id, sync, logits, params, ticks=8, reached=True):
 
     conf = 1.0 - entropy(softmax(logits)) / np.log(params.config.logit_count)
     return BranchOutcome(branch_id, sync, logits, float(max(conf, 0.0)), ticks, reached)
+
+
+def weighted_merge(outcomes, params):
+    """merge's general formula, certainty re-read included: (sync, confidence)."""
+    ordered = sorted(outcomes, key=lambda o: o.branch_id)
+    conf = np.array([o.confidence for o in ordered], dtype=np.float64)
+    if np.all(conf < 1e-9):
+        weights = np.full(len(ordered), 1.0 / len(ordered))
+    else:
+        weights = conf / np.sum(conf)
+    stack = np.stack([o.sync for o in ordered]).astype(np.float64)
+    merged = np.sum(weights[:, None] * stack, axis=0).astype(np.float32)
+    return merged, certainty(merged, params.certainty_w, params)[1]
 
 
 def random_outcomes(rng, params, n):
@@ -124,6 +145,48 @@ class TestMerge:
         lo, hi = stack.min(axis=0), stack.max(axis=0)
         assert np.all(base.sync_merged >= lo - 1e-6)
         assert np.all(base.sync_merged <= hi + 1e-6)
+
+    @given(
+        syncs=st.lists(
+            hnp.arrays(np.float32, 12, elements=st.floats(width=32, allow_nan=False)),
+            min_size=1, max_size=3,
+        ),
+        scale=st.sampled_from([1.0, 1e-30, 0.0]),
+        branch_id=st.integers(0, 7),
+    )
+    # a -0.0 entry: the formula's sum starts from +0.0 and returns +0.0
+    @example(syncs=[np.full(12, -0.0, dtype=np.float32)], scale=1.0, branch_id=0)
+    @settings(max_examples=200, deadline=None)
+    def test_lone_merge_equals_the_weighted_formula(self, syncs, scale, branch_id):
+        # confidences read by certainty, as every branch outcome's is; a
+        # scaled-down or zeroed vector reads a confidence below 1e-9, and
+        # one with infinities a non-finite confidence
+        params = make_ctm(seed=1)
+        for sync in syncs:
+            with np.errstate(all="ignore"):
+                sync = (sync * np.float32(scale)).astype(np.float32)
+                logits, c = certainty(sync, params.certainty_w, params)
+                o = BranchOutcome(branch_id, sync, logits, c, 8, True)
+                got = merge([o], params)
+                want_sync, want_c = weighted_merge([o], params)
+            assert got.sync_merged.dtype == np.float32
+            assert got.sync_merged.tobytes() == want_sync.tobytes()
+            assert np.float64(got.confidence_merged).tobytes() == np.float64(want_c).tobytes()
+            assert got.contributors == (branch_id,) and not got.fallback
+            assert not np.shares_memory(got.sync_merged, sync)
+
+    @pytest.mark.parametrize("confidence", [float("nan"), float("inf")])
+    def test_lone_merge_with_non_finite_confidence_takes_the_formula(
+        self, small_params, confidence
+    ):
+        sync = np.random.default_rng(4).normal(size=12).astype(np.float32)
+        o = BranchOutcome(2, sync, np.zeros(4, dtype=np.float32), confidence, 8, True)
+        with np.errstate(invalid="ignore"):     # inf / inf
+            got = merge([o], small_params)
+            want_sync, want_c = weighted_merge([o], small_params)
+        assert got.sync_merged.tobytes() == want_sync.tobytes()
+        assert np.isnan(got.confidence_merged) and np.isnan(want_c)
+        assert got.sync_merged.tobytes() != sync.tobytes()
 
     def test_confidence_recomputable_from_logits(self, small_params):
         rng = np.random.default_rng(9)
@@ -405,6 +468,22 @@ def reference_stop(reference, seed_state, params, limit, wait):
         slabs, used = slabs + 1, used + n
 
 
+def distinct_start_states(seed_state, f, params, slabs):
+    """Distinct (n, z, history) start states of the reference's first ``slabs`` slabs.
+
+    The trajectory is the same in every ``run_branch`` run.  Its float32
+    state can come back to an earlier start state within one decision call,
+    and the slab memo then serves that slab, so this is the number of slabs
+    a decision step computes.
+    """
+    state, starts = seed_state, set()
+    for _ in range(slabs):
+        n = slab_length(state.tick, state.z, f, params)
+        starts.add((n, state.z.tobytes(), state.history.tobytes()))
+        state, _ = run_slab(state, f, params, epsilon=2.0)
+    return len(starts)
+
+
 @contextmanager
 def counting_slab_ticks():
     """Count the slabs the decision step runs (calls of ``slab_ticks``)."""
@@ -443,6 +522,12 @@ class TestSharedTrajectory:
         with_cache=st.booleans(),
     )
     @settings(max_examples=120, deadline=None)
+    # a start state that repeats inside one decision call: the memo serves it
+    @example(
+        params_seed=0, f_seed=9, episode_seed=0, k=1, epsilon=1.0, wait="off",
+        limit_slabs=None, limit_offset=0, ticks_per_slab=4, max_slabs=5, warm_slabs=5,
+        reset=True, failing=set(), with_cache=False,
+    )
     def test_equals_run_branch(
         self, params_seed, f_seed, episode_seed, k, epsilon, wait, limit_slabs,
         limit_offset, ticks_per_slab, max_slabs, warm_slabs, reset, failing, with_cache,
@@ -482,17 +567,18 @@ class TestSharedTrajectory:
 
         # The decision is the one the same selection makes on all k runs, in
         # deterministic mode and in live mode with a deadline that never
-        # expires; both run exactly the slabs up to the stop.
+        # expires; both run each distinct start state up to the stop once.
+        computed = distinct_start_states(seed_state, f, params, slabs)
         with counting_slab_ticks() as counter:
             decided = decide_step(
                 seed_state, f, params, epsilon, episode_seed, cache, window, branch_hook=hook
             )
-        assert counter.call_count == slabs
+        assert counter.call_count == computed
         with counting_slab_ticks() as counter:
             live = decide_step_live(
                 seed_state, f, params, epsilon, episode_seed, cache, window, branch_hook=hook
             )
-        assert counter.call_count == slabs
+        assert counter.call_count == computed
         want = select_step(list(reference.values()), seed_state, params, cache, window)
         for got in (decided, live):
             assert got.result.sync_merged.tobytes() == want.result.sync_merged.tobytes()

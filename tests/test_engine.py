@@ -468,6 +468,25 @@ class TestRunSlab:
         assert slab_contribution(states, params).tobytes() == want
         assert slab_contribution(want_states, params).tobytes() == want
 
+    @given(first=slab_inputs(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_slab_ticks_outputs_are_not_aliased(self, first, data):
+        # a later call, here on other inputs to the same params, must leave
+        # the arrays an earlier call returned as they were
+        params, z, history, f, n = first
+        c = params.config
+        outputs = slab_ticks(z, history, f, params, n)
+        kept = [array.copy() for array in outputs]
+        inputs = (z, history, f)
+        for a, array in enumerate(outputs):
+            assert not any(np.shares_memory(array, other) for other in outputs[a + 1 :] + inputs)
+        slab_ticks(
+            data.draw(unit_arrays(c.neurons)), data.draw(unit_arrays((c.neurons, c.history))),
+            data.draw(unit_arrays(f.shape[0])), params, data.draw(st.integers(1, c.ticks_per_slab)),
+        )
+        for array, copy in zip(outputs, kept):
+            assert array.tobytes() == copy.tobytes()
+
     def test_slab_equals_op_composition_bitwise(self, small_params, fvec):
         # the slab's internal loop must match composing the public ops
         params = small_params

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tickslab.config import Config, ConsensusConfig, EngineConfig
+from tickslab.config import MAX_PARAMETERS, Config, ConsensusConfig, EngineConfig
 from tickslab.engine import halt_readout
 from tickslab.envelope import canonical_json_bytes
 from tickslab.errors import (
@@ -521,6 +521,13 @@ class TestConfig:
             ({"affect": {"epsilon0": 10**400}}, "affect.epsilon0"),
             ({"engine": {"halt_cap": 1.5}}, "engine.halt_cap"),
             ({"engine": {"carry_beta": -0.1}}, "engine.carry_beta"),
+            # past the weight cap: the error names the largest tensor's keys
+            ({"perception": {"vision_in": 2**70}}, "perception.vision_in"),
+            ({"engine": {"rank": 2**70}}, "engine.rank"),
+            ({"router": {"slot_embed_width": 2**70}}, "router.slot_embed_width"),
+            ({"affect": {"hidden": 2**70}}, "affect.hidden"),
+            ({"engine": {"neurons": 100_000}}, "engine.neurons"),
+            ({"actuator": {"joints": MAX_PARAMETERS}}, "actuator.joints"),
         ],
     )
     def test_out_of_range_value_rejected(self, doc, name):
@@ -535,6 +542,46 @@ class TestConfig:
             "engine": {"halt_cap": 1.0, "carry_beta": 0.0},
         })
         assert config.perception.audio_in == 128
+
+    def test_weight_counts_equal_the_built_model(self):
+        small = Config.from_dict({
+            "engine": {"neurons": 16, "history": 4, "rank": 2, "sync_pairs": 32},
+            "affect": {"hidden": 8}, "router": {"slot_embed_width": 3},
+        })
+        for config in (Config(), small):
+            model = build_model(config, registry_size=1, max_slots=1)
+            built = {
+                "enc/vision": model.encoder.vision, "enc/audio": model.encoder.audio,
+                "enc/proprio": model.encoder.proprio, "enc/fusion": model.encoder.fusion,
+                "ctm/synapse": model.ctm.synapse_w, "ctm/readout_a": model.ctm.factor_a,
+                "ctm/readout_b": model.ctm.factor_b, "ctm/bias": model.ctm.bias,
+                "ctm/certainty": model.ctm.certainty_w, "affect/w1": model.affect.w1,
+                "affect/w2": model.affect.w2, "router/action": model.action_head,
+                "router/slots": model.slot_head, "actuator/mapping": model.actuator.mapping,
+            }
+            assert set(built) == set(TENSOR_NAMES)
+            assert {name: count for name, count, _ in config.weight_counts()} == {
+                name: array.size for name, array in built.items()
+            }
+        assert sum(count for _, count, _ in Config().weight_counts()) <= MAX_PARAMETERS
+
+    SIZE_KEYS = [(section, key) for section, keys in SIZES.items() for key in keys]
+
+    @given(st.dictionaries(
+        st.sampled_from(SIZE_KEYS),
+        st.one_of(st.integers(1, 2**12), st.integers(1, 2**80)),
+        max_size=4,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_any_size_gives_a_bounded_model_or_a_config_error(self, sizes):
+        doc = {}
+        for (section, key), value in sizes.items():
+            doc.setdefault(section, {})[key] = value
+        try:
+            config = Config.from_dict(doc)
+        except ConfigError:
+            return
+        assert sum(count for _, count, _ in config.weight_counts()) <= MAX_PARAMETERS
 
     def test_sections_are_checked_when_built(self):
         with pytest.raises(ConfigError, match="consensus.branches"):
