@@ -33,8 +33,8 @@ _POSITIVE = (lambda v: v > 0), "> 0"
 _UNIT = _between(0, 1)
 
 # The most weights a model may hold, 2**24 (64 MiB as float32, about 84
-# times the defaults); a config asking for more is refused before any
-# array exists.
+# times the defaults), and the most values a decision step's work arrays
+# may hold; a config asking for more is refused before any array exists.
 MAX_PARAMETERS = 2**24
 
 
@@ -164,44 +164,58 @@ class Config:
     actuator: ActuatorConfig = field(default_factory=ActuatorConfig)
 
     def __post_init__(self):
-        tensors = self.weight_counts()
-        total = sum(count for _, count, _ in tensors)
-        if total > MAX_PARAMETERS:
-            name, count, sizes = max(tensors, key=lambda t: t[1])
-            raise ConfigError(
-                f"the model would hold {total} weights, more than {MAX_PARAMETERS}; "
-                f"{name} alone holds {count}, sized by {sizes}"
-            )
+        # Counted from the sizes alone: the weights at one tool and one slot
+        # (the least the router heads hold), and the work arrays no weight sizes.
+        e = self.engine
+        weights = [(name, rows * cols, sizes) for name, rows, cols, sizes in self.tensor_shapes()]
+        work = [
+            ("the slab window", e.neurons * (e.history + e.ticks_per_slab),
+             "engine.neurons x (engine.history + engine.ticks_per_slab)"),
+            ("the branch readout stack", self.consensus.branches * e.sync_pairs,
+             "consensus.branches x engine.sync_pairs"),
+        ]
+        for holder, unit, counts in (
+            ("the model", "weights", weights), ("a decision step", "work values", work)
+        ):
+            total = sum(count for _, count, _ in counts)
+            if total > MAX_PARAMETERS:
+                name, count, sizes = max(counts, key=lambda t: t[1])
+                raise ConfigError(
+                    f"{holder} would hold {total} {unit}, more than {MAX_PARAMETERS}; "
+                    f"{name} alone holds {count}, sized by {sizes}"
+                )
 
-    def weight_counts(self) -> list[tuple[str, int, str]]:
-        """(name, weights, sizing keys) of each tensor ``build_model`` draws.
+    def tensor_shapes(self, tools: int = 1, slots: int = 1) -> list[tuple[str, int, int, str]]:
+        """(name, rows, cols, sizing keys) of every weight tensor, in build order.
 
-        Worked out from the sizes alone; the router heads are counted at one
-        tool and one slot, the least they hold.
+        The one list of the model's tensors: ``build_model`` draws each at
+        this shape for ``tools`` registry tools and ``slots`` argument slots,
+        and a weight override must use one of these names and shapes.
         """
         p, e, a, r, act = self.perception, self.engine, self.affect, self.router, self.actuator
-        latents = "(perception.vision_latent + audio_latent + proprio_latent)"
         return [
-            ("enc/vision", p.vision_latent * p.vision_in,
+            ("enc/vision", p.vision_latent, p.vision_in,
              "perception.vision_latent x perception.vision_in"),
-            ("enc/audio", p.audio_latent * p.audio_in,
+            ("enc/audio", p.audio_latent, p.audio_in,
              "perception.audio_latent x perception.audio_in"),
-            ("enc/proprio", p.proprio_latent * p.proprio_in,
+            ("enc/proprio", p.proprio_latent, p.proprio_in,
              "perception.proprio_latent x perception.proprio_in"),
-            ("enc/fusion", p.fusion_dim * p.concat_dim, f"perception.fusion_dim x {latents}"),
-            ("ctm/synapse", e.neurons * (e.neurons + p.fusion_dim),
+            ("enc/fusion", p.fusion_dim, p.concat_dim,
+             "perception.fusion_dim x (perception.vision_latent + perception.audio_latent"
+             " + perception.proprio_latent)"),
+            ("ctm/synapse", e.neurons, e.neurons + p.fusion_dim,
              "engine.neurons x (engine.neurons + perception.fusion_dim)"),
-            ("ctm/readout_a", e.history * e.rank, "engine.history x engine.rank"),
-            ("ctm/readout_b", e.neurons * e.rank, "engine.neurons x engine.rank"),
-            ("ctm/bias", e.neurons, "engine.neurons"),
-            ("ctm/certainty", e.logit_count * e.sync_pairs,
+            ("ctm/readout_a", e.history, e.rank, "engine.history x engine.rank"),
+            ("ctm/readout_b", e.neurons, e.rank, "engine.neurons x engine.rank"),
+            ("ctm/bias", 1, e.neurons, "engine.neurons"),
+            ("ctm/certainty", e.logit_count, e.sync_pairs,
              "engine.logit_count x engine.sync_pairs"),
-            ("affect/w1", a.hidden * e.sync_pairs, "affect.hidden x engine.sync_pairs"),
-            ("affect/w2", AFFECT_DIMS * a.hidden, "affect.hidden"),
-            ("router/action", e.sync_pairs, "engine.sync_pairs"),
-            ("router/slots", r.slot_embed_width * e.sync_pairs,
+            ("affect/w1", a.hidden, e.sync_pairs, "affect.hidden x engine.sync_pairs"),
+            ("affect/w2", AFFECT_DIMS, a.hidden, "affect.hidden"),
+            ("router/action", tools, e.sync_pairs, "engine.sync_pairs"),
+            ("router/slots", slots * r.slot_embed_width, e.sync_pairs,
              "router.slot_embed_width x engine.sync_pairs"),
-            ("actuator/mapping", act.joints * e.sync_pairs, "actuator.joints x engine.sync_pairs"),
+            ("actuator/mapping", act.joints, e.sync_pairs, "actuator.joints x engine.sync_pairs"),
         ]
 
     def to_dict(self) -> dict:

@@ -118,6 +118,9 @@ class TestRun:
             ("router", "slot_embed_width", 2**70),
             ("affect", "hidden", 2**70),
             ("engine", "neurons", 100_000),
+            # the cap on a decision step's work arrays
+            ("engine", "ticks_per_slab", 2**70),
+            ("consensus", "branches", 2**40),
         ],
     )
     def test_config_past_the_weight_cap_exits_2(
@@ -208,7 +211,7 @@ class TestReadmeNames:
             "tickslab.schema.json_type_ok",
             "tickslab.transport.MAX_FRAME_BYTES",
             "tickslab.envelope.AFFECT_DIMS",
-            "tickslab.params.TENSOR_NAMES",
+            "tickslab.config.Config.tensor_shapes",
         } <= names
         for dotted in sorted(names):
             resolve(dotted)

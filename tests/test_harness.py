@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import hashlib
 import inspect
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -39,9 +41,9 @@ from tickslab.harness.world import (
     step_env,
     world_from_task,
 )
-from tickslab.params import TENSOR_NAMES, build_model, build_router_params
+from tickslab.params import build_model, build_router_params
 from tickslab.perception import encode_modality, fuse
-from tickslab.weights import MAGIC, load_weights
+from tickslab.weights import MAGIC, load_weights, save_weights
 
 # Canonical actuate reply to the fixed sync vector below (numpy 2.4.6).
 ACTUATE_REPLY_SHA256 = "f93897936ae6aaa3f58af274cd58f976cc091d1b32d1272c8cdf96d24279f104"
@@ -54,6 +56,13 @@ FRAME_SHA256 = (
     "1bbdddfd55f9b7001fb493f90b5faf1937cc97e3fe851a80bdf1d9db5b2ba207",
 )
 FUSED_SHA256 = "988e6fe54a575541a245f5a3c2c4c42aefd726862ada6a82557a0de311a2b4cf"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 class TestLoadTasks:
@@ -424,24 +433,18 @@ class TestMetrics:
         with pytest.raises(ParseError, match="line 1: .*outcome"):
             read_logs(path)
 
-    JSON_VALUES = st.recursive(
-        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
-        max_leaves=6,
-    )
-
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_any_json_on_a_log_line_gives_logs_or_parse_error(self, tmp_path_factory, data):
         doc = self._log("a", "success", ["ok", "error"]).to_dict()
         where = data.draw(st.sampled_from(["line", "log", "record"]))
         if where == "line":
-            doc = data.draw(self.JSON_VALUES)
+            doc = data.draw(JSON_VALUES)
         elif where == "log":
-            doc[data.draw(st.sampled_from(sorted(doc)))] = data.draw(self.JSON_VALUES)
+            doc[data.draw(st.sampled_from(sorted(doc)))] = data.draw(JSON_VALUES)
         else:
             record = doc["records"][data.draw(st.integers(0, 1))]
-            record[data.draw(st.sampled_from(sorted(record)))] = data.draw(self.JSON_VALUES)
+            record[data.draw(st.sampled_from(sorted(record)))] = data.draw(JSON_VALUES)
         path = tmp_path_factory.getbasetemp() / "any_log.jsonl"
         path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
         try:
@@ -496,6 +499,9 @@ class TestConfig:
         if type(value) is float
     ]
 
+    # 64 neurons x (8 history + ticks) + 4 branches x 256 pairs == the cap
+    TICKS_AT_CAP = MAX_PARAMETERS // 64 - 8 - 16
+
     @pytest.mark.parametrize(
         "doc, name",
         [
@@ -528,6 +534,10 @@ class TestConfig:
             ({"affect": {"hidden": 2**70}}, "affect.hidden"),
             ({"engine": {"neurons": 100_000}}, "engine.neurons"),
             ({"actuator": {"joints": MAX_PARAMETERS}}, "actuator.joints"),
+            # past the same cap through a decision step's work arrays
+            ({"engine": {"ticks_per_slab": 2**70}}, "engine.ticks_per_slab"),
+            ({"consensus": {"branches": 2**40}}, "consensus.branches"),
+            ({"engine": {"ticks_per_slab": TICKS_AT_CAP + 1}}, "engine.ticks_per_slab"),
         ],
     )
     def test_out_of_range_value_rejected(self, doc, name):
@@ -539,7 +549,7 @@ class TestConfig:
             "perception": {"audio_in": 128},
             "consensus": {"deadline_ticks": 0},
             "actuator": {"samples_per_move": 2},
-            "engine": {"halt_cap": 1.0, "carry_beta": 0.0},
+            "engine": {"halt_cap": 1.0, "carry_beta": 0.0, "ticks_per_slab": self.TICKS_AT_CAP},
         })
         assert config.perception.audio_in == 128
 
@@ -548,24 +558,29 @@ class TestConfig:
             "engine": {"neurons": 16, "history": 4, "rank": 2, "sync_pairs": 32},
             "affect": {"hidden": 8}, "router": {"slot_embed_width": 3},
         })
-        for config in (Config(), small):
-            model = build_model(config, registry_size=1, max_slots=1)
-            built = {
-                "enc/vision": model.encoder.vision, "enc/audio": model.encoder.audio,
-                "enc/proprio": model.encoder.proprio, "enc/fusion": model.encoder.fusion,
-                "ctm/synapse": model.ctm.synapse_w, "ctm/readout_a": model.ctm.factor_a,
-                "ctm/readout_b": model.ctm.factor_b, "ctm/bias": model.ctm.bias,
-                "ctm/certainty": model.ctm.certainty_w, "affect/w1": model.affect.w1,
-                "affect/w2": model.affect.w2, "router/action": model.action_head,
-                "router/slots": model.slot_head, "actuator/mapping": model.actuator.mapping,
-            }
-            assert set(built) == set(TENSOR_NAMES)
-            assert {name: count for name, count, _ in config.weight_counts()} == {
-                name: array.size for name, array in built.items()
-            }
-        assert sum(count for _, count, _ in Config().weight_counts()) <= MAX_PARAMETERS
+        cases = [(Config(), 1, 1), (small, 1, 1), (Config(), 6, 3), (small, 2, 5)]
+        for config, tools, slots in cases:
+            built = model_tensors(build_model(config, registry_size=tools, max_slots=slots))
+            table = config.tensor_shapes(tools, slots)
+            assert [name for name, *_ in table] == list(built)
+            for name, rows, cols, _ in table:
+                assert np.atleast_2d(built[name]).shape == (rows, cols), name
+        assert sum(rows * cols for _, rows, cols, _ in Config().tensor_shapes()) <= MAX_PARAMETERS
 
+    def test_every_sizing_key_is_a_config_field(self):
+        fields = {
+            f"{section}.{key}"
+            for section, keys in Config().to_dict().items()
+            if isinstance(keys, dict)
+            for key in keys
+        }
+        for name, _, _, sizes in Config().tensor_shapes():
+            named = re.findall(r"\w+\.\w+", sizes)
+            assert named and set(named) <= fields, (name, sizes)
+
+    # consensus.branches sizes no weight, only the branch readouts
     SIZE_KEYS = [(section, key) for section, keys in SIZES.items() for key in keys]
+    SIZE_KEYS.append(("consensus", "branches"))
 
     @given(st.dictionaries(
         st.sampled_from(SIZE_KEYS),
@@ -581,7 +596,10 @@ class TestConfig:
             config = Config.from_dict(doc)
         except ConfigError:
             return
-        assert sum(count for _, count, _ in config.weight_counts()) <= MAX_PARAMETERS
+        e = config.engine
+        assert sum(rows * cols for _, rows, cols, _ in config.tensor_shapes()) <= MAX_PARAMETERS
+        window = e.neurons * (e.history + e.ticks_per_slab)
+        assert window + config.consensus.branches * e.sync_pairs <= MAX_PARAMETERS
 
     def test_sections_are_checked_when_built(self):
         with pytest.raises(ConfigError, match="consensus.branches"):
@@ -668,6 +686,106 @@ class TestMalformedBytes:
             pass
 
 
+def json_paths(doc, path=()):
+    """The path of every node of a JSON document, the root first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, child in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from json_paths(child, (*path, key))
+
+
+def edit_bytes(data, blob: bytes) -> bytes:
+    """``blob`` with one to eight runs of up to 4 bytes replaced by up to 4 others."""
+    out = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 8))):
+        at, cut = data.draw(st.integers(0, len(out))), data.draw(st.integers(0, 4))
+        out[at : at + cut] = data.draw(st.binary(max_size=4) | st.sampled_from(FRAGMENTS))
+    return bytes(out)
+
+
+def json_lines(docs: list) -> bytes:
+    return b"".join(json.dumps(doc).encode() + b"\n" for doc in docs)
+
+
+def edit_json(data, docs: list) -> bytes:
+    """JSON lines of ``docs`` with one node replaced by any JSON value or deleted."""
+    docs = copy.deepcopy(docs)
+    *where, key = data.draw(st.sampled_from(list(json_paths(docs))[1:]))
+    parent = docs
+    for step in where:
+        parent = parent[step]
+    if data.draw(st.booleans()):
+        parent[key] = data.draw(JSON_VALUES)
+    else:
+        del parent[key]
+    return json_lines(docs)
+
+
+# A small model, so that edits to its weight file often reach a header.
+SMALL = Config.from_dict({
+    "perception": {
+        "vision_in": 3, "audio_in": 3, "proprio_in": 3, "vision_latent": 2,
+        "audio_latent": 2, "proprio_latent": 2, "fusion_dim": 3,
+    },
+    "engine": {"neurons": 3, "history": 2, "rank": 1, "sync_pairs": 4},
+    "affect": {"hidden": 2}, "router": {"slot_embed_width": 1}, "actuator": {"joints": 1},
+})
+
+
+class TestInputFuzz:
+    """Random edits of a valid file of each kind read by the runtime give a
+    result or a named ``TickslabError``, never another exception."""
+
+    REGISTRY = build_registry()
+    STEP = StepRecord(0, 1, 4, 0.5, 0.75, "noop", {}, "ok", False)
+    DOCS = {
+        "config": [SMALL.to_dict()],
+        "tasks": [task.to_dict() for task in gen_tasks(3, 2)],
+        "logs": [
+            EpisodeLog("a", [STEP], "success", 1).to_dict(),
+            EpisodeLog("b", [], "budget_exhausted", 0).to_dict(),
+        ],
+    }
+
+    def use(self, kind, path):
+        if kind == "config":
+            return Config.load(path)
+        if kind == "tasks":
+            return [world_from_task(task) for task in load_tasks(path)]
+        if kind == "logs":
+            return compute_metrics(read_logs(path))
+        with_weights = dataclasses.replace(SMALL, weights_path=str(path))
+        return build_model(with_weights, len(self.REGISTRY), self.REGISTRY.max_slots)
+
+    def valid_bytes(self, kind, path):
+        if kind != "weights":
+            return json_lines(self.DOCS[kind])
+        model = build_model(SMALL, len(self.REGISTRY), self.REGISTRY.max_slots)
+        save_weights(path, model_tensors(model))
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["config", "tasks", "logs", "weights"])
+    def test_unedited_input_gives_a_result(self, tmp_path, kind):
+        path = tmp_path / kind
+        path.write_bytes(self.valid_bytes(kind, path))
+        assert self.use(kind, path) is not None
+
+    @pytest.mark.parametrize("kind", ["config", "tasks", "logs", "weights"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_edited_input_gives_a_result_or_a_named_error(self, tmp_path_factory, kind, data):
+        path = tmp_path_factory.getbasetemp() / f"edited_{kind}"
+        if kind != "weights" and data.draw(st.booleans()):
+            blob = edit_json(data, self.DOCS[kind])
+        else:
+            blob = edit_bytes(data, self.valid_bytes(kind, path))
+        path.write_bytes(blob)
+        try:
+            self.use(kind, path)
+        except TickslabError:
+            pass
+
+
 def model_tensors(model) -> dict:
     """Every overridable tensor of a model, by its container name."""
     return {
@@ -745,7 +863,7 @@ class TestModelBuild:
         with pytest.raises(ConfigError):
             build_model(config, len(registry), registry.max_slots)
 
-    @pytest.mark.parametrize("name", TENSOR_NAMES)
+    @pytest.mark.parametrize("name", [name for name, *_ in Config().tensor_shapes()])
     def test_non_finite_override_is_a_config_error(self, tmp_path, capsys, name):
         from tickslab.weights import save_weights
 
