@@ -3,7 +3,11 @@
 No text model: tokens are scattered into the frames by stable 64-bit
 hashing.  Each token seeds a splitmix64 stream (FNV-1a of the token string)
 and contributes ``PROBES`` index/sign pairs of magnitude 0.5; goal tokens
-land in the vision frame, world-state tokens in the proprio frame.  The
+land in the vision frame, world-state tokens in the proprio frame.  A
+token's probes for a given width are computed once and kept in a bounded
+cache (``token_probes``), since the same few tokens recur on every decision
+step; the frames are the same bytes, because every probe adds an exact
+multiple of 0.5 in float64 in the same order.  The
 audio frame is the magnitude spectrum of a small bank of sinusoids whose
 frequencies and amplitudes are drawn from a goal-seeded stream.  Only the
 proprio frame follows the world, so ``goal_frames`` builds the other two
@@ -13,6 +17,7 @@ once per episode and ``featurize`` builds it once per decision step.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +28,7 @@ from .world import WorldState
 PROBES = 4
 TOKEN_MAGNITUDE = 0.5
 WAVE_COMPONENTS = 3
+TOKEN_CACHE_SIZE = 4096      # (token, width) keys kept by ``token_probes``
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -31,15 +37,24 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+@lru_cache(maxsize=TOKEN_CACHE_SIZE)
+def token_probes(token: str, dim: int) -> tuple[tuple[int, float], ...]:
+    """The token's ``PROBES`` (index, +-TOKEN_MAGNITUDE) pairs in a dim-wide frame."""
+    stream = SplitMix64(fnv1a64(token))
+    probes = []
+    for _ in range(PROBES):
+        raw = stream.next_u64()
+        sign = 1.0 if (raw >> 63) == 0 else -1.0
+        probes.append((raw % dim, sign * TOKEN_MAGNITUDE))
+    return tuple(probes)
+
+
 def scatter_tokens(tokens: list[str], dim: int) -> np.ndarray:
     """Feature-hash tokens into a dim-wide float32 vector."""
     frame = np.zeros(dim, dtype=np.float64)
     for token in tokens:
-        stream = SplitMix64(fnv1a64(token))
-        for _ in range(PROBES):
-            raw = stream.next_u64()
-            sign = 1.0 if (raw >> 63) == 0 else -1.0
-            frame[raw % dim] += sign * TOKEN_MAGNITUDE
+        for index, value in token_probes(token, dim):
+            frame[index] += value
     return frame.astype(np.float32)
 
 

@@ -38,6 +38,7 @@ _CODE_PARSE_ERROR = -32700
 _CODE_INTERNAL_ERROR = -32603
 
 MAX_FRAME_BYTES = 1 << 20      # longest frame a stream reads, newline excluded
+IDLE_TIMEOUT_S = 30.0          # serve_tcp ends a client idle this long on a read or write
 
 
 @dataclass(frozen=True)
@@ -130,17 +131,19 @@ class TcpTransport(StreamTransport):
 
     def close(self) -> None:
         super().close()
-        # makefile objects keep the fd alive; close them before the socket
-        # so the peer sees EOF promptly
-        for stream in (self._writer, self._reader):
-            try:
-                stream.close()
-            except OSError:  # pragma: no cover
-                pass
+        # shut down first: the peer sees EOF at once, and a reply left in the
+        # writer by a timed-out write fails here instead of waiting out the
+        # timeout again (every other frame was flushed when it was sent)
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        # makefile objects keep the fd alive; close them before the socket
+        for stream in (self._writer, self._reader):
+            try:
+                stream.close()
+            except OSError:
+                pass
         self._sock.close()
 
 
@@ -235,10 +238,11 @@ class ToolServer:
         )
 
     def serve_stream(self, transport: Transport) -> None:
-        """Answer frames until the peer hangs up, while reading or replying.
+        """Answer frames until the peer hangs up or times out, while reading or replying.
 
         A frame past ``MAX_FRAME_BYTES`` gets one ``-32600`` frame, then the
-        connection ends: the rest of that line cannot be skipped unread.
+        connection ends: the rest of that line cannot be skipped unread.  A
+        timeout ends the connection with one warning.
         """
         try:
             while True:
@@ -252,12 +256,23 @@ class ToolServer:
                 transport.send_frame(reply)
         except TransportClosed:
             return
+        except TransportTimeout as exc:
+            logger.warning("ended an idle client: %s", exc)
 
-    def serve_tcp(self, host: str, port: int, max_clients: Optional[int] = None, ready=None) -> None:
+    def serve_tcp(
+        self,
+        host: str,
+        port: int,
+        max_clients: Optional[int] = None,
+        ready=None,
+        idle_timeout_s: float = IDLE_TIMEOUT_S,
+    ) -> None:
         """Accept clients serially; ``ready`` (if given) receives the bound port.
 
-        A client whose connection fails for any other reason than hanging up
-        is logged and disconnected; the server goes on to the next one.
+        A client that sends nothing, or reads no reply, for ``idle_timeout_s``
+        is ended, so it cannot hold up the clients waiting behind it.  A client
+        whose connection fails for any other reason than hanging up is logged
+        and disconnected; the server goes on to the next one.
         """
         with socket.create_server((host, port)) as listener:
             if ready is not None:
@@ -265,6 +280,7 @@ class ToolServer:
             served = 0
             while max_clients is None or served < max_clients:
                 conn, _ = listener.accept()
+                conn.settimeout(idle_timeout_s)
                 # closing the transport closes its makefile streams too, so
                 # the client sees EOF instead of waiting on an open descriptor
                 transport = TcpTransport(conn)

@@ -25,7 +25,16 @@ from tickslab.errors import (
 from tickslab.harness import episode
 from tickslab.harness.cli import main as cli_main
 from tickslab.harness.episode import EpisodeLog, Policy, StepRecord, run_episode
-from tickslab.harness.featurize import featurize, goal_frames, scatter_tokens, tokenize
+from tickslab.harness import featurize as featurize_mod
+from tickslab.harness.featurize import (
+    TOKEN_CACHE_SIZE,
+    featurize,
+    goal_frames,
+    scatter_tokens,
+    token_probes,
+    tokenize,
+    world_tokens,
+)
 from tickslab.harness.metrics import (
     compute_metrics,
     read_logs,
@@ -34,6 +43,7 @@ from tickslab.harness.metrics import (
 )
 from tickslab.harness.tasks import gen_tasks, load_tasks, save_tasks
 from tickslab.harness.world import (
+    ObjectState,
     WorldState,
     build_registry,
     demo_world,
@@ -43,6 +53,7 @@ from tickslab.harness.world import (
 )
 from tickslab.params import build_model, build_router_params
 from tickslab.perception import encode_modality, fuse
+from tickslab.rng import SplitMix64, fnv1a64
 from tickslab.weights import MAGIC, load_weights, save_weights
 
 # Canonical actuate reply to the fixed sync vector below (numpy 2.4.6).
@@ -318,6 +329,90 @@ class TestFeaturize:
         assert np.all(np.isfinite(vec))
         assert np.count_nonzero(vec) <= 4 * 4  # tokens * probes
 
+
+
+def uncached_scatter(tokens, dim):
+    """The feature-hashing loop as it was before the per-token cache."""
+    frame = np.zeros(dim, dtype=np.float64)
+    for token in tokens:
+        stream = SplitMix64(fnv1a64(token))
+        for _ in range(4):
+            raw = stream.next_u64()
+            sign = 1.0 if (raw >> 63) == 0 else -1.0
+            frame[raw % dim] += sign * 0.5
+    return frame.astype(np.float32)
+
+
+# few distinct tokens so that lists repeat them; any text, so non-ASCII too
+cache_tokens = st.lists(
+    st.one_of(st.sampled_from(["cup@table", "robot@sink", "cup:held", "é@ü"]), st.text(max_size=12)),
+    max_size=24,
+)
+widths = st.integers(min_value=1, max_value=1024)
+worlds = st.builds(
+    WorldState,
+    objects=st.dictionaries(
+        st.text(max_size=8),
+        st.builds(ObjectState, st.text(max_size=8), st.booleans()),
+        max_size=6,
+    ),
+    robot_at=st.text(max_size=8),
+)
+
+
+class TestTokenCache:
+    @settings(max_examples=200, deadline=None)
+    @given(tokens=cache_tokens, dim=widths)
+    @example(tokens=[], dim=1)
+    @example(tokens=["cup@table"] * 9, dim=1024)
+    def test_scatter_equals_the_uncached_loop(self, tokens, dim):
+        assert scatter_tokens(tokens, dim).tobytes() == uncached_scatter(tokens, dim).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(world=worlds, goal=st.text(max_size=40), dim=widths)
+    def test_frames_equal_the_uncached_loop(self, world, goal, dim):
+        dims = dataclasses.replace(Config().perception, vision_in=dim, proprio_in=dim)
+        proprio = featurize(world, dims)
+        assert proprio.tobytes() == uncached_scatter(world_tokens(world), dim).tobytes()
+        assert featurize(world, dims).tobytes() == proprio.tobytes()
+        vision, audio = goal_frames(goal, dims)
+        assert vision.tobytes() == uncached_scatter(tokenize(goal), dim).tobytes()
+        assert audio.tobytes() == goal_frames(goal, Config().perception)[1].tobytes()
+
+    def test_each_width_gets_its_own_indices(self):
+        wide = token_probes("cup@table", 768)
+        narrow = token_probes("cup@table", 64)
+        stream = SplitMix64(fnv1a64("cup@table"))
+        raws = [stream.next_u64() for _ in range(4)]
+        assert [i for i, _ in wide] == [raw % 768 for raw in raws]
+        assert [i for i, _ in narrow] == [raw % 64 for raw in raws]
+        assert wide != narrow
+        assert scatter_tokens(["cup@table"], 64).tobytes() == uncached_scatter(["cup@table"], 64).tobytes()
+
+    def test_second_featurize_hashes_nothing(self, monkeypatch):
+        calls = {"fnv1a64": 0, "SplitMix64": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(featurize_mod, name, wrapper)
+
+        counted("fnv1a64", fnv1a64)
+        counted("SplitMix64", SplitMix64)
+        token_probes.cache_clear()
+        dims = Config().perception
+        first = featurize(demo_world(), dims)
+        tokens = len(world_tokens(demo_world()))
+        assert calls == {"fnv1a64": tokens, "SplitMix64": tokens}
+        calls.update(fnv1a64=0, SplitMix64=0)
+        assert featurize(demo_world(), dims).tobytes() == first.tobytes()
+        assert calls == {"fnv1a64": 0, "SplitMix64": 0}
+
+    def test_cache_is_bounded(self):
+        assert token_probes.cache_info().maxsize == TOKEN_CACHE_SIZE
+        assert 0 < TOKEN_CACHE_SIZE < 1 << 20
 
 class TestMetrics:
     def _log(self, task_id, outcome, statuses, steps_used=None):

@@ -342,10 +342,11 @@ CLIENT_TIMEOUT_S = 5.0
 
 
 @contextmanager
-def serving_tcp(server, max_clients):
+def serving_tcp(server, max_clients, **kwargs):
     """Run ``server.serve_tcp`` on a thread; yield (port, thread).
 
-    On exit the server must have ended by itself after ``max_clients``.
+    ``kwargs`` go on to ``serve_tcp``.  On exit the server must have ended
+    by itself after ``max_clients``.
     """
     ready = threading.Event()
     port_holder = {}
@@ -355,13 +356,19 @@ def serving_tcp(server, max_clients):
         ready.set()
 
     thread = threading.Thread(
-        target=server.serve_tcp, args=("127.0.0.1", 0, max_clients, set_port), daemon=True
+        target=server.serve_tcp,
+        args=("127.0.0.1", 0, max_clients, set_port),
+        kwargs=kwargs,
+        daemon=True,
     )
     thread.start()
     assert ready.wait(5.0)
     yield port_holder["port"], thread
     thread.join(5.0)
     assert not thread.is_alive()
+
+
+REGISTRY_LIST = b'{"jsonrpc":"2.0","id":1,"method":"registry/list"}'
 
 
 def client_socket(port):
@@ -579,6 +586,41 @@ class TestTcp:
                 assert dispatch(envelope(), transport).ok
             finally:
                 transport.close()
+
+    def assert_served(self, port):
+        transport = connect(port)
+        try:
+            transport.send_frame(REGISTRY_LIST)
+            assert json.loads(transport.recv_frame())["result"]["tools"]
+        finally:
+            transport.close()
+
+    def test_idle_client_does_not_stall_the_next(self, caplog):
+        with serving_tcp(make_server(), 2, idle_timeout_s=0.2) as (port, _):
+            idle = client_socket(port)
+            try:
+                self.assert_served(port)
+                assert idle.recv(1) == b""  # the server ended the idle client
+            finally:
+                idle.close()
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "idle client" in caplog.records[0].getMessage()
+
+    def test_client_that_reads_no_reply_does_not_stall_the_next(self, caplog):
+        # 0.5 s, so a stalled test thread does not time the server's read out first
+        with serving_tcp(make_server(), 2, idle_timeout_s=0.5) as (port, _):
+            flood = client_socket(port)
+            try:
+                # replies pile up unread until the server's write times out
+                with pytest.raises(OSError) as info:
+                    while True:
+                        flood.sendall((REGISTRY_LIST + b"\n") * 64)
+                assert not isinstance(info.value, TimeoutError)
+            finally:
+                flood.close()
+            self.assert_served(port)
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "timed out writing" in caplog.records[0].getMessage()
 
 
 class TestFraming:
