@@ -38,7 +38,7 @@ _CODE_PARSE_ERROR = -32700
 _CODE_INTERNAL_ERROR = -32603
 
 MAX_FRAME_BYTES = 1 << 20      # longest frame a stream reads, newline excluded
-IDLE_TIMEOUT_S = 30.0          # serve_tcp ends a client idle this long on a read or write
+IDLE_TIMEOUT_S = 30.0          # serve_tcp ends a client whose read or write waits this long
 
 
 @dataclass(frozen=True)
@@ -259,20 +259,14 @@ class ToolServer:
         except TransportTimeout as exc:
             logger.warning("ended an idle client: %s", exc)
 
-    def serve_tcp(
-        self,
-        host: str,
-        port: int,
-        max_clients: Optional[int] = None,
-        ready=None,
-        idle_timeout_s: float = IDLE_TIMEOUT_S,
-    ) -> None:
+    def serve_tcp(self, host: str, port: int, max_clients: Optional[int] = None, ready=None) -> None:
         """Accept clients serially; ``ready`` (if given) receives the bound port.
 
-        A client that sends nothing, or reads no reply, for ``idle_timeout_s``
-        is ended, so it cannot hold up the clients waiting behind it.  A client
-        whose connection fails for any other reason than hanging up is logged
-        and disconnected; the server goes on to the next one.
+        A client that sends or reads nothing for ``IDLE_TIMEOUT_S`` is ended,
+        so it cannot hold up the clients waiting behind it; one that keeps
+        trickling bytes still holds them.  A client whose connection fails for
+        any other reason than hanging up is logged and disconnected; the
+        server goes on to the next one.
         """
         with socket.create_server((host, port)) as listener:
             if ready is not None:
@@ -280,7 +274,7 @@ class ToolServer:
             served = 0
             while max_clients is None or served < max_clients:
                 conn, _ = listener.accept()
-                conn.settimeout(idle_timeout_s)
+                conn.settimeout(IDLE_TIMEOUT_S)
                 # closing the transport closes its makefile streams too, so
                 # the client sees EOF instead of waiting on an open descriptor
                 transport = TcpTransport(conn)

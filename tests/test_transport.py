@@ -2,6 +2,7 @@ import json
 import socket
 import struct
 import threading
+import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tickslab import transport as transport_mod
 from tickslab.envelope import Envelope, EnvelopeMeta, sync_digest
 from tickslab.errors import FrameTooLong, IdMismatch, TransportClosed, TransportTimeout
 from tickslab.harness.world import WorldSession, build_registry, demo_world
@@ -342,11 +344,10 @@ CLIENT_TIMEOUT_S = 5.0
 
 
 @contextmanager
-def serving_tcp(server, max_clients, **kwargs):
+def serving_tcp(server, max_clients):
     """Run ``server.serve_tcp`` on a thread; yield (port, thread).
 
-    ``kwargs`` go on to ``serve_tcp``.  On exit the server must have ended
-    by itself after ``max_clients``.
+    On exit the server must have ended by itself after ``max_clients``.
     """
     ready = threading.Event()
     port_holder = {}
@@ -356,10 +357,7 @@ def serving_tcp(server, max_clients, **kwargs):
         ready.set()
 
     thread = threading.Thread(
-        target=server.serve_tcp,
-        args=("127.0.0.1", 0, max_clients, set_port),
-        kwargs=kwargs,
-        daemon=True,
+        target=server.serve_tcp, args=("127.0.0.1", 0, max_clients, set_port), daemon=True
     )
     thread.start()
     assert ready.wait(5.0)
@@ -595,8 +593,9 @@ class TestTcp:
         finally:
             transport.close()
 
-    def test_idle_client_does_not_stall_the_next(self, caplog):
-        with serving_tcp(make_server(), 2, idle_timeout_s=0.2) as (port, _):
+    def test_idle_client_does_not_stall_the_next(self, caplog, monkeypatch):
+        monkeypatch.setattr(transport_mod, "IDLE_TIMEOUT_S", 0.2)
+        with serving_tcp(make_server(), 2) as (port, _):
             idle = client_socket(port)
             try:
                 self.assert_served(port)
@@ -606,9 +605,10 @@ class TestTcp:
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         assert "idle client" in caplog.records[0].getMessage()
 
-    def test_client_that_reads_no_reply_does_not_stall_the_next(self, caplog):
+    def test_client_that_reads_no_reply_does_not_stall_the_next(self, caplog, monkeypatch):
         # 0.5 s, so a stalled test thread does not time the server's read out first
-        with serving_tcp(make_server(), 2, idle_timeout_s=0.5) as (port, _):
+        monkeypatch.setattr(transport_mod, "IDLE_TIMEOUT_S", 0.5)
+        with serving_tcp(make_server(), 2) as (port, _):
             flood = client_socket(port)
             try:
                 # replies pile up unread until the server's write times out
@@ -621,6 +621,24 @@ class TestTcp:
             self.assert_served(port)
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         assert "timed out writing" in caplog.records[0].getMessage()
+
+    def test_close_after_a_write_timeout_does_not_wait_it_out_again(self):
+        timeout_s = 0.5
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            peer = client_socket(listener.getsockname()[1])
+            conn, _ = listener.accept()
+        conn.settimeout(timeout_s)
+        transport = TcpTransport(conn)
+        try:
+            # the peer reads nothing, so a frame sticks in the writer
+            with pytest.raises(TransportTimeout):
+                while True:
+                    transport.send_frame(b"x" * 4096)
+            start = time.perf_counter()
+            transport.close()
+            assert time.perf_counter() - start < timeout_s / 2
+        finally:
+            peer.close()
 
 
 class TestFraming:
