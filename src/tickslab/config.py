@@ -146,10 +146,9 @@ class ActuatorConfig:
     joints: int = 12
     torque_limit: float = 5.0
     gain: float = 1.0
-    samples_per_move: int = 10
 
     def __post_init__(self):
-        _check_fields(self, "actuator", torque_limit=_POSITIVE, samples_per_move=_at_least(2))
+        _check_fields(self, "actuator", torque_limit=_POSITIVE)
 
 
 @dataclass(frozen=True)

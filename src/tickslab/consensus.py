@@ -23,12 +23,12 @@ and the timeout path are mutually exclusive, and the timeout path is total
 (it falls back to the cached result, or to a zero no-op result on the first
 step).
 
-Live mode (``decide_step_live``) is the same step with a wall-clock stop
-``consensus.deadline_ms`` after the call: the trajectory also ends before a
-slab that would start after that expiry, so a step returns within its
-deadline plus one slab, and branches still running then are left out.
-With a deadline that does not expire, its decision equals the
-deterministic one bit for bit.
+With ``consensus.live`` set, a step also has a wall-clock stop
+``consensus.deadline_ms`` after the call: the trajectory ends before a slab
+that would start after that expiry, so a step returns within its deadline
+plus one slab, and branches still running then are left out.  With a
+deadline that does not expire, its decision equals the deterministic one
+bit for bit.
 
 When the world stops changing, f repeats and the float32 trajectory falls
 into exact limit cycles (period 2 to 6) that repeat half the slabs of a
@@ -41,6 +41,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -83,41 +84,20 @@ class ConsensusResult:
     fallback: bool
 
 
-class PermutationCache:
-    """The branch pair permutations of the current episode, read-only.
+@lru_cache(maxsize=1)
+def branch_permutations(episode_seed: int, pair_count: int, k: int) -> np.ndarray:
+    """The pair permutations of branches 0..k-1 as one read-only (k, pair_count) array.
 
-    Only one (episode seed, pair count) is held at a time: asking for
-    another replaces the arrays, so the cache never grows past k of them.
-    The arrays are a pure function of that key, so sharing one cache
-    between callers changes no result.
+    Row b is drawn from the stream of (episode seed, branch b) alone, so it
+    is the same for every k > b.  Only the last key is held, so a decision
+    step's repeat calls share one array and a new episode replaces it.
     """
-
-    def __init__(self) -> None:
-        self._key: tuple = ()
-        self._perms: list[np.ndarray] = []
-        self._stacked: Optional[np.ndarray] = None   # the last ``stacked`` result
-
-    def get(self, episode_seed: int, pair_count: int, k: int) -> list[np.ndarray]:
-        """Permutations of branches 0..k-1."""
-        if self._key != (episode_seed, pair_count):
-            self._key, self._perms, self._stacked = (episode_seed, pair_count), [], None
-        for branch_id in range(len(self._perms), k):
-            stream = SplitMix64(derive_seed(episode_seed, f"branch/{branch_id}"))
-            perm = stream.permutation(pair_count)
-            perm.flags.writeable = False
-            self._perms.append(perm)
-        return self._perms[:k]
-
-    def stacked(self, episode_seed: int, pair_count: int, k: int) -> np.ndarray:
-        """The permutations of branches 0..k-1 as one (k, pair_count) array."""
-        perms = self.get(episode_seed, pair_count, k)
-        if self._stacked is None or len(self._stacked) != k:
-            self._stacked = np.stack(perms)
-            self._stacked.flags.writeable = False
-        return self._stacked
-
-
-_PERMUTATIONS = PermutationCache()
+    perms = np.stack([
+        SplitMix64(derive_seed(episode_seed, f"branch/{branch_id}")).permutation(pair_count)
+        for branch_id in range(k)
+    ])
+    perms.flags.writeable = False
+    return perms
 
 
 class SlabMemo:
@@ -154,7 +134,7 @@ def perturb_for_branch(params: CtmParams, episode_seed: int, branch_id: int) -> 
     everything downstream read the reshuffled vector, so branches read
     different certainties off the same trajectory while staying reproducible.
     """
-    perm = _PERMUTATIONS.get(episode_seed, params.config.sync_pairs, branch_id + 1)[branch_id]
+    perm = branch_permutations(episode_seed, params.config.sync_pairs, branch_id + 1)[branch_id]
     return replace(params, pair_p=params.pair_p[perm], pair_q=params.pair_q[perm])
 
 
@@ -230,7 +210,7 @@ def shared_branches(
             logger.warning("%s", BranchPanic(branch_id, exc))
             continue
         ids.append(branch_id)
-    perms = _PERMUTATIONS.stacked(episode_seed, config.sync_pairs, consensus.branches)
+    perms = branch_permutations(episode_seed, config.sync_pairs, consensus.branches)
     perms = perms if len(ids) == consensus.branches else perms[ids]
     # one row, which the first accumulate broadcasts to a row per branch
     syncs = seed_state.sync[None]
@@ -427,41 +407,20 @@ def decide_step(
     branch_hook: Optional[Callable[[int], None]] = None,
     slabs: Optional[SlabMemo] = None,
 ) -> StepDecision:
-    """Deterministic decision step over ``consensus.branches`` branch readouts.
+    """Decision step over ``consensus.branches`` branch readouts.
 
     One shared trajectory runs slab by slab and stops once the decision is
     settled or at the logical cutoff (see ``shared_branches``); the
     branches are readouts of it, and ``select_step`` makes the decision.
     The result is the one ``select_step`` gives on ``run_branch`` runs of
     every branch: a branch that halts after either stop can never be
-    chosen or merged.
+    chosen or merged.  With ``consensus.live`` set, the trajectory also
+    stops once ``consensus.deadline_ms`` has passed since the call, so the
+    call returns within the deadline plus one slab; if no branch that
+    halted by then reached the threshold, the timeout path gives the
+    fallback.  Without it the clock is never read.
     """
-    pairs = shared_branches(
-        seed_state, f, params, epsilon, episode_seed, consensus, branch_hook, slabs=slabs
-    )
-    return select_step(pairs, seed_state, params, cache, consensus)
-
-
-def decide_step_live(
-    seed_state: BranchState,
-    f: np.ndarray,
-    params: CtmParams,
-    epsilon: float,
-    episode_seed: int,
-    cache: Optional[ConsensusResult],
-    consensus: ConsensusConfig,
-    branch_hook: Optional[Callable[[int], None]] = None,
-    slabs: Optional[SlabMemo] = None,
-) -> StepDecision:
-    """Live decision step: ``decide_step`` under a wall-clock stop.
-
-    The shared trajectory stops as in ``decide_step``, or once
-    ``consensus.deadline_ms`` has passed since the call, whichever comes
-    first, so the call returns within the deadline plus one slab.  The
-    branches that halted by then go through ``select_step``; if none
-    reached the threshold, the timeout path gives the fallback.
-    """
-    expiry = time.monotonic() + consensus.deadline_ms / 1000.0
+    expiry = time.monotonic() + consensus.deadline_ms / 1000.0 if consensus.live else None
     pairs = shared_branches(
         seed_state, f, params, epsilon, episode_seed, consensus, branch_hook, expiry, slabs
     )

@@ -23,9 +23,7 @@ import numpy as np
 
 from .config import EngineConfig
 from .errors import DimensionMismatch, EmptySlab
-from .numerics import F32_INTERIOR, bounded_tanh, einsum, entropy, matvec, softmax
-
-_LOWER, _UPPER = np.array(-F32_INTERIOR), np.array(F32_INTERIOR)  # bounded_tanh's clamp
+from .numerics import _LOWER, _UPPER, bounded_tanh, einsum, entropy, matvec, softmax
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from typing import Optional
 
 from ..affect import affect_decode, modulate_epsilon
 from ..config import Config
-from ..consensus import ConsensusResult, SlabMemo, decide_step, decide_step_live
+from ..consensus import ConsensusResult, SlabMemo, decide_step
 from ..engine import initial_state
 from ..errors import ConfigError, SchemaViolation
 from ..params import ModelParams, build_model, build_router_params
@@ -41,6 +41,10 @@ from .tasks import TaskRecord
 from .world import WorldSession, build_registry, world_from_task
 
 logger = logging.getLogger("tickslab.episode")
+
+# No program code calls this alias: perfbench/worker.py wraps it by name.
+# Delete it once perfbench stops wrapping names (ROADMAP items 1 and 2c).
+decide_step_live = decide_step
 
 
 class Policy(enum.Enum):
@@ -118,7 +122,6 @@ def run_episode(
     envelopes = EnvelopeSession(task.id)
 
     ctm = model.ctm
-    decide = decide_step_live if config.consensus.live else decide_step
 
     log = EpisodeLog(task_id=task.id, records=[], outcome=OUTCOME_ERROR, steps_used=0)
     seed_state = initial_state(ctm)
@@ -143,7 +146,7 @@ def run_episode(
             seed_state = replace(seed_state, tick=0, slab=0, certainty_trace=())
 
             while True:
-                decision = decide(
+                decision = decide_step(
                     seed_state, f, ctm, epsilon, episode_seed, cache, config.consensus,
                     slabs=slabs,
                 )

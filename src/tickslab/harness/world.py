@@ -21,6 +21,7 @@ from ..schema import json_type_ok
 from ..transport import ToolResult, error_result, ok_result
 
 START_LOCATION = "dock"
+WAYPOINTS_PER_MOVE = 10   # echoed in each actuate reply
 
 TOOL_SPECS = (
     ToolSpec("noop", (), "do nothing"),
@@ -102,13 +103,13 @@ def goal_holds(state: WorldState, predicate: str) -> bool:
 
 
 def _actuate(sync: np.ndarray, params: ActuatorParams) -> ToolResult:
-    """Demo joint chain: plan torque, map to PWM; a move is ``samples_per_move`` waypoints."""
+    """Demo joint chain: plan torque, map to PWM; a move is ``WAYPOINTS_PER_MOVE`` waypoints."""
     duty = torque_to_pwm(plan_torque(sync, params), params)
     if not np.all(np.isfinite(duty)):
         return error_result("torque plan produced non-finite duties")
     return ok_result(
         duty=[round(float(d), 6) for d in duty],
-        waypoints=params.config.samples_per_move,
+        waypoints=WAYPOINTS_PER_MOVE,
     )
 
 

@@ -16,7 +16,7 @@ from conftest import make_ctm, fusion_vector
 from tickslab import consensus
 from tickslab.actuator import ActuatorParams, interpolate_trajectory, plan_torque
 from tickslab.config import Config, ConsensusConfig
-from tickslab.consensus import decide_step_live, merge
+from tickslab.consensus import decide_step, merge
 from tickslab.engine import certainty, initial_state, mu_mlp, sync_scan_tick, sync_update
 from tickslab.envelope import AFFECT_DIMS, parse_envelope, serialize_envelope
 from tickslab.errors import SchemaViolation
@@ -143,7 +143,7 @@ class TestAcceptance:
         fvec = fusion_vector(5, dim=4)
         seed_state = initial_state(params)
         window = ConsensusConfig(
-            branches=2, deadline_ticks=params.config.tick_budget, deadline_ms=1.0
+            branches=2, deadline_ticks=params.config.tick_budget, deadline_ms=1.0, live=True
         )
         rng = np.random.default_rng(505)
         saw_normal = saw_fallback = 0
@@ -161,7 +161,7 @@ class TestAcceptance:
                 def hook(branch_id, delays=delays):
                     time.sleep(float(delays[branch_id]))
 
-                decision = decide_step_live(
+                decision = decide_step(
                     seed_state, fvec, params, 0.05, trial, None, window, branch_hook=hook,
                 )
                 paths = (merged.call_count, fell_back.call_count)

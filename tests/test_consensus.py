@@ -14,10 +14,9 @@ from tickslab import consensus
 from tickslab.config import ConsensusConfig
 from tickslab.consensus import (
     BranchOutcome,
-    PermutationCache,
     SlabMemo,
+    branch_permutations,
     decide_step,
-    decide_step_live,
     merge,
     perturb_for_branch,
     run_branch,
@@ -337,6 +336,22 @@ class TestDecideStep:
         # plateau interrupt fires after the trace fills up
         assert decision.next_seed.slab == params.config.plateau_window
 
+    def test_deterministic_step_never_reads_the_clock(self, small_params, fvec, monkeypatch):
+        def no_clock():
+            raise RuntimeError("the clock was read")
+
+        monkeypatch.setattr(consensus.time, "monotonic", no_clock)
+        decision = decide_step(
+            initial_state(small_params), fvec, small_params, 0.75, 11, None,
+            four_slab_window(small_params, 3),
+        )
+        assert not decision.result.fallback
+        with pytest.raises(RuntimeError, match="clock"):
+            decide_step(
+                initial_state(small_params), fvec, small_params, 0.75, 11, None,
+                replace(four_slab_window(small_params, 3), live=True),
+            )
+
     def test_all_branches_failing_dispatches_fallback(self, small_params, fvec):
         def hook(branch_id):
             raise RuntimeError("boom")
@@ -364,15 +379,15 @@ class TestDecideStep:
 class TestLiveRace:
     def test_live_wait_one_merges_up_to_two(self, fvec):
         params = make_ctm(seed=3, max_slabs=2, ticks_per_slab=2)
-        window = no_cutoff(params, 3, "one", deadline_ms=200.0)
-        decision = decide_step_live(initial_state(params), fvec, params, 0.05, 7, None, window)
+        window = no_cutoff(params, 3, "one", deadline_ms=200.0, live=True)
+        decision = decide_step(initial_state(params), fvec, params, 0.05, 7, None, window)
         assert not decision.result.fallback
         assert 1 <= len(decision.result.contributors) <= 2
 
     def test_exactly_one_result_smoke(self, fvec):
         params = make_ctm(seed=3, max_slabs=2, ticks_per_slab=2)
         seed_state = initial_state(params)
-        window = no_cutoff(params, 2, deadline_ms=3.0)
+        window = no_cutoff(params, 2, deadline_ms=3.0, live=True)
         rng = np.random.default_rng(0)
         with (
             mock.patch.object(consensus, "merge", wraps=consensus.merge) as merged,
@@ -387,7 +402,7 @@ class TestLiveRace:
                 def hook(branch_id):
                     time.sleep(float(rng.uniform(0, 0.004)))
 
-                decision = decide_step_live(
+                decision = decide_step(
                     seed_state, fvec, params, 0.10, trial, None, window, branch_hook=hook,
                 )
                 fallback = decision.result.fallback
@@ -410,9 +425,9 @@ class TestLiveRace:
         run_slab(state, fvec, params, epsilon=0.5)
         slab_s = time.monotonic() - start
 
-        window = no_cutoff(params, 4, deadline_ms=50.0)
+        window = no_cutoff(params, 4, deadline_ms=50.0, live=True)
         start = time.monotonic()
-        decision = decide_step_live(initial_state(params), fvec, params, 0.5, 7, None, window)
+        decision = decide_step(initial_state(params), fvec, params, 0.5, 7, None, window)
         elapsed = time.monotonic() - start
         assert decision.result.fallback
         assert decision.result.contributors == ()
@@ -575,8 +590,9 @@ class TestSharedTrajectory:
             )
         assert counter.call_count == computed
         with counting_slab_ticks() as counter:
-            live = decide_step_live(
-                seed_state, f, params, epsilon, episode_seed, cache, window, branch_hook=hook
+            live = decide_step(
+                seed_state, f, params, epsilon, episode_seed, cache, replace(window, live=True),
+                branch_hook=hook,
             )
         assert counter.call_count == computed
         want = select_step(list(reference.values()), seed_state, params, cache, window)
@@ -624,33 +640,35 @@ class TestSharedTrajectory:
         assert decision.result.fallback
         assert decision.next_seed is None
 
-    def test_permutation_cache_holds_one_episode(self):
-        cache = PermutationCache()
-        first = cache.get(5, 12, 3)
-        assert len(first) == 3
-        assert all(a is b for a, b in zip(first, cache.get(5, 12, 3)))
-        for branch_id, perm in enumerate(first):
-            fresh = SplitMix64(derive_seed(5, f"branch/{branch_id}")).permutation(12)
+    @given(
+        seed=st.integers(0, 2**40),
+        other_seed=st.integers(0, 2**40),
+        pair_count=st.integers(1, 64),
+        k=st.integers(1, 6),
+        larger=st.integers(0, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_branch_permutations_hold_one_episode(self, seed, other_seed, pair_count, k, larger):
+        perms = branch_permutations(seed, pair_count, k)
+        assert perms.shape == (k, pair_count)
+        assert not perms.flags.writeable
+        assert branch_permutations(seed, pair_count, k) is perms
+        wider = branch_permutations(seed, pair_count, k + larger)
+        assert not wider.flags.writeable
+        for branch_id, perm in enumerate(perms):
+            fresh = SplitMix64(derive_seed(seed, f"branch/{branch_id}")).permutation(pair_count)
             assert np.array_equal(perm, fresh)
+            assert np.array_equal(wider[branch_id], fresh)
             assert not perm.flags.writeable
-        cache.get(6, 12, 3)
-        again = cache.get(5, 12, 3)
-        assert all(a is not b for a, b in zip(first, again))
-        assert all(np.array_equal(a, b) for a, b in zip(first, again))
-
-    def test_permutation_cache_stacks_the_episode_once(self):
-        cache = PermutationCache()
-        stacked = cache.stacked(5, 12, 3)
-        assert stacked.shape == (3, 12)
-        assert np.array_equal(stacked, np.stack(cache.get(5, 12, 3)))
-        assert not stacked.flags.writeable
-        assert cache.stacked(5, 12, 3) is stacked
-        # a second episode seed rebuilds it from that episode's permutations
-        second = cache.stacked(6, 12, 3)
-        assert np.array_equal(second, np.stack(cache.get(6, 12, 3)))
-        assert not np.array_equal(second, stacked)
-        assert not second.flags.writeable
-        assert np.array_equal(cache.stacked(6, 12, 2), second[:2])
+        # one key is held: another episode seed evicts it, and asking again
+        # rebuilds equal rows in a new array
+        other = branch_permutations(other_seed + (other_seed == seed), pair_count, k)
+        assert not other.flags.writeable
+        if pair_count >= 8:
+            assert not np.array_equal(other, perms)
+        again = branch_permutations(seed, pair_count, k)
+        assert again is not perms
+        assert np.array_equal(again, perms)
 
 
 def reset_counters(state):
@@ -687,9 +705,9 @@ class TestSlabMemo:
 
             def decide(seed_state, f):
                 nonlocal cache
-                step = decide_step_live if live[len(decisions)] else decide_step
-                decision = step(
-                    seed_state, f, params, epsilon, episode_seed, cache, window, slabs=slabs
+                decision = decide_step(
+                    seed_state, f, params, epsilon, episode_seed, cache,
+                    replace(window, live=live[len(decisions)]), slabs=slabs,
                 )
                 decisions.append(decision)
                 if not decision.result.fallback:

@@ -43,6 +43,7 @@ from tickslab.harness.metrics import (
 )
 from tickslab.harness.tasks import gen_tasks, load_tasks, save_tasks
 from tickslab.harness.world import (
+    WAYPOINTS_PER_MOVE,
     ObjectState,
     WorldState,
     build_registry,
@@ -259,7 +260,7 @@ class TestWorld:
         duties = result.payload["duty"]
         assert len(duties) == 12
         assert all(0.0 <= d <= 1.0 for d in duties)
-        assert result.payload["waypoints"] == config.actuator.samples_per_move
+        assert result.payload["waypoints"] == WAYPOINTS_PER_MOVE
         reply = canonical_json_bytes({"status": result.status, "payload": result.payload})
         assert hashlib.sha256(reply).hexdigest() == ACTUATE_REPLY_SHA256
 
@@ -613,7 +614,8 @@ class TestConfig:
             ({"consensus": {"deadline_ms": 0.0}}, "consensus.deadline_ms"),
             ({"perception": {"audio_in": 200}}, "perception.audio_in"),
             ({"perception": {"audio_in": 129}}, "perception.audio_in"),
-            ({"actuator": {"samples_per_move": 1}}, "actuator.samples_per_move"),
+            # the removed actuator.samples_per_move knob is an unknown key now
+            ({"actuator": {"samples_per_move": 10}}, "samples_per_move"),
             *(
                 ({section: {key: bad}}, f"{section}.{key}")
                 for section, key in FLOATS
@@ -643,7 +645,6 @@ class TestConfig:
         config = Config.from_dict({
             "perception": {"audio_in": 128},
             "consensus": {"deadline_ticks": 0},
-            "actuator": {"samples_per_move": 2},
             "engine": {"halt_cap": 1.0, "carry_beta": 0.0, "ticks_per_slab": self.TICKS_AT_CAP},
         })
         assert config.perception.audio_in == 128
@@ -992,12 +993,11 @@ class TestModelBuild:
         router = build_router_params(model, config, registry, ["cup"], episode_seed=7)
         assert router.config is config.router
 
-    @pytest.mark.parametrize("name", ["decide_step", "decide_step_live"])
-    def test_decision_step_gets_the_consensus_section(self, name):
-        live = name == "decide_step_live"
+    @pytest.mark.parametrize("live", [False, True])
+    def test_decision_step_gets_the_consensus_section(self, live):
         config = dataclasses.replace(Config(seed=2), consensus=ConsensusConfig(live=live))
-        decide = getattr(episode, name)
-        with mock.patch.object(episode, name, wraps=decide) as wrapped:
+        decide = episode.decide_step
+        with mock.patch.object(episode, "decide_step", wraps=decide) as wrapped:
             run_episode(gen_tasks(1, 1)[0], config, Policy.CTM)
         assert wrapped.call_count >= 1
         for call in wrapped.call_args_list:
