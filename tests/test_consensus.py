@@ -640,6 +640,30 @@ class TestSharedTrajectory:
         assert decision.result.fallback
         assert decision.next_seed is None
 
+    def test_permutation_cache_holds_one_episode(self):
+        first = branch_permutations(5, 12, 3)
+        assert len(first) == 3
+        assert branch_permutations(5, 12, 3) is first
+        for branch_id, perm in enumerate(first):
+            fresh = SplitMix64(derive_seed(5, f"branch/{branch_id}")).permutation(12)
+            assert np.array_equal(perm, fresh)
+            assert not perm.flags.writeable
+        branch_permutations(6, 12, 3)
+        again = branch_permutations(5, 12, 3)
+        assert again is not first
+        assert np.array_equal(again, first)
+
+    def test_permutation_cache_stacks_the_episode_once(self):
+        stacked = branch_permutations(5, 12, 3)
+        assert stacked.shape == (3, 12)
+        assert not stacked.flags.writeable
+        assert branch_permutations(5, 12, 3) is stacked
+        # a second episode seed rebuilds the stack from that episode's permutations
+        second = branch_permutations(6, 12, 3)
+        assert not np.array_equal(second, stacked)
+        assert not second.flags.writeable
+        assert np.array_equal(branch_permutations(6, 12, 2), second[:2])
+
     @given(
         seed=st.integers(0, 2**40),
         other_seed=st.integers(0, 2**40),
