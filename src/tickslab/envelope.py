@@ -19,8 +19,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import MalformedJson, NonFiniteMetadata, SchemaViolation
 from .schema import check_record, json_type_ok
 
@@ -54,10 +52,9 @@ class Envelope:
     meta: EnvelopeMeta
 
 
-def sync_digest(sync: np.ndarray) -> str:
-    """SHA-256 (lowercase hex) of the little-endian float32 bytes of the vector."""
-    data = np.ascontiguousarray(sync, dtype="<f4").tobytes()
-    return hashlib.sha256(data).hexdigest()
+def sync_digest(sync) -> str:
+    """SHA-256 (lowercase hex) of the little-endian float32 bytes of a numpy vector."""
+    return hashlib.sha256(sync.astype("<f4").tobytes()).hexdigest()
 
 
 def canonical_json_bytes(obj) -> bytes:

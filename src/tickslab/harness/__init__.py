@@ -1,6 +1,1 @@
 """Task harness: ingestion, simulated world, episode loop, metrics, CLI."""
-
-from .episode import EpisodeLog, Policy, StepRecord, run_episode
-from .metrics import MetricsReport, compute_metrics, read_logs, write_logs
-from .tasks import TaskRecord, TaskStep, gen_tasks, load_tasks, save_tasks
-from .world import WorldSession, WorldState, build_registry, step_env, world_from_task

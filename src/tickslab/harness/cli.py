@@ -1,4 +1,4 @@
-"""Command-line entry points: run, gen-tasks, metrics, serve."""
+"""Command-line entry points: run, gen-tasks, metrics, serve; each imports what it runs."""
 
 from __future__ import annotations
 
@@ -7,20 +7,31 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from ..config import Config
 from ..errors import TickslabError
-from ..params import build_model
 from ..transport import StdioTransport, ToolServer
-from .episode import Policy, run_episode
-from .metrics import compute_metrics, read_log_dir, write_logs, write_report
-from .tasks import gen_tasks, load_tasks, save_tasks
 from .world import WorldSession, build_registry, demo_world
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 
 
+def build_model(config, registry_size: int, max_slots: int):
+    """``tickslab.params.build_model``, imported when called.
+
+    Kept as a plain function of this module because perfbench/serve.py times
+    it by patching ``cli.build_model`` (ROADMAP item 1 drops that timer).
+    """
+    from ..params import build_model as build
+
+    return build(config, registry_size, max_slots)
+
+
 def cmd_run(args) -> int:
+    from ..config import Config
+    from .episode import Policy, run_episode
+    from .metrics import compute_metrics, write_logs, write_report
+    from .tasks import load_tasks
+
     config = Config.load(args.config) if args.config else Config()
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -44,6 +55,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen_tasks(args) -> int:
+    from .tasks import gen_tasks, save_tasks
+
     tasks = gen_tasks(args.seed, args.count)
     save_tasks(args.out, tasks)
     print(f"wrote {len(tasks)} tasks to {args.out}")
@@ -51,6 +64,8 @@ def cmd_gen_tasks(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    from .metrics import compute_metrics, read_log_dir
+
     logs = read_log_dir(args.logs)
     report = compute_metrics(logs)
     print(

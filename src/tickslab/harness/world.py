@@ -9,16 +9,17 @@ Goal predicates are the small string forms the task generator emits:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from ..actuator import ActuatorParams, plan_torque, torque_to_pwm
 from ..errors import UnknownTool
-from ..router import SlotKind, ToolRegistry, ToolSpec
-from ..rng import fnv1a64
+from ..registry import SlotKind, ToolRegistry, ToolSpec
 from ..schema import json_type_ok
 from ..transport import ToolResult, error_result, ok_result
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from ..actuator import ActuatorParams
 
 START_LOCATION = "dock"
 WAYPOINTS_PER_MOVE = 10   # echoed in each actuate reply
@@ -67,6 +68,8 @@ def world_from_task(task) -> WorldState:
     dock if none).  Context names that are neither locations nor picked
     objects are distractors, parked at a location chosen by a stable hash.
     """
+    from ..rng import fnv1a64
+
     location_set = {START_LOCATION}
     placement: dict[str, str] = {}
     here = START_LOCATION
@@ -104,6 +107,10 @@ def goal_holds(state: WorldState, predicate: str) -> bool:
 
 def _actuate(sync: np.ndarray, params: ActuatorParams) -> ToolResult:
     """Demo joint chain: plan torque, map to PWM; a move is ``WAYPOINTS_PER_MOVE`` waypoints."""
+    import numpy as np
+
+    from ..actuator import plan_torque, torque_to_pwm
+
     duty = torque_to_pwm(plan_torque(sync, params), params)
     if not np.all(np.isfinite(duty)):
         return error_result("torque plan produced non-finite duties")

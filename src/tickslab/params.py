@@ -20,7 +20,8 @@ from .engine import CtmParams
 from .errors import ConfigError
 from .perception import EncoderWeights
 from .rng import derive_seed, fan_in_matrix, sample_pairs
-from .router import RouterParams, ToolRegistry
+from .registry import ToolRegistry
+from .router import RouterParams
 from .weights import load_weights
 
 

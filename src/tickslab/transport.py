@@ -23,8 +23,8 @@ from typing import BinaryIO, Callable, Optional
 
 from .envelope import JSONRPC_VERSION, METHOD_PREFIX, canonical_json_bytes, serialize_envelope
 from .errors import FrameTooLong, IdMismatch, TransportClosed, TransportTimeout
+from .registry import ToolRegistry
 from .schema import json_type_ok
-from .router import ToolRegistry
 
 logger = logging.getLogger("tickslab.transport")
 

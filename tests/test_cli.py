@@ -1,5 +1,6 @@
 import importlib
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -12,6 +13,17 @@ from tickslab.harness.cli import build_parser, main
 from tickslab.transport import MAX_FRAME_BYTES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# perfbench/serve.py's imports, then `tickslab serve` over stdin/stdout
+SERVE_PROBE = """
+import json, sys
+from tickslab import transport
+from tickslab.harness import cli, world
+code = cli.main(["serve"])
+loaded = sorted(name for name in sys.modules if name.startswith("tickslab"))
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "loaded": loaded}), file=sys.stderr)
+"""
 
 
 def run_cli(*argv):
@@ -256,6 +268,33 @@ class TestServeStdio:
             b'{"id":3,"jsonrpc":"2.0","result":{"payload":'
             b'{"reason":"no sync vector available to actuate on"},"status":"error"}}'
         )
+
+    def test_serve_loads_no_numpy_and_answers_as_in_process(self):
+        from tickslab.envelope import serialize_envelope
+        from tickslab.harness.world import WorldSession, build_registry, demo_world
+        from tickslab.transport import ToolServer
+        from test_transport import envelope
+
+        frames = [
+            b'{"jsonrpc":"2.0","id":1,"method":"registry/list"}',
+            serialize_envelope(envelope("tool/navigate", 2, {"to": "counter"})),
+            serialize_envelope(envelope("tool/pick", 3, {"object": "cup"})),
+            serialize_envelope(envelope("tool/actuate", 4)),
+            b'{"jsonrpc":"2.0","id":5,',
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", SERVE_PROBE],
+            input=b"".join(frame + b"\n" for frame in frames),
+            capture_output=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        probe = json.loads(proc.stderr.splitlines()[-1])
+        assert probe["code"] == 0
+        assert not probe["numpy"], f"numpy loaded; tickslab modules: {probe['loaded']}"
+        server = ToolServer(build_registry(), WorldSession(demo_world()).handler)
+        assert proc.stdout.splitlines() == [server.handle_frame(frame) for frame in frames]
 
     def test_frame_too_long_gets_one_error_frame_and_exit_0(self):
         frames = b"[" * (MAX_FRAME_BYTES + 1) + b'\n{"jsonrpc":"2.0","id":4,"method":"registry/list"}\n'

@@ -85,6 +85,24 @@ class TestDigest:
         assert sync_digest(sync) == want
         assert len(want) == 64
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: v.astype(np.float64),
+            lambda v: np.repeat(v, 3)[::3],
+            lambda v: v.astype(">f4"),
+        ],
+        ids=["float64", "strided-float32", "big-endian"],
+    )
+    def test_matches_the_contiguous_le_float32_recipe(self, make):
+        # the recipe sync_digest used when envelope imported numpy
+        rng = np.random.default_rng(1)
+        sync = make(rng.normal(size=12).astype(np.float32))
+        want = hashlib.sha256(np.ascontiguousarray(sync, dtype="<f4").tobytes()).hexdigest()
+        assert sync_digest(sync) == want
+        golden = make(np.array([0.5, -1.0, 0.25, 2.0], dtype=np.float32))
+        assert sync_digest(golden) == GOLDEN_DIGEST
+
 
 class TestSerialize:
     def test_golden_fixture(self):

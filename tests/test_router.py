@@ -4,13 +4,11 @@ import pytest
 from tickslab.config import RouterConfig
 from tickslab.consensus import ConsensusResult
 from tickslab.errors import NoCandidates
+from tickslab.registry import SlotKind, ToolRegistry, ToolSpec
 from tickslab.router import (
     EnvelopeSession,
     GateOutcome,
     RouterParams,
-    SlotKind,
-    ToolRegistry,
-    ToolSpec,
     policy_gate,
     select_action,
 )

@@ -14,7 +14,7 @@ from tickslab import transport as transport_mod
 from tickslab.envelope import Envelope, EnvelopeMeta, sync_digest
 from tickslab.errors import FrameTooLong, IdMismatch, TransportClosed, TransportTimeout
 from tickslab.harness.world import WorldSession, build_registry, demo_world
-from tickslab.router import SlotKind, ToolRegistry, ToolSpec
+from tickslab.registry import SlotKind, ToolRegistry, ToolSpec
 from tickslab.transport import (
     MAX_FRAME_BYTES,
     LoopbackTransport,
