@@ -217,9 +217,6 @@ class Config:
             ("actuator/mapping", act.joints, e.sync_pairs, "actuator.joints x engine.sync_pairs"),
         ]
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, doc: dict) -> "Config":
         if not isinstance(doc, dict):
@@ -253,9 +250,3 @@ class Config:
         except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )

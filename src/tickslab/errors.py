@@ -42,10 +42,6 @@ class NonFiniteMetadata(TickslabError):
     pass
 
 
-class MalformedJson(TickslabError):
-    pass
-
-
 class SchemaViolation(TickslabError):
     """Structural error; ``path`` names the offending field."""
 

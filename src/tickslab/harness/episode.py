@@ -32,6 +32,7 @@ from ..engine import initial_state
 from ..errors import ConfigError, SchemaViolation
 from ..params import ModelParams, build_model, build_router_params
 from ..perception import encode_modality, fuse
+from ..registry import NOOP_TOOL
 from ..router import EnvelopeSession, GateOutcome, policy_gate, select_action
 from ..rng import derive_seed
 from ..schema import check_record
@@ -173,7 +174,7 @@ def run_episode(
                     script_index += 1
                     tool, args = registry.get(scripted.tool), dict(scripted.args)
                 else:
-                    tool, args = registry.get("noop"), {}
+                    tool, args = registry.get(NOOP_TOOL), {}
             else:
                 tool, args = select_action(result, router_params, registry)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
 from ..errors import UnknownTool
-from ..registry import SlotKind, ToolRegistry, ToolSpec
+from ..registry import NOOP_TOOL, SlotKind, ToolRegistry, ToolSpec
 from ..schema import json_type_ok
 from ..transport import ToolResult, error_result, ok_result
 
@@ -24,8 +24,7 @@ if TYPE_CHECKING:
 START_LOCATION = "dock"
 WAYPOINTS_PER_MOVE = 10   # echoed in each actuate reply
 
-TOOL_SPECS = (
-    ToolSpec("noop", (), "do nothing"),
+TOOL_SPECS = (  # ToolRegistry puts noop first
     ToolSpec("navigate", (("to", SlotKind.OBJECT_REF),), "move the robot to a location"),
     ToolSpec("pick", (("object", SlotKind.OBJECT_REF),), "grasp a co-located object"),
     ToolSpec("place", (("object", SlotKind.OBJECT_REF),), "put down the held object"),
@@ -128,7 +127,7 @@ def step_env(
     actuator_params: Optional[ActuatorParams] = None,
 ) -> tuple[WorldState, ToolResult]:
     """Apply one tool call; failures return an error result and the old state."""
-    if tool == "noop":
+    if tool == NOOP_TOOL:
         return state, ok_result()
 
     if tool == "navigate":

@@ -37,13 +37,9 @@ class ModelParams:
     actuator: ActuatorParams
 
 
-def build_model(
-    config: Config, registry_size: int, max_slots: int, overrides: dict | None = None
-) -> ModelParams:
+def build_model(config: Config, registry_size: int, max_slots: int) -> ModelParams:
     """Build all parameter bundles for one model seed."""
-    over = dict(overrides or {})
-    if config.weights_path:
-        over = {**load_weights(config.weights_path), **over}
+    over = load_weights(config.weights_path) if config.weights_path else {}
     table = config.tensor_shapes(registry_size, max(max_slots, 1))
     shapes = {name: (rows, cols) for name, rows, cols, _ in table}
     unknown = set(over) - set(shapes)

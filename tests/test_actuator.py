@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from tickslab.actuator import (
-    ActuatorParams,
-    compliance_filter,
-    interpolate_trajectory,
-    plan_torque,
-    torque_to_pwm,
-    TrajectorySample,
-)
+from tickslab.actuator import ActuatorParams, plan_torque, torque_to_pwm
 from tickslab.errors import DimensionMismatch
 
 
@@ -88,88 +81,6 @@ class TestPlanTorque:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             plan_torque(np.zeros(5, dtype=np.float32), make_params(pairs=6))
-
-
-class TestInterpolateTrajectory:
-    def test_degenerate_move(self):
-        q = np.array([0.3, -0.7])
-        samples = interpolate_trajectory(q, q.copy(), 10)
-        for s in samples:
-            np.testing.assert_array_equal(s.q, q)
-            np.testing.assert_array_equal(s.qdot, np.zeros(2))
-
-    def test_exact_endpoints_and_zero_velocity(self):
-        q0 = np.array([0.1, 2.0, -1.0])
-        q1 = np.array([0.3, -0.5, 4.0])
-        samples = interpolate_trajectory(q0, q1, 10)
-        assert np.array_equal(samples[0].q, q0)
-        assert np.array_equal(samples[-1].q, q1)
-        assert np.array_equal(samples[0].qdot, np.zeros(3))
-        assert np.array_equal(samples[-1].qdot, np.zeros(3))
-
-    def test_finite_difference_matches_analytic(self):
-        rng = np.random.default_rng(3)
-        q0 = rng.uniform(-1, 1, size=4)
-        q1 = rng.uniform(-1, 1, size=4)
-        samples = interpolate_trajectory(q0, q1, 100)
-        dt = 1.0 / 99.0
-        for i in range(1, 99):
-            central = (samples[i + 1].q - samples[i - 1].q) / (2 * dt)
-            np.testing.assert_allclose(central, samples[i].qdot, atol=1e-3)
-
-    def test_sample_count_and_times(self):
-        samples = interpolate_trajectory(np.zeros(1), np.ones(1), 5)
-        assert len(samples) == 5
-        assert [s.t for s in samples] == pytest.approx([0, 0.25, 0.5, 0.75, 1.0])
-
-
-class TestComplianceFilter:
-    def test_constant_trajectory_unchanged(self):
-        q = np.array([1.0, -2.0])
-        samples = interpolate_trajectory(q, q.copy(), 8)
-        out = compliance_filter(samples, window=5)
-        for s_in, s_out in zip(samples, out):
-            np.testing.assert_array_equal(s_in.q, s_out.q)
-            np.testing.assert_array_equal(s_out.qdot, np.zeros(2))
-
-    def test_unit_step_ramps_over_window(self):
-        # step from 0 to 1 at sample 5; window 5 -> ramp 1/5, 2/5, ... 1.0
-        n = 12
-        samples = [
-            TrajectorySample(
-                t=i / (n - 1),
-                q=np.array([0.0 if i < 5 else 1.0]),
-                qdot=np.zeros(1),
-            )
-            for i in range(n)
-        ]
-        out = compliance_filter(samples, window=5)
-        values = [float(s.q[0]) for s in out]
-        assert values[:5] == pytest.approx([0, 0, 0, 0, 0])
-        assert values[5:10] == pytest.approx([1 / 5, 2 / 5, 3 / 5, 4 / 5, 1.0])
-        assert values[10:] == pytest.approx([1.0, 1.0])
-
-    def test_smoothing_never_amplifies_velocity(self):
-        # discrete statement: the filter's forward differences never exceed
-        # the steepest chord of the raw trajectory (the analytic max can
-        # fall between samples, so chords are the honest bound)
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            q0 = rng.uniform(-2, 2, size=3)
-            q1 = rng.uniform(-2, 2, size=3)
-            n = int(rng.integers(4, 40))
-            samples = interpolate_trajectory(q0, q1, n)
-            out = compliance_filter(samples, window=int(rng.integers(1, 8)))
-            dt = 1.0 / (n - 1)
-            chord_max = max(
-                np.max(np.abs(b.q - a.q)) / dt for a, b in zip(samples, samples[1:])
-            )
-            out_max = max(np.max(np.abs(s.qdot)) for s in out)
-            assert out_max <= chord_max + 1e-9
-
-    def test_single_sample_passthrough(self):
-        samples = [TrajectorySample(0.0, np.zeros(2), np.zeros(2))]
-        assert compliance_filter(samples, 5) == samples
 
 
 class TestTorqueToPwm:

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -14,6 +15,7 @@ from tickslab.transport import MAX_FRAME_BYTES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # perfbench/serve.py's imports, then `tickslab serve` over stdin/stdout
 SERVE_PROBE = """
@@ -227,6 +229,41 @@ class TestReadmeNames:
         } <= names
         for dotted in sorted(names):
             resolve(dotted)
+
+
+def syntax_trees(directory):
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(directory.rglob("*.py"))]
+
+
+def referenced(tree, outside=False):
+    """Names ``tree`` refers to.  From outside the package, imported names and
+    string constants count too: perfbench patches names given as strings."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif outside and isinstance(node, ast.alias):
+            yield node.name
+        elif outside and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+class TestLayout:
+    # the C01/C02 references, and the writer of the CTMW0001 weight format
+    UNCALLED = {"synapse", "push_history", "mu_mlp", "sync_scan_tick", "save_weights"}
+
+    def test_only_the_references_lack_a_caller(self):
+        package = syntax_trees(SRC / "tickslab")
+        defined = {
+            node.name
+            for tree in package
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        used = {name for tree in package for name in referenced(tree)}
+        used |= {name for tree in syntax_trees(PERFBENCH) for name in referenced(tree, True)}
+        assert defined - used == self.UNCALLED
 
 
 class TestServeTcp:

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from tickslab.harness.episode import (
 from tickslab.harness.tasks import gen_tasks, load_tasks
 from tickslab.harness.world import build_registry
 from tickslab.params import build_model
+from tickslab.weights import save_weights
 
 TASKS = Path(__file__).parent / "fixtures" / "tasks50.jsonl"
 
@@ -83,24 +85,11 @@ class TestCtmPolicy:
     def test_zero_weights_selects_tool_zero(self, tmp_path):
         config = small_config(seed=1)
         registry = build_registry()
-        base = build_model(config, len(registry), registry.max_slots)
-        zeros = {
-            "enc/vision": np.zeros_like(base.encoder.vision),
-            "enc/audio": np.zeros_like(base.encoder.audio),
-            "enc/proprio": np.zeros_like(base.encoder.proprio),
-            "enc/fusion": np.zeros_like(base.encoder.fusion),
-            "ctm/synapse": np.zeros_like(base.ctm.synapse_w),
-            "ctm/readout_a": np.zeros_like(base.ctm.factor_a),
-            "ctm/readout_b": np.zeros_like(base.ctm.factor_b),
-            "ctm/bias": np.zeros((1, base.ctm.config.neurons), dtype=np.float32),
-            "ctm/certainty": np.zeros_like(base.ctm.certainty_w),
-            "affect/w1": np.zeros_like(base.affect.w1),
-            "affect/w2": np.zeros_like(base.affect.w2),
-            "router/action": np.zeros_like(base.action_head),
-            "router/slots": np.zeros_like(base.slot_head),
-            "actuator/mapping": np.zeros_like(base.actuator.mapping),
-        }
-        model = build_model(config, len(registry), registry.max_slots, overrides=zeros)
+        table = config.tensor_shapes(len(registry), registry.max_slots)
+        weights = tmp_path / "zeros.bin"
+        save_weights(weights, {name: np.zeros((rows, cols)) for name, rows, cols, _ in table})
+        config = dataclasses.replace(config, weights_path=str(weights))
+        model = build_model(config, len(registry), registry.max_slots)
         task = gen_tasks(21, 1)[0]
         log = run_episode(task, config, Policy.CTM, model=model)
         # zero cascade: certainty 0 everywhere, plateau halts, cached-zero
@@ -282,9 +271,9 @@ class TestLiveMode:
 
 class TestEnvelopePath:
     def test_dispatch_goes_through_wire_format(self, monkeypatch):
-        # intercept frames on the loopback transport to check they parse
+        # intercept frames on the loopback transport to check they decode
+        from test_envelope import decode
         from tickslab import transport as transport_mod
-        from tickslab.envelope import parse_envelope
 
         seen = []
         original = transport_mod.LoopbackTransport.send_frame
@@ -301,8 +290,8 @@ class TestEnvelopePath:
         assert len(seen) == log.steps_used
         ids = []
         for frame in seen:
-            envelope = parse_envelope(frame)
-            ids.append(envelope.id)
-            assert envelope.meta.episode == task.id
-            assert len(envelope.meta.sync_digest) == 64
+            doc = decode(frame)
+            ids.append(doc["id"])
+            assert doc["params"]["meta"]["episode"] == task.id
+            assert len(doc["params"]["meta"]["sync_digest"]) == 64
         assert ids == sorted(set(ids))

@@ -554,7 +554,7 @@ class TestConfig:
     def test_defaults_round_trip(self, tmp_path):
         config = Config()
         path = tmp_path / "config.json"
-        config.save(path)
+        path.write_text(json.dumps(dataclasses.asdict(config)), encoding="utf-8")
         assert Config.load(path) == config
 
     def test_unknown_key_rejected(self):
@@ -589,7 +589,7 @@ class TestConfig:
     }
     FLOATS = [
         (section, key)
-        for section, fields in Config().to_dict().items()
+        for section, fields in dataclasses.asdict(Config()).items()
         if isinstance(fields, dict)
         for key, value in fields.items()
         if type(value) is float
@@ -666,7 +666,7 @@ class TestConfig:
     def test_every_sizing_key_is_a_config_field(self):
         fields = {
             f"{section}.{key}"
-            for section, keys in Config().to_dict().items()
+            for section, keys in dataclasses.asdict(Config()).items()
             if isinstance(keys, dict)
             for key in keys
         }
@@ -731,7 +731,7 @@ class TestConfig:
             lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
             max_leaves=5,
         )
-        defaults = Config().to_dict()
+        defaults = dataclasses.asdict(Config())
         doc = {}
         for name in data.draw(st.sets(st.sampled_from(sorted(defaults)))):
             if isinstance(defaults[name], dict):
@@ -835,7 +835,7 @@ class TestInputFuzz:
     REGISTRY = build_registry()
     STEP = StepRecord(0, 1, 4, 0.5, 0.75, "noop", {}, "ok", False)
     DOCS = {
-        "config": [SMALL.to_dict()],
+        "config": [dataclasses.asdict(SMALL)],
         "tasks": [task.to_dict() for task in gen_tasks(3, 2)],
         "logs": [
             EpisodeLog("a", [STEP], "success", 1).to_dict(),
@@ -974,7 +974,7 @@ class TestModelBuild:
             build_model(config, len(registry), registry.max_slots)
 
         config_path, tasks_path = tmp_path / "config.json", tmp_path / "tasks.jsonl"
-        config.save(config_path)
+        config_path.write_text(json.dumps(dataclasses.asdict(config)), encoding="utf-8")
         save_tasks(tasks_path, gen_tasks(1, 1))
         code = cli_main([
             "run", "--tasks", str(tasks_path), "--config", str(config_path),
@@ -1004,11 +1004,12 @@ class TestModelBuild:
             bound = inspect.signature(decide).bind(*call.args, **call.kwargs)
             assert bound.arguments["consensus"] is config.consensus
 
-    def test_plateau_window_reaches_halt_readout(self):
-        config = Config(engine=EngineConfig(plateau_window=5))
+    def test_plateau_window_reaches_halt_readout(self, tmp_path):
+        weights = tmp_path / "flat.bin"
+        config = Config(engine=EngineConfig(plateau_window=5), weights_path=str(weights))
+        save_weights(weights, {"ctm/certainty": np.zeros((4, config.engine.sync_pairs))})
         registry = build_registry()
-        flat = {"ctm/certainty": np.zeros((4, config.engine.sync_pairs), dtype=np.float32)}
-        model = build_model(config, len(registry), registry.max_slots, flat)
+        model = build_model(config, len(registry), registry.max_slots)
         sync = np.ones(config.engine.sync_pairs, dtype=np.float32)
         trace, halts = (), []
         for slab in range(1, 7):
