@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from ..errors import TickslabError
-from ..transport import StdioTransport, ToolServer
+from ..transport import StreamTransport, ToolServer
 from .world import WorldSession, build_registry, demo_world
 
 EXIT_OK = 0
@@ -78,7 +78,7 @@ def cmd_metrics(args) -> int:
 def cmd_serve(args) -> int:
     server = ToolServer(build_registry(), WorldSession(demo_world()).handler)
     if args.transport == "stdio":
-        server.serve_stream(StdioTransport())
+        server.serve_stream(StreamTransport(sys.stdin.buffer, sys.stdout.buffer))
         return EXIT_OK
     host, _, port = args.addr.rpartition(":")
     if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:

@@ -8,9 +8,10 @@ with k branches (readouts of one shared tick trajectory, stopped by the
 wall clock as well in live mode), and merges their outcomes (or takes the
 cached fallback when nothing converges in time).  The policy gate sends
 low-confidence results back for more slabs until the slab budget forces a
-dispatch.  The chosen tool call is serialized into an envelope, dispatched
-over the transport, and applied to the world; the affect readout of the
-final merged vector sets the halting threshold for the next step.
+dispatch.  The chosen tool call is serialized into an envelope frame,
+answered by the episode's in-process tool server, and applied to the world;
+the affect readout of the final merged vector sets the halting threshold for
+the next step.
 
 Hidden state, depth history, and synchrony accumulators persist across
 decision steps (the thought is continuous); tick/slab counters and the
@@ -36,7 +37,7 @@ from ..registry import NOOP_TOOL
 from ..router import EnvelopeSession, GateOutcome, policy_gate, select_action
 from ..rng import derive_seed
 from ..schema import check_record
-from ..transport import LoopbackTransport, ToolServer, dispatch
+from ..transport import ToolServer, dispatch
 from .featurize import featurize, goal_frames
 from .tasks import TaskRecord
 from .world import WorldSession, build_registry, world_from_task
@@ -119,7 +120,7 @@ def run_episode(
         model, config, registry, list(task.context), episode_seed
     )
     session = WorldSession(world_from_task(task), model.actuator)
-    transport = LoopbackTransport(ToolServer(registry, session.handler))
+    server = ToolServer(registry, session.handler)
     envelopes = EnvelopeSession(task.id)
 
     ctm = model.ctm
@@ -191,7 +192,7 @@ def run_episode(
                 slab_count=decision.slab_count,
                 ticks=decision.ticks,
             )
-            tool_result = dispatch(envelope, transport)
+            tool_result = dispatch(envelope, server.handle_frame)
 
             log.records.append(
                 StepRecord(

@@ -1,11 +1,14 @@
-"""Newline-delimited JSON-RPC framing over stdio, TCP, or in-process loopback.
+"""Newline-delimited JSON-RPC framing over stdio or TCP, and in-process calls.
 
 One canonical-JSON frame per line.  The server side answers ``tool/<name>``
-calls and a ``registry/list`` introspection method; the client side writes
-one envelope frame and consumes exactly one response frame with a matching
-id.  A peer that goes away, whether the stream ends (EOF) or the stream
-raises an ``OSError`` such as a connection reset or a broken pipe, surfaces
-as ``TransportClosed``; a socket timeout surfaces as ``TransportTimeout``.
+calls and a ``registry/list`` introspection method; the client side,
+``dispatch``, sends one envelope frame through an ``exchange`` function and
+checks the one response frame it returns for a matching id.  In process,
+that function is the server's own ``handle_frame``:
+``dispatch(envelope, server.handle_frame)``.  On a stream, a peer that goes
+away, whether the stream ends (EOF) or the stream raises an ``OSError`` such
+as a connection reset or a broken pipe, surfaces as ``TransportClosed``; a
+socket timeout surfaces as ``TransportTimeout``.
 A line longer than ``MAX_FRAME_BYTES`` raises ``FrameTooLong``, which the
 server answers with one invalid-request frame before it ends the connection.
 Unknown tools come back as error results, not crashes, and a result that
@@ -17,7 +20,6 @@ from __future__ import annotations
 import json
 import logging
 import socket
-import sys
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Optional
 
@@ -59,21 +61,8 @@ def error_result(reason: str, **payload) -> ToolResult:
     return ToolResult(STATUS_ERROR, {"reason": reason, **payload})
 
 
-class Transport:
-    """One frame = one canonical-JSON line."""
-
-    def send_frame(self, frame: bytes) -> None:
-        raise NotImplementedError
-
-    def recv_frame(self) -> bytes:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        pass
-
-
-class StreamTransport(Transport):
-    """Transport over a binary reader/writer pair.
+class StreamTransport:
+    """One frame = one canonical-JSON line, over a binary reader/writer pair.
 
     EOF on the reader and any ``OSError`` from the reader or writer (a reset
     or a broken pipe) raise ``TransportClosed``, chained from the ``OSError``
@@ -85,11 +74,8 @@ class StreamTransport(Transport):
     def __init__(self, reader: BinaryIO, writer: BinaryIO):
         self._reader = reader
         self._writer = writer
-        self._closed = False
 
     def send_frame(self, frame: bytes) -> None:
-        if self._closed:
-            raise TransportClosed("transport is closed")
         if b"\n" in frame:
             raise ValueError("frames must not contain newlines")
         try:
@@ -101,8 +87,6 @@ class StreamTransport(Transport):
             raise TransportClosed(f"peer closed the stream: {exc}") from exc
 
     def recv_frame(self) -> bytes:
-        if self._closed:
-            raise TransportClosed("transport is closed")
         try:
             line = self._reader.readline(MAX_FRAME_BYTES + 1)
         except TimeoutError as exc:
@@ -115,14 +99,6 @@ class StreamTransport(Transport):
             raise FrameTooLong(f"frame longer than {MAX_FRAME_BYTES} bytes")
         return line.rstrip(b"\n")
 
-    def close(self) -> None:
-        self._closed = True
-
-
-class StdioTransport(StreamTransport):
-    def __init__(self, reader: Optional[BinaryIO] = None, writer: Optional[BinaryIO] = None):
-        super().__init__(reader or sys.stdin.buffer, writer or sys.stdout.buffer)
-
 
 class TcpTransport(StreamTransport):
     def __init__(self, sock: socket.socket):
@@ -130,7 +106,6 @@ class TcpTransport(StreamTransport):
         super().__init__(sock.makefile("rb"), sock.makefile("wb"))
 
     def close(self) -> None:
-        super().close()
         # shut down first: the peer sees EOF at once, and a reply left in the
         # writer by a timed-out write fails here instead of waiting out the
         # timeout again (every other frame was flushed when it was sent)
@@ -237,7 +212,7 @@ class ToolServer:
             }
         )
 
-    def serve_stream(self, transport: Transport) -> None:
+    def serve_stream(self, transport: StreamTransport) -> None:
         """Answer frames until the peer hangs up or times out, while reading or replying.
 
         A frame past ``MAX_FRAME_BYTES`` gets one ``-32600`` frame, then the
@@ -287,32 +262,8 @@ class ToolServer:
                 served += 1
 
 
-class LoopbackTransport(Transport):
-    """In-process transport that hands frames straight to a ToolServer."""
-
-    def __init__(self, server: ToolServer):
-        self._server = server
-        self._pending: list[bytes] = []
-        self._closed = False
-
-    def send_frame(self, frame: bytes) -> None:
-        if self._closed:
-            raise TransportClosed("transport is closed")
-        self._pending.append(self._server.handle_frame(frame))
-
-    def recv_frame(self) -> bytes:
-        if self._closed:
-            raise TransportClosed("transport is closed")
-        if not self._pending:
-            raise TransportClosed("no response pending")
-        return self._pending.pop(0)
-
-    def close(self) -> None:
-        self._closed = True
-
-
-def dispatch(envelope, transport: Transport) -> ToolResult:
-    """Send one envelope frame and consume its matching response frame.
+def dispatch(envelope, exchange: Callable[[bytes], bytes]) -> ToolResult:
+    """Send one envelope frame through ``exchange`` and check the frame it returns.
 
     JSON-RPC error objects surface as error ToolResults; a response id that
     is not the request id, an int equal to it (``true`` and ``1.0`` are
@@ -320,8 +271,7 @@ def dispatch(envelope, transport: Transport) -> ToolResult:
     does not decode or an error, result or payload that is not an object,
     raises TransportClosed.
     """
-    transport.send_frame(serialize_envelope(envelope))
-    raw = transport.recv_frame()
+    raw = exchange(serialize_envelope(envelope))
     try:
         doc = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # as in ToolServer.handle_frame

@@ -8,6 +8,7 @@ an episode through them, so a changed signature of a wrapped function
 fails here too.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -96,3 +97,21 @@ def test_an_episode_runs_through_the_worker_hooks(perfbench, caplog, live):
     layers = tracing.layer_totals(tracer.spans)
     assert layers["consensus.decide"]["calls"] >= len(plain.records)
     worker.consensus_stats(tracer.spans)
+
+
+def test_capture_records_one_frame_per_step(perfbench, tmp_path):
+    _, worker = perfbench
+    config = Config()
+    registry = world.build_registry()
+    model = build_model(config, len(registry), registry.max_slots)
+    assert worker.capture(load_tasks(TASKS)[:2], config, model, tmp_path) == 0
+
+    traffic = json.loads((tmp_path / "traffic.json").read_text(encoding="utf-8"))
+    assert len(traffic["sessions"]) == len(traffic["episodes"]) == 2
+    for frames, record in zip(traffic["sessions"], traffic["episodes"]):
+        assert len(frames) == record["records"] > 0
+        ids = [json.loads(frame)["id"] for frame, _, _ in frames]
+        assert ids == [req_id for _, req_id, _ in frames] == list(range(1, len(frames) + 1))
+    server = transport.ToolServer(registry, world.WorldSession(world.demo_world()).handler)
+    listing_frame = traffic["listing_frame"].encode()
+    assert traffic["listing_reply"].encode() == server.handle_frame(listing_frame)

@@ -271,18 +271,18 @@ class TestLiveMode:
 
 class TestEnvelopePath:
     def test_dispatch_goes_through_wire_format(self, monkeypatch):
-        # intercept frames on the loopback transport to check they decode
+        # intercept frames on the in-process server to check they decode
         from test_envelope import decode
         from tickslab import transport as transport_mod
 
         seen = []
-        original = transport_mod.LoopbackTransport.send_frame
+        original = transport_mod.ToolServer.handle_frame
 
         def spy(self, frame):
             seen.append(frame)
             return original(self, frame)
 
-        monkeypatch.setattr(transport_mod.LoopbackTransport, "send_frame", spy)
+        monkeypatch.setattr(transport_mod.ToolServer, "handle_frame", spy)
         config = small_config()
         task = gen_tasks(21, 1)[0]
         log = run_episode(task, config, Policy.SCRIPTED_ORACLE, model=build_for(config))

@@ -4,6 +4,7 @@ import struct
 import threading
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,21 +12,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tickslab import transport as transport_mod
+from tickslab.config import Config
 from tickslab.envelope import Envelope, EnvelopeMeta, sync_digest
 from tickslab.errors import FrameTooLong, IdMismatch, TransportClosed, TransportTimeout
-from tickslab.harness.world import WorldSession, build_registry, demo_world
+from tickslab.harness.episode import Policy, run_episode
+from tickslab.harness.tasks import load_tasks
+from tickslab.harness.world import WorldSession, build_registry, demo_world, world_from_task
+from tickslab.params import build_model
 from tickslab.registry import SlotKind, ToolRegistry, ToolSpec
 from tickslab.transport import (
     MAX_FRAME_BYTES,
-    LoopbackTransport,
     StreamTransport,
     TcpTransport,
     ToolServer,
-    Transport,
     dispatch,
     error_result,
     ok_result,
 )
+
+TASKS = Path(__file__).parent / "fixtures" / "tasks50.jsonl"
 
 
 def make_server(handler=None):
@@ -68,61 +73,45 @@ def envelope(method="tool/noop", env_id=1, args=None):
     )
 
 
+def reply_with(raw):
+    """An exchange that ignores the request and returns ``raw``."""
+    return lambda frame: raw
+
+
 class TestLoopback:
+    """``dispatch`` straight to a server's ``handle_frame``, in process."""
+
     def test_noop_ok(self):
-        transport = LoopbackTransport(make_server())
-        result = dispatch(envelope(), transport)
+        result = dispatch(envelope(), make_server().handle_frame)
         assert result.ok
         assert result.payload == {}
 
     def test_unknown_tool_is_error_result(self):
-        transport = LoopbackTransport(make_server())
-        result = dispatch(envelope(method="tool/warp"), transport)
+        result = dispatch(envelope(method="tool/warp"), make_server().handle_frame)
         assert not result.ok
         assert "UnknownTool" in result.payload["reason"]
 
     def test_id_mismatch_raises(self):
         server = make_server()
 
-        class Rewriter(LoopbackTransport):
-            def recv_frame(self):
-                frame = super().recv_frame()
-                doc = json.loads(frame)
-                doc["id"] = doc["id"] + 999
-                return json.dumps(doc).encode()
+        def rewriter(frame):
+            doc = json.loads(server.handle_frame(frame))
+            doc["id"] = doc["id"] + 999
+            return json.dumps(doc).encode()
 
         with pytest.raises(IdMismatch):
-            dispatch(envelope(), Rewriter(server))
+            dispatch(envelope(), rewriter)
 
     @pytest.mark.parametrize("response_id", [True, 1.0])
     def test_id_of_another_type_raises(self, response_id):
         # Python's True == 1 == 1.0; the JSON values are still not the id 1
-        class Stub(Transport):
-            def send_frame(self, frame):
-                pass
-
-            def recv_frame(self):
-                return json.dumps({"jsonrpc": "2.0", "id": response_id, "result": {}}).encode()
-
+        reply = json.dumps({"jsonrpc": "2.0", "id": response_id, "result": {}}).encode()
         with pytest.raises(IdMismatch):
-            dispatch(envelope(), Stub())
-
-    def test_closed_transport(self):
-        transport = LoopbackTransport(make_server())
-        transport.close()
-        with pytest.raises(TransportClosed):
-            dispatch(envelope(), transport)
+            dispatch(envelope(), reply_with(reply))
 
     def test_response_nested_too_deep_is_closed(self):
-        class Deep(Transport):
-            def send_frame(self, frame):
-                pass
-
-            def recv_frame(self):
-                return b"[" * 100_000
-
         with pytest.raises(TransportClosed):
-            dispatch(envelope(), Deep())
+            dispatch(envelope(), reply_with(b"[" * 100_000))
 
     @pytest.mark.parametrize(
         "reply",
@@ -133,15 +122,8 @@ class TestLoopback:
         ids=["id", "payload"],
     )
     def test_response_number_past_the_digit_limit_is_closed(self, reply):
-        class Stub(Transport):
-            def send_frame(self, frame):
-                pass
-
-            def recv_frame(self):
-                return reply.encode()
-
         with pytest.raises(TransportClosed, match="unreadable response frame"):
-            dispatch(envelope(), Stub())
+            dispatch(envelope(), reply_with(reply.encode()))
 
     @pytest.mark.parametrize(
         "reply",
@@ -155,28 +137,22 @@ class TestLoopback:
         ],
     )
     def test_response_member_that_is_not_an_object_is_closed(self, reply):
-        class Stub(Transport):
-            def send_frame(self, frame):
-                pass
-
-            def recv_frame(self):
-                return json.dumps({"jsonrpc": "2.0", "id": 1, **reply}).encode()
-
+        raw = json.dumps({"jsonrpc": "2.0", "id": 1, **reply}).encode()
         with pytest.raises(TransportClosed, match="not an object"):
-            dispatch(envelope(), Stub())
+            dispatch(envelope(), reply_with(raw))
 
     def test_handler_exception_becomes_error_result(self):
         def handler(name, args):
             raise RuntimeError("tool exploded")
 
-        transport = LoopbackTransport(make_server(handler))
-        result = dispatch(envelope(), transport)
+        result = dispatch(envelope(), make_server(handler).handle_frame)
         assert not result.ok
         assert "exploded" in result.payload["reason"]
 
     def test_args_round_trip_through_frames(self):
-        transport = LoopbackTransport(make_server())
-        result = dispatch(envelope(method="tool/echo", args={"object": "cup"}), transport)
+        result = dispatch(
+            envelope(method="tool/echo", args={"object": "cup"}), make_server().handle_frame
+        )
         assert result.ok
         assert result.payload == {"echo": {"object": "cup"}}
 
@@ -378,6 +354,16 @@ def connect(port):
     return TcpTransport(client_socket(port))
 
 
+def exchange_on(transport):
+    """An exchange for ``dispatch``: one frame out on ``transport``, one frame back."""
+
+    def exchange(frame):
+        transport.send_frame(frame)
+        return transport.recv_frame()
+
+    return exchange
+
+
 def echo_frame(depth, req_id=7):
     args = '{"object":' + "[" * depth + "]" * depth + "}"
     frame = '{"jsonrpc":"2.0","id":%d,"method":"tool/echo","params":{"args":%s}}'
@@ -415,15 +401,10 @@ class TestTcp:
         with serving_tcp(make_server(), 1) as (port, _):
             transport = connect(port)
             try:
-
-                def send(frame):
-                    transport.send_frame(frame)
-                    return transport.recv_frame()
-
-                response = deepest_echo(send)
+                response = deepest_echo(exchange_on(transport))
                 assert response["id"] == 7
                 assert response["error"]["code"] == -32603
-                assert dispatch(envelope(env_id=2), transport).ok
+                assert dispatch(envelope(env_id=2), exchange_on(transport)).ok
             finally:
                 transport.close()
 
@@ -436,7 +417,7 @@ class TestTcp:
                 response = json.loads(transport.recv_frame())
                 assert response["id"] == 1
                 assert response["error"]["code"] == -32602
-                assert dispatch(envelope(env_id=2), transport).ok
+                assert dispatch(envelope(env_id=2), exchange_on(transport)).ok
             finally:
                 transport.close()
 
@@ -448,7 +429,9 @@ class TestTcp:
                 response = json.loads(transport.recv_frame())
                 assert response["id"] == 1
                 assert response["error"]["code"] == -32602
-                result = dispatch(envelope("tool/navigate", 2, {"to": "sink"}), transport)
+                result = dispatch(
+                    envelope("tool/navigate", 2, {"to": "sink"}), exchange_on(transport)
+                )
                 assert result.payload == {"robot_at": "sink"}
             finally:
                 transport.close()
@@ -461,7 +444,7 @@ class TestTcp:
                     transport.send_frame(frame)
                     response = json.loads(transport.recv_frame())
                     assert response["error"]["code"] == -32600
-                assert dispatch(envelope(env_id=3), transport).ok
+                assert dispatch(envelope(env_id=3), exchange_on(transport)).ok
             finally:
                 transport.close()
 
@@ -481,7 +464,7 @@ class TestTcp:
                 assert response["error"] == {"code": -32600, "message": "frame too long"}
             transport = connect(port)
             try:
-                assert dispatch(envelope(), transport).ok
+                assert dispatch(envelope(), exchange_on(transport)).ok
             finally:
                 transport.close()
 
@@ -493,7 +476,7 @@ class TestTcp:
                     transport.send_frame(frame.encode())
                     response = json.loads(transport.recv_frame())
                     assert response["error"]["code"] == -32700
-                assert dispatch(envelope(env_id=2), transport).ok
+                assert dispatch(envelope(env_id=2), exchange_on(transport)).ok
             finally:
                 transport.close()
 
@@ -501,10 +484,11 @@ class TestTcp:
         with serving_tcp(make_server(), 1) as (port, _):
             transport = connect(port)
             try:
-                result = dispatch(envelope(), transport)
+                result = dispatch(envelope(), exchange_on(transport))
                 assert result.ok
                 result = dispatch(
-                    envelope(method="tool/echo", env_id=2, args={"object": "x"}), transport
+                    envelope(method="tool/echo", env_id=2, args={"object": "x"}),
+                    exchange_on(transport),
                 )
                 assert result.payload == {"echo": {"object": "x"}}
             finally:
@@ -539,7 +523,7 @@ class TestTcp:
             transport = connect(port)
             try:
                 assert thread.is_alive()
-                assert dispatch(envelope(), transport).ok
+                assert dispatch(envelope(), exchange_on(transport)).ok
             finally:
                 transport.close()
 
@@ -554,7 +538,7 @@ class TestTcp:
                 transport.close()
             transport = connect(port)
             try:
-                assert dispatch(envelope(), transport).ok
+                assert dispatch(envelope(), exchange_on(transport)).ok
             finally:
                 transport.close()
 
@@ -576,12 +560,12 @@ class TestTcp:
                 # closed by the server; the client's own timeout would raise
                 # TransportTimeout instead
                 with pytest.raises(TransportClosed):
-                    dispatch(envelope(), transport)
+                    dispatch(envelope(), exchange_on(transport))
             finally:
                 transport.close()
             transport = connect(port)
             try:
-                assert dispatch(envelope(), transport).ok
+                assert dispatch(envelope(), exchange_on(transport)).ok
             finally:
                 transport.close()
 
@@ -641,10 +625,43 @@ class TestTcp:
             peer.close()
 
 
+class TestPathsAgree:
+    def test_tcp_and_in_process_replies_are_byte_equal(self, monkeypatch):
+        # the request frames of one ctm episode, as its in-process server saw them
+        frames = []
+        handle_frame = ToolServer.handle_frame
+
+        def record(self, frame):
+            frames.append(frame)
+            return handle_frame(self, frame)
+
+        config = Config()
+        registry = build_registry()
+        task = load_tasks(TASKS)[16]  # calls navigate, noop and actuate
+        with monkeypatch.context() as patch:
+            patch.setattr(ToolServer, "handle_frame", record)
+            log = run_episode(
+                task, config, Policy.CTM,
+                model=build_model(config, len(registry), registry.max_slots),
+            )
+        assert len(frames) == len(log.records) > 0
+
+        def fresh_server():
+            return ToolServer(build_registry(), WorldSession(world_from_task(task)).handler)
+
+        in_process = fresh_server()
+        expected = [in_process.handle_frame(frame) for frame in frames]
+        with serving_tcp(fresh_server(), 1) as (port, _):
+            transport = connect(port)
+            try:
+                exchange = exchange_on(transport)
+                assert [exchange(frame) for frame in frames] == expected
+            finally:
+                transport.close()
+
+
 class TestFraming:
     def test_newline_in_frame_rejected(self):
-        transport = LoopbackTransport(make_server())
-        # loopback doesn't check, but stream transports must
         from io import BytesIO
 
         from tickslab.transport import StreamTransport
