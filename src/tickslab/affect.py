@@ -9,13 +9,14 @@ without making halting unreachable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import AffectConfig
 from .errors import DimensionMismatch
-from .numerics import bounded_tanh, matvec
+from .numerics import bounded_tanh, float64_mirrors, matvec
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,7 @@ class AffectParams:
     def __post_init__(self):
         if self.w2.shape[1] != self.w1.shape[0]:
             raise ValueError(f"layer widths differ: {self.w1.shape} vs {self.w2.shape}")
+        float64_mirrors(self, "w1", "w2")   # w164, w264
 
 
 def affect_decode(sync: np.ndarray, params: AffectParams) -> np.ndarray:
@@ -35,8 +37,8 @@ def affect_decode(sync: np.ndarray, params: AffectParams) -> np.ndarray:
         raise DimensionMismatch(
             f"sync width {sync.shape[0]} != affect input {params.w1.shape[1]}"
         )
-    hidden = bounded_tanh(matvec(params.w1, sync))
-    return bounded_tanh(matvec(params.w2, hidden))
+    hidden = bounded_tanh(matvec(params.w164, sync))
+    return bounded_tanh(matvec(params.w264, hidden))
 
 
 def modulate_epsilon(affect: np.ndarray, params: AffectParams) -> float:
@@ -45,5 +47,6 @@ def modulate_epsilon(affect: np.ndarray, params: AffectParams) -> float:
     Always >= epsilon0 and monotone in the affect norm; the engine caps the
     value it actually compares against certainty.
     """
-    norm = float(np.linalg.norm(affect.astype(np.float64)))
+    e64 = affect.astype(np.float64)
+    norm = math.sqrt(e64.dot(e64))    # np.linalg.norm's sqrt(e . e), without its wrapper
     return params.config.epsilon0 * (1.0 + params.config.alpha * norm)

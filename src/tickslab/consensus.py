@@ -236,7 +236,7 @@ def shared_branches(
         tick, slab = tick + n, slab + 1
         ticks_used = tick - seed_state.tick
         syncs = accumulate(syncs, contribution.take(perms), n, config.decay)
-        logits, cs = certainty(syncs, params.certainty_w, params)
+        logits, cs = certainty(syncs, params.certainty_w64, params)
         keep = []
         for row, (branch_id, c) in enumerate(zip(ids, cs)):
             traces[row] = trace = (traces[row] + (c,))[-config.plateau_window :]
@@ -295,7 +295,7 @@ def merge(outcomes: list[BranchOutcome], params: CtmParams) -> ConsensusResult:
         weights = conf / np.sum(conf)
     stack = np.stack([o.sync for o in ordered]).astype(np.float64)
     merged = np.sum(weights[:, None] * stack, axis=0).astype(np.float32)
-    _, conf_merged = certainty(merged, params.certainty_w, params)
+    _, conf_merged = certainty(merged, params.certainty_w64, params)
     return ConsensusResult(
         sync_merged=merged,
         confidence_merged=conf_merged,
@@ -313,7 +313,7 @@ def timeout_safe_pass(
     tool downstream; either way fallback=True.
     """
     if cache is not None:
-        return replace(cache, fallback=True)
+        return ConsensusResult(cache.sync_merged, cache.confidence_merged, cache.contributors, True)
     return ConsensusResult(
         sync_merged=np.zeros(pair_count, dtype=np.float32),
         confidence_merged=0.0,
@@ -388,7 +388,11 @@ def select_step(
     merged = merge_set(in_time, consensus.wait_policy)
     if merged:
         result = merge([outcome for outcome, _ in merged], params)
-        next_seed = replace(merged[0][1], sync=result.sync_merged.copy())
+        winner = merged[0][1]
+        next_seed = BranchState(
+            winner.z, winner.history, result.sync_merged.copy(),
+            winner.tick, winner.slab, winner.certainty_trace,
+        )
     else:
         result = timeout_safe_pass(cache, params.config.sync_pairs)
         _, next_seed = pairs[0]

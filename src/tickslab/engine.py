@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import EngineConfig
 from .errors import DimensionMismatch, EmptySlab
-from .numerics import _LOWER, _UPPER, bounded_tanh, einsum, entropy, matvec, softmax
+from .numerics import _LOWER, _UPPER, bounded_tanh, einsum, float64_mirrors, matvec
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,10 @@ class CtmParams:
         pairs = set(zip(self.pair_p.tolist(), self.pair_q.tolist()))
         if len(pairs) != self.config.sync_pairs:
             raise ValueError("synchrony pairs must be distinct ordered pairs")
-        # float64 mirrors of the tick weights (synapse_w64, factor_a64,
-        # factor_b64, bias64), cast once here instead of once per slab; the
-        # weights turn read-only, so an in-place write raises instead of
-        # leaving a mirror stale
-        for name in ("synapse_w", "factor_a", "factor_b", "bias"):
-            weights = getattr(self, name)
-            weights.flags.writeable = False
-            object.__setattr__(self, f"{name}64", weights.astype(np.float64))
+        # float64 mirrors of the tick weights and the certainty head
+        # (synapse_w64, ..., certainty_w64), cast once here instead of once
+        # per slab or readout
+        float64_mirrors(self, "synapse_w", "factor_a", "factor_b", "bias", "certainty_w")
         # certainty's normaliser ln(logit_count), the same np.log value
         object.__setattr__(self, "log_logit_count", np.log(self.config.logit_count))
 
@@ -208,14 +204,28 @@ def certainty(sync: np.ndarray, certainty_w: np.ndarray, params: CtmParams):
     c = 1 - H(softmax(h)) / ln(logit_count), h = logit_scale * (W_c S).
     Returns (h as float32, c as float in [0, 1]).  ``sync`` may also be a
     (rows, pair_count) stack: then h has a row per vector and c is a list,
-    each row bit for bit the result for that vector alone.
+    each row bit for bit the result for that vector alone.  Pass the head
+    as ``params.certainty_w64`` to skip its cast.
     """
-    h = matvec(certainty_w, np.atleast_2d(sync))
+    h = matvec(certainty_w, sync if sync.ndim == 2 else sync[None])
     h *= params.config.logit_scale
     logits = h.astype(np.float32)
-    c = 1.0 - entropy(softmax(logits)) / params.log_logit_count
-    np.maximum(c, 0.0, out=c)
-    c = np.minimum(c, 1.0, out=c).tolist()
+    # stable softmax in float64, then sum p ln p with 0 ln 0 taken as 0; a
+    # zero entry adds an exact zero, and numpy sums fewer than 8 entries in
+    # order, so there that equals summing the nonzero terms alone
+    p = logits.astype(np.float64)
+    p -= np.maximum.reduce(p, axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    terms = np.where(p > 0.0, p, 1.0)
+    np.log(terms, out=terms)
+    terms *= p
+    # 1 + (sum p ln p) / ln L equals 1 - H / ln L bit for bit, and the sum is
+    # at most 0, so c needs no clamp at 1
+    c = np.add.reduce(terms, axis=-1)
+    c /= params.log_logit_count
+    c += 1.0
+    c = np.maximum(c, 0.0, out=c).tolist()
     return (logits[0], c[0]) if sync.ndim == 1 else (logits, c)
 
 
@@ -331,7 +341,7 @@ def halt_readout(
     is the slab counter after the slab.
     """
     config = params.config
-    logits, c = certainty(sync, params.certainty_w, params)
+    logits, c = certainty(sync, params.certainty_w64, params)
     trace = (certainty_trace + (c,))[-config.plateau_window :]
     halted = halt_decision(c, epsilon, trace, config.max_slabs - slab, config)
     return logits, c, trace, halted

@@ -15,7 +15,6 @@ the fallback flag.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -26,6 +25,11 @@ from .schema import json_type_ok
 JSONRPC_VERSION = "2.0"
 METHOD_PREFIX = "tool/"
 AFFECT_DIMS = 8                # affect reals per envelope
+
+# the canonical encoder, built once: json.dumps with options builds one per call
+_CANONICAL = json.JSONEncoder(
+    ensure_ascii=False, sort_keys=True, separators=(",", ":"), allow_nan=False
+)
 
 
 @dataclass(frozen=True)
@@ -50,14 +54,14 @@ class Envelope:
 
 def sync_digest(sync) -> str:
     """SHA-256 (lowercase hex) of the little-endian float32 bytes of a numpy vector."""
+    import hashlib  # here, so the tool server, which computes no digest, never loads it
+
     return hashlib.sha256(sync.astype("<f4").tobytes()).hexdigest()
 
 
 def canonical_json_bytes(obj) -> bytes:
     """Canonical serialization of plain JSON data (dict/list/str/num/bool/None)."""
-    return json.dumps(
-        obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
+    return _CANONICAL.encode(obj).encode("utf-8")
 
 
 def _check_finite(value: float, what: str) -> float:

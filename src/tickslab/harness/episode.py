@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from ..affect import affect_decode, modulate_epsilon
 from ..config import Config
 from ..consensus import ConsensusResult, SlabMemo, decide_step
-from ..engine import initial_state
+from ..engine import BranchState, initial_state
 from ..errors import ConfigError, SchemaViolation
 from ..params import ModelParams, build_model, build_router_params
 from ..perception import encode_modality, fuse
@@ -141,11 +141,11 @@ def run_episode(
             proprio = featurize(session.state, config.perception)
             if proprio.tobytes() != frame:
                 frame = proprio.tobytes()
-                f = fuse(*goal_latents, encode_modality(proprio, enc.proprio), enc)
+                f = fuse(*goal_latents, encode_modality(proprio, enc.proprio64), enc)
 
             # Per-step budget: counters and certainty trace restart; the
             # thought state itself carries over.
-            seed_state = replace(seed_state, tick=0, slab=0, certainty_trace=())
+            seed_state = BranchState(seed_state.z, seed_state.history, seed_state.sync)
 
             while True:
                 decision = decide_step(

@@ -8,7 +8,7 @@ Goal predicates are the small string forms the task generator emits:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..errors import UnknownTool
@@ -49,7 +49,7 @@ class WorldState:
     goal: str = ""           # final-step expected postcondition
 
     def copy(self) -> "WorldState":
-        return replace(self, objects=dict(self.objects))
+        return WorldState(dict(self.objects), self.robot_at, self.goal)
 
     @property
     def held_object(self) -> Optional[str]:
@@ -111,10 +111,10 @@ def _actuate(sync: np.ndarray, params: ActuatorParams) -> ToolResult:
     from ..actuator import plan_torque, torque_to_pwm
 
     duty = torque_to_pwm(plan_torque(sync, params), params)
-    if not np.all(np.isfinite(duty)):
+    if not np.isfinite(duty).all():
         return error_result("torque plan produced non-finite duties")
     return ok_result(
-        duty=[round(float(d), 6) for d in duty],
+        duty=[round(d, 6) for d in duty.tolist()],
         waypoints=WAYPOINTS_PER_MOVE,
     )
 
@@ -134,8 +134,7 @@ def step_env(
         to = args.get("to")
         if not json_type_ok(to, "str") or not to:
             return state, error_result("navigate needs a location name")
-        new = state.copy()
-        return replace(new, robot_at=to), ok_result(robot_at=to)
+        return WorldState(dict(state.objects), to, state.goal), ok_result(robot_at=to)
 
     if tool == "pick":
         name = args.get("object")
@@ -149,7 +148,7 @@ def step_env(
                 f"{name} is at {obj.location}, robot is at {state.robot_at}"
             )
         new = state.copy()
-        new.objects[name] = replace(obj, held=True)
+        new.objects[name] = ObjectState(obj.location, held=True)
         return new, ok_result(holding=name)
 
     if tool == "place":

@@ -5,7 +5,10 @@ subscript spec runs numpy's own fixed-order sum-of-products loop, which
 keeps results identical run-to-run regardless of thread count or BLAS
 backend.  Activations are evaluated in float64 and clamped to the largest
 float32 strictly inside (-1, 1) before storage, so saturation can never
-round to exactly +-1.
+round to exactly +-1.  Every weight the decision step reads has a float64
+mirror, built once with its parameter bundle (``float64_mirrors``), so
+``matvec`` casts no weight on the step path; only the goal's vision and
+audio encoders, run once per episode, are cast per call.
 """
 
 from __future__ import annotations
@@ -38,6 +41,19 @@ def matvec(weights: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return einsum("ij,j->i" if vec.ndim == 1 else "ij,bj->bi", w, x)
 
 
+def float64_mirrors(bundle, *names: str) -> None:
+    """Give the frozen dataclass ``bundle`` a float64 mirror ``<name>64`` of each
+    named array.  Sources and mirrors turn read-only, so an in-place write
+    raises instead of leaving a mirror stale; ``dataclasses.replace`` rebuilds
+    them, as it runs ``__post_init__``."""
+    for name in names:
+        source = getattr(bundle, name)
+        source.flags.writeable = False
+        mirror = source.astype(np.float64, copy=False)
+        mirror.flags.writeable = False
+        object.__setattr__(bundle, f"{name}64", mirror)
+
+
 def bounded_tanh(pre: np.ndarray) -> np.ndarray:
     """tanh in float64, stored as float32 strictly inside (-1, 1)."""
     out = np.tanh(pre.astype(np.float64, copy=False))
@@ -46,30 +62,6 @@ def bounded_tanh(pre: np.ndarray) -> np.ndarray:
     np.maximum(out, _LOWER, out=out)
     np.minimum(out, _UPPER, out=out)
     return out.astype(np.float32)
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax in float64 (max-subtraction), along the last axis."""
-    e = logits.astype(np.float64)       # a fresh array, worked on in place
-    # the ufunc reductions np.max and np.sum run, without their wrappers
-    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
-    return e
-
-
-def entropy(probs: np.ndarray):
-    """Shannon entropy in nats along the last axis; 0 * log 0 treated as 0.
-
-    A float for one distribution, an array for a stack of them.  Zero
-    entries add exact zeros; numpy sums rows of fewer than 8 entries in
-    order, so there that equals summing the nonzero terms alone.
-    """
-    terms = np.where(probs > 0.0, probs, 1.0)
-    np.log(terms, out=terms)
-    terms *= probs
-    h = -np.add.reduce(terms, axis=-1)
-    return float(h) if probs.ndim == 1 else h
 
 
 def require_finite(arr: np.ndarray, what: str, exc: type[Exception]) -> None:

@@ -84,8 +84,12 @@ def build_model(config: Config, registry_size: int, max_slots: int) -> ModelPara
 
 
 def candidate_embedding(episode_seed: int, name: str, width: int) -> np.ndarray:
-    """Per-episode candidate embedding (16-wide by default), seeded by name."""
-    return fan_in_matrix(derive_seed(episode_seed, f"embed/{name}"), 1, width).reshape(-1)
+    """Per-episode candidate embedding (16-wide by default), seeded by name.
+
+    Float64: the float32 draw, cast once here instead of once per scoring.
+    """
+    embedding = fan_in_matrix(derive_seed(episode_seed, f"embed/{name}"), 1, width)
+    return embedding.reshape(-1).astype(np.float64)
 
 
 def build_router_params(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput, WindowTooShort
-from .numerics import bounded_tanh, matvec, require_finite
+from .numerics import bounded_tanh, float64_mirrors, matvec, require_finite
 
 # Length of the audio window the harness featurizer synthesizes; its
 # spectrum has at most WAVE_SAMPLES // 2 bins.
@@ -27,13 +27,18 @@ class EncoderWeights:
     """Per-modality encoder matrices plus the fusion matrix.
 
     Shapes: each encoder is (d_latent, d_in); fusion is (fusion_dim, sum of
-    latent dims).  All float32.
+    latent dims).  All float32.  The proprio and fusion matrices, which run
+    every step whose frame changed, get float64 mirrors ``proprio64`` and
+    ``fusion64``; the goal encoders run once per episode and get none.
     """
 
     vision: np.ndarray
     audio: np.ndarray
     proprio: np.ndarray
     fusion: np.ndarray
+
+    def __post_init__(self):
+        float64_mirrors(self, "proprio", "fusion")
 
 
 def encode_modality(values, w: np.ndarray) -> np.ndarray:
@@ -78,4 +83,4 @@ def fuse(
             f"concatenated latents have {concat.shape[0]} entries, "
             f"fusion expects {weights.fusion.shape[1]}"
         )
-    return bounded_tanh(matvec(weights.fusion, concat))
+    return bounded_tanh(matvec(weights.fusion64, concat))

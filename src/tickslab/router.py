@@ -20,7 +20,7 @@ from .config import RouterConfig
 from .consensus import ConsensusResult
 from .envelope import METHOD_PREFIX, Envelope, EnvelopeMeta, sync_digest
 from .errors import NoCandidates
-from .numerics import matvec
+from .numerics import float64_mirrors, matvec
 from .registry import NOOP_TOOL, SlotKind, ToolRegistry, ToolSpec
 
 
@@ -28,8 +28,11 @@ from .registry import NOOP_TOOL, SlotKind, ToolRegistry, ToolSpec
 class RouterParams:
     action_head: np.ndarray            # (len(registry), sync_pairs)
     slot_head: np.ndarray              # (max_slots * slot_embed_width, sync_pairs)
-    candidates: tuple                  # ordered (name, embedding) pairs
+    candidates: tuple                  # ordered (name, float64 embedding) pairs
     config: RouterConfig = field(default_factory=RouterConfig)
+
+    def __post_init__(self):
+        float64_mirrors(self, "action_head", "slot_head")
 
 
 class GateOutcome(enum.Enum):
@@ -50,15 +53,12 @@ def _fill_slot(
     slot_index: int, kind: SlotKind, sync: np.ndarray, params: RouterParams
 ):
     width = params.config.slot_embed_width
-    rows = params.slot_head[slot_index * width : (slot_index + 1) * width]
+    rows = params.slot_head64[slot_index * width : (slot_index + 1) * width]
     projection = matvec(rows, sync)
     if kind is SlotKind.OBJECT_REF:
         if not params.candidates:
             raise NoCandidates(f"object_ref slot {slot_index} has no candidates")
-        scores = [
-            float(np.dot(emb.astype(np.float64), projection))
-            for _, emb in params.candidates
-        ]
+        scores = [float(np.dot(emb, projection)) for _, emb in params.candidates]
         return params.candidates[int(np.argmax(scores))][0]
     # Scalar slots get the cosine of the projection against the all-ones
     # direction: deterministic and invariant to positive scaling of sync.
@@ -80,7 +80,7 @@ def select_action(
         raise ValueError("registry is empty")
     if result.fallback:
         return registry.get(NOOP_TOOL), {}
-    scores = matvec(params.action_head, result.sync_merged)
+    scores = matvec(params.action_head64, result.sync_merged)
     spec = registry.specs[int(np.argmax(scores))]
     args = {
         slot_name: _fill_slot(i, kind, result.sync_merged, params)
@@ -116,7 +116,7 @@ class EnvelopeSession:
                 slab_count=slab_count,
                 ticks=ticks,
                 confidence=float(result.confidence_merged),
-                affect=tuple(float(a) for a in affect),
+                affect=tuple(affect.tolist()),
                 sync_digest=sync_digest(result.sync_merged),
                 fallback=bool(result.fallback),
             ),

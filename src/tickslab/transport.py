@@ -126,12 +126,21 @@ class ToolServer:
     """Executes tool calls against a handler and serves registry introspection.
 
     ``handler(name, args)`` returns a ToolResult; no handler reads the
-    envelope metadata, so it is not passed on.
+    envelope metadata, so it is not passed on.  The registry is not changed
+    after construction, so its ``registry/list`` table is built once.
     """
 
     def __init__(self, registry: ToolRegistry, handler: Callable[[str, dict], ToolResult]):
         self.registry = registry
         self.handler = handler
+        self._tools = [
+            {
+                "name": s.name,
+                "arg_slots": [[slot, kind.value] for slot, kind in s.arg_slots],
+                "description": s.description,
+            }
+            for s in registry.specs
+        ]
 
     def handle_frame(self, frame: bytes) -> bytes:
         try:
@@ -157,15 +166,7 @@ class ToolServer:
             )
 
         if method == "registry/list":
-            tools = [
-                {
-                    "name": s.name,
-                    "arg_slots": [[slot, kind.value] for slot, kind in s.arg_slots],
-                    "description": s.description,
-                }
-                for s in self.registry.specs
-            ]
-            return self._result_frame(req_id, {"tools": tools})
+            return self._result_frame(req_id, {"tools": self._tools})
 
         if method.startswith(METHOD_PREFIX):
             name = method[len(METHOD_PREFIX) :]

@@ -111,7 +111,7 @@ class TestAcceptance:
             for i in range(n):
                 sync = rng.normal(size=params.config.sync_pairs).astype(np.float32)
                 logits = (rng.normal(size=params.config.logit_count) * 4).astype(np.float32)
-                from tickslab.numerics import entropy, softmax
+                from reference import entropy, softmax
 
                 conf = max(
                     0.0, 1.0 - entropy(softmax(logits)) / np.log(params.config.logit_count)

@@ -24,7 +24,8 @@ from tickslab import transport
 from tickslab.harness import cli, world
 code = cli.main(["serve"])
 loaded = sorted(name for name in sys.modules if name.startswith("tickslab"))
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "loaded": loaded}), file=sys.stderr)
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "hashlib": "hashlib" in sys.modules, "loaded": loaded}), file=sys.stderr)
 """
 
 
@@ -330,6 +331,7 @@ class TestServeStdio:
         probe = json.loads(proc.stderr.splitlines()[-1])
         assert probe["code"] == 0
         assert not probe["numpy"], f"numpy loaded; tickslab modules: {probe['loaded']}"
+        assert not probe["hashlib"], f"hashlib loaded; tickslab modules: {probe['loaded']}"
         server = ToolServer(build_registry(), WorldSession(demo_world()).handler)
         assert proc.stdout.splitlines() == [server.handle_frame(frame) for frame in frames]
 

@@ -57,7 +57,7 @@ def make_outcome(branch_id, sync, logits, params, ticks=8, reached=True):
     logits = np.asarray(logits, dtype=np.float32)
     _, conf = certainty(sync, params.certainty_w, params)
     # confidence must be the entropy confidence of the stored logits
-    from tickslab.numerics import entropy, softmax
+    from reference import entropy, softmax
 
     conf = 1.0 - entropy(softmax(logits)) / np.log(params.config.logit_count)
     return BranchOutcome(branch_id, sync, logits, float(max(conf, 0.0)), ticks, reached)
@@ -190,7 +190,7 @@ class TestMerge:
     def test_confidence_recomputable_from_logits(self, small_params):
         rng = np.random.default_rng(9)
         for o in random_outcomes(rng, small_params, 6):
-            from tickslab.numerics import entropy, softmax
+            from reference import entropy, softmax
 
             again = 1.0 - entropy(softmax(o.logits)) / np.log(small_params.config.logit_count)
             assert o.confidence == pytest.approx(again, abs=1e-7)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import make_ctm
+from reference import composed_certainty, softmax
 from tickslab.config import Config, EngineConfig
 from tickslab.engine import (
     BranchState,
@@ -26,7 +27,6 @@ from tickslab.engine import (
     synapse,
 )
 from tickslab.errors import DimensionMismatch, EmptySlab
-from tickslab.numerics import softmax
 from tickslab.params import build_model
 
 TICK_WEIGHTS = ("synapse_w", "factor_a", "factor_b", "bias")
@@ -338,6 +338,33 @@ class TestBatchedCertainty:
             one_logits, one_c = certainty(stack[row], w, small_params)
             assert np.array_equal(logits[row], one_logits)
             assert cs[row] == one_c == one_vector_certainty(stack[row], w, small_params)[1]
+
+
+class TestCertaintyEqualsComposedForm:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(0, 5),
+        logit_count=st.integers(2, 16),
+        logit_scale=st.sampled_from([0.5, 1.0, 8.0, 100.0]),
+        spread=st.sampled_from([0.01, 1.0, 30.0, 1000.0]),
+    )
+    def test_bit_equal(self, seed, rows, logit_count, logit_scale, spread):
+        # rows=0 reads one vector; a large spread makes softmax entries
+        # underflow, which past 8 logits is where a reordered sum would show
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(logit_count, 12)).astype(np.float32)
+        params = make_ctm(
+            seed=1, logit_count=logit_count, logit_scale=logit_scale, certainty_w=w
+        )
+        size = (rows, 12) if rows else 12
+        sync = (rng.normal(size=size) * spread).astype(np.float32)
+        want_logits, want_c = composed_certainty(sync, w, params)
+        for head in (w, params.certainty_w64):
+            logits, c = certainty(sync, head, params)
+            assert logits.dtype == np.float32
+            assert logits.tobytes() == want_logits.tobytes()
+            assert np.array(c).tobytes() == np.array(want_c).tobytes()
 
 
 class TestHaltDecision:
