@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import ActuatorConfig
 from .errors import DimensionMismatch
-from .numerics import float64_mirrors, matvec
+from .numerics import hold_float64, matvec
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class ActuatorParams:
     def __post_init__(self):
         if not np.all(self.tau_min < self.tau_max):
             raise ValueError("tau_min must be strictly below tau_max per joint")
-        float64_mirrors(self, "mapping", "tau_min", "tau_max", "gain")
+        hold_float64(self, "mapping", "tau_min", "tau_max", "gain")
 
 
 def plan_torque(sync_merged: np.ndarray, params: ActuatorParams) -> np.ndarray:
@@ -38,7 +38,7 @@ def plan_torque(sync_merged: np.ndarray, params: ActuatorParams) -> np.ndarray:
             f"mapping expects {params.mapping.shape[1]} sync entries, "
             f"got {sync_merged.shape[0]}"
         )
-    return np.clip(matvec(params.mapping64, sync_merged), params.tau_min64, params.tau_max64)
+    return np.clip(matvec(params.mapping, sync_merged), params.tau_min, params.tau_max)
 
 
 def torque_to_pwm(tau: np.ndarray, params: ActuatorParams) -> np.ndarray:
@@ -48,5 +48,5 @@ def torque_to_pwm(tau: np.ndarray, params: ActuatorParams) -> np.ndarray:
         raise DimensionMismatch(
             f"{tau.shape[0]} torques for {params.tau_max.shape[0]} joints"
         )
-    scaled = params.gain64 * tau / params.tau_max64
+    scaled = params.gain * tau / params.tau_max
     return 0.5 + 0.5 * np.clip(scaled, -1.0, 1.0)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import AffectConfig
 from .errors import DimensionMismatch
-from .numerics import bounded_tanh, float64_mirrors, matvec
+from .numerics import bounded_tanh, hold_float64, matvec
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class AffectParams:
     def __post_init__(self):
         if self.w2.shape[1] != self.w1.shape[0]:
             raise ValueError(f"layer widths differ: {self.w1.shape} vs {self.w2.shape}")
-        float64_mirrors(self, "w1", "w2")   # w164, w264
+        hold_float64(self, "w1", "w2")
 
 
 def affect_decode(sync: np.ndarray, params: AffectParams) -> np.ndarray:
@@ -37,8 +37,8 @@ def affect_decode(sync: np.ndarray, params: AffectParams) -> np.ndarray:
         raise DimensionMismatch(
             f"sync width {sync.shape[0]} != affect input {params.w1.shape[1]}"
         )
-    hidden = bounded_tanh(matvec(params.w164, sync))
-    return bounded_tanh(matvec(params.w264, hidden))
+    hidden = bounded_tanh(matvec(params.w1, sync))
+    return bounded_tanh(matvec(params.w2, hidden))
 
 
 def modulate_epsilon(affect: np.ndarray, params: AffectParams) -> float:

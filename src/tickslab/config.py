@@ -32,7 +32,7 @@ def _between(low, high):
 _POSITIVE = (lambda v: v > 0), "> 0"
 _UNIT = _between(0, 1)
 
-# The most weights a model may hold, 2**24 (64 MiB as float32, about 84
+# The most weights a model may hold, 2**24 (128 MiB as float64, about 84
 # times the defaults), and the most values a decision step's work arrays
 # may hold; a config asking for more is refused before any array exists.
 MAX_PARAMETERS = 2**24

@@ -153,7 +153,7 @@ def run_branch(
     shared trajectory, and the tests compare the two.
     """
     branch_params = perturb_for_branch(params, episode_seed, branch_id)
-    state, last = run_until_halt(seed_state.clone(), f, branch_params, epsilon)
+    state, last = run_until_halt(seed_state, f, branch_params, epsilon)
     reached = last.certainty >= min(epsilon, params.config.halt_cap)
     outcome = BranchOutcome(
         branch_id=branch_id,
@@ -236,7 +236,7 @@ def shared_branches(
         tick, slab = tick + n, slab + 1
         ticks_used = tick - seed_state.tick
         syncs = accumulate(syncs, contribution.take(perms), n, config.decay)
-        logits, cs = certainty(syncs, params.certainty_w64, params)
+        logits, cs = certainty(syncs, params.certainty_w, params)
         keep = []
         for row, (branch_id, c) in enumerate(zip(ids, cs)):
             traces[row] = trace = (traces[row] + (c,))[-config.plateau_window :]
@@ -295,7 +295,7 @@ def merge(outcomes: list[BranchOutcome], params: CtmParams) -> ConsensusResult:
         weights = conf / np.sum(conf)
     stack = np.stack([o.sync for o in ordered]).astype(np.float64)
     merged = np.sum(weights[:, None] * stack, axis=0).astype(np.float32)
-    _, conf_merged = certainty(merged, params.certainty_w64, params)
+    _, conf_merged = certainty(merged, params.certainty_w, params)
     return ConsensusResult(
         sync_merged=merged,
         confidence_merged=conf_merged,

@@ -16,19 +16,20 @@ states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .config import EngineConfig
 from .errors import DimensionMismatch, EmptySlab
-from .numerics import _LOWER, _UPPER, bounded_tanh, einsum, float64_mirrors, matvec
+from .numerics import _LOWER, _UPPER, einsum, hold_float64, matvec
 
 
 @dataclass(frozen=True)
 class CtmParams:
-    """Immutable engine parameters; shareable across branches."""
+    """Immutable engine parameters; shareable across branches.  The weights
+    are held as read-only float64 arrays of float32 values."""
 
     config: EngineConfig
     synapse_w: np.ndarray      # (neurons, neurons + fusion_dim)
@@ -43,10 +44,7 @@ class CtmParams:
         pairs = set(zip(self.pair_p.tolist(), self.pair_q.tolist()))
         if len(pairs) != self.config.sync_pairs:
             raise ValueError("synchrony pairs must be distinct ordered pairs")
-        # float64 mirrors of the tick weights and the certainty head
-        # (synapse_w64, ..., certainty_w64), cast once here instead of once
-        # per slab or readout
-        float64_mirrors(self, "synapse_w", "factor_a", "factor_b", "bias", "certainty_w")
+        hold_float64(self, "synapse_w", "factor_a", "factor_b", "bias", "certainty_w")
         # certainty's normaliser ln(logit_count), the same np.log value
         object.__setattr__(self, "log_logit_count", np.log(self.config.logit_count))
 
@@ -61,11 +59,6 @@ class BranchState:
     tick: int = 0
     slab: int = 0
     certainty_trace: tuple = ()      # last few certainty values
-
-    def clone(self) -> "BranchState":
-        return replace(
-            self, z=self.z.copy(), history=self.history.copy(), sync=self.sync.copy()
-        )
 
 
 def initial_state(params: CtmParams) -> BranchState:
@@ -84,56 +77,6 @@ class SlabResult:
     certainty: float       # in [0, 1]
     halted: bool
     ticks_used: int
-
-
-def synapse(z_prev: np.ndarray, f: np.ndarray, synapse_w: np.ndarray) -> np.ndarray:
-    """Candidate state tanh(W_s [z_prev || f])."""
-    if z_prev.shape[0] + f.shape[0] != synapse_w.shape[1]:
-        raise DimensionMismatch(
-            f"synapse input {z_prev.shape[0]}+{f.shape[0]} != {synapse_w.shape[1]}"
-        )
-    if synapse_w.shape[0] != z_prev.shape[0]:
-        raise DimensionMismatch(
-            f"synapse output {synapse_w.shape[0]} != state width {z_prev.shape[0]}"
-        )
-    return bounded_tanh(matvec(synapse_w, np.concatenate([z_prev, f])))
-
-
-def push_history(history: np.ndarray, z_new: np.ndarray) -> np.ndarray:
-    """Shift columns left by one and append ``z_new`` as the newest column."""
-    if history.shape[0] != z_new.shape[0]:
-        raise DimensionMismatch(
-            f"history rows {history.shape[0]} != state width {z_new.shape[0]}"
-        )
-    out = np.empty_like(history)
-    out[:, :-1] = history[:, 1:]
-    out[:, -1] = z_new
-    return out
-
-
-def mu_mlp(
-    history: np.ndarray, factor_a: np.ndarray, factor_b: np.ndarray, bias: np.ndarray
-) -> np.ndarray:
-    """Low-rank readout: z_d = tanh(b_d + sum_m (sum_j A_mj B_dj) H_dm).
-
-    Evaluated in factored form (history projected through A, then weighted
-    by B) without materializing the dense (neurons, history) matrix.
-    """
-    d, m = history.shape
-    if factor_a.shape[0] != m or factor_b.shape[0] != d:
-        raise DimensionMismatch(
-            f"factors {factor_a.shape}/{factor_b.shape} do not match history {history.shape}"
-        )
-    if factor_a.shape[1] != factor_b.shape[1]:
-        raise DimensionMismatch("factor ranks differ")
-    if bias.shape[0] != d:
-        raise DimensionMismatch(f"bias width {bias.shape[0]} != neurons {d}")
-    h64 = history.astype(np.float64)
-    a64 = factor_a.astype(np.float64)
-    b64 = factor_b.astype(np.float64)
-    proj = einsum("dm,mr->dr", h64, a64)                       # (neurons, rank)
-    pre = bias.astype(np.float64) + einsum("dr,dr->d", proj, b64)
-    return bounded_tanh(pre)
 
 
 def slab_contribution(
@@ -185,27 +128,14 @@ def sync_update(
     return accumulate(sync, contribution, len(slab_states), params.config.decay)
 
 
-def sync_scan_tick(sync: np.ndarray, z: np.ndarray, params: CtmParams) -> np.ndarray:
-    """Incremental per-tick form of the same accumulator update.
-
-    Preserves the input dtype: feed float64 to carry full precision across
-    a multi-tick scan (the closed form also rounds only once, at the end),
-    float32 to mimic stored state.
-    """
-    s64 = params.config.decay * sync.astype(np.float64)
-    z64 = z.astype(np.float64)
-    out = s64 + z64[params.pair_p] * z64[params.pair_q]
-    return out.astype(sync.dtype)
-
-
 def certainty(sync: np.ndarray, certainty_w: np.ndarray, params: CtmParams):
     """Scaled logits read from the sync vector and 1 - normalized entropy.
 
     c = 1 - H(softmax(h)) / ln(logit_count), h = logit_scale * (W_c S).
     Returns (h as float32, c as float in [0, 1]).  ``sync`` may also be a
     (rows, pair_count) stack: then h has a row per vector and c is a list,
-    each row bit for bit the result for that vector alone.  Pass the head
-    as ``params.certainty_w64`` to skip its cast.
+    each row bit for bit the result for that vector alone.  A float64 head,
+    such as ``params.certainty_w``, is read without a cast.
     """
     h = matvec(certainty_w, sync if sync.ndim == 2 else sync[None])
     h *= params.config.logit_scale
@@ -295,16 +225,17 @@ def slab_ticks(
     synchrony pairs play no part, so every branch of a decision step shares
     this trajectory.
     """
-    # Inlined synapse -> push -> readout loop on CtmParams' float64 weight
-    # mirrors.  Each reduction is the public ops' einsum, written into a
-    # preallocated buffer, and bounded_tanh's float64 steps run in place, so
-    # every tick and the carry equal composing those ops bit for bit (see the
-    # composition tests).  [z || f] is one float64 buffer with f written
-    # once.  The depth history is a window over one float64 buffer holding
-    # the slab's candidates (float32 values) after it, so a push moves the
-    # window instead of shifting, and rounding the last window back is exact.
+    # Inlined synapse -> push -> readout loop on CtmParams' float64
+    # weights.  Each reduction is the einsum of the per-op references in
+    # tests/reference.py, written into a preallocated buffer, and
+    # bounded_tanh's float64 steps run in place, so every tick and the carry
+    # equal composing those ops bit for bit (see the composition tests).
+    # [z || f] is one float64 buffer with f written once.  The depth history
+    # is a window over one float64 buffer holding the slab's candidates
+    # (float32 values) after it, so a push moves the window instead of
+    # shifting, and rounding the last window back is exact.
     d, m = history.shape
-    w64, a64, b64 = params.synapse_w64, params.factor_a64, params.factor_b64
+    w64, a64, b64 = params.synapse_w, params.factor_a, params.factor_b
     x64 = np.empty(w64.shape[1])
     x64[d:] = f
 
@@ -319,7 +250,7 @@ def slab_ticks(
         window[:, m + t] = candidate
         einsum("dm,mr->dr", window[:, t + 1 : t + 1 + m], a64, out=proj)
         einsum("dr,dr->d", proj, b64, out=pre)
-        pre += params.bias64
+        pre += params.bias
         z = states[t]
         _bounded_tanh_into(z, pre)
     x64[:d] = z
@@ -341,7 +272,7 @@ def halt_readout(
     is the slab counter after the slab.
     """
     config = params.config
-    logits, c = certainty(sync, params.certainty_w64, params)
+    logits, c = certainty(sync, params.certainty_w, params)
     trace = (certainty_trace + (c,))[-config.plateau_window :]
     halted = halt_decision(c, epsilon, trace, config.max_slabs - slab, config)
     return logits, c, trace, halted

@@ -141,7 +141,7 @@ def run_episode(
             proprio = featurize(session.state, config.perception)
             if proprio.tobytes() != frame:
                 frame = proprio.tobytes()
-                f = fuse(*goal_latents, encode_modality(proprio, enc.proprio64), enc)
+                f = fuse(*goal_latents, encode_modality(proprio, enc.proprio), enc)
 
             # Per-step budget: counters and certainty trace restart; the
             # thought state itself carries over.

@@ -1,14 +1,13 @@
-"""Shared float discipline: 32-bit storage, 64-bit accumulation.
+"""Shared float discipline: float64 weights and accumulation, float32 state.
 
 Matrix-vector products avoid BLAS on purpose: ``np.einsum`` with a plain
 subscript spec runs numpy's own fixed-order sum-of-products loop, which
 keeps results identical run-to-run regardless of thread count or BLAS
 backend.  Activations are evaluated in float64 and clamped to the largest
 float32 strictly inside (-1, 1) before storage, so saturation can never
-round to exactly +-1.  Every weight the decision step reads has a float64
-mirror, built once with its parameter bundle (``float64_mirrors``), so
-``matvec`` casts no weight on the step path; only the goal's vision and
-audio encoders, run once per episode, are cast per call.
+round to exactly +-1.  Every weight is drawn as float32 and held once, in
+float64, by its parameter bundle (``hold_float64``), so ``matvec`` casts no
+weight on any call.
 """
 
 from __future__ import annotations
@@ -41,17 +40,14 @@ def matvec(weights: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return einsum("ij,j->i" if vec.ndim == 1 else "ij,bj->bi", w, x)
 
 
-def float64_mirrors(bundle, *names: str) -> None:
-    """Give the frozen dataclass ``bundle`` a float64 mirror ``<name>64`` of each
-    named array.  Sources and mirrors turn read-only, so an in-place write
-    raises instead of leaving a mirror stale; ``dataclasses.replace`` rebuilds
-    them, as it runs ``__post_init__``."""
+def hold_float64(bundle, *names: str) -> None:
+    """Set each named array of the frozen dataclass ``bundle`` to its own
+    read-only float64 form, so an in-place write raises and no call casts
+    it; ``dataclasses.replace`` redoes this, as it runs ``__post_init__``."""
     for name in names:
-        source = getattr(bundle, name)
-        source.flags.writeable = False
-        mirror = source.astype(np.float64, copy=False)
-        mirror.flags.writeable = False
-        object.__setattr__(bundle, f"{name}64", mirror)
+        weights = getattr(bundle, name).astype(np.float64, copy=False)
+        weights.flags.writeable = False
+        object.__setattr__(bundle, name, weights)
 
 
 def bounded_tanh(pre: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from .affect import AffectParams
 from .config import Config
 from .engine import CtmParams
 from .errors import ConfigError
+from .numerics import hold_float64
 from .perception import EncoderWeights
 from .rng import derive_seed, fan_in_matrix, sample_pairs
 from .registry import ToolRegistry
@@ -35,6 +36,9 @@ class ModelParams:
     action_head: np.ndarray
     slot_head: np.ndarray
     actuator: ActuatorParams
+
+    def __post_init__(self):
+        hold_float64(self, "action_head", "slot_head")   # RouterParams shares them
 
 
 def build_model(config: Config, registry_size: int, max_slots: int) -> ModelParams:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput, WindowTooShort
-from .numerics import bounded_tanh, float64_mirrors, matvec, require_finite
+from .numerics import bounded_tanh, hold_float64, matvec, require_finite
 
 # Length of the audio window the harness featurizer synthesizes; its
 # spectrum has at most WAVE_SAMPLES // 2 bins.
@@ -27,9 +27,8 @@ class EncoderWeights:
     """Per-modality encoder matrices plus the fusion matrix.
 
     Shapes: each encoder is (d_latent, d_in); fusion is (fusion_dim, sum of
-    latent dims).  All float32.  The proprio and fusion matrices, which run
-    every step whose frame changed, get float64 mirrors ``proprio64`` and
-    ``fusion64``; the goal encoders run once per episode and get none.
+    latent dims).  Each is held as a read-only float64 array of float32
+    values.
     """
 
     vision: np.ndarray
@@ -38,7 +37,7 @@ class EncoderWeights:
     fusion: np.ndarray
 
     def __post_init__(self):
-        float64_mirrors(self, "proprio", "fusion")
+        hold_float64(self, "vision", "audio", "proprio", "fusion")
 
 
 def encode_modality(values, w: np.ndarray) -> np.ndarray:
@@ -83,4 +82,4 @@ def fuse(
             f"concatenated latents have {concat.shape[0]} entries, "
             f"fusion expects {weights.fusion.shape[1]}"
         )
-    return bounded_tanh(matvec(weights.fusion64, concat))
+    return bounded_tanh(matvec(weights.fusion, concat))

@@ -20,7 +20,7 @@ from .config import RouterConfig
 from .consensus import ConsensusResult
 from .envelope import METHOD_PREFIX, Envelope, EnvelopeMeta, sync_digest
 from .errors import NoCandidates
-from .numerics import float64_mirrors, matvec
+from .numerics import hold_float64, matvec
 from .registry import NOOP_TOOL, SlotKind, ToolRegistry, ToolSpec
 
 
@@ -32,7 +32,7 @@ class RouterParams:
     config: RouterConfig = field(default_factory=RouterConfig)
 
     def __post_init__(self):
-        float64_mirrors(self, "action_head", "slot_head")
+        hold_float64(self, "action_head", "slot_head")
 
 
 class GateOutcome(enum.Enum):
@@ -53,7 +53,7 @@ def _fill_slot(
     slot_index: int, kind: SlotKind, sync: np.ndarray, params: RouterParams
 ):
     width = params.config.slot_embed_width
-    rows = params.slot_head64[slot_index * width : (slot_index + 1) * width]
+    rows = params.slot_head[slot_index * width : (slot_index + 1) * width]
     projection = matvec(rows, sync)
     if kind is SlotKind.OBJECT_REF:
         if not params.candidates:
@@ -80,7 +80,7 @@ def select_action(
         raise ValueError("registry is empty")
     if result.fallback:
         return registry.get(NOOP_TOOL), {}
-    scores = matvec(params.action_head64, result.sync_merged)
+    scores = matvec(params.action_head, result.sync_merged)
     spec = registry.specs[int(np.argmax(scores))]
     args = {
         slot_name: _fill_slot(i, kind, result.sync_merged, params)

@@ -52,6 +52,26 @@ def make_ctm(
     return CtmParams(**fields)
 
 
+def model_tensors(model) -> dict:
+    """Every overridable tensor of a model, by its container name."""
+    return {
+        "enc/vision": model.encoder.vision,
+        "enc/audio": model.encoder.audio,
+        "enc/proprio": model.encoder.proprio,
+        "enc/fusion": model.encoder.fusion,
+        "ctm/synapse": model.ctm.synapse_w,
+        "ctm/readout_a": model.ctm.factor_a,
+        "ctm/readout_b": model.ctm.factor_b,
+        "ctm/bias": model.ctm.bias,
+        "ctm/certainty": model.ctm.certainty_w,
+        "affect/w1": model.affect.w1,
+        "affect/w2": model.affect.w2,
+        "router/action": model.action_head,
+        "router/slots": model.slot_head,
+        "actuator/mapping": model.actuator.mapping,
+    }
+
+
 def fusion_vector(seed: int, dim: int = 16) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return np.tanh(rng.normal(size=dim)).astype(np.float32)

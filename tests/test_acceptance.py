@@ -12,11 +12,12 @@ from unittest import mock
 import numpy as np
 
 from conftest import make_ctm, fusion_vector
+from reference import mu_mlp, sync_scan_tick
 from tickslab import consensus
 from tickslab.actuator import ActuatorParams, plan_torque
 from tickslab.config import Config, ConsensusConfig
 from tickslab.consensus import decide_step, merge
-from tickslab.engine import certainty, initial_state, mu_mlp, sync_scan_tick, sync_update
+from tickslab.engine import certainty, initial_state, sync_update
 from tickslab.envelope import AFFECT_DIMS, serialize_envelope
 from tickslab.harness.cli import main as cli_main
 from tickslab.harness.episode import OUTCOME_ERROR, Policy, run_episode

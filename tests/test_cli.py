@@ -251,8 +251,8 @@ def referenced(tree, outside=False):
 
 
 class TestLayout:
-    # the C01/C02 references, and the writer of the CTMW0001 weight format
-    UNCALLED = {"synapse", "push_history", "mu_mlp", "sync_scan_tick", "save_weights"}
+    # the writer of the CTMW0001 weight format
+    UNCALLED = {"save_weights"}
 
     def test_only_the_references_lack_a_caller(self):
         package = syntax_trees(SRC / "tickslab")

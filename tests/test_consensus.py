@@ -375,6 +375,28 @@ class TestDecideStep:
         assert len(base.result.contributors) == 1
         assert len(wide.result.contributors) in (1, 2)
 
+    def test_seed_state_is_never_written(self, small_params, fvec):
+        # run_branch and decide_step read the seed state without copying it
+        seed = warm_state(small_params, fvec, 2, reset=True)
+        unfrozen = BranchState(seed.z.copy(), seed.history.copy(), seed.sync.copy())
+        for array in (seed.z, seed.history, seed.sync):
+            array.flags.writeable = False
+        before = [array.tobytes() for array in (seed.z, seed.history, seed.sync)]
+        for branch_id in range(4):
+            got = run_branch(seed, fvec, small_params, 0.75, 11, branch_id)
+            want = run_branch(unfrozen, fvec, small_params, 0.75, 11, branch_id)
+            assert_same_outcome(got[0], want[0])
+            assert_same_state(got[1], want[1])
+        window = no_cutoff(small_params, 4, deadline_ms=60_000.0)
+        want = decide_step(unfrozen, fvec, small_params, 0.75, 11, None, window)
+        assert not want.result.fallback
+        for live in (False, True):
+            got = decide_step(seed, fvec, small_params, 0.75, 11, None, replace(window, live=live))
+            assert got.result.sync_merged.tobytes() == want.result.sync_merged.tobytes()
+            assert got.result.contributors == want.result.contributors
+            assert_same_state(got.next_seed, want.next_seed)
+        assert [array.tobytes() for array in (seed.z, seed.history, seed.sync)] == before
+
 
 class TestLiveRace:
     def test_live_wait_one_merges_up_to_two(self, fvec):

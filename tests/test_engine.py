@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import make_ctm
-from reference import composed_certainty, softmax
+from reference import composed_certainty, mu_mlp, push_history, softmax, synapse, sync_scan_tick
 from tickslab.config import Config, EngineConfig
 from tickslab.engine import (
     BranchState,
@@ -16,15 +16,11 @@ from tickslab.engine import (
     gated_carry,
     halt_decision,
     initial_state,
-    mu_mlp,
-    push_history,
     run_slab,
     run_until_halt,
     slab_contribution,
     slab_ticks,
-    sync_scan_tick,
     sync_update,
-    synapse,
 )
 from tickslab.errors import DimensionMismatch, EmptySlab
 from tickslab.params import build_model
@@ -89,7 +85,6 @@ def slab_inputs(draw):
 
 class TestCtmParams:
     def test_weights_are_read_only(self, small_params):
-        # an in-place write would leave the float64 mirror stale
         for name in TICK_WEIGHTS:
             with pytest.raises(ValueError):
                 getattr(small_params, name)[0] = 0.0
@@ -101,10 +96,11 @@ class TestCtmParams:
         halved = replace(small_params, synapse_w=small_params.synapse_w * 0.5)
         for params in (small_params, branch, halved):
             for name in TICK_WEIGHTS:
-                mirror = getattr(params, f"{name}64")
-                assert mirror.dtype == np.float64
-                assert mirror.tobytes() == getattr(params, name).astype(np.float64).tobytes()
-        assert not np.array_equal(halved.synapse_w64, small_params.synapse_w64)
+                weights = getattr(params, name)
+                assert weights.dtype == np.float64 and not weights.flags.writeable
+        assert halved.synapse_w.tobytes() == (small_params.synapse_w * 0.5).tobytes()
+        # a branch's params share the weights instead of copying them
+        assert all(getattr(branch, name) is getattr(small_params, name) for name in TICK_WEIGHTS)
 
 
 class TestSynapse:
@@ -360,7 +356,7 @@ class TestCertaintyEqualsComposedForm:
         size = (rows, 12) if rows else 12
         sync = (rng.normal(size=size) * spread).astype(np.float32)
         want_logits, want_c = composed_certainty(sync, w, params)
-        for head in (w, params.certainty_w64):
+        for head in (w, params.certainty_w):
             logits, c = certainty(sync, head, params)
             assert logits.dtype == np.float32
             assert logits.tobytes() == want_logits.tobytes()

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import model_tensors
 from tickslab.config import MAX_PARAMETERS, Config, ConsensusConfig, EngineConfig
 from tickslab.engine import halt_readout
 from tickslab.envelope import canonical_json_bytes
@@ -880,26 +881,6 @@ class TestInputFuzz:
             self.use(kind, path)
         except TickslabError:
             pass
-
-
-def model_tensors(model) -> dict:
-    """Every overridable tensor of a model, by its container name."""
-    return {
-        "enc/vision": model.encoder.vision,
-        "enc/audio": model.encoder.audio,
-        "enc/proprio": model.encoder.proprio,
-        "enc/fusion": model.encoder.fusion,
-        "ctm/synapse": model.ctm.synapse_w,
-        "ctm/readout_a": model.ctm.factor_a,
-        "ctm/readout_b": model.ctm.factor_b,
-        "ctm/bias": model.ctm.bias,
-        "ctm/certainty": model.ctm.certainty_w,
-        "affect/w1": model.affect.w1,
-        "affect/w2": model.affect.w2,
-        "router/action": model.action_head,
-        "router/slots": model.slot_head,
-        "actuator/mapping": model.actuator.mapping,
-    }
 
 
 class TestModelBuild:

@@ -1,5 +1,5 @@
-"""The decision step reads every weight through a float64 mirror built with
-its bundle, so no step casts a weight."""
+"""Every weight is held once, by its bundle, as a read-only float64 array of
+float32 values, so no decision step casts a weight."""
 
 import sys
 from dataclasses import replace
@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import model_tensors
 from tickslab import numerics
 from tickslab.config import Config
 from tickslab.harness import episode
@@ -19,40 +20,49 @@ TASKS50 = Path(__file__).parent / "fixtures" / "tasks50.jsonl"
 REGISTRY = build_registry()
 MODEL = build_model(Config(), len(REGISTRY), REGISTRY.max_slots)
 ROUTER = build_router_params(MODEL, Config(), REGISTRY, ["cup", "sink"], episode_seed=7)
-# (bundle, its mirrored arrays)
-MIRRORED = [
+# (bundle, its weight arrays)
+HELD = [
     (MODEL.ctm, ("synapse_w", "factor_a", "factor_b", "bias", "certainty_w")),
     (MODEL.affect, ("w1", "w2")),
     (ROUTER, ("action_head", "slot_head")),
     (MODEL.actuator, ("mapping", "tau_min", "tau_max", "gain")),
-    (MODEL.encoder, ("proprio", "fusion")),
+    (MODEL.encoder, ("vision", "audio", "proprio", "fusion")),
+    (MODEL, ("action_head", "slot_head")),
 ]
-IDS = [type(bundle).__name__ for bundle, _ in MIRRORED]
+IDS = [type(bundle).__name__ for bundle, _ in HELD]
 
 
-def assert_mirrors(bundle, names):
+def assert_held_once(bundle, names):
     for name in names:
-        source, mirror = getattr(bundle, name), getattr(bundle, f"{name}64")
-        assert mirror.dtype == np.float64
-        assert mirror.tobytes() == source.astype(np.float64).tobytes()
-        assert not source.flags.writeable and not mirror.flags.writeable
+        weights = getattr(bundle, name)
+        assert weights.dtype == np.float64
+        assert not weights.flags.writeable
+        assert f"{name}64" not in vars(bundle)
 
 
-@pytest.mark.parametrize("bundle, names", MIRRORED, ids=IDS)
-class TestMirrors:
-    def test_bit_equal_and_read_only(self, bundle, names):
-        assert_mirrors(bundle, names)
+@pytest.mark.parametrize("bundle, names", HELD, ids=IDS)
+class TestHeldOnce:
+    def test_float64_and_read_only(self, bundle, names):
+        assert_held_once(bundle, names)
         for name in names:
             with pytest.raises(ValueError):
                 getattr(bundle, name)[0] = 0.0
-            with pytest.raises(ValueError):
-                getattr(bundle, f"{name}64")[0] = 0.0
 
-    def test_replace_rebuilds_them(self, bundle, names):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_replace_redoes_both(self, bundle, names, dtype):
         for name in names:
-            changed = replace(bundle, **{name: getattr(bundle, name) * 0.5})
-            assert_mirrors(changed, names)
-            assert not np.array_equal(getattr(changed, f"{name}64"), getattr(bundle, f"{name}64"))
+            halved = (getattr(bundle, name) * 0.5).astype(dtype)
+            changed = replace(bundle, **{name: halved})
+            assert_held_once(changed, names)
+            assert getattr(changed, name).tobytes() == halved.astype(np.float64).tobytes()
+
+
+def test_every_tensor_is_its_float32_rounding():
+    # the actuator's bounds and gain come from config floats, not the table
+    tensors = model_tensors(MODEL)
+    assert set(tensors) == {name for name, *_ in Config().tensor_shapes()}
+    for weights in tensors.values():
+        assert weights.astype(np.float32).astype(np.float64).tobytes() == weights.tobytes()
 
 
 def test_candidate_embeddings_are_float64():
@@ -64,15 +74,13 @@ def test_candidate_embeddings_are_float64():
     (episode.Policy.SCRIPTED_ORACLE, 0),
 ])
 def test_step_path_casts_no_weight(monkeypatch, policy, task_index):
-    """Every ``matvec`` weight is float64, except the goal encoders' (run
-    once per episode), and the log equals an unguarded run's."""
+    """Every ``matvec`` weight is float64, and the log equals an unguarded run's."""
     task = load_tasks(TASKS50)[task_index]
     expected = episode.run_episode(task, Config(), policy, MODEL).to_dict()
-    goal_encoders = (MODEL.encoder.vision, MODEL.encoder.audio)
     cast, read = [], set()
 
     def guarded(weights, vec):
-        if weights.dtype != np.float64 and not any(weights is w for w in goal_encoders):
+        if weights.dtype != np.float64:
             cast.append(weights.shape)
         read.add(weights.shape)
         return numerics.matvec(weights, vec)
@@ -85,6 +93,7 @@ def test_step_path_casts_no_weight(monkeypatch, policy, task_index):
     assert cast == []
     assert log == expected and log["outcome"] != episode.OUTCOME_ERROR
     heads = {MODEL.ctm.certainty_w.shape, MODEL.affect.w1.shape, MODEL.affect.w2.shape,
+             MODEL.encoder.vision.shape, MODEL.encoder.audio.shape,
              MODEL.encoder.proprio.shape, MODEL.encoder.fusion.shape}
     if policy is episode.Policy.CTM:
         heads |= {ROUTER.action_head.shape, ROUTER.slot_head.shape, MODEL.actuator.mapping.shape}
