@@ -33,11 +33,6 @@ class ActuatorParams:
 
 def plan_torque(sync_merged: np.ndarray, params: ActuatorParams) -> np.ndarray:
     """Box-constrained least-squares optimum: clamp(K s, tau_min, tau_max)."""
-    if params.mapping.shape[1] != sync_merged.shape[0]:
-        raise DimensionMismatch(
-            f"mapping expects {params.mapping.shape[1]} sync entries, "
-            f"got {sync_merged.shape[0]}"
-        )
     return np.clip(matvec(params.mapping, sync_merged), params.tau_min, params.tau_max)
 
 

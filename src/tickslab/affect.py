@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import AffectConfig
-from .errors import DimensionMismatch
 from .numerics import bounded_tanh, hold_float64, matvec
 
 
@@ -33,10 +32,6 @@ class AffectParams:
 
 def affect_decode(sync: np.ndarray, params: AffectParams) -> np.ndarray:
     """e = tanh(W2 tanh(W1 S)); float32, entries in (-1, 1)."""
-    if sync.shape[0] != params.w1.shape[1]:
-        raise DimensionMismatch(
-            f"sync width {sync.shape[0]} != affect input {params.w1.shape[1]}"
-        )
     hidden = bounded_tanh(matvec(params.w1, sync))
     return bounded_tanh(matvec(params.w2, hidden))
 

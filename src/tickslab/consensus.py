@@ -12,11 +12,13 @@ trajectory stops after the slab in which the decision is settled, since
 no later halt can enter it: under wait policy "off" that is the first slab
 in which a branch halts at its threshold, under "one" the first slab in
 which another halt also follows that winner.  It also stops once every
-branch has halted, or before a slab that would end past the logical
-cutoff (earliest halt plus ``consensus.deadline_ticks``).  ``run_branch``
-runs one branch on its own and is the reference that the readouts equal
-bit for bit.  Outcomes are merged by entropy-based confidence weights
-after a canonical sort, so the merge is bitwise order-independent.
+branch has halted, or before a slab that would end past the logical cutoff
+(earliest halt plus ``consensus.deadline_ticks``).  Every slab is
+``ticks_per_slab`` ticks, so ticks are counted as slabs x ``ticks_per_slab``.
+``run_branch`` runs one branch on its own and is the reference that the
+readouts equal bit for bit.  Outcomes are merged by entropy-based
+confidence weights after a canonical sort, so the merge is bitwise
+order-independent.
 
 Exactly one consensus result is produced per decision step: the normal path
 and the timeout path are mutually exclusive, and the timeout path is total
@@ -55,10 +57,9 @@ from .engine import (
     halt_decision,
     run_until_halt,
     slab_contribution,
-    slab_length,
     slab_ticks,
 )
-from .errors import BranchPanic, EmptyOutcomeList
+from .errors import BranchPanic, EmptyOutcomeList, EmptySlab
 from .rng import SplitMix64, derive_seed
 
 logger = logging.getLogger("tickslab.consensus")
@@ -101,7 +102,8 @@ def branch_permutations(episode_seed: int, pair_count: int, k: int) -> np.ndarra
 
 
 class SlabMemo:
-    """Read-only slab results of one (params, f), keyed by the start state's bytes.
+    """Read-only slab results of one (params, f), keyed by the start state's
+    (z, history) bytes.
 
     A lookup under another (params, f) empties the memo.  A slab is a pure
     function of its key, so a hit equals a fresh run bit for bit.
@@ -113,13 +115,13 @@ class SlabMemo:
     def __len__(self) -> int:
         return len(self._slabs)
 
-    def lookup(self, z, history, f, params: CtmParams, n: int) -> tuple:
-        """(history, carried, contribution) of the n-tick slab from (z, history)."""
+    def lookup(self, z, history, f, params: CtmParams) -> tuple:
+        """(history, carried, contribution) of the slab from (z, history)."""
         if params is not self._scope[0] or f.tobytes() != self._scope[1]:
             self._scope, self._slabs = (params, f.tobytes()), {}
-        key = (n, z.tobytes(), history.tobytes())
+        key = (z.tobytes(), history.tobytes())
         if key not in self._slabs:
-            states, new_history, carried = slab_ticks(z, history, f, params, n)
+            states, new_history, carried = slab_ticks(z, history, f, params)
             slab = (new_history, carried, slab_contribution(states, params))
             for array in slab:
                 array.flags.writeable = False
@@ -160,7 +162,7 @@ def run_branch(
         sync=last.sync,
         logits=last.logits,
         confidence=last.certainty,
-        ticks_used=state.tick - seed_state.tick,
+        ticks_used=(state.slab - seed_state.slab) * params.config.ticks_per_slab,
         reached_threshold=reached,
     )
     return outcome, state
@@ -190,9 +192,11 @@ def shared_branches(
     that would end past the cutoff (earliest halt plus
     ``consensus.deadline_ticks``).  With an ``expiry`` (a
     ``time.monotonic()`` value) it also stops before a slab that would
-    start at or after it.  Branches that would halt after the stop are left
-    out.  Pairs come in (ticks_used, branch_id) order.  Slabs come from
-    ``slabs``, the episode's memo (a fresh one if omitted).
+    start at or after it.  A slab that would start at ``max_slabs`` raises
+    ``EmptySlab``, a trajectory failure (see below).  Branches that would
+    halt after the stop are left out.  Pairs come in (ticks_used, branch_id)
+    order.  Slabs come from ``slabs``, the episode's memo (a fresh one if
+    omitted).
 
     ``branch_hook`` runs once per branch before the trajectory (tests
     inject faults there).  A branch whose hook raises, or that is still
@@ -219,22 +223,24 @@ def shared_branches(
     halted: list[tuple[BranchOutcome, BranchState]] = []
     # the shared trajectory, kept in locals; a BranchState is built only for
     # a branch that halts
-    z, history, tick, slab = seed_state.z, seed_state.history, seed_state.tick, seed_state.slab
+    z, history, slab = seed_state.z, seed_state.history, seed_state.slab
+    n = config.ticks_per_slab
     cutoff = None       # earliest halt + deadline_ticks, in ticks used this step
     while ids:
         if expiry is not None and time.monotonic() >= expiry:
             break
         try:
-            n = slab_length(tick, z, f, params)
-            if cutoff is not None and tick + n - seed_state.tick > cutoff:
+            if slab >= config.max_slabs:
+                raise EmptySlab("slab budget exhausted before the slab started")
+            ticks_used = (slab + 1 - seed_state.slab) * n
+            if cutoff is not None and ticks_used > cutoff:
                 break
-            history, z, contribution = slabs.lookup(z, history, f, params, n)
+            history, z, contribution = slabs.lookup(z, history, f, params)
         except Exception as exc:
             for branch_id in ids:
                 logger.warning("%s", BranchPanic(branch_id, exc))
             break
-        tick, slab = tick + n, slab + 1
-        ticks_used = tick - seed_state.tick
+        slab += 1
         syncs = accumulate(syncs, contribution.take(perms), n, config.decay)
         logits, cs = certainty(syncs, params.certainty_w, params)
         keep = []
@@ -251,10 +257,7 @@ def shared_branches(
                 ticks_used=ticks_used,
                 reached_threshold=c >= min(epsilon, config.halt_cap),
             )
-            state = BranchState(
-                z=z, history=history, sync=syncs[row],
-                tick=tick, slab=slab, certainty_trace=trace,
-            )
+            state = BranchState(z, history, syncs[row], slab, trace)
             halted.append((outcome, state))
         if len(keep) < len(ids):
             ids, traces = [ids[r] for r in keep], [traces[r] for r in keep]
@@ -283,10 +286,6 @@ def merge(outcomes: list[BranchOutcome], params: CtmParams) -> ConsensusResult:
         (o,) = outcomes
         sync = np.add(o.sync, 0.0, dtype=np.float32)
         return ConsensusResult(sync, o.confidence, (o.branch_id,), False)
-    if len({o.sync.shape[0] for o in outcomes}) > 1:
-        raise ValueError("outcomes disagree on sync width")
-    if len({o.logits.shape[0] for o in outcomes}) > 1:
-        raise ValueError("outcomes disagree on logit width")
     ordered = sorted(outcomes, key=lambda o: o.branch_id)
     conf = np.array([o.confidence for o in ordered], dtype=np.float64)
     if np.all(conf < ZERO_CONFIDENCE):
@@ -329,7 +328,6 @@ class StepDecision:
     result: ConsensusResult
     next_seed: Optional[BranchState]   # None if every branch failed
     slab_count: int
-    ticks: int
 
 
 def merge_set(
@@ -381,7 +379,7 @@ def select_step(
     pairs = sorted(pairs, key=lambda ps: (ps[0].ticks_used, ps[0].branch_id))
     if not pairs:
         result = timeout_safe_pass(cache, params.config.sync_pairs)
-        return StepDecision(result, None, seed_state.slab, seed_state.tick)
+        return StepDecision(result, None, seed_state.slab)
 
     cutoff = pairs[0][0].ticks_used + consensus.deadline_ticks
     in_time = [ps for ps in pairs if ps[0].ticks_used <= cutoff]
@@ -390,14 +388,14 @@ def select_step(
         result = merge([outcome for outcome, _ in merged], params)
         winner = merged[0][1]
         next_seed = BranchState(
-            winner.z, winner.history, result.sync_merged.copy(),
-            winner.tick, winner.slab, winner.certainty_trace,
+            winner.z, winner.history, result.sync_merged.copy(), winner.slab,
+            winner.certainty_trace,
         )
     else:
         result = timeout_safe_pass(cache, params.config.sync_pairs)
         _, next_seed = pairs[0]
 
-    return StepDecision(result, next_seed, next_seed.slab, next_seed.tick)
+    return StepDecision(result, next_seed, next_seed.slab)
 
 
 def decide_step(

@@ -3,10 +3,11 @@
 One tick: project the previous hidden state and the fusion vector through
 the synapse, push the candidate into the per-neuron depth history, then read
 the new hidden state out of that history through the shared low-rank
-factors.  A slab is a block of consecutive ticks; at each slab boundary the
-synchrony accumulators absorb the slab's states, a certainty value is read
-off them, and a halt/continue decision is made.  Hidden state crosses slab
-boundaries through the gated carry blend.
+factors.  A slab is a block of ``ticks_per_slab`` consecutive ticks, so a
+decision step counts its ticks as slabs x ``ticks_per_slab``; at each slab
+boundary the synchrony accumulators absorb the slab's states, a certainty
+value is read off them, and a halt/continue decision is made.  Hidden state
+crosses slab boundaries through the gated carry blend.
 
 Wiring order inside a tick (synapse -> history push -> low-rank readout ->
 synchrony) is fixed here so the readout always sees a history that already
@@ -23,7 +24,7 @@ import numpy as np
 
 from .config import EngineConfig
 from .errors import DimensionMismatch, EmptySlab
-from .numerics import _LOWER, _UPPER, einsum, hold_float64, matvec
+from .numerics import bounded_tanh, einsum, hold_float64, matvec
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,6 @@ class BranchState:
     z: np.ndarray                    # (neurons,) hidden state, |z| < 1
     history: np.ndarray              # (neurons, history), newest column last
     sync: np.ndarray                 # (pair_count,) synchrony accumulators
-    tick: int = 0
     slab: int = 0
     certainty_trace: tuple = ()      # last few certainty values
 
@@ -76,7 +76,6 @@ class SlabResult:
     logits: np.ndarray     # (logit_count,) already scaled
     certainty: float       # in [0, 1]
     halted: bool
-    ticks_used: int
 
 
 def slab_contribution(
@@ -170,8 +169,7 @@ def halt_decision(
 
     The threshold is capped at ``config.halt_cap`` because the
     affect-modulated epsilon can exceed 1 while certainty cannot.
-    ``certainty_trace`` must already include the current value.  The tick
-    budget binds earlier, in the slab loop, by shortening the final slab.
+    ``certainty_trace`` must already include the current value.
     """
     if c >= min(epsilon, config.halt_cap):
         return True
@@ -186,40 +184,18 @@ def halt_decision(
 
 def gated_carry(z_a: np.ndarray, z_b: np.ndarray, beta: float) -> np.ndarray:
     """Convex blend beta * z_a + (1 - beta) * z_b, elementwise."""
-    if z_a.shape != z_b.shape:
-        raise DimensionMismatch(f"carry shapes differ: {z_a.shape} vs {z_b.shape}")
-    if not (0.0 <= beta <= 1.0):
-        raise ValueError(f"beta must be in [0, 1], got {beta}")
     out = beta * z_a.astype(np.float64) + (1.0 - beta) * z_b.astype(np.float64)
     return out.astype(np.float32)
 
 
-def slab_length(tick: int, z: np.ndarray, f: np.ndarray, params: CtmParams) -> int:
-    """Ticks in the next slab from (tick, z): ticks_per_slab, fewer at the tick budget."""
-    ticks_left = params.config.tick_budget - tick
-    if ticks_left <= 0:
-        raise EmptySlab("tick budget exhausted before the slab started")
-    if z.shape[0] + f.shape[0] != params.synapse_w.shape[1]:
-        raise DimensionMismatch(
-            f"synapse input {z.shape[0]}+{f.shape[0]} != {params.synapse_w.shape[1]}"
-        )
-    return min(params.config.ticks_per_slab, ticks_left)
-
-
-def _bounded_tanh_into(out: np.ndarray, pre: np.ndarray) -> None:
-    """``out[...] = bounded_tanh(pre)``, overwriting the float64 ``pre``."""
-    np.tanh(pre, out=pre)
-    np.maximum(pre, _LOWER, out=pre)
-    np.minimum(pre, _UPPER, out=pre)
-    out[...] = pre
-
-
 def slab_ticks(
-    z: np.ndarray, history: np.ndarray, f: np.ndarray, params: CtmParams, n: int
+    z: np.ndarray, history: np.ndarray, f: np.ndarray, params: CtmParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run n ticks from (z, history); the tick math lives only here.
+    """Run one slab of ``ticks_per_slab`` ticks from (z, history); the tick
+    math lives only here.
 
-    Returns the post-readout states as one (n, neurons) float32 array, the
+    Returns the post-readout states as one (ticks_per_slab, neurons) float32
+    array, the
     new depth history (a fresh array; ``history`` is not touched) and the
     hidden state carried into the next slab through the gated carry.  The
     synchrony pairs play no part, so every branch of a decision step shares
@@ -228,7 +204,7 @@ def slab_ticks(
     # Inlined synapse -> push -> readout loop on CtmParams' float64
     # weights.  Each reduction is the einsum of the per-op references in
     # tests/reference.py, written into a preallocated buffer, and
-    # bounded_tanh's float64 steps run in place, so every tick and the carry
+    # bounded_tanh runs in place on it, so every tick and the carry
     # equal composing those ops bit for bit (see the composition tests).
     # [z || f] is one float64 buffer with f written once.  The depth history
     # is a window over one float64 buffer holding the slab's candidates
@@ -236,6 +212,9 @@ def slab_ticks(
     # shifting, and rounding the last window back is exact.
     d, m = history.shape
     w64, a64, b64 = params.synapse_w, params.factor_a, params.factor_b
+    if z.shape[0] + f.shape[0] != w64.shape[1]:
+        raise DimensionMismatch(f"synapse input {z.shape[0]}+{f.shape[0]} != {w64.shape[1]}")
+    n = params.config.ticks_per_slab
     x64 = np.empty(w64.shape[1])
     x64[d:] = f
 
@@ -246,15 +225,15 @@ def slab_ticks(
     candidate = np.empty(d, dtype=np.float32)
     for t in range(n):
         x64[:d] = z
-        _bounded_tanh_into(candidate, einsum("ij,j->i", w64, x64, out=pre))
+        bounded_tanh(einsum("ij,j->i", w64, x64, out=pre), out=candidate)
         window[:, m + t] = candidate
         einsum("dm,mr->dr", window[:, t + 1 : t + 1 + m], a64, out=proj)
         einsum("dr,dr->d", proj, b64, out=pre)
         pre += params.bias
         z = states[t]
-        _bounded_tanh_into(z, pre)
+        bounded_tanh(pre, out=z)
     x64[:d] = z
-    _bounded_tanh_into(candidate, einsum("ij,j->i", w64, x64, out=pre))
+    bounded_tanh(einsum("ij,j->i", w64, x64, out=pre), out=candidate)
     carried = gated_carry(z, candidate, params.config.carry_beta)
     return states, window[:, n:].astype(np.float32), carried
 
@@ -281,22 +260,20 @@ def halt_readout(
 def run_slab(
     state: BranchState, f: np.ndarray, params: CtmParams, epsilon: float
 ) -> tuple[BranchState, SlabResult]:
-    """Run one slab (up to ticks_per_slab ticks, fewer at the tick budget).
+    """Run one slab of ticks_per_slab ticks; ``EmptySlab`` past the slab budget.
 
     Collects the post-readout states, folds them into the synchrony
     accumulators, reads certainty, decides halt/continue, and blends the
     hidden state for the next slab through the gated carry.
     """
-    n = slab_length(state.tick, state.z, f, params)
-    states, hist, carried = slab_ticks(state.z, state.history, f, params, n)
+    if state.slab >= params.config.max_slabs:
+        raise EmptySlab("slab budget exhausted before the slab started")
+    states, hist, carried = slab_ticks(state.z, state.history, f, params)
     sync = sync_update(state.sync, states, params)
-    tick = state.tick + n
     slab = state.slab + 1
     logits, c, trace, halted = halt_readout(sync, state.certainty_trace, slab, epsilon, params)
-    new_state = BranchState(
-        z=carried, history=hist, sync=sync, tick=tick, slab=slab, certainty_trace=trace
-    )
-    return new_state, SlabResult(sync, logits, c, halted, n)
+    new_state = BranchState(z=carried, history=hist, sync=sync, slab=slab, certainty_trace=trace)
+    return new_state, SlabResult(sync, logits, c, halted)
 
 
 def run_until_halt(

@@ -14,8 +14,9 @@ the affect readout of the final merged vector sets the halting threshold for
 the next step.
 
 Hidden state, depth history, and synchrony accumulators persist across
-decision steps (the thought is continuous); tick/slab counters and the
-certainty trace reset per step so budgets are per-decision.  One
+decision steps (the thought is continuous); the slab counter and the
+certainty trace reset per step so budgets are per-decision, and a step's
+ticks are its slabs x ``ticks_per_slab``.  One
 ``SlabMemo`` serves the episode's decision calls, and no other episode.
 """
 
@@ -169,6 +170,7 @@ def run_episode(
                 log.rethinks += 1
 
             result = decision.result
+            ticks = decision.slab_count * ctm.config.ticks_per_slab
             if policy is Policy.SCRIPTED_ORACLE:
                 if script_index < len(task.steps):
                     scripted = task.steps[script_index]
@@ -190,7 +192,7 @@ def run_episode(
                 affect_vec,
                 step=step,
                 slab_count=decision.slab_count,
-                ticks=decision.ticks,
+                ticks=ticks,
             )
             tool_result = dispatch(envelope, server.handle_frame)
 
@@ -198,7 +200,7 @@ def run_episode(
                 StepRecord(
                     step=step,
                     slab_count=decision.slab_count,
-                    ticks=decision.ticks,
+                    ticks=ticks,
                     c_merged=float(result.confidence_merged),
                     epsilon=float(epsilon),
                     action=tool.name,

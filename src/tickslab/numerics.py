@@ -50,14 +50,19 @@ def hold_float64(bundle, *names: str) -> None:
         object.__setattr__(bundle, name, weights)
 
 
-def bounded_tanh(pre: np.ndarray) -> np.ndarray:
-    """tanh in float64, stored as float32 strictly inside (-1, 1)."""
-    out = np.tanh(pre.astype(np.float64, copy=False))
+def bounded_tanh(pre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """tanh in float64, stored as float32 strictly inside (-1, 1), into ``out``
+    if given; a float64 ``pre`` is overwritten, any other dtype is copied."""
+    x = pre.astype(np.float64, copy=False)
+    np.tanh(x, out=x)
     # np.clip's clamp without its Python-level wrapper, against bounds built
     # once; the same float64 values, so the same results
-    np.maximum(out, _LOWER, out=out)
-    np.minimum(out, _UPPER, out=out)
-    return out.astype(np.float32)
+    np.maximum(x, _LOWER, out=x)
+    np.minimum(x, _UPPER, out=x)
+    if out is None:
+        return x.astype(np.float32)
+    out[...] = x
+    return out
 
 
 def require_finite(arr: np.ndarray, what: str, exc: type[Exception]) -> None:

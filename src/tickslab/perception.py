@@ -43,8 +43,6 @@ class EncoderWeights:
 def encode_modality(values, w: np.ndarray) -> np.ndarray:
     """Encode one frame with its encoder matrix ``w``: latent = tanh(W x)."""
     x = np.asarray(values, dtype=np.float32).reshape(-1)
-    if x.shape[0] != w.shape[1]:
-        raise DimensionMismatch(f"frame has {x.shape[0]} values, encoder expects {w.shape[1]}")
     require_finite(x, "frame", NonFiniteInput)
     return bounded_tanh(matvec(w, x))
 
@@ -77,9 +75,4 @@ def fuse(
                 f"{name} latent has {latent.shape[0]} entries, its encoder gives {w.shape[0]}"
             )
     concat = np.concatenate([vision, audio, proprio])
-    if concat.shape[0] != weights.fusion.shape[1]:
-        raise DimensionMismatch(
-            f"concatenated latents have {concat.shape[0]} entries, "
-            f"fusion expects {weights.fusion.shape[1]}"
-        )
     return bounded_tanh(matvec(weights.fusion, concat))

@@ -59,11 +59,9 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
+        z = mix64(self._state)
         self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        return z
 
     def uniform(self) -> float:
         """Next double in [0, 1)."""

@@ -90,12 +90,13 @@ class TestModulateEpsilon:
 class TestThresholdLengthensThinking:
     def test_higher_epsilon_never_fewer_ticks(self):
         # Weak monotonicity on the capped threshold the engine actually uses:
-        # raise epsilon, the same branch never halts earlier.
+        # raise epsilon, the same branch never halts earlier.  Every slab is
+        # ticks_per_slab ticks, so slabs order the runs as ticks do.
         fvec = fusion_vector(3)
         for seed in range(6):
             params = make_ctm(seed=seed)
-            ticks = []
+            slabs = []
             for epsilon in (0.2, 0.5, 0.75, 1.125, 1.8):
                 state, _ = run_until_halt(initial_state(params), fvec, params, epsilon)
-                ticks.append(state.tick)
-            assert all(a <= b for a, b in zip(ticks, ticks[1:]))
+                slabs.append(state.slab)
+            assert all(a <= b for a, b in zip(slabs, slabs[1:]))

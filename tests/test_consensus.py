@@ -29,7 +29,6 @@ from tickslab.engine import (
     certainty,
     initial_state,
     run_slab,
-    slab_length,
     slab_ticks,
 )
 from tickslab.errors import EmptyOutcomeList
@@ -127,6 +126,16 @@ class TestMerge:
         mean = np.mean([o.sync for o in outs], axis=0)
         np.testing.assert_allclose(result.sync_merged, mean, rtol=1e-6, atol=1e-7)
 
+    def test_unequal_sync_widths_rejected(self, small_params):
+        rng = np.random.default_rng(4)
+        logits = np.zeros(small_params.config.logit_count, dtype=np.float32)
+        outs = [
+            BranchOutcome(b, rng.normal(size=width).astype(np.float32), logits, 0.5, 8, True)
+            for b, width in enumerate((12, 11))
+        ]
+        with pytest.raises(ValueError, match="same shape"):
+            merge(outs, small_params)
+
     @given(st.integers(0, 10_000), st.integers(2, 8))
     @settings(max_examples=60, deadline=None)
     def test_permutation_invariance_and_hull(self, seed, n):
@@ -209,7 +218,7 @@ def assert_same_state(a, b):
     for name in ("z", "history", "sync"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-    assert (a.tick, a.slab, a.certainty_trace) == (b.tick, b.slab, b.certainty_trace)
+    assert (a.slab, a.certainty_trace) == (b.slab, b.certainty_trace)
 
 
 class TestSpawnBranches:
@@ -264,7 +273,7 @@ class TestMergeSet:
             sync = rng.normal(size=params.config.sync_pairs).astype(np.float32)
             logits = np.zeros(params.config.logit_count, dtype=np.float32)
             outcome = BranchOutcome(branch_id, sync, logits, 0.5, ticks, reached)
-            pairs.append((outcome, replace(state, tick=ticks)))
+            pairs.append((outcome, state))
         window = ConsensusConfig(wait_policy=policy, deadline_ticks=40)
         decision = select_step(pairs, state, params, None, window)
         assert not decision.result.fallback
@@ -462,7 +471,7 @@ class TestLiveRace:
 def warm_state(params, f, slabs, reset):
     """A seed state after ``slabs`` slabs; ``reset`` zeroes the step counters.
 
-    Without the reset this is the rethink path (tick/slab carry on); with
+    Without the reset this is the rethink path (the slab counter carries on); with
     it, the start of a later decision step (the thought state carries on).
     """
     state = initial_state(params)
@@ -496,17 +505,13 @@ def reference_stop(reference, seed_state, params, limit, wait):
     kept = [o.branch_id for o, _ in in_time]
     if len(in_time) == len(pairs):
         return kept, pairs[-1][1].slab - seed_state.slab
-    # A branch halts past the cutoff: every slab that ends by it runs.
-    slabs, used = 0, 0
-    while True:
-        n = min(params.config.ticks_per_slab, params.config.tick_budget - seed_state.tick - used)
-        if used + n > cutoff:
-            return kept, slabs
-        slabs, used = slabs + 1, used + n
+    # A branch halts past the cutoff, so the cutoff comes before the slab
+    # budget: every slab that ends by it runs.
+    return kept, cutoff // params.config.ticks_per_slab
 
 
 def distinct_start_states(seed_state, f, params, slabs):
-    """Distinct (n, z, history) start states of the reference's first ``slabs`` slabs.
+    """Distinct (z, history) start states of the reference's first ``slabs`` slabs.
 
     The trajectory is the same in every ``run_branch`` run.  Its float32
     state can come back to an earlier start state within one decision call,
@@ -515,8 +520,7 @@ def distinct_start_states(seed_state, f, params, slabs):
     """
     state, starts = seed_state, set()
     for _ in range(slabs):
-        n = slab_length(state.tick, state.z, f, params)
-        starts.add((n, state.z.tobytes(), state.history.tobytes()))
+        starts.add((state.z.tobytes(), state.history.tobytes()))
         state, _ = run_slab(state, f, params, epsilon=2.0)
     return len(starts)
 
@@ -623,7 +627,7 @@ class TestSharedTrajectory:
             assert got.result.confidence_merged == want.result.confidence_merged
             assert got.result.contributors == want.result.contributors
             assert got.result.fallback == want.result.fallback
-            assert (got.slab_count, got.ticks) == (want.slab_count, want.ticks)
+            assert got.slab_count == want.slab_count
             if want.next_seed is None:
                 assert got.next_seed is None
             else:
@@ -650,10 +654,8 @@ class TestSharedTrajectory:
             assert decision.slab_count == 2
 
     def test_trajectory_failure_fails_every_running_branch(self, small_params, fvec, caplog):
-        # Tick budget already spent: the first slab raises, as in run_branch.
-        spent = replace(
-            initial_state(small_params), tick=small_params.config.tick_budget, slab=0
-        )
+        # Slab budget already spent: the first slab raises, as in run_branch.
+        spent = replace(initial_state(small_params), slab=small_params.config.max_slabs)
         with caplog.at_level("WARNING", logger="tickslab.consensus"):
             decision = decide_step(
                 spent, fvec, small_params, 0.75, 11, None, four_slab_window(small_params, 3)
@@ -719,7 +721,7 @@ class TestSharedTrajectory:
 
 def reset_counters(state):
     """The start of the next decision step: the thought state carries on."""
-    return replace(state, tick=0, slab=0, certainty_trace=())
+    return replace(state, slab=0, certainty_trace=())
 
 
 class TestSlabMemo:
@@ -780,7 +782,7 @@ class TestSlabMemo:
             assert got.result.confidence_merged == want.result.confidence_merged
             assert got.result.contributors == want.result.contributors
             assert got.result.fallback == want.result.fallback
-            assert (got.slab_count, got.ticks) == (want.slab_count, want.ticks)
+            assert got.slab_count == want.slab_count
             if want.next_seed is None:
                 assert got.next_seed is None
             else:
@@ -792,31 +794,31 @@ class TestSlabMemo:
     def test_lookup_equals_the_slab_and_is_read_only(self, small_params, fvec):
         state = warm_state(small_params, fvec, 2, reset=True)
         memo = SlabMemo()
-        got = memo.lookup(state.z, state.history, fvec, small_params, 3)
-        states, history, carried = slab_ticks(state.z, state.history, fvec, small_params, 3)
+        got = memo.lookup(state.z, state.history, fvec, small_params)
+        states, history, carried = slab_ticks(state.z, state.history, fvec, small_params)
         want = (history, carried, consensus.slab_contribution(states, small_params))
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
             with pytest.raises(ValueError):
                 a[0] = 0
         assert all(
-            a is b for a, b in zip(got, memo.lookup(state.z, state.history, fvec, small_params, 3))
+            a is b for a, b in zip(got, memo.lookup(state.z, state.history, fvec, small_params))
         )
         assert len(memo) == 1
 
     def test_holds_one_params_and_f(self, small_params, fvec):
-        state = initial_state(small_params)
+        state, other = initial_state(small_params), warm_state(small_params, fvec, 1, True)
         memo = SlabMemo()
-        memo.lookup(state.z, state.history, fvec, small_params, 4)
-        memo.lookup(state.z, state.history, fvec, small_params, 2)
+        memo.lookup(state.z, state.history, fvec, small_params)
+        memo.lookup(other.z, other.history, fvec, small_params)
         assert len(memo) == 2
-        memo.lookup(state.z, state.history, fvec.copy(), small_params, 4)  # same bytes
+        memo.lookup(state.z, state.history, fvec.copy(), small_params)  # same bytes
         assert len(memo) == 2
         with counting_slab_ticks() as counter:
-            memo.lookup(state.z, state.history, fusion_vector(4), small_params, 4)
+            memo.lookup(state.z, state.history, fusion_vector(4), small_params)
             assert len(memo) == 1
             # equal params that are another object start a new scope
-            memo.lookup(state.z, state.history, fusion_vector(4), replace(small_params), 4)
-            memo.lookup(state.z, state.history, fvec, small_params, 4)
+            memo.lookup(state.z, state.history, fusion_vector(4), replace(small_params))
+            memo.lookup(state.z, state.history, fvec, small_params)
         assert counter.call_count == 3
         assert len(memo) == 1

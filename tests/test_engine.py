@@ -42,10 +42,10 @@ def dense_readout_oracle(history, factor_a, factor_b, bias):
     return np.tanh(pre)
 
 
-def composed_slab(z, history, f, params, n):
+def composed_slab(z, history, f, params):
     """One slab by composing the public ops: the reference for slab_ticks."""
     states = []
-    for _ in range(n):
+    for _ in range(params.config.ticks_per_slab):
         history = push_history(history, synapse(z, f, params.synapse_w))
         z = mu_mlp(history, params.factor_a, params.factor_b, params.bias)
         states.append(z)
@@ -75,12 +75,16 @@ def unit_arrays(shape):
 
 @st.composite
 def slab_inputs(draw):
+    """(params, z, history, f) for one slab; every slab length from 1 to 8
+    ticks, and a bundle's own longer slab."""
     params = draw(st.sampled_from(SLAB_BUNDLES))
     c = params.config
+    ticks = draw(st.integers(1, max(8, c.ticks_per_slab)))
+    params = replace(params, config=replace(c, ticks_per_slab=ticks))
     z = draw(unit_arrays(c.neurons))
     history = draw(unit_arrays((c.neurons, c.history)))
     f = draw(unit_arrays(params.synapse_w.shape[1] - c.neurons))
-    return params, z, history, f, draw(st.integers(1, c.ticks_per_slab))
+    return params, z, history, f
 
 
 class TestCtmParams:
@@ -426,20 +430,24 @@ class TestRunSlab:
         assert result.certainty == 0.0
 
     def test_full_slab_tick_count(self, small_params, fvec):
-        _, result = run_slab(initial_state(small_params), fvec, small_params, 0.75)
-        assert result.ticks_used == small_params.config.ticks_per_slab
-
-    def test_short_final_slab(self, small_params, fvec):
         state = initial_state(small_params)
-        # exhaust all but 2 ticks of the budget
-        budget = small_params.config.tick_budget
-        state = BranchState(
-            z=state.z, history=state.history, sync=state.sync,
-            tick=budget - 2, slab=small_params.config.max_slabs - 1,
-        )
-        _, result = run_slab(state, fvec, small_params, 0.75)
-        assert result.ticks_used == 2
+        new_state, _ = run_slab(state, fvec, small_params, 0.75)
+        states, _, _ = slab_ticks(state.z, state.history, fvec, small_params)
+        assert new_state.slab == 1
+        assert states.shape == (small_params.config.ticks_per_slab, small_params.config.neurons)
+
+    def test_last_slab_halts(self, small_params, fvec):
+        state = replace(initial_state(small_params), slab=small_params.config.max_slabs - 1)
+        new_state, result = run_slab(state, fvec, small_params, 2.0)
         assert result.halted  # slab budget is gone
+        assert new_state.slab == small_params.config.max_slabs
+
+    @pytest.mark.parametrize("width", [1, 15, 17])
+    def test_wrong_fusion_width_rejected(self, small_params, width):
+        # a width-1 f would broadcast into the [z || f] buffer without the check
+        state = initial_state(small_params)
+        with pytest.raises(DimensionMismatch):
+            slab_ticks(state.z, state.history, np.zeros(width, dtype=np.float32), small_params)
 
     def test_deterministic_bitwise(self, small_params, fvec):
         s1, r1 = run_slab(initial_state(small_params), fvec, small_params, 0.75)
@@ -461,8 +469,7 @@ class TestRunSlab:
     def test_budget_exhaustion_raises(self, small_params, fvec):
         state = initial_state(small_params)
         state = BranchState(
-            z=state.z, history=state.history, sync=state.sync,
-            tick=small_params.config.tick_budget, slab=small_params.config.max_slabs,
+            z=state.z, history=state.history, sync=state.sync, slab=small_params.config.max_slabs
         )
         with pytest.raises(EmptySlab):
             run_slab(state, fvec, small_params, 0.75)
@@ -471,17 +478,16 @@ class TestRunSlab:
         params = make_ctm(seed=4)
         state, result = run_until_halt(initial_state(params), fvec, params, epsilon=2.0)
         assert result.halted
-        assert state.tick <= params.config.tick_budget
         assert state.slab <= params.config.max_slabs
 
     @given(slab_inputs())
     @settings(max_examples=80, deadline=None)
     def test_slab_ticks_equal_op_composition_bytes(self, inputs):
         # tobytes: a -0.0 where the composition gives +0.0 counts as a difference
-        params, z, history, f, n = inputs
+        params, z, history, f = inputs
         before = history.copy()
-        states, new_history, carried = slab_ticks(z, history, f, params, n)
-        want_states, want_history, want_carried = composed_slab(z, history, f, params, n)
+        states, new_history, carried = slab_ticks(z, history, f, params)
+        want_states, want_history, want_carried = composed_slab(z, history, f, params)
         assert states.dtype == new_history.dtype == carried.dtype == np.float32
         assert states.tobytes() == np.stack(want_states).tobytes()
         assert new_history.tobytes() == want_history.tobytes()
@@ -496,16 +502,16 @@ class TestRunSlab:
     def test_slab_ticks_outputs_are_not_aliased(self, first, data):
         # a later call, here on other inputs to the same params, must leave
         # the arrays an earlier call returned as they were
-        params, z, history, f, n = first
+        params, z, history, f = first
         c = params.config
-        outputs = slab_ticks(z, history, f, params, n)
+        outputs = slab_ticks(z, history, f, params)
         kept = [array.copy() for array in outputs]
         inputs = (z, history, f)
         for a, array in enumerate(outputs):
             assert not any(np.shares_memory(array, other) for other in outputs[a + 1 :] + inputs)
         slab_ticks(
             data.draw(unit_arrays(c.neurons)), data.draw(unit_arrays((c.neurons, c.history))),
-            data.draw(unit_arrays(f.shape[0])), params, data.draw(st.integers(1, c.ticks_per_slab)),
+            data.draw(unit_arrays(f.shape[0])), params,
         )
         for array, copy in zip(outputs, kept):
             assert array.tobytes() == copy.tobytes()

@@ -114,6 +114,19 @@ class TestCtmPolicy:
             assert record.slab_count <= config.engine.max_slabs
 
 
+class TestTicksCountSlabs:
+    # The golden digests cover only the default slab sizes.
+    @pytest.mark.parametrize("policy", [Policy.CTM, Policy.SCRIPTED_ORACLE])
+    def test_ticks_are_slabs_times_ticks_per_slab(self, policy):
+        config = Config.from_dict({"engine": {"ticks_per_slab": 3, "max_slabs": 5}})
+        model = build_for(config)
+        records = []
+        for task in load_tasks(TASKS)[:6]:
+            records += run_episode(task, config, policy, model=model).records
+        assert any(record.slab_count > 1 for record in records)
+        assert all(record.ticks == record.slab_count * 3 for record in records)
+
+
 class TestDeterminism:
     def test_bitwise_identical_logs(self):
         config = small_config(seed=11)
@@ -212,14 +225,14 @@ class TestSlabMemo:
                 self.lookups = []      # (f, start state, entries held after the lookup)
                 memos.append(self)
 
-            def lookup(self, z, history, f, params, n):
-                result = super().lookup(z, history, f, params, n)
-                self.lookups.append((name(f), (n, name(z, history)), len(self)))
+            def lookup(self, z, history, f, params):
+                result = super().lookup(z, history, f, params)
+                self.lookups.append((name(f), name(z, history), len(self)))
                 return result
 
-        def counted_ticks(z, history, f, params, n):
-            computed.append((name(f), (n, name(z, history))))
-            return slab_ticks(z, history, f, params, n)
+        def counted_ticks(z, history, f, params):
+            computed.append((name(f), name(z, history)))
+            return slab_ticks(z, history, f, params)
 
         def counted_accumulate(*args):
             stepped.append(None)

@@ -177,5 +177,6 @@ class TestFuse:
     def test_fusion_width_mismatch_rejected(self):
         enc = make_encoder()
         narrow = EncoderWeights(enc.vision, enc.audio, enc.proprio, fan_in_matrix(4, 9, 12))
-        with pytest.raises(DimensionMismatch, match="fusion expects 12"):
+        # matvec's check: the 13-wide concatenation against 12 fusion columns
+        with pytest.raises(DimensionMismatch, match=r"\(9, 12\) incompatible with vector of 13"):
             fuse(*self._latents(enc), narrow)
