@@ -33,7 +33,7 @@ class ActuatorParams:
 
 def plan_torque(sync_merged: np.ndarray, params: ActuatorParams) -> np.ndarray:
     """Box-constrained least-squares optimum: clamp(K s, tau_min, tau_max)."""
-    return np.clip(matvec(params.mapping, sync_merged), params.tau_min, params.tau_max)
+    return np.minimum(np.maximum(matvec(params.mapping, sync_merged), params.tau_min), params.tau_max)
 
 
 def torque_to_pwm(tau: np.ndarray, params: ActuatorParams) -> np.ndarray:
@@ -44,4 +44,4 @@ def torque_to_pwm(tau: np.ndarray, params: ActuatorParams) -> np.ndarray:
             f"{tau.shape[0]} torques for {params.tau_max.shape[0]} joints"
         )
     scaled = params.gain * tau / params.tau_max
-    return 0.5 + 0.5 * np.clip(scaled, -1.0, 1.0)
+    return 0.5 + 0.5 * np.minimum(np.maximum(scaled, -1.0), 1.0)

@@ -18,6 +18,7 @@ from pathlib import Path
 from .envelope import AFFECT_DIMS
 from .errors import ConfigError
 from .perception import WAVE_SAMPLES
+from .registry import MAX_JOINTS
 from .schema import json_type_ok, type_name
 
 
@@ -148,7 +149,7 @@ class ActuatorConfig:
     gain: float = 1.0
 
     def __post_init__(self):
-        _check_fields(self, "actuator", torque_limit=_POSITIVE)
+        _check_fields(self, "actuator", joints=_between(1, MAX_JOINTS), torque_limit=_POSITIVE)
 
 
 @dataclass(frozen=True)

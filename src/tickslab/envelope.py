@@ -10,7 +10,8 @@ parses an envelope: the tool server checks each frame itself.
 An envelope carries the tool decision plus reasoning metadata: confidence,
 the 8-wide affect vector, a SHA-256 digest of the merged sync vector
 (little-endian float32 serialization, lowercase hex), slab/tick counts, and
-the fallback flag.
+the fallback flag.  The tool's arguments are strings, finite numbers, or
+lists of finite numbers, such as actuate's duty cycles.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class EnvelopeMeta:
 class Envelope:
     id: int
     method: str            # "tool/<name>"
-    args: dict             # slot name -> str | int | float
+    args: dict             # slot name -> str | int | float | list of numbers
     meta: EnvelopeMeta
 
 
@@ -71,16 +72,22 @@ def _check_finite(value: float, what: str) -> float:
     return value
 
 
+def _check_number(value, what: str):
+    if not json_type_ok(value, "float"):
+        raise NonFiniteMetadata(f"{what} is not a number")
+    return _check_finite(value, what) if isinstance(value, float) else value
+
+
 def serialize_envelope(envelope: Envelope) -> bytes:
     """Canonical bytes of the envelope; rejects non-finite metadata."""
     confidence = _check_finite(envelope.meta.confidence, "confidence")
     affect = [_check_finite(a, "affect entry") for a in envelope.meta.affect]
     args = {}
     for slot, value in envelope.args.items():
-        if not (json_type_ok(value, "str") or json_type_ok(value, "float")):
-            raise NonFiniteMetadata(f"arg {slot!r} must be a string or number")
-        if isinstance(value, float):
-            value = _check_finite(value, f"arg {slot!r}")
+        if isinstance(value, list):
+            value = [_check_number(v, f"arg {slot!r} entry") for v in value]
+        elif not json_type_ok(value, "str"):
+            value = _check_number(value, f"arg {slot!r}")
         args[slot] = value
     doc = {
         "jsonrpc": JSONRPC_VERSION,

@@ -11,7 +11,8 @@ low-confidence results back for more slabs until the slab budget forces a
 dispatch.  The chosen tool call is serialized into an envelope frame,
 answered by the episode's in-process tool server, and applied to the world;
 the affect readout of the final merged vector sets the halting threshold for
-the next step.
+the next step.  An actuate call carries the duty cycles planned here from
+the merged vector, so the tool server holds no model state.
 
 Hidden state, depth history, and synchrony accumulators persist across
 decision steps (the thought is continuous); the slab counter and the
@@ -24,9 +25,11 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
+from ..actuator import ActuatorParams, plan_torque, torque_to_pwm
 from ..affect import affect_decode, modulate_epsilon
 from ..config import Config
 from ..consensus import ConsensusResult, SlabMemo, decide_step
@@ -34,7 +37,7 @@ from ..engine import BranchState, initial_state
 from ..errors import ConfigError, SchemaViolation
 from ..params import ModelParams, build_model, build_router_params
 from ..perception import encode_modality, fuse
-from ..registry import NOOP_TOOL
+from ..registry import NOOP_TOOL, SlotKind, ToolSpec
 from ..router import EnvelopeSession, GateOutcome, policy_gate, select_action
 from ..rng import derive_seed
 from ..schema import check_record
@@ -105,6 +108,17 @@ def _checked(cls, doc) -> dict:
     return doc
 
 
+def call_args(tool: ToolSpec, args: dict, sync, actuator: ActuatorParams) -> dict:
+    """``args`` plus ``tool``'s duty slot, planned from ``sync`` and rounded to 6
+    digits; a plan with a non-finite entry is left out, so the tool refuses it."""
+    for slot, kind in tool.arg_slots:
+        if kind is SlotKind.DUTY:
+            duty = torque_to_pwm(plan_torque(sync, actuator), actuator).tolist()
+            if all(map(math.isfinite, duty)):
+                args = {**args, slot: [round(d, 6) for d in duty]}
+    return args
+
+
 def run_episode(
     task: TaskRecord,
     config: Config,
@@ -120,7 +134,7 @@ def run_episode(
     router_params = build_router_params(
         model, config, registry, list(task.context), episode_seed
     )
-    session = WorldSession(world_from_task(task), model.actuator)
+    session = WorldSession(world_from_task(task))
     server = ToolServer(registry, session.handler)
     envelopes = EnvelopeSession(task.id)
 
@@ -184,10 +198,9 @@ def run_episode(
             affect_vec = affect_decode(result.sync_merged, model.affect)
             next_epsilon = modulate_epsilon(affect_vec, model.affect)
 
-            session.current_sync = result.sync_merged
             envelope = envelopes.build(
                 tool,
-                args,
+                call_args(tool, args, result.sync_merged, model.actuator),
                 result,
                 affect_vec,
                 step=step,

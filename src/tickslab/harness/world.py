@@ -4,22 +4,20 @@ Objects live at named locations; the robot moves, picks, and places.  Tool
 failures are error results that leave the state untouched, never crashes.
 Goal predicates are the small string forms the task generator emits:
 ``robot_at:<loc>``, ``holding:<obj>`` and ``at:<obj>:<loc>``.
+
+Every tool is a function of the world and the call's arguments alone:
+actuate checks and echoes the duty cycles that the controller planned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..errors import UnknownTool
-from ..registry import NOOP_TOOL, SlotKind, ToolRegistry, ToolSpec
+from ..registry import MAX_JOINTS, NOOP_TOOL, SlotKind, ToolRegistry, ToolSpec
 from ..schema import json_type_ok
 from ..transport import ToolResult, error_result, ok_result
-
-if TYPE_CHECKING:
-    import numpy as np
-
-    from ..actuator import ActuatorParams
 
 START_LOCATION = "dock"
 WAYPOINTS_PER_MOVE = 10   # echoed in each actuate reply
@@ -28,7 +26,7 @@ TOOL_SPECS = (  # ToolRegistry puts noop first
     ToolSpec("navigate", (("to", SlotKind.OBJECT_REF),), "move the robot to a location"),
     ToolSpec("pick", (("object", SlotKind.OBJECT_REF),), "grasp a co-located object"),
     ToolSpec("place", (("object", SlotKind.OBJECT_REF),), "put down the held object"),
-    ToolSpec("actuate", (), "drive the joint chain from the current sync vector"),
+    ToolSpec("actuate", (("duty", SlotKind.DUTY),), "set one PWM duty cycle in [0, 1] per joint"),
 )
 
 
@@ -104,28 +102,17 @@ def goal_holds(state: WorldState, predicate: str) -> bool:
     return False
 
 
-def _actuate(sync: np.ndarray, params: ActuatorParams) -> ToolResult:
-    """Demo joint chain: plan torque, map to PWM; a move is ``WAYPOINTS_PER_MOVE`` waypoints."""
-    import numpy as np
-
-    from ..actuator import plan_torque, torque_to_pwm
-
-    duty = torque_to_pwm(plan_torque(sync, params), params)
-    if not np.isfinite(duty).all():
-        return error_result("torque plan produced non-finite duties")
-    return ok_result(
-        duty=[round(d, 6) for d in duty.tolist()],
-        waypoints=WAYPOINTS_PER_MOVE,
-    )
+def _actuate(args: dict) -> ToolResult:
+    """Echo the call's duty cycles; the [0, 1] bounds also refuse NaN and infinities."""
+    duty = args.get("duty")
+    if not isinstance(duty, list) or len(duty) > MAX_JOINTS or not all(
+        json_type_ok(d, "float") and 0 <= d <= 1 for d in duty
+    ):
+        return error_result(f"actuate needs a duty list of at most {MAX_JOINTS} numbers in [0, 1]")
+    return ok_result(duty=duty, waypoints=WAYPOINTS_PER_MOVE)
 
 
-def step_env(
-    state: WorldState,
-    tool: str,
-    args: dict,
-    sync: Optional[np.ndarray] = None,
-    actuator_params: Optional[ActuatorParams] = None,
-) -> tuple[WorldState, ToolResult]:
+def step_env(state: WorldState, tool: str, args: dict) -> tuple[WorldState, ToolResult]:
     """Apply one tool call; failures return an error result and the old state."""
     if tool == NOOP_TOOL:
         return state, ok_result()
@@ -163,30 +150,19 @@ def step_env(
         return new, ok_result(placed=name, at=state.robot_at)
 
     if tool == "actuate":
-        if sync is None or actuator_params is None:
-            return state, error_result("no sync vector available to actuate on")
-        return state, _actuate(sync, actuator_params)
+        return state, _actuate(args)
 
     raise UnknownTool(tool)
 
 
 class WorldSession:
-    """Mutable world wrapper exposing the ToolServer handler interface.
+    """Mutable world wrapper exposing the ToolServer handler interface."""
 
-    The controller publishes the current merged sync vector before each
-    dispatch so the actuate tool can read it.
-    """
-
-    def __init__(self, state: WorldState, actuator_params: Optional[ActuatorParams] = None):
+    def __init__(self, state: WorldState):
         self.state = state
-        self.actuator_params = actuator_params
-        self.current_sync: Optional[np.ndarray] = None
 
     def handler(self, name: str, args: dict) -> ToolResult:
-        self.state, result = step_env(
-            self.state, name, args, sync=self.current_sync,
-            actuator_params=self.actuator_params,
-        )
+        self.state, result = step_env(self.state, name, args)
         return result
 
     def goal_reached(self) -> bool:

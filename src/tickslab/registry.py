@@ -6,11 +6,13 @@ import enum
 from dataclasses import dataclass
 
 NOOP_TOOL = "noop"
+MAX_JOINTS = 64        # most duty cycles a DUTY slot holds, so most actuator joints
 
 
 class SlotKind(enum.Enum):
     OBJECT_REF = "object_ref"
     SCALAR = "scalar"
+    DUTY = "duty"          # a list of duty cycles, planned by the controller, not the router
 
 
 @dataclass(frozen=True)

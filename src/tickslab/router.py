@@ -71,7 +71,7 @@ def _fill_slot(
 def select_action(
     result: ConsensusResult, params: RouterParams, registry: ToolRegistry
 ) -> tuple[ToolSpec, dict]:
-    """Pick a tool and fill its slots from the merged sync vector.
+    """Pick a tool and fill its slots, but no duty slot, from the merged sync vector.
 
     Fallback results always select noop with no arguments.  Ties break
     toward the lowest tool/candidate index.
@@ -85,6 +85,7 @@ def select_action(
     args = {
         slot_name: _fill_slot(i, kind, result.sync_merged, params)
         for i, (slot_name, kind) in enumerate(spec.arg_slots)
+        if kind is not SlotKind.DUTY
     }
     return spec, args
 

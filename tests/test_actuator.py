@@ -103,3 +103,28 @@ class TestTorqueToPwm:
             tau = rng.uniform(-2, 2, size=4)
             duty = torque_to_pwm(tau, params)
             assert np.all(duty >= 0.0) and np.all(duty <= 1.0)
+
+
+class TestClampForm:
+    """``np.minimum(np.maximum(...))`` gives the bits ``np.clip`` gives."""
+
+    EDGES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5.0, -5.0, 7.5, -7.5, 1e300]
+
+    def test_plan_torque_equals_clip(self):
+        from tickslab.numerics import matvec
+
+        rng = np.random.default_rng(9)
+        params = make_params(joints=4, pairs=6, limit=2.0)
+        for _ in range(200):
+            sync = rng.normal(size=6) * 3
+            sync[rng.integers(6)] = rng.choice(self.EDGES)
+            want = np.clip(matvec(params.mapping, sync), params.tau_min, params.tau_max)
+            assert plan_torque(sync, params).tobytes() == want.tobytes()
+
+    def test_duties_equal_clip(self):
+        params = make_params(joints=len(self.EDGES), limit=5.0)
+        tau = np.array(self.EDGES)
+        want = 0.5 + 0.5 * np.clip(params.gain * tau / params.tau_max, -1.0, 1.0)
+        duty = torque_to_pwm(tau, params)
+        assert duty.tobytes() == want.tobytes()
+        assert np.isnan(duty[0]) and duty[1] == 1.0 and duty[2] == 0.0

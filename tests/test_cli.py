@@ -283,7 +283,7 @@ class TestServeStdio:
             b'{"jsonrpc":"2.0","id":1,"method":"registry/list"}\n'
             + serialize_envelope(envelope(env_id=2))
             + b"\n"
-            + serialize_envelope(envelope(method="tool/actuate", env_id=3))
+            + serialize_envelope(envelope("tool/actuate", 3, {"duty": [0.25, 1, 0.0]}))
             + b"\n"
         )
         proc = subprocess.run(
@@ -301,10 +301,10 @@ class TestServeStdio:
         response = json.loads(lines[1])
         assert response["id"] == 2
         assert response["result"]["status"] == "ok"
-        # serve mode has no controller publishing a sync vector
+        # the duties travel in the call, so serve actuates without a controller
         assert lines[2] == (
             b'{"id":3,"jsonrpc":"2.0","result":{"payload":'
-            b'{"reason":"no sync vector available to actuate on"},"status":"error"}}'
+            b'{"duty":[0.25,1,0.0],"waypoints":10},"status":"ok"}}'
         )
 
     def test_serve_loads_no_numpy_and_answers_as_in_process(self):
@@ -313,12 +313,21 @@ class TestServeStdio:
         from tickslab.transport import ToolServer
         from test_transport import envelope
 
+        def actuate(req_id, duty):
+            # built from a valid call, since serialize_envelope refuses a bad entry
+            doc = json.loads(serialize_envelope(envelope("tool/actuate", req_id, {"duty": [0.5]})))
+            doc["params"]["args"]["duty"] = duty
+            return json.dumps(doc).encode()
+
+        refused = [actuate(6, [0.5, "0.5"]), actuate(7, [True]), actuate(8, [0.5, 1.5])]
         frames = [
             b'{"jsonrpc":"2.0","id":1,"method":"registry/list"}',
             serialize_envelope(envelope("tool/navigate", 2, {"to": "counter"})),
             serialize_envelope(envelope("tool/pick", 3, {"object": "cup"})),
             serialize_envelope(envelope("tool/actuate", 4)),
-            b'{"jsonrpc":"2.0","id":5,',
+            serialize_envelope(envelope("tool/actuate", 5, {"duty": [0.0, 0.123456, 1.0]})),
+            *refused,
+            b'{"jsonrpc":"2.0","id":9,',
         ]
         proc = subprocess.run(
             [sys.executable, "-c", SERVE_PROBE],
@@ -333,7 +342,12 @@ class TestServeStdio:
         assert not probe["numpy"], f"numpy loaded; tickslab modules: {probe['loaded']}"
         assert not probe["hashlib"], f"hashlib loaded; tickslab modules: {probe['loaded']}"
         server = ToolServer(build_registry(), WorldSession(demo_world()).handler)
-        assert proc.stdout.splitlines() == [server.handle_frame(frame) for frame in frames]
+        replies = proc.stdout.splitlines()
+        assert replies == [server.handle_frame(frame) for frame in frames]
+        results = [json.loads(reply).get("result") for reply in replies[3:8]]
+        # no duty and each bad entry get an error result, not an error frame
+        assert [r["status"] for r in results] == ["error", "ok", "error", "error", "error"]
+        assert results[1]["payload"] == {"duty": [0.0, 0.123456, 1.0], "waypoints": 10}
 
     def test_frame_too_long_gets_one_error_frame_and_exit_0(self):
         frames = b"[" * (MAX_FRAME_BYTES + 1) + b'\n{"jsonrpc":"2.0","id":4,"method":"registry/list"}\n'

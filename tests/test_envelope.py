@@ -57,6 +57,8 @@ def random_envelope(rng) -> Envelope:
         args["amount"] = float(rng.normal() * 10.0 ** float(rng.integers(-8, 8)))
     if rng.random() < 0.3:
         args["count"] = int(rng.integers(0, 1000))
+    if rng.random() < 0.3:
+        args["duty"] = rng.random(int(rng.integers(0, 13))).tolist() + [int(rng.integers(0, 2))]
     sync = rng.normal(size=16).astype(np.float32)
     return Envelope(
         id=int(rng.integers(1, 10**9)),
@@ -98,10 +100,12 @@ def decode(data: bytes) -> dict:
 
 def arg_types(args: dict) -> dict:
     # a dict compare takes 1 == 1.0, so the JSON kind of each arg is compared too
-    return {
-        slot: next(kind for kind in (bool, int, float, str) if isinstance(value, kind))
-        for slot, value in args.items()
-    }
+    def kind(value):
+        if isinstance(value, list):
+            return [kind(v) for v in value]
+        return next(k for k in (bool, int, float, str) if isinstance(value, k))
+
+    return {slot: kind(value) for slot, value in args.items()}
 
 
 def assert_lossless(env: Envelope) -> None:
@@ -170,6 +174,19 @@ class TestSerialize:
         )
         with pytest.raises(NonFiniteMetadata):
             serialize_envelope(Envelope(env.id, env.method, env.args, meta))
+
+    def test_list_of_numbers_is_an_arg(self):
+        env = golden_envelope()
+        data = serialize_envelope(Envelope(env.id, env.method, {"duty": [0.25, 1, 0.0]}, env.meta))
+        assert b'"args":{"duty":[0.25,1,0.0]}' in data
+
+    @pytest.mark.parametrize(
+        "entry", ["0.5", True, None, [0.5], {"x": 1}, math.nan, math.inf, -math.inf]
+    )
+    def test_list_with_a_non_number_or_non_finite_entry_rejected(self, entry):
+        env = golden_envelope()
+        with pytest.raises(NonFiniteMetadata):
+            serialize_envelope(Envelope(env.id, env.method, {"duty": [0.5, entry]}, env.meta))
 
     def test_distinct_envelopes_distinct_bytes(self):
         rng = np.random.default_rng(1)

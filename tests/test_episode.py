@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from tickslab.envelope import canonical_json_bytes
 from tickslab.harness import episode
 from tickslab.harness.episode import (
     OUTCOME_BUDGET,
+    OUTCOME_ERROR,
     OUTCOME_SUCCESS,
     Policy,
     run_episode,
@@ -22,6 +25,12 @@ from tickslab.params import build_model
 from tickslab.weights import save_weights
 
 TASKS = Path(__file__).parent / "fixtures" / "tasks50.jsonl"
+
+# SHA-256 over the reply frames, each followed by "\n", of the 61 actuate
+# calls of a tasks50 ctm run with the default config, in process.  Pinned
+# when the tool side still planned the duties from a published sync vector,
+# so planning them into the call moved no reply byte (numpy 2.4.6).
+ACTUATE_REPLIES_SHA256 = "270200c7efb71ead12bde49f69b42dc5ca24ac4247bafec8ca8475a0b5362d26"
 
 
 def recording(function, outputs):
@@ -308,3 +317,51 @@ class TestEnvelopePath:
             assert doc["params"]["meta"]["episode"] == task.id
             assert len(doc["params"]["meta"]["sync_digest"]) == 64
         assert ids == sorted(set(ids))
+
+
+class TestActuate:
+    def test_tasks50_actuate_replies_are_pinned(self, monkeypatch):
+        from tickslab.transport import ToolServer
+
+        replies = []
+        handle_frame = ToolServer.handle_frame
+
+        def record(self, frame):
+            reply = handle_frame(self, frame)
+            if json.loads(frame)["method"] == "tool/actuate":
+                replies.append(reply)
+            return reply
+
+        monkeypatch.setattr(ToolServer, "handle_frame", record)
+        config = Config()
+        model = build_for(config)
+        for task in load_tasks(TASKS):
+            run_episode(task, config, Policy.CTM, model=model)
+        assert len(replies) == 61
+        assert all(json.loads(reply)["result"]["status"] == "ok" for reply in replies)
+        digest = hashlib.sha256(b"".join(reply + b"\n" for reply in replies)).hexdigest()
+        assert digest == ACTUATE_REPLIES_SHA256
+
+    def test_a_nan_sync_entry_plans_no_duty(self):
+        model = build_for(Config())
+        actuate = build_registry().get("actuate")
+        sync = np.zeros(model.actuator.mapping.shape[1])
+        assert episode.call_args(actuate, {}, sync, model.actuator) == {"duty": [0.5] * 12}
+        sync[3] = np.nan
+        assert episode.call_args(actuate, {}, sync, model.actuator) == {}
+
+    def test_actuate_without_duty_is_an_error_step(self, monkeypatch, caplog):
+        config = Config()
+        model = build_for(config)
+        task = load_tasks(TASKS)[16]  # actuates
+        plain = run_episode(task, config, Policy.CTM, model=model).to_dict()
+        actuations = [r for r in plain["records"] if r["action"] == "actuate"]
+        assert actuations and all(r["tool_status"] == "ok" for r in actuations)
+
+        monkeypatch.setattr(episode, "torque_to_pwm", lambda tau, params: np.full_like(tau, np.nan))
+        with caplog.at_level("WARNING"):
+            log = run_episode(task, config, Policy.CTM, model=model).to_dict()
+        assert caplog.records == [] and log["outcome"] != OUTCOME_ERROR
+        for record in actuations:
+            record["tool_status"] = "error"
+        assert log == plain

@@ -54,11 +54,13 @@ from tickslab.harness.world import (
     world_from_task,
 )
 from tickslab.params import build_model, build_router_params
+from tickslab.registry import MAX_JOINTS
 from tickslab.perception import encode_modality, fuse
 from tickslab.rng import SplitMix64, fnv1a64
 from tickslab.weights import MAGIC, load_weights, save_weights
 
-# Canonical actuate reply to the fixed sync vector below (numpy 2.4.6).
+# Canonical actuate reply to the duties planned from the fixed sync vector
+# below (numpy 2.4.6).
 ACTUATE_REPLY_SHA256 = "f93897936ae6aaa3f58af274cd58f976cc091d1b32d1272c8cdf96d24279f104"
 # SHA-256 of the float32 bytes of the vision, audio and proprio frames and
 # of the fused context vector for "move the cup" on demo_world(), default
@@ -250,20 +252,51 @@ class TestWorld:
             step_env(demo_world(), "warp", {})
 
     def test_actuate_runs_the_chain(self):
+        # the controller plans the duties into the call; the tool echoes them
         config = Config()
         registry = build_registry()
         model = build_model(config, len(registry), registry.max_slots)
         sync = np.random.default_rng(0).normal(size=256).astype(np.float32)
-        _, result = step_env(
-            demo_world(), "actuate", {}, sync=sync, actuator_params=model.actuator
-        )
-        assert result.ok
+        args = episode.call_args(registry.get("actuate"), {}, sync, model.actuator)
+        assert list(args) == ["duty"]
+        world = demo_world()
+        new, result = step_env(world, "actuate", args)
+        assert result.ok and new is world
         duties = result.payload["duty"]
-        assert len(duties) == 12
+        assert duties == args["duty"] and len(duties) == 12
         assert all(0.0 <= d <= 1.0 for d in duties)
         assert result.payload["waypoints"] == WAYPOINTS_PER_MOVE
         reply = canonical_json_bytes({"status": result.status, "payload": result.payload})
         assert hashlib.sha256(reply).hexdigest() == ACTUATE_REPLY_SHA256
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            {},
+            {"duty": 0.5},
+            {"duty": [0.5, "0.5"]},
+            {"duty": [True]},
+            {"duty": [None]},
+            {"duty": [[0.5]]},
+            {"duty": [1.5]},
+            {"duty": [-0.25]},
+            {"duty": [float("nan")]},
+            {"duty": [float("inf")]},
+            {"duty": [0.5] * (MAX_JOINTS + 1)},
+        ],
+        ids=["absent", "scalar", "string", "bool", "null", "nested", "above", "below",
+             "nan", "inf", "too-many"],
+    )
+    def test_actuate_refuses_a_bad_duty_list(self, args):
+        world = demo_world()
+        new, result = step_env(world, "actuate", args)
+        assert result.status == "error" and new is world
+        assert "duty list" in result.payload["reason"]
+
+    @pytest.mark.parametrize("duty", [[], [0, 1], [0.0, 0.5, 1.0], [0.25] * MAX_JOINTS])
+    def test_actuate_echoes_a_valid_duty_list(self, duty):
+        _, result = step_env(demo_world(), "actuate", {"duty": duty})
+        assert result.payload == {"duty": duty, "waypoints": WAYPOINTS_PER_MOVE}
 
     def test_goal_predicates(self):
         from tickslab.harness.world import ObjectState
@@ -609,6 +642,8 @@ class TestConfig:
                 for key in keys
             ),
             ({"actuator": {"joints": -1}}, "actuator.joints"),
+            # an actuate call carries at most MAX_JOINTS duty cycles
+            ({"actuator": {"joints": MAX_JOINTS + 1}}, "actuator.joints"),
             ({"engine": {"logit_count": 1}}, "engine.logit_count"),
             ({"consensus": {"deadline_ticks": -5}}, "consensus.deadline_ticks"),
             ({"consensus": {"deadline_ms": float("nan")}}, "consensus.deadline_ms"),
@@ -647,6 +682,7 @@ class TestConfig:
             "perception": {"audio_in": 128},
             "consensus": {"deadline_ticks": 0},
             "engine": {"halt_cap": 1.0, "carry_beta": 0.0, "ticks_per_slab": self.TICKS_AT_CAP},
+            "actuator": {"joints": MAX_JOINTS},
         })
         assert config.perception.audio_in == 128
 

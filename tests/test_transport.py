@@ -283,6 +283,16 @@ JSON_VALUES = st.recursive(
     lambda kids: st.lists(kids, max_size=4) | st.dictionaries(ANY_TEXT, kids, max_size=4),
     max_leaves=12,
 )
+# Tool args with list values, nested lists and too-long lists among them,
+# under the slot names the tools read.
+LISTS = st.recursive(
+    st.lists(st.integers() | st.floats() | st.booleans() | ANY_TEXT, max_size=70),
+    lambda kids: st.lists(kids, max_size=3),
+    max_leaves=80,
+)
+TOOL_ARGS = st.dictionaries(
+    st.sampled_from(["duty", "to", "object"]) | ANY_TEXT, LISTS | JSON_VALUES, max_size=3
+)
 TOOL_NAMES = ["noop", "echo", "navigate", "pick", "place", "actuate"]
 REQUESTS = st.tuples(
     st.fixed_dictionaries(
@@ -293,7 +303,8 @@ REQUESTS = st.tuples(
             "method": st.sampled_from(["registry/list"] + [f"tool/{t}" for t in TOOL_NAMES])
             | ANY_TEXT.map("tool/".__add__)
             | JSON_VALUES,
-            "params": st.fixed_dictionaries({}, optional={"args": JSON_VALUES}) | JSON_VALUES,
+            "params": st.fixed_dictionaries({}, optional={"args": TOOL_ARGS | JSON_VALUES})
+            | JSON_VALUES,
         },
     ),
     st.dictionaries(ANY_TEXT, JSON_VALUES, max_size=3),
@@ -308,6 +319,8 @@ class TestFrameFuzz:
         | REQUESTS.map(lambda doc: json.dumps(doc, ensure_ascii=True).encode())
     )
     @example(frame=SURROGATE_FRAMES[0])
+    @example(frame=b'{"jsonrpc":"2.0","id":1,"method":"tool/actuate","params":{"args":{"duty":[0.5,1]}}}')
+    @example(frame=b'{"jsonrpc":"2.0","id":2,"method":"tool/actuate","params":{"args":{"duty":[[0.5]]}}}')
     def test_any_frame_gets_one_reply_frame(self, server, frame):
         reply = server().handle_frame(frame)
         assert b"\n" not in reply
@@ -651,6 +664,12 @@ class TestPathsAgree:
 
         in_process = fresh_server()
         expected = [in_process.handle_frame(frame) for frame in frames]
+        actuated = [
+            reply for frame, reply in zip(frames, expected)
+            if json.loads(frame)["method"] == "tool/actuate"
+            and json.loads(reply)["result"]["status"] == "ok"
+        ]
+        assert actuated  # so the TCP path answers real duties, not only refusals
         with serving_tcp(fresh_server(), 1) as (port, _):
             transport = connect(port)
             try:
