@@ -642,8 +642,6 @@ class TestConfig:
                 for key in keys
             ),
             ({"actuator": {"joints": -1}}, "actuator.joints"),
-            # an actuate call carries at most MAX_JOINTS duty cycles
-            ({"actuator": {"joints": MAX_JOINTS + 1}}, "actuator.joints"),
             ({"engine": {"logit_count": 1}}, "engine.logit_count"),
             ({"consensus": {"deadline_ticks": -5}}, "consensus.deadline_ticks"),
             ({"consensus": {"deadline_ms": float("nan")}}, "consensus.deadline_ms"),
@@ -671,6 +669,8 @@ class TestConfig:
             ({"engine": {"ticks_per_slab": 2**70}}, "engine.ticks_per_slab"),
             ({"consensus": {"branches": 2**40}}, "consensus.branches"),
             ({"engine": {"ticks_per_slab": TICKS_AT_CAP + 1}}, "engine.ticks_per_slab"),
+            # an actuate call carries at most MAX_JOINTS duty cycles
+            ({"actuator": {"joints": MAX_JOINTS + 1}}, "actuator.joints"),
         ],
     )
     def test_out_of_range_value_rejected(self, doc, name):
