@@ -327,7 +327,6 @@ class StepDecision:
 
     result: ConsensusResult
     next_seed: Optional[BranchState]   # None if every branch failed
-    slab_count: int
 
 
 def merge_set(
@@ -361,7 +360,6 @@ def decision_settled(
 
 def select_step(
     pairs: list[tuple[BranchOutcome, BranchState]],
-    seed_state: BranchState,
     params: CtmParams,
     cache: Optional[ConsensusResult],
     consensus: ConsensusConfig,
@@ -379,7 +377,7 @@ def select_step(
     pairs = sorted(pairs, key=lambda ps: (ps[0].ticks_used, ps[0].branch_id))
     if not pairs:
         result = timeout_safe_pass(cache, params.config.sync_pairs)
-        return StepDecision(result, None, seed_state.slab)
+        return StepDecision(result, None)
 
     cutoff = pairs[0][0].ticks_used + consensus.deadline_ticks
     in_time = [ps for ps in pairs if ps[0].ticks_used <= cutoff]
@@ -395,7 +393,7 @@ def select_step(
         result = timeout_safe_pass(cache, params.config.sync_pairs)
         _, next_seed = pairs[0]
 
-    return StepDecision(result, next_seed, next_seed.slab)
+    return StepDecision(result, next_seed)
 
 
 def decide_step(
@@ -426,4 +424,4 @@ def decide_step(
     pairs = shared_branches(
         seed_state, f, params, epsilon, episode_seed, consensus, branch_hook, expiry, slabs
     )
-    return select_step(pairs, seed_state, params, cache, consensus)
+    return select_step(pairs, params, cache, consensus)

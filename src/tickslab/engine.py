@@ -95,7 +95,7 @@ def slab_contribution(
     # One state per column: each pair's products lie contiguous in a row of
     # ``prods``, so add.reduce sums every row with the same pairwise order
     # that np.sum used on the column-major gather of the (L, neurons) stack.
-    cols = np.asarray(slab_states, dtype=np.float64).T.copy()  # (neurons, L)
+    cols = np.asarray(slab_states).T.astype(np.float64, order="C")  # (neurons, L)
     prods = cols.take(params.pair_p, axis=0)                    # (pair_count, L)
     prods *= cols.take(params.pair_q, axis=0)
     prods *= _decay_weights(params.config.decay, n)

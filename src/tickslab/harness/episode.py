@@ -174,7 +174,7 @@ def run_episode(
                 gate = policy_gate(
                     decision.result.confidence_merged,
                     router_params.config.gamma,
-                    decision.slab_count,
+                    seed_state.slab,
                     ctm.config.max_slabs,
                 )
                 if gate is GateOutcome.DISPATCH or decision.next_seed is None:
@@ -184,7 +184,7 @@ def run_episode(
                 log.rethinks += 1
 
             result = decision.result
-            ticks = decision.slab_count * ctm.config.ticks_per_slab
+            ticks = seed_state.slab * ctm.config.ticks_per_slab
             if policy is Policy.SCRIPTED_ORACLE:
                 if script_index < len(task.steps):
                     scripted = task.steps[script_index]
@@ -204,7 +204,7 @@ def run_episode(
                 result,
                 affect_vec,
                 step=step,
-                slab_count=decision.slab_count,
+                slab_count=seed_state.slab,
                 ticks=ticks,
             )
             tool_result = dispatch(envelope, server.handle_frame)
@@ -212,7 +212,7 @@ def run_episode(
             log.records.append(
                 StepRecord(
                     step=step,
-                    slab_count=decision.slab_count,
+                    slab_count=seed_state.slab,
                     ticks=ticks,
                     c_merged=float(result.confidence_merged),
                     epsilon=float(epsilon),

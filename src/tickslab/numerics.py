@@ -52,16 +52,16 @@ def hold_float64(bundle, *names: str) -> None:
 
 def bounded_tanh(pre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """tanh in float64, stored as float32 strictly inside (-1, 1), into ``out``
-    if given; a float64 ``pre`` is overwritten, any other dtype is copied."""
-    x = pre.astype(np.float64, copy=False)
-    np.tanh(x, out=x)
+    if given.  ``pre`` must be a writable float64 array (every caller passes a
+    ``matvec`` result or a work buffer); it is worked on in place."""
+    np.tanh(pre, out=pre)
     # np.clip's clamp without its Python-level wrapper, against bounds built
     # once; the same float64 values, so the same results
-    np.maximum(x, _LOWER, out=x)
-    np.minimum(x, _UPPER, out=x)
+    np.maximum(pre, _LOWER, out=pre)
+    np.minimum(pre, _UPPER, out=pre)
     if out is None:
-        return x.astype(np.float32)
-    out[...] = x
+        return pre.astype(np.float32)
+    out[...] = pre
     return out
 
 

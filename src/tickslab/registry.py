@@ -11,7 +11,6 @@ MAX_JOINTS = 64        # most duty cycles a DUTY slot holds, so most actuator jo
 
 class SlotKind(enum.Enum):
     OBJECT_REF = "object_ref"
-    SCALAR = "scalar"
     DUTY = "duty"          # a list of duty cycles, planned by the controller, not the router
 
 

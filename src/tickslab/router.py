@@ -49,43 +49,35 @@ def policy_gate(
     return GateOutcome.RETHINK
 
 
-def _fill_slot(
-    slot_index: int, kind: SlotKind, sync: np.ndarray, params: RouterParams
-):
+def _fill_slot(slot_index: int, sync: np.ndarray, params: RouterParams) -> str:
+    """The candidate that best matches object-ref slot ``slot_index``'s
+    projection of ``sync``."""
     width = params.config.slot_embed_width
     rows = params.slot_head[slot_index * width : (slot_index + 1) * width]
     projection = matvec(rows, sync)
-    if kind is SlotKind.OBJECT_REF:
-        if not params.candidates:
-            raise NoCandidates(f"object_ref slot {slot_index} has no candidates")
-        scores = [float(np.dot(emb, projection)) for _, emb in params.candidates]
-        return params.candidates[int(np.argmax(scores))][0]
-    # Scalar slots get the cosine of the projection against the all-ones
-    # direction: deterministic and invariant to positive scaling of sync.
-    norm = float(np.linalg.norm(projection))
-    if norm == 0.0:
-        return 0.0
-    return float(np.sum(projection) / (norm * np.sqrt(width)))
+    if not params.candidates:
+        raise NoCandidates(f"object_ref slot {slot_index} has no candidates")
+    scores = [float(np.dot(emb, projection)) for _, emb in params.candidates]
+    return params.candidates[int(np.argmax(scores))][0]
 
 
 def select_action(
     result: ConsensusResult, params: RouterParams, registry: ToolRegistry
 ) -> tuple[ToolSpec, dict]:
-    """Pick a tool and fill its slots, but no duty slot, from the merged sync vector.
+    """Pick a tool and fill its object-ref slots from the merged sync vector;
+    a duty slot is left to the controller.
 
     Fallback results always select noop with no arguments.  Ties break
     toward the lowest tool/candidate index.
     """
-    if len(registry) == 0:
-        raise ValueError("registry is empty")
     if result.fallback:
         return registry.get(NOOP_TOOL), {}
     scores = matvec(params.action_head, result.sync_merged)
     spec = registry.specs[int(np.argmax(scores))]
     args = {
-        slot_name: _fill_slot(i, kind, result.sync_merged, params)
+        slot_name: _fill_slot(i, result.sync_merged, params)
         for i, (slot_name, kind) in enumerate(spec.arg_slots)
-        if kind is not SlotKind.DUTY
+        if kind is SlotKind.OBJECT_REF
     }
     return spec, args
 

@@ -142,7 +142,8 @@ class TestAcceptance:
         fvec = fusion_vector(5, dim=4)
         seed_state = initial_state(params)
         window = ConsensusConfig(
-            branches=2, deadline_ticks=params.config.tick_budget, deadline_ms=1.0, live=True
+            branches=2, deadline_ticks=params.config.ticks_per_slab * params.config.max_slabs,
+            deadline_ms=1.0, live=True,
         )
         rng = np.random.default_rng(505)
         saw_normal = saw_fallback = 0

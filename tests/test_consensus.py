@@ -47,7 +47,7 @@ def no_cutoff(params, branches, wait_policy="off", **live):
     """A window that never binds: no halt comes later than the tick budget."""
     return ConsensusConfig(
         branches=branches, wait_policy=wait_policy,
-        deadline_ticks=params.config.tick_budget, **live,
+        deadline_ticks=params.config.ticks_per_slab * params.config.max_slabs, **live,
     )
 
 
@@ -275,7 +275,7 @@ class TestMergeSet:
             outcome = BranchOutcome(branch_id, sync, logits, 0.5, ticks, reached)
             pairs.append((outcome, state))
         window = ConsensusConfig(wait_policy=policy, deadline_ticks=40)
-        decision = select_step(pairs, state, params, None, window)
+        decision = select_step(pairs, params, None, window)
         assert not decision.result.fallback
         return decision.result.contributors
 
@@ -329,7 +329,7 @@ class TestDecideStep:
         assert np.array_equal(d1.result.sync_merged, d2.result.sync_merged)
         assert d1.result.confidence_merged == d2.result.confidence_merged
         assert d1.result.contributors == d2.result.contributors
-        assert d1.slab_count == d2.slab_count
+        assert d1.next_seed.slab == d2.next_seed.slab
         assert np.array_equal(d1.next_seed.z, d2.next_seed.z)
 
     def test_unreachable_threshold_uses_fallback(self, fvec):
@@ -576,7 +576,7 @@ class TestSharedTrajectory:
         params = make_ctm(seed=params_seed, ticks_per_slab=ticks_per_slab, max_slabs=max_slabs)
         # Tick limits on, just before and just after slab boundaries; the
         # tick budget as a limit never binds.
-        limit = params.config.tick_budget
+        limit = ticks_per_slab * max_slabs
         if limit_slabs is not None:
             limit = max(0, limit_slabs * ticks_per_slab + limit_offset)
         f = fusion_vector(f_seed)
@@ -621,13 +621,12 @@ class TestSharedTrajectory:
                 branch_hook=hook,
             )
         assert counter.call_count == computed
-        want = select_step(list(reference.values()), seed_state, params, cache, window)
+        want = select_step(list(reference.values()), params, cache, window)
         for got in (decided, live):
             assert got.result.sync_merged.tobytes() == want.result.sync_merged.tobytes()
             assert got.result.confidence_merged == want.result.confidence_merged
             assert got.result.contributors == want.result.contributors
             assert got.result.fallback == want.result.fallback
-            assert got.slab_count == want.slab_count
             if want.next_seed is None:
                 assert got.next_seed is None
             else:
@@ -651,7 +650,7 @@ class TestSharedTrajectory:
                 )
             assert decision.result.contributors == contributors
             assert counter.call_count == slabs
-            assert decision.slab_count == 2
+            assert decision.next_seed.slab == 2
 
     def test_trajectory_failure_fails_every_running_branch(self, small_params, fvec, caplog):
         # Slab budget already spent: the first slab raises, as in run_branch.
@@ -782,7 +781,6 @@ class TestSlabMemo:
             assert got.result.confidence_merged == want.result.confidence_merged
             assert got.result.contributors == want.result.contributors
             assert got.result.fallback == want.result.fallback
-            assert got.slab_count == want.slab_count
             if want.next_seed is None:
                 assert got.next_seed is None
             else:

@@ -23,7 +23,7 @@ def make_registry():
         [
             ToolSpec("noop", (), "nothing"),
             ToolSpec("grab", (("object", SlotKind.OBJECT_REF),), "grab"),
-            ToolSpec("tune", (("level", SlotKind.SCALAR),), "tune"),
+            ToolSpec("tune", (("level", SlotKind.DUTY),), "tune"),
         ]
     )
 
@@ -121,6 +121,8 @@ class TestSelectAction:
             best = max(range(len(registry)), key=lambda i: (scores[i], -i))
             want_spec = registry.specs[best]
             assert spec.name == want_spec.name
+            refs = [name for name, kind in want_spec.arg_slots if kind is SlotKind.OBJECT_REF]
+            assert list(args) == refs
 
             for idx, (slot_name, kind) in enumerate(want_spec.arg_slots):
                 if kind is not SlotKind.OBJECT_REF:
@@ -146,11 +148,7 @@ class TestSelectAction:
             for lam in (0.25, 4.0, 1024.0):
                 spec, args = select_action(consensus(sync * lam), params, registry)
                 assert spec.name == base_spec.name
-                for key, value in base_args.items():
-                    if isinstance(value, str):
-                        assert args[key] == value
-                    else:
-                        assert args[key] == pytest.approx(value, abs=1e-9)
+                assert args == base_args
 
     def test_no_candidates(self):
         params, registry = make_router(candidates=())
@@ -167,9 +165,9 @@ class TestSelectAction:
         with pytest.raises(NoCandidates):
             select_action(consensus(sync), params, registry)
 
-    def test_scalar_slot_value_bounded(self):
+    def test_duty_slot_left_to_the_controller(self):
         params, registry = make_router()
-        # force the scalar-slot tool
+        # force the duty-slot tool
         head = np.zeros((3, PAIRS), dtype=np.float32)
         head[2, 0] = 1.0
         params = RouterParams(
@@ -181,7 +179,7 @@ class TestSelectAction:
         sync = np.arange(1, PAIRS + 1, dtype=np.float32)
         spec, args = select_action(consensus(sync), params, registry)
         assert spec.name == "tune"
-        assert -1.0 <= args["level"] <= 1.0
+        assert args == {}
 
 
 class TestRegistry:
