@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -125,6 +126,13 @@ class AffectConfig:
 
     def __post_init__(self):
         _check_fields(self, "affect", epsilon0=_POSITIVE, alpha=_at_least(0))
+        # every affect entry lies in (-1, 1), so the affect norm is below
+        # sqrt(AFFECT_DIMS) and the threshold below this finite ceiling
+        if not math.isfinite(self.epsilon0 * (1.0 + self.alpha * math.sqrt(AFFECT_DIMS))):
+            raise ConfigError(
+                f"affect.epsilon0 * (1 + affect.alpha * sqrt({AFFECT_DIMS})) must be finite, got "
+                f"epsilon0={self.epsilon0!r}, alpha={self.alpha!r}"
+            )
 
 
 @dataclass(frozen=True)

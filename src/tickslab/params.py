@@ -15,7 +15,7 @@ import numpy as np
 
 from .actuator import ActuatorParams
 from .affect import AffectParams
-from .config import Config
+from .config import Config, EngineConfig
 from .engine import CtmParams
 from .errors import ConfigError
 from .numerics import hold_float64
@@ -24,6 +24,8 @@ from .rng import derive_seed, fan_in_matrix, sample_pairs
 from .registry import ToolRegistry
 from .router import RouterParams
 from .weights import load_weights
+
+F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,7 @@ def build_model(config: Config, registry_size: int, max_slots: int) -> ModelPara
             raise ConfigError(f"weight override {name!r} has non-finite values")
 
     e, act = config.engine, config.actuator
+    check_logit_bound(e, t["ctm/certainty"])
     pair_p, pair_q = sample_pairs(derive_seed(config.seed, "ctm/pairs"), e.neurons, e.sync_pairs)
     return ModelParams(
         encoder=EncoderWeights(
@@ -85,6 +88,25 @@ def build_model(config: Config, registry_size: int, max_slots: int) -> ModelPara
             config=act,
         ),
     )
+
+
+def check_logit_bound(engine: EngineConfig, certainty_w: np.ndarray) -> None:
+    """Refuse a certainty head whose logits could overflow float32.
+
+    With decay < 1 every accumulator stays below 1 / (1 - decay) in
+    magnitude, so no logit exceeds logit_scale x the largest row sum of
+    |W_c| / (1 - decay).  With decay = 1 there is no such bound.
+    """
+    if engine.decay == 1:
+        return
+    reach = float(np.max(np.sum(np.abs(certainty_w.astype(np.float64)), axis=1)))
+    bound = abs(engine.logit_scale) * reach / (1.0 - engine.decay)
+    if not bound < F32_MAX:
+        raise ConfigError(
+            f"ctm/certainty's largest row sum {reach:.6g} x engine.logit_scale "
+            f"{engine.logit_scale!r} / (1 - engine.decay {engine.decay!r}) reaches the "
+            f"float32 maximum, so the logits could overflow"
+        )
 
 
 def candidate_embedding(episode_seed: int, name: str, width: int) -> np.ndarray:

@@ -8,14 +8,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tickslab.harness.cli import build_parser, main
 from tickslab.transport import MAX_FRAME_BYTES
+from tickslab.weights import save_weights
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TASKS50 = Path(__file__).resolve().parent / "fixtures" / "tasks50.jsonl"
 
 # perfbench/serve.py's imports, then `tickslab serve` over stdin/stdout
 SERVE_PROBE = """
@@ -150,6 +153,36 @@ class TestRun:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{section}.{key}" in err
+
+    CERTAINTY = ("ctm/certainty", "engine.logit_scale", "engine.decay")
+
+    @pytest.mark.parametrize(
+        "doc, names",
+        [
+            ({"affect": {"epsilon0": 1.7e308, "alpha": 2.0}}, ("affect.epsilon0", "affect.alpha")),
+            ({"engine": {"logit_scale": 1e300}}, CERTAINTY),
+            ({"weights_path": "certainty.bin"}, CERTAINTY),
+        ],
+        ids=["affect-threshold", "logit-scale", "certainty-weights"],
+    )
+    def test_overflowing_config_exits_2(self, tmp_path, capsys, doc, names):
+        # each used to run to the end: the first wrote an empty log and died
+        # on a non-finite epsilon, the others dispatched noop at every step
+        weights = tmp_path / "certainty.bin"
+        save_weights(weights, {"ctm/certainty": np.full((4, 256), 3e38, dtype=np.float32)})
+        if "weights_path" in doc:
+            doc = {"weights_path": str(weights)}
+        config, tasks = tmp_path / "config.json", tmp_path / "tasks.jsonl"
+        config.write_text(json.dumps(doc))
+        tasks.write_text("".join(TASKS50.read_text().splitlines(keepends=True)[:3]))
+        code = run_cli(
+            "run", "--tasks", str(tasks), "--config", str(config),
+            "--policy", "ctm", "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert all(name in err for name in names)
 
     @pytest.mark.parametrize(
         "to, code",

@@ -3,7 +3,9 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import re
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import model_tensors
 from tickslab.config import MAX_PARAMETERS, Config, ConsensusConfig, EngineConfig
-from tickslab.engine import halt_readout
+from tickslab.engine import certainty, halt_readout
 from tickslab.envelope import canonical_json_bytes
 from tickslab.errors import (
     ConfigError,
@@ -671,6 +673,8 @@ class TestConfig:
             ({"engine": {"ticks_per_slab": TICKS_AT_CAP + 1}}, "engine.ticks_per_slab"),
             # an actuate call carries at most MAX_JOINTS duty cycles
             ({"actuator": {"joints": MAX_JOINTS + 1}}, "actuator.joints"),
+            # a halting threshold that the affect norm could push past the floats
+            ({"affect": {"epsilon0": 1.7e308, "alpha": 2.0}}, "affect.epsilon0"),
         ],
     )
     def test_out_of_range_value_rejected(self, doc, name):
@@ -999,6 +1003,49 @@ class TestModelBuild:
         ])
         assert code == 2
         assert name in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        weight_exp=st.floats(-3, 38),
+        shift=st.floats(-40, 2),
+        sign=st.sampled_from([1.0, -1.0]),
+        decay=st.sampled_from([0.5, 0.9, 0.999, 1 - 2**-20]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(weight_exp=38, shift=-1e-12, sign=1.0, decay=0.999, seed=0)
+    @example(weight_exp=0, shift=1e-12, sign=-1.0, decay=0.5, seed=1)
+    def test_accepted_certainty_heads_read_finite_logits(
+        self, weight_exp, shift, sign, decay, seed
+    ):
+        # logit_scale is set within 2**shift of the bound, so both sides of
+        # it are drawn; every sync vector below is inside |S| < 1 / (1 - decay)
+        rng = np.random.default_rng(seed)
+        shape = (SMALL.engine.logit_count, SMALL.engine.sync_pairs)
+        heads = (rng.uniform(-1, 1, shape) * 10.0**weight_exp).astype(np.float32)
+        reach = float(np.max(np.sum(np.abs(heads.astype(np.float64)), axis=1)))
+        f32_max = float(np.finfo(np.float32).max)
+        logit_scale = sign * f32_max * (1 - decay) / reach * 2.0**shift
+        registry = build_registry()
+        with tempfile.TemporaryDirectory() as scratch:
+            path = f"{scratch}/w.bin"
+            save_weights(path, {"ctm/certainty": heads})
+            engine = dataclasses.replace(SMALL.engine, logit_scale=logit_scale, decay=decay)
+            config = dataclasses.replace(SMALL, engine=engine, weights_path=path)
+            try:
+                model = build_model(config, len(registry), registry.max_slots)
+            except ConfigError as exc:
+                for name in ("ctm/certainty", "engine.logit_scale", "engine.decay"):
+                    assert name in str(exc)
+                assert shift > -1e-9
+                return
+        limit = np.float32(1 / (1 - decay))
+        if limit > 1 / (1 - decay):
+            limit = np.nextafter(limit, np.float32(0))
+        worst = np.sign(model.ctm.certainty_w).astype(np.float32) * limit
+        drawn = rng.uniform(-1, 1, (8, shape[1])).astype(np.float32) * limit
+        syncs = np.concatenate([worst, -worst, drawn])
+        logits, cs = certainty(syncs, model.ctm.certainty_w, model.ctm)
+        assert np.all(np.isfinite(logits)) and all(map(math.isfinite, cs))
 
     def test_bundles_carry_their_config_sections(self):
         config = Config(seed=2)

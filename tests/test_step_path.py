@@ -98,3 +98,31 @@ def test_step_path_casts_no_weight(monkeypatch, policy, task_index):
     if policy is episode.Policy.CTM:
         heads |= {ROUTER.action_head.shape, ROUTER.slot_head.shape, MODEL.actuator.mapping.shape}
     assert heads <= read
+
+
+@pytest.mark.parametrize("policy, task_index", [
+    (episode.Policy.CTM, 16),
+    (episode.Policy.SCRIPTED_ORACLE, 0),
+])
+def test_every_activation_input_is_writable_float64(monkeypatch, policy, task_index):
+    """``bounded_tanh`` works in place, so every ``pre`` it gets is a writable
+    float64 array, and the log equals an unguarded run's."""
+    task = load_tasks(TASKS50)[task_index]
+    expected = episode.run_episode(task, Config(), policy, MODEL).to_dict()
+    seen = set()   # (module, dtype of pre, pre writable)
+
+    def guard(name):
+        def guarded(pre, out=None):
+            seen.add((name, pre.dtype, pre.flags.writeable))
+            return numerics.bounded_tanh(pre, out)
+        return guarded
+
+    for name, module in list(sys.modules.items()):
+        if getattr(module, "bounded_tanh", None) is numerics.bounded_tanh and module is not numerics:
+            monkeypatch.setattr(module, "bounded_tanh", guard(name))
+    log = episode.run_episode(task, Config(), policy, MODEL).to_dict()
+    assert log == expected and log["outcome"] != episode.OUTCOME_ERROR
+    assert {(dtype, writable) for _, dtype, writable in seen} == {(np.dtype(np.float64), True)}
+    assert {name for name, *_ in seen} == {
+        "tickslab.engine", "tickslab.perception", "tickslab.affect"
+    }
