@@ -168,10 +168,10 @@ class TestRun:
     def test_overflowing_config_exits_2(self, tmp_path, capsys, doc, names):
         # each used to run to the end: the first wrote an empty log and died
         # on a non-finite epsilon, the others dispatched noop at every step
-        weights = tmp_path / "certainty.bin"
-        save_weights(weights, {"ctm/certainty": np.full((4, 256), 3e38, dtype=np.float32)})
         if "weights_path" in doc:
-            doc = {"weights_path": str(weights)}
+            doc = {"weights_path": str(tmp_path / doc["weights_path"])}
+            heads = np.full((4, 256), 3e38, dtype=np.float32)
+            save_weights(doc["weights_path"], {"ctm/certainty": heads})
         config, tasks = tmp_path / "config.json", tmp_path / "tasks.jsonl"
         config.write_text(json.dumps(doc))
         tasks.write_text("".join(TASKS50.read_text().splitlines(keepends=True)[:3]))
