@@ -25,8 +25,6 @@ class AffectParams:
     config: AffectConfig = field(default_factory=AffectConfig)
 
     def __post_init__(self):
-        if self.w2.shape[1] != self.w1.shape[0]:
-            raise ValueError(f"layer widths differ: {self.w1.shape} vs {self.w2.shape}")
         hold_float64(self, "w1", "w2")
 
 

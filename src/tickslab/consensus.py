@@ -59,7 +59,7 @@ from .engine import (
     slab_contribution,
     slab_ticks,
 )
-from .errors import BranchPanic, EmptyOutcomeList, EmptySlab
+from .errors import BranchPanic, EmptySlab
 from .rng import SplitMix64, derive_seed
 
 logger = logging.getLogger("tickslab.consensus")
@@ -280,8 +280,6 @@ def merge(outcomes: list[BranchOutcome], params: CtmParams) -> ConsensusResult:
     its weight is exactly 1, its confidence is already the certainty of its
     sync vector, and the sum (which starts from +0.0) only turns -0.0 to +0.0.
     """
-    if not outcomes:
-        raise EmptyOutcomeList("merge needs at least one outcome")
     if len(outcomes) == 1 and math.isfinite(outcomes[0].confidence):
         (o,) = outcomes
         sync = np.add(o.sync, 0.0, dtype=np.float32)

@@ -195,11 +195,10 @@ def slab_ticks(
     math lives only here.
 
     Returns the post-readout states as one (ticks_per_slab, neurons) float32
-    array, the
-    new depth history (a fresh array; ``history`` is not touched) and the
-    hidden state carried into the next slab through the gated carry.  The
-    synchrony pairs play no part, so every branch of a decision step shares
-    this trajectory.
+    array, the new depth history (a fresh array; ``history`` is not touched)
+    and the hidden state carried into the next slab through the gated carry.
+    The synchrony pairs play no part, so every branch of a decision step
+    shares this trajectory.
     """
     # Inlined synapse -> push -> readout loop on CtmParams' float64
     # weights.  Each reduction is the einsum of the per-op references in

@@ -9,19 +9,7 @@ class DimensionMismatch(TickslabError):
     pass
 
 
-class NonFiniteInput(TickslabError):
-    pass
-
-
-class WindowTooShort(TickslabError):
-    pass
-
-
 class EmptySlab(TickslabError):
-    pass
-
-
-class EmptyOutcomeList(TickslabError):
     pass
 
 

@@ -41,11 +41,11 @@ def cmd_run(args) -> int:
     policy = Policy(args.policy)
 
     logs = [run_episode(task, config, policy, model=model) for task in tasks]
+    report = compute_metrics(logs)   # before any write, so a refused run leaves no file
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_logs(out / "episodes.jsonl", logs)
-    report = compute_metrics(logs)
     write_report(out / "metrics.json", report)
     print(
         f"episodes={report.episode_count} tsr={report.tsr:.6f} "
@@ -57,6 +57,8 @@ def cmd_run(args) -> int:
 def cmd_gen_tasks(args) -> int:
     from .tasks import gen_tasks, save_tasks
 
+    if args.count < 1:
+        raise TickslabError(f"bad --count {args.count}, expected at least 1")
     tasks = gen_tasks(args.seed, args.count)
     save_tasks(args.out, tasks)
     print(f"wrote {len(tasks)} tasks to {args.out}")

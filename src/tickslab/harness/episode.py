@@ -34,7 +34,7 @@ from ..affect import affect_decode, modulate_epsilon
 from ..config import Config
 from ..consensus import ConsensusResult, SlabMemo, decide_step
 from ..engine import BranchState, initial_state
-from ..errors import ConfigError, SchemaViolation
+from ..errors import SchemaViolation
 from ..params import ModelParams, build_model, build_router_params
 from ..perception import encode_modality, fuse
 from ..registry import NOOP_TOOL, SlotKind, ToolSpec
@@ -131,9 +131,7 @@ def run_episode(
         model = build_model(config, len(registry), registry.max_slots)
 
     episode_seed = derive_seed(config.seed, f"episode/{task.id}")
-    router_params = build_router_params(
-        model, config, registry, list(task.context), episode_seed
-    )
+    router_params = build_router_params(model, registry, list(task.context), episode_seed)
     session = WorldSession(world_from_task(task))
     server = ToolServer(registry, session.handler)
     envelopes = EnvelopeSession(task.id)
@@ -145,7 +143,6 @@ def run_episode(
     epsilon = model.affect.config.epsilon0
     cache: Optional[ConsensusResult] = None
     slabs = SlabMemo()
-    script_index = 0
     frame = None
 
     try:
@@ -186,9 +183,8 @@ def run_episode(
             result = decision.result
             ticks = seed_state.slab * ctm.config.ticks_per_slab
             if policy is Policy.SCRIPTED_ORACLE:
-                if script_index < len(task.steps):
-                    scripted = task.steps[script_index]
-                    script_index += 1
+                if step < len(task.steps):
+                    scripted = task.steps[step]
                     tool, args = registry.get(scripted.tool), dict(scripted.args)
                 else:
                     tool, args = registry.get(NOOP_TOOL), {}
@@ -230,8 +226,6 @@ def run_episode(
                 return log
         log.outcome = OUTCOME_BUDGET
         return log
-    except ConfigError:
-        raise
     except Exception as exc:  # any step failure becomes a logged outcome
         logger.warning("episode %s aborted: %r", task.id, exc)
         log.outcome = OUTCOME_ERROR

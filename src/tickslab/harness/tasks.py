@@ -17,6 +17,7 @@ from pathlib import Path
 from ..errors import ParseError, SchemaViolation
 from ..rng import SplitMix64, derive_seed
 from ..schema import check_record, json_type_ok
+from .world import build_registry
 
 DEFAULT_BUDGET_STEPS = 20
 
@@ -25,6 +26,7 @@ OBJECT_VOCAB = (
     "towel", "remote", "fork", "bowl", "soda_can", "wrench",
 )
 LOCATION_VOCAB = ("counter", "table", "shelf", "sink", "cabinet", "bench")
+TOOLS = build_registry()     # the tools a step may name: noop and the world's
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,8 @@ def _validate_record(doc: dict, line: int) -> TaskRecord:
     """The task in ``doc``; anything that does not fit raises SchemaViolation.
 
     Beyond the JSON types: strings are non-empty, there is at least one
-    step, and an arg is a context name or a finite number, the values an
-    envelope can carry.
+    step, a step's tool is one the world runs, and an arg is a context name
+    or a finite number, the values an envelope can carry.
     """
     def fail(fieldname: str, why: str):
         raise SchemaViolation(f"line {line}: {fieldname}", why)
@@ -70,6 +72,8 @@ def _validate_record(doc: dict, line: int) -> TaskRecord:
         for key in ("tool", "expected"):
             if not raw[key]:
                 fail(f"steps[{i}].{key}", "expected a non-empty string")
+        if raw["tool"] not in TOOLS:
+            fail(f"steps[{i}].tool", f"{raw['tool']!r} is not a tool the world runs")
         for slot, value in raw["args"].items():
             # context holds only strings, so every other type is refused
             finite = json_type_ok(value, "float") and abs(value) < math.inf

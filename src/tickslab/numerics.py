@@ -63,8 +63,3 @@ def bounded_tanh(pre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return pre.astype(np.float32)
     out[...] = pre
     return out
-
-
-def require_finite(arr: np.ndarray, what: str, exc: type[Exception]) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise exc(f"{what} contains non-finite values")

@@ -9,7 +9,7 @@ tensor of its shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .affect import AffectParams
 from .config import Config, EngineConfig
 from .engine import CtmParams
 from .errors import ConfigError
-from .numerics import hold_float64
 from .perception import EncoderWeights
 from .rng import derive_seed, fan_in_matrix, sample_pairs
 from .registry import ToolRegistry
@@ -35,12 +34,8 @@ class ModelParams:
     encoder: EncoderWeights
     ctm: CtmParams
     affect: AffectParams
-    action_head: np.ndarray
-    slot_head: np.ndarray
+    router: RouterParams            # the heads; each episode adds its candidates
     actuator: ActuatorParams
-
-    def __post_init__(self):
-        hold_float64(self, "action_head", "slot_head")   # RouterParams shares them
 
 
 def build_model(config: Config, registry_size: int, max_slots: int) -> ModelParams:
@@ -78,8 +73,9 @@ def build_model(config: Config, registry_size: int, max_slots: int) -> ModelPara
             certainty_w=t["ctm/certainty"], pair_p=pair_p, pair_q=pair_q,
         ),
         affect=AffectParams(w1=t["affect/w1"], w2=t["affect/w2"], config=config.affect),
-        action_head=t["router/action"],
-        slot_head=t["router/slots"],
+        router=RouterParams(
+            action_head=t["router/action"], slot_head=t["router/slots"], config=config.router
+        ),
         actuator=ActuatorParams(
             mapping=t["actuator/mapping"],
             tau_min=np.full(act.joints, -act.torque_limit),
@@ -120,24 +116,19 @@ def candidate_embedding(episode_seed: int, name: str, width: int) -> np.ndarray:
 
 def build_router_params(
     model: ModelParams,
-    config: Config,
     registry: ToolRegistry,
     candidates: list[str],
     episode_seed: int,
 ) -> RouterParams:
-    """Assemble the per-episode router bundle (heads plus candidate embeddings)."""
-    width = config.router.slot_embed_width
+    """The model's router bundle with this episode's candidate embeddings."""
+    router = model.router
+    if router.action_head.shape[0] != len(registry):
+        raise ConfigError(
+            f"action head covers {router.action_head.shape[0]} tools, "
+            f"registry has {len(registry)}"
+        )
+    width = router.config.slot_embed_width
     embedded = tuple(
         (name, candidate_embedding(episode_seed, name, width)) for name in candidates
     )
-    if model.action_head.shape[0] != len(registry):
-        raise ConfigError(
-            f"action head covers {model.action_head.shape[0]} tools, "
-            f"registry has {len(registry)}"
-        )
-    return RouterParams(
-        action_head=model.action_head,
-        slot_head=model.slot_head,
-        candidates=embedded,
-        config=config.router,
-    )
+    return replace(router, candidates=embedded)

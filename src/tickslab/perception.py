@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput, WindowTooShort
-from .numerics import bounded_tanh, hold_float64, matvec, require_finite
+from .errors import DimensionMismatch
+from .numerics import bounded_tanh, hold_float64, matvec
 
 # Length of the audio window the harness featurizer synthesizes; its
 # spectrum has at most WAVE_SAMPLES // 2 bins.
@@ -43,16 +43,13 @@ class EncoderWeights:
 def encode_modality(values, w: np.ndarray) -> np.ndarray:
     """Encode one frame with its encoder matrix ``w``: latent = tanh(W x)."""
     x = np.asarray(values, dtype=np.float32).reshape(-1)
-    require_finite(x, "frame", NonFiniteInput)
     return bounded_tanh(matvec(w, x))
 
 
 def spectrum(samples: np.ndarray, n_bins: int) -> np.ndarray:
-    """First ``n_bins`` magnitude values of the window's discrete Fourier
-    transform (rectangular window, single frame)."""
+    """First ``n_bins`` magnitude values of the discrete Fourier transform of a
+    window of at least ``2 * n_bins`` samples (rectangular, single frame)."""
     x = np.asarray(samples, dtype=np.float64).reshape(-1)
-    if x.shape[0] < 2 * n_bins:
-        raise WindowTooShort(f"{x.shape[0]} samples < 2 * {n_bins} bins")
     mags = np.abs(np.fft.fft(x)[:n_bins])
     return mags.astype(np.float32)
 

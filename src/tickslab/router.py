@@ -28,7 +28,7 @@ from .registry import NOOP_TOOL, SlotKind, ToolRegistry, ToolSpec
 class RouterParams:
     action_head: np.ndarray            # (len(registry), sync_pairs)
     slot_head: np.ndarray              # (max_slots * slot_embed_width, sync_pairs)
-    candidates: tuple                  # ordered (name, float64 embedding) pairs
+    candidates: tuple = ()             # ordered (name, float64 embedding) pairs
     config: RouterConfig = field(default_factory=RouterConfig)
 
     def __post_init__(self):

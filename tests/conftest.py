@@ -66,8 +66,8 @@ def model_tensors(model) -> dict:
         "ctm/certainty": model.ctm.certainty_w,
         "affect/w1": model.affect.w1,
         "affect/w2": model.affect.w2,
-        "router/action": model.action_head,
-        "router/slots": model.slot_head,
+        "router/action": model.router.action_head,
+        "router/slots": model.router.slot_head,
         "actuator/mapping": model.actuator.mapping,
     }
 

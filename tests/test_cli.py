@@ -217,6 +217,29 @@ class TestRun:
         assert "not valid Unicode" in err
 
 
+class TestBadArguments:
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["gen-tasks", "--seed", "1", "--count", "0", "--out", "{tmp}/tasks.jsonl"], "--count"),
+            (["gen-tasks", "--seed", "1", "--count", "-3", "--out", "{tmp}/tasks.jsonl"], "--count"),
+            (["run", "--tasks", "{tmp}/empty.jsonl", "--out", "{tmp}/out"], "no episode logs"),
+            (["run", "--tasks", "{tmp}/missing.jsonl", "--out", "{tmp}/out"], "missing.jsonl"),
+            (["metrics", "--logs", "{tmp}/empty"], "no episode logs"),
+            (["serve", "--transport", "tcp", "--addr", "127.0.0.1:70000"], "--addr"),
+        ],
+        ids=["count-0", "count-negative", "run-empty", "run-missing", "metrics-empty", "serve-addr"],
+    )
+    def test_exits_2_with_an_error_line_and_writes_nothing(self, tmp_path, capsys, argv, named):
+        (tmp_path / "empty.jsonl").write_text("")
+        (tmp_path / "empty").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli(*[arg.format(tmp=tmp_path) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestServeOptions:
     def test_serve_takes_only_transport_and_addr(self):
         parser = build_parser()

@@ -31,7 +31,6 @@ from tickslab.engine import (
     run_slab,
     slab_ticks,
 )
-from tickslab.errors import EmptyOutcomeList
 from tickslab.rng import SplitMix64, derive_seed
 
 
@@ -85,10 +84,6 @@ def random_outcomes(rng, params, n):
 
 
 class TestMerge:
-    def test_empty_rejected(self, small_params):
-        with pytest.raises(EmptyOutcomeList):
-            merge([], small_params)
-
     def test_single_outcome_identity(self, small_params):
         rng = np.random.default_rng(0)
         (o,) = random_outcomes(rng, small_params, 1)

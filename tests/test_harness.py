@@ -57,7 +57,7 @@ from tickslab.harness.world import (
 )
 from tickslab.params import build_model, build_router_params
 from tickslab.registry import MAX_JOINTS
-from tickslab.perception import encode_modality, fuse
+from tickslab.perception import WAVE_SAMPLES, encode_modality, fuse
 from tickslab.rng import SplitMix64, fnv1a64
 from tickslab.weights import MAGIC, load_weights, save_weights
 
@@ -150,6 +150,17 @@ class TestLoadTasks:
         with pytest.raises(SchemaViolation) as err:
             load_tasks(path)
         assert err.value.path == "line 1: steps[0].why"
+
+    def test_tool_the_world_does_not_run_rejected(self, tmp_path):
+        # such a step used to load, and the oracle's episode then ended in error
+        steps = [{"tool": "noop", "args": {}, "expected": "x"},
+                 {"tool": "fly", "args": {}, "expected": "x"}]
+        path = tmp_path / "tasks.jsonl"
+        path.write_text(json.dumps({"id": "t1", "goal": "g", "context": [], "steps": steps}) + "\n")
+        with pytest.raises(SchemaViolation) as err:
+            load_tasks(path)
+        assert err.value.path == "line 1: steps[1].tool"
+        assert "'fly'" in err.value.detail
 
 
 class TestGenTasks:
@@ -450,6 +461,24 @@ class TestTokenCache:
     def test_cache_is_bounded(self):
         assert token_probes.cache_info().maxsize == TOKEN_CACHE_SIZE
         assert 0 < TOKEN_CACHE_SIZE < 1 << 20
+
+
+class TestFrameGuarantees:
+    """What ``encode_modality`` and ``spectrum`` take unchecked from the featurizer."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(world=worlds, goal=st.text())
+    def test_frames_are_finite_for_any_goal_and_world(self, world, goal):
+        dims = Config().perception
+        for frame in (*goal_frames(goal, dims), featurize(world, dims)):
+            assert np.all(np.isfinite(frame))
+
+    @settings(max_examples=20, deadline=None)
+    @given(goal=st.text(max_size=40))
+    def test_audio_frame_has_audio_in_bins(self, goal):
+        for audio_in in range(1, WAVE_SAMPLES // 2 + 1):
+            dims = dataclasses.replace(Config().perception, audio_in=audio_in)
+            assert goal_frames(goal, dims)[1].shape == (audio_in,)
 
 class TestMetrics:
     def _log(self, task_id, outcome, statuses, steps_used=None):
@@ -1054,8 +1083,11 @@ class TestModelBuild:
         assert model.ctm.config is config.engine
         assert model.affect.config is config.affect
         assert model.actuator.config is config.actuator
-        router = build_router_params(model, config, registry, ["cup"], episode_seed=7)
+        assert model.router.config is config.router
+        router = build_router_params(model, registry, ["cup"], episode_seed=7)
         assert router.config is config.router
+        assert router.action_head is model.router.action_head
+        assert router.slot_head is model.router.slot_head
 
     @pytest.mark.parametrize("live", [False, True])
     def test_decision_step_gets_the_consensus_section(self, live):

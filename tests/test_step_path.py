@@ -19,7 +19,7 @@ from tickslab.params import build_model, build_router_params
 TASKS50 = Path(__file__).parent / "fixtures" / "tasks50.jsonl"
 REGISTRY = build_registry()
 MODEL = build_model(Config(), len(REGISTRY), REGISTRY.max_slots)
-ROUTER = build_router_params(MODEL, Config(), REGISTRY, ["cup", "sink"], episode_seed=7)
+ROUTER = build_router_params(MODEL, REGISTRY, ["cup", "sink"], episode_seed=7)
 # (bundle, its weight arrays)
 HELD = [
     (MODEL.ctm, ("synapse_w", "factor_a", "factor_b", "bias", "certainty_w")),
@@ -27,9 +27,10 @@ HELD = [
     (ROUTER, ("action_head", "slot_head")),
     (MODEL.actuator, ("mapping", "tau_min", "tau_max", "gain")),
     (MODEL.encoder, ("vision", "audio", "proprio", "fusion")),
-    (MODEL, ("action_head", "slot_head")),
+    (MODEL.router, ("action_head", "slot_head")),
 ]
-IDS = [type(bundle).__name__ for bundle, _ in HELD]
+# the model's own router bundle keeps the id its heads had on ModelParams
+IDS = [type(bundle).__name__ for bundle, _ in HELD[:-1]] + ["ModelParams"]
 
 
 def assert_held_once(bundle, names):
