@@ -55,7 +55,7 @@ from .engine import (
     accumulate,
     certainty,
     halt_decision,
-    run_until_halt,
+    run_slab,
     slab_contribution,
     slab_ticks,
 )
@@ -71,7 +71,6 @@ ZERO_CONFIDENCE = 1e-9
 class BranchOutcome:
     branch_id: int
     sync: np.ndarray           # final synchrony vector
-    logits: np.ndarray         # final scaled logits
     confidence: float
     ticks_used: int            # ticks spent in this run (not lifetime)
     reached_threshold: bool
@@ -155,15 +154,16 @@ def run_branch(
     shared trajectory, and the tests compare the two.
     """
     branch_params = perturb_for_branch(params, episode_seed, branch_id)
-    state, last = run_until_halt(seed_state, f, branch_params, epsilon)
-    reached = last.certainty >= min(epsilon, params.config.halt_cap)
+    state, halted = seed_state, False
+    while not halted:
+        state, halted = run_slab(state, f, branch_params, epsilon)
+    confidence = state.certainty_trace[-1]
     outcome = BranchOutcome(
         branch_id=branch_id,
-        sync=last.sync,
-        logits=last.logits,
-        confidence=last.certainty,
+        sync=state.sync,
+        confidence=confidence,
         ticks_used=(state.slab - seed_state.slab) * params.config.ticks_per_slab,
-        reached_threshold=reached,
+        reached_threshold=confidence >= min(epsilon, params.config.halt_cap),
     )
     return outcome, state
 
@@ -242,7 +242,7 @@ def shared_branches(
             break
         slab += 1
         syncs = accumulate(syncs, contribution.take(perms), n, config.decay)
-        logits, cs = certainty(syncs, params.certainty_w, params)
+        _, cs = certainty(syncs, params.certainty_w, params)
         keep = []
         for row, (branch_id, c) in enumerate(zip(ids, cs)):
             traces[row] = trace = (traces[row] + (c,))[-config.plateau_window :]
@@ -252,7 +252,6 @@ def shared_branches(
             outcome = BranchOutcome(
                 branch_id=branch_id,
                 sync=syncs[row],
-                logits=logits[row],
                 confidence=c,
                 ticks_used=ticks_used,
                 reached_threshold=c >= min(epsilon, config.halt_cap),

@@ -70,28 +70,18 @@ def initial_state(params: CtmParams) -> BranchState:
     )
 
 
-@dataclass(frozen=True)
-class SlabResult:
-    sync: np.ndarray       # accumulators after the slab
-    logits: np.ndarray     # (logit_count,) already scaled
-    certainty: float       # in [0, 1]
-    halted: bool
-
-
 def slab_contribution(
     slab_states: list[np.ndarray] | np.ndarray, params: CtmParams
 ) -> np.ndarray:
     """One slab's decay-weighted pair products, float64 (pair_count,).
 
-    ``slab_states`` is a list of states or an (L, neurons) array of them.
-    C_k = sum_{j=1..L} decay^(L-j) * z_j[p_k] * z_j[q_k].  The sum over the
-    slab runs column by column, so permuting the pairs permutes C exactly:
-    the contribution under ``pair_p[perm]``/``pair_q[perm]`` is ``C[perm]``
-    bit for bit.
+    ``slab_states`` is a non-empty list of states or an (L, neurons) array
+    of them.  C_k = sum_{j=1..L} decay^(L-j) * z_j[p_k] * z_j[q_k].  The sum
+    over the slab runs column by column, so permuting the pairs permutes C
+    exactly: the contribution under ``pair_p[perm]``/``pair_q[perm]`` is
+    ``C[perm]`` bit for bit.
     """
     n = len(slab_states)
-    if n == 0:
-        raise EmptySlab("a slab needs at least one state")
     # One state per column: each pair's products lie contiguous in a row of
     # ``prods``, so add.reduce sums every row with the same pairwise order
     # that np.sum used on the column-major gather of the (L, neurons) stack.
@@ -237,49 +227,23 @@ def slab_ticks(
     return states, window[:, n:].astype(np.float32), carried
 
 
-def halt_readout(
-    sync: np.ndarray,
-    certainty_trace: tuple,
-    slab: int,
-    epsilon: float,
-    params: CtmParams,
-) -> tuple[np.ndarray, float, tuple, bool]:
-    """Certainty read off the accumulators after a slab, and the halt call.
-
-    Returns (logits, certainty, trailing certainty trace, halted); ``slab``
-    is the slab counter after the slab.
-    """
-    config = params.config
-    logits, c = certainty(sync, params.certainty_w, params)
-    trace = (certainty_trace + (c,))[-config.plateau_window :]
-    halted = halt_decision(c, epsilon, trace, config.max_slabs - slab, config)
-    return logits, c, trace, halted
-
-
 def run_slab(
     state: BranchState, f: np.ndarray, params: CtmParams, epsilon: float
-) -> tuple[BranchState, SlabResult]:
+) -> tuple[BranchState, bool]:
     """Run one slab of ticks_per_slab ticks; ``EmptySlab`` past the slab budget.
 
     Collects the post-readout states, folds them into the synchrony
-    accumulators, reads certainty, decides halt/continue, and blends the
-    hidden state for the next slab through the gated carry.
+    accumulators, reads certainty off them, and blends the hidden state for
+    the next slab through the gated carry.  Returns the next state, whose
+    certainty trace ends with this slab's certainty, and the halt call.
     """
-    if state.slab >= params.config.max_slabs:
+    config = params.config
+    if state.slab >= config.max_slabs:
         raise EmptySlab("slab budget exhausted before the slab started")
     states, hist, carried = slab_ticks(state.z, state.history, f, params)
     sync = sync_update(state.sync, states, params)
     slab = state.slab + 1
-    logits, c, trace, halted = halt_readout(sync, state.certainty_trace, slab, epsilon, params)
-    new_state = BranchState(z=carried, history=hist, sync=sync, slab=slab, certainty_trace=trace)
-    return new_state, SlabResult(sync, logits, c, halted)
-
-
-def run_until_halt(
-    state: BranchState, f: np.ndarray, params: CtmParams, epsilon: float
-) -> tuple[BranchState, SlabResult]:
-    """Run slabs until the halt decision fires; always terminates (budgets)."""
-    while True:
-        state, result = run_slab(state, f, params, epsilon)
-        if result.halted:
-            return state, result
+    _, c = certainty(sync, params.certainty_w, params)
+    trace = (state.certainty_trace + (c,))[-config.plateau_window :]
+    halted = halt_decision(c, epsilon, trace, config.max_slabs - slab, config)
+    return BranchState(carried, hist, sync, slab, trace), halted

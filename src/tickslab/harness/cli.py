@@ -32,6 +32,11 @@ def cmd_run(args) -> int:
     from .metrics import compute_metrics, write_logs, write_report
     from .tasks import load_tasks
 
+    out = Path(args.out)
+    # refused now, not by mkdir after every episode has run
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise TickslabError(f"bad --out {args.out!r}: {str(existing)!r} is not a directory")
     config = Config.load(args.config) if args.config else Config()
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -43,7 +48,6 @@ def cmd_run(args) -> int:
     logs = [run_episode(task, config, policy, model=model) for task in tasks]
     report = compute_metrics(logs)   # before any write, so a refused run leaves no file
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_logs(out / "episodes.jsonl", logs)
     write_report(out / "metrics.json", report)
@@ -68,6 +72,8 @@ def cmd_gen_tasks(args) -> int:
 def cmd_metrics(args) -> int:
     from .metrics import compute_metrics, read_log_dir
 
+    if not Path(args.logs).is_dir():
+        raise TickslabError(f"bad --logs {args.logs!r}, expected a directory")
     logs = read_log_dir(args.logs)
     report = compute_metrics(logs)
     print(

@@ -120,7 +120,7 @@ class TestAcceptance:
                 from tickslab.consensus import BranchOutcome
 
                 outcomes.append(
-                    BranchOutcome(i, sync, logits, conf, int(rng.integers(2, 60)), True)
+                    BranchOutcome(i, sync, conf, int(rng.integers(2, 60)), True)
                 )
             base = merge(outcomes, params)
             perm = list(outcomes)

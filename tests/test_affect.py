@@ -3,7 +3,8 @@ import pytest
 
 from conftest import make_ctm, fusion_vector
 from tickslab.affect import AffectParams, affect_decode, modulate_epsilon
-from tickslab.engine import initial_state, run_until_halt
+from tickslab.consensus import run_branch
+from tickslab.engine import initial_state
 from tickslab.errors import DimensionMismatch
 from tickslab.rng import fan_in_matrix
 
@@ -97,6 +98,6 @@ class TestThresholdLengthensThinking:
             params = make_ctm(seed=seed)
             slabs = []
             for epsilon in (0.2, 0.5, 0.75, 1.125, 1.8):
-                state, _ = run_until_halt(initial_state(params), fvec, params, epsilon)
+                _, state = run_branch(initial_state(params), fvec, params, epsilon, seed, 0)
                 slabs.append(state.slab)
             assert all(a <= b for a, b in zip(slabs, slabs[1:]))

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -11,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tickslab import consensus, engine
+from tickslab.harness import episode
 from tickslab.harness.cli import build_parser, main
 from tickslab.transport import MAX_FRAME_BYTES
 from tickslab.weights import save_weights
@@ -225,18 +228,34 @@ class TestBadArguments:
             (["gen-tasks", "--seed", "1", "--count", "-3", "--out", "{tmp}/tasks.jsonl"], "--count"),
             (["run", "--tasks", "{tmp}/empty.jsonl", "--out", "{tmp}/out"], "no episode logs"),
             (["run", "--tasks", "{tmp}/missing.jsonl", "--out", "{tmp}/out"], "missing.jsonl"),
+            (["run", "--tasks", str(TASKS50), "--out", "{tmp}/empty.jsonl"], "--out"),
+            (["run", "--tasks", str(TASKS50), "--out", "{tmp}/empty.jsonl/out"], "--out"),
             (["metrics", "--logs", "{tmp}/empty"], "no episode logs"),
+            (["metrics", "--logs", "{tmp}/missing"], "{tmp}/missing"),
+            (["metrics", "--logs", "{tmp}/empty.jsonl"], "{tmp}/empty.jsonl"),
             (["serve", "--transport", "tcp", "--addr", "127.0.0.1:70000"], "--addr"),
         ],
-        ids=["count-0", "count-negative", "run-empty", "run-missing", "metrics-empty", "serve-addr"],
+        ids=[
+            "count-0", "count-negative", "run-empty", "run-missing", "run-out-file",
+            "run-out-under-file", "metrics-empty", "metrics-missing", "metrics-file",
+            "serve-addr",
+        ],
     )
-    def test_exits_2_with_an_error_line_and_writes_nothing(self, tmp_path, capsys, argv, named):
+    def test_exits_2_with_an_error_line_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, argv, named
+    ):
+        # a refused run is refused before its first episode
+        def run_episode(*args, **kwargs):
+            raise AssertionError("run_episode called")
+
+        monkeypatch.setattr(episode, "run_episode", run_episode)
         (tmp_path / "empty.jsonl").write_text("")
         (tmp_path / "empty").mkdir()
         before = sorted(tmp_path.rglob("*"))
         assert run_cli(*[arg.format(tmp=tmp_path) for arg in argv]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and named in err and "Traceback" not in err
+        assert err.startswith("error: ") and named.format(tmp=tmp_path) in err
+        assert "Traceback" not in err
         assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -321,6 +340,26 @@ class TestLayout:
         used = {name for tree in package for name in referenced(tree)}
         used |= {name for tree in syntax_trees(PERFBENCH) for name in referenced(tree, True)}
         assert defined - used == self.UNCALLED
+
+    def test_every_record_field_is_read(self):
+        # a field that is only ever written is dead data; only attribute
+        # reads count, so a local variable of the same name hides nothing
+        records = [
+            obj for module in (engine, consensus) for obj in vars(module).values()
+            if dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
+        ]
+        read = {
+            node.attr
+            for tree in syntax_trees(SRC / "tickslab") + syntax_trees(PERFBENCH)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+        assert records
+        unread = [
+            f"{cls.__name__}.{field.name}"
+            for cls in records for field in dataclasses.fields(cls) if field.name not in read
+        ]
+        assert unread == []
 
 
 class TestServeTcp:

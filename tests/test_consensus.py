@@ -51,14 +51,13 @@ def no_cutoff(params, branches, wait_policy="off", **live):
 
 
 def make_outcome(branch_id, sync, logits, params, ticks=8, reached=True):
+    """An outcome whose confidence is the entropy confidence of ``logits``."""
     sync = np.asarray(sync, dtype=np.float32)
     logits = np.asarray(logits, dtype=np.float32)
-    _, conf = certainty(sync, params.certainty_w, params)
-    # confidence must be the entropy confidence of the stored logits
     from reference import entropy, softmax
 
     conf = 1.0 - entropy(softmax(logits)) / np.log(params.config.logit_count)
-    return BranchOutcome(branch_id, sync, logits, float(max(conf, 0.0)), ticks, reached)
+    return BranchOutcome(branch_id, sync, float(max(conf, 0.0)), ticks, reached)
 
 
 def weighted_merge(outcomes, params):
@@ -123,9 +122,8 @@ class TestMerge:
 
     def test_unequal_sync_widths_rejected(self, small_params):
         rng = np.random.default_rng(4)
-        logits = np.zeros(small_params.config.logit_count, dtype=np.float32)
         outs = [
-            BranchOutcome(b, rng.normal(size=width).astype(np.float32), logits, 0.5, 8, True)
+            BranchOutcome(b, rng.normal(size=width).astype(np.float32), 0.5, 8, True)
             for b, width in enumerate((12, 11))
         ]
         with pytest.raises(ValueError, match="same shape"):
@@ -168,8 +166,8 @@ class TestMerge:
         for sync in syncs:
             with np.errstate(all="ignore"):
                 sync = (sync * np.float32(scale)).astype(np.float32)
-                logits, c = certainty(sync, params.certainty_w, params)
-                o = BranchOutcome(branch_id, sync, logits, c, 8, True)
+                _, c = certainty(sync, params.certainty_w, params)
+                o = BranchOutcome(branch_id, sync, c, 8, True)
                 got = merge([o], params)
                 want_sync, want_c = weighted_merge([o], params)
             assert got.sync_merged.dtype == np.float32
@@ -183,7 +181,7 @@ class TestMerge:
         self, small_params, confidence
     ):
         sync = np.random.default_rng(4).normal(size=12).astype(np.float32)
-        o = BranchOutcome(2, sync, np.zeros(4, dtype=np.float32), confidence, 8, True)
+        o = BranchOutcome(2, sync, confidence, 8, True)
         with np.errstate(invalid="ignore"):     # inf / inf
             got = merge([o], small_params)
             want_sync, want_c = weighted_merge([o], small_params)
@@ -191,19 +189,25 @@ class TestMerge:
         assert np.isnan(got.confidence_merged) and np.isnan(want_c)
         assert got.sync_merged.tobytes() != sync.tobytes()
 
-    def test_confidence_recomputable_from_logits(self, small_params):
-        rng = np.random.default_rng(9)
-        for o in random_outcomes(rng, small_params, 6):
-            from reference import entropy, softmax
+    def test_confidence_recomputable_from_logits(self, small_params, fvec):
+        # a branch's confidence is the certainty of the logits its sync
+        # vector reads, which merge's lone pass-through relies on
+        from reference import entropy, softmax
 
-            again = 1.0 - entropy(softmax(o.logits)) / np.log(small_params.config.logit_count)
+        pairs = shared_branches(
+            initial_state(small_params), fvec, small_params, 0.75, 9, no_cutoff(small_params, 6)
+        )
+        assert pairs
+        for o, _ in pairs:
+            logits, c = certainty(o.sync, small_params.certainty_w, small_params)
+            assert o.confidence == c
+            again = 1.0 - entropy(softmax(logits)) / np.log(small_params.config.logit_count)
             assert o.confidence == pytest.approx(again, abs=1e-7)
 
 
 def assert_same_outcome(a, b):
     assert a.branch_id == b.branch_id
     assert a.sync.dtype == b.sync.dtype and a.sync.tobytes() == b.sync.tobytes()
-    assert a.logits.dtype == b.logits.dtype and a.logits.tobytes() == b.logits.tobytes()
     assert a.confidence == b.confidence
     assert a.ticks_used == b.ticks_used
     assert a.reached_threshold == b.reached_threshold
@@ -266,8 +270,7 @@ class TestMergeSet:
         pairs = []
         for branch_id, ticks, reached in halts:
             sync = rng.normal(size=params.config.sync_pairs).astype(np.float32)
-            logits = np.zeros(params.config.logit_count, dtype=np.float32)
-            outcome = BranchOutcome(branch_id, sync, logits, 0.5, ticks, reached)
+            outcome = BranchOutcome(branch_id, sync, 0.5, ticks, reached)
             pairs.append((outcome, state))
         window = ConsensusConfig(wait_policy=policy, deadline_ticks=40)
         decision = select_step(pairs, params, None, window)
@@ -595,6 +598,13 @@ class TestSharedTrajectory:
             ref_outcome, ref_state = reference[outcome.branch_id]
             assert_same_outcome(outcome, ref_outcome)
             assert_same_state(state, ref_state)
+
+        # An outcome is read off its final state: the sync vector, the last
+        # certainty and the slabs run since the seed.
+        for outcome, state in shared + list(reference.values()):
+            assert outcome.sync.tobytes() == state.sync.tobytes()
+            assert outcome.confidence == state.certainty_trace[-1]
+            assert outcome.ticks_used == (state.slab - seed_state.slab) * ticks_per_slab
 
         # Omitted: exactly the branches that halt after the cutoff or after
         # the slab that settles the decision.

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import make_ctm
 from reference import composed_certainty, mu_mlp, push_history, softmax, synapse, sync_scan_tick
 from tickslab.config import Config, EngineConfig
+from tickslab.consensus import run_branch
 from tickslab.engine import (
     BranchState,
     accumulate,
@@ -17,7 +18,6 @@ from tickslab.engine import (
     halt_decision,
     initial_state,
     run_slab,
-    run_until_halt,
     slab_contribution,
     slab_ticks,
     sync_update,
@@ -241,10 +241,6 @@ class TestSyncUpdate:
         gathered = accumulate(sync, contribution, n, params.config.decay)
         assert gathered.tobytes() == sync_update(sync, states, permuted).tobytes()
 
-    def test_empty_slab(self, small_params):
-        with pytest.raises(EmptySlab):
-            sync_update(np.zeros(12, dtype=np.float32), [], small_params)
-
 
 class TestCertainty:
     def test_uniform_logits_zero_certainty(self, small_params):
@@ -424,10 +420,9 @@ class TestRunSlab:
         )
         state = initial_state(params)
         f = np.zeros(16, dtype=np.float32)
-        _, result = run_slab(state, f, params, epsilon=0.75)
-        assert np.array_equal(result.sync, np.zeros(12, dtype=np.float32))
-        assert np.array_equal(result.logits, np.zeros(4, dtype=np.float32))
-        assert result.certainty == 0.0
+        new_state, _ = run_slab(state, f, params, epsilon=0.75)
+        assert np.array_equal(new_state.sync, np.zeros(12, dtype=np.float32))
+        assert new_state.certainty_trace == (0.0,)
 
     def test_full_slab_tick_count(self, small_params, fvec):
         state = initial_state(small_params)
@@ -438,8 +433,8 @@ class TestRunSlab:
 
     def test_last_slab_halts(self, small_params, fvec):
         state = replace(initial_state(small_params), slab=small_params.config.max_slabs - 1)
-        new_state, result = run_slab(state, fvec, small_params, 2.0)
-        assert result.halted  # slab budget is gone
+        new_state, halted = run_slab(state, fvec, small_params, 2.0)
+        assert halted  # slab budget is gone
         assert new_state.slab == small_params.config.max_slabs
 
     @pytest.mark.parametrize("width", [1, 15, 17])
@@ -450,11 +445,10 @@ class TestRunSlab:
             slab_ticks(state.z, state.history, np.zeros(width, dtype=np.float32), small_params)
 
     def test_deterministic_bitwise(self, small_params, fvec):
-        s1, r1 = run_slab(initial_state(small_params), fvec, small_params, 0.75)
-        s2, r2 = run_slab(initial_state(small_params), fvec, small_params, 0.75)
-        assert np.array_equal(r1.sync, r2.sync)
-        assert np.array_equal(r1.logits, r2.logits)
-        assert r1.certainty == r2.certainty
+        s1, h1 = run_slab(initial_state(small_params), fvec, small_params, 0.75)
+        s2, h2 = run_slab(initial_state(small_params), fvec, small_params, 0.75)
+        assert np.array_equal(s1.sync, s2.sync)
+        assert s1.certainty_trace == s2.certainty_trace and h1 == h2
         assert np.array_equal(s1.z, s2.z)
         assert np.array_equal(s1.history, s2.history)
 
@@ -474,11 +468,11 @@ class TestRunSlab:
         with pytest.raises(EmptySlab):
             run_slab(state, fvec, small_params, 0.75)
 
-    def test_run_until_halt_respects_budget(self, fvec):
+    def test_run_branch_respects_budget(self, fvec):
         params = make_ctm(seed=4)
-        state, result = run_until_halt(initial_state(params), fvec, params, epsilon=2.0)
-        assert result.halted
+        outcome, state = run_branch(initial_state(params), fvec, params, 2.0, 7, 0)
         assert state.slab <= params.config.max_slabs
+        assert outcome.ticks_used == state.slab * params.config.ticks_per_slab
 
     @given(slab_inputs())
     @settings(max_examples=80, deadline=None)
@@ -520,7 +514,7 @@ class TestRunSlab:
         # the slab's internal loop must match composing the public ops
         params = small_params
         state = initial_state(params)
-        new_state, result = run_slab(state, fvec, params, epsilon=2.0)
+        new_state, _ = run_slab(state, fvec, params, epsilon=2.0)
 
         z = state.z
         hist = state.history
@@ -531,11 +525,10 @@ class TestRunSlab:
             z = mu_mlp(hist, params.factor_a, params.factor_b, params.bias)
             states.append(z)
         sync = sync_update(state.sync, states, params)
-        logits, c = certainty(sync, params.certainty_w, params)
+        _, c = certainty(sync, params.certainty_w, params)
         carried = gated_carry(z, synapse(z, fvec, params.synapse_w), params.config.carry_beta)
 
-        assert np.array_equal(result.sync, sync)
-        assert np.array_equal(result.logits, logits)
-        assert result.certainty == c
+        assert np.array_equal(new_state.sync, sync)
+        assert new_state.certainty_trace == (c,)
         assert np.array_equal(new_state.z, carried)
         assert np.array_equal(new_state.history, hist)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import model_tensors
 from tickslab.config import MAX_PARAMETERS, Config, ConsensusConfig, EngineConfig
-from tickslab.engine import certainty, halt_readout
+from tickslab.engine import certainty, initial_state, run_slab
 from tickslab.envelope import canonical_json_bytes
 from tickslab.errors import (
     ConfigError,
@@ -1100,18 +1100,17 @@ class TestModelBuild:
             bound = inspect.signature(decide).bind(*call.args, **call.kwargs)
             assert bound.arguments["consensus"] is config.consensus
 
-    def test_plateau_window_reaches_halt_readout(self, tmp_path):
+    def test_plateau_window_reaches_run_slab(self, tmp_path):
         weights = tmp_path / "flat.bin"
         config = Config(engine=EngineConfig(plateau_window=5), weights_path=str(weights))
         save_weights(weights, {"ctm/certainty": np.zeros((4, config.engine.sync_pairs))})
         registry = build_registry()
         model = build_model(config, len(registry), registry.max_slots)
-        sync = np.ones(config.engine.sync_pairs, dtype=np.float32)
-        trace, halts = (), []
-        for slab in range(1, 7):
-            _, c, trace, halted = halt_readout(sync, trace, slab, 0.75, model.ctm)
+        f = np.ones(config.perception.fusion_dim, dtype=np.float32)
+        state, halts = initial_state(model.ctm), []
+        for _ in range(6):
+            state, halted = run_slab(state, f, model.ctm, 0.75)
             halts.append(halted)
         # certainty is 0 at every slab, so only the plateau can halt
-        assert c == 0.0
+        assert state.certainty_trace == (0.0,) * 5
         assert halts == [False] * 4 + [True] * 2
-        assert len(trace) == 5
