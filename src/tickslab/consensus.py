@@ -12,13 +12,13 @@ trajectory stops after the slab in which the decision is settled, since
 no later halt can enter it: under wait policy "off" that is the first slab
 in which a branch halts at its threshold, under "one" the first slab in
 which another halt also follows that winner.  It also stops once every
-branch has halted, or before a slab that would end past the logical cutoff
-(earliest halt plus ``consensus.deadline_ticks``).  Every slab is
-``ticks_per_slab`` ticks, so ticks are counted as slabs x ``ticks_per_slab``.
-``run_branch`` runs one branch on its own and is the reference that the
-readouts equal bit for bit.  Outcomes are merged by entropy-based
-confidence weights after a canonical sort, so the merge is bitwise
-order-independent.
+branch has halted, or before a slab past the deadline window, which ends
+``consensus.deadline_ticks // ticks_per_slab`` slabs after the first halt's.
+Halts come out in (slab, branch id) order, already windowed, so the
+decision merges them as they come.  ``run_branch`` runs one branch on its
+own and is the reference that the readouts equal bit for bit.  Outcomes
+are merged by entropy-based confidence weights after a canonical sort, so
+the merge is bitwise order-independent.
 
 Exactly one consensus result is produced per decision step: the normal path
 and the timeout path are mutually exclusive, and the timeout path is total
@@ -44,7 +44,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -72,7 +72,6 @@ class BranchOutcome:
     branch_id: int
     sync: np.ndarray           # final synchrony vector
     confidence: float
-    ticks_used: int            # ticks spent in this run (not lifetime)
     reached_threshold: bool
 
 
@@ -162,7 +161,6 @@ def run_branch(
         branch_id=branch_id,
         sync=state.sync,
         confidence=confidence,
-        ticks_used=(state.slab - seed_state.slab) * params.config.ticks_per_slab,
         reached_threshold=confidence >= min(epsilon, params.config.halt_cap),
     )
     return outcome, state
@@ -175,7 +173,6 @@ def shared_branches(
     epsilon: float,
     episode_seed: int,
     consensus: ConsensusConfig,
-    branch_hook: Optional[Callable[[int], None]] = None,
     expiry: Optional[float] = None,
     slabs: Optional[SlabMemo] = None,
 ) -> list[tuple[BranchOutcome, BranchState]]:
@@ -189,33 +186,21 @@ def shared_branches(
     branch bit for bit.  The trajectory stops after the slab in which the
     decision under ``consensus.wait_policy`` is settled (see
     ``decision_settled``), once every branch has halted, or before a slab
-    that would end past the cutoff (earliest halt plus
-    ``consensus.deadline_ticks``).  With an ``expiry`` (a
+    past the deadline window: its last slab is the first halt's slab plus
+    ``consensus.deadline_ticks // ticks_per_slab``.  With an ``expiry`` (a
     ``time.monotonic()`` value) it also stops before a slab that would
-    start at or after it.  A slab that would start at ``max_slabs`` raises
-    ``EmptySlab``, a trajectory failure (see below).  Branches that would
-    halt after the stop are left out.  Pairs come in (ticks_used, branch_id)
-    order.  Slabs come from ``slabs``, the episode's memo (a fresh one if
-    omitted).
+    start at or after it.  Branches that would halt after the stop are left
+    out.  Pairs come in (slab, branch_id) order.  Slabs come from
+    ``slabs``, the episode's memo (a fresh one if omitted).
 
-    ``branch_hook`` runs once per branch before the trajectory (tests
-    inject faults there).  A branch whose hook raises, or that is still
-    running when the trajectory raises, is logged as a ``BranchPanic`` and
-    left out.
+    A slab that would start at ``max_slabs`` raises ``EmptySlab``.  When
+    the trajectory raises, each branch still running is logged as a
+    ``BranchPanic`` and left out.
     """
     config = params.config
     slabs = SlabMemo() if slabs is None else slabs
-    ids = []            # the running branches; row r of each stack below is ids[r]'s
-    for branch_id in range(consensus.branches):
-        try:
-            if branch_hook is not None:
-                branch_hook(branch_id)
-        except Exception as exc:
-            logger.warning("%s", BranchPanic(branch_id, exc))
-            continue
-        ids.append(branch_id)
+    ids = list(range(consensus.branches))   # the running branches; row r of each stack is ids[r]'s
     perms = branch_permutations(episode_seed, config.sync_pairs, consensus.branches)
-    perms = perms if len(ids) == consensus.branches else perms[ids]
     # one row, which the first accumulate broadcasts to a row per branch
     syncs = seed_state.sync[None]
     traces = [seed_state.certainty_trace] * len(ids)
@@ -225,15 +210,14 @@ def shared_branches(
     # a branch that halts
     z, history, slab = seed_state.z, seed_state.history, seed_state.slab
     n = config.ticks_per_slab
-    cutoff = None       # earliest halt + deadline_ticks, in ticks used this step
+    last = None         # the window's last slab, set at the first halt
     while ids:
         if expiry is not None and time.monotonic() >= expiry:
             break
         try:
             if slab >= config.max_slabs:
                 raise EmptySlab("slab budget exhausted before the slab started")
-            ticks_used = (slab + 1 - seed_state.slab) * n
-            if cutoff is not None and ticks_used > cutoff:
+            if last is not None and slab >= last:
                 break
             history, z, contribution = slabs.lookup(z, history, f, params)
         except Exception as exc:
@@ -253,7 +237,6 @@ def shared_branches(
                 branch_id=branch_id,
                 sync=syncs[row],
                 confidence=c,
-                ticks_used=ticks_used,
                 reached_threshold=c >= min(epsilon, config.halt_cap),
             )
             state = BranchState(z, history, syncs[row], slab, trace)
@@ -263,8 +246,8 @@ def shared_branches(
             syncs, perms = syncs[keep], perms[keep]
         if decision_settled(halted, consensus.wait_policy):
             break
-        if cutoff is None and halted:
-            cutoff = ticks_used + consensus.deadline_ticks
+        if last is None and halted:
+            last = slab + consensus.deadline_ticks // n
     return halted
 
 
@@ -331,11 +314,11 @@ def merge_set(
 ) -> list[tuple[BranchOutcome, BranchState]]:
     """The pairs a decision merges; empty when none reached the threshold.
 
-    ``pairs`` come in (ticks_used, branch_id) order, all inside the
-    deadline window.  The first threshold-reaching pair is the winner.
-    Under wait policy "off" it is merged alone; under "one" together with
-    the pair right after it, if there is one, whether or not that pair
-    reached the threshold.
+    ``pairs`` come in (slab, branch_id) order, all inside the deadline
+    window, as ``shared_branches`` returns them.  The first
+    threshold-reaching pair is the winner.  Under wait policy "off" it is
+    merged alone; under "one" together with the pair right after it, if
+    there is one, whether or not that pair reached the threshold.
     """
     for position, (outcome, _) in enumerate(pairs):
         if outcome.reached_threshold:
@@ -361,24 +344,20 @@ def select_step(
     cache: Optional[ConsensusResult],
     consensus: ConsensusConfig,
 ) -> StepDecision:
-    """The decision over finished branches, raced on logical ticks.
+    """The decision over the halts of one trajectory.
 
-    Completion order is canonicalized as (ticks_used, branch_id); the
-    deadline window opens at the earliest completion and closes
-    ``consensus.deadline_ticks`` ticks later.  ``merge_set`` picks the
-    pairs to merge from the window, and the winner's final state seeds the
-    next round with its accumulators overwritten by the merged vector.
-    With no winner the timeout path fires and the earliest branch seeds
-    the next round; with no branch at all, nothing does.
+    ``pairs`` come as ``shared_branches`` returns them: in (slab,
+    branch_id) order and inside the deadline window.  ``merge_set`` picks
+    the pairs to merge, and the winner's final state seeds the next round
+    with its accumulators overwritten by the merged vector.  With no winner
+    the timeout path fires and the earliest halt seeds the next round; with
+    no halt at all, nothing does.
     """
-    pairs = sorted(pairs, key=lambda ps: (ps[0].ticks_used, ps[0].branch_id))
     if not pairs:
         result = timeout_safe_pass(cache, params.config.sync_pairs)
         return StepDecision(result, None)
 
-    cutoff = pairs[0][0].ticks_used + consensus.deadline_ticks
-    in_time = [ps for ps in pairs if ps[0].ticks_used <= cutoff]
-    merged = merge_set(in_time, consensus.wait_policy)
+    merged = merge_set(pairs, consensus.wait_policy)
     if merged:
         result = merge([outcome for outcome, _ in merged], params)
         winner = merged[0][1]
@@ -401,24 +380,23 @@ def decide_step(
     episode_seed: int,
     cache: Optional[ConsensusResult],
     consensus: ConsensusConfig,
-    branch_hook: Optional[Callable[[int], None]] = None,
     slabs: Optional[SlabMemo] = None,
 ) -> StepDecision:
     """Decision step over ``consensus.branches`` branch readouts.
 
     One shared trajectory runs slab by slab and stops once the decision is
-    settled or at the logical cutoff (see ``shared_branches``); the
-    branches are readouts of it, and ``select_step`` makes the decision.
-    The result is the one ``select_step`` gives on ``run_branch`` runs of
-    every branch: a branch that halts after either stop can never be
-    chosen or merged.  With ``consensus.live`` set, the trajectory also
-    stops once ``consensus.deadline_ms`` has passed since the call, so the
-    call returns within the deadline plus one slab; if no branch that
-    halted by then reached the threshold, the timeout path gives the
-    fallback.  Without it the clock is never read.
+    settled or at the end of the deadline window (see ``shared_branches``);
+    the branches are readouts of it, and ``select_step`` makes the decision.
+    The result is the one ``select_step`` gives on every branch's
+    ``run_branch`` run, sorted by (slab, branch_id) and cut to the window.
+    With ``consensus.live`` set, the trajectory also stops once
+    ``consensus.deadline_ms`` has passed since the call, so the call
+    returns within the deadline plus one slab; if no halt by then reached
+    the threshold, the timeout path gives the fallback.  Without it the
+    clock is never read.
     """
     expiry = time.monotonic() + consensus.deadline_ms / 1000.0 if consensus.live else None
     pairs = shared_branches(
-        seed_state, f, params, epsilon, episode_seed, consensus, branch_hook, expiry, slabs
+        seed_state, f, params, epsilon, episode_seed, consensus, expiry, slabs
     )
     return select_step(pairs, params, cache, consensus)

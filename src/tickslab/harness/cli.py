@@ -91,7 +91,11 @@ def cmd_serve(args) -> int:
     host, _, port = args.addr.rpartition(":")
     if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
         raise TickslabError(f"bad --addr {args.addr!r}, expected HOST:PORT with PORT 0-65535")
-    server.serve_tcp(host, int(port))
+    # port 0 binds a free port, which only this line tells
+    server.serve_tcp(
+        host, int(port),
+        ready=lambda bound: print(f"listening on {host}:{bound}", file=sys.stderr, flush=True),
+    )
     return EXIT_OK
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -75,6 +76,24 @@ def model_tensors(model) -> dict:
 def fusion_vector(seed: int, dim: int = 16) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return np.tanh(rng.normal(size=dim)).astype(np.float32)
+
+
+class LateStart:
+    """A ``time.monotonic`` whose next read sleeps ``delay`` seconds after reading.
+
+    Patched in before a live decision step, its first read sets the step's
+    expiry, so the trajectory starts ``delay`` late, as if the step had been
+    held up.
+    """
+
+    def __init__(self) -> None:
+        self.real, self.delay = time.monotonic, 0.0
+
+    def __call__(self) -> float:
+        now = self.real()
+        delay, self.delay = self.delay, 0.0
+        time.sleep(delay)
+        return now
 
 
 @pytest.fixture

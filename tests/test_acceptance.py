@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 
-from conftest import make_ctm, fusion_vector
+from conftest import LateStart, make_ctm, fusion_vector
 from reference import mu_mlp, sync_scan_tick
 from tickslab import consensus
 from tickslab.actuator import ActuatorParams, plan_torque
@@ -119,9 +119,7 @@ class TestAcceptance:
                 )
                 from tickslab.consensus import BranchOutcome
 
-                outcomes.append(
-                    BranchOutcome(i, sync, conf, int(rng.integers(2, 60)), True)
-                )
+                outcomes.append(BranchOutcome(i, sync, conf, True))
             base = merge(outcomes, params)
             perm = list(outcomes)
             SplitMix64(trial).shuffle(perm)
@@ -147,23 +145,20 @@ class TestAcceptance:
         )
         rng = np.random.default_rng(505)
         saw_normal = saw_fallback = 0
+        clock = LateStart()
         with (
             mock.patch.object(consensus, "merge", wraps=consensus.merge) as merged,
             mock.patch.object(
                 consensus, "timeout_safe_pass", wraps=consensus.timeout_safe_pass
             ) as fell_back,
+            mock.patch.object(consensus.time, "monotonic", clock),
         ):
             for trial in range(1000):
                 merged.reset_mock()
                 fell_back.reset_mock()
-                delays = rng.uniform(0.0, 0.002, size=2)
-
-                def hook(branch_id, delays=delays):
-                    time.sleep(float(delays[branch_id]))
-
-                decision = decide_step(
-                    seed_state, fvec, params, 0.05, trial, None, window, branch_hook=hook,
-                )
+                # the trajectory starts 0-4 ms late: the sum of two 0-2 ms draws
+                clock.delay = float(np.sum(rng.uniform(0.0, 0.002, size=2)))
+                decision = decide_step(seed_state, fvec, params, 0.05, trial, None, window)
                 paths = (merged.call_count, fell_back.call_count)
                 if decision.result.fallback:
                     saw_fallback += 1

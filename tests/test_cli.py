@@ -4,7 +4,9 @@ import importlib
 import json
 import os
 import re
+import select
 import shlex
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -325,9 +327,33 @@ def referenced(tree, outside=False):
             yield node.value
 
 
+def defaulted_parameters(tree):
+    """(qualified name, function name, position, parameter) of each defaulted
+    parameter defined in ``tree``; a keyword-only one has no position, and a
+    method's position does not count ``self``."""
+
+    def visit(body, prefix, method):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from visit(node.body, f"{prefix}{node.name}.", True)
+            elif isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = (args.posonlyargs + args.args)[method:]
+                first = len(positional) - len(args.defaults)
+                for position, arg in enumerate(positional[first:], first):
+                    yield f"{prefix}{node.name}.{arg.arg}", node.name, position, arg.arg
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield f"{prefix}{node.name}.{arg.arg}", node.name, None, arg.arg
+
+    yield from visit(tree.body, "", False)
+
+
 class TestLayout:
     # the writer of the CTMW0001 weight format
     UNCALLED = {"save_weights"}
+    # ends the accept loop, which only a test needs; a server runs until killed
+    PASSED_BY_TESTS_ONLY = {"ToolServer.serve_tcp.max_clients"}
 
     def test_only_the_references_lack_a_caller(self):
         package = syntax_trees(SRC / "tickslab")
@@ -361,12 +387,59 @@ class TestLayout:
         ]
         assert unread == []
 
+    def test_every_defaulted_parameter_is_passed(self):
+        # a default that no call overrides leaves the other values to tests
+        # alone; calls match by name, so this errs toward passing
+        calls = [
+            (getattr(node.func, "id", None) or getattr(node.func, "attr", None),
+             len(node.args), {keyword.arg for keyword in node.keywords})
+            for tree in syntax_trees(SRC / "tickslab") + syntax_trees(PERFBENCH)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        ]
+        unpassed = {
+            qualified
+            for tree in syntax_trees(SRC / "tickslab")
+            for qualified, name, position, parameter in defaulted_parameters(tree)
+            if not any(
+                callee == name
+                and (parameter in keywords or (position is not None and count > position))
+                for callee, count, keywords in calls
+            )
+        }
+        assert unpassed == self.PASSED_BY_TESTS_ONLY
+
 
 class TestServeTcp:
     @pytest.mark.parametrize("port", ["99999", "65536", "\u00b2"])
     def test_port_out_of_range_exits_2(self, capsys, port):
         assert run_cli("serve", "--transport", "tcp", "--addr", f"127.0.0.1:{port}") == 2
         assert "bad --addr" in capsys.readouterr().err
+
+    def test_port_0_prints_the_bound_address(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tickslab.harness.cli", "serve", "--transport", "tcp",
+             "--addr", "127.0.0.1:0"],
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        try:
+            readable, _, _ = select.select([proc.stderr], [], [], 60)
+            assert readable, "no line on stderr within 60 s"
+            line = proc.stderr.readline().decode()
+            match = re.fullmatch(r"listening on 127\.0\.0\.1:(\d+)\n", line)
+            assert match, line
+            with socket.create_connection(("127.0.0.1", int(match[1])), timeout=60) as conn:
+                conn.sendall(b'{"jsonrpc":"2.0","id":1,"method":"registry/list"}\n')
+                with conn.makefile("rb") as replies:
+                    reply = json.loads(replies.readline())
+            assert reply["id"] == 1
+            names = [tool["name"] for tool in reply["result"]["tools"]]
+            assert names == ["noop", "navigate", "pick", "place", "actuate"]
+        finally:
+            proc.terminate()
+            proc.wait(timeout=60)
+            proc.stderr.close()
 
 
 class TestServeStdio:
@@ -388,6 +461,7 @@ class TestServeStdio:
             timeout=60,
         )
         assert proc.returncode == 0
+        assert proc.stderr == b""
         lines = proc.stdout.strip().splitlines()
         assert len(lines) == 3
         listing = json.loads(lines[0])

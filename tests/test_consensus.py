@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import fusion_vector, make_ctm
+from conftest import LateStart, fusion_vector, make_ctm
 from tickslab import consensus
 from tickslab.config import ConsensusConfig
 from tickslab.consensus import (
@@ -50,14 +50,14 @@ def no_cutoff(params, branches, wait_policy="off", **live):
     )
 
 
-def make_outcome(branch_id, sync, logits, params, ticks=8, reached=True):
+def make_outcome(branch_id, sync, logits, params, reached=True):
     """An outcome whose confidence is the entropy confidence of ``logits``."""
     sync = np.asarray(sync, dtype=np.float32)
     logits = np.asarray(logits, dtype=np.float32)
     from reference import entropy, softmax
 
     conf = 1.0 - entropy(softmax(logits)) / np.log(params.config.logit_count)
-    return BranchOutcome(branch_id, sync, float(max(conf, 0.0)), ticks, reached)
+    return BranchOutcome(branch_id, sync, float(max(conf, 0.0)), reached)
 
 
 def weighted_merge(outcomes, params):
@@ -78,7 +78,7 @@ def random_outcomes(rng, params, n):
     for i in range(n):
         sync = rng.normal(size=params.config.sync_pairs).astype(np.float32)
         logits = rng.normal(size=params.config.logit_count).astype(np.float32) * 3
-        outs.append(make_outcome(i, sync, logits, params, ticks=int(rng.integers(4, 40))))
+        outs.append(make_outcome(i, sync, logits, params))
     return outs
 
 
@@ -123,7 +123,7 @@ class TestMerge:
     def test_unequal_sync_widths_rejected(self, small_params):
         rng = np.random.default_rng(4)
         outs = [
-            BranchOutcome(b, rng.normal(size=width).astype(np.float32), 0.5, 8, True)
+            BranchOutcome(b, rng.normal(size=width).astype(np.float32), 0.5, True)
             for b, width in enumerate((12, 11))
         ]
         with pytest.raises(ValueError, match="same shape"):
@@ -167,7 +167,7 @@ class TestMerge:
             with np.errstate(all="ignore"):
                 sync = (sync * np.float32(scale)).astype(np.float32)
                 _, c = certainty(sync, params.certainty_w, params)
-                o = BranchOutcome(branch_id, sync, c, 8, True)
+                o = BranchOutcome(branch_id, sync, c, True)
                 got = merge([o], params)
                 want_sync, want_c = weighted_merge([o], params)
             assert got.sync_merged.dtype == np.float32
@@ -181,7 +181,7 @@ class TestMerge:
         self, small_params, confidence
     ):
         sync = np.random.default_rng(4).normal(size=12).astype(np.float32)
-        o = BranchOutcome(2, sync, confidence, 8, True)
+        o = BranchOutcome(2, sync, confidence, True)
         with np.errstate(invalid="ignore"):     # inf / inf
             got = merge([o], small_params)
             want_sync, want_c = weighted_merge([o], small_params)
@@ -209,7 +209,6 @@ def assert_same_outcome(a, b):
     assert a.branch_id == b.branch_id
     assert a.sync.dtype == b.sync.dtype and a.sync.tobytes() == b.sync.tobytes()
     assert a.confidence == b.confidence
-    assert a.ticks_used == b.ticks_used
     assert a.reached_threshold == b.reached_threshold
 
 
@@ -240,19 +239,6 @@ class TestSpawnBranches:
         syncs = {o.sync.tobytes() for o, _ in pairs}
         assert len(syncs) > 1
 
-    def test_failed_branch_excluded_and_logged(self, small_params, fvec, caplog):
-        def hook(branch_id):
-            if branch_id == 2:
-                raise RuntimeError("injected fault")
-
-        with caplog.at_level("WARNING", logger="tickslab.consensus"):
-            pairs = shared_branches(
-                initial_state(small_params), fvec, small_params, 0.75, 7,
-                no_cutoff(small_params, 4, "one"), branch_hook=hook,
-            )
-        assert sorted(o.branch_id for o, _ in pairs) == [0, 1, 3]
-        assert any("branch 2" in r.message for r in caplog.records)
-
     def test_perturbation_is_pair_permutation(self, small_params):
         perturbed = perturb_for_branch(small_params, episode_seed=1, branch_id=3)
         base = set(zip(small_params.pair_p.tolist(), small_params.pair_q.tolist()))
@@ -263,39 +249,41 @@ class TestSpawnBranches:
 
 class TestMergeSet:
     def _contributors(self, params, halts, policy):
-        """select_step's contributors for (branch_id, ticks_used, reached) halts
-        under a 40-tick window."""
+        """select_step's contributors for (branch_id, slab, reached) halts, run
+        through the reference order and window of 10 ticks."""
         rng = np.random.default_rng(0)
         state = initial_state(params)
         pairs = []
-        for branch_id, ticks, reached in halts:
+        for branch_id, slab, reached in halts:
             sync = rng.normal(size=params.config.sync_pairs).astype(np.float32)
-            outcome = BranchOutcome(branch_id, sync, 0.5, ticks, reached)
-            pairs.append((outcome, state))
-        window = ConsensusConfig(wait_policy=policy, deadline_ticks=40)
-        decision = select_step(pairs, params, None, window)
+            outcome = BranchOutcome(branch_id, sync, 0.5, reached)
+            pairs.append((outcome, replace(state, slab=slab)))
+        window = ConsensusConfig(wait_policy=policy, deadline_ticks=10)
+        in_window = tick_window(pairs, params.config.ticks_per_slab, window.deadline_ticks)
+        decision = select_step(in_window, params, None, window)
         assert not decision.result.fallback
         return decision.result.contributors
 
     def test_policy_off(self, small_params):
-        halts = [(0, 8, True), (1, 9, True), (2, 10, True)]
+        halts = [(0, 2, True), (1, 3, True), (2, 4, True)]
         assert self._contributors(small_params, halts, "off") == (0,)
 
     def test_policy_one_takes_next(self, small_params):
-        halts = [(0, 8, True), (1, 9, True), (2, 10, True)]
+        halts = [(0, 2, True), (1, 3, True), (2, 4, True)]
         assert self._contributors(small_params, halts, "one") == (0, 1)
 
     def test_policy_one_expiry(self, small_params):
-        halts = [(0, 8, True), (1, 50, True)]
+        # branch 1 halts 12 ticks after branch 0, past the 10-tick window
+        halts = [(1, 5, True), (0, 2, True)]
         assert self._contributors(small_params, halts, "one") == (0,)
 
     def test_policy_one_nothing_pending(self, small_params):
-        assert self._contributors(small_params, [(0, 8, True)], "one") == (0,)
+        assert self._contributors(small_params, [(0, 2, True)], "one") == (0,)
 
     def test_policy_one_merges_the_follower_not_the_leader(self, small_params):
         # Branch 0 halts first below the threshold, branch 1 wins and branch
         # 2 follows below the threshold: "one" merges 1 and 2, never 0.
-        halts = [(0, 8, False), (1, 9, True), (2, 10, False), (3, 11, True)]
+        halts = [(0, 2, False), (1, 3, True), (2, 3, False), (3, 4, True)]
         assert self._contributors(small_params, halts, "one") == (1, 2)
 
 
@@ -360,13 +348,11 @@ class TestDecideStep:
             )
 
     def test_all_branches_failing_dispatches_fallback(self, small_params, fvec):
-        def hook(branch_id):
-            raise RuntimeError("boom")
-
-        decision = decide_step(
-            initial_state(small_params), fvec, small_params, 0.75, 11, None,
-            four_slab_window(small_params, 3), branch_hook=hook,
-        )
+        with mock.patch.object(consensus, "slab_ticks", side_effect=RuntimeError("boom")):
+            decision = decide_step(
+                initial_state(small_params), fvec, small_params, 0.75, 11, None,
+                four_slab_window(small_params, 3),
+            )
         assert decision.result.fallback
         assert decision.next_seed is None
 
@@ -418,22 +404,20 @@ class TestLiveRace:
         seed_state = initial_state(params)
         window = no_cutoff(params, 2, deadline_ms=3.0, live=True)
         rng = np.random.default_rng(0)
+        clock = LateStart()
         with (
             mock.patch.object(consensus, "merge", wraps=consensus.merge) as merged,
             mock.patch.object(
                 consensus, "timeout_safe_pass", wraps=consensus.timeout_safe_pass
             ) as fell_back,
+            mock.patch.object(consensus.time, "monotonic", clock),
         ):
             for trial in range(50):
                 merged.reset_mock()
                 fell_back.reset_mock()
-
-                def hook(branch_id):
-                    time.sleep(float(rng.uniform(0, 0.004)))
-
-                decision = decide_step(
-                    seed_state, fvec, params, 0.10, trial, None, window, branch_hook=hook,
-                )
+                # the trajectory starts 0-8 ms late: the sum of two 0-4 ms draws
+                clock.delay = float(rng.uniform(0, 0.004)) + float(rng.uniform(0, 0.004))
+                decision = decide_step(seed_state, fvec, params, 0.10, trial, None, window)
                 fallback = decision.result.fallback
                 paths = (merged.call_count, fell_back.call_count)
                 assert paths == ((0, 1) if fallback else (1, 0))
@@ -480,6 +464,17 @@ def warm_state(params, f, slabs, reset):
     return state
 
 
+def tick_window(pairs, ticks_per_slab, limit):
+    """(outcome, final state) pairs of separate branch runs as one trajectory
+    gives them: sorted by (slab, branch id) and cut to the halts at most
+    ``limit`` ticks after the first."""
+    pairs = sorted(pairs, key=lambda ps: (ps[1].slab, ps[0].branch_id))
+    if not pairs:
+        return []
+    first = pairs[0][1].slab
+    return [ps for ps in pairs if (ps[1].slab - first) * ticks_per_slab <= limit]
+
+
 def reference_stop(reference, seed_state, params, limit, wait):
     """Branches the shared trajectory reports and slabs it runs, from the reference.
 
@@ -488,24 +483,24 @@ def reference_stop(reference, seed_state, params, limit, wait):
     the window under OFF, the halt after it under ONE), after the last
     halt, or before a slab that would end past the cutoff.
     """
-    pairs = sorted(reference.values(), key=lambda ps: (ps[0].ticks_used, ps[0].branch_id))
-    if not pairs:
+    n = params.config.ticks_per_slab
+    in_time = tick_window(reference.values(), n, limit)
+    if not in_time:
         return [], 0
-    cutoff = pairs[0][0].ticks_used + limit
-    in_time = [ps for ps in pairs if ps[0].ticks_used <= cutoff]
     winner = next((i for i, (o, _) in enumerate(in_time) if o.reached_threshold), None)
     if winner is not None:
         settling = winner if wait == "off" else winner + 1
         if settling < len(in_time):
-            outcome, state = in_time[settling]
-            kept = [o.branch_id for o, _ in in_time if o.ticks_used <= outcome.ticks_used]
-            return kept, state.slab - seed_state.slab
+            settled = in_time[settling][1].slab
+            kept = [o.branch_id for o, state in in_time if state.slab <= settled]
+            return kept, settled - seed_state.slab
     kept = [o.branch_id for o, _ in in_time]
-    if len(in_time) == len(pairs):
-        return kept, pairs[-1][1].slab - seed_state.slab
+    if len(in_time) == len(reference):
+        return kept, in_time[-1][1].slab - seed_state.slab
     # A branch halts past the cutoff, so the cutoff comes before the slab
     # budget: every slab that ends by it runs.
-    return kept, cutoff // params.config.ticks_per_slab
+    cutoff = (in_time[0][1].slab - seed_state.slab) * n + limit
+    return kept, cutoff // n
 
 
 def distinct_start_states(seed_state, f, params, slabs):
@@ -530,12 +525,10 @@ def counting_slab_ticks():
         yield counter
 
 
-def reference_pairs(seed_state, f, params, epsilon, k, episode_seed, failing):
-    """run_branch for every branch that neither fails its hook nor raises."""
+def reference_pairs(seed_state, f, params, epsilon, k, episode_seed):
+    """run_branch for every branch that does not raise."""
     pairs = {}
     for branch_id in range(k):
-        if branch_id in failing:
-            continue
         try:
             pairs[branch_id] = run_branch(seed_state, f, params, epsilon, episode_seed, branch_id)
         except Exception:
@@ -557,7 +550,6 @@ class TestSharedTrajectory:
         max_slabs=st.integers(2, 6),
         warm_slabs=st.integers(0, 6),
         reset=st.booleans(),
-        failing=st.sets(st.integers(0, 7), max_size=3),
         with_cache=st.booleans(),
     )
     @settings(max_examples=120, deadline=None)
@@ -565,11 +557,11 @@ class TestSharedTrajectory:
     @example(
         params_seed=0, f_seed=9, episode_seed=0, k=1, epsilon=1.0, wait="off",
         limit_slabs=None, limit_offset=0, ticks_per_slab=4, max_slabs=5, warm_slabs=5,
-        reset=True, failing=set(), with_cache=False,
+        reset=True, with_cache=False,
     )
     def test_equals_run_branch(
         self, params_seed, f_seed, episode_seed, k, epsilon, wait, limit_slabs,
-        limit_offset, ticks_per_slab, max_slabs, warm_slabs, reset, failing, with_cache,
+        limit_offset, ticks_per_slab, max_slabs, warm_slabs, reset, with_cache,
     ):
         params = make_ctm(seed=params_seed, ticks_per_slab=ticks_per_slab, max_slabs=max_slabs)
         # Tick limits on, just before and just after slab boundaries; the
@@ -583,15 +575,20 @@ class TestSharedTrajectory:
         if with_cache:
             cache = merge(random_outcomes(np.random.default_rng(f_seed), params, 2), params)
 
-        def hook(branch_id):
-            if branch_id in failing:
-                raise RuntimeError("injected fault")
-
         window = ConsensusConfig(
             branches=k, wait_policy=wait, deadline_ticks=limit, deadline_ms=60_000
         )
-        shared = shared_branches(seed_state, f, params, epsilon, episode_seed, window, hook)
-        reference = reference_pairs(seed_state, f, params, epsilon, k, episode_seed, failing)
+        shared = shared_branches(seed_state, f, params, epsilon, episode_seed, window)
+        reference = reference_pairs(seed_state, f, params, epsilon, k, episode_seed)
+
+        # The trajectory orders and windows its halts, which select_step
+        # relies on: (slab, branch id) increases strictly, and no halt comes
+        # after the window's last slab.
+        order = [(state.slab, outcome.branch_id) for outcome, state in shared]
+        assert all(a < b for a, b in zip(order, order[1:]))
+        if shared:
+            last = shared[0][1].slab + limit // ticks_per_slab
+            assert all(state.slab <= last for _, state in shared)
 
         # Every reported branch equals its own run, bit for bit.
         for outcome, state in shared:
@@ -599,34 +596,32 @@ class TestSharedTrajectory:
             assert_same_outcome(outcome, ref_outcome)
             assert_same_state(state, ref_state)
 
-        # An outcome is read off its final state: the sync vector, the last
-        # certainty and the slabs run since the seed.
+        # An outcome is read off its final state: the sync vector and the
+        # last certainty.
         for outcome, state in shared + list(reference.values()):
             assert outcome.sync.tobytes() == state.sync.tobytes()
             assert outcome.confidence == state.certainty_trace[-1]
-            assert outcome.ticks_used == (state.slab - seed_state.slab) * ticks_per_slab
 
         # Omitted: exactly the branches that halt after the cutoff or after
         # the slab that settles the decision.
         kept, slabs = reference_stop(reference, seed_state, params, limit, wait)
         assert [o.branch_id for o, _ in shared] == kept
 
-        # The decision is the one the same selection makes on all k runs, in
-        # deterministic mode and in live mode with a deadline that never
-        # expires; both run each distinct start state up to the stop once.
+        # The decision is the one the same selection makes on all k runs,
+        # sorted and windowed, in deterministic mode and in live mode with a
+        # deadline that never expires; both run each distinct start state up
+        # to the stop once.
         computed = distinct_start_states(seed_state, f, params, slabs)
         with counting_slab_ticks() as counter:
-            decided = decide_step(
-                seed_state, f, params, epsilon, episode_seed, cache, window, branch_hook=hook
-            )
+            decided = decide_step(seed_state, f, params, epsilon, episode_seed, cache, window)
         assert counter.call_count == computed
         with counting_slab_ticks() as counter:
             live = decide_step(
-                seed_state, f, params, epsilon, episode_seed, cache, replace(window, live=True),
-                branch_hook=hook,
+                seed_state, f, params, epsilon, episode_seed, cache, replace(window, live=True)
             )
         assert counter.call_count == computed
-        want = select_step(list(reference.values()), params, cache, window)
+        in_window = tick_window(reference.values(), ticks_per_slab, limit)
+        want = select_step(in_window, params, cache, window)
         for got in (decided, live):
             assert got.result.sync_merged.tobytes() == want.result.sync_merged.tobytes()
             assert got.result.confidence_merged == want.result.confidence_merged

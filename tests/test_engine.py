@@ -470,9 +470,8 @@ class TestRunSlab:
 
     def test_run_branch_respects_budget(self, fvec):
         params = make_ctm(seed=4)
-        outcome, state = run_branch(initial_state(params), fvec, params, 2.0, 7, 0)
+        _, state = run_branch(initial_state(params), fvec, params, 2.0, 7, 0)
         assert state.slab <= params.config.max_slabs
-        assert outcome.ticks_used == state.slab * params.config.ticks_per_slab
 
     @given(slab_inputs())
     @settings(max_examples=80, deadline=None)
