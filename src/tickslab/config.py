@@ -100,6 +100,7 @@ class EngineConfig:
         _check_fields(
             self, "engine", sync_pairs=pairs, logit_count=_at_least(2),
             decay=((lambda v: 0 < v <= 1), "in (0, 1]"), carry_beta=_UNIT, halt_cap=_UNIT,
+            plateau_epsilon=_at_least(0),
         )
 
 
@@ -138,7 +139,7 @@ class AffectConfig:
 @dataclass(frozen=True)
 class RouterConfig:
     # Between typical mid-range confidences and the baseline halting
-    # threshold, so both gate branches occur in practice.
+    # threshold, so both rethinks and dispatches occur in practice.
     gamma: float = 0.70
     slot_embed_width: int = 16
 

@@ -301,14 +301,6 @@ def timeout_safe_pass(
     )
 
 
-@dataclass(frozen=True)
-class StepDecision:
-    """One decision step's consensus plus the state that seeds the next round."""
-
-    result: ConsensusResult
-    next_seed: Optional[BranchState]   # None if every branch failed
-
-
 def merge_set(
     pairs: list[tuple[BranchOutcome, BranchState]], wait_policy: str
 ) -> list[tuple[BranchOutcome, BranchState]]:
@@ -343,19 +335,19 @@ def select_step(
     params: CtmParams,
     cache: Optional[ConsensusResult],
     consensus: ConsensusConfig,
-) -> StepDecision:
-    """The decision over the halts of one trajectory.
+) -> tuple[ConsensusResult, Optional[BranchState]]:
+    """(result, next_seed): the decision over the halts of one trajectory,
+    and the state that seeds the next round.
 
     ``pairs`` come as ``shared_branches`` returns them: in (slab,
     branch_id) order and inside the deadline window.  ``merge_set`` picks
     the pairs to merge, and the winner's final state seeds the next round
     with its accumulators overwritten by the merged vector.  With no winner
     the timeout path fires and the earliest halt seeds the next round; with
-    no halt at all, nothing does.
+    no halt at all, next_seed is None.
     """
     if not pairs:
-        result = timeout_safe_pass(cache, params.config.sync_pairs)
-        return StepDecision(result, None)
+        return timeout_safe_pass(cache, params.config.sync_pairs), None
 
     merged = merge_set(pairs, consensus.wait_policy)
     if merged:
@@ -369,7 +361,7 @@ def select_step(
         result = timeout_safe_pass(cache, params.config.sync_pairs)
         _, next_seed = pairs[0]
 
-    return StepDecision(result, next_seed)
+    return result, next_seed
 
 
 def decide_step(
@@ -381,13 +373,14 @@ def decide_step(
     cache: Optional[ConsensusResult],
     consensus: ConsensusConfig,
     slabs: Optional[SlabMemo] = None,
-) -> StepDecision:
-    """Decision step over ``consensus.branches`` branch readouts.
+) -> tuple[ConsensusResult, Optional[BranchState]]:
+    """(result, next_seed) of a decision step over ``consensus.branches``
+    branch readouts.
 
     One shared trajectory runs slab by slab and stops once the decision is
     settled or at the end of the deadline window (see ``shared_branches``);
     the branches are readouts of it, and ``select_step`` makes the decision.
-    The result is the one ``select_step`` gives on every branch's
+    The pair is the one ``select_step`` gives on every branch's
     ``run_branch`` run, sorted by (slab, branch_id) and cut to the window.
     With ``consensus.live`` set, the trajectory also stops once
     ``consensus.deadline_ms`` has passed since the call, so the call

@@ -1,4 +1,4 @@
-"""Episode control loop: perceive, think, gate, act, log.
+"""Episode control loop: perceive, think, decide, act, log.
 
 The goal's vision and audio frames and their latents depend on the goal
 alone, so they are built once per episode, before the first step.  Each
@@ -6,13 +6,14 @@ decision step featurizes the world into the proprio frame, fuses its latent
 with the goal's (an unchanged frame reuses the last fusion vector), reasons
 with k branches (readouts of one shared tick trajectory, stopped by the
 wall clock as well in live mode), and merges their outcomes (or takes the
-cached fallback when nothing converges in time).  The policy gate sends
-low-confidence results back for more slabs until the slab budget forces a
-dispatch.  The chosen tool call is serialized into an envelope frame,
-answered by the episode's in-process tool server, and applied to the world;
-the affect readout of the final merged vector sets the halting threshold for
-the next step.  An actuate call carries the duty cycles planned here from
-the merged vector, so the tool server holds no model state.
+cached fallback when nothing converges in time).  A result below the
+router's gamma goes back for more slabs (a rethink) until a round in which
+no branch halts or the slab budget forces a dispatch.  The chosen tool
+call is serialized into an envelope frame, answered by the episode's
+in-process tool server, and applied to the world; the affect readout of
+the final merged vector sets the halting threshold for the next step.  An
+actuate call carries the duty cycles planned here from the merged vector,
+so the tool server holds no model state.
 
 Hidden state, depth history, and synchrony accumulators persist across
 decision steps (the thought is continuous); the slab counter and the
@@ -38,7 +39,7 @@ from ..errors import SchemaViolation
 from ..params import ModelParams, build_model, build_router_params
 from ..perception import encode_modality, fuse
 from ..registry import NOOP_TOOL, SlotKind, ToolSpec
-from ..router import EnvelopeSession, GateOutcome, policy_gate, select_action
+from ..router import EnvelopeSession, select_action
 from ..rng import derive_seed
 from ..schema import check_record
 from ..transport import ToolServer, dispatch
@@ -137,6 +138,7 @@ def run_episode(
     envelopes = EnvelopeSession(task.id)
 
     ctm = model.ctm
+    gamma, max_slabs = router_params.config.gamma, ctm.config.max_slabs
 
     log = EpisodeLog(task_id=task.id, records=[], outcome=OUTCOME_ERROR, steps_used=0)
     seed_state = initial_state(ctm)
@@ -159,28 +161,24 @@ def run_episode(
             # thought state itself carries over.
             seed_state = BranchState(seed_state.z, seed_state.history, seed_state.sync)
 
+            # Dispatch when confident, when no branch halted, or at the slab
+            # budget; a dispatch below gamma is forced (NaN is not below).
             while True:
-                decision = decide_step(
+                result, next_seed = decide_step(
                     seed_state, f, ctm, epsilon, episode_seed, cache, config.consensus,
                     slabs=slabs,
                 )
-                if not decision.result.fallback:
-                    cache = decision.result
-                if decision.next_seed is not None:
-                    seed_state = decision.next_seed
-                gate = policy_gate(
-                    decision.result.confidence_merged,
-                    router_params.config.gamma,
-                    seed_state.slab,
-                    ctm.config.max_slabs,
-                )
-                if gate is GateOutcome.DISPATCH or decision.next_seed is None:
-                    if decision.result.confidence_merged < router_params.config.gamma:
+                if not result.fallback:
+                    cache = result
+                if next_seed is not None:
+                    seed_state = next_seed
+                confidence = result.confidence_merged
+                if confidence >= gamma or next_seed is None or seed_state.slab >= max_slabs:
+                    if confidence < gamma:
                         log.forced_dispatches += 1
                     break
                 log.rethinks += 1
 
-            result = decision.result
             ticks = seed_state.slab * ctm.config.ticks_per_slab
             if policy is Policy.SCRIPTED_ORACLE:
                 if step < len(task.steps):

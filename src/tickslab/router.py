@@ -1,17 +1,17 @@
-"""Tool decision layer: confidence gate, action/argument heads, envelopes.
+"""Tool decision layer: action/argument heads and envelopes.
 
-A consensus result either goes back for another thought round (Rethink) or
-is committed to a tool call (Dispatch).  Tool choice is the argmax of a
-linear head over the merged sync vector; each object-reference slot is
-filled by the candidate whose embedding best matches that slot's projection
-of the sync vector.  Ties break toward the lowest index, fallback results
-always route to the noop tool, and scaling the sync vector by any positive
-factor changes nothing (argmax of a linear score).
+The episode loop decides when a consensus result is committed to a tool
+call (see ``harness.episode``); this module picks the call.  Tool choice
+is the argmax of a linear head over the merged sync vector; each
+object-reference slot is filled by the candidate whose embedding best
+matches that slot's projection of the sync vector.  Ties break toward the
+lowest index, fallback results always route to the noop tool, and scaling
+the sync vector by any positive factor changes nothing (argmax of a linear
+score).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,20 +33,6 @@ class RouterParams:
 
     def __post_init__(self):
         hold_float64(self, "action_head", "slot_head")
-
-
-class GateOutcome(enum.Enum):
-    RETHINK = "rethink"
-    DISPATCH = "dispatch"
-
-
-def policy_gate(
-    c_merged: float, gamma: float, slabs_used: int, max_slabs: int
-) -> GateOutcome:
-    """Dispatch when confident enough or out of slab budget (no livelock)."""
-    if c_merged >= gamma or slabs_used >= max_slabs:
-        return GateOutcome.DISPATCH
-    return GateOutcome.RETHINK
 
 
 def _fill_slot(slot_index: int, sync: np.ndarray, params: RouterParams) -> str:
@@ -82,12 +68,11 @@ def select_action(
     return spec, args
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnvelopeSession:
-    """Hands out envelopes with strictly increasing ids within a session."""
+    """Builds one episode's envelopes; step ``s``'s call has id ``s + 1``."""
 
     episode: str
-    _next_id: int = field(default=1, init=False)
 
     def build(
         self,
@@ -99,8 +84,8 @@ class EnvelopeSession:
         slab_count: int,
         ticks: int,
     ) -> Envelope:
-        envelope = Envelope(
-            id=self._next_id,
+        return Envelope(
+            id=step + 1,
             method=METHOD_PREFIX + tool.name,
             args=dict(args),
             meta=EnvelopeMeta(
@@ -114,5 +99,3 @@ class EnvelopeSession:
                 fallback=bool(result.fallback),
             ),
         )
-        self._next_id += 1
-        return envelope

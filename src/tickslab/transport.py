@@ -268,9 +268,10 @@ def dispatch(envelope, exchange: Callable[[bytes], bytes]) -> ToolResult:
 
     JSON-RPC error objects surface as error ToolResults; a response id that
     is not the request id, an int equal to it (``true`` and ``1.0`` are
-    not ``1``), raises IdMismatch.  A malformed response, such as one that
-    does not decode or an error, result or payload that is not an object,
-    raises TransportClosed.
+    not ``1``), raises IdMismatch.  A malformed response raises
+    TransportClosed: one that does not decode, holds not exactly one of
+    result and error (JSON-RPC 2.0 §5), has an error, result or payload
+    that is not an object, or a status that is not "ok" or "error".
     """
     raw = exchange(serialize_envelope(envelope))
     try:
@@ -281,16 +282,18 @@ def dispatch(envelope, exchange: Callable[[bytes], bytes]) -> ToolResult:
         raise TransportClosed("response is not a JSON-RPC 2.0 object")
     if not json_type_ok(doc.get("id"), "int") or doc["id"] != envelope.id:
         raise IdMismatch(f"request id {envelope.id}, response id {doc.get('id')}")
+    if ("error" in doc) == ("result" in doc):
+        raise TransportClosed("response holds not exactly one of result and error")
     if "error" in doc:
         err = doc["error"]
         if not isinstance(err, dict):
             raise TransportClosed("response error is not an object")
         return error_result(str(err.get("message", "error")), code=err.get("code"))
-    result = doc.get("result", {})
+    result = doc["result"]
     if not isinstance(result, dict):
         raise TransportClosed("response result is not an object")
-    status = result.get("status", STATUS_OK)
-    payload = result.get("payload", {})
+    status = result.get("status")
+    payload = result.get("payload")
     if status not in (STATUS_OK, STATUS_ERROR):
         raise TransportClosed(f"unknown result status {status!r}")
     if not isinstance(payload, dict):

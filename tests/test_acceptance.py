@@ -158,17 +158,17 @@ class TestAcceptance:
                 fell_back.reset_mock()
                 # the trajectory starts 0-4 ms late: the sum of two 0-2 ms draws
                 clock.delay = float(np.sum(rng.uniform(0.0, 0.002, size=2)))
-                decision = decide_step(seed_state, fvec, params, 0.05, trial, None, window)
+                result, _ = decide_step(seed_state, fvec, params, 0.05, trial, None, window)
                 paths = (merged.call_count, fell_back.call_count)
-                if decision.result.fallback:
+                if result.fallback:
                     saw_fallback += 1
                     assert paths == (0, 1), f"paths run (merge, timeout): {paths}"
-                    assert decision.result.contributors == ()
-                    assert decision.result.confidence_merged == 0.0
+                    assert result.contributors == ()
+                    assert result.confidence_merged == 0.0
                 else:
                     saw_normal += 1
                     assert paths == (1, 0), f"paths run (merge, timeout): {paths}"
-                    assert len(decision.result.contributors) >= 1
+                    assert len(result.contributors) >= 1
         assert saw_normal > 0 and saw_fallback > 0, (
             f"race never exercised both paths (normal={saw_normal}, "
             f"fallback={saw_fallback})"

@@ -260,9 +260,9 @@ class TestMergeSet:
             pairs.append((outcome, replace(state, slab=slab)))
         window = ConsensusConfig(wait_policy=policy, deadline_ticks=10)
         in_window = tick_window(pairs, params.config.ticks_per_slab, window.deadline_ticks)
-        decision = select_step(in_window, params, None, window)
-        assert not decision.result.fallback
-        return decision.result.contributors
+        result, _ = select_step(in_window, params, None, window)
+        assert not result.fallback
+        return result.contributors
 
     def test_policy_off(self, small_params):
         halts = [(0, 2, True), (1, 3, True), (2, 4, True)]
@@ -310,37 +310,37 @@ class TestDecideStep:
     def test_deterministic_repeat(self, small_params, fvec):
         seed_state = initial_state(small_params)
         window = four_slab_window(small_params, 4)
-        d1 = decide_step(seed_state, fvec, small_params, 0.75, 11, None, window)
-        d2 = decide_step(seed_state, fvec, small_params, 0.75, 11, None, window)
-        assert np.array_equal(d1.result.sync_merged, d2.result.sync_merged)
-        assert d1.result.confidence_merged == d2.result.confidence_merged
-        assert d1.result.contributors == d2.result.contributors
-        assert d1.next_seed.slab == d2.next_seed.slab
-        assert np.array_equal(d1.next_seed.z, d2.next_seed.z)
+        r1, s1 = decide_step(seed_state, fvec, small_params, 0.75, 11, None, window)
+        r2, s2 = decide_step(seed_state, fvec, small_params, 0.75, 11, None, window)
+        assert np.array_equal(r1.sync_merged, r2.sync_merged)
+        assert r1.confidence_merged == r2.confidence_merged
+        assert r1.contributors == r2.contributors
+        assert s1.slab == s2.slab
+        assert np.array_equal(s1.z, s2.z)
 
     def test_unreachable_threshold_uses_fallback(self, fvec):
         # zero certainty head: c = 0 always, so no branch can reach threshold
         params = make_ctm(seed=1, certainty_w=np.zeros((4, 12), dtype=np.float32))
-        decision = decide_step(
+        result, next_seed = decide_step(
             initial_state(params), fvec, params, 0.75, 11, None, four_slab_window(params, 3)
         )
-        assert decision.result.fallback
-        assert decision.result.contributors == ()
-        assert decision.result.confidence_merged == 0.0
-        assert decision.next_seed is not None
+        assert result.fallback
+        assert result.contributors == ()
+        assert result.confidence_merged == 0.0
+        assert next_seed is not None
         # plateau interrupt fires after the trace fills up
-        assert decision.next_seed.slab == params.config.plateau_window
+        assert next_seed.slab == params.config.plateau_window
 
     def test_deterministic_step_never_reads_the_clock(self, small_params, fvec, monkeypatch):
         def no_clock():
             raise RuntimeError("the clock was read")
 
         monkeypatch.setattr(consensus.time, "monotonic", no_clock)
-        decision = decide_step(
+        result, _ = decide_step(
             initial_state(small_params), fvec, small_params, 0.75, 11, None,
             four_slab_window(small_params, 3),
         )
-        assert not decision.result.fallback
+        assert not result.fallback
         with pytest.raises(RuntimeError, match="clock"):
             decide_step(
                 initial_state(small_params), fvec, small_params, 0.75, 11, None,
@@ -349,24 +349,24 @@ class TestDecideStep:
 
     def test_all_branches_failing_dispatches_fallback(self, small_params, fvec):
         with mock.patch.object(consensus, "slab_ticks", side_effect=RuntimeError("boom")):
-            decision = decide_step(
+            result, next_seed = decide_step(
                 initial_state(small_params), fvec, small_params, 0.75, 11, None,
                 four_slab_window(small_params, 3),
             )
-        assert decision.result.fallback
-        assert decision.next_seed is None
+        assert result.fallback
+        assert next_seed is None
 
     def test_wait_one_can_widen_merge_set(self, small_params, fvec):
-        base = decide_step(
+        base, _ = decide_step(
             initial_state(small_params), fvec, small_params, 0.2, 11, None,
             four_slab_window(small_params, 4, "off"),
         )
-        wide = decide_step(
+        wide, _ = decide_step(
             initial_state(small_params), fvec, small_params, 0.2, 11, None,
             four_slab_window(small_params, 4, "one"),
         )
-        assert len(base.result.contributors) == 1
-        assert len(wide.result.contributors) in (1, 2)
+        assert len(base.contributors) == 1
+        assert len(wide.contributors) in (1, 2)
 
     def test_seed_state_is_never_written(self, small_params, fvec):
         # run_branch and decide_step read the seed state without copying it
@@ -381,13 +381,15 @@ class TestDecideStep:
             assert_same_outcome(got[0], want[0])
             assert_same_state(got[1], want[1])
         window = no_cutoff(small_params, 4, deadline_ms=60_000.0)
-        want = decide_step(unfrozen, fvec, small_params, 0.75, 11, None, window)
-        assert not want.result.fallback
+        want, want_seed = decide_step(unfrozen, fvec, small_params, 0.75, 11, None, window)
+        assert not want.fallback
         for live in (False, True):
-            got = decide_step(seed, fvec, small_params, 0.75, 11, None, replace(window, live=live))
-            assert got.result.sync_merged.tobytes() == want.result.sync_merged.tobytes()
-            assert got.result.contributors == want.result.contributors
-            assert_same_state(got.next_seed, want.next_seed)
+            got, got_seed = decide_step(
+                seed, fvec, small_params, 0.75, 11, None, replace(window, live=live)
+            )
+            assert got.sync_merged.tobytes() == want.sync_merged.tobytes()
+            assert got.contributors == want.contributors
+            assert_same_state(got_seed, want_seed)
         assert [array.tobytes() for array in (seed.z, seed.history, seed.sync)] == before
 
 
@@ -395,9 +397,9 @@ class TestLiveRace:
     def test_live_wait_one_merges_up_to_two(self, fvec):
         params = make_ctm(seed=3, max_slabs=2, ticks_per_slab=2)
         window = no_cutoff(params, 3, "one", deadline_ms=200.0, live=True)
-        decision = decide_step(initial_state(params), fvec, params, 0.05, 7, None, window)
-        assert not decision.result.fallback
-        assert 1 <= len(decision.result.contributors) <= 2
+        result, _ = decide_step(initial_state(params), fvec, params, 0.05, 7, None, window)
+        assert not result.fallback
+        assert 1 <= len(result.contributors) <= 2
 
     def test_exactly_one_result_smoke(self, fvec):
         params = make_ctm(seed=3, max_slabs=2, ticks_per_slab=2)
@@ -417,14 +419,14 @@ class TestLiveRace:
                 fell_back.reset_mock()
                 # the trajectory starts 0-8 ms late: the sum of two 0-4 ms draws
                 clock.delay = float(rng.uniform(0, 0.004)) + float(rng.uniform(0, 0.004))
-                decision = decide_step(seed_state, fvec, params, 0.10, trial, None, window)
-                fallback = decision.result.fallback
+                result, _ = decide_step(seed_state, fvec, params, 0.10, trial, None, window)
+                fallback = result.fallback
                 paths = (merged.call_count, fell_back.call_count)
                 assert paths == ((0, 1) if fallback else (1, 0))
                 if fallback:
-                    assert decision.result.contributors == ()
+                    assert result.contributors == ()
                 else:
-                    assert len(decision.result.contributors) >= 1
+                    assert len(result.contributors) >= 1
 
     def test_deadline_bounds_return_time(self, fvec):
         # No certainty weights (threshold out of reach), no plateau stop and
@@ -440,11 +442,11 @@ class TestLiveRace:
 
         window = no_cutoff(params, 4, deadline_ms=50.0, live=True)
         start = time.monotonic()
-        decision = decide_step(initial_state(params), fvec, params, 0.5, 7, None, window)
+        result, next_seed = decide_step(initial_state(params), fvec, params, 0.5, 7, None, window)
         elapsed = time.monotonic() - start
-        assert decision.result.fallback
-        assert decision.result.contributors == ()
-        assert decision.next_seed is None
+        assert result.fallback
+        assert result.contributors == ()
+        assert next_seed is None
         assert elapsed <= 0.050 + 4 * slab_s + 0.25, (
             f"returned after {elapsed * 1000:.0f} ms (one slab {slab_s * 1000:.2f} ms)"
         )
@@ -621,16 +623,16 @@ class TestSharedTrajectory:
             )
         assert counter.call_count == computed
         in_window = tick_window(reference.values(), ticks_per_slab, limit)
-        want = select_step(in_window, params, cache, window)
-        for got in (decided, live):
-            assert got.result.sync_merged.tobytes() == want.result.sync_merged.tobytes()
-            assert got.result.confidence_merged == want.result.confidence_merged
-            assert got.result.contributors == want.result.contributors
-            assert got.result.fallback == want.result.fallback
-            if want.next_seed is None:
-                assert got.next_seed is None
+        want, want_seed = select_step(in_window, params, cache, window)
+        for got, got_seed in (decided, live):
+            assert got.sync_merged.tobytes() == want.sync_merged.tobytes()
+            assert got.confidence_merged == want.confidence_merged
+            assert got.contributors == want.contributors
+            assert got.fallback == want.fallback
+            if want_seed is None:
+                assert got_seed is None
             else:
-                assert_same_state(got.next_seed, want.next_seed)
+                assert_same_state(got_seed, want_seed)
 
     def test_wait_one_runs_on_to_a_later_follower(self, small_params, fvec):
         # Branch 2 halts at the threshold after 2 slabs; the next halt is
@@ -644,24 +646,24 @@ class TestSharedTrajectory:
         assert halts[:2] == [(2, 2), (5, 1)]
         for wait, contributors, slabs in (("off", (2,), 2), ("one", (1, 2), 5)):
             with counting_slab_ticks() as counter:
-                decision = decide_step(
+                result, next_seed = decide_step(
                     seed_state, fvec, small_params, 0.75, 17, None,
                     four_slab_window(small_params, 3, wait),
                 )
-            assert decision.result.contributors == contributors
+            assert result.contributors == contributors
             assert counter.call_count == slabs
-            assert decision.next_seed.slab == 2
+            assert next_seed.slab == 2
 
     def test_trajectory_failure_fails_every_running_branch(self, small_params, fvec, caplog):
         # Slab budget already spent: the first slab raises, as in run_branch.
         spent = replace(initial_state(small_params), slab=small_params.config.max_slabs)
         with caplog.at_level("WARNING", logger="tickslab.consensus"):
-            decision = decide_step(
+            result, next_seed = decide_step(
                 spent, fvec, small_params, 0.75, 11, None, four_slab_window(small_params, 3)
             )
         assert sum("failed" in r.message for r in caplog.records) == 3
-        assert decision.result.fallback
-        assert decision.next_seed is None
+        assert result.fallback
+        assert next_seed is None
 
     def test_permutation_cache_holds_one_episode(self):
         first = branch_permutations(5, 12, 3)
@@ -752,14 +754,14 @@ class TestSlabMemo:
 
             def decide(seed_state, f):
                 nonlocal cache
-                decision = decide_step(
+                result, next_seed = decide_step(
                     seed_state, f, params, epsilon, episode_seed, cache,
                     replace(window, live=live[len(decisions)]), slabs=slabs,
                 )
-                decisions.append(decision)
-                if not decision.result.fallback:
-                    cache = decision.result
-                return decision.next_seed or seed_state
+                decisions.append((result, next_seed))
+                if not result.fallback:
+                    cache = result
+                return next_seed or seed_state
 
             seed = decide(start, f_a)
             seed = decide(seed, f_a)            # a rethink from next_seed
@@ -776,16 +778,16 @@ class TestSlabMemo:
             fresh = run(None)
         assert computed_shared < counter.call_count  # the repeated seed runs no slab
 
-        for got, want in zip(shared, fresh):
-            assert got.result.sync_merged.tobytes() == want.result.sync_merged.tobytes()
-            assert got.result.confidence_merged == want.result.confidence_merged
-            assert got.result.contributors == want.result.contributors
-            assert got.result.fallback == want.result.fallback
-            if want.next_seed is None:
-                assert got.next_seed is None
+        for (got, got_seed), (want, want_seed) in zip(shared, fresh):
+            assert got.sync_merged.tobytes() == want.sync_merged.tobytes()
+            assert got.confidence_merged == want.confidence_merged
+            assert got.contributors == want.contributors
+            assert got.fallback == want.fallback
+            if want_seed is None:
+                assert got_seed is None
             else:
-                assert_same_state(got.next_seed, want.next_seed)
-                for array in (got.next_seed.z, got.next_seed.history):
+                assert_same_state(got_seed, want_seed)
+                for array in (got_seed.z, got_seed.history):
                     with pytest.raises(ValueError):
                         array[0] = 0
 

@@ -8,7 +8,7 @@ import pytest
 
 from tickslab import consensus
 from tickslab.config import Config
-from tickslab.consensus import SlabMemo
+from tickslab.consensus import ConsensusResult, SlabMemo
 from tickslab.engine import accumulate, slab_ticks
 from tickslab.envelope import canonical_json_bytes
 from tickslab.harness import episode
@@ -121,6 +121,61 @@ class TestCtmPolicy:
         for record in log.records:
             assert record.ticks <= budget
             assert record.slab_count <= config.engine.max_slabs
+
+
+class TestDispatchRule:
+    """The loop dispatches when confident, when no branch halted, or at the
+    slab budget, and counts a dispatch below gamma as forced."""
+
+    def run_step(self, monkeypatch, script):
+        """The log of a one-step episode on scripted decisions, and the seed
+        state of each decision call.
+
+        Each (confidence, slab) gives a result and a next seed at that slab
+        (None: no seed); a call past the script ends the episode in error."""
+        config = small_config()
+        seeds = []
+
+        def decide(seed_state, *args, **kwargs):
+            seeds.append(seed_state)
+            confidence, slab = script[len(seeds) - 1]
+            sync = np.zeros(config.engine.sync_pairs, dtype=np.float32)
+            result = ConsensusResult(sync, confidence, (0,), False)
+            return result, None if slab is None else dataclasses.replace(seed_state, slab=slab)
+
+        monkeypatch.setattr(episode, "decide_step", decide)
+        task = dataclasses.replace(gen_tasks(21, 1)[0], budget_steps=1)
+        return run_episode(task, config, Policy.CTM, model=build_for(config)), seeds
+
+    def test_confident_dispatch(self, monkeypatch):
+        log, seeds = self.run_step(monkeypatch, [(0.9, 1)])
+        assert (len(seeds), log.rethinks, log.forced_dispatches) == (1, 0, 0)
+        assert log.records[0].slab_count == 1
+
+    def test_low_confidence_rethinks(self, monkeypatch):
+        log, seeds = self.run_step(monkeypatch, [(0.3, 1), (0.9, 2)])
+        assert (len(seeds), log.rethinks, log.forced_dispatches) == (2, 1, 0)
+        # the rethink starts from the first decision's next seed
+        assert [seed.slab for seed in seeds] == [0, 1]
+        assert log.records[0].slab_count == 2
+
+    @pytest.mark.parametrize("slab", [8, None], ids=["budget_spent", "no_seed"])
+    def test_forced_dispatch_at_budget(self, monkeypatch, slab):
+        log, seeds = self.run_step(monkeypatch, [(0.3, slab), (0.9, 1)])
+        assert (len(seeds), log.rethinks, log.forced_dispatches) == (1, 0, 1)
+        assert log.records[0].slab_count == (slab or 0)
+
+    def test_nan_confidence_at_budget_is_not_forced(self, monkeypatch):
+        log, seeds = self.run_step(monkeypatch, [(float("nan"), 8)])
+        assert (len(seeds), log.rethinks, log.forced_dispatches) == (1, 0, 0)
+        # the envelope then refuses the non-finite confidence
+        assert log.outcome == OUTCOME_ERROR
+
+    def test_terminates_within_budget(self, monkeypatch):
+        max_slabs = small_config().engine.max_slabs
+        log, seeds = self.run_step(monkeypatch, [(0.0, s) for s in range(1, 2 * max_slabs)])
+        assert len(seeds) == max_slabs
+        assert (log.rethinks, log.forced_dispatches) == (max_slabs - 1, 1)
 
 
 class TestTicksCountSlabs:

@@ -704,6 +704,8 @@ class TestConfig:
             ({"actuator": {"joints": MAX_JOINTS + 1}}, "actuator.joints"),
             # a halting threshold that the affect norm could push past the floats
             ({"affect": {"epsilon0": 1.7e308, "alpha": 2.0}}, "affect.epsilon0"),
+            # a plateau's spread is never negative, so a negative bound acts as 0
+            ({"engine": {"plateau_epsilon": -1.0}}, "engine.plateau_epsilon"),
         ],
     )
     def test_out_of_range_value_rejected(self, doc, name):

@@ -141,6 +141,23 @@ class TestLoopback:
         with pytest.raises(TransportClosed, match="not an object"):
             dispatch(envelope(), reply_with(raw))
 
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            {},
+            {"result": {}},
+            {"result": {"payload": {}}},
+            {"result": {"status": "ok"}},
+            {"result": {"status": "ok", "payload": {}}, "error": {"code": -1}},
+        ],
+        ids=["neither", "empty_result", "no_status", "no_payload", "both"],
+    )
+    def test_response_that_is_not_one_result_or_error_is_closed(self, reply):
+        # JSON-RPC 2.0 §5: a response holds exactly one of result and error
+        raw = json.dumps({"jsonrpc": "2.0", "id": 1, **reply}).encode()
+        with pytest.raises(TransportClosed):
+            dispatch(envelope(), reply_with(raw))
+
     def test_handler_exception_becomes_error_result(self):
         def handler(name, args):
             raise RuntimeError("tool exploded")
