@@ -14,7 +14,8 @@ in which a branch halts at its threshold, under "one" the first slab in
 which another halt also follows that winner.  It also stops once every
 branch has halted, or before a slab past the deadline window, which ends
 ``consensus.deadline_ticks // ticks_per_slab`` slabs after the first halt's.
-Halts come out in (slab, branch id) order, already windowed, so the
+Each halt is one ``BranchOutcome`` that holds the branch's state at its
+halt.  Halts come out in (slab, branch id) order, already windowed, so the
 decision merges them as they come.  ``run_branch`` runs one branch on its
 own and is the reference that the readouts equal bit for bit.  Outcomes
 are merged by entropy-based confidence weights after a canonical sort, so
@@ -69,9 +70,12 @@ ZERO_CONFIDENCE = 1e-9
 
 @dataclass(frozen=True)
 class BranchOutcome:
+    """One branch's halt: its state then, whose ``sync`` is its synchrony
+    vector and whose last certainty is its confidence, and whether that
+    confidence reached the halting threshold."""
+
     branch_id: int
-    sync: np.ndarray           # final synchrony vector
-    confidence: float
+    state: BranchState
     reached_threshold: bool
 
 
@@ -149,21 +153,15 @@ def run_branch(
     """Run one branch on its own to its halt decision; pure given its arguments.
 
     The per-branch reference only; no decision step calls it.
-    ``shared_branches`` reads the same outcome and final state out of the
-    shared trajectory, and the tests compare the two.
+    ``shared_branches`` reads the same outcome out of the shared trajectory,
+    and the tests compare the two.  The final state is also the outcome's.
     """
     branch_params = perturb_for_branch(params, episode_seed, branch_id)
     state, halted = seed_state, False
     while not halted:
         state, halted = run_slab(state, f, branch_params, epsilon)
-    confidence = state.certainty_trace[-1]
-    outcome = BranchOutcome(
-        branch_id=branch_id,
-        sync=state.sync,
-        confidence=confidence,
-        reached_threshold=confidence >= min(epsilon, params.config.halt_cap),
-    )
-    return outcome, state
+    reached = state.certainty_trace[-1] >= min(epsilon, params.config.halt_cap)
+    return BranchOutcome(branch_id, state, reached), state
 
 
 def shared_branches(
@@ -175,23 +173,23 @@ def shared_branches(
     consensus: ConsensusConfig,
     expiry: Optional[float] = None,
     slabs: Optional[SlabMemo] = None,
-) -> list[tuple[BranchOutcome, BranchState]]:
-    """(outcome, final state) of each branch that halts before the stop.
+) -> list[BranchOutcome]:
+    """The outcome of each branch that halts before the stop.
 
     One tick trajectory is run from ``seed_state`` for
     ``consensus.branches`` branches; per slab, its pair contribution is
     computed once in the unpermuted order, the branches still running
     gather it through their stacked permutations and read their certainties
-    in one call, and each makes its own halt call.  Each pair equals ``run_branch``'s for that
-    branch bit for bit.  The trajectory stops after the slab in which the
-    decision under ``consensus.wait_policy`` is settled (see
-    ``decision_settled``), once every branch has halted, or before a slab
-    past the deadline window: its last slab is the first halt's slab plus
-    ``consensus.deadline_ticks // ticks_per_slab``.  With an ``expiry`` (a
-    ``time.monotonic()`` value) it also stops before a slab that would
-    start at or after it.  Branches that would halt after the stop are left
-    out.  Pairs come in (slab, branch_id) order.  Slabs come from
-    ``slabs``, the episode's memo (a fresh one if omitted).
+    in one call, and each makes its own halt call.  Each outcome equals
+    ``run_branch``'s for that branch bit for bit.  The trajectory stops
+    after the slab in which the decision under ``consensus.wait_policy`` is
+    settled (see ``decision_settled``), once every branch has halted, or
+    before a slab past the deadline window: its last slab is the first
+    halt's slab plus ``consensus.deadline_ticks // ticks_per_slab``.  With
+    an ``expiry`` (a ``time.monotonic()`` value) it also stops before a
+    slab that would start at or after it.  Branches that would halt after
+    the stop are left out.  Outcomes come in (slab, branch_id) order.
+    Slabs come from ``slabs``, the episode's memo (a fresh one if omitted).
 
     A slab that would start at ``max_slabs`` raises ``EmptySlab``.  When
     the trajectory raises, each branch still running is logged as a
@@ -205,7 +203,7 @@ def shared_branches(
     syncs = seed_state.sync[None]
     traces = [seed_state.certainty_trace] * len(ids)
 
-    halted: list[tuple[BranchOutcome, BranchState]] = []
+    halted: list[BranchOutcome] = []
     # the shared trajectory, kept in locals; a BranchState is built only for
     # a branch that halts
     z, history, slab = seed_state.z, seed_state.history, seed_state.slab
@@ -233,14 +231,8 @@ def shared_branches(
             if not halt_decision(c, epsilon, trace, config.max_slabs - slab, config):
                 keep.append(row)
                 continue
-            outcome = BranchOutcome(
-                branch_id=branch_id,
-                sync=syncs[row],
-                confidence=c,
-                reached_threshold=c >= min(epsilon, config.halt_cap),
-            )
             state = BranchState(z, history, syncs[row], slab, trace)
-            halted.append((outcome, state))
+            halted.append(BranchOutcome(branch_id, state, c >= min(epsilon, config.halt_cap)))
         if len(keep) < len(ids):
             ids, traces = [ids[r] for r in keep], [traces[r] for r in keep]
             syncs, perms = syncs[keep], perms[keep]
@@ -252,7 +244,8 @@ def shared_branches(
 
 
 def merge(outcomes: list[BranchOutcome], params: CtmParams) -> ConsensusResult:
-    """Confidence-weighted merge: S = sum(c_i s_i) / sum(c_i).
+    """Confidence-weighted merge: S = sum(c_i s_i) / sum(c_i), where s_i is
+    an outcome's ``state.sync`` and c_i its confidence, the last certainty.
 
     Outcomes are sorted by branch id before any summation, so the result is
     bitwise independent of arrival order.  If every confidence is below
@@ -262,17 +255,17 @@ def merge(outcomes: list[BranchOutcome], params: CtmParams) -> ConsensusResult:
     its weight is exactly 1, its confidence is already the certainty of its
     sync vector, and the sum (which starts from +0.0) only turns -0.0 to +0.0.
     """
-    if len(outcomes) == 1 and math.isfinite(outcomes[0].confidence):
+    if len(outcomes) == 1 and math.isfinite(outcomes[0].state.certainty_trace[-1]):
         (o,) = outcomes
-        sync = np.add(o.sync, 0.0, dtype=np.float32)
-        return ConsensusResult(sync, o.confidence, (o.branch_id,), False)
+        sync = np.add(o.state.sync, 0.0, dtype=np.float32)
+        return ConsensusResult(sync, o.state.certainty_trace[-1], (o.branch_id,), False)
     ordered = sorted(outcomes, key=lambda o: o.branch_id)
-    conf = np.array([o.confidence for o in ordered], dtype=np.float64)
+    conf = np.array([o.state.certainty_trace[-1] for o in ordered], dtype=np.float64)
     if np.all(conf < ZERO_CONFIDENCE):
         weights = np.full(len(ordered), 1.0 / len(ordered))
     else:
         weights = conf / np.sum(conf)
-    stack = np.stack([o.sync for o in ordered]).astype(np.float64)
+    stack = np.stack([o.state.sync for o in ordered]).astype(np.float64)
     merged = np.sum(weights[:, None] * stack, axis=0).astype(np.float32)
     _, conf_merged = certainty(merged, params.certainty_w, params)
     return ConsensusResult(
@@ -301,37 +294,33 @@ def timeout_safe_pass(
     )
 
 
-def merge_set(
-    pairs: list[tuple[BranchOutcome, BranchState]], wait_policy: str
-) -> list[tuple[BranchOutcome, BranchState]]:
-    """The pairs a decision merges; empty when none reached the threshold.
+def merge_set(outcomes: list[BranchOutcome], wait_policy: str) -> list[BranchOutcome]:
+    """The outcomes a decision merges; empty when none reached the threshold.
 
-    ``pairs`` come in (slab, branch_id) order, all inside the deadline
+    ``outcomes`` come in (slab, branch_id) order, all inside the deadline
     window, as ``shared_branches`` returns them.  The first
-    threshold-reaching pair is the winner.  Under wait policy "off" it is
-    merged alone; under "one" together with the pair right after it, if
-    there is one, whether or not that pair reached the threshold.
+    threshold-reaching outcome is the winner.  Under wait policy "off" it
+    is merged alone; under "one" together with the outcome right after it,
+    if there is one, whether or not that outcome reached the threshold.
     """
-    for position, (outcome, _) in enumerate(pairs):
+    for position, outcome in enumerate(outcomes):
         if outcome.reached_threshold:
-            return pairs[position : position + 1 + (wait_policy == "one")]
+            return outcomes[position : position + 1 + (wait_policy == "one")]
     return []
 
 
-def decision_settled(
-    pairs: list[tuple[BranchOutcome, BranchState]], wait_policy: str
-) -> bool:
+def decision_settled(outcomes: list[BranchOutcome], wait_policy: str) -> bool:
     """True once no later halt can change ``select_step``'s decision.
 
-    ``pairs`` are the halts so far, ordered and windowed as ``merge_set``
-    needs them; any later halt sorts after them, so the decision is
-    settled once the merge set is full.
+    ``outcomes`` are the halts so far, ordered and windowed as
+    ``merge_set`` needs them; any later halt sorts after them, so the
+    decision is settled once the merge set is full.
     """
-    return len(merge_set(pairs, wait_policy)) == 1 + (wait_policy == "one")
+    return len(merge_set(outcomes, wait_policy)) == 1 + (wait_policy == "one")
 
 
 def select_step(
-    pairs: list[tuple[BranchOutcome, BranchState]],
+    outcomes: list[BranchOutcome],
     params: CtmParams,
     cache: Optional[ConsensusResult],
     consensus: ConsensusConfig,
@@ -339,27 +328,23 @@ def select_step(
     """(result, next_seed): the decision over the halts of one trajectory,
     and the state that seeds the next round.
 
-    ``pairs`` come as ``shared_branches`` returns them: in (slab,
+    ``outcomes`` come as ``shared_branches`` returns them: in (slab,
     branch_id) order and inside the deadline window.  ``merge_set`` picks
-    the pairs to merge, and the winner's final state seeds the next round
+    the outcomes to merge, and the winner's state seeds the next round
     with its accumulators overwritten by the merged vector.  With no winner
-    the timeout path fires and the earliest halt seeds the next round; with
-    no halt at all, next_seed is None.
+    the timeout path fires and the earliest halt's state seeds the next
+    round; with no halt at all, next_seed is None.
     """
-    if not pairs:
+    if not outcomes:
         return timeout_safe_pass(cache, params.config.sync_pairs), None
 
-    merged = merge_set(pairs, consensus.wait_policy)
+    merged = merge_set(outcomes, consensus.wait_policy)
     if merged:
-        result = merge([outcome for outcome, _ in merged], params)
-        winner = merged[0][1]
-        next_seed = BranchState(
-            winner.z, winner.history, result.sync_merged.copy(), winner.slab,
-            winner.certainty_trace,
-        )
+        result = merge(merged, params)
+        next_seed = replace(merged[0].state, sync=result.sync_merged.copy())
     else:
         result = timeout_safe_pass(cache, params.config.sync_pairs)
-        _, next_seed = pairs[0]
+        next_seed = outcomes[0].state
 
     return result, next_seed
 
@@ -381,7 +366,7 @@ def decide_step(
     settled or at the end of the deadline window (see ``shared_branches``);
     the branches are readouts of it, and ``select_step`` makes the decision.
     The pair is the one ``select_step`` gives on every branch's
-    ``run_branch`` run, sorted by (slab, branch_id) and cut to the window.
+    ``run_branch`` outcome, sorted by (slab, branch_id) and cut to the window.
     With ``consensus.live`` set, the trajectory also stops once
     ``consensus.deadline_ms`` has passed since the call, so the call
     returns within the deadline plus one slab; if no halt by then reached
@@ -389,7 +374,7 @@ def decide_step(
     clock is never read.
     """
     expiry = time.monotonic() + consensus.deadline_ms / 1000.0 if consensus.live else None
-    pairs = shared_branches(
+    outcomes = shared_branches(
         seed_state, f, params, epsilon, episode_seed, consensus, expiry, slabs
     )
-    return select_step(pairs, params, cache, consensus)
+    return select_step(outcomes, params, cache, consensus)

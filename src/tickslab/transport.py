@@ -1,7 +1,9 @@
 """Newline-delimited JSON-RPC framing over stdio or TCP, and in-process calls.
 
 One canonical-JSON frame per line.  The server side answers ``tool/<name>``
-calls and a ``registry/list`` introspection method; the client side,
+calls and a ``registry/list`` introspection method, echoing an int or string
+request id; it carries out a notification (a request without an id) and
+sends no reply to it (JSON-RPC 2.0 §4.1).  The client side,
 ``dispatch``, sends one envelope frame through an ``exchange`` function and
 checks the one response frame it returns for a matching id.  In process,
 that function is the server's own ``handle_frame``:
@@ -47,10 +49,6 @@ IDLE_TIMEOUT_S = 30.0          # serve_tcp ends a client whose read or write wai
 class ToolResult:
     status: str                  # "ok" | "error"
     payload: dict
-
-    @property
-    def ok(self) -> bool:
-        return self.status == STATUS_OK
 
 
 def ok_result(**payload) -> ToolResult:
@@ -142,7 +140,9 @@ class ToolServer:
             for s in registry.specs
         ]
 
-    def handle_frame(self, frame: bytes) -> bytes:
+    def handle_frame(self, frame: bytes) -> Optional[bytes]:
+        """The reply frame to ``frame``; None for a notification, which is
+        carried out as a request would be.  A bool, float or null id is invalid."""
         try:
             doc = json.loads(frame.decode("utf-8"))
         except (ValueError, RecursionError) as exc:
@@ -152,12 +152,17 @@ class ToolServer:
             not isinstance(doc, dict)
             or doc.get("jsonrpc") != JSONRPC_VERSION
             or not json_type_ok(doc.get("method"), "str")
-            or not json_type_ok(doc.get("id"), "int")
+            or (
+                "id" in doc
+                and not (json_type_ok(doc["id"], "int") or json_type_ok(doc["id"], "str"))
+            )
         ):
             return self._error_frame(None, _CODE_INVALID_REQUEST, "invalid request")
-        req_id = doc["id"]
-        method = doc["method"]
-        params = doc.get("params")
+        reply = self._answer(doc.get("id"), doc["method"], doc.get("params"))
+        return reply if "id" in doc else None
+
+    def _answer(self, req_id, method: str, params) -> bytes:
+        """The reply frame to a well-formed request."""
         if params is None:
             params = {}
         elif not isinstance(params, dict):
@@ -198,7 +203,7 @@ class ToolServer:
         return self._error_frame(req_id, _CODE_METHOD_NOT_FOUND, f"no such method: {method}")
 
     @staticmethod
-    def _result_frame(req_id: int, result: dict) -> bytes:
+    def _result_frame(req_id, result: dict) -> bytes:
         return canonical_json_bytes(
             {"jsonrpc": JSONRPC_VERSION, "id": req_id, "result": result}
         )
@@ -216,9 +221,10 @@ class ToolServer:
     def serve_stream(self, transport: StreamTransport) -> None:
         """Answer frames until the peer hangs up or times out, while reading or replying.
 
-        A frame past ``MAX_FRAME_BYTES`` gets one ``-32600`` frame, then the
-        connection ends: the rest of that line cannot be skipped unread.  A
-        timeout ends the connection with one warning.
+        A notification gets no frame.  A frame past ``MAX_FRAME_BYTES`` gets
+        one ``-32600`` frame, then the connection ends: the rest of that line
+        cannot be skipped unread.  A timeout ends the connection with one
+        warning.
         """
         try:
             while True:
@@ -229,7 +235,8 @@ class ToolServer:
                         self._error_frame(None, _CODE_INVALID_REQUEST, "frame too long")
                     )
                     return
-                transport.send_frame(reply)
+                if reply is not None:
+                    transport.send_frame(reply)
         except TransportClosed:
             return
         except TransportTimeout as exc:

@@ -6,6 +6,7 @@ lines; every tolerance is pinned here, nothing is deferred.
 
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -119,7 +120,8 @@ class TestAcceptance:
                 )
                 from tickslab.consensus import BranchOutcome
 
-                outcomes.append(BranchOutcome(i, sync, conf, True))
+                state = replace(initial_state(params), sync=sync, certainty_trace=(conf,))
+                outcomes.append(BranchOutcome(i, state, True))
             base = merge(outcomes, params)
             perm = list(outcomes)
             SplitMix64(trial).shuffle(perm)
@@ -127,7 +129,7 @@ class TestAcceptance:
             assert np.array_equal(base.sync_merged, other.sync_merged)
             assert base.confidence_merged == other.confidence_merged
             assert base.contributors == other.contributors
-            stack = np.stack([o.sync for o in outcomes])
+            stack = np.stack([o.state.sync for o in outcomes])
             assert np.all(base.sync_merged >= stack.min(axis=0) - 1e-6)
             assert np.all(base.sync_merged <= stack.max(axis=0) + 1e-6)
         report(4, "merge is permutation-invariant bitwise and stays in the hull")

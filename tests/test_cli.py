@@ -368,6 +368,24 @@ class TestLayout:
         used = {name for tree in package for name in referenced(tree)}
         used |= {name for tree in syntax_trees(PERFBENCH) for name in referenced(tree, True)}
         assert defined - used == self.UNCALLED
+        # a method or property is read as an attribute; dunder methods are
+        # called by the language, so they are exempt
+        methods = {
+            f"{cls.name}.{node.name}"
+            for tree in package
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not re.fullmatch(r"__\w+__", node.name)
+        }
+        read = {
+            node.attr
+            for tree in package + syntax_trees(PERFBENCH)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+        }
+        unread = sorted(method for method in methods if method.rpartition(".")[2] not in read)
+        assert methods and unread == []
 
     def test_every_record_field_is_read(self):
         # a field that is only ever written is dead data; only attribute

@@ -50,6 +50,14 @@ def no_cutoff(params, branches, wait_policy="off", **live):
     )
 
 
+def halt_at(branch_id, sync, confidence, reached=True):
+    """An outcome whose state holds ``sync`` and ends its certainty trace on
+    ``confidence``; the other state fields are empty."""
+    blank = np.zeros(0, dtype=np.float32)
+    state = BranchState(blank, blank[:, None], sync, 0, (confidence,))
+    return BranchOutcome(branch_id, state, reached)
+
+
 def make_outcome(branch_id, sync, logits, params, reached=True):
     """An outcome whose confidence is the entropy confidence of ``logits``."""
     sync = np.asarray(sync, dtype=np.float32)
@@ -57,18 +65,18 @@ def make_outcome(branch_id, sync, logits, params, reached=True):
     from reference import entropy, softmax
 
     conf = 1.0 - entropy(softmax(logits)) / np.log(params.config.logit_count)
-    return BranchOutcome(branch_id, sync, float(max(conf, 0.0)), reached)
+    return halt_at(branch_id, sync, float(max(conf, 0.0)), reached)
 
 
 def weighted_merge(outcomes, params):
     """merge's general formula, certainty re-read included: (sync, confidence)."""
     ordered = sorted(outcomes, key=lambda o: o.branch_id)
-    conf = np.array([o.confidence for o in ordered], dtype=np.float64)
+    conf = np.array([o.state.certainty_trace[-1] for o in ordered], dtype=np.float64)
     if np.all(conf < 1e-9):
         weights = np.full(len(ordered), 1.0 / len(ordered))
     else:
         weights = conf / np.sum(conf)
-    stack = np.stack([o.sync for o in ordered]).astype(np.float64)
+    stack = np.stack([o.state.sync for o in ordered]).astype(np.float64)
     merged = np.sum(weights[:, None] * stack, axis=0).astype(np.float32)
     return merged, certainty(merged, params.certainty_w, params)[1]
 
@@ -87,7 +95,7 @@ class TestMerge:
         rng = np.random.default_rng(0)
         (o,) = random_outcomes(rng, small_params, 1)
         result = merge([o], small_params)
-        assert np.array_equal(result.sync_merged, o.sync)
+        assert np.array_equal(result.sync_merged, o.state.sync)
         assert result.contributors == (0,)
         assert not result.fallback
 
@@ -98,7 +106,7 @@ class TestMerge:
             make_outcome(i, rng.normal(size=12), logits, small_params) for i in range(3)
         ]
         result = merge(outs, small_params)
-        mean = np.mean([o.sync for o in outs], axis=0)
+        mean = np.mean([o.state.sync for o in outs], axis=0)
         np.testing.assert_allclose(result.sync_merged, mean, rtol=1e-6, atol=1e-7)
 
     def test_zero_weight_branch_contributes_nothing(self, small_params):
@@ -106,9 +114,9 @@ class TestMerge:
         strong = make_outcome(0, rng.normal(size=12), [50.0, 0.0, 0.0, 0.0], small_params)
         # uniform logits -> confidence 0
         weak = make_outcome(1, rng.normal(size=12), [1.0, 1.0, 1.0, 1.0], small_params)
-        assert weak.confidence == pytest.approx(0.0, abs=1e-12)
+        assert weak.state.certainty_trace[-1] == pytest.approx(0.0, abs=1e-12)
         result = merge([strong, weak], small_params)
-        assert np.array_equal(result.sync_merged, strong.sync)
+        assert np.array_equal(result.sync_merged, strong.state.sync)
 
     def test_all_zero_confidence_falls_back_to_mean(self, small_params):
         rng = np.random.default_rng(3)
@@ -117,13 +125,13 @@ class TestMerge:
             make_outcome(i, rng.normal(size=12), uniform, small_params) for i in range(4)
         ]
         result = merge(outs, small_params)
-        mean = np.mean([o.sync for o in outs], axis=0)
+        mean = np.mean([o.state.sync for o in outs], axis=0)
         np.testing.assert_allclose(result.sync_merged, mean, rtol=1e-6, atol=1e-7)
 
     def test_unequal_sync_widths_rejected(self, small_params):
         rng = np.random.default_rng(4)
         outs = [
-            BranchOutcome(b, rng.normal(size=width).astype(np.float32), 0.5, True)
+            halt_at(b, rng.normal(size=width).astype(np.float32), 0.5)
             for b, width in enumerate((12, 11))
         ]
         with pytest.raises(ValueError, match="same shape"):
@@ -142,7 +150,7 @@ class TestMerge:
         assert np.array_equal(base.sync_merged, shuffled.sync_merged)
         assert base.confidence_merged == shuffled.confidence_merged
         assert base.contributors == shuffled.contributors
-        stack = np.stack([o.sync for o in outs])
+        stack = np.stack([o.state.sync for o in outs])
         lo, hi = stack.min(axis=0), stack.max(axis=0)
         assert np.all(base.sync_merged >= lo - 1e-6)
         assert np.all(base.sync_merged <= hi + 1e-6)
@@ -167,7 +175,7 @@ class TestMerge:
             with np.errstate(all="ignore"):
                 sync = (sync * np.float32(scale)).astype(np.float32)
                 _, c = certainty(sync, params.certainty_w, params)
-                o = BranchOutcome(branch_id, sync, c, True)
+                o = halt_at(branch_id, sync, c)
                 got = merge([o], params)
                 want_sync, want_c = weighted_merge([o], params)
             assert got.sync_merged.dtype == np.float32
@@ -181,7 +189,7 @@ class TestMerge:
         self, small_params, confidence
     ):
         sync = np.random.default_rng(4).normal(size=12).astype(np.float32)
-        o = BranchOutcome(2, sync, confidence, True)
+        o = halt_at(2, sync, confidence)
         with np.errstate(invalid="ignore"):     # inf / inf
             got = merge([o], small_params)
             want_sync, want_c = weighted_merge([o], small_params)
@@ -194,22 +202,15 @@ class TestMerge:
         # vector reads, which merge's lone pass-through relies on
         from reference import entropy, softmax
 
-        pairs = shared_branches(
+        outcomes = shared_branches(
             initial_state(small_params), fvec, small_params, 0.75, 9, no_cutoff(small_params, 6)
         )
-        assert pairs
-        for o, _ in pairs:
-            logits, c = certainty(o.sync, small_params.certainty_w, small_params)
-            assert o.confidence == c
+        assert outcomes
+        for o in outcomes:
+            logits, c = certainty(o.state.sync, small_params.certainty_w, small_params)
+            assert o.state.certainty_trace[-1] == c
             again = 1.0 - entropy(softmax(logits)) / np.log(small_params.config.logit_count)
-            assert o.confidence == pytest.approx(again, abs=1e-7)
-
-
-def assert_same_outcome(a, b):
-    assert a.branch_id == b.branch_id
-    assert a.sync.dtype == b.sync.dtype and a.sync.tobytes() == b.sync.tobytes()
-    assert a.confidence == b.confidence
-    assert a.reached_threshold == b.reached_threshold
+            assert o.state.certainty_trace[-1] == pytest.approx(again, abs=1e-7)
 
 
 def assert_same_state(a, b):
@@ -219,24 +220,31 @@ def assert_same_state(a, b):
     assert (a.slab, a.certainty_trace) == (b.slab, b.certainty_trace)
 
 
+def assert_same_outcome(a, b):
+    """Same branch, threshold call and halted state: the state's sync vector
+    and last certainty are the outcome's synchrony and confidence."""
+    assert (a.branch_id, a.reached_threshold) == (b.branch_id, b.reached_threshold)
+    assert_same_state(a.state, b.state)
+
+
 class TestSpawnBranches:
     """k branches spawned from one seed state, read out of one trajectory."""
 
     def test_k1_matches_inline_run(self, small_params, fvec):
         seed_state = initial_state(small_params)
-        pairs = shared_branches(
+        outcomes = shared_branches(
             seed_state, fvec, small_params, 0.75, 42, no_cutoff(small_params, 1)
         )
         inline, inline_state = run_branch(seed_state, fvec, small_params, 0.75, 42, 0)
-        assert len(pairs) == 1
-        assert_same_outcome(pairs[0][0], inline)
-        assert_same_state(pairs[0][1], inline_state)
+        assert inline.state is inline_state
+        assert len(outcomes) == 1
+        assert_same_outcome(outcomes[0], inline)
 
     def test_branches_differ_from_each_other(self, small_params, fvec):
-        pairs = shared_branches(
+        outcomes = shared_branches(
             initial_state(small_params), fvec, small_params, 0.75, 7, no_cutoff(small_params, 4)
         )
-        syncs = {o.sync.tobytes() for o, _ in pairs}
+        syncs = {o.state.sync.tobytes() for o in outcomes}
         assert len(syncs) > 1
 
     def test_perturbation_is_pair_permutation(self, small_params):
@@ -253,13 +261,13 @@ class TestMergeSet:
         through the reference order and window of 10 ticks."""
         rng = np.random.default_rng(0)
         state = initial_state(params)
-        pairs = []
+        outcomes = []
         for branch_id, slab, reached in halts:
             sync = rng.normal(size=params.config.sync_pairs).astype(np.float32)
-            outcome = BranchOutcome(branch_id, sync, 0.5, reached)
-            pairs.append((outcome, replace(state, slab=slab)))
+            halted = replace(state, sync=sync, slab=slab, certainty_trace=(0.5,))
+            outcomes.append(BranchOutcome(branch_id, halted, reached))
         window = ConsensusConfig(wait_policy=policy, deadline_ticks=10)
-        in_window = tick_window(pairs, params.config.ticks_per_slab, window.deadline_ticks)
+        in_window = tick_window(outcomes, params.config.ticks_per_slab, window.deadline_ticks)
         result, _ = select_step(in_window, params, None, window)
         assert not result.fallback
         return result.contributors
@@ -466,15 +474,15 @@ def warm_state(params, f, slabs, reset):
     return state
 
 
-def tick_window(pairs, ticks_per_slab, limit):
-    """(outcome, final state) pairs of separate branch runs as one trajectory
-    gives them: sorted by (slab, branch id) and cut to the halts at most
-    ``limit`` ticks after the first."""
-    pairs = sorted(pairs, key=lambda ps: (ps[1].slab, ps[0].branch_id))
-    if not pairs:
+def tick_window(outcomes, ticks_per_slab, limit):
+    """Outcomes of separate branch runs as one trajectory gives them: sorted
+    by (slab, branch id) and cut to the halts at most ``limit`` ticks after
+    the first."""
+    outcomes = sorted(outcomes, key=lambda o: (o.state.slab, o.branch_id))
+    if not outcomes:
         return []
-    first = pairs[0][1].slab
-    return [ps for ps in pairs if (ps[1].slab - first) * ticks_per_slab <= limit]
+    first = outcomes[0].state.slab
+    return [o for o in outcomes if (o.state.slab - first) * ticks_per_slab <= limit]
 
 
 def reference_stop(reference, seed_state, params, limit, wait):
@@ -489,19 +497,19 @@ def reference_stop(reference, seed_state, params, limit, wait):
     in_time = tick_window(reference.values(), n, limit)
     if not in_time:
         return [], 0
-    winner = next((i for i, (o, _) in enumerate(in_time) if o.reached_threshold), None)
+    winner = next((i for i, o in enumerate(in_time) if o.reached_threshold), None)
     if winner is not None:
         settling = winner if wait == "off" else winner + 1
         if settling < len(in_time):
-            settled = in_time[settling][1].slab
-            kept = [o.branch_id for o, state in in_time if state.slab <= settled]
+            settled = in_time[settling].state.slab
+            kept = [o.branch_id for o in in_time if o.state.slab <= settled]
             return kept, settled - seed_state.slab
-    kept = [o.branch_id for o, _ in in_time]
+    kept = [o.branch_id for o in in_time]
     if len(in_time) == len(reference):
-        return kept, in_time[-1][1].slab - seed_state.slab
+        return kept, in_time[-1].state.slab - seed_state.slab
     # A branch halts past the cutoff, so the cutoff comes before the slab
     # budget: every slab that ends by it runs.
-    cutoff = (in_time[0][1].slab - seed_state.slab) * n + limit
+    cutoff = (in_time[0].state.slab - seed_state.slab) * n + limit
     return kept, cutoff // n
 
 
@@ -527,15 +535,18 @@ def counting_slab_ticks():
         yield counter
 
 
-def reference_pairs(seed_state, f, params, epsilon, k, episode_seed):
-    """run_branch for every branch that does not raise."""
-    pairs = {}
+def reference_outcomes(seed_state, f, params, epsilon, k, episode_seed):
+    """run_branch's outcome for every branch that does not raise."""
+    outcomes = {}
     for branch_id in range(k):
         try:
-            pairs[branch_id] = run_branch(seed_state, f, params, epsilon, episode_seed, branch_id)
+            outcome, state = run_branch(seed_state, f, params, epsilon, episode_seed, branch_id)
         except Exception:
             continue
-    return pairs
+        # the final state that run_branch returns is its outcome's
+        assert outcome.state is state
+        outcomes[branch_id] = outcome
+    return outcomes
 
 
 class TestSharedTrajectory:
@@ -581,33 +592,26 @@ class TestSharedTrajectory:
             branches=k, wait_policy=wait, deadline_ticks=limit, deadline_ms=60_000
         )
         shared = shared_branches(seed_state, f, params, epsilon, episode_seed, window)
-        reference = reference_pairs(seed_state, f, params, epsilon, k, episode_seed)
+        reference = reference_outcomes(seed_state, f, params, epsilon, k, episode_seed)
 
         # The trajectory orders and windows its halts, which select_step
         # relies on: (slab, branch id) increases strictly, and no halt comes
         # after the window's last slab.
-        order = [(state.slab, outcome.branch_id) for outcome, state in shared]
+        order = [(outcome.state.slab, outcome.branch_id) for outcome in shared]
         assert all(a < b for a, b in zip(order, order[1:]))
         if shared:
-            last = shared[0][1].slab + limit // ticks_per_slab
-            assert all(state.slab <= last for _, state in shared)
+            last = shared[0].state.slab + limit // ticks_per_slab
+            assert all(outcome.state.slab <= last for outcome in shared)
 
-        # Every reported branch equals its own run, bit for bit.
-        for outcome, state in shared:
-            ref_outcome, ref_state = reference[outcome.branch_id]
-            assert_same_outcome(outcome, ref_outcome)
-            assert_same_state(state, ref_state)
-
-        # An outcome is read off its final state: the sync vector and the
-        # last certainty.
-        for outcome, state in shared + list(reference.values()):
-            assert outcome.sync.tobytes() == state.sync.tobytes()
-            assert outcome.confidence == state.certainty_trace[-1]
+        # Every reported branch equals its own run, bit for bit: the halted
+        # state's z, history and sync bytes, its slab and its certainty trace.
+        for outcome in shared:
+            assert_same_outcome(outcome, reference[outcome.branch_id])
 
         # Omitted: exactly the branches that halt after the cutoff or after
         # the slab that settles the decision.
         kept, slabs = reference_stop(reference, seed_state, params, limit, wait)
-        assert [o.branch_id for o, _ in shared] == kept
+        assert [o.branch_id for o in shared] == kept
 
         # The decision is the one the same selection makes on all k runs,
         # sorted and windowed, in deterministic mode and in live mode with a

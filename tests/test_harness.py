@@ -209,7 +209,7 @@ class TestWorld:
 
         world = WorldState(objects={"cup": ObjectState("table")}, robot_at="table")
         new, result = step_env(world, "pick", {"object": "cup"})
-        assert result.ok
+        assert result.status == "ok"
         assert new.objects["cup"].held
         assert not world.objects["cup"].held  # old state untouched
 
@@ -221,7 +221,7 @@ class TestWorld:
             robot_at="table",
         )
         new, result = step_env(world, "pick", {"object": "jar"})
-        assert not result.ok
+        assert result.status != "ok"
         assert new is world
 
     def test_pick_wrong_location_fails(self):
@@ -229,7 +229,7 @@ class TestWorld:
 
         world = WorldState(objects={"cup": ObjectState("shelf")}, robot_at="table")
         new, result = step_env(world, "pick", {"object": "cup"})
-        assert not result.ok
+        assert result.status != "ok"
         assert new is world
 
     def test_place_requires_holding(self):
@@ -237,27 +237,27 @@ class TestWorld:
 
         world = WorldState(objects={"cup": ObjectState("shelf")}, robot_at="table")
         _, result = step_env(world, "place", {"object": "cup"})
-        assert not result.ok
+        assert result.status != "ok"
 
     def test_place_moves_object_to_robot(self):
         from tickslab.harness.world import ObjectState
 
         world = WorldState(objects={"cup": ObjectState("shelf", held=True)}, robot_at="sink")
         new, result = step_env(world, "place", {"object": "cup"})
-        assert result.ok
+        assert result.status == "ok"
         assert new.objects["cup"].location == "sink"
         assert not new.objects["cup"].held
 
     def test_navigate_always_succeeds(self):
         world = demo_world()
         new, result = step_env(world, "navigate", {"to": "far-away"})
-        assert result.ok
+        assert result.status == "ok"
         assert new.robot_at == "far-away"
 
     def test_noop_no_mutation(self):
         world = demo_world()
         new, result = step_env(world, "noop", {})
-        assert result.ok
+        assert result.status == "ok"
         assert new is world
 
     def test_unknown_tool_raises(self):
@@ -274,7 +274,7 @@ class TestWorld:
         assert list(args) == ["duty"]
         world = demo_world()
         new, result = step_env(world, "actuate", args)
-        assert result.ok and new is world
+        assert result.status == "ok" and new is world
         duties = result.payload["duty"]
         assert duties == args["duty"] and len(duties) == 12
         assert all(0.0 <= d <= 1.0 for d in duties)

@@ -83,12 +83,12 @@ class TestLoopback:
 
     def test_noop_ok(self):
         result = dispatch(envelope(), make_server().handle_frame)
-        assert result.ok
+        assert result.status == "ok"
         assert result.payload == {}
 
     def test_unknown_tool_is_error_result(self):
         result = dispatch(envelope(method="tool/warp"), make_server().handle_frame)
-        assert not result.ok
+        assert result.status != "ok"
         assert "UnknownTool" in result.payload["reason"]
 
     def test_id_mismatch_raises(self):
@@ -163,14 +163,14 @@ class TestLoopback:
             raise RuntimeError("tool exploded")
 
         result = dispatch(envelope(), make_server(handler).handle_frame)
-        assert not result.ok
+        assert result.status != "ok"
         assert "exploded" in result.payload["reason"]
 
     def test_args_round_trip_through_frames(self):
         result = dispatch(
             envelope(method="tool/echo", args={"object": "cup"}), make_server().handle_frame
         )
-        assert result.ok
+        assert result.status == "ok"
         assert result.payload == {"echo": {"object": "cup"}}
 
 
@@ -328,6 +328,25 @@ REQUESTS = st.tuples(
 ).map(lambda parts: {**parts[1], **parts[0]})
 
 
+def valid_request(frame):
+    """The object ``frame`` holds if it is a valid JSON-RPC 2.0 request or
+    notification: UTF-8 JSON, ``jsonrpc`` "2.0", a method string, and an id
+    that is absent, an int or a string (strings in valid Unicode); else None."""
+
+    def text(value):
+        return isinstance(value, str) and not any("\ud800" <= ch <= "\udfff" for ch in value)
+
+    try:
+        doc = json.loads(frame.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return None
+    if not (isinstance(doc, dict) and doc.get("jsonrpc") == "2.0" and text(doc.get("method"))):
+        return None
+    if "id" in doc and not (type(doc["id"]) is int or text(doc["id"])):
+        return None
+    return doc
+
+
 class TestFrameFuzz:
     @pytest.mark.parametrize("server", [make_server, world_server], ids=["echo", "world"])
     @settings(max_examples=300, deadline=None)
@@ -338,12 +357,49 @@ class TestFrameFuzz:
     @example(frame=SURROGATE_FRAMES[0])
     @example(frame=b'{"jsonrpc":"2.0","id":1,"method":"tool/actuate","params":{"args":{"duty":[0.5,1]}}}')
     @example(frame=b'{"jsonrpc":"2.0","id":2,"method":"tool/actuate","params":{"args":{"duty":[[0.5]]}}}')
-    def test_any_frame_gets_one_reply_frame(self, server, frame):
+    @example(frame=b'{"jsonrpc":"2.0","method":"tool/noop"}')
+    @example(frame=b'{"jsonrpc":"2.0","id":"a1","method":"registry/list"}')
+    @example(frame=b'{"jsonrpc":"2.0","id":null,"method":"registry/list"}')
+    def test_any_frame_gets_at_most_one_reply_frame(self, server, frame):
+        # none exactly for a valid notification; any other frame gets one,
+        # with the request's id, or null where the frame is no valid request
+        request = valid_request(frame)
         reply = server().handle_frame(frame)
+        if request is not None and "id" not in request:
+            assert reply is None
+            return
         assert b"\n" not in reply
         response = json.loads(reply)
         assert response["jsonrpc"] == "2.0"
         assert ("result" in response) != ("error" in response)
+        want = None if request is None else request["id"]
+        assert type(response["id"]) is type(want) and response["id"] == want
+
+
+class TestServeStream:
+    def test_notifications_get_no_frame_and_string_ids_are_echoed(self):
+        from io import BytesIO
+
+        calls = []
+
+        def handler(name, args):
+            calls.append(name)
+            return ok_result()
+
+        frames = [
+            b'{"jsonrpc":"2.0","id":1,"method":"registry/list"}',
+            b'{"jsonrpc":"2.0","method":"tool/noop"}',
+            b'{"jsonrpc":"2.0","method":"notifications/initialized"}',
+            b'{"jsonrpc":"2.0","id":"a1","method":"tool/noop"}',
+        ]
+        written = BytesIO()
+        stream = StreamTransport(BytesIO(b"".join(frame + b"\n" for frame in frames)), written)
+        make_server(handler).serve_stream(stream)
+        replies = [json.loads(line) for line in written.getvalue().splitlines()]
+        assert [reply["id"] for reply in replies] == [1, "a1"]
+        assert all("result" in reply for reply in replies)
+        # the tool notification was carried out, only its reply dropped
+        assert calls == ["noop", "noop"]
 
 
 CLIENT_TIMEOUT_S = 5.0
@@ -434,7 +490,7 @@ class TestTcp:
                 response = deepest_echo(exchange_on(transport))
                 assert response["id"] == 7
                 assert response["error"]["code"] == -32603
-                assert dispatch(envelope(env_id=2), exchange_on(transport)).ok
+                assert dispatch(envelope(env_id=2), exchange_on(transport)).status == "ok"
             finally:
                 transport.close()
 
@@ -447,7 +503,7 @@ class TestTcp:
                 response = json.loads(transport.recv_frame())
                 assert response["id"] == 1
                 assert response["error"]["code"] == -32602
-                assert dispatch(envelope(env_id=2), exchange_on(transport)).ok
+                assert dispatch(envelope(env_id=2), exchange_on(transport)).status == "ok"
             finally:
                 transport.close()
 
@@ -474,7 +530,7 @@ class TestTcp:
                     transport.send_frame(frame)
                     response = json.loads(transport.recv_frame())
                     assert response["error"]["code"] == -32600
-                assert dispatch(envelope(env_id=3), exchange_on(transport)).ok
+                assert dispatch(envelope(env_id=3), exchange_on(transport)).status == "ok"
             finally:
                 transport.close()
 
@@ -494,7 +550,7 @@ class TestTcp:
                 assert response["error"] == {"code": -32600, "message": "frame too long"}
             transport = connect(port)
             try:
-                assert dispatch(envelope(), exchange_on(transport)).ok
+                assert dispatch(envelope(), exchange_on(transport)).status == "ok"
             finally:
                 transport.close()
 
@@ -506,7 +562,7 @@ class TestTcp:
                     transport.send_frame(frame.encode())
                     response = json.loads(transport.recv_frame())
                     assert response["error"]["code"] == -32700
-                assert dispatch(envelope(env_id=2), exchange_on(transport)).ok
+                assert dispatch(envelope(env_id=2), exchange_on(transport)).status == "ok"
             finally:
                 transport.close()
 
@@ -515,7 +571,7 @@ class TestTcp:
             transport = connect(port)
             try:
                 result = dispatch(envelope(), exchange_on(transport))
-                assert result.ok
+                assert result.status == "ok"
                 result = dispatch(
                     envelope(method="tool/echo", env_id=2, args={"object": "x"}),
                     exchange_on(transport),
@@ -553,7 +609,7 @@ class TestTcp:
             transport = connect(port)
             try:
                 assert thread.is_alive()
-                assert dispatch(envelope(), exchange_on(transport)).ok
+                assert dispatch(envelope(), exchange_on(transport)).status == "ok"
             finally:
                 transport.close()
 
@@ -568,7 +624,7 @@ class TestTcp:
                 transport.close()
             transport = connect(port)
             try:
-                assert dispatch(envelope(), exchange_on(transport)).ok
+                assert dispatch(envelope(), exchange_on(transport)).status == "ok"
             finally:
                 transport.close()
 
@@ -595,7 +651,7 @@ class TestTcp:
                 transport.close()
             transport = connect(port)
             try:
-                assert dispatch(envelope(), exchange_on(transport)).ok
+                assert dispatch(envelope(), exchange_on(transport)).status == "ok"
             finally:
                 transport.close()
 
