@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ActuatorConfig
-from .errors import DimensionMismatch
 from .numerics import hold_float64, matvec
 
 
@@ -26,8 +25,6 @@ class ActuatorParams:
     config: ActuatorConfig = field(default_factory=ActuatorConfig)
 
     def __post_init__(self):
-        if not np.all(self.tau_min < self.tau_max):
-            raise ValueError("tau_min must be strictly below tau_max per joint")
         hold_float64(self, "mapping", "tau_min", "tau_max", "gain")
 
 
@@ -39,9 +36,5 @@ def plan_torque(sync_merged: np.ndarray, params: ActuatorParams) -> np.ndarray:
 def torque_to_pwm(tau: np.ndarray, params: ActuatorParams) -> np.ndarray:
     """Per-joint duty cycles in [0, 1], bipolar around 0.5:
     duty = 0.5 + 0.5 * clamp(gain * tau / tau_max, -1, 1)."""
-    if tau.shape[0] != params.tau_max.shape[0]:
-        raise DimensionMismatch(
-            f"{tau.shape[0]} torques for {params.tau_max.shape[0]} joints"
-        )
     scaled = params.gain * tau / params.tau_max
     return 0.5 + 0.5 * np.minimum(np.maximum(scaled, -1.0), 1.0)

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import EngineConfig
-from .errors import DimensionMismatch, EmptySlab
+from .errors import EmptySlab
 from .numerics import bounded_tanh, einsum, hold_float64, matvec
 
 
@@ -42,9 +42,6 @@ class CtmParams:
     pair_q: np.ndarray
 
     def __post_init__(self):
-        pairs = set(zip(self.pair_p.tolist(), self.pair_q.tolist()))
-        if len(pairs) != self.config.sync_pairs:
-            raise ValueError("synchrony pairs must be distinct ordered pairs")
         hold_float64(self, "synapse_w", "factor_a", "factor_b", "bias", "certainty_w")
         # certainty's normaliser ln(logit_count), the same np.log value
         object.__setattr__(self, "log_logit_count", np.log(self.config.logit_count))
@@ -201,8 +198,6 @@ def slab_ticks(
     # shifting, and rounding the last window back is exact.
     d, m = history.shape
     w64, a64, b64 = params.synapse_w, params.factor_a, params.factor_b
-    if z.shape[0] + f.shape[0] != w64.shape[1]:
-        raise DimensionMismatch(f"synapse input {z.shape[0]}+{f.shape[0]} != {w64.shape[1]}")
     n = params.config.ticks_per_slab
     x64 = np.empty(w64.shape[1])
     x64[d:] = f

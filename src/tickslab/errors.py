@@ -5,10 +5,6 @@ class TickslabError(Exception):
     """Base class for all runtime errors."""
 
 
-class DimensionMismatch(TickslabError):
-    pass
-
-
 class EmptySlab(TickslabError):
     pass
 

@@ -42,7 +42,7 @@ from ..registry import NOOP_TOOL, SlotKind, ToolSpec
 from ..router import EnvelopeSession, select_action
 from ..rng import derive_seed
 from ..schema import check_record
-from ..transport import ToolServer, dispatch
+from ..transport import STATUS_ERROR, STATUS_OK, ToolServer, dispatch
 from .featurize import featurize, goal_frames
 from .tasks import TaskRecord
 from .world import WorldSession, build_registry, world_from_task
@@ -91,8 +91,17 @@ class EpisodeLog:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EpisodeLog":
-        """The log in ``doc``; a field that does not fit raises SchemaViolation."""
+        """The log in ``doc``; a field that does not fit, or one that
+        ``run_episode`` cannot write, raises SchemaViolation."""
         records = [StepRecord(**_checked(StepRecord, r)) for r in _checked(cls, doc)["records"]]
+        _one_of("outcome", doc["outcome"], (OUTCOME_SUCCESS, OUTCOME_BUDGET, OUTCOME_ERROR))
+        for record in records:
+            _one_of("tool_status", record.tool_status, (STATUS_OK, STATUS_ERROR))
+        # run_episode counts a step once its record is appended, abort or not
+        if doc["steps_used"] != len(records):
+            raise SchemaViolation(
+                "steps_used", f"must equal the {len(records)} records, got {doc['steps_used']}"
+            )
         return cls(**{**doc, "records": records})
 
 
@@ -107,6 +116,11 @@ def _checked(cls, doc) -> dict:
         if f.type == "int" and f.name in doc and not 0 <= doc[f.name] < 2**63:
             raise SchemaViolation(f.name, f"must be in [0, 2**63), got {doc[f.name]}")
     return doc
+
+
+def _one_of(name: str, value: str, allowed: tuple) -> None:
+    if value not in allowed:
+        raise SchemaViolation(name, f"must be one of {', '.join(allowed)}, got {value!r}")
 
 
 def call_args(tool: ToolSpec, args: dict, sync, actuator: ActuatorParams) -> dict:
@@ -132,7 +146,7 @@ def run_episode(
         model = build_model(config, len(registry), registry.max_slots)
 
     episode_seed = derive_seed(config.seed, f"episode/{task.id}")
-    router_params = build_router_params(model, registry, list(task.context), episode_seed)
+    router_params = build_router_params(model, list(task.context), episode_seed)
     session = WorldSession(world_from_task(task))
     server = ToolServer(registry, session.handler)
     envelopes = EnvelopeSession(task.id)

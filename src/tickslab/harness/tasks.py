@@ -122,8 +122,6 @@ def gen_tasks(seed: int, n: int) -> list[TaskRecord]:
     Roughly a third of the tasks chain two object moves; the rest move one
     object.  Budgets are tied to the script length so runs stay short.
     """
-    if n < 1:
-        raise ValueError("need at least one task")
     tasks = []
     for i in range(n):
         stream = SplitMix64(derive_seed(seed, f"task/{i}"))

@@ -16,8 +16,6 @@ import inspect
 
 import numpy as np
 
-from .errors import DimensionMismatch
-
 # Largest float32 below 1.0; activations are clamped to +-this value.
 F32_INTERIOR = float(np.nextafter(np.float32(1.0), np.float32(0.0)))
 # np.einsum without its __array_function__ dispatch, a per-call cost that
@@ -31,10 +29,6 @@ _LOWER, _UPPER = np.array(-F32_INTERIOR), np.array(F32_INTERIOR)
 
 def matvec(weights: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """float64 product ``weights @ vec``, per row if ``vec`` is 2-D; fixed order."""
-    if weights.ndim != 2 or weights.shape[1] != vec.shape[-1]:
-        raise DimensionMismatch(
-            f"matvec: {weights.shape} incompatible with vector of {vec.shape[-1]}"
-        )
     w = weights.astype(np.float64, copy=False)
     x = vec.astype(np.float64, copy=False)
     return einsum("ij,j->i" if vec.ndim == 1 else "ij,bj->bi", w, x)

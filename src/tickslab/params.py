@@ -20,7 +20,6 @@ from .engine import CtmParams
 from .errors import ConfigError
 from .perception import EncoderWeights
 from .rng import derive_seed, fan_in_matrix, sample_pairs
-from .registry import ToolRegistry
 from .router import RouterParams
 from .weights import load_weights
 
@@ -114,19 +113,9 @@ def candidate_embedding(episode_seed: int, name: str, width: int) -> np.ndarray:
     return embedding.reshape(-1).astype(np.float64)
 
 
-def build_router_params(
-    model: ModelParams,
-    registry: ToolRegistry,
-    candidates: list[str],
-    episode_seed: int,
-) -> RouterParams:
+def build_router_params(model: ModelParams, candidates: list[str], episode_seed: int) -> RouterParams:
     """The model's router bundle with this episode's candidate embeddings."""
     router = model.router
-    if router.action_head.shape[0] != len(registry):
-        raise ConfigError(
-            f"action head covers {router.action_head.shape[0]} tools, "
-            f"registry has {len(registry)}"
-        )
     width = router.config.slot_embed_width
     embedded = tuple(
         (name, candidate_embedding(episode_seed, name, width)) for name in candidates

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .numerics import bounded_tanh, hold_float64, matvec
 
 # Length of the audio window the harness featurizer synthesizes; its
@@ -57,19 +56,6 @@ def spectrum(samples: np.ndarray, n_bins: int) -> np.ndarray:
 def fuse(
     vision: np.ndarray, audio: np.ndarray, proprio: np.ndarray, weights: EncoderWeights
 ) -> np.ndarray:
-    """Fusion vector f = tanh(W_f [vision || audio || proprio]); float32, entries in (-1, 1).
-
-    Each latent must have its encoder's width, so latents passed out of
-    order raise unless their widths happen to agree.
-    """
-    for name, latent, w in (
-        ("vision", vision, weights.vision),
-        ("audio", audio, weights.audio),
-        ("proprio", proprio, weights.proprio),
-    ):
-        if latent.shape[0] != w.shape[0]:
-            raise DimensionMismatch(
-                f"{name} latent has {latent.shape[0]} entries, its encoder gives {w.shape[0]}"
-            )
+    """Fusion vector f = tanh(W_f [vision || audio || proprio]); float32, entries in (-1, 1)."""
     concat = np.concatenate([vision, audio, proprio])
     return bounded_tanh(matvec(weights.fusion, concat))

@@ -25,10 +25,7 @@ class ToolRegistry:
     """Ordered, immutable-by-convention tool table; noop is always present."""
 
     def __init__(self, specs: list[ToolSpec]):
-        names = [s.name for s in specs]
-        if len(set(names)) != len(names):
-            raise ValueError("tool names must be unique")
-        if NOOP_TOOL not in names:
+        if NOOP_TOOL not in (s.name for s in specs):
             specs = [ToolSpec(NOOP_TOOL, (), "do nothing")] + list(specs)
         self.specs = tuple(specs)
         self._by_name = {s.name: s for s in self.specs}

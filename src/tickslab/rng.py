@@ -118,10 +118,8 @@ def sample_pairs(seed: int, neurons: int, count: int) -> tuple[np.ndarray, np.nd
     """``count`` distinct ordered index pairs (p, q), p = q allowed.
 
     Sampled without replacement by Fisher-Yates over all neurons^2 ordered
-    pairs, then split into the two index vectors.
+    pairs, the most that ``EngineConfig`` lets ``count`` be, then split into
+    the two index vectors.
     """
-    total = neurons * neurons
-    if count > total:
-        raise ValueError(f"cannot draw {count} distinct pairs from {total}")
-    chosen = SplitMix64(seed).permutation(total)[:count]
+    chosen = SplitMix64(seed).permutation(neurons * neurons)[:count]
     return (chosen // neurons).astype(np.int64), (chosen % neurons).astype(np.int64)

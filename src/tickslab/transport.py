@@ -74,8 +74,6 @@ class StreamTransport:
         self._writer = writer
 
     def send_frame(self, frame: bytes) -> None:
-        if b"\n" in frame:
-            raise ValueError("frames must not contain newlines")
         try:
             self._writer.write(frame + b"\n")
             self._writer.flush()

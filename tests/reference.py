@@ -6,18 +6,17 @@ computes inline, with that readout's earlier composed form."""
 
 import numpy as np
 
-from tickslab.errors import DimensionMismatch
 from tickslab.numerics import bounded_tanh, einsum, matvec
 
 
 def synapse(z_prev: np.ndarray, f: np.ndarray, synapse_w: np.ndarray) -> np.ndarray:
     """Candidate state tanh(W_s [z_prev || f])."""
     if z_prev.shape[0] + f.shape[0] != synapse_w.shape[1]:
-        raise DimensionMismatch(
+        raise ValueError(
             f"synapse input {z_prev.shape[0]}+{f.shape[0]} != {synapse_w.shape[1]}"
         )
     if synapse_w.shape[0] != z_prev.shape[0]:
-        raise DimensionMismatch(
+        raise ValueError(
             f"synapse output {synapse_w.shape[0]} != state width {z_prev.shape[0]}"
         )
     return bounded_tanh(matvec(synapse_w, np.concatenate([z_prev, f])))
@@ -26,7 +25,7 @@ def synapse(z_prev: np.ndarray, f: np.ndarray, synapse_w: np.ndarray) -> np.ndar
 def push_history(history: np.ndarray, z_new: np.ndarray) -> np.ndarray:
     """Shift columns left by one and append ``z_new`` as the newest column."""
     if history.shape[0] != z_new.shape[0]:
-        raise DimensionMismatch(
+        raise ValueError(
             f"history rows {history.shape[0]} != state width {z_new.shape[0]}"
         )
     out = np.empty_like(history)
@@ -45,13 +44,13 @@ def mu_mlp(
     """
     d, m = history.shape
     if factor_a.shape[0] != m or factor_b.shape[0] != d:
-        raise DimensionMismatch(
+        raise ValueError(
             f"factors {factor_a.shape}/{factor_b.shape} do not match history {history.shape}"
         )
     if factor_a.shape[1] != factor_b.shape[1]:
-        raise DimensionMismatch("factor ranks differ")
+        raise ValueError("factor ranks differ")
     if bias.shape[0] != d:
-        raise DimensionMismatch(f"bias width {bias.shape[0]} != neurons {d}")
+        raise ValueError(f"bias width {bias.shape[0]} != neurons {d}")
     h64 = history.astype(np.float64)
     a64 = factor_a.astype(np.float64)
     b64 = factor_b.astype(np.float64)

@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
 from tickslab.actuator import ActuatorParams, plan_torque, torque_to_pwm
-from tickslab.errors import DimensionMismatch
 
 
 def make_params(joints=3, pairs=6, limit=5.0, seed=0):
@@ -77,10 +75,6 @@ class TestPlanTorque:
                 on_low = tau[j] == params.tau_min[j] and target[j] < params.tau_min[j]
                 on_high = tau[j] == params.tau_max[j] and target[j] > params.tau_max[j]
                 assert at_target or on_low or on_high
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            plan_torque(np.zeros(5, dtype=np.float32), make_params(pairs=6))
 
 
 class TestTorqueToPwm:

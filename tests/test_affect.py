@@ -5,7 +5,6 @@ from conftest import make_ctm, fusion_vector
 from tickslab.affect import AffectParams, affect_decode, modulate_epsilon
 from tickslab.consensus import run_branch
 from tickslab.engine import initial_state
-from tickslab.errors import DimensionMismatch
 from tickslab.rng import fan_in_matrix
 
 
@@ -46,10 +45,6 @@ class TestAffectDecode:
             e = affect_decode(sync, params)
             assert np.linalg.norm(e) <= np.sqrt(8.0)
             assert np.all(np.abs(e) < 1.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            affect_decode(np.ones(11, dtype=np.float32), make_affect())
 
 
 class TestModulateEpsilon:

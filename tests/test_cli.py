@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tickslab import errors
 from tickslab.harness import episode
 from tickslab.harness.cli import build_parser, main
 from tickslab.transport import MAX_FRAME_BYTES
@@ -356,6 +357,9 @@ class TestLayout:
     PASSED_BY_TESTS_ONLY = {"ToolServer.serve_tcp.max_clients"}
     # EpisodeLog.to_dict writes these records whole, each field a log key
     WRITTEN_WHOLE = {"StepRecord", "EpisodeLog"}
+    # (file, raised name): the error type check_record's caller passes in,
+    # and the CLI's exit
+    RAISE_EXEMPT = {("schema.py", "error"), ("cli.py", "SystemExit")}
 
     def test_only_the_references_lack_a_caller(self):
         package = syntax_trees(SRC / "tickslab")
@@ -386,6 +390,23 @@ class TestLayout:
         }
         unread = sorted(method for method in methods if method.rpartition(".")[2] not in read)
         assert methods and unread == []
+
+    def test_every_raise_names_a_tickslab_error(self):
+        # the CLI turns only TickslabError and OSError into an error line, so
+        # any other raise would reach its user as a traceback
+        def ours(name):
+            cls = getattr(errors, name, None)
+            return isinstance(cls, type) and issubclass(cls, errors.TickslabError)
+
+        stray = []
+        for path in sorted((SRC / "tickslab").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Raise):
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    name = getattr(exc, "id", None) or getattr(exc, "attr", None) or ""
+                    if (path.name, name) not in self.RAISE_EXEMPT and not ours(name):
+                        stray.append(f"{path.name}:{node.lineno} {name or 'bare raise'}")
+        assert stray == []
 
     def test_every_record_field_is_read(self):
         # a field that is only ever written is dead data; only attribute

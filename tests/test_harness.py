@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -481,16 +482,13 @@ class TestFrameGuarantees:
             assert goal_frames(goal, dims)[1].shape == (audio_in,)
 
 class TestMetrics:
-    def _log(self, task_id, outcome, statuses, steps_used=None):
+    def _log(self, task_id, outcome, statuses):
         records = [
             StepRecord(i, 1, 4, 0.5, 0.75, "noop", {}, s, False)
             for i, s in enumerate(statuses)
         ]
         return EpisodeLog(
-            task_id=task_id,
-            records=records,
-            outcome=outcome,
-            steps_used=steps_used if steps_used is not None else len(statuses),
+            task_id=task_id, records=records, outcome=outcome, steps_used=len(statuses)
         )
 
     def test_examples(self):
@@ -576,6 +574,27 @@ class TestMetrics:
         path.write_text(json.dumps(doc) + "\n")
         with pytest.raises(ParseError, match=f"line 1: {field}"):
             read_logs(path)
+
+    @pytest.mark.parametrize(
+        "where, field, value",
+        [
+            ("log", "outcome", "banana"), ("record", "tool_status", "weird"),
+            ("log", "steps_used", 999), ("log", "steps_used", 1),
+        ],
+    )
+    def test_log_the_program_cannot_write_names_line_and_field(
+        self, tmp_path, capsys, where, field, value
+    ):
+        # each field is well typed; run_episode writes only the two statuses,
+        # the three outcomes and one step per record
+        doc = self._log("a", "success", ["ok", "error"]).to_dict()
+        (doc if where == "log" else doc["records"][1])[field] = value
+        path = tmp_path / "episodes.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(ParseError, match=f"line 1: {field}: must"):
+            read_logs(path)
+        assert cli_main(["metrics", "--logs", str(tmp_path)]) == 2
+        assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize("where", ["log", "record"])
     def test_unknown_key_names_line_and_key(self, tmp_path, where):
@@ -768,6 +787,31 @@ class TestConfig:
         assert sum(rows * cols for _, rows, cols, _ in config.tensor_shapes()) <= MAX_PARAMETERS
         window = e.neurons * (e.history + e.ticks_per_slab)
         assert window + config.consensus.branches * e.sync_pairs <= MAX_PARAMETERS
+
+    # the first tasks50 task, cut to 3 steps
+    SHORT_TASK = dataclasses.replace(
+        load_tasks(Path(__file__).parent / "fixtures" / "tasks50.jsonl")[0], budget_steps=3
+    )
+
+    @given(
+        st.dictionaries(st.sampled_from(SIZE_KEYS), st.integers(1, 12)),
+        st.one_of(st.none(), st.integers(2, 6)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_accepted_size_runs_without_error(self, sizes, logit_count):
+        # the layers check no shapes: the config and build_model do, once
+        doc = {"engine": {"logit_count": logit_count}} if logit_count else {}
+        for (section, key), value in sizes.items():
+            doc.setdefault(section, {})[key] = value
+        registry = build_registry()
+        try:
+            config = Config.from_dict(doc)
+            model = build_model(config, len(registry), registry.max_slots)
+        except ConfigError:
+            return
+        for policy in Policy:
+            log = run_episode(self.SHORT_TASK, config, policy, model)
+            assert log.outcome != "error", (doc, policy)
 
     def test_sections_are_checked_when_built(self):
         with pytest.raises(ConfigError, match="consensus.branches"):
@@ -1086,7 +1130,7 @@ class TestModelBuild:
         assert model.affect.config is config.affect
         assert model.actuator.config is config.actuator
         assert model.router.config is config.router
-        router = build_router_params(model, registry, ["cup"], episode_seed=7)
+        router = build_router_params(model, ["cup"], episode_seed=7)
         assert router.config is config.router
         assert router.action_head is model.router.action_head
         assert router.slot_head is model.router.slot_head

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from tickslab.errors import DimensionMismatch
 from tickslab.perception import EncoderWeights, encode_modality, fuse, spectrum
 from tickslab.rng import fan_in_matrix
 
@@ -69,11 +68,6 @@ class TestEncodeModality:
         # is 1 - 2^-24, so assert at float32 resolution.
         assert np.all(np.abs(latent) > 1.0 - 1e-7)
         assert np.all(np.abs(latent) < 1.0)
-
-    def test_dimension_mismatch(self):
-        enc = make_encoder()
-        with pytest.raises(DimensionMismatch):
-            encode_modality(np.ones(11), enc.vision)
 
 
 class TestSpectrum:
@@ -148,24 +142,3 @@ class TestFuse:
         fa = fuse(forward["vision"], forward["audio"], forward["proprio"], enc)
         fb = fuse(backward["vision"], backward["audio"], backward["proprio"], enc)
         assert np.array_equal(fa, fb)
-
-    def test_wrong_order_rejected(self):
-        enc = make_encoder()
-        vis, aud, pro = self._latents(enc)
-        with pytest.raises(DimensionMismatch, match="vision latent has 4 entries"):
-            fuse(aud, vis, pro, enc)
-
-    def test_latent_width_checked_against_its_encoder(self):
-        # 7 + 3 + 3 entries fill the 13-wide fusion input, but the vision
-        # encoder gives 6 and the audio encoder 4.
-        enc = make_encoder()
-        z = lambda d: np.zeros(d, dtype=np.float32)
-        with pytest.raises(DimensionMismatch, match="vision latent has 7 entries"):
-            fuse(z(7), z(3), z(3), enc)
-
-    def test_fusion_width_mismatch_rejected(self):
-        enc = make_encoder()
-        narrow = EncoderWeights(enc.vision, enc.audio, enc.proprio, fan_in_matrix(4, 9, 12))
-        # matvec's check: the 13-wide concatenation against 12 fusion columns
-        with pytest.raises(DimensionMismatch, match=r"\(9, 12\) incompatible with vector of 13"):
-            fuse(*self._latents(enc), narrow)

@@ -165,10 +165,6 @@ class TestRegistry:
         assert "noop" in registry
         assert registry.specs[0].name == "noop"
 
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError):
-            ToolRegistry([ToolSpec("a"), ToolSpec("a")])
-
 
 class TestEnvelopeSession:
     def test_ids_strictly_increase(self):

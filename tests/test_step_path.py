@@ -19,7 +19,7 @@ from tickslab.params import build_model, build_router_params
 TASKS50 = Path(__file__).parent / "fixtures" / "tasks50.jsonl"
 REGISTRY = build_registry()
 MODEL = build_model(Config(), len(REGISTRY), REGISTRY.max_slots)
-ROUTER = build_router_params(MODEL, REGISTRY, ["cup", "sink"], episode_seed=7)
+ROUTER = build_router_params(MODEL, ["cup", "sink"], episode_seed=7)
 # (bundle, its weight arrays)
 HELD = [
     (MODEL.ctm, ("synapse_w", "factor_a", "factor_b", "bias", "certainty_w")),

@@ -753,15 +753,6 @@ class TestPathsAgree:
 
 
 class TestFraming:
-    def test_newline_in_frame_rejected(self):
-        from io import BytesIO
-
-        from tickslab.transport import StreamTransport
-
-        stream = StreamTransport(BytesIO(), BytesIO())
-        with pytest.raises(ValueError):
-            stream.send_frame(b'{"a":\n1}')
-
     def test_stream_framing_round_trip(self):
         from io import BytesIO
 
