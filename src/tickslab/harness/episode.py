@@ -45,7 +45,7 @@ from ..schema import check_record
 from ..transport import STATUS_ERROR, STATUS_OK, ToolServer, dispatch
 from .featurize import featurize, goal_frames
 from .tasks import TaskRecord
-from .world import WorldSession, build_registry, world_from_task
+from .world import WorldSession, build_registry, goal_holds, world_from_task
 
 logger = logging.getLogger("tickslab.episode")
 
@@ -93,10 +93,13 @@ class EpisodeLog:
     def from_dict(cls, doc: dict) -> "EpisodeLog":
         """The log in ``doc``; a field that does not fit, or one that
         ``run_episode`` cannot write, raises SchemaViolation."""
-        records = [StepRecord(**_checked(StepRecord, r)) for r in _checked(cls, doc)["records"]]
+        records = [
+            StepRecord(**_checked(StepRecord, r, f"records[{i}]."))
+            for i, r in enumerate(_checked(cls, doc)["records"])
+        ]
         _one_of("outcome", doc["outcome"], (OUTCOME_SUCCESS, OUTCOME_BUDGET, OUTCOME_ERROR))
-        for record in records:
-            _one_of("tool_status", record.tool_status, (STATUS_OK, STATUS_ERROR))
+        for i, record in enumerate(records):
+            _one_of(f"records[{i}].tool_status", record.tool_status, (STATUS_OK, STATUS_ERROR))
         # run_episode counts a step once its record is appended, abort or not
         if doc["steps_used"] != len(records):
             raise SchemaViolation(
@@ -105,16 +108,17 @@ class EpisodeLog:
         return cls(**{**doc, "records": records})
 
 
-def _checked(cls, doc) -> dict:
-    """``doc`` if it fits record ``cls`` and its ints are in [0, 2**63).
+def _checked(cls, doc, path: str = "") -> dict:
+    """``doc`` if it fits record ``cls`` and its ints are in [0, 2**63);
+    an error names the field after ``path``.
 
     Ints are counts, and bounding them keeps every metric over them a
     finite float.
     """
-    check_record(cls, doc, "", SchemaViolation)
+    check_record(cls, doc, path, SchemaViolation)
     for f in fields(cls):
         if f.type == "int" and f.name in doc and not 0 <= doc[f.name] < 2**63:
-            raise SchemaViolation(f.name, f"must be in [0, 2**63), got {doc[f.name]}")
+            raise SchemaViolation(f"{path}{f.name}", f"must be in [0, 2**63), got {doc[f.name]}")
     return doc
 
 
@@ -233,7 +237,7 @@ def run_episode(
             log.steps_used = step + 1
             epsilon = next_epsilon
 
-            if session.goal_reached():
+            if goal_holds(session.state, task.steps[-1].expected):
                 log.outcome = OUTCOME_SUCCESS
                 return log
         log.outcome = OUTCOME_BUDGET

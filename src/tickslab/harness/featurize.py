@@ -61,9 +61,8 @@ def scatter_tokens(tokens: list[str], dim: int) -> np.ndarray:
 def world_tokens(world: WorldState) -> list[str]:
     tokens = [f"robot@{world.robot_at}"]
     for name in sorted(world.objects):
-        obj = world.objects[name]
-        tokens.append(f"{name}@{obj.location}")
-        if obj.held:
+        tokens.append(f"{name}@{world.objects[name]}")
+        if name == world.held:
             tokens.append(f"{name}:held")
     return tokens
 

@@ -1,7 +1,9 @@
 """Deterministic world simulation behind the tool registry.
 
-Objects live at named locations; the robot moves, picks, and places.  Tool
-failures are error results that leave the state untouched, never crashes.
+The world is a location per object, the robot's location and one held
+slot; a held object keeps the location where it was picked up.  States
+are never changed in place (new ones may share the objects dict), and a
+tool failure is an error result with the old state, never a crash.
 Goal predicates are the small string forms the task generator emits:
 ``robot_at:<loc>``, ``holding:<obj>`` and ``at:<obj>:<loc>``.
 
@@ -35,26 +37,10 @@ def build_registry() -> ToolRegistry:
 
 
 @dataclass(frozen=True)
-class ObjectState:
-    location: str
-    held: bool = False
-
-
-@dataclass(frozen=True)
 class WorldState:
-    objects: dict            # name -> ObjectState
+    objects: dict            # name -> location
     robot_at: str = START_LOCATION
-    goal: str = ""           # final-step expected postcondition
-
-    def copy(self) -> "WorldState":
-        return WorldState(dict(self.objects), self.robot_at, self.goal)
-
-    @property
-    def held_object(self) -> Optional[str]:
-        for name, obj in self.objects.items():
-            if obj.held:
-                return name
-        return None
+    held: Optional[str] = None
 
 
 def world_from_task(task) -> WorldState:
@@ -68,7 +54,7 @@ def world_from_task(task) -> WorldState:
     from ..rng import fnv1a64
 
     location_set = {START_LOCATION}
-    placement: dict[str, str] = {}
+    objects: dict[str, str] = {}
     here = START_LOCATION
     for step in task.steps:
         if step.tool == "navigate" and isinstance(step.args.get("to"), str):
@@ -76,17 +62,15 @@ def world_from_task(task) -> WorldState:
             location_set.add(here)
         elif step.tool == "pick":
             obj = step.args.get("object")
-            if isinstance(obj, str) and obj not in placement:
-                placement[obj] = here
+            if isinstance(obj, str) and obj not in objects:
+                objects[obj] = here
 
-    objects = {name: ObjectState(loc) for name, loc in placement.items()}
     park = sorted(location_set)
     for name in task.context:
         if name in location_set or name in objects:
             continue
-        objects[name] = ObjectState(park[fnv1a64(name) % len(park)])
-    goal = task.steps[-1].expected
-    return WorldState(objects=objects, robot_at=START_LOCATION, goal=goal)
+        objects[name] = park[fnv1a64(name) % len(park)]
+    return WorldState(objects)
 
 
 def goal_holds(state: WorldState, predicate: str) -> bool:
@@ -94,11 +78,9 @@ def goal_holds(state: WorldState, predicate: str) -> bool:
     if parts[0] == "robot_at" and len(parts) == 2:
         return state.robot_at == parts[1]
     if parts[0] == "holding" and len(parts) == 2:
-        obj = state.objects.get(parts[1])
-        return obj is not None and obj.held
+        return state.held == parts[1]
     if parts[0] == "at" and len(parts) == 3:
-        obj = state.objects.get(parts[1])
-        return obj is not None and not obj.held and obj.location == parts[2]
+        return state.held != parts[1] and state.objects.get(parts[1]) == parts[2]
     return False
 
 
@@ -121,33 +103,27 @@ def step_env(state: WorldState, tool: str, args: dict) -> tuple[WorldState, Tool
         to = args.get("to")
         if not json_type_ok(to, "str") or not to:
             return state, error_result("navigate needs a location name")
-        return WorldState(dict(state.objects), to, state.goal), ok_result(robot_at=to)
+        return WorldState(state.objects, to, state.held), ok_result(robot_at=to)
 
     if tool == "pick":
         name = args.get("object")
         if not isinstance(name, str) or name not in state.objects:
             return state, error_result(f"no such object: {name!r}")
-        if state.held_object is not None:
-            return state, error_result(f"already holding {state.held_object}")
-        obj = state.objects[name]
-        if obj.location != state.robot_at:
-            return state, error_result(
-                f"{name} is at {obj.location}, robot is at {state.robot_at}"
-            )
-        new = state.copy()
-        new.objects[name] = ObjectState(obj.location, held=True)
-        return new, ok_result(holding=name)
+        if state.held is not None:
+            return state, error_result(f"already holding {state.held}")
+        location = state.objects[name]
+        if location != state.robot_at:
+            return state, error_result(f"{name} is at {location}, robot is at {state.robot_at}")
+        return WorldState(state.objects, state.robot_at, name), ok_result(holding=name)
 
     if tool == "place":
         name = args.get("object")
         if not isinstance(name, str) or name not in state.objects:
             return state, error_result(f"no such object: {name!r}")
-        obj = state.objects[name]
-        if not obj.held:
+        if state.held != name:
             return state, error_result(f"not holding {name}")
-        new = state.copy()
-        new.objects[name] = ObjectState(location=state.robot_at, held=False)
-        return new, ok_result(placed=name, at=state.robot_at)
+        objects = {**state.objects, name: state.robot_at}
+        return WorldState(objects, state.robot_at, None), ok_result(placed=name, at=state.robot_at)
 
     if tool == "actuate":
         return state, _actuate(args)
@@ -165,15 +141,7 @@ class WorldSession:
         self.state, result = step_env(self.state, name, args)
         return result
 
-    def goal_reached(self) -> bool:
-        return bool(self.state.goal) and goal_holds(self.state, self.state.goal)
-
 
 def demo_world() -> WorldState:
     """Small fixed world for serve mode and ad-hoc poking."""
-    objects = {
-        "cup": ObjectState("counter"),
-        "book": ObjectState("shelf"),
-        "sponge": ObjectState("sink"),
-    }
-    return WorldState(objects=objects, robot_at=START_LOCATION, goal="")
+    return WorldState({"cup": "counter", "book": "shelf", "sponge": "sink"})

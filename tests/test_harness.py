@@ -48,7 +48,6 @@ from tickslab.harness.metrics import (
 from tickslab.harness.tasks import gen_tasks, load_tasks, save_tasks
 from tickslab.harness.world import (
     WAYPOINTS_PER_MOVE,
-    ObjectState,
     WorldState,
     build_registry,
     demo_world,
@@ -202,52 +201,40 @@ class TestWorld:
         world = world_from_task(task)
         first_nav = next(s for s in task.steps if s.tool == "navigate")
         first_pick = next(s for s in task.steps if s.tool == "pick")
-        assert world.objects[first_pick.args["object"]].location == first_nav.args["to"]
+        assert world.objects[first_pick.args["object"]] == first_nav.args["to"]
         assert world.robot_at == "dock"
 
     def test_pick_success_and_held_flag(self):
-        from tickslab.harness.world import ObjectState
-
-        world = WorldState(objects={"cup": ObjectState("table")}, robot_at="table")
+        world = WorldState(objects={"cup": "table"}, robot_at="table")
         new, result = step_env(world, "pick", {"object": "cup"})
         assert result.status == "ok"
-        assert new.objects["cup"].held
-        assert not world.objects["cup"].held  # old state untouched
+        assert new.held == "cup" and new.objects["cup"] == "table"
+        assert world.held is None  # old state untouched
 
     def test_pick_while_holding_fails_without_mutation(self):
-        from tickslab.harness.world import ObjectState
-
-        world = WorldState(
-            objects={"cup": ObjectState("table", held=True), "jar": ObjectState("table")},
-            robot_at="table",
-        )
+        world = WorldState(objects={"cup": "table", "jar": "table"}, robot_at="table", held="cup")
         new, result = step_env(world, "pick", {"object": "jar"})
-        assert result.status != "ok"
+        assert result.payload == {"reason": "already holding cup"}
         assert new is world
 
     def test_pick_wrong_location_fails(self):
-        from tickslab.harness.world import ObjectState
-
-        world = WorldState(objects={"cup": ObjectState("shelf")}, robot_at="table")
+        world = WorldState(objects={"cup": "shelf"}, robot_at="table")
         new, result = step_env(world, "pick", {"object": "cup"})
-        assert result.status != "ok"
+        assert result.payload == {"reason": "cup is at shelf, robot is at table"}
         assert new is world
 
     def test_place_requires_holding(self):
-        from tickslab.harness.world import ObjectState
-
-        world = WorldState(objects={"cup": ObjectState("shelf")}, robot_at="table")
-        _, result = step_env(world, "place", {"object": "cup"})
-        assert result.status != "ok"
+        world = WorldState(objects={"cup": "shelf", "jar": "table"}, robot_at="table", held="jar")
+        new, result = step_env(world, "place", {"object": "cup"})
+        assert result.payload == {"reason": "not holding cup"}
+        assert new is world
 
     def test_place_moves_object_to_robot(self):
-        from tickslab.harness.world import ObjectState
-
-        world = WorldState(objects={"cup": ObjectState("shelf", held=True)}, robot_at="sink")
+        world = WorldState(objects={"cup": "shelf"}, robot_at="sink", held="cup")
         new, result = step_env(world, "place", {"object": "cup"})
-        assert result.status == "ok"
-        assert new.objects["cup"].location == "sink"
-        assert not new.objects["cup"].held
+        assert result.payload == {"placed": "cup", "at": "sink"}
+        assert new.objects == {"cup": "sink"} and new.held is None
+        assert world.objects == {"cup": "shelf"} and world.held == "cup"
 
     def test_navigate_always_succeeds(self):
         world = demo_world()
@@ -313,18 +300,46 @@ class TestWorld:
         assert result.payload == {"duty": duty, "waypoints": WAYPOINTS_PER_MOVE}
 
     def test_goal_predicates(self):
-        from tickslab.harness.world import ObjectState
-
-        world = WorldState(
-            objects={"cup": ObjectState("table"), "jar": ObjectState("x", held=True)},
-            robot_at="sink",
-        )
+        world = WorldState(objects={"cup": "table", "jar": "x"}, robot_at="sink", held="jar")
         assert goal_holds(world, "robot_at:sink")
         assert not goal_holds(world, "robot_at:table")
         assert goal_holds(world, "at:cup:table")
         assert not goal_holds(world, "at:jar:x")  # held objects are not "at"
         assert goal_holds(world, "holding:jar")
         assert not goal_holds(world, "nonsense")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**16), demo=st.booleans())
+    def test_any_call_sequence_keeps_the_world_consistent(self, data, seed, demo):
+        state = demo_world() if demo else world_from_task(gen_tasks(seed, 1)[0])
+        names = set(state.objects)
+        places = sorted({*state.objects.values(), state.robot_at})
+        # known names, unknown ones and values that are not strings
+        other = st.text(max_size=6) | JSON_VALUES
+        slots = {
+            "navigate": ("to", st.sampled_from(places) | other),
+            "pick": ("object", st.sampled_from(sorted(names)) | other),
+            "place": ("object", st.sampled_from(sorted(names)) | other),
+            "actuate": ("duty", st.lists(st.floats(0, 1), max_size=MAX_JOINTS) | other),
+        }
+        for _ in range(data.draw(st.integers(1, 40))):
+            tool = data.draw(st.sampled_from(["navigate", "pick", "place", "noop", "actuate"]))
+            args = {}
+            if tool in slots:
+                key, values = slots[tool]
+                args[key] = data.draw(values)
+            new, result = step_env(state, tool, args)
+            assert new.held is None or new.held in new.objects
+            assert set(new.objects) == names
+            if result.status == "error":
+                assert new is state
+            elif tool == "pick":
+                assert state.held is None and new.held == args["object"]
+            elif tool == "place":
+                assert goal_holds(new, f"at:{args['object']}:{new.robot_at}")
+            for name in names:
+                assert goal_holds(new, f"holding:{name}") == (new.held == name)
+            state = new
 
 
 class TestFeaturize:
@@ -398,14 +413,13 @@ cache_tokens = st.lists(
     max_size=24,
 )
 widths = st.integers(min_value=1, max_value=1024)
-worlds = st.builds(
-    WorldState,
-    objects=st.dictionaries(
-        st.text(max_size=8),
-        st.builds(ObjectState, st.text(max_size=8), st.booleans()),
-        max_size=6,
-    ),
-    robot_at=st.text(max_size=8),
+worlds = st.dictionaries(st.text(max_size=8), st.text(max_size=8), max_size=6).flatmap(
+    lambda objects: st.builds(
+        WorldState,
+        objects=st.just(objects),
+        robot_at=st.text(max_size=8),
+        held=(st.none() | st.sampled_from(sorted(objects))) if objects else st.none(),
+    )
 )
 
 
@@ -572,7 +586,7 @@ class TestMetrics:
         doc["records"][0][field] = value
         path = tmp_path / "episodes.jsonl"
         path.write_text(json.dumps(doc) + "\n")
-        with pytest.raises(ParseError, match=f"line 1: {field}"):
+        with pytest.raises(ParseError, match=re.escape(f"line 1: records[0].{field}: expected")):
             read_logs(path)
 
     @pytest.mark.parametrize(
@@ -591,18 +605,20 @@ class TestMetrics:
         (doc if where == "log" else doc["records"][1])[field] = value
         path = tmp_path / "episodes.jsonl"
         path.write_text(json.dumps(doc) + "\n")
-        with pytest.raises(ParseError, match=f"line 1: {field}: must"):
+        named = field if where == "log" else f"records[1].{field}"
+        with pytest.raises(ParseError, match=re.escape(f"line 1: {named}: must")):
             read_logs(path)
         assert cli_main(["metrics", "--logs", str(tmp_path)]) == 2
         assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize("where", ["log", "record"])
     def test_unknown_key_names_line_and_key(self, tmp_path, where):
-        doc = self._log("a", "success", ["ok"]).to_dict()
-        (doc if where == "log" else doc["records"][0])["extra"] = 1
+        doc = self._log("a", "success", ["ok", "ok"]).to_dict()
+        (doc if where == "log" else doc["records"][1])["extra"] = 1
         path = tmp_path / "episodes.jsonl"
         path.write_text(json.dumps(doc) + "\n")
-        with pytest.raises(ParseError, match="line 1: extra: unknown field"):
+        key = "extra" if where == "log" else "records[1].extra"
+        with pytest.raises(ParseError, match=re.escape(f"line 1: {key}: unknown field")):
             read_logs(path)
 
     def test_missing_outcome_names_line_and_field(self, tmp_path):
