@@ -44,7 +44,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -87,13 +86,12 @@ class ConsensusResult:
     fallback: bool
 
 
-@lru_cache(maxsize=1)
 def branch_permutations(episode_seed: int, pair_count: int, k: int) -> np.ndarray:
     """The pair permutations of branches 0..k-1 as one read-only (k, pair_count) array.
 
     Row b is drawn from the stream of (episode seed, branch b) alone, so it
-    is the same for every k > b.  Only the last key is held, so a decision
-    step's repeat calls share one array and a new episode replaces it.
+    is the same for every k > b.  An episode derives them once, before its
+    first decision step.
     """
     perms = np.stack([
         SplitMix64(derive_seed(episode_seed, f"branch/{branch_id}")).permutation(pair_count)
@@ -157,11 +155,10 @@ def run_branch(
     and the tests compare the two.  The final state is also the outcome's.
     """
     branch_params = perturb_for_branch(params, episode_seed, branch_id)
-    state, halted = seed_state, False
-    while not halted:
-        state, halted = run_slab(state, f, branch_params, epsilon)
-    reached = state.certainty_trace[-1] >= min(epsilon, params.config.halt_cap)
-    return BranchOutcome(branch_id, state, reached), state
+    state, reason = seed_state, None
+    while reason is None:
+        state, reason = run_slab(state, f, branch_params, epsilon)
+    return BranchOutcome(branch_id, state, reason == "threshold"), state
 
 
 def shared_branches(
@@ -169,18 +166,18 @@ def shared_branches(
     f: np.ndarray,
     params: CtmParams,
     epsilon: float,
-    episode_seed: int,
+    perms: np.ndarray,
     consensus: ConsensusConfig,
     expiry: Optional[float] = None,
     slabs: Optional[SlabMemo] = None,
 ) -> list[BranchOutcome]:
     """The outcome of each branch that halts before the stop.
 
-    One tick trajectory is run from ``seed_state`` for
-    ``consensus.branches`` branches; per slab, its pair contribution is
-    computed once in the unpermuted order, the branches still running
-    gather it through their stacked permutations and read their certainties
-    in one call, and each makes its own halt call.  Each outcome equals
+    One tick trajectory is run from ``seed_state`` for a branch per row of
+    ``perms`` (``branch_permutations``, only read); per slab, its pair
+    contribution is computed once in the unpermuted order, the running
+    branches gather it through their permutations and read their
+    certainties in one call, and each makes its own ``halt_decision``.  Each outcome equals
     ``run_branch``'s for that branch bit for bit.  The trajectory stops
     after the slab in which the decision under ``consensus.wait_policy`` is
     settled (see ``decision_settled``), once every branch has halted, or
@@ -197,8 +194,7 @@ def shared_branches(
     """
     config = params.config
     slabs = SlabMemo() if slabs is None else slabs
-    ids = list(range(consensus.branches))   # the running branches; row r of each stack is ids[r]'s
-    perms = branch_permutations(episode_seed, config.sync_pairs, consensus.branches)
+    ids = list(range(len(perms)))   # the running branches; row r of each stack is ids[r]'s
     # one row, which the first accumulate broadcasts to a row per branch
     syncs = seed_state.sync[None]
     traces = [seed_state.certainty_trace] * len(ids)
@@ -228,11 +224,12 @@ def shared_branches(
         keep = []
         for row, (branch_id, c) in enumerate(zip(ids, cs)):
             traces[row] = trace = (traces[row] + (c,))[-config.plateau_window :]
-            if not halt_decision(c, epsilon, trace, config.max_slabs - slab, config):
+            reason = halt_decision(c, epsilon, trace, config.max_slabs - slab, config)
+            if reason is None:
                 keep.append(row)
                 continue
             state = BranchState(z, history, syncs[row], slab, trace)
-            halted.append(BranchOutcome(branch_id, state, c >= min(epsilon, config.halt_cap)))
+            halted.append(BranchOutcome(branch_id, state, reason == "threshold"))
         if len(keep) < len(ids):
             ids, traces = [ids[r] for r in keep], [traces[r] for r in keep]
             syncs, perms = syncs[keep], perms[keep]
@@ -268,12 +265,7 @@ def merge(outcomes: list[BranchOutcome], params: CtmParams) -> ConsensusResult:
     stack = np.stack([o.state.sync for o in ordered]).astype(np.float64)
     merged = np.sum(weights[:, None] * stack, axis=0).astype(np.float32)
     _, conf_merged = certainty(merged, params.certainty_w, params)
-    return ConsensusResult(
-        sync_merged=merged,
-        confidence_merged=conf_merged,
-        contributors=tuple(o.branch_id for o in ordered),
-        fallback=False,
-    )
+    return ConsensusResult(merged, conf_merged, tuple(o.branch_id for o in ordered), False)
 
 
 def timeout_safe_pass(
@@ -286,12 +278,7 @@ def timeout_safe_pass(
     """
     if cache is not None:
         return ConsensusResult(cache.sync_merged, cache.confidence_merged, cache.contributors, True)
-    return ConsensusResult(
-        sync_merged=np.zeros(pair_count, dtype=np.float32),
-        confidence_merged=0.0,
-        contributors=(),
-        fallback=True,
-    )
+    return ConsensusResult(np.zeros(pair_count, dtype=np.float32), 0.0, (), True)
 
 
 def merge_set(outcomes: list[BranchOutcome], wait_policy: str) -> list[BranchOutcome]:
@@ -339,14 +326,10 @@ def select_step(
         return timeout_safe_pass(cache, params.config.sync_pairs), None
 
     merged = merge_set(outcomes, consensus.wait_policy)
-    if merged:
-        result = merge(merged, params)
-        next_seed = replace(merged[0].state, sync=result.sync_merged.copy())
-    else:
-        result = timeout_safe_pass(cache, params.config.sync_pairs)
-        next_seed = outcomes[0].state
-
-    return result, next_seed
+    if not merged:
+        return timeout_safe_pass(cache, params.config.sync_pairs), outcomes[0].state
+    result = merge(merged, params)
+    return result, replace(merged[0].state, sync=result.sync_merged.copy())
 
 
 def decide_step(
@@ -354,13 +337,13 @@ def decide_step(
     f: np.ndarray,
     params: CtmParams,
     epsilon: float,
-    episode_seed: int,
+    perms: np.ndarray,
     cache: Optional[ConsensusResult],
     consensus: ConsensusConfig,
     slabs: Optional[SlabMemo] = None,
 ) -> tuple[ConsensusResult, Optional[BranchState]]:
-    """(result, next_seed) of a decision step over ``consensus.branches``
-    branch readouts.
+    """(result, next_seed) of a decision step over one branch readout per
+    row of ``perms``; the step's state is its arguments alone.
 
     One shared trajectory runs slab by slab and stops once the decision is
     settled or at the end of the deadline window (see ``shared_branches``);
@@ -374,7 +357,5 @@ def decide_step(
     clock is never read.
     """
     expiry = time.monotonic() + consensus.deadline_ms / 1000.0 if consensus.live else None
-    outcomes = shared_branches(
-        seed_state, f, params, epsilon, episode_seed, consensus, expiry, slabs
-    )
+    outcomes = shared_branches(seed_state, f, params, epsilon, perms, consensus, expiry, slabs)
     return select_step(outcomes, params, cache, consensus)

@@ -23,8 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from .config import EngineConfig
-from .errors import EmptySlab
-from .numerics import bounded_tanh, einsum, hold_float64, matvec
+from .errors import EmptySlab, NonFiniteState
+from .numerics import F32_OVERFLOW, bounded_tanh, einsum, hold_float64, matvec
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,14 @@ def certainty(sync: np.ndarray, certainty_w: np.ndarray, params: CtmParams):
     Returns (h as float32, c as float in [0, 1]).  ``sync`` may also be a
     (rows, pair_count) stack: then h has a row per vector and c is a list,
     each row bit for bit the result for that vector alone.  A float64 head,
-    such as ``params.certainty_w``, is read without a cast.
+    such as ``params.certainty_w``, is read without a cast.  A logit that
+    the float32 cast would make inf, or a NaN, raises ``NonFiniteState``.
     """
     h = matvec(certainty_w, sync if sync.ndim == 2 else sync[None])
+    # the largest scaled logit as a Python float: inf on overflow, no warning
+    reach = float(np.maximum.reduce(np.abs(h), axis=None)) * abs(params.config.logit_scale)
+    if not reach < F32_OVERFLOW:
+        raise NonFiniteState(f"non-finite certainty: a logit reaches {reach!r}, past float32")
     h *= params.config.logit_scale
     logits = h.astype(np.float32)
     # stable softmax in float64, then sum p ln p with 0 ln 0 taken as 0; a
@@ -148,25 +153,24 @@ def certainty(sync: np.ndarray, certainty_w: np.ndarray, params: CtmParams):
 def halt_decision(
     c: float,
     epsilon: float,
-    certainty_trace: tuple,
+    trace: tuple,
     slab_budget_left: int,
     config: EngineConfig,
-) -> bool:
-    """True to halt: threshold reached, slab budget gone, or certainty plateau.
+) -> str | None:
+    """Why a branch halts after this slab: "threshold" (reached), "budget"
+    (no slab left) or "plateau" (certainty flat); None to go on.
 
     The threshold is capped at ``config.halt_cap`` because the
     affect-modulated epsilon can exceed 1 while certainty cannot.
-    ``certainty_trace`` must already include the current value.
+    ``trace`` is the last ``plateau_window`` certainties, ending with c.
     """
     if c >= min(epsilon, config.halt_cap):
-        return True
+        return "threshold"
     if slab_budget_left == 0:
-        return True
-    if len(certainty_trace) >= config.plateau_window:
-        window = certainty_trace[-config.plateau_window :]
-        if max(window) - min(window) < config.plateau_epsilon:
-            return True
-    return False
+        return "budget"
+    if len(trace) >= config.plateau_window and max(trace) - min(trace) < config.plateau_epsilon:
+        return "plateau"
+    return None
 
 
 def gated_carry(z_a: np.ndarray, z_b: np.ndarray, beta: float) -> np.ndarray:
@@ -224,13 +228,14 @@ def slab_ticks(
 
 def run_slab(
     state: BranchState, f: np.ndarray, params: CtmParams, epsilon: float
-) -> tuple[BranchState, bool]:
+) -> tuple[BranchState, str | None]:
     """Run one slab of ticks_per_slab ticks; ``EmptySlab`` past the slab budget.
 
     Collects the post-readout states, folds them into the synchrony
     accumulators, reads certainty off them, and blends the hidden state for
     the next slab through the gated carry.  Returns the next state, whose
-    certainty trace ends with this slab's certainty, and the halt call.
+    certainty trace ends with this slab's certainty, and
+    ``halt_decision``'s reason to halt (None to go on).
     """
     config = params.config
     if state.slab >= config.max_slabs:
@@ -240,5 +245,5 @@ def run_slab(
     slab = state.slab + 1
     _, c = certainty(sync, params.certainty_w, params)
     trace = (state.certainty_trace + (c,))[-config.plateau_window :]
-    halted = halt_decision(c, epsilon, trace, config.max_slabs - slab, config)
-    return BranchState(carried, hist, sync, slab, trace), halted
+    reason = halt_decision(c, epsilon, trace, config.max_slabs - slab, config)
+    return BranchState(carried, hist, sync, slab, trace), reason

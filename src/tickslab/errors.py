@@ -18,6 +18,10 @@ class BranchPanic(TickslabError):
         self.cause = cause
 
 
+class NonFiniteState(TickslabError):
+    """A readout left the float32 range; the model's numbers have diverged."""
+
+
 class NoCandidates(TickslabError):
     pass
 

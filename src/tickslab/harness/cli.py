@@ -7,12 +7,13 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from ..errors import TickslabError
+from ..errors import NonFiniteState, TickslabError
 from ..transport import StreamTransport, ToolServer
 from .world import WorldSession, build_registry, demo_world
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
+EXIT_NON_FINITE = 3     # the model's readout diverged; nothing is written
 
 
 def build_model(config, registry_size: int, max_slots: int):
@@ -138,7 +139,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (TickslabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_NON_FINITE if isinstance(exc, NonFiniteState) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

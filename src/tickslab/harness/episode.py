@@ -1,17 +1,17 @@
 """Episode control loop: perceive, think, decide, act, log.
 
-The goal's vision and audio frames and their latents depend on the goal
-alone, so they are built once per episode, before the first step.  Each
-decision step featurizes the world into the proprio frame, fuses its latent
-with the goal's (an unchanged frame reuses the last fusion vector), reasons
-with k branches (readouts of one shared tick trajectory, stopped by the
-wall clock as well in live mode), and merges their outcomes (or takes the
-cached fallback when nothing converges in time).  A result below the
-router's gamma goes back for more slabs (a rethink) until a round in which
-no branch halts or the slab budget forces a dispatch.  The chosen tool
-call is serialized into an envelope frame, answered by the episode's
-in-process tool server, and applied to the world; the affect readout of
-the final merged vector sets the halting threshold for the next step.  An
+The router's candidates, the branch permutations and the goal's frames and
+latents depend on the episode alone, so they are built before the first
+step.  Each decision step featurizes the world into the proprio frame,
+fuses its latent with the goal's (an unchanged frame reuses the last fusion
+vector), reasons with k branches (readouts of one shared tick trajectory,
+stopped by the wall clock as well in live mode), and merges their outcomes
+(or takes the cached fallback when nothing converges in time).  A result
+below the router's gamma goes back for more slabs (a rethink) until a round
+in which no branch halts or the slab budget forces a dispatch.  The chosen
+tool call is serialized into an envelope frame, answered by the episode's
+in-process tool server, and applied to the world; the affect readout of the
+final merged vector sets the halting threshold for the next step.  An
 actuate call carries the duty cycles planned here from the merged vector,
 so the tool server holds no model state.
 
@@ -20,6 +20,7 @@ decision steps (the thought is continuous); the slab counter and the
 certainty trace reset per step so budgets are per-decision, and a step's
 ticks are its slabs x ``ticks_per_slab``.  One
 ``SlabMemo`` serves the episode's decision calls, and no other episode.
+A ``NonFiniteState`` is not an episode outcome: it ends the run.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from typing import Optional
 from ..actuator import ActuatorParams, plan_torque, torque_to_pwm
 from ..affect import affect_decode, modulate_epsilon
 from ..config import Config
-from ..consensus import ConsensusResult, SlabMemo, decide_step
+from ..consensus import ConsensusResult, SlabMemo, branch_permutations, decide_step
 from ..engine import BranchState, initial_state
-from ..errors import SchemaViolation
+from ..errors import NonFiniteState, SchemaViolation
 from ..params import ModelParams, build_model, build_router_params
 from ..perception import encode_modality, fuse
 from ..registry import NOOP_TOOL, SlotKind, ToolSpec
@@ -157,6 +158,7 @@ def run_episode(
 
     ctm = model.ctm
     gamma, max_slabs = router_params.config.gamma, ctm.config.max_slabs
+    perms = branch_permutations(episode_seed, ctm.config.sync_pairs, config.consensus.branches)
 
     log = EpisodeLog(task_id=task.id, records=[], outcome=OUTCOME_ERROR, steps_used=0)
     seed_state = initial_state(ctm)
@@ -183,8 +185,7 @@ def run_episode(
             # budget; a dispatch below gamma is forced (NaN is not below).
             while True:
                 result, next_seed = decide_step(
-                    seed_state, f, ctm, epsilon, episode_seed, cache, config.consensus,
-                    slabs=slabs,
+                    seed_state, f, ctm, epsilon, perms, cache, config.consensus, slabs=slabs
                 )
                 if not result.fallback:
                     cache = result
@@ -242,7 +243,9 @@ def run_episode(
                 return log
         log.outcome = OUTCOME_BUDGET
         return log
-    except Exception as exc:  # any step failure becomes a logged outcome
+    except NonFiniteState as exc:
+        raise NonFiniteState(f"episode {task.id}: {exc}") from exc
+    except Exception as exc:  # any other step failure becomes a logged outcome
         logger.warning("episode %s aborted: %r", task.id, exc)
         log.outcome = OUTCOME_ERROR
         return log

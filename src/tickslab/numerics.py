@@ -16,6 +16,9 @@ import inspect
 
 import numpy as np
 
+# The least magnitude that a float32 cast rounds to inf: the largest float32
+# plus half its ulp, a tie that rounds to even, up.
+F32_OVERFLOW = 2.0**128 - 2.0**103
 # Largest float32 below 1.0; activations are clamped to +-this value.
 F32_INTERIOR = float(np.nextafter(np.float32(1.0), np.float32(0.0)))
 # np.einsum without its __array_function__ dispatch, a per-call cost that

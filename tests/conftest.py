@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,14 @@ from tickslab.engine import CtmParams
 from tickslab.rng import derive_seed, fan_in_matrix, sample_pairs
 
 ENGINE_KEYS = {f.name for f in dataclasses.fields(EngineConfig)}
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def cli_env() -> dict:
+    """The environment for a ``tickslab`` subprocess: this one's, with ``src``
+    on the path and a RuntimeWarning an error, as pyproject.toml's
+    ``filterwarnings`` makes it in the test process."""
+    return {**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "error::RuntimeWarning"}
 
 
 def make_ctm(

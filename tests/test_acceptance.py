@@ -12,12 +12,12 @@ from unittest import mock
 
 import numpy as np
 
-from conftest import LateStart, make_ctm, fusion_vector
+from conftest import LateStart, cli_env, fusion_vector, make_ctm
 from reference import mu_mlp, sync_scan_tick
 from tickslab import consensus
 from tickslab.actuator import ActuatorParams, plan_torque
 from tickslab.config import Config, ConsensusConfig
-from tickslab.consensus import decide_step, merge
+from tickslab.consensus import branch_permutations, decide_step, merge
 from tickslab.engine import certainty, initial_state, sync_update
 from tickslab.envelope import AFFECT_DIMS, serialize_envelope
 from tickslab.harness.cli import main as cli_main
@@ -160,7 +160,8 @@ class TestAcceptance:
                 fell_back.reset_mock()
                 # the trajectory starts 0-4 ms late: the sum of two 0-2 ms draws
                 clock.delay = float(np.sum(rng.uniform(0.0, 0.002, size=2)))
-                result, _ = decide_step(seed_state, fvec, params, 0.05, trial, None, window)
+                perms = branch_permutations(trial, params.config.sync_pairs, window.branches)
+                result, _ = decide_step(seed_state, fvec, params, 0.05, perms, None, window)
                 paths = (merged.call_count, fell_back.call_count)
                 if result.fallback:
                     saw_fallback += 1
@@ -249,6 +250,7 @@ class TestAcceptance:
                 ],
                 capture_output=True,
                 timeout=300,
+                env=cli_env(),
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(

@@ -2,7 +2,6 @@ import ast
 import dataclasses
 import importlib
 import json
-import os
 import pkgutil
 import re
 import select
@@ -15,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import SRC, cli_env
 from tickslab import errors
 from tickslab.harness import episode
 from tickslab.harness.cli import build_parser, main
@@ -22,7 +22,6 @@ from tickslab.transport import MAX_FRAME_BYTES
 from tickslab.weights import save_weights
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-SRC = Path(__file__).resolve().parents[1] / "src"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TASKS50 = Path(__file__).resolve().parent / "fixtures" / "tasks50.jsonl"
 
@@ -189,6 +188,29 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert all(name in err for name in names)
+
+    def test_non_finite_certainty_exits_3_and_writes_nothing(self, tmp_path):
+        # decay 1 has no load-time logit bound, and this scale takes the first
+        # logit past float32; it used to exit 0 with a fallback noop per step
+        config, tasks = tmp_path / "config.json", tmp_path / "tasks.jsonl"
+        config.write_text(json.dumps({"engine": {"decay": 1.0, "logit_scale": 1e300}}))
+        tasks.write_text("".join(TASKS50.read_text().splitlines(keepends=True)[:3]))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "tickslab.harness.cli", "run", "--tasks", str(tasks),
+                "--config", str(config), "--policy", "ctm", "--out", str(out),
+            ],
+            capture_output=True,
+            env=cli_env(),
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 3, proc.stderr
+        # one line, so no numpy warning and no aborted episode
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: episode synth-20260810-0: non-finite certainty")
+        assert proc.stdout == "" and not out.exists()
 
     @pytest.mark.parametrize(
         "to, code",
@@ -468,7 +490,7 @@ class TestServeTcp:
             [sys.executable, "-m", "tickslab.harness.cli", "serve", "--transport", "tcp",
              "--addr", "127.0.0.1:0"],
             stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
+            env=cli_env(),
         )
         try:
             readable, _, _ = select.select([proc.stderr], [], [], 60)
@@ -505,6 +527,7 @@ class TestServeStdio:
             [sys.executable, "-m", "tickslab.harness.cli", "serve", "--transport", "stdio"],
             input=frames,
             capture_output=True,
+            env=cli_env(),
             timeout=60,
         )
         assert proc.returncode == 0
@@ -550,7 +573,7 @@ class TestServeStdio:
             input=b"".join(frame + b"\n" for frame in frames),
             capture_output=True,
             timeout=60,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
+            env=cli_env(),
         )
         assert proc.returncode == 0, proc.stderr
         probe = json.loads(proc.stderr.splitlines()[-1])
@@ -571,6 +594,7 @@ class TestServeStdio:
             [sys.executable, "-m", "tickslab.harness.cli", "serve", "--transport", "stdio"],
             input=frames,
             capture_output=True,
+            env=cli_env(),
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
@@ -588,6 +612,7 @@ class TestServeStdio:
             [sys.executable, "-m", "tickslab.harness.cli", "serve", "--transport", "stdio"],
             input=frames,
             capture_output=True,
+            env=cli_env(),
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
@@ -606,6 +631,7 @@ class TestServeStdio:
             [sys.executable, "-m", "tickslab.harness.cli", "serve", "--transport", "stdio"],
             input=frames,
             capture_output=True,
+            env=cli_env(),
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
@@ -624,6 +650,7 @@ class TestSubprocessEntryPoint:
                 "gen-tasks", "--seed", "1", "--count", "2", "--out", str(out),
             ],
             capture_output=True,
+            env=cli_env(),
             text=True,
         )
         assert proc.returncode == 0
@@ -636,6 +663,7 @@ class TestSubprocessEntryPoint:
                 "metrics", "--logs", str(tmp_path / "missing"),
             ],
             capture_output=True,
+            env=cli_env(),
             text=True,
         )
         assert proc.returncode == 2

@@ -31,6 +31,7 @@ from tickslab.engine import (
     run_slab,
     slab_ticks,
 )
+from tickslab.errors import NonFiniteState
 from tickslab.rng import SplitMix64, derive_seed
 
 
@@ -48,6 +49,11 @@ def no_cutoff(params, branches, wait_policy="off", **live):
         branches=branches, wait_policy=wait_policy,
         deadline_ticks=params.config.ticks_per_slab * params.config.max_slabs, **live,
     )
+
+
+def episode_perms(params, k, episode_seed):
+    """The k branch permutations that episode ``episode_seed`` passes to each step."""
+    return branch_permutations(episode_seed, params.config.sync_pairs, k)
 
 
 def halt_at(branch_id, sync, confidence, reached=True):
@@ -169,15 +175,20 @@ class TestMerge:
     def test_lone_merge_equals_the_weighted_formula(self, syncs, scale, branch_id):
         # confidences read by certainty, as every branch outcome's is; a
         # scaled-down or zeroed vector reads a confidence below 1e-9, and
-        # one with infinities a non-finite confidence
+        # one whose logits leave float32 (an infinity, say) reads none
         params = make_ctm(seed=1)
         for sync in syncs:
-            with np.errstate(all="ignore"):
+            with np.errstate(invalid="ignore"):     # inf * 0
                 sync = (sync * np.float32(scale)).astype(np.float32)
+            try:
                 _, c = certainty(sync, params.certainty_w, params)
-                o = halt_at(branch_id, sync, c)
-                got = merge([o], params)
-                want_sync, want_c = weighted_merge([o], params)
+            except NonFiniteState:
+                with pytest.raises(NonFiniteState):
+                    merge([halt_at(branch_id, sync, float("nan"))], params)
+                continue
+            o = halt_at(branch_id, sync, c)
+            got = merge([o], params)
+            want_sync, want_c = weighted_merge([o], params)
             assert got.sync_merged.dtype == np.float32
             assert got.sync_merged.tobytes() == want_sync.tobytes()
             assert np.float64(got.confidence_merged).tobytes() == np.float64(want_c).tobytes()
@@ -188,14 +199,15 @@ class TestMerge:
     def test_lone_merge_with_non_finite_confidence_takes_the_formula(
         self, small_params, confidence
     ):
+        # no branch reads such a confidence, since certainty raises first;
+        # the formula's NaN weights make a NaN vector, whose re-read raises
         sync = np.random.default_rng(4).normal(size=12).astype(np.float32)
         o = halt_at(2, sync, confidence)
         with np.errstate(invalid="ignore"):     # inf / inf
-            got = merge([o], small_params)
-            want_sync, want_c = weighted_merge([o], small_params)
-        assert got.sync_merged.tobytes() == want_sync.tobytes()
-        assert np.isnan(got.confidence_merged) and np.isnan(want_c)
-        assert got.sync_merged.tobytes() != sync.tobytes()
+            with pytest.raises(NonFiniteState, match="non-finite certainty"):
+                merge([o], small_params)
+            with pytest.raises(NonFiniteState, match="non-finite certainty"):
+                weighted_merge([o], small_params)
 
     def test_confidence_recomputable_from_logits(self, small_params, fvec):
         # a branch's confidence is the certainty of the logits its sync
@@ -203,7 +215,8 @@ class TestMerge:
         from reference import entropy, softmax
 
         outcomes = shared_branches(
-            initial_state(small_params), fvec, small_params, 0.75, 9, no_cutoff(small_params, 6)
+            initial_state(small_params), fvec, small_params, 0.75,
+            episode_perms(small_params, 6, 9), no_cutoff(small_params, 6),
         )
         assert outcomes
         for o in outcomes:
@@ -233,7 +246,8 @@ class TestSpawnBranches:
     def test_k1_matches_inline_run(self, small_params, fvec):
         seed_state = initial_state(small_params)
         outcomes = shared_branches(
-            seed_state, fvec, small_params, 0.75, 42, no_cutoff(small_params, 1)
+            seed_state, fvec, small_params, 0.75, episode_perms(small_params, 1, 42),
+            no_cutoff(small_params, 1),
         )
         inline, inline_state = run_branch(seed_state, fvec, small_params, 0.75, 42, 0)
         assert inline.state is inline_state
@@ -242,7 +256,8 @@ class TestSpawnBranches:
 
     def test_branches_differ_from_each_other(self, small_params, fvec):
         outcomes = shared_branches(
-            initial_state(small_params), fvec, small_params, 0.75, 7, no_cutoff(small_params, 4)
+            initial_state(small_params), fvec, small_params, 0.75,
+            episode_perms(small_params, 4, 7), no_cutoff(small_params, 4),
         )
         syncs = {o.state.sync.tobytes() for o in outcomes}
         assert len(syncs) > 1
@@ -317,9 +332,9 @@ class TestTimeoutSafePass:
 class TestDecideStep:
     def test_deterministic_repeat(self, small_params, fvec):
         seed_state = initial_state(small_params)
-        window = four_slab_window(small_params, 4)
-        r1, s1 = decide_step(seed_state, fvec, small_params, 0.75, 11, None, window)
-        r2, s2 = decide_step(seed_state, fvec, small_params, 0.75, 11, None, window)
+        window, perms = four_slab_window(small_params, 4), episode_perms(small_params, 4, 11)
+        r1, s1 = decide_step(seed_state, fvec, small_params, 0.75, perms, None, window)
+        r2, s2 = decide_step(seed_state, fvec, small_params, 0.75, perms, None, window)
         assert np.array_equal(r1.sync_merged, r2.sync_merged)
         assert r1.confidence_merged == r2.confidence_merged
         assert r1.contributors == r2.contributors
@@ -330,7 +345,8 @@ class TestDecideStep:
         # zero certainty head: c = 0 always, so no branch can reach threshold
         params = make_ctm(seed=1, certainty_w=np.zeros((4, 12), dtype=np.float32))
         result, next_seed = decide_step(
-            initial_state(params), fvec, params, 0.75, 11, None, four_slab_window(params, 3)
+            initial_state(params), fvec, params, 0.75, episode_perms(params, 3, 11), None,
+            four_slab_window(params, 3),
         )
         assert result.fallback
         assert result.contributors == ()
@@ -344,33 +360,35 @@ class TestDecideStep:
             raise RuntimeError("the clock was read")
 
         monkeypatch.setattr(consensus.time, "monotonic", no_clock)
+        perms = episode_perms(small_params, 3, 11)
         result, _ = decide_step(
-            initial_state(small_params), fvec, small_params, 0.75, 11, None,
+            initial_state(small_params), fvec, small_params, 0.75, perms, None,
             four_slab_window(small_params, 3),
         )
         assert not result.fallback
         with pytest.raises(RuntimeError, match="clock"):
             decide_step(
-                initial_state(small_params), fvec, small_params, 0.75, 11, None,
+                initial_state(small_params), fvec, small_params, 0.75, perms, None,
                 replace(four_slab_window(small_params, 3), live=True),
             )
 
     def test_all_branches_failing_dispatches_fallback(self, small_params, fvec):
         with mock.patch.object(consensus, "slab_ticks", side_effect=RuntimeError("boom")):
             result, next_seed = decide_step(
-                initial_state(small_params), fvec, small_params, 0.75, 11, None,
-                four_slab_window(small_params, 3),
+                initial_state(small_params), fvec, small_params, 0.75,
+                episode_perms(small_params, 3, 11), None, four_slab_window(small_params, 3),
             )
         assert result.fallback
         assert next_seed is None
 
     def test_wait_one_can_widen_merge_set(self, small_params, fvec):
+        perms = episode_perms(small_params, 4, 11)
         base, _ = decide_step(
-            initial_state(small_params), fvec, small_params, 0.2, 11, None,
+            initial_state(small_params), fvec, small_params, 0.2, perms, None,
             four_slab_window(small_params, 4, "off"),
         )
         wide, _ = decide_step(
-            initial_state(small_params), fvec, small_params, 0.2, 11, None,
+            initial_state(small_params), fvec, small_params, 0.2, perms, None,
             four_slab_window(small_params, 4, "one"),
         )
         assert len(base.contributors) == 1
@@ -389,11 +407,12 @@ class TestDecideStep:
             assert_same_outcome(got[0], want[0])
             assert_same_state(got[1], want[1])
         window = no_cutoff(small_params, 4, deadline_ms=60_000.0)
-        want, want_seed = decide_step(unfrozen, fvec, small_params, 0.75, 11, None, window)
+        perms = episode_perms(small_params, 4, 11)
+        want, want_seed = decide_step(unfrozen, fvec, small_params, 0.75, perms, None, window)
         assert not want.fallback
         for live in (False, True):
             got, got_seed = decide_step(
-                seed, fvec, small_params, 0.75, 11, None, replace(window, live=live)
+                seed, fvec, small_params, 0.75, perms, None, replace(window, live=live)
             )
             assert got.sync_merged.tobytes() == want.sync_merged.tobytes()
             assert got.contributors == want.contributors
@@ -401,11 +420,57 @@ class TestDecideStep:
         assert [array.tobytes() for array in (seed.z, seed.history, seed.sync)] == before
 
 
+    def test_interleaved_episodes_decide_as_each_alone(self, small_params):
+        window = four_slab_window(small_params, 3)
+
+        def calls(episode_seed, f):
+            """An episode's decision calls, one (result, next_seed) per resume."""
+            perms, slabs = episode_perms(small_params, 3, episode_seed), SlabMemo()
+            state, cache = initial_state(small_params), None
+            for _ in range(5):
+                result, next_seed = decide_step(
+                    state, f, small_params, 0.75, perms, cache, window, slabs=slabs
+                )
+                yield result, next_seed
+                cache = cache if result.fallback else result
+                state = reset_counters(next_seed or state)
+
+        episodes = ((11, fusion_vector(3)), (12, fusion_vector(4)))
+        alone = [list(calls(*args)) for args in episodes]
+        with mock.patch.object(consensus, "branch_permutations", side_effect=AssertionError):
+            interleaved = list(zip(*(calls(*args) for args in episodes)))
+        # the two episodes decide differently, so a mix-up would show, and
+        # each first decision is the one its own branch runs give
+        assert [r.sync_merged.tobytes() for r, _ in alone[0]] != [
+            r.sync_merged.tobytes() for r, _ in alone[1]
+        ]
+        for (episode_seed, f), ((first, _), *_) in zip(episodes, alone):
+            reference = reference_outcomes(
+                initial_state(small_params), f, small_params, 0.75, 3, episode_seed
+            )
+            in_window = tick_window(
+                reference.values(), small_params.config.ticks_per_slab, window.deadline_ticks
+            )
+            want, _ = select_step(in_window, small_params, None, window)
+            assert first.sync_merged.tobytes() == want.sync_merged.tobytes()
+        for (want_a, want_b), (got_a, got_b) in zip(zip(*alone), interleaved):
+            for (want, want_seed), (got, got_seed) in ((want_a, got_a), (want_b, got_b)):
+                assert got.sync_merged.tobytes() == want.sync_merged.tobytes()
+                assert (got.confidence_merged, got.contributors, got.fallback) == (
+                    want.confidence_merged, want.contributors, want.fallback
+                )
+                if want_seed is None:
+                    assert got_seed is None
+                else:
+                    assert_same_state(got_seed, want_seed)
+
+
 class TestLiveRace:
     def test_live_wait_one_merges_up_to_two(self, fvec):
         params = make_ctm(seed=3, max_slabs=2, ticks_per_slab=2)
         window = no_cutoff(params, 3, "one", deadline_ms=200.0, live=True)
-        result, _ = decide_step(initial_state(params), fvec, params, 0.05, 7, None, window)
+        perms = episode_perms(params, 3, 7)
+        result, _ = decide_step(initial_state(params), fvec, params, 0.05, perms, None, window)
         assert not result.fallback
         assert 1 <= len(result.contributors) <= 2
 
@@ -427,7 +492,8 @@ class TestLiveRace:
                 fell_back.reset_mock()
                 # the trajectory starts 0-8 ms late: the sum of two 0-4 ms draws
                 clock.delay = float(rng.uniform(0, 0.004)) + float(rng.uniform(0, 0.004))
-                result, _ = decide_step(seed_state, fvec, params, 0.10, trial, None, window)
+                perms = episode_perms(params, 2, trial)
+                result, _ = decide_step(seed_state, fvec, params, 0.10, perms, None, window)
                 fallback = result.fallback
                 paths = (merged.call_count, fell_back.call_count)
                 assert paths == ((0, 1) if fallback else (1, 0))
@@ -448,9 +514,11 @@ class TestLiveRace:
         run_slab(state, fvec, params, epsilon=0.5)
         slab_s = time.monotonic() - start
 
-        window = no_cutoff(params, 4, deadline_ms=50.0, live=True)
+        window, perms = no_cutoff(params, 4, deadline_ms=50.0, live=True), episode_perms(params, 4, 7)
         start = time.monotonic()
-        result, next_seed = decide_step(initial_state(params), fvec, params, 0.5, 7, None, window)
+        result, next_seed = decide_step(
+            initial_state(params), fvec, params, 0.5, perms, None, window
+        )
         elapsed = time.monotonic() - start
         assert result.fallback
         assert result.contributors == ()
@@ -591,7 +659,8 @@ class TestSharedTrajectory:
         window = ConsensusConfig(
             branches=k, wait_policy=wait, deadline_ticks=limit, deadline_ms=60_000
         )
-        shared = shared_branches(seed_state, f, params, epsilon, episode_seed, window)
+        perms = episode_perms(params, k, episode_seed)
+        shared = shared_branches(seed_state, f, params, epsilon, perms, window)
         reference = reference_outcomes(seed_state, f, params, epsilon, k, episode_seed)
 
         # The trajectory orders and windows its halts, which select_step
@@ -619,11 +688,11 @@ class TestSharedTrajectory:
         # to the stop once.
         computed = distinct_start_states(seed_state, f, params, slabs)
         with counting_slab_ticks() as counter:
-            decided = decide_step(seed_state, f, params, epsilon, episode_seed, cache, window)
+            decided = decide_step(seed_state, f, params, epsilon, perms, cache, window)
         assert counter.call_count == computed
         with counting_slab_ticks() as counter:
             live = decide_step(
-                seed_state, f, params, epsilon, episode_seed, cache, replace(window, live=True)
+                seed_state, f, params, epsilon, perms, cache, replace(window, live=True)
             )
         assert counter.call_count == computed
         in_window = tick_window(reference.values(), ticks_per_slab, limit)
@@ -651,8 +720,8 @@ class TestSharedTrajectory:
         for wait, contributors, slabs in (("off", (2,), 2), ("one", (1, 2), 5)):
             with counting_slab_ticks() as counter:
                 result, next_seed = decide_step(
-                    seed_state, fvec, small_params, 0.75, 17, None,
-                    four_slab_window(small_params, 3, wait),
+                    seed_state, fvec, small_params, 0.75, episode_perms(small_params, 3, 17),
+                    None, four_slab_window(small_params, 3, wait),
                 )
             assert result.contributors == contributors
             assert counter.call_count == slabs
@@ -663,35 +732,12 @@ class TestSharedTrajectory:
         spent = replace(initial_state(small_params), slab=small_params.config.max_slabs)
         with caplog.at_level("WARNING", logger="tickslab.consensus"):
             result, next_seed = decide_step(
-                spent, fvec, small_params, 0.75, 11, None, four_slab_window(small_params, 3)
+                spent, fvec, small_params, 0.75, episode_perms(small_params, 3, 11), None,
+                four_slab_window(small_params, 3),
             )
         assert sum("failed" in r.message for r in caplog.records) == 3
         assert result.fallback
         assert next_seed is None
-
-    def test_permutation_cache_holds_one_episode(self):
-        first = branch_permutations(5, 12, 3)
-        assert len(first) == 3
-        assert branch_permutations(5, 12, 3) is first
-        for branch_id, perm in enumerate(first):
-            fresh = SplitMix64(derive_seed(5, f"branch/{branch_id}")).permutation(12)
-            assert np.array_equal(perm, fresh)
-            assert not perm.flags.writeable
-        branch_permutations(6, 12, 3)
-        again = branch_permutations(5, 12, 3)
-        assert again is not first
-        assert np.array_equal(again, first)
-
-    def test_permutation_cache_stacks_the_episode_once(self):
-        stacked = branch_permutations(5, 12, 3)
-        assert stacked.shape == (3, 12)
-        assert not stacked.flags.writeable
-        assert branch_permutations(5, 12, 3) is stacked
-        # a second episode seed rebuilds the stack from that episode's permutations
-        second = branch_permutations(6, 12, 3)
-        assert not np.array_equal(second, stacked)
-        assert not second.flags.writeable
-        assert np.array_equal(branch_permutations(6, 12, 2), second[:2])
 
     @given(
         seed=st.integers(0, 2**40),
@@ -705,7 +751,6 @@ class TestSharedTrajectory:
         perms = branch_permutations(seed, pair_count, k)
         assert perms.shape == (k, pair_count)
         assert not perms.flags.writeable
-        assert branch_permutations(seed, pair_count, k) is perms
         wider = branch_permutations(seed, pair_count, k + larger)
         assert not wider.flags.writeable
         for branch_id, perm in enumerate(perms):
@@ -713,15 +758,13 @@ class TestSharedTrajectory:
             assert np.array_equal(perm, fresh)
             assert np.array_equal(wider[branch_id], fresh)
             assert not perm.flags.writeable
-        # one key is held: another episode seed evicts it, and asking again
-        # rebuilds equal rows in a new array
+        # another episode seed draws other rows, and asking again after it
+        # draws equal rows
         other = branch_permutations(other_seed + (other_seed == seed), pair_count, k)
         assert not other.flags.writeable
         if pair_count >= 8:
             assert not np.array_equal(other, perms)
-        again = branch_permutations(seed, pair_count, k)
-        assert again is not perms
-        assert np.array_equal(again, perms)
+        assert np.array_equal(branch_permutations(seed, pair_count, k), perms)
 
 
 def reset_counters(state):
@@ -751,6 +794,7 @@ class TestSlabMemo:
         f_a, f_b = (fusion_vector(seed) for seed in f_seeds)
         start = warm_state(params, f_a, min(warm_slabs, max_slabs), reset=True)
         window = no_cutoff(params, k, wait, deadline_ms=60_000)
+        perms = episode_perms(params, k, episode_seed)
 
         def run(slabs):
             """A decision sequence; each call gets ``slabs`` or, if None, a fresh memo."""
@@ -759,7 +803,7 @@ class TestSlabMemo:
             def decide(seed_state, f):
                 nonlocal cache
                 result, next_seed = decide_step(
-                    seed_state, f, params, epsilon, episode_seed, cache,
+                    seed_state, f, params, epsilon, perms, cache,
                     replace(window, live=live[len(decisions)]), slabs=slabs,
                 )
                 decisions.append((result, next_seed))

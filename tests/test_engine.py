@@ -22,7 +22,7 @@ from tickslab.engine import (
     slab_ticks,
     sync_update,
 )
-from tickslab.errors import EmptySlab
+from tickslab.errors import EmptySlab, NonFiniteState
 from tickslab.params import build_model
 
 TICK_WEIGHTS = ("synapse_w", "factor_a", "factor_b", "bias")
@@ -277,6 +277,34 @@ class TestCertainty:
             _, c = certainty(sync, small_params.certainty_w, small_params)
             assert 0.0 <= c <= 1.0
 
+    @pytest.mark.parametrize(
+        "entry, logit_scale",
+        [(np.inf, 8.0), (np.nan, 8.0), (1.0, 1e300), (1e6, 1e308)],
+        ids=["inf", "nan", "past_float32", "past_float64"],
+    )
+    def test_a_logit_past_float32_is_named(self, entry, logit_scale):
+        # before any cast, so numpy warns of nothing; a row of a stack too
+        params = make_ctm(seed=1, logit_scale=logit_scale)
+        sync = np.full(12, 0.5, dtype=np.float32)
+        sync[3] = entry
+        for readout in (sync, np.stack([np.zeros(12, dtype=np.float32), sync])):
+            with pytest.raises(NonFiniteState, match="non-finite certainty"):
+                certainty(readout, params.certainty_w, params)
+
+    def test_a_logit_is_refused_exactly_where_the_cast_overflows(self):
+        # the cast rounds a logit below the largest float32 plus half its ulp
+        # (2**103) down to the largest float32, and one from there up to inf
+        f32_max = np.finfo(np.float32).max
+        w = np.zeros((4, 12), dtype=np.float32)
+        w[0, 0] = 1.0
+        sync = np.zeros(12, dtype=np.float32)
+        sync[0] = f32_max
+        for scale in (1.0, 1.0 + 2.0**-26):
+            logits, c = certainty(sync, w, make_ctm(seed=1, logit_scale=scale))
+            assert logits[0] == f32_max and c == 1.0
+        with pytest.raises(NonFiniteState):
+            certainty(sync, w, make_ctm(seed=1, logit_scale=1.0 + 2.0**-24))
+
 
 def one_vector_certainty(sync, w, params):
     """The certainty readout as one vector at a time computes it: the
@@ -365,25 +393,25 @@ class TestCertaintyEqualsComposedForm:
 
 class TestHaltDecision:
     def test_threshold_halt(self):
-        assert halt_decision(0.9, 0.75, (0.1, 0.5, 0.9), 5, EngineConfig())
+        assert halt_decision(0.9, 0.75, (0.1, 0.5, 0.9), 5, EngineConfig()) == "threshold"
 
     def test_continue_mid_run(self):
-        assert not halt_decision(0.5, 0.75, (0.3, 0.4, 0.5), 5, EngineConfig())
+        assert halt_decision(0.5, 0.75, (0.3, 0.4, 0.5), 5, EngineConfig()) is None
 
     def test_capped_epsilon(self):
         # epsilon above the cap: 0.99 < 0.995 so the branch keeps thinking.
-        assert not halt_decision(0.99, 1.125, (0.2, 0.3, 0.4), 5, EngineConfig())
+        assert halt_decision(0.99, 1.125, (0.2, 0.3, 0.4), 5, EngineConfig()) is None
         # but certainty at the cap halts even though epsilon is higher
-        assert halt_decision(0.996, 1.125, (0.2, 0.3, 0.4), 5, EngineConfig())
+        assert halt_decision(0.996, 1.125, (0.2, 0.3, 0.4), 5, EngineConfig()) == "threshold"
 
     def test_budget_halt(self):
-        assert halt_decision(0.0, 0.75, (0.0, 0.1, 0.2), 0, EngineConfig())
+        assert halt_decision(0.0, 0.75, (0.0, 0.1, 0.2), 0, EngineConfig()) == "budget"
 
     def test_plateau_halt(self):
-        assert halt_decision(0.5, 0.75, (0.5001, 0.5005, 0.5002), 5, EngineConfig())
+        assert halt_decision(0.5, 0.75, (0.5001, 0.5005, 0.5002), 5, EngineConfig()) == "plateau"
 
     def test_short_trace_no_plateau(self):
-        assert not halt_decision(0.5, 0.75, (0.5, 0.5), 5, EngineConfig())
+        assert halt_decision(0.5, 0.75, (0.5, 0.5), 5, EngineConfig()) is None
 
 
 class TestGatedCarry:
@@ -433,8 +461,8 @@ class TestRunSlab:
 
     def test_last_slab_halts(self, small_params, fvec):
         state = replace(initial_state(small_params), slab=small_params.config.max_slabs - 1)
-        new_state, halted = run_slab(state, fvec, small_params, 2.0)
-        assert halted  # slab budget is gone
+        new_state, reason = run_slab(state, fvec, small_params, 2.0)
+        assert reason == "budget"
         assert new_state.slab == small_params.config.max_slabs
 
     def test_deterministic_bitwise(self, small_params, fvec):

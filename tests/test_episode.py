@@ -270,6 +270,38 @@ class TestGoalFrames:
         assert len(fused) == 1 + sum(changed)
 
 
+class TestBranchPermutations:
+    def test_derived_once_per_episode_and_in_no_step(self, monkeypatch):
+        config = Config()
+        model = build_for(config)
+        task = load_tasks(TASKS)[0]
+        plain = run_episode(task, config, Policy.CTM, model=model).to_dict()
+
+        derived, passed = [], []
+        decide_step = episode.decide_step
+
+        def decide(*args, **kwargs):
+            passed.append(args[4])
+            return decide_step(*args, **kwargs)
+
+        def in_a_step(*args):
+            raise AssertionError("a decision step derived branch permutations")
+
+        monkeypatch.setattr(
+            episode, "branch_permutations", recording(episode.branch_permutations, derived)
+        )
+        monkeypatch.setattr(consensus, "branch_permutations", in_a_step)
+        monkeypatch.setattr(episode, "decide_step", decide)
+        log = run_episode(task, config, Policy.CTM, model=model)
+        assert log.to_dict() == plain
+        [perms] = derived
+        assert perms.shape == (config.consensus.branches, config.engine.sync_pairs)
+        assert not perms.flags.writeable
+        # every call of the episode, rethinks too, reads the same array
+        assert len(passed) == log.steps_used + log.rethinks > 1
+        assert all(p is perms for p in passed)
+
+
 class TestSlabMemo:
     # Task 0 keeps one f all episode and its trajectory falls into a period-2
     # limit cycle, so most of its slabs repeat a start state it has run;

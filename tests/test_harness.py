@@ -1171,8 +1171,8 @@ class TestModelBuild:
         f = np.ones(config.perception.fusion_dim, dtype=np.float32)
         state, halts = initial_state(model.ctm), []
         for _ in range(6):
-            state, halted = run_slab(state, f, model.ctm, 0.75)
-            halts.append(halted)
+            state, reason = run_slab(state, f, model.ctm, 0.75)
+            halts.append(reason)
         # certainty is 0 at every slab, so only the plateau can halt
         assert state.certainty_trace == (0.0,) * 5
-        assert halts == [False] * 4 + [True] * 2
+        assert halts == [None] * 4 + ["plateau"] * 2
