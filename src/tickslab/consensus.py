@@ -24,7 +24,10 @@ the merge is bitwise order-independent.
 Exactly one consensus result is produced per decision step: the normal path
 and the timeout path are mutually exclusive, and the timeout path is total
 (it falls back to the cached result, or to a zero no-op result on the first
-step).
+step).  Every branch halts at the slab budget, so a step seeded there runs
+no slab and takes the timeout path.  A slab that raises is not caught in
+the step: the error ends its episode, which ``run_episode`` logs as an
+``error`` outcome.
 
 With ``consensus.live`` set, a step also has a wall-clock stop
 ``consensus.deadline_ms`` after the call: the trajectory ends before a slab
@@ -40,8 +43,6 @@ tasks50 run; a ``SlabMemo``, kept for one episode only, runs each once.
 
 from __future__ import annotations
 
-import logging
-import math
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -59,10 +60,7 @@ from .engine import (
     slab_contribution,
     slab_ticks,
 )
-from .errors import BranchPanic, EmptySlab
 from .rng import SplitMix64, derive_seed
-
-logger = logging.getLogger("tickslab.consensus")
 
 ZERO_CONFIDENCE = 1e-9
 
@@ -188,9 +186,9 @@ def shared_branches(
     the stop are left out.  Outcomes come in (slab, branch_id) order.
     Slabs come from ``slabs``, the episode's memo (a fresh one if omitted).
 
-    A slab that would start at ``max_slabs`` raises ``EmptySlab``.  When
-    the trajectory raises, each branch still running is logged as a
-    ``BranchPanic`` and left out.
+    Every running branch halts by "budget" in the slab that reaches
+    ``max_slabs``, so a seed already there runs no slab and returns no
+    halts.  A slab that raises is not caught: the error leaves the call.
     """
     config = params.config
     slabs = SlabMemo() if slabs is None else slabs
@@ -205,19 +203,12 @@ def shared_branches(
     z, history, slab = seed_state.z, seed_state.history, seed_state.slab
     n = config.ticks_per_slab
     last = None         # the window's last slab, set at the first halt
-    while ids:
+    while ids and slab < config.max_slabs:
         if expiry is not None and time.monotonic() >= expiry:
             break
-        try:
-            if slab >= config.max_slabs:
-                raise EmptySlab("slab budget exhausted before the slab started")
-            if last is not None and slab >= last:
-                break
-            history, z, contribution = slabs.lookup(z, history, f, params)
-        except Exception as exc:
-            for branch_id in ids:
-                logger.warning("%s", BranchPanic(branch_id, exc))
+        if last is not None and slab >= last:
             break
+        history, z, contribution = slabs.lookup(z, history, f, params)
         slab += 1
         syncs = accumulate(syncs, contribution.take(perms), n, config.decay)
         _, cs = certainty(syncs, params.certainty_w, params)
@@ -248,11 +239,11 @@ def merge(outcomes: list[BranchOutcome], params: CtmParams) -> ConsensusResult:
     bitwise independent of arrival order.  If every confidence is below
     1e-9 the weights fall back to the unweighted mean (avoids 0/0).  The
     merged confidence is re-read from the merged vector by the certainty
-    head.  A lone outcome with a finite confidence passes through as read:
-    its weight is exactly 1, its confidence is already the certainty of its
-    sync vector, and the sum (which starts from +0.0) only turns -0.0 to +0.0.
+    head.  A lone outcome passes through as read: its weight is exactly 1,
+    its confidence is already the certainty of its sync vector, and the sum
+    (which starts from +0.0) only turns -0.0 to +0.0.
     """
-    if len(outcomes) == 1 and math.isfinite(outcomes[0].state.certainty_trace[-1]):
+    if len(outcomes) == 1:
         (o,) = outcomes
         sync = np.add(o.state.sync, 0.0, dtype=np.float32)
         return ConsensusResult(sync, o.state.certainty_trace[-1], (o.branch_id,), False)

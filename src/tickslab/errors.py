@@ -9,15 +9,6 @@ class EmptySlab(TickslabError):
     pass
 
 
-class BranchPanic(TickslabError):
-    """Wraps a failure inside one reasoning branch; the branch is dropped."""
-
-    def __init__(self, branch_id: int, cause: BaseException):
-        super().__init__(f"branch {branch_id} failed: {cause!r}")
-        self.branch_id = branch_id
-        self.cause = cause
-
-
 class NonFiniteState(TickslabError):
     """A readout left the float32 range; the model's numbers have diverged."""
 

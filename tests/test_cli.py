@@ -382,6 +382,12 @@ class TestLayout:
     # (file, raised name): the error type check_record's caller passes in,
     # and the CLI's exit
     RAISE_EXEMPT = {("schema.py", "error"), ("cli.py", "SystemExit")}
+    # module.function: why a catch-all there is a boundary, not a hidden failure
+    CATCH_ALL_EXEMPT = {
+        "transport.ToolServer._answer": "a tool failure is an error result, not a crash",
+        "transport.ToolServer.serve_tcp": "one client's failure drops it; the server keeps serving",
+        "episode.run_episode": "a failing step ends its episode as a logged error outcome",
+    }
 
     def test_only_the_references_lack_a_caller(self):
         package = syntax_trees(SRC / "tickslab")
@@ -429,6 +435,31 @@ class TestLayout:
                     if (path.name, name) not in self.RAISE_EXEMPT and not ours(name):
                         stray.append(f"{path.name}:{node.lineno} {name or 'bare raise'}")
         assert stray == []
+
+    def test_every_catch_all_is_a_boundary(self):
+        # an `except Exception` or bare `except` anywhere else would turn a
+        # failure into a result nobody named
+        def handlers(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield from handlers(child, f"{scope}.{child.name}")
+                    continue
+                if isinstance(child, ast.ExceptHandler):
+                    yield scope, child
+                yield from handlers(child, scope)
+
+        def catches_all(handler):
+            kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            return any(kind is None or getattr(kind, "id", None) in ("Exception", "BaseException")
+                       for kind in kinds)
+
+        found = [
+            scope
+            for path in sorted((SRC / "tickslab").rglob("*.py"))
+            for scope, handler in handlers(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+            if catches_all(handler)
+        ]
+        assert sorted(found) == sorted(self.CATCH_ALL_EXEMPT)
 
     def test_every_record_field_is_read(self):
         # a field that is only ever written is dead data; only attribute

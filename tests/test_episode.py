@@ -212,24 +212,32 @@ class TestDeterminism:
 
 
 class TestCrashFreedom:
-    def test_mid_episode_failure_becomes_error_outcome(self, monkeypatch):
-        import tickslab.harness.episode as episode_mod
-
+    # a failing sensor, and a failing slab, which the decision step does not
+    # turn into fallback steps; failing_call is the third step's first call
+    @pytest.mark.parametrize(
+        "module, name, failing_call",
+        [(episode, "featurize", 3), (consensus, "slab_ticks", 7)],
+        ids=["featurize", "slab_ticks"],
+    )
+    def test_mid_episode_failure_becomes_error_outcome(
+        self, monkeypatch, module, name, failing_call
+    ):
         calls = {"n": 0}
-        original = episode_mod.featurize
+        original = getattr(module, name)
 
-        def flaky(world, dims):
+        def flaky(*args):
             calls["n"] += 1
-            if calls["n"] >= 3:
-                raise ValueError("sensor exploded")
-            return original(world, dims)
+            if calls["n"] >= failing_call:
+                raise ValueError(f"{name} failed")
+            return original(*args)
 
-        monkeypatch.setattr(episode_mod, "featurize", flaky)
+        monkeypatch.setattr(module, name, flaky)
         config = small_config()
         task = gen_tasks(21, 1)[0]
         log = run_episode(task, config, Policy.SCRIPTED_ORACLE, model=build_for(config))
         assert log.outcome == "error"
         assert log.steps_used == 2  # two steps completed before the failure
+        assert calls["n"] == failing_call
 
 
 class TestGoalFrames:
