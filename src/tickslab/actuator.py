@@ -35,6 +35,7 @@ def plan_torque(sync_merged: np.ndarray, params: ActuatorParams) -> np.ndarray:
 
 def torque_to_pwm(tau: np.ndarray, params: ActuatorParams) -> np.ndarray:
     """Per-joint duty cycles in [0, 1], bipolar around 0.5:
-    duty = 0.5 + 0.5 * clamp(gain * tau / tau_max, -1, 1)."""
-    scaled = params.gain * tau / params.tau_max
+    duty = 0.5 + 0.5 * clamp(gain * (tau / tau_max), -1, 1); a planned tau lies
+    in [-tau_max, tau_max], so no finite gain makes the product overflow."""
+    scaled = params.gain * (tau / params.tau_max)
     return 0.5 + 0.5 * np.minimum(np.maximum(scaled, -1.0), 1.0)

@@ -11,17 +11,16 @@ An envelope carries the tool decision plus reasoning metadata: confidence,
 the 8-wide affect vector, a SHA-256 digest of the merged sync vector
 (little-endian float32 serialization, lowercase hex), slab/tick counts, and
 the fallback flag.  The tool's arguments are strings, finite numbers, or
-lists of finite numbers, such as actuate's duty cycles.
+lists of finite numbers, such as actuate's duty cycles.  Each value is made
+finite and typed where it is built, so the serializer encodes the fields as
+they are; the encoder still refuses a NaN or an infinity (``ValueError``),
+and the tool server checks each value it reads.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-
-from .errors import NonFiniteMetadata
-from .schema import json_type_ok
 
 JSONRPC_VERSION = "2.0"
 METHOD_PREFIX = "tool/"
@@ -65,45 +64,23 @@ def canonical_json_bytes(obj) -> bytes:
     return _CANONICAL.encode(obj).encode("utf-8")
 
 
-def _check_finite(value: float, what: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise NonFiniteMetadata(f"{what} is not finite")
-    return value
-
-
-def _check_number(value, what: str):
-    if not json_type_ok(value, "float"):
-        raise NonFiniteMetadata(f"{what} is not a number")
-    return _check_finite(value, what) if isinstance(value, float) else value
-
-
 def serialize_envelope(envelope: Envelope) -> bytes:
-    """Canonical bytes of the envelope; rejects non-finite metadata."""
-    confidence = _check_finite(envelope.meta.confidence, "confidence")
-    affect = [_check_finite(a, "affect entry") for a in envelope.meta.affect]
-    args = {}
-    for slot, value in envelope.args.items():
-        if isinstance(value, list):
-            value = [_check_number(v, f"arg {slot!r} entry") for v in value]
-        elif not json_type_ok(value, "str"):
-            value = _check_number(value, f"arg {slot!r}")
-        args[slot] = value
+    """Canonical bytes of the envelope, encoded field by field."""
     doc = {
         "jsonrpc": JSONRPC_VERSION,
-        "id": int(envelope.id),
+        "id": envelope.id,
         "method": envelope.method,
         "params": {
-            "args": args,
+            "args": envelope.args,
             "meta": {
                 "episode": envelope.meta.episode,
-                "step": int(envelope.meta.step),
-                "slab_count": int(envelope.meta.slab_count),
-                "ticks": int(envelope.meta.ticks),
-                "confidence": confidence,
-                "affect": affect,
+                "step": envelope.meta.step,
+                "slab_count": envelope.meta.slab_count,
+                "ticks": envelope.meta.ticks,
+                "confidence": envelope.meta.confidence,
+                "affect": envelope.meta.affect,
                 "sync_digest": envelope.meta.sync_digest,
-                "fallback": bool(envelope.meta.fallback),
+                "fallback": envelope.meta.fallback,
             },
         },
     }

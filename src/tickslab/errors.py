@@ -17,10 +17,6 @@ class NoCandidates(TickslabError):
     pass
 
 
-class NonFiniteMetadata(TickslabError):
-    pass
-
-
 class SchemaViolation(TickslabError):
     """Structural error; ``path`` names the offending field."""
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import enum
 import logging
-import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -130,12 +129,11 @@ def _one_of(name: str, value: str, allowed: tuple) -> None:
 
 def call_args(tool: ToolSpec, args: dict, sync, actuator: ActuatorParams) -> dict:
     """``args`` plus ``tool``'s duty slot, planned from ``sync`` and rounded to 6
-    digits; a plan with a non-finite entry is left out, so the tool refuses it."""
+    digits; ``torque_to_pwm`` clamps every duty cycle into [0, 1]."""
     for slot, kind in tool.arg_slots:
         if kind is SlotKind.DUTY:
             duty = torque_to_pwm(plan_torque(sync, actuator), actuator).tolist()
-            if all(map(math.isfinite, duty)):
-                args = {**args, slot: [round(d, 6) for d in duty]}
+            args = {**args, slot: [round(d, 6) for d in duty]}
     return args
 
 

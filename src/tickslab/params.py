@@ -104,20 +104,13 @@ def check_logit_bound(engine: EngineConfig, certainty_w: np.ndarray) -> None:
         )
 
 
-def candidate_embedding(episode_seed: int, name: str, width: int) -> np.ndarray:
-    """Per-episode candidate embedding (16-wide by default), seeded by name.
-
-    Float64: the float32 draw, cast once here instead of once per scoring.
-    """
-    embedding = fan_in_matrix(derive_seed(episode_seed, f"embed/{name}"), 1, width)
-    return embedding.reshape(-1).astype(np.float64)
-
-
 def build_router_params(model: ModelParams, candidates: list[str], episode_seed: int) -> RouterParams:
-    """The model's router bundle with this episode's candidate embeddings."""
+    """The model's router bundle with this episode's candidate embeddings.
+
+    Each embedding (16-wide by default) is seeded by its name and drawn in
+    float32, then held in float64 so that no scoring casts it.
+    """
     router = model.router
-    width = router.config.slot_embed_width
-    embedded = tuple(
-        (name, candidate_embedding(episode_seed, name, width)) for name in candidates
-    )
-    return replace(router, candidates=embedded)
+    seeds = [derive_seed(episode_seed, f"embed/{name}") for name in candidates]
+    embedded = fan_in_matrix(seeds, 1, router.config.slot_embed_width).astype(np.float64)
+    return replace(router, candidates=tuple(zip(candidates, embedded[:, 0])))

@@ -89,29 +89,32 @@ class SplitMix64:
         return np.array(out, dtype=np.int64)
 
 
-def bulk_u64(seed: int, n: int) -> np.ndarray:
-    """First ``n`` outputs of ``SplitMix64(seed)`` as a uint64 array.
+def bulk_u64(seeds, n: int) -> np.ndarray:
+    """First ``n`` outputs of ``SplitMix64(seed)`` as a uint64 array, or for a
+    list of seeds one row of them per seed.
 
     Uses the closed form state_i = seed + i * gamma so large tensors do not
     pay for a Python-level loop; bit-identical to sequential draws.
     """
+    base = np.array(np.asarray(seeds, dtype=object) & _MASK64, dtype=np.uint64)
     idx = np.arange(1, n + 1, dtype=np.uint64)
-    z = (np.uint64(seed & _MASK64) + idx * np.uint64(_GAMMA)).astype(np.uint64)
+    z = base[..., None] + idx * np.uint64(_GAMMA)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
 
 
-def uniform_matrix(seed: int, rows: int, cols: int, bound: float) -> np.ndarray:
-    """Row-major (rows, cols) float32 matrix of uniform(-bound, +bound) draws."""
-    u = (bulk_u64(seed, rows * cols) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+def uniform_matrix(seeds, rows: int, cols: int, bound: float) -> np.ndarray:
+    """Row-major (rows, cols) float32 matrix of uniform(-bound, +bound) draws,
+    or for a list of seeds one such matrix per seed."""
+    u = (bulk_u64(seeds, rows * cols) >> np.uint64(11)).astype(np.float64) * 2.0**-53
     vals = (2.0 * u - 1.0) * float(bound)
-    return vals.astype(np.float32).reshape(rows, cols)
+    return vals.astype(np.float32).reshape(np.shape(seeds) + (rows, cols))
 
 
-def fan_in_matrix(seed: int, rows: int, cols: int) -> np.ndarray:
-    """Weight matrix with the default init bound 1/sqrt(cols)."""
-    return uniform_matrix(seed, rows, cols, 1.0 / np.sqrt(cols))
+def fan_in_matrix(seeds, rows: int, cols: int) -> np.ndarray:
+    """Weight matrix (one per seed, for a list) with the default init bound 1/sqrt(cols)."""
+    return uniform_matrix(seeds, rows, cols, 1.0 / np.sqrt(cols))
 
 
 def sample_pairs(seed: int, neurons: int, count: int) -> tuple[np.ndarray, np.ndarray]:

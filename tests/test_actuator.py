@@ -1,3 +1,6 @@
+import dataclasses
+import sys
+
 import numpy as np
 
 from tickslab.actuator import ActuatorParams, plan_torque, torque_to_pwm
@@ -90,6 +93,12 @@ class TestTorqueToPwm:
         duty = torque_to_pwm(np.full(3, -5.0), params)
         np.testing.assert_array_equal(duty, np.zeros(3))
 
+    def test_largest_gain_does_not_overflow(self):
+        # gain x tau would pass the float64 maximum; gain x (tau / tau_max) cannot
+        params = dataclasses.replace(make_params(limit=5.0), gain=np.full(3, sys.float_info.max))
+        duty = torque_to_pwm(np.array([5.0, -5.0, 0.0]), params)
+        assert duty.tolist() == [1.0, 0.0, 0.5]
+
     def test_duty_range_random(self):
         rng = np.random.default_rng(5)
         params = make_params(joints=4, limit=2.0)
@@ -118,7 +127,7 @@ class TestClampForm:
     def test_duties_equal_clip(self):
         params = make_params(joints=len(self.EDGES), limit=5.0)
         tau = np.array(self.EDGES)
-        want = 0.5 + 0.5 * np.clip(params.gain * tau / params.tau_max, -1.0, 1.0)
+        want = 0.5 + 0.5 * np.clip(params.gain * (tau / params.tau_max), -1.0, 1.0)
         duty = torque_to_pwm(tau, params)
         assert duty.tobytes() == want.tobytes()
         assert np.isnan(duty[0]) and duty[1] == 1.0 and duty[2] == 0.0

@@ -419,6 +419,17 @@ class TestLayout:
         unread = sorted(method for method in methods if method.rpartition(".")[2] not in read)
         assert methods and unread == []
 
+    @staticmethod
+    def raises():
+        """(file name, line, raised name) of every ``raise`` in ``src/``;
+        the name is "" for a bare ``raise``."""
+        for path in sorted((SRC / "tickslab").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Raise):
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    name = getattr(exc, "id", None) or getattr(exc, "attr", None) or ""
+                    yield path.name, node.lineno, name
+
     def test_every_raise_names_a_tickslab_error(self):
         # the CLI turns only TickslabError and OSError into an error line, so
         # any other raise would reach its user as a traceback
@@ -426,15 +437,23 @@ class TestLayout:
             cls = getattr(errors, name, None)
             return isinstance(cls, type) and issubclass(cls, errors.TickslabError)
 
-        stray = []
-        for path in sorted((SRC / "tickslab").rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Raise):
-                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                    name = getattr(exc, "id", None) or getattr(exc, "attr", None) or ""
-                    if (path.name, name) not in self.RAISE_EXEMPT and not ours(name):
-                        stray.append(f"{path.name}:{node.lineno} {name or 'bare raise'}")
+        stray = [
+            f"{file}:{line} {name or 'bare raise'}"
+            for file, line, name in self.raises()
+            if (file, name) not in self.RAISE_EXEMPT and not ours(name)
+        ]
         assert stray == []
+
+    def test_every_error_type_is_raised(self):
+        # an error type that no code raises names no failure; a subclass
+        # counts only by its own raise, not by its base's
+        kinds = {
+            name
+            for name, cls in vars(errors).items()
+            if isinstance(cls, type) and issubclass(cls, errors.TickslabError)
+        }
+        raised = {name for _, _, name in self.raises()}
+        assert sorted(kinds - raised - {"TickslabError"}) == []
 
     def test_every_catch_all_is_a_boundary(self):
         # an `except Exception` or bare `except` anywhere else would turn a
@@ -583,13 +602,10 @@ class TestServeStdio:
         from tickslab.transport import ToolServer
         from test_transport import envelope
 
-        def actuate(req_id, duty):
-            # built from a valid call, since serialize_envelope refuses a bad entry
-            doc = json.loads(serialize_envelope(envelope("tool/actuate", req_id, {"duty": [0.5]})))
-            doc["params"]["args"]["duty"] = duty
-            return json.dumps(doc).encode()
-
-        refused = [actuate(6, [0.5, "0.5"]), actuate(7, [True]), actuate(8, [0.5, 1.5])]
+        refused = [
+            serialize_envelope(envelope("tool/actuate", req_id, {"duty": duty}))
+            for req_id, duty in ((6, [0.5, "0.5"]), (7, [True]), (8, [0.5, 1.5]))
+        ]
         frames = [
             b'{"jsonrpc":"2.0","id":1,"method":"registry/list"}',
             serialize_envelope(envelope("tool/navigate", 2, {"to": "counter"})),

@@ -1,16 +1,21 @@
 import dataclasses
 import hashlib
 import json
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tickslab import consensus
 from tickslab.config import Config
 from tickslab.consensus import ConsensusResult, SlabMemo
 from tickslab.engine import accumulate, slab_ticks
-from tickslab.envelope import canonical_json_bytes
+from tickslab.envelope import AFFECT_DIMS, canonical_json_bytes
+from tickslab.errors import ConfigError, NonFiniteState
 from tickslab.harness import episode
 from tickslab.harness.episode import (
     OUTCOME_BUDGET,
@@ -21,7 +26,7 @@ from tickslab.harness.episode import (
 )
 from tickslab.harness.tasks import gen_tasks, load_tasks
 from tickslab.harness.world import build_registry
-from tickslab.params import build_model
+from tickslab.params import F32_MAX, build_model
 from tickslab.weights import save_weights
 
 TASKS = Path(__file__).parent / "fixtures" / "tasks50.jsonl"
@@ -43,7 +48,7 @@ def recording(function, outputs):
     return recorded
 
 
-def small_config(seed=7, **engine_overrides):
+def small_doc(seed=7, **engine_overrides):
     engine = {
         "neurons": 16,
         "history": 4,
@@ -53,14 +58,16 @@ def small_config(seed=7, **engine_overrides):
         "max_slabs": 8,
         **engine_overrides,
     }
-    return Config.from_dict(
-        {
-            "seed": seed,
-            "engine": engine,
-            "consensus": {"branches": 2, "deadline_ticks": 16},
-            "affect": {"hidden": 8},
-        }
-    )
+    return {
+        "seed": seed,
+        "engine": engine,
+        "consensus": {"branches": 2, "deadline_ticks": 16},
+        "affect": {"hidden": 8},
+    }
+
+
+def small_config(seed=7, **engine_overrides):
+    return Config.from_dict(small_doc(seed, **engine_overrides))
 
 
 def build_for(config):
@@ -168,7 +175,8 @@ class TestDispatchRule:
     def test_nan_confidence_at_budget_is_not_forced(self, monkeypatch):
         log, seeds = self.run_step(monkeypatch, [(float("nan"), 8)])
         assert (len(seeds), log.rethinks, log.forced_dispatches) == (1, 0, 0)
-        # the envelope then refuses the non-finite confidence
+        # the canonical encoder then refuses the non-finite confidence with a
+        # ValueError, which the episode logs as an error outcome
         assert log.outcome == OUTCOME_ERROR
 
     def test_terminates_within_budget(self, monkeypatch):
@@ -437,26 +445,97 @@ class TestActuate:
         digest = hashlib.sha256(b"".join(reply + b"\n" for reply in replies)).hexdigest()
         assert digest == ACTUATE_REPLIES_SHA256
 
-    def test_a_nan_sync_entry_plans_no_duty(self):
-        model = build_for(Config())
-        actuate = build_registry().get("actuate")
-        sync = np.zeros(model.actuator.mapping.shape[1])
-        assert episode.call_args(actuate, {}, sync, model.actuator) == {"duty": [0.5] * 12}
-        sync[3] = np.nan
-        assert episode.call_args(actuate, {}, sync, model.actuator) == {}
 
-    def test_actuate_without_duty_is_an_error_step(self, monkeypatch, caplog):
-        config = Config()
-        model = build_for(config)
-        task = load_tasks(TASKS)[16]  # actuates
-        plain = run_episode(task, config, Policy.CTM, model=model).to_dict()
-        actuations = [r for r in plain["records"] if r["action"] == "actuate"]
-        assert actuations and all(r["tool_status"] == "ok" for r in actuations)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# the config's value knobs, by "section.key", over their accepted ranges and
+# past them (a config that is refused is skipped)
+VALUE_KNOBS = st.fixed_dictionaries({}, optional={
+    "engine.decay": st.floats(0.0, 1.0, exclude_min=True) | st.just(1.0),
+    "engine.logit_scale": FINITE,
+    "engine.carry_beta": st.floats(0.0, 1.0),
+    "engine.halt_cap": st.floats(0.0, 1.0),
+    "engine.plateau_epsilon": st.floats(0.0, 1.0) | POSITIVE,
+    "affect.epsilon0": POSITIVE,
+    "affect.alpha": st.floats(0.0, 10.0) | POSITIVE,
+    "router.gamma": st.floats(0.0, 1.0),
+    "actuator.gain": FINITE,
+    "actuator.torque_limit": POSITIVE,
+})
+NEAR_MAX = ["affect/w1", "actuator/mapping"]  # weights that may be overridden near float32 max
 
-        monkeypatch.setattr(episode, "torque_to_pwm", lambda tau, params: np.full_like(tau, np.nan))
-        with caplog.at_level("WARNING"):
-            log = run_episode(task, config, Policy.CTM, model=model).to_dict()
-        assert caplog.records == [] and log["outcome"] != OUTCOME_ERROR
-        for record in actuations:
-            record["tool_status"] = "error"
-        assert log == plain
+
+class TestCallValues:
+    """Every value of a dispatched tool call is finite and typed where it is
+    made: the confidence by ``certainty``, the affect by its tanh, the duty
+    cycles by ``torque_to_pwm``'s clamp; ``serialize_envelope`` checks none."""
+
+    # with small_doc(0) the ctm policy dispatches actuate on the third task
+    TASKS = [dataclasses.replace(load_tasks(TASKS)[i], budget_steps=6) for i in (0, 4, 16)]
+
+    @staticmethod
+    def config(seed, knobs, near_max, path):
+        """The small config with ``knobs`` set and each ``near_max`` weight
+        overridden by near-float32-max entries of drawn signs."""
+        doc = small_doc(seed)
+        for name, value in knobs.items():
+            section, key = name.split(".")
+            doc.setdefault(section, {})[key] = value
+        config = Config.from_dict(doc)
+        if near_max:
+            rng = np.random.default_rng(seed)
+            registry = build_registry()
+            save_weights(path, {
+                name: (rng.choice([-1.0, 1.0], size=(rows, cols)) * F32_MAX).astype(np.float32)
+                for name, rows, cols, _ in config.tensor_shapes(len(registry), registry.max_slots)
+                if name in near_max
+            })
+            config = dataclasses.replace(config, weights_path=str(path))
+        return config
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        knobs=VALUE_KNOBS,
+        near_max=st.lists(st.sampled_from(NEAR_MAX), unique=True),
+    )
+    @example(seed=0, knobs={"actuator.gain": 1e308}, near_max=[])
+    @example(seed=0, knobs={"engine.decay": 1.0, "engine.logit_scale": 1e300}, near_max=[])
+    @example(seed=0, knobs={}, near_max=NEAR_MAX)
+    def test_dispatched_values_are_finite_and_typed(self, tmp_path_factory, seed, knobs, near_max):
+        try:
+            config = self.config(seed, knobs, near_max, tmp_path_factory.mktemp("w") / "w.bin")
+            model = build_for(config)
+        except ConfigError:
+            return
+        sent, dispatch = [], episode.dispatch
+
+        def record(envelope, exchange):
+            sent.append(envelope)
+            return dispatch(envelope, exchange)
+
+        # a RuntimeWarning is recorded, not raised, so the episode goes on to
+        # dispatch what it computed and both are reported below
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            patch.setattr(episode, "dispatch", record)
+            for task in self.TASKS:
+                for policy in Policy:
+                    try:
+                        log = run_episode(task, config, policy, model=model)
+                    except NonFiniteState:  # the source refusing a diverged readout
+                        continue
+                    assert log.outcome != OUTCOME_ERROR, (task.id, policy)
+        assert [str(w.message) for w in caught] == []
+        for envelope in sent:
+            meta = envelope.meta
+            assert type(meta.confidence) is float and math.isfinite(meta.confidence)
+            assert len(meta.affect) == AFFECT_DIMS
+            assert all(type(a) is float and math.isfinite(a) for a in meta.affect)
+            for value in envelope.args.values():
+                if isinstance(value, list):
+                    assert all(type(d) is float and 0.0 <= d <= 1.0 for d in value), value
+                else:
+                    assert type(value) is str or (
+                        type(value) in (int, float) and math.isfinite(value)
+                    ), value

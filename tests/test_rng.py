@@ -43,6 +43,18 @@ def test_bulk_matches_sequential():
     assert bulk_u64(seed, 1000).tolist() == sequential
 
 
+@settings(max_examples=100, deadline=None)
+@given(seeds=st.lists(st.integers(-(2**64), 2**65), max_size=6), n=st.integers(0, 40))
+def test_a_list_of_seeds_draws_one_row_per_seed(seeds, n):
+    rows = bulk_u64(seeds, n)
+    assert rows.shape == (len(seeds), n)
+    assert [row.tolist() for row in rows] == [bulk_u64(seed, n).tolist() for seed in seeds]
+    matrices = uniform_matrix(seeds, 2, 3, 0.5)
+    assert matrices.shape == (len(seeds), 2, 3)
+    for seed, matrix in zip(seeds, matrices):
+        assert matrix.tobytes() == uniform_matrix(seed, 2, 3, 0.5).tobytes()
+
+
 def test_uniform_matrix_bounds_and_determinism():
     m1 = uniform_matrix(42, 13, 7, 0.25)
     m2 = uniform_matrix(42, 13, 7, 0.25)
