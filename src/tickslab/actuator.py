@@ -8,11 +8,10 @@ tests).  The planned torques are then mapped to [0, 1] duty cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ActuatorConfig
 from .numerics import hold_float64, matvec
 
 
@@ -22,7 +21,6 @@ class ActuatorParams:
     tau_min: np.ndarray                 # (joints,) N*m
     tau_max: np.ndarray
     gain: np.ndarray                    # (joints,)
-    config: ActuatorConfig = field(default_factory=ActuatorConfig)
 
     def __post_init__(self):
         hold_float64(self, "mapping", "tau_min", "tau_max", "gain")

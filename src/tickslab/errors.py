@@ -18,7 +18,8 @@ class NoCandidates(TickslabError):
 
 
 class SchemaViolation(TickslabError):
-    """Structural error; ``path`` names the offending field."""
+    """An input that does not fit its record: ``path`` names the field, or a
+    JSONL file's line as ``line N``, and then ``detail`` is that line's refusal."""
 
     def __init__(self, path: str, detail: str = ""):
         super().__init__(": ".join(part for part in (path, detail) if part))
@@ -48,16 +49,6 @@ class IdMismatch(TickslabError):
 
 class WeightFileError(TickslabError):
     pass
-
-
-class ParseError(TickslabError):
-    """Line-oriented parse failure; ``line`` is 1-based."""
-
-    def __init__(self, line: int, detail: str = ""):
-        msg = f"line {line}" if not detail else f"line {line}: {detail}"
-        super().__init__(msg)
-        self.line = line
-        self.detail = detail
 
 
 class ConfigError(TickslabError):

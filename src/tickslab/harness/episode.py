@@ -115,7 +115,7 @@ def _checked(cls, doc, path: str = "") -> dict:
     Ints are counts, and bounding them keeps every metric over them a
     finite float.
     """
-    check_record(cls, doc, path, SchemaViolation)
+    check_record(cls, doc, path)
     for f in fields(cls):
         if f.type == "int" and f.name in doc and not 0 <= doc[f.name] < 2**63:
             raise SchemaViolation(f"{path}{f.name}", f"must be in [0, 2**63), got {doc[f.name]}")
@@ -179,8 +179,8 @@ def run_episode(
             # thought state itself carries over.
             seed_state = BranchState(seed_state.z, seed_state.history, seed_state.sync)
 
-            # Dispatch when confident, when no branch halted, or at the slab
-            # budget; a dispatch below gamma is forced (NaN is not below).
+            # Dispatch when confident, when no branch halted, or at the slab budget;
+            # a dispatch below gamma is forced (the merged confidence is always finite).
             while True:
                 result, next_seed = decide_step(
                     seed_state, f, ctm, epsilon, perms, cache, config.consensus, slabs=slabs

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..envelope import canonical_json_bytes
-from ..errors import EmptyLogs, ParseError, SchemaViolation
+from ..errors import EmptyLogs
 from .episode import OUTCOME_SUCCESS, EpisodeLog
 from .tasks import read_jsonl
 
@@ -49,13 +49,7 @@ def write_logs(path: str | Path, logs: list[EpisodeLog]) -> None:
 
 
 def read_logs(path: str | Path) -> list[EpisodeLog]:
-    logs = []
-    for lineno, doc in read_jsonl(path):
-        try:
-            logs.append(EpisodeLog.from_dict(doc))
-        except SchemaViolation as exc:
-            raise ParseError(lineno, str(exc)) from exc
-    return logs
+    return read_jsonl(path, EpisodeLog.from_dict)
 
 
 def read_log_dir(directory: str | Path) -> list[EpisodeLog]:

@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from ..errors import ParseError, SchemaViolation
+from ..errors import SchemaViolation
 from ..rng import SplitMix64, derive_seed
 from ..schema import check_record, json_type_ok
 from .world import build_registry
@@ -48,57 +48,62 @@ class TaskRecord:
         return asdict(self)
 
 
-def _validate_record(doc: dict, line: int) -> TaskRecord:
+def _validate_record(doc) -> TaskRecord:
     """The task in ``doc``; anything that does not fit raises SchemaViolation.
 
     Beyond the JSON types: strings are non-empty, there is at least one
     step, a step's tool is one the world runs, and an arg is a context name
     or a finite number, the values an envelope can carry.
     """
-    def fail(fieldname: str, why: str):
-        raise SchemaViolation(f"line {line}: {fieldname}", why)
-
-    check_record(TaskRecord, doc, f"line {line}: ", SchemaViolation)
+    check_record(TaskRecord, doc)
     for key in ("id", "goal"):
         if not doc[key]:
-            fail(key, "expected a non-empty string")
+            raise SchemaViolation(key, "expected a non-empty string")
     if not all(json_type_ok(c, "str") for c in doc["context"]):
-        fail("context", "expected a list of names")
+        raise SchemaViolation("context", "expected a list of names")
     if not doc["steps"]:
-        fail("steps", "expected a non-empty list")
+        raise SchemaViolation("steps", "expected a non-empty list")
     steps = []
     for i, raw in enumerate(doc["steps"]):
-        check_record(TaskStep, raw, f"line {line}: steps[{i}].", SchemaViolation)
+        check_record(TaskStep, raw, f"steps[{i}].")
         for key in ("tool", "expected"):
             if not raw[key]:
-                fail(f"steps[{i}].{key}", "expected a non-empty string")
+                raise SchemaViolation(f"steps[{i}].{key}", "expected a non-empty string")
         if raw["tool"] not in TOOLS:
-            fail(f"steps[{i}].tool", f"{raw['tool']!r} is not a tool the world runs")
+            raise SchemaViolation(f"steps[{i}].tool", f"{raw['tool']!r} is not a tool the world runs")
         for slot, value in raw["args"].items():
             # context holds only strings, so every other type is refused
             finite = json_type_ok(value, "float") and abs(value) < math.inf
             if not finite and value not in doc["context"]:
-                fail(f"steps[{i}].args.{slot}", f"{value!r} is not in context or a finite number")
+                raise SchemaViolation(
+                    f"steps[{i}].args.{slot}", f"{value!r} is not in context or a finite number"
+                )
         steps.append(TaskStep(**raw))
     if doc.get("budget_steps", DEFAULT_BUDGET_STEPS) < 1:
-        fail("budget_steps", "expected a positive integer")
+        raise SchemaViolation("budget_steps", "expected a positive integer")
     return TaskRecord(**{**doc, "context": tuple(doc["context"]), "steps": tuple(steps)})
 
 
-def read_jsonl(path: str | Path):
-    """(line number, JSON value) per non-blank line; undecodable lines raise ParseError."""
+def read_jsonl(path: str | Path, parse) -> list:
+    """``parse(value)`` for the JSON value of each non-blank line, in order.
+
+    A line that is not UTF-8 JSON, or whose value ``parse`` refuses with a
+    SchemaViolation, raises ``SchemaViolation("line N", reason)``.
+    """
+    parsed = []
     for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
         try:
             line = raw.decode("utf-8")
             if line.strip():
-                yield lineno, json.loads(line)
-        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep
-            raise ParseError(lineno, str(exc)) from exc
+                parsed.append(parse(json.loads(line)))
+        except (ValueError, RecursionError, SchemaViolation) as exc:  # bad UTF-8 or JSON, too deep
+            raise SchemaViolation(f"line {lineno}", str(exc)) from exc
+    return parsed
 
 
 def load_tasks(path: str | Path) -> list[TaskRecord]:
     """Read one task per JSONL line; strict schema, order preserved."""
-    return [_validate_record(doc, lineno) for lineno, doc in read_jsonl(path)]
+    return read_jsonl(path, _validate_record)
 
 
 def save_tasks(path: str | Path, tasks: list[TaskRecord]) -> None:

@@ -74,14 +74,13 @@ def world_from_task(task) -> WorldState:
 
 
 def goal_holds(state: WorldState, predicate: str) -> bool:
-    parts = predicate.split(":")
-    if parts[0] == "robot_at" and len(parts) == 2:
-        return state.robot_at == parts[1]
-    if parts[0] == "holding" and len(parts) == 2:
-        return state.held == parts[1]
-    if parts[0] == "at" and len(parts) == 3:
-        return state.held != parts[1] and state.objects.get(parts[1]) == parts[2]
-    return False
+    kind, _, rest = predicate.partition(":")   # a location may hold colons
+    if kind == "robot_at":
+        return state.robot_at == rest
+    if kind == "holding":
+        return state.held == rest
+    name, _, where = rest.partition(":")
+    return kind == "at" and state.held != name and state.objects.get(name) == where
 
 
 def _actuate(args: dict) -> ToolResult:

@@ -80,7 +80,6 @@ def build_model(config: Config, registry_size: int, max_slots: int) -> ModelPara
             tau_min=np.full(act.joints, -act.torque_limit),
             tau_max=np.full(act.joints, act.torque_limit),
             gain=np.full(act.joints, act.gain),
-            config=act,
         ),
     )
 

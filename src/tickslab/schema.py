@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 
+from .errors import SchemaViolation
+
 _JSON_TYPES = {
     "bool": bool, "int": int, "float": (int, float),
     "dict": dict, "list": list, "tuple": list,
@@ -42,23 +44,23 @@ def _unicode_ok(text: str) -> bool:
     return True
 
 
-def check_record(cls, doc, path: str, error) -> dict:
+def check_record(cls, doc, path: str = "") -> dict:
     """``doc`` if it is an object that fits the fields of dataclass ``cls``.
 
     Unknown keys are refused, a field without a default must be present and
     each present field must have its JSON type.  A failure raises
-    ``error(path + name, reason)``, so callers keep their own error type.
+    ``SchemaViolation(path + name, reason)``.
     """
     if not isinstance(doc, dict):
-        raise error(path.rstrip("."), "expected an object")
+        raise SchemaViolation(path.rstrip("."), "expected an object")
     fields = {f.name: f for f in dataclasses.fields(cls)}
     for key in doc:
         if key not in fields:
-            raise error(f"{path}{key}", "unknown field")
+            raise SchemaViolation(f"{path}{key}", "unknown field")
     for name, f in fields.items():
         if name in doc:
             if not json_type_ok(doc[name], f.type):
-                raise error(f"{path}{name}", f"expected {f.type}, got {type_name(doc[name])}")
+                raise SchemaViolation(f"{path}{name}", f"expected {f.type}, got {type_name(doc[name])}")
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise error(f"{path}{name}", "missing field")
+            raise SchemaViolation(f"{path}{name}", "missing field")
     return doc

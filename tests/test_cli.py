@@ -253,6 +253,10 @@ class TestBadArguments:
             (["gen-tasks", "--seed", "1", "--count", "-3", "--out", "{tmp}/tasks.jsonl"], "--count"),
             (["run", "--tasks", "{tmp}/empty.jsonl", "--out", "{tmp}/out"], "no episode logs"),
             (["run", "--tasks", "{tmp}/missing.jsonl", "--out", "{tmp}/out"], "missing.jsonl"),
+            (
+                ["run", "--tasks", "{tmp}/array.jsonl", "--out", "{tmp}/out"],
+                "error: line 2: expected an object\n",
+            ),
             (["run", "--tasks", str(TASKS50), "--out", "{tmp}/empty.jsonl"], "--out"),
             (["run", "--tasks", str(TASKS50), "--out", "{tmp}/empty.jsonl/out"], "--out"),
             (["metrics", "--logs", "{tmp}/empty"], "no episode logs"),
@@ -261,9 +265,9 @@ class TestBadArguments:
             (["serve", "--transport", "tcp", "--addr", "127.0.0.1:70000"], "--addr"),
         ],
         ids=[
-            "count-0", "count-negative", "run-empty", "run-missing", "run-out-file",
-            "run-out-under-file", "metrics-empty", "metrics-missing", "metrics-file",
-            "serve-addr",
+            "count-0", "count-negative", "run-empty", "run-missing", "run-array-line",
+            "run-out-file", "run-out-under-file", "metrics-empty", "metrics-missing",
+            "metrics-file", "serve-addr",
         ],
     )
     def test_exits_2_with_an_error_line_and_writes_nothing(
@@ -275,6 +279,7 @@ class TestBadArguments:
 
         monkeypatch.setattr(episode, "run_episode", run_episode)
         (tmp_path / "empty.jsonl").write_text("")
+        (tmp_path / "array.jsonl").write_text(TASKS50.read_text().splitlines()[0] + "\n[1, 2]\n")
         (tmp_path / "empty").mkdir()
         before = sorted(tmp_path.rglob("*"))
         assert run_cli(*[arg.format(tmp=tmp_path) for arg in argv]) == 2
@@ -379,9 +384,8 @@ class TestLayout:
     PASSED_BY_TESTS_ONLY = {"ToolServer.serve_tcp.max_clients"}
     # EpisodeLog.to_dict writes these records whole, each field a log key
     WRITTEN_WHOLE = {"StepRecord", "EpisodeLog"}
-    # (file, raised name): the error type check_record's caller passes in,
-    # and the CLI's exit
-    RAISE_EXEMPT = {("schema.py", "error"), ("cli.py", "SystemExit")}
+    # (file, raised name): the CLI's exit
+    RAISE_EXEMPT = {("cli.py", "SystemExit")}
     # module.function: why a catch-all there is a boundary, not a hidden failure
     CATCH_ALL_EXEMPT = {
         "transport.ToolServer._answer": "a tool failure is an error result, not a crash",

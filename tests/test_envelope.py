@@ -13,7 +13,6 @@ from tickslab.envelope import (
     serialize_envelope,
     sync_digest,
 )
-from tickslab.errors import SchemaViolation
 from tickslab.schema import check_record
 
 # Digest of float32 LE [0.5, -1.0, 0.25, 2.0], frozen after a one-time
@@ -94,7 +93,7 @@ def decode(data: bytes) -> dict:
     JSON types."""
     doc = json.loads(data)
     assert canonical_json_bytes(doc) == data
-    check_record(EnvelopeMeta, doc["params"]["meta"], "params.meta.", SchemaViolation)
+    check_record(EnvelopeMeta, doc["params"]["meta"], "params.meta.")
     return doc
 
 

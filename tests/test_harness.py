@@ -21,7 +21,6 @@ from tickslab.envelope import canonical_json_bytes
 from tickslab.errors import (
     ConfigError,
     EmptyLogs,
-    ParseError,
     SchemaViolation,
     TickslabError,
     UnknownTool,
@@ -115,7 +114,7 @@ class TestLoadTasks:
         path.write_text("\n".join(json.dumps(d) for d in (good, good, bad)) + "\n")
         with pytest.raises(SchemaViolation) as err:
             load_tasks(path)
-        assert "line 3" in err.value.path and "goal" in err.value.path
+        assert str(err.value) == "line 3: goal: missing field"
 
     def test_bad_json_names_line(self, tmp_path):
         good = json.dumps(
@@ -126,9 +125,9 @@ class TestLoadTasks:
         )
         path = tmp_path / "tasks.jsonl"
         path.write_text(good + "\n{nope\n")
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(SchemaViolation) as err:
             load_tasks(path)
-        assert err.value.line == 2
+        assert err.value.path == "line 2"
 
     def test_args_must_be_in_context(self, tmp_path):
         doc = {
@@ -149,7 +148,7 @@ class TestLoadTasks:
         path.write_text(json.dumps(doc) + "\n")
         with pytest.raises(SchemaViolation) as err:
             load_tasks(path)
-        assert err.value.path == "line 1: steps[0].why"
+        assert str(err.value) == "line 1: steps[0].why: unknown field"
 
     def test_tool_the_world_does_not_run_rejected(self, tmp_path):
         # such a step used to load, and the oracle's episode then ended in error
@@ -159,8 +158,7 @@ class TestLoadTasks:
         path.write_text(json.dumps({"id": "t1", "goal": "g", "context": [], "steps": steps}) + "\n")
         with pytest.raises(SchemaViolation) as err:
             load_tasks(path)
-        assert err.value.path == "line 1: steps[1].tool"
-        assert "'fly'" in err.value.detail
+        assert str(err.value) == "line 1: steps[1].tool: 'fly' is not a tool the world runs"
 
 
 class TestGenTasks:
@@ -307,6 +305,9 @@ class TestWorld:
         assert not goal_holds(world, "at:jar:x")  # held objects are not "at"
         assert goal_holds(world, "holding:jar")
         assert not goal_holds(world, "nonsense")
+        # a location is any name navigate takes, colons included
+        world = WorldState(objects={"cup": "a:b"}, robot_at=":", held=None)
+        assert goal_holds(world, "at:cup:a:b") and goal_holds(world, "robot_at::")
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 2**16), demo=st.booleans())
@@ -572,9 +573,9 @@ class TestMetrics:
         write_logs(path, [self._log("b", "success", ["ok"])])
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps({**doc, field: value}) + "\n")
-        with pytest.raises(ParseError, match=f"line 2: {field}") as info:
+        with pytest.raises(SchemaViolation, match=f"line 2: {field}") as info:
             read_logs(path)
-        assert info.value.line == 2
+        assert info.value.path == "line 2"
         assert cli_main(["metrics", "--logs", str(tmp_path)]) == 2
         assert field in capsys.readouterr().err
 
@@ -586,7 +587,7 @@ class TestMetrics:
         doc["records"][0][field] = value
         path = tmp_path / "episodes.jsonl"
         path.write_text(json.dumps(doc) + "\n")
-        with pytest.raises(ParseError, match=re.escape(f"line 1: records[0].{field}: expected")):
+        with pytest.raises(SchemaViolation, match=re.escape(f"line 1: records[0].{field}: expected")):
             read_logs(path)
 
     @pytest.mark.parametrize(
@@ -606,7 +607,7 @@ class TestMetrics:
         path = tmp_path / "episodes.jsonl"
         path.write_text(json.dumps(doc) + "\n")
         named = field if where == "log" else f"records[1].{field}"
-        with pytest.raises(ParseError, match=re.escape(f"line 1: {named}: must")):
+        with pytest.raises(SchemaViolation, match=re.escape(f"line 1: {named}: must")):
             read_logs(path)
         assert cli_main(["metrics", "--logs", str(tmp_path)]) == 2
         assert field in capsys.readouterr().err
@@ -618,7 +619,7 @@ class TestMetrics:
         path = tmp_path / "episodes.jsonl"
         path.write_text(json.dumps(doc) + "\n")
         key = "extra" if where == "log" else "records[1].extra"
-        with pytest.raises(ParseError, match=re.escape(f"line 1: {key}: unknown field")):
+        with pytest.raises(SchemaViolation, match=re.escape(f"line 1: {key}: unknown field")):
             read_logs(path)
 
     def test_missing_outcome_names_line_and_field(self, tmp_path):
@@ -626,7 +627,7 @@ class TestMetrics:
         del doc["outcome"]
         path = tmp_path / "episodes.jsonl"
         path.write_text(json.dumps(doc) + "\n")
-        with pytest.raises(ParseError, match="line 1: .*outcome"):
+        with pytest.raises(SchemaViolation, match="line 1: .*outcome"):
             read_logs(path)
 
     @settings(max_examples=300, deadline=None)
@@ -645,7 +646,7 @@ class TestMetrics:
         path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
         try:
             logs = read_logs(path)
-        except ParseError:
+        except SchemaViolation:
             return
         compute_metrics(logs)
 
@@ -1013,6 +1014,30 @@ class TestInputFuzz:
         except TickslabError:
             pass
 
+    @pytest.mark.parametrize("kind", ["tasks", "logs"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_a_refused_line_is_named_once(self, tmp_path_factory, kind, data):
+        # the reader prefixes "line N" to the line's own refusal, which is
+        # then never empty: "line 1: : expected an object" has an empty field
+        path = tmp_path_factory.getbasetemp() / f"refused_{kind}"
+        edit = data.draw(st.sampled_from(["line", "node", "bytes"]))
+        if edit == "line":
+            blob = json_lines([self.DOCS[kind][0], data.draw(JSON_VALUES)])
+        elif edit == "node":
+            blob = edit_json(data, self.DOCS[kind])
+        else:
+            blob = edit_bytes(data, self.valid_bytes(kind, path))
+        path.write_bytes(blob)
+        try:
+            (load_tasks if kind == "tasks" else read_logs)(path)
+        except SchemaViolation as exc:
+            assert re.match(r"line \d+: ", str(exc))
+            # a fuzzed key may itself hold ": :", so the empty field is read
+            # off the parts, not searched for in the message
+            assert re.fullmatch(r"line \d+", exc.path) and exc.detail
+            assert str(exc) == f"{exc.path}: {exc.detail}"
+
 
 class TestModelBuild:
     def test_deterministic_in_seed(self):
@@ -1144,7 +1169,6 @@ class TestModelBuild:
         model = build_model(config, len(registry), registry.max_slots)
         assert model.ctm.config is config.engine
         assert model.affect.config is config.affect
-        assert model.actuator.config is config.actuator
         assert model.router.config is config.router
         router = build_router_params(model, ["cup"], episode_seed=7)
         assert router.config is config.router

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from tickslab.errors import SchemaViolation
 from tickslab.schema import check_record, json_type_ok, type_name
 
 # field annotation -> the Python types of the JSON values it takes
@@ -45,5 +46,5 @@ def test_refusal_names_a_lone_surrogate():
     class Record:
         name: "str"
 
-    with pytest.raises(ValueError, match="not valid Unicode"):
-        check_record(Record, json.loads('{"name": "\\ud800"}'), "", lambda f, why: ValueError(f"{f}: {why}"))
+    with pytest.raises(SchemaViolation, match="name: expected str, got a string that is not valid Unicode"):
+        check_record(Record, json.loads('{"name": "\\ud800"}'))
