@@ -38,7 +38,7 @@ bit for bit.
 
 When the world stops changing, f repeats and the float32 trajectory falls
 into exact limit cycles (period 2 to 6) that repeat half the slabs of a
-tasks50 run; a ``SlabMemo``, kept for one episode only, runs each once.
+tasks50 run; a step takes f as a ``SlabMemo``, which runs each once.
 """
 
 from __future__ import annotations
@@ -100,27 +100,22 @@ def branch_permutations(episode_seed: int, pair_count: int, k: int) -> np.ndarra
 
 
 class SlabMemo:
-    """Read-only slab results of one (params, f), keyed by the start state's
-    (z, history) bytes.
+    """Read-only slab results under one fusion vector ``f`` and ``params``,
+    keyed by the start state's (z, history) bytes; a hit equals a fresh run
+    bit for bit."""
 
-    A lookup under another (params, f) empties the memo.  A slab is a pure
-    function of its key, so a hit equals a fresh run bit for bit.
-    """
-
-    def __init__(self) -> None:
-        self._scope, self._slabs = (None, b""), {}
+    def __init__(self, f: np.ndarray, params: CtmParams) -> None:
+        self._f, self._params, self._slabs = f, params, {}
 
     def __len__(self) -> int:
         return len(self._slabs)
 
-    def lookup(self, z, history, f, params: CtmParams) -> tuple:
+    def lookup(self, z, history) -> tuple:
         """(history, carried, contribution) of the slab from (z, history)."""
-        if params is not self._scope[0] or f.tobytes() != self._scope[1]:
-            self._scope, self._slabs = (params, f.tobytes()), {}
         key = (z.tobytes(), history.tobytes())
         if key not in self._slabs:
-            states, new_history, carried = slab_ticks(z, history, f, params)
-            slab = (new_history, carried, slab_contribution(states, params))
+            states, new_history, carried = slab_ticks(z, history, self._f, self._params)
+            slab = (new_history, carried, slab_contribution(states, self._params))
             for array in slab:
                 array.flags.writeable = False
             self._slabs[key] = slab
@@ -161,37 +156,36 @@ def run_branch(
 
 def shared_branches(
     seed_state: BranchState,
-    f: np.ndarray,
+    slabs: SlabMemo,
     params: CtmParams,
     epsilon: float,
     perms: np.ndarray,
     consensus: ConsensusConfig,
     expiry: Optional[float] = None,
-    slabs: Optional[SlabMemo] = None,
 ) -> list[BranchOutcome]:
     """The outcome of each branch that halts before the stop.
 
-    One tick trajectory is run from ``seed_state`` for a branch per row of
+    One tick trajectory, its slabs read from ``slabs``, the memo of its
+    fusion vector, is run from ``seed_state`` for a branch per row of
     ``perms`` (``branch_permutations``, only read); per slab, its pair
     contribution is computed once in the unpermuted order, the running
     branches gather it through their permutations and read their
-    certainties in one call, and each makes its own ``halt_decision``.  Each outcome equals
-    ``run_branch``'s for that branch bit for bit.  The trajectory stops
-    after the slab in which the decision under ``consensus.wait_policy`` is
-    settled (see ``decision_settled``), once every branch has halted, or
-    before a slab past the deadline window: its last slab is the first
-    halt's slab plus ``consensus.deadline_ticks // ticks_per_slab``.  With
-    an ``expiry`` (a ``time.monotonic()`` value) it also stops before a
-    slab that would start at or after it.  Branches that would halt after
-    the stop are left out.  Outcomes come in (slab, branch_id) order.
-    Slabs come from ``slabs``, the episode's memo (a fresh one if omitted).
+    certainties in one call, and each makes its own ``halt_decision``.
+    Each outcome equals ``run_branch``'s for that branch bit for bit.  The
+    trajectory stops after the slab in which the decision under
+    ``consensus.wait_policy`` is settled (see ``decision_settled``), once
+    every branch has halted, or before a slab past the deadline window: its
+    last slab is the first halt's slab plus ``consensus.deadline_ticks //
+    ticks_per_slab``.  With an ``expiry`` (a ``time.monotonic()`` value) it
+    also stops before a slab that would start at or after it.  Branches
+    that would halt after the stop are left out.  Outcomes come in (slab,
+    branch_id) order.
 
     Every running branch halts by "budget" in the slab that reaches
     ``max_slabs``, so a seed already there runs no slab and returns no
     halts.  A slab that raises is not caught: the error leaves the call.
     """
     config = params.config
-    slabs = SlabMemo() if slabs is None else slabs
     ids = list(range(len(perms)))   # the running branches; row r of each stack is ids[r]'s
     # one row, which the first accumulate broadcasts to a row per branch
     syncs = seed_state.sync[None]
@@ -208,7 +202,7 @@ def shared_branches(
             break
         if last is not None and slab >= last:
             break
-        history, z, contribution = slabs.lookup(z, history, f, params)
+        history, z, contribution = slabs.lookup(z, history)
         slab += 1
         syncs = accumulate(syncs, contribution.take(perms), n, config.decay)
         _, cs = certainty(syncs, params.certainty_w, params)
@@ -325,22 +319,22 @@ def select_step(
 
 def decide_step(
     seed_state: BranchState,
-    f: np.ndarray,
+    slabs: SlabMemo,
     params: CtmParams,
     epsilon: float,
     perms: np.ndarray,
     cache: Optional[ConsensusResult],
     consensus: ConsensusConfig,
-    slabs: Optional[SlabMemo] = None,
 ) -> tuple[ConsensusResult, Optional[BranchState]]:
     """(result, next_seed) of a decision step over one branch readout per
     row of ``perms``; the step's state is its arguments alone.
 
-    One shared trajectory runs slab by slab and stops once the decision is
-    settled or at the end of the deadline window (see ``shared_branches``);
-    the branches are readouts of it, and ``select_step`` makes the decision.
-    The pair is the one ``select_step`` gives on every branch's
-    ``run_branch`` outcome, sorted by (slab, branch_id) and cut to the window.
+    One shared trajectory runs slab by slab from the memo ``slabs`` and
+    stops once the decision is settled or at the end of the deadline
+    window (see ``shared_branches``); the branches are readouts of it, and
+    ``select_step`` makes the decision.  The pair is the one ``select_step``
+    gives on every branch's ``run_branch`` outcome, sorted by (slab,
+    branch_id) and cut to the window.
     With ``consensus.live`` set, the trajectory also stops once
     ``consensus.deadline_ms`` has passed since the call, so the call
     returns within the deadline plus one slab; if no halt by then reached
@@ -348,5 +342,5 @@ def decide_step(
     clock is never read.
     """
     expiry = time.monotonic() + consensus.deadline_ms / 1000.0 if consensus.live else None
-    outcomes = shared_branches(seed_state, f, params, epsilon, perms, consensus, expiry, slabs)
+    outcomes = shared_branches(seed_state, slabs, params, epsilon, perms, consensus, expiry)
     return select_step(outcomes, params, cache, consensus)

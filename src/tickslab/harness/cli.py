@@ -52,10 +52,7 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_logs(out / "episodes.jsonl", logs)
     write_report(out / "metrics.json", report)
-    print(
-        f"episodes={report.episode_count} tsr={report.tsr:.6f} "
-        f"esr={report.esr:.6f} ael={report.ael:.6f}"
-    )
+    print(report.summary())
     return EXIT_OK
 
 
@@ -77,10 +74,7 @@ def cmd_metrics(args) -> int:
         raise TickslabError(f"bad --logs {args.logs!r}, expected a directory")
     logs = read_log_dir(args.logs)
     report = compute_metrics(logs)
-    print(
-        f"episodes={report.episode_count} tsr={report.tsr:.6f} "
-        f"esr={report.esr:.6f} ael={report.ael:.6f}"
-    )
+    print(report.summary())
     return EXIT_OK
 
 

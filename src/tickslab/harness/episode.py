@@ -1,26 +1,27 @@
 """Episode control loop: perceive, think, decide, act, log.
 
-The router's candidates, the branch permutations and the goal's frames and
+An episode runs on the model its caller built from the config.  The
+router's candidates, the branch permutations and the goal's frames and
 latents depend on the episode alone, so they are built before the first
 step.  Each decision step featurizes the world into the proprio frame,
-fuses its latent with the goal's (an unchanged frame reuses the last fusion
-vector), reasons with k branches (readouts of one shared tick trajectory,
-stopped by the wall clock as well in live mode), and merges their outcomes
-(or takes the cached fallback when nothing converges in time).  A result
-below the router's gamma goes back for more slabs (a rethink) until a round
-in which no branch halts or the slab budget forces a dispatch.  The chosen
-tool call is serialized into an envelope frame, answered by the episode's
-in-process tool server, and applied to the world; the affect readout of the
-final merged vector sets the halting threshold for the next step.  An
-actuate call carries the duty cycles planned here from the merged vector,
-so the tool server holds no model state.
+fuses its latent with the goal's into a fusion vector and a ``SlabMemo``
+of it (an unchanged frame reuses both), reasons with k branches (readouts
+of one shared tick trajectory, stopped by the wall clock as well in live
+mode), and merges their outcomes (or takes the cached fallback when
+nothing converges in time).  A result below the router's gamma goes back
+for more slabs (a rethink) until a round in which no branch halts or the
+slab budget forces a dispatch.  The chosen tool call is serialized into an
+envelope frame, answered by the episode's in-process tool server, and
+applied to the world; the affect readout of the final merged vector sets
+the halting threshold for the next step.  An actuate call carries the duty
+cycles planned here from the merged vector, so the tool server holds no
+model state.
 
 Hidden state, depth history, and synchrony accumulators persist across
 decision steps (the thought is continuous); the slab counter and the
 certainty trace reset per step so budgets are per-decision, and a step's
-ticks are its slabs x ``ticks_per_slab``.  One
-``SlabMemo`` serves the episode's decision calls, and no other episode.
-A ``NonFiniteState`` is not an episode outcome: it ends the run.
+ticks are its slabs x ``ticks_per_slab``.  A ``NonFiniteState`` is not an
+episode outcome: it ends the run.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from ..config import Config
 from ..consensus import ConsensusResult, SlabMemo, branch_permutations, decide_step
 from ..engine import BranchState, initial_state
 from ..errors import NonFiniteState, SchemaViolation
-from ..params import ModelParams, build_model, build_router_params
+from ..params import ModelParams, build_router_params
 from ..perception import encode_modality, fuse
 from ..registry import NOOP_TOOL, SlotKind, ToolSpec
 from ..router import EnvelopeSession, select_action
@@ -141,13 +142,11 @@ def run_episode(
     task: TaskRecord,
     config: Config,
     policy: Policy,
-    model: Optional[ModelParams] = None,
+    model: ModelParams,
 ) -> EpisodeLog:
-    """Run one task to success, budget exhaustion, or a logged error."""
+    """Run one task on ``model``, built from ``config``, to success, budget
+    exhaustion, or a logged error."""
     registry = build_registry()
-    if model is None:
-        model = build_model(config, len(registry), registry.max_slots)
-
     episode_seed = derive_seed(config.seed, f"episode/{task.id}")
     router_params = build_router_params(model, list(task.context), episode_seed)
     session = WorldSession(world_from_task(task))
@@ -162,7 +161,6 @@ def run_episode(
     seed_state = initial_state(ctm)
     epsilon = model.affect.config.epsilon0
     cache: Optional[ConsensusResult] = None
-    slabs = SlabMemo()
     frame = None
 
     try:
@@ -174,6 +172,7 @@ def run_episode(
             if proprio.tobytes() != frame:
                 frame = proprio.tobytes()
                 f = fuse(*goal_latents, encode_modality(proprio, enc.proprio), enc)
+                slabs = SlabMemo(f, ctm)
 
             # Per-step budget: counters and certainty trace restart; the
             # thought state itself carries over.
@@ -183,7 +182,7 @@ def run_episode(
             # a dispatch below gamma is forced (the merged confidence is always finite).
             while True:
                 result, next_seed = decide_step(
-                    seed_state, f, ctm, epsilon, perms, cache, config.consensus, slabs=slabs
+                    seed_state, slabs, ctm, epsilon, perms, cache, config.consensus
                 )
                 if not result.fallback:
                     cache = result

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from ..envelope import canonical_json_bytes
 from ..errors import EmptyLogs
+from ..transport import STATUS_OK
 from .episode import OUTCOME_SUCCESS, EpisodeLog
 from .tasks import read_jsonl
 
@@ -26,13 +27,18 @@ class MetricsReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def summary(self) -> str:
+        """The line ``tickslab run`` and ``tickslab metrics`` print."""
+        return (f"episodes={self.episode_count} tsr={self.tsr:.6f} "
+                f"esr={self.esr:.6f} ael={self.ael:.6f}")
+
 
 def compute_metrics(logs: list[EpisodeLog]) -> MetricsReport:
     if not logs:
         raise EmptyLogs("no episode logs")
     successes = sum(1 for log in logs if log.outcome == OUTCOME_SUCCESS)
     calls = [r.tool_status for log in logs for r in log.records]
-    ok_calls = sum(1 for status in calls if status == "ok")
+    ok_calls = sum(1 for status in calls if status == STATUS_OK)
     esr = ok_calls / len(calls) if calls else 0.0
     return MetricsReport(
         tsr=successes / len(logs),

@@ -49,14 +49,14 @@ def check_record(cls, doc, path: str = "") -> dict:
 
     Unknown keys are refused, a field without a default must be present and
     each present field must have its JSON type.  A failure raises
-    ``SchemaViolation(path + name, reason)``.
+    ``SchemaViolation(path + name, reason)``; an empty key is named ``''``.
     """
     if not isinstance(doc, dict):
         raise SchemaViolation(path.rstrip("."), "expected an object")
     fields = {f.name: f for f in dataclasses.fields(cls)}
     for key in doc:
         if key not in fields:
-            raise SchemaViolation(f"{path}{key}", "unknown field")
+            raise SchemaViolation(f"{path}{key or repr(key)}", "unknown field")
     for name, f in fields.items():
         if name in doc:
             if not json_type_ok(doc[name], f.type):

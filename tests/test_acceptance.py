@@ -17,7 +17,7 @@ from reference import mu_mlp, sync_scan_tick
 from tickslab import consensus
 from tickslab.actuator import ActuatorParams, plan_torque
 from tickslab.config import Config, ConsensusConfig
-from tickslab.consensus import branch_permutations, decide_step, merge
+from tickslab.consensus import SlabMemo, branch_permutations, decide_step, merge
 from tickslab.engine import certainty, initial_state, sync_update
 from tickslab.envelope import AFFECT_DIMS, serialize_envelope
 from tickslab.harness.cli import main as cli_main
@@ -161,7 +161,9 @@ class TestAcceptance:
                 # the trajectory starts 0-4 ms late: the sum of two 0-2 ms draws
                 clock.delay = float(np.sum(rng.uniform(0.0, 0.002, size=2)))
                 perms = branch_permutations(trial, params.config.sync_pairs, window.branches)
-                result, _ = decide_step(seed_state, fvec, params, 0.05, perms, None, window)
+                result, _ = decide_step(
+                    seed_state, SlabMemo(fvec, params), params, 0.05, perms, None, window
+                )
                 paths = (merged.call_count, fell_back.call_count)
                 if result.fallback:
                     saw_fallback += 1

@@ -98,7 +98,8 @@ class TestRun:
         run_output = capsys.readouterr().out
         assert run_cli("metrics", "--logs", str(out)) == 0
         metrics_output = capsys.readouterr().out
-        assert run_output.strip().split()[-3:] == metrics_output.strip().split()[-3:]
+        assert run_output == metrics_output
+        assert re.fullmatch(r"episodes=2 tsr=1\.000000 esr=1\.000000 ael=\d+\.\d{6}\n", run_output)
 
     def test_missing_tasks_file_exits_2(self, tmp_path):
         code = run_cli(
@@ -508,6 +509,29 @@ class TestLayout:
             f"{cls.__name__}.{field.name}"
             for cls in records for field in dataclasses.fields(cls) if field.name not in read
         ]
+        assert unread == []
+
+    def test_every_parameter_is_read(self):
+        # a parameter its body never reads is a value every caller passes for
+        # nothing; self and cls are how a method is bound, so they are exempt
+        unread = []
+        for path in sorted((SRC / "tickslab").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    continue
+                args = node.args
+                named = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+                body = node.body if isinstance(node.body, list) else [node.body]
+                read = {
+                    name.id
+                    for statement in body for name in ast.walk(statement)
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+                }
+                unread += [
+                    f"{path.name}:{node.lineno} {arg.arg}"
+                    for arg in named
+                    if arg is not None and arg.arg not in read and arg.arg not in ("self", "cls")
+                ]
         assert unread == []
 
     def test_every_defaulted_parameter_is_passed(self):

@@ -199,7 +199,7 @@ class TestMerge:
         from reference import entropy, softmax
 
         outcomes = shared_branches(
-            initial_state(small_params), fvec, small_params, 0.75,
+            initial_state(small_params), SlabMemo(fvec, small_params), small_params, 0.75,
             episode_perms(small_params, 6, 9), no_cutoff(small_params, 6),
         )
         assert outcomes
@@ -230,8 +230,8 @@ class TestSpawnBranches:
     def test_k1_matches_inline_run(self, small_params, fvec):
         seed_state = initial_state(small_params)
         outcomes = shared_branches(
-            seed_state, fvec, small_params, 0.75, episode_perms(small_params, 1, 42),
-            no_cutoff(small_params, 1),
+            seed_state, SlabMemo(fvec, small_params), small_params, 0.75,
+            episode_perms(small_params, 1, 42), no_cutoff(small_params, 1),
         )
         inline, inline_state = run_branch(seed_state, fvec, small_params, 0.75, 42, 0)
         assert inline.state is inline_state
@@ -240,7 +240,7 @@ class TestSpawnBranches:
 
     def test_branches_differ_from_each_other(self, small_params, fvec):
         outcomes = shared_branches(
-            initial_state(small_params), fvec, small_params, 0.75,
+            initial_state(small_params), SlabMemo(fvec, small_params), small_params, 0.75,
             episode_perms(small_params, 4, 7), no_cutoff(small_params, 4),
         )
         syncs = {o.state.sync.tobytes() for o in outcomes}
@@ -317,8 +317,12 @@ class TestDecideStep:
     def test_deterministic_repeat(self, small_params, fvec):
         seed_state = initial_state(small_params)
         window, perms = four_slab_window(small_params, 4), episode_perms(small_params, 4, 11)
-        r1, s1 = decide_step(seed_state, fvec, small_params, 0.75, perms, None, window)
-        r2, s2 = decide_step(seed_state, fvec, small_params, 0.75, perms, None, window)
+        r1, s1 = decide_step(
+            seed_state, SlabMemo(fvec, small_params), small_params, 0.75, perms, None, window
+        )
+        r2, s2 = decide_step(
+            seed_state, SlabMemo(fvec, small_params), small_params, 0.75, perms, None, window
+        )
         assert np.array_equal(r1.sync_merged, r2.sync_merged)
         assert r1.confidence_merged == r2.confidence_merged
         assert r1.contributors == r2.contributors
@@ -329,8 +333,8 @@ class TestDecideStep:
         # zero certainty head: c = 0 always, so no branch can reach threshold
         params = make_ctm(seed=1, certainty_w=np.zeros((4, 12), dtype=np.float32))
         result, next_seed = decide_step(
-            initial_state(params), fvec, params, 0.75, episode_perms(params, 3, 11), None,
-            four_slab_window(params, 3),
+            initial_state(params), SlabMemo(fvec, params), params, 0.75,
+            episode_perms(params, 3, 11), None, four_slab_window(params, 3),
         )
         assert result.fallback
         assert result.contributors == ()
@@ -346,14 +350,14 @@ class TestDecideStep:
         monkeypatch.setattr(consensus.time, "monotonic", no_clock)
         perms = episode_perms(small_params, 3, 11)
         result, _ = decide_step(
-            initial_state(small_params), fvec, small_params, 0.75, perms, None,
-            four_slab_window(small_params, 3),
+            initial_state(small_params), SlabMemo(fvec, small_params), small_params, 0.75,
+            perms, None, four_slab_window(small_params, 3),
         )
         assert not result.fallback
         with pytest.raises(RuntimeError, match="clock"):
             decide_step(
-                initial_state(small_params), fvec, small_params, 0.75, perms, None,
-                replace(four_slab_window(small_params, 3), live=True),
+                initial_state(small_params), SlabMemo(fvec, small_params), small_params, 0.75,
+                perms, None, replace(four_slab_window(small_params, 3), live=True),
             )
 
     def test_a_failing_slab_leaves_the_step(self, small_params, fvec):
@@ -361,19 +365,19 @@ class TestDecideStep:
         with mock.patch.object(consensus, "slab_ticks", side_effect=RuntimeError("boom")):
             with pytest.raises(RuntimeError, match="boom"):
                 decide_step(
-                    initial_state(small_params), fvec, small_params, 0.75,
+                    initial_state(small_params), SlabMemo(fvec, small_params), small_params, 0.75,
                     episode_perms(small_params, 3, 11), None, four_slab_window(small_params, 3),
                 )
 
     def test_wait_one_can_widen_merge_set(self, small_params, fvec):
         perms = episode_perms(small_params, 4, 11)
         base, _ = decide_step(
-            initial_state(small_params), fvec, small_params, 0.2, perms, None,
-            four_slab_window(small_params, 4, "off"),
+            initial_state(small_params), SlabMemo(fvec, small_params), small_params, 0.2,
+            perms, None, four_slab_window(small_params, 4, "off"),
         )
         wide, _ = decide_step(
-            initial_state(small_params), fvec, small_params, 0.2, perms, None,
-            four_slab_window(small_params, 4, "one"),
+            initial_state(small_params), SlabMemo(fvec, small_params), small_params, 0.2,
+            perms, None, four_slab_window(small_params, 4, "one"),
         )
         assert len(base.contributors) == 1
         assert len(wide.contributors) in (1, 2)
@@ -392,11 +396,14 @@ class TestDecideStep:
             assert_same_state(got[1], want[1])
         window = no_cutoff(small_params, 4, deadline_ms=60_000.0)
         perms = episode_perms(small_params, 4, 11)
-        want, want_seed = decide_step(unfrozen, fvec, small_params, 0.75, perms, None, window)
+        want, want_seed = decide_step(
+            unfrozen, SlabMemo(fvec, small_params), small_params, 0.75, perms, None, window
+        )
         assert not want.fallback
         for live in (False, True):
             got, got_seed = decide_step(
-                seed, fvec, small_params, 0.75, perms, None, replace(window, live=live)
+                seed, SlabMemo(fvec, small_params), small_params, 0.75,
+                perms, None, replace(window, live=live),
             )
             assert got.sync_merged.tobytes() == want.sync_merged.tobytes()
             assert got.contributors == want.contributors
@@ -409,11 +416,11 @@ class TestDecideStep:
 
         def calls(episode_seed, f):
             """An episode's decision calls, one (result, next_seed) per resume."""
-            perms, slabs = episode_perms(small_params, 3, episode_seed), SlabMemo()
+            perms, slabs = episode_perms(small_params, 3, episode_seed), SlabMemo(f, small_params)
             state, cache = initial_state(small_params), None
             for _ in range(5):
                 result, next_seed = decide_step(
-                    state, f, small_params, 0.75, perms, cache, window, slabs=slabs
+                    state, slabs, small_params, 0.75, perms, cache, window
                 )
                 yield result, next_seed
                 cache = cache if result.fallback else result
@@ -454,7 +461,9 @@ class TestLiveRace:
         params = make_ctm(seed=3, max_slabs=2, ticks_per_slab=2)
         window = no_cutoff(params, 3, "one", deadline_ms=200.0, live=True)
         perms = episode_perms(params, 3, 7)
-        result, _ = decide_step(initial_state(params), fvec, params, 0.05, perms, None, window)
+        result, _ = decide_step(
+            initial_state(params), SlabMemo(fvec, params), params, 0.05, perms, None, window
+        )
         assert not result.fallback
         assert 1 <= len(result.contributors) <= 2
 
@@ -477,7 +486,9 @@ class TestLiveRace:
                 # the trajectory starts 0-8 ms late: the sum of two 0-4 ms draws
                 clock.delay = float(rng.uniform(0, 0.004)) + float(rng.uniform(0, 0.004))
                 perms = episode_perms(params, 2, trial)
-                result, _ = decide_step(seed_state, fvec, params, 0.10, perms, None, window)
+                result, _ = decide_step(
+                    seed_state, SlabMemo(fvec, params), params, 0.10, perms, None, window
+                )
                 fallback = result.fallback
                 paths = (merged.call_count, fell_back.call_count)
                 assert paths == ((0, 1) if fallback else (1, 0))
@@ -501,7 +512,7 @@ class TestLiveRace:
         window, perms = no_cutoff(params, 4, deadline_ms=50.0, live=True), episode_perms(params, 4, 7)
         start = time.monotonic()
         result, next_seed = decide_step(
-            initial_state(params), fvec, params, 0.5, perms, None, window
+            initial_state(params), SlabMemo(fvec, params), params, 0.5, perms, None, window
         )
         elapsed = time.monotonic() - start
         assert result.fallback
@@ -644,7 +655,7 @@ class TestSharedTrajectory:
             branches=k, wait_policy=wait, deadline_ticks=limit, deadline_ms=60_000
         )
         perms = episode_perms(params, k, episode_seed)
-        shared = shared_branches(seed_state, f, params, epsilon, perms, window)
+        shared = shared_branches(seed_state, SlabMemo(f, params), params, epsilon, perms, window)
         reference = reference_outcomes(seed_state, f, params, epsilon, k, episode_seed)
 
         # The trajectory orders and windows its halts, which select_step
@@ -672,11 +683,14 @@ class TestSharedTrajectory:
         # to the stop once.
         computed = distinct_start_states(seed_state, f, params, slabs)
         with counting_slab_ticks() as counter:
-            decided = decide_step(seed_state, f, params, epsilon, perms, cache, window)
+            decided = decide_step(
+                seed_state, SlabMemo(f, params), params, epsilon, perms, cache, window
+            )
         assert counter.call_count == computed
         with counting_slab_ticks() as counter:
             live = decide_step(
-                seed_state, f, params, epsilon, perms, cache, replace(window, live=True)
+                seed_state, SlabMemo(f, params), params, epsilon,
+                perms, cache, replace(window, live=True),
             )
         assert counter.call_count == computed
         in_window = tick_window(reference.values(), ticks_per_slab, limit)
@@ -704,8 +718,9 @@ class TestSharedTrajectory:
         for wait, contributors, slabs in (("off", (2,), 2), ("one", (1, 2), 5)):
             with counting_slab_ticks() as counter:
                 result, next_seed = decide_step(
-                    seed_state, fvec, small_params, 0.75, episode_perms(small_params, 3, 17),
-                    None, four_slab_window(small_params, 3, wait),
+                    seed_state, SlabMemo(fvec, small_params), small_params, 0.75,
+                    episode_perms(small_params, 3, 17), None,
+                    four_slab_window(small_params, 3, wait),
                 )
             assert result.contributors == contributors
             assert counter.call_count == slabs
@@ -717,8 +732,8 @@ class TestSharedTrajectory:
         spent = replace(initial_state(small_params), slab=small_params.config.max_slabs)
         with caplog.at_level("DEBUG"), counting_slab_ticks() as counter:
             result, next_seed = decide_step(
-                spent, fvec, small_params, 0.75, episode_perms(small_params, 3, 11), None,
-                four_slab_window(small_params, 3),
+                spent, SlabMemo(fvec, small_params), small_params, 0.75,
+                episode_perms(small_params, 3, 11), None, four_slab_window(small_params, 3),
             )
         assert caplog.records == []
         assert counter.call_count == 0
@@ -782,15 +797,18 @@ class TestSlabMemo:
         window = no_cutoff(params, k, wait, deadline_ms=60_000)
         perms = episode_perms(params, k, episode_seed)
 
-        def run(slabs):
-            """A decision sequence; each call gets ``slabs`` or, if None, a fresh memo."""
-            decisions, cache = [], None
+        def run(shared):
+            """A decision sequence; with ``shared`` a memo serves the calls
+            until f changes, as in an episode, else each call gets a fresh one."""
+            decisions, cache, memos = [], None, []
 
             def decide(seed_state, f):
                 nonlocal cache
+                if not (shared and memos and memos[-1][0] is f):
+                    memos.append((f, SlabMemo(f, params)))
                 result, next_seed = decide_step(
-                    seed_state, f, params, epsilon, perms, cache,
-                    replace(window, live=live[len(decisions)]), slabs=slabs,
+                    seed_state, memos[-1][1], params, epsilon, perms, cache,
+                    replace(window, live=live[len(decisions)]),
                 )
                 decisions.append((result, next_seed))
                 if not result.fallback:
@@ -806,10 +824,10 @@ class TestSlabMemo:
             return decisions
 
         with counting_slab_ticks() as counter:
-            shared = run(SlabMemo())
+            shared = run(True)
         computed_shared = counter.call_count
         with counting_slab_ticks() as counter:
-            fresh = run(None)
+            fresh = run(False)
         assert computed_shared < counter.call_count  # the repeated seed runs no slab
 
         for (got, got_seed), (want, want_seed) in zip(shared, fresh):
@@ -827,32 +845,22 @@ class TestSlabMemo:
 
     def test_lookup_equals_the_slab_and_is_read_only(self, small_params, fvec):
         state = warm_state(small_params, fvec, 2, reset=True)
-        memo = SlabMemo()
-        got = memo.lookup(state.z, state.history, fvec, small_params)
+        memo = SlabMemo(fvec, small_params)
+        got = memo.lookup(state.z, state.history)
         states, history, carried = slab_ticks(state.z, state.history, fvec, small_params)
         want = (history, carried, consensus.slab_contribution(states, small_params))
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
             with pytest.raises(ValueError):
                 a[0] = 0
-        assert all(
-            a is b for a, b in zip(got, memo.lookup(state.z, state.history, fvec, small_params))
-        )
+        assert all(a is b for a, b in zip(got, memo.lookup(state.z, state.history)))
         assert len(memo) == 1
 
     def test_holds_one_params_and_f(self, small_params, fvec):
         state, other = initial_state(small_params), warm_state(small_params, fvec, 1, True)
-        memo = SlabMemo()
-        memo.lookup(state.z, state.history, fvec, small_params)
-        memo.lookup(other.z, other.history, fvec, small_params)
-        assert len(memo) == 2
-        memo.lookup(state.z, state.history, fvec.copy(), small_params)  # same bytes
-        assert len(memo) == 2
+        memo = SlabMemo(fvec, small_params)
         with counting_slab_ticks() as counter:
-            memo.lookup(state.z, state.history, fusion_vector(4), small_params)
-            assert len(memo) == 1
-            # equal params that are another object start a new scope
-            memo.lookup(state.z, state.history, fusion_vector(4), replace(small_params))
-            memo.lookup(state.z, state.history, fvec, small_params)
-        assert counter.call_count == 3
-        assert len(memo) == 1
+            for _ in range(2):
+                memo.lookup(state.z, state.history)
+                memo.lookup(other.z, other.history)
+        assert counter.call_count == len(memo) == 2

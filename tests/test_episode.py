@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -279,7 +280,7 @@ class TestGoalFrames:
             monkeypatch.setattr(episode, name, recording(getattr(episode, name), seen))
         frames, fused = outputs["featurize"], outputs["fuse"]
         task = load_tasks(TASKS)[0]
-        log = run_episode(task, Config(), Policy.CTM)
+        log = run_episode(task, Config(), Policy.CTM, model=build_for(Config()))
         changed = [a.tobytes() != b.tobytes() for a, b in zip(frames, frames[1:])]
         # the repeated 'place' fails and leaves the world as it was
         assert len(frames) == log.steps_used and not all(changed)
@@ -322,9 +323,9 @@ class TestSlabMemo:
     # Task 0 keeps one f all episode and its trajectory falls into a period-2
     # limit cycle, so most of its slabs repeat a start state it has run;
     # task 16 changes f once.
-    @pytest.mark.parametrize("index, scopes", [(0, 1), (16, 2)])
-    def test_each_start_state_runs_once_per_fusion_vector(self, monkeypatch, index, scopes):
-        memos, computed, stepped = [], [], []
+    @pytest.mark.parametrize("index, vectors", [(0, 1), (16, 2)])
+    def test_each_start_state_runs_once_per_fusion_vector(self, monkeypatch, index, vectors):
+        memos, fused, computed, stepped = [], [], [], []
         names = {}
 
         def name(*arrays):
@@ -332,14 +333,15 @@ class TestSlabMemo:
             return names.setdefault(b"|".join(a.tobytes() for a in arrays), len(names))
 
         class Recorder(SlabMemo):
-            def __init__(self):
-                super().__init__()
-                self.lookups = []      # (f, start state, entries held after the lookup)
+            def __init__(self, f, params):
+                super().__init__(f, params)
+                self.f = name(f)
+                self.lookups = []      # (start state, entries held after the lookup)
                 memos.append(self)
 
-            def lookup(self, z, history, f, params):
-                result = super().lookup(z, history, f, params)
-                self.lookups.append((name(f), name(z, history), len(self)))
+            def lookup(self, z, history):
+                result = super().lookup(z, history)
+                self.lookups.append((name(z, history), len(self)))
                 return result
 
         def counted_ticks(z, history, f, params):
@@ -351,28 +353,48 @@ class TestSlabMemo:
             return accumulate(*args)
 
         monkeypatch.setattr(episode, "SlabMemo", Recorder)
+        monkeypatch.setattr(episode, "fuse", recording(episode.fuse, fused))
         monkeypatch.setattr(consensus, "slab_ticks", counted_ticks)
         monkeypatch.setattr(consensus, "accumulate", counted_accumulate)
         task = load_tasks(TASKS)[index]
         assert task.id == f"synth-20260810-{index}"
-        run_episode(task, Config(), Policy.CTM)
+        run_episode(task, Config(), Policy.CTM, model=build_for(Config()))
 
-        [memo] = memos
+        # one memo per fusion vector, built as it is fused
+        assert [memo.f for memo in memos] == [name(f) for f in fused]
+        assert len(memos) == vectors
         # one lookup per slab the trajectories stepped
-        assert len(memo.lookups) == len(stepped)
-        # a lookup computes exactly the start states not yet seen under its
-        # f since f last changed, and the memo holds those entries only
-        want, scope, seen, changes = [], None, set(), 0
-        for f, key, held in memo.lookups:
-            if f != scope:
-                scope, seen, changes = f, set(), changes + 1
-            if key not in seen:
-                seen.add(key)
-                want.append((f, key))
-            assert held == len(seen)
+        assert sum(len(memo.lookups) for memo in memos) == len(stepped)
+        # a lookup computes, under its memo's f, exactly the start states
+        # that memo has not seen, and the memo holds those entries only
+        want = []
+        for memo in memos:
+            seen = set()
+            for key, held in memo.lookups:
+                if key not in seen:
+                    seen.add(key)
+                    want.append((memo.f, key))
+                assert held == len(seen)
         assert computed == want
-        assert changes == scopes
-        assert len(computed) < len(memo.lookups)
+        assert len(computed) < len(stepped)
+
+    # The slabs a tasks50 run with the default config computes (slab_ticks
+    # calls) and steps (accumulate calls).  A memo that loses hits raises
+    # the first; a trajectory that runs past its stop raises the second.
+    @pytest.mark.parametrize(
+        "policy, computed, stepped",
+        [(Policy.CTM, 921, 1981), (Policy.SCRIPTED_ORACLE, 1386, 1445)],
+    )
+    def test_tasks50_work_counts(self, policy, computed, stepped):
+        config = Config()
+        model = build_for(config)
+        with (
+            mock.patch.object(consensus, "slab_ticks", wraps=slab_ticks) as ticks,
+            mock.patch.object(consensus, "accumulate", wraps=accumulate) as steps,
+        ):
+            for task in load_tasks(TASKS):
+                run_episode(task, config, policy, model=model)
+        assert (ticks.call_count, steps.call_count) == (computed, stepped)
 
 
 class TestLiveMode:

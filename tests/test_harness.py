@@ -150,6 +150,22 @@ class TestLoadTasks:
             load_tasks(path)
         assert str(err.value) == "line 1: steps[0].why: unknown field"
 
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ({"": 1}, "''"),
+            ({"id": "t", "goal": "g", "context": [],
+              "steps": [{"tool": "noop", "args": {}, "expected": "x", "": 1}]}, "steps[0].''"),
+        ],
+        ids=["task", "step"],
+    )
+    def test_an_empty_key_is_named(self, tmp_path, line, named):
+        path = tmp_path / "tasks.jsonl"
+        path.write_text(json.dumps(line) + "\n")
+        with pytest.raises(SchemaViolation) as err:
+            load_tasks(path)
+        assert str(err.value) == f"line 1: {named}: unknown field"
+
     def test_tool_the_world_does_not_run_rejected(self, tmp_path):
         # such a step used to load, and the oracle's episode then ended in error
         steps = [{"tool": "noop", "args": {}, "expected": "x"},
@@ -621,6 +637,17 @@ class TestMetrics:
         key = "extra" if where == "log" else "records[1].extra"
         with pytest.raises(SchemaViolation, match=re.escape(f"line 1: {key}: unknown field")):
             read_logs(path)
+
+    @pytest.mark.parametrize("where", ["log", "record"])
+    def test_an_empty_key_is_named(self, tmp_path, where):
+        doc = self._log("a", "success", ["ok", "ok"]).to_dict()
+        (doc if where == "log" else doc["records"][1])[""] = 1
+        path = tmp_path / "episodes.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        named = "''" if where == "log" else "records[1].''"
+        with pytest.raises(SchemaViolation) as err:
+            read_logs(path)
+        assert str(err.value) == f"line 1: {named}: unknown field"
 
     def test_missing_outcome_names_line_and_field(self, tmp_path):
         doc = self._log("a", "success", ["ok"]).to_dict()
@@ -1179,8 +1206,10 @@ class TestModelBuild:
     def test_decision_step_gets_the_consensus_section(self, live):
         config = dataclasses.replace(Config(seed=2), consensus=ConsensusConfig(live=live))
         decide = episode.decide_step
+        registry = build_registry()
+        model = build_model(config, len(registry), registry.max_slots)
         with mock.patch.object(episode, "decide_step", wraps=decide) as wrapped:
-            run_episode(gen_tasks(1, 1)[0], config, Policy.CTM)
+            run_episode(gen_tasks(1, 1)[0], config, Policy.CTM, model=model)
         assert wrapped.call_count >= 1
         for call in wrapped.call_args_list:
             bound = inspect.signature(decide).bind(*call.args, **call.kwargs)
