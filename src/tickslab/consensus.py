@@ -38,7 +38,7 @@ bit for bit.
 
 When the world stops changing, f repeats and the float32 trajectory falls
 into exact limit cycles (period 2 to 6) that repeat half the slabs of a
-tasks50 run; a step takes f as a ``SlabMemo``, which runs each once.
+tasks50 run; a step's ``SlabMemo`` of f and the model runs each once.
 """
 
 from __future__ import annotations
@@ -100,12 +100,12 @@ def branch_permutations(episode_seed: int, pair_count: int, k: int) -> np.ndarra
 
 
 class SlabMemo:
-    """Read-only slab results under one fusion vector ``f`` and ``params``,
-    keyed by the start state's (z, history) bytes; a hit equals a fresh run
-    bit for bit."""
+    """Read-only slab results under one fusion vector ``f`` and the model
+    ``params``, which every step that reads the memo runs on; keyed by the
+    start state's (z, history) bytes, a hit equals a fresh run bit for bit."""
 
     def __init__(self, f: np.ndarray, params: CtmParams) -> None:
-        self._f, self._params, self._slabs = f, params, {}
+        self._f, self.params, self._slabs = f, params, {}
 
     def __len__(self) -> int:
         return len(self._slabs)
@@ -114,8 +114,8 @@ class SlabMemo:
         """(history, carried, contribution) of the slab from (z, history)."""
         key = (z.tobytes(), history.tobytes())
         if key not in self._slabs:
-            states, new_history, carried = slab_ticks(z, history, self._f, self._params)
-            slab = (new_history, carried, slab_contribution(states, self._params))
+            states, new_history, carried = slab_ticks(z, history, self._f, self.params)
+            slab = (new_history, carried, slab_contribution(states, self.params))
             for array in slab:
                 array.flags.writeable = False
             self._slabs[key] = slab
@@ -157,7 +157,6 @@ def run_branch(
 def shared_branches(
     seed_state: BranchState,
     slabs: SlabMemo,
-    params: CtmParams,
     epsilon: float,
     perms: np.ndarray,
     consensus: ConsensusConfig,
@@ -166,8 +165,8 @@ def shared_branches(
     """The outcome of each branch that halts before the stop.
 
     One tick trajectory, its slabs read from ``slabs``, the memo of its
-    fusion vector, is run from ``seed_state`` for a branch per row of
-    ``perms`` (``branch_permutations``, only read); per slab, its pair
+    fusion vector and model, is run from ``seed_state`` for a branch per row
+    of ``perms`` (``branch_permutations``, only read); per slab, its pair
     contribution is computed once in the unpermuted order, the running
     branches gather it through their permutations and read their
     certainties in one call, and each makes its own ``halt_decision``.
@@ -185,7 +184,7 @@ def shared_branches(
     ``max_slabs``, so a seed already there runs no slab and returns no
     halts.  A slab that raises is not caught: the error leaves the call.
     """
-    config = params.config
+    config = slabs.params.config
     ids = list(range(len(perms)))   # the running branches; row r of each stack is ids[r]'s
     # one row, which the first accumulate broadcasts to a row per branch
     syncs = seed_state.sync[None]
@@ -205,7 +204,7 @@ def shared_branches(
         history, z, contribution = slabs.lookup(z, history)
         slab += 1
         syncs = accumulate(syncs, contribution.take(perms), n, config.decay)
-        _, cs = certainty(syncs, params.certainty_w, params)
+        cs = certainty(syncs, slabs.params)
         keep = []
         for row, (branch_id, c) in enumerate(zip(ids, cs)):
             traces[row] = trace = (traces[row] + (c,))[-config.plateau_window :]
@@ -249,7 +248,7 @@ def merge(outcomes: list[BranchOutcome], params: CtmParams) -> ConsensusResult:
         weights = conf / np.sum(conf)
     stack = np.stack([o.state.sync for o in ordered]).astype(np.float64)
     merged = np.sum(weights[:, None] * stack, axis=0).astype(np.float32)
-    _, conf_merged = certainty(merged, params.certainty_w, params)
+    conf_merged = certainty(merged, params)
     return ConsensusResult(merged, conf_merged, tuple(o.branch_id for o in ordered), False)
 
 
@@ -320,7 +319,6 @@ def select_step(
 def decide_step(
     seed_state: BranchState,
     slabs: SlabMemo,
-    params: CtmParams,
     epsilon: float,
     perms: np.ndarray,
     cache: Optional[ConsensusResult],
@@ -329,12 +327,12 @@ def decide_step(
     """(result, next_seed) of a decision step over one branch readout per
     row of ``perms``; the step's state is its arguments alone.
 
-    One shared trajectory runs slab by slab from the memo ``slabs`` and
-    stops once the decision is settled or at the end of the deadline
-    window (see ``shared_branches``); the branches are readouts of it, and
-    ``select_step`` makes the decision.  The pair is the one ``select_step``
-    gives on every branch's ``run_branch`` outcome, sorted by (slab,
-    branch_id) and cut to the window.
+    One shared trajectory runs slab by slab from the memo ``slabs`` on its
+    model ``slabs.params`` and stops once the decision is settled or at the
+    end of the deadline window (see ``shared_branches``); the branches are
+    readouts of it, and ``select_step`` makes the decision.  The pair is the
+    one ``select_step`` gives on every branch's ``run_branch`` outcome under
+    that model, sorted by (slab, branch_id) and cut to the window.
     With ``consensus.live`` set, the trajectory also stops once
     ``consensus.deadline_ms`` has passed since the call, so the call
     returns within the deadline plus one slab; if no halt by then reached
@@ -342,5 +340,5 @@ def decide_step(
     clock is never read.
     """
     expiry = time.monotonic() + consensus.deadline_ms / 1000.0 if consensus.live else None
-    outcomes = shared_branches(seed_state, slabs, params, epsilon, perms, consensus, expiry)
-    return select_step(outcomes, params, cache, consensus)
+    outcomes = shared_branches(seed_state, slabs, epsilon, perms, consensus, expiry)
+    return select_step(outcomes, slabs.params, cache, consensus)

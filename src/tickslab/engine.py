@@ -114,27 +114,25 @@ def sync_update(
     return accumulate(sync, contribution, len(slab_states), params.config.decay)
 
 
-def certainty(sync: np.ndarray, certainty_w: np.ndarray, params: CtmParams):
-    """Scaled logits read from the sync vector and 1 - normalized entropy.
+def certainty(sync: np.ndarray, params: CtmParams):
+    """Certainty of the sync vector: 1 - normalized entropy of its logits.
 
-    c = 1 - H(softmax(h)) / ln(logit_count), h = logit_scale * (W_c S).
-    Returns (h as float32, c as float in [0, 1]).  ``sync`` may also be a
-    (rows, pair_count) stack: then h has a row per vector and c is a list,
-    each row bit for bit the result for that vector alone.  A float64 head,
-    such as ``params.certainty_w``, is read without a cast.  A logit that
-    the float32 cast would make inf, or a NaN, raises ``NonFiniteState``.
+    c = 1 - H(softmax(h)) / ln(logit_count), h = logit_scale * (W_c S), where
+    W_c is ``params.certainty_w`` and h is rounded to float32.  Returns c in
+    [0, 1] as a float; for a (rows, pair_count) stack of vectors, a list whose
+    entries equal each vector's own result bit for bit.  A logit that the
+    float32 cast would make inf, or a NaN, raises ``NonFiniteState``.
     """
-    h = matvec(certainty_w, sync if sync.ndim == 2 else sync[None])
+    h = matvec(params.certainty_w, sync if sync.ndim == 2 else sync[None])
     # the largest scaled logit as a Python float: inf on overflow, no warning
     reach = float(np.maximum.reduce(np.abs(h), axis=None)) * abs(params.config.logit_scale)
     if not reach < F32_OVERFLOW:
         raise NonFiniteState(f"non-finite certainty: a logit reaches {reach!r}, past float32")
     h *= params.config.logit_scale
-    logits = h.astype(np.float32)
-    # stable softmax in float64, then sum p ln p with 0 ln 0 taken as 0; a
-    # zero entry adds an exact zero, and numpy sums fewer than 8 entries in
-    # order, so there that equals summing the nonzero terms alone
-    p = logits.astype(np.float64)
+    # stable softmax of the float32 logits in float64, then sum p ln p with
+    # 0 ln 0 taken as 0; a zero entry adds an exact zero, and numpy sums fewer
+    # than 8 entries in order, so there that equals summing the nonzero terms
+    p = h.astype(np.float32).astype(np.float64)
     p -= np.maximum.reduce(p, axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= np.add.reduce(p, axis=-1, keepdims=True)
@@ -147,7 +145,7 @@ def certainty(sync: np.ndarray, certainty_w: np.ndarray, params: CtmParams):
     c /= params.log_logit_count
     c += 1.0
     c = np.maximum(c, 0.0, out=c).tolist()
-    return (logits[0], c[0]) if sync.ndim == 1 else (logits, c)
+    return c[0] if sync.ndim == 1 else c
 
 
 def halt_decision(
@@ -243,7 +241,7 @@ def run_slab(
     states, hist, carried = slab_ticks(state.z, state.history, f, params)
     sync = sync_update(state.sync, states, params)
     slab = state.slab + 1
-    _, c = certainty(sync, params.certainty_w, params)
+    c = certainty(sync, params)
     trace = (state.certainty_trace + (c,))[-config.plateau_window :]
     reason = halt_decision(c, epsilon, trace, config.max_slabs - slab, config)
     return BranchState(carried, hist, sync, slab, trace), reason

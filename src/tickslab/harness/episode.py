@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -110,16 +111,18 @@ class EpisodeLog:
 
 
 def _checked(cls, doc, path: str = "") -> dict:
-    """``doc`` if it fits record ``cls`` and its ints are in [0, 2**63);
-    an error names the field after ``path``.
+    """``doc`` if it fits record ``cls``, its ints are in [0, 2**63) and its
+    floats are finite; an error names the field after ``path``.
 
     Ints are counts, and bounding them keeps every metric over them a
-    finite float.
+    finite float; ``run_episode`` writes no non-finite float.
     """
     check_record(cls, doc, path)
     for f in fields(cls):
         if f.type == "int" and f.name in doc and not 0 <= doc[f.name] < 2**63:
             raise SchemaViolation(f"{path}{f.name}", f"must be in [0, 2**63), got {doc[f.name]}")
+        if f.type == "float" and f.name in doc and not abs(doc[f.name]) < math.inf:
+            raise SchemaViolation(f"{path}{f.name}", f"must be finite, got {doc[f.name]}")
     return doc
 
 
@@ -182,7 +185,7 @@ def run_episode(
             # a dispatch below gamma is forced (the merged confidence is always finite).
             while True:
                 result, next_seed = decide_step(
-                    seed_state, slabs, ctm, epsilon, perms, cache, config.consensus
+                    seed_state, slabs, epsilon, perms, cache, config.consensus
                 )
                 if not result.fallback:
                     cache = result

@@ -78,29 +78,30 @@ class TestAcceptance:
         params = make_ctm(seed=3, sync_pairs=32)
         # uniform logits -> certainty 0
         w_uniform = np.ones((4, 32), dtype=np.float32)
-        _, c = certainty(np.ones(32, dtype=np.float32), w_uniform, params)
+        c = certainty(np.ones(32, dtype=np.float32), replace(params, certainty_w=w_uniform))
         assert abs(c) < 1e-7
         # near-one-hot -> certainty ~ 1
         w_hot = np.zeros((4, 32), dtype=np.float32)
         w_hot[0, 0] = 10.0
         hot = np.zeros(32, dtype=np.float32)
         hot[0] = 1.0
-        _, c = certainty(hot, w_hot, params)
+        c = certainty(hot, replace(params, certainty_w=w_hot))
         assert c > 1.0 - 1e-6
         # range on 1e5 random draws
         rng = np.random.default_rng(303)
         w = rng.normal(size=(4, 32)).astype(np.float32)
+        drawn = replace(params, certainty_w=w)
         for _ in range(100_000):
             sync = (rng.normal(size=32) * rng.uniform(0.01, 30)).astype(np.float32)
-            _, c = certainty(sync, w, params)
+            c = certainty(sync, drawn)
             assert 0.0 <= c <= 1.0
         # scale monotonicity
-        lo = make_ctm(seed=3, sync_pairs=32, logit_scale=1.0)
-        hi = make_ctm(seed=3, sync_pairs=32, logit_scale=8.0)
+        lo = replace(make_ctm(seed=3, sync_pairs=32, logit_scale=1.0), certainty_w=w)
+        hi = replace(make_ctm(seed=3, sync_pairs=32, logit_scale=8.0), certainty_w=w)
         for _ in range(1000):
             sync = rng.normal(size=32).astype(np.float32)
-            _, c1 = certainty(sync, w, lo)
-            _, c8 = certainty(sync, w, hi)
+            c1 = certainty(sync, lo)
+            c8 = certainty(sync, hi)
             assert c8 >= c1 - 1e-12
         report(3, "certainty calibration (uniform=0, one-hot~1, range, scale-monotone)")
 
@@ -162,7 +163,7 @@ class TestAcceptance:
                 clock.delay = float(np.sum(rng.uniform(0.0, 0.002, size=2)))
                 perms = branch_permutations(trial, params.config.sync_pairs, window.branches)
                 result, _ = decide_step(
-                    seed_state, SlabMemo(fvec, params), params, 0.05, perms, None, window
+                    seed_state, SlabMemo(fvec, params), 0.05, perms, None, window
                 )
                 paths = (merged.call_count, fell_back.call_count)
                 if result.fallback:

@@ -263,12 +263,16 @@ class TestBadArguments:
             (["metrics", "--logs", "{tmp}/empty"], "no episode logs"),
             (["metrics", "--logs", "{tmp}/missing"], "{tmp}/missing"),
             (["metrics", "--logs", "{tmp}/empty.jsonl"], "{tmp}/empty.jsonl"),
+            (
+                ["metrics", "--logs", "{tmp}/nan"],
+                "error: line 1: records[0].c_merged: must be finite, got nan\n",
+            ),
             (["serve", "--transport", "tcp", "--addr", "127.0.0.1:70000"], "--addr"),
         ],
         ids=[
             "count-0", "count-negative", "run-empty", "run-missing", "run-array-line",
             "run-out-file", "run-out-under-file", "metrics-empty", "metrics-missing",
-            "metrics-file", "serve-addr",
+            "metrics-file", "metrics-nan-field", "serve-addr",
         ],
     )
     def test_exits_2_with_an_error_line_and_writes_nothing(
@@ -282,6 +286,10 @@ class TestBadArguments:
         (tmp_path / "empty.jsonl").write_text("")
         (tmp_path / "array.jsonl").write_text(TASKS50.read_text().splitlines()[0] + "\n[1, 2]\n")
         (tmp_path / "empty").mkdir()
+        (tmp_path / "nan").mkdir()
+        record = episode.StepRecord(0, 1, 4, float("nan"), 0.75, "noop", {}, "ok", False)
+        nan_log = episode.EpisodeLog("a", [record], "success", 1).to_dict()
+        (tmp_path / "nan" / "episodes.jsonl").write_text(json.dumps(nan_log) + "\n")
         before = sorted(tmp_path.rglob("*"))
         assert run_cli(*[arg.format(tmp=tmp_path) for arg in argv]) == 2
         err = capsys.readouterr().err
@@ -448,6 +456,24 @@ class TestLayout:
             if (file, name) not in self.RAISE_EXEMPT and not ours(name)
         ]
         assert stray == []
+
+    def test_no_call_passes_a_bundle_beside_its_own_field(self):
+        # a callee that takes a bundle reads its fields from it, so each
+        # value the call hands over has one source
+        doubled = []
+        for tree in syntax_trees(SRC / "tickslab"):
+            for call in ast.walk(tree):
+                if not isinstance(call, ast.Call):
+                    continue
+                args = call.args + [keyword.value for keyword in call.keywords]
+                names = {arg.id for arg in args if isinstance(arg, ast.Name)}
+                doubled += [
+                    f"{call.lineno}: {ast.unparse(call)}"
+                    for arg in args
+                    if isinstance(arg, ast.Attribute)
+                    and isinstance(arg.value, ast.Name) and arg.value.id in names
+                ]
+        assert doubled == []
 
     def test_every_error_type_is_raised(self):
         # an error type that no code raises names no failure; a subclass

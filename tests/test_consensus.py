@@ -84,7 +84,7 @@ def weighted_merge(outcomes, params):
         weights = conf / np.sum(conf)
     stack = np.stack([o.state.sync for o in ordered]).astype(np.float64)
     merged = np.sum(weights[:, None] * stack, axis=0).astype(np.float32)
-    return merged, certainty(merged, params.certainty_w, params)[1]
+    return merged, certainty(merged, params)
 
 
 def random_outcomes(rng, params, n):
@@ -181,7 +181,7 @@ class TestMerge:
             with np.errstate(invalid="ignore"):     # inf * 0
                 sync = (sync * np.float32(scale)).astype(np.float32)
             try:
-                _, c = certainty(sync, params.certainty_w, params)
+                c = certainty(sync, params)
             except NonFiniteState:
                 continue
             o = halt_at(branch_id, sync, c)
@@ -196,16 +196,16 @@ class TestMerge:
     def test_confidence_recomputable_from_logits(self, small_params, fvec):
         # a branch's confidence is the certainty of the logits its sync
         # vector reads, which merge's lone pass-through relies on
-        from reference import entropy, softmax
+        from reference import composed_certainty, entropy, softmax
 
         outcomes = shared_branches(
-            initial_state(small_params), SlabMemo(fvec, small_params), small_params, 0.75,
+            initial_state(small_params), SlabMemo(fvec, small_params), 0.75,
             episode_perms(small_params, 6, 9), no_cutoff(small_params, 6),
         )
         assert outcomes
         for o in outcomes:
-            logits, c = certainty(o.state.sync, small_params.certainty_w, small_params)
-            assert o.state.certainty_trace[-1] == c
+            assert o.state.certainty_trace[-1] == certainty(o.state.sync, small_params)
+            logits, _ = composed_certainty(o.state.sync, small_params.certainty_w, small_params)
             again = 1.0 - entropy(softmax(logits)) / np.log(small_params.config.logit_count)
             assert o.state.certainty_trace[-1] == pytest.approx(again, abs=1e-7)
 
@@ -230,7 +230,7 @@ class TestSpawnBranches:
     def test_k1_matches_inline_run(self, small_params, fvec):
         seed_state = initial_state(small_params)
         outcomes = shared_branches(
-            seed_state, SlabMemo(fvec, small_params), small_params, 0.75,
+            seed_state, SlabMemo(fvec, small_params), 0.75,
             episode_perms(small_params, 1, 42), no_cutoff(small_params, 1),
         )
         inline, inline_state = run_branch(seed_state, fvec, small_params, 0.75, 42, 0)
@@ -240,7 +240,7 @@ class TestSpawnBranches:
 
     def test_branches_differ_from_each_other(self, small_params, fvec):
         outcomes = shared_branches(
-            initial_state(small_params), SlabMemo(fvec, small_params), small_params, 0.75,
+            initial_state(small_params), SlabMemo(fvec, small_params), 0.75,
             episode_perms(small_params, 4, 7), no_cutoff(small_params, 4),
         )
         syncs = {o.state.sync.tobytes() for o in outcomes}
@@ -318,10 +318,10 @@ class TestDecideStep:
         seed_state = initial_state(small_params)
         window, perms = four_slab_window(small_params, 4), episode_perms(small_params, 4, 11)
         r1, s1 = decide_step(
-            seed_state, SlabMemo(fvec, small_params), small_params, 0.75, perms, None, window
+            seed_state, SlabMemo(fvec, small_params), 0.75, perms, None, window
         )
         r2, s2 = decide_step(
-            seed_state, SlabMemo(fvec, small_params), small_params, 0.75, perms, None, window
+            seed_state, SlabMemo(fvec, small_params), 0.75, perms, None, window
         )
         assert np.array_equal(r1.sync_merged, r2.sync_merged)
         assert r1.confidence_merged == r2.confidence_merged
@@ -333,7 +333,7 @@ class TestDecideStep:
         # zero certainty head: c = 0 always, so no branch can reach threshold
         params = make_ctm(seed=1, certainty_w=np.zeros((4, 12), dtype=np.float32))
         result, next_seed = decide_step(
-            initial_state(params), SlabMemo(fvec, params), params, 0.75,
+            initial_state(params), SlabMemo(fvec, params), 0.75,
             episode_perms(params, 3, 11), None, four_slab_window(params, 3),
         )
         assert result.fallback
@@ -350,13 +350,13 @@ class TestDecideStep:
         monkeypatch.setattr(consensus.time, "monotonic", no_clock)
         perms = episode_perms(small_params, 3, 11)
         result, _ = decide_step(
-            initial_state(small_params), SlabMemo(fvec, small_params), small_params, 0.75,
+            initial_state(small_params), SlabMemo(fvec, small_params), 0.75,
             perms, None, four_slab_window(small_params, 3),
         )
         assert not result.fallback
         with pytest.raises(RuntimeError, match="clock"):
             decide_step(
-                initial_state(small_params), SlabMemo(fvec, small_params), small_params, 0.75,
+                initial_state(small_params), SlabMemo(fvec, small_params), 0.75,
                 perms, None, replace(four_slab_window(small_params, 3), live=True),
             )
 
@@ -365,18 +365,18 @@ class TestDecideStep:
         with mock.patch.object(consensus, "slab_ticks", side_effect=RuntimeError("boom")):
             with pytest.raises(RuntimeError, match="boom"):
                 decide_step(
-                    initial_state(small_params), SlabMemo(fvec, small_params), small_params, 0.75,
+                    initial_state(small_params), SlabMemo(fvec, small_params), 0.75,
                     episode_perms(small_params, 3, 11), None, four_slab_window(small_params, 3),
                 )
 
     def test_wait_one_can_widen_merge_set(self, small_params, fvec):
         perms = episode_perms(small_params, 4, 11)
         base, _ = decide_step(
-            initial_state(small_params), SlabMemo(fvec, small_params), small_params, 0.2,
+            initial_state(small_params), SlabMemo(fvec, small_params), 0.2,
             perms, None, four_slab_window(small_params, 4, "off"),
         )
         wide, _ = decide_step(
-            initial_state(small_params), SlabMemo(fvec, small_params), small_params, 0.2,
+            initial_state(small_params), SlabMemo(fvec, small_params), 0.2,
             perms, None, four_slab_window(small_params, 4, "one"),
         )
         assert len(base.contributors) == 1
@@ -397,12 +397,12 @@ class TestDecideStep:
         window = no_cutoff(small_params, 4, deadline_ms=60_000.0)
         perms = episode_perms(small_params, 4, 11)
         want, want_seed = decide_step(
-            unfrozen, SlabMemo(fvec, small_params), small_params, 0.75, perms, None, window
+            unfrozen, SlabMemo(fvec, small_params), 0.75, perms, None, window
         )
         assert not want.fallback
         for live in (False, True):
             got, got_seed = decide_step(
-                seed, SlabMemo(fvec, small_params), small_params, 0.75,
+                seed, SlabMemo(fvec, small_params), 0.75,
                 perms, None, replace(window, live=live),
             )
             assert got.sync_merged.tobytes() == want.sync_merged.tobytes()
@@ -412,38 +412,41 @@ class TestDecideStep:
 
 
     def test_interleaved_episodes_decide_as_each_alone(self, small_params):
-        window = four_slab_window(small_params, 3)
+        # each episode runs on a model of its own, so a step that took any
+        # part of its model from anywhere but its memo would show; wait
+        # policy "one" merges two halts, so the merge reads the model's head
+        window = four_slab_window(small_params, 3, "one")
 
-        def calls(episode_seed, f):
+        def calls(episode_seed, f, params):
             """An episode's decision calls, one (result, next_seed) per resume."""
-            perms, slabs = episode_perms(small_params, 3, episode_seed), SlabMemo(f, small_params)
-            state, cache = initial_state(small_params), None
+            perms, slabs = episode_perms(params, 3, episode_seed), SlabMemo(f, params)
+            state, cache = initial_state(params), None
             for _ in range(5):
-                result, next_seed = decide_step(
-                    state, slabs, small_params, 0.75, perms, cache, window
-                )
+                result, next_seed = decide_step(state, slabs, 0.75, perms, cache, window)
                 yield result, next_seed
                 cache = cache if result.fallback else result
                 state = reset_counters(next_seed or state)
 
-        episodes = ((11, fusion_vector(3)), (12, fusion_vector(4)))
+        episodes = ((11, fusion_vector(3), small_params), (12, fusion_vector(4), make_ctm(seed=2)))
         alone = [list(calls(*args)) for args in episodes]
         with mock.patch.object(consensus, "branch_permutations", side_effect=AssertionError):
             interleaved = list(zip(*(calls(*args) for args in episodes)))
         # the two episodes decide differently, so a mix-up would show, and
-        # each first decision is the one its own branch runs give
+        # each first decision is the one its own branch runs give on its model
         assert [r.sync_merged.tobytes() for r, _ in alone[0]] != [
             r.sync_merged.tobytes() for r, _ in alone[1]
         ]
-        for (episode_seed, f), ((first, _), *_) in zip(episodes, alone):
-            reference = reference_outcomes(
-                initial_state(small_params), f, small_params, 0.75, 3, episode_seed
-            )
+        for (episode_seed, f, params), ((first, _), *_) in zip(episodes, alone):
+            reference = reference_outcomes(initial_state(params), f, params, 0.75, 3, episode_seed)
             in_window = tick_window(
-                reference.values(), small_params.config.ticks_per_slab, window.deadline_ticks
+                reference.values(), params.config.ticks_per_slab, window.deadline_ticks
             )
-            want, _ = select_step(in_window, small_params, None, window)
+            want, _ = select_step(in_window, params, None, window)
+            assert len(want.contributors) == 2
             assert first.sync_merged.tobytes() == want.sync_merged.tobytes()
+            assert (first.confidence_merged, first.contributors) == (
+                want.confidence_merged, want.contributors
+            )
         for (want_a, want_b), (got_a, got_b) in zip(zip(*alone), interleaved):
             for (want, want_seed), (got, got_seed) in ((want_a, got_a), (want_b, got_b)):
                 assert got.sync_merged.tobytes() == want.sync_merged.tobytes()
@@ -462,7 +465,7 @@ class TestLiveRace:
         window = no_cutoff(params, 3, "one", deadline_ms=200.0, live=True)
         perms = episode_perms(params, 3, 7)
         result, _ = decide_step(
-            initial_state(params), SlabMemo(fvec, params), params, 0.05, perms, None, window
+            initial_state(params), SlabMemo(fvec, params), 0.05, perms, None, window
         )
         assert not result.fallback
         assert 1 <= len(result.contributors) <= 2
@@ -487,7 +490,7 @@ class TestLiveRace:
                 clock.delay = float(rng.uniform(0, 0.004)) + float(rng.uniform(0, 0.004))
                 perms = episode_perms(params, 2, trial)
                 result, _ = decide_step(
-                    seed_state, SlabMemo(fvec, params), params, 0.10, perms, None, window
+                    seed_state, SlabMemo(fvec, params), 0.10, perms, None, window
                 )
                 fallback = result.fallback
                 paths = (merged.call_count, fell_back.call_count)
@@ -512,7 +515,7 @@ class TestLiveRace:
         window, perms = no_cutoff(params, 4, deadline_ms=50.0, live=True), episode_perms(params, 4, 7)
         start = time.monotonic()
         result, next_seed = decide_step(
-            initial_state(params), SlabMemo(fvec, params), params, 0.5, perms, None, window
+            initial_state(params), SlabMemo(fvec, params), 0.5, perms, None, window
         )
         elapsed = time.monotonic() - start
         assert result.fallback
@@ -655,7 +658,7 @@ class TestSharedTrajectory:
             branches=k, wait_policy=wait, deadline_ticks=limit, deadline_ms=60_000
         )
         perms = episode_perms(params, k, episode_seed)
-        shared = shared_branches(seed_state, SlabMemo(f, params), params, epsilon, perms, window)
+        shared = shared_branches(seed_state, SlabMemo(f, params), epsilon, perms, window)
         reference = reference_outcomes(seed_state, f, params, epsilon, k, episode_seed)
 
         # The trajectory orders and windows its halts, which select_step
@@ -684,12 +687,12 @@ class TestSharedTrajectory:
         computed = distinct_start_states(seed_state, f, params, slabs)
         with counting_slab_ticks() as counter:
             decided = decide_step(
-                seed_state, SlabMemo(f, params), params, epsilon, perms, cache, window
+                seed_state, SlabMemo(f, params), epsilon, perms, cache, window
             )
         assert counter.call_count == computed
         with counting_slab_ticks() as counter:
             live = decide_step(
-                seed_state, SlabMemo(f, params), params, epsilon,
+                seed_state, SlabMemo(f, params), epsilon,
                 perms, cache, replace(window, live=True),
             )
         assert counter.call_count == computed
@@ -718,7 +721,7 @@ class TestSharedTrajectory:
         for wait, contributors, slabs in (("off", (2,), 2), ("one", (1, 2), 5)):
             with counting_slab_ticks() as counter:
                 result, next_seed = decide_step(
-                    seed_state, SlabMemo(fvec, small_params), small_params, 0.75,
+                    seed_state, SlabMemo(fvec, small_params), 0.75,
                     episode_perms(small_params, 3, 17), None,
                     four_slab_window(small_params, 3, wait),
                 )
@@ -732,7 +735,7 @@ class TestSharedTrajectory:
         spent = replace(initial_state(small_params), slab=small_params.config.max_slabs)
         with caplog.at_level("DEBUG"), counting_slab_ticks() as counter:
             result, next_seed = decide_step(
-                spent, SlabMemo(fvec, small_params), small_params, 0.75,
+                spent, SlabMemo(fvec, small_params), 0.75,
                 episode_perms(small_params, 3, 11), None, four_slab_window(small_params, 3),
             )
         assert caplog.records == []
@@ -807,7 +810,7 @@ class TestSlabMemo:
                 if not (shared and memos and memos[-1][0] is f):
                     memos.append((f, SlabMemo(f, params)))
                 result, next_seed = decide_step(
-                    seed_state, memos[-1][1], params, epsilon, perms, cache,
+                    seed_state, memos[-1][1], epsilon, perms, cache,
                     replace(window, live=live[len(decisions)]),
                 )
                 decisions.append((result, next_seed))

@@ -245,10 +245,11 @@ class TestSyncUpdate:
 class TestCertainty:
     def test_uniform_logits_zero_certainty(self, small_params):
         # W_c rows identical -> identical logits -> uniform softmax.
-        w = np.ones((4, 12), dtype=np.float32)
-        logits, c = certainty(np.ones(12, dtype=np.float32), w, small_params)
+        params = replace(small_params, certainty_w=np.ones((4, 12), dtype=np.float32))
+        sync = np.ones(12, dtype=np.float32)
+        logits, _ = composed_certainty(sync, params.certainty_w, params)
         assert len(set(logits.tolist())) == 1
-        assert abs(c) < 1e-7
+        assert abs(certainty(sync, params)) < 1e-7
 
     def test_near_one_hot(self, small_params):
         # W_c S = [10, 0, 0, 0] with scale 8 -> h = [80, 0, 0, 0].
@@ -256,9 +257,9 @@ class TestCertainty:
         w[0, 0] = 10.0
         sync = np.zeros(12, dtype=np.float32)
         sync[0] = 1.0
-        logits, c = certainty(sync, w, small_params)
-        assert logits[0] == pytest.approx(80.0)
-        assert c > 1.0 - 1e-8
+        params = replace(small_params, certainty_w=w)
+        assert composed_certainty(sync, w, params)[0][0] == pytest.approx(80.0)
+        assert certainty(sync, params) > 1.0 - 1e-8
 
     def test_scale_monotonicity(self):
         rng = np.random.default_rng(29)
@@ -266,15 +267,15 @@ class TestCertainty:
         hi = make_ctm(seed=1, logit_scale=8.0)
         for _ in range(1000):
             sync = rng.normal(size=12).astype(np.float32)
-            _, c_lo = certainty(sync, lo.certainty_w, lo)
-            _, c_hi = certainty(sync, hi.certainty_w, hi)
+            c_lo = certainty(sync, lo)
+            c_hi = certainty(sync, hi)
             assert c_hi >= c_lo - 1e-12
 
     def test_range_clamped(self, small_params):
         rng = np.random.default_rng(31)
         for _ in range(200):
             sync = (rng.normal(size=12) * 100).astype(np.float32)
-            _, c = certainty(sync, small_params.certainty_w, small_params)
+            c = certainty(sync, small_params)
             assert 0.0 <= c <= 1.0
 
     @pytest.mark.parametrize(
@@ -289,7 +290,7 @@ class TestCertainty:
         sync[3] = entry
         for readout in (sync, np.stack([np.zeros(12, dtype=np.float32), sync])):
             with pytest.raises(NonFiniteState, match="non-finite certainty"):
-                certainty(readout, params.certainty_w, params)
+                certainty(readout, params)
 
     def test_a_logit_is_refused_exactly_where_the_cast_overflows(self):
         # the cast rounds a logit below the largest float32 plus half its ulp
@@ -300,10 +301,11 @@ class TestCertainty:
         sync = np.zeros(12, dtype=np.float32)
         sync[0] = f32_max
         for scale in (1.0, 1.0 + 2.0**-26):
-            logits, c = certainty(sync, w, make_ctm(seed=1, logit_scale=scale))
-            assert logits[0] == f32_max and c == 1.0
+            params = make_ctm(seed=1, logit_scale=scale, certainty_w=w)
+            assert composed_certainty(sync, w, params)[0][0] == f32_max
+            assert certainty(sync, params) == 1.0
         with pytest.raises(NonFiniteState):
-            certainty(sync, w, make_ctm(seed=1, logit_scale=1.0 + 2.0**-24))
+            certainty(sync, make_ctm(seed=1, logit_scale=1.0 + 2.0**-24, certainty_w=w))
 
 
 def one_vector_certainty(sync, w, params):
@@ -331,14 +333,16 @@ class TestBatchedCertainty:
     def test_rows_equal_one_vector_calls(self, seed, rows, logit_count, spread):
         # a large spread makes softmax entries underflow to exact zeros
         rng = np.random.default_rng(seed)
-        params = make_ctm(seed=1, logit_count=logit_count)
         w = rng.normal(size=(logit_count, 12)).astype(np.float32)
+        params = make_ctm(seed=1, logit_count=logit_count, certainty_w=w)
         stack = (rng.normal(size=(rows, 12)) * spread).astype(np.float32)
-        logits, cs = certainty(stack, w, params)
+        cs = certainty(stack, params)
+        logits, _ = composed_certainty(stack, w, params)
         assert logits.shape == (rows, logit_count) and logits.dtype == np.float32
         assert len(cs) == rows
         for row in range(rows):
-            one_logits, one_c = certainty(stack[row], w, params)
+            one_c = certainty(stack[row], params)
+            one_logits, _ = composed_certainty(stack[row], w, params)
             assert np.array_equal(logits[row], one_logits)
             assert cs[row] == one_c and type(one_c) is float
             ref_logits, ref_c = one_vector_certainty(stack[row], w, params)
@@ -355,12 +359,15 @@ class TestBatchedCertainty:
         stack[0, 0] = 2.0        # h = [1600, 0, 0, 0]: three probabilities are 0
         stack[1, 1] = 0.5
         stack[2, :2] = 1.0       # h = [800, 8, 0, 0]
-        logits, cs = certainty(stack, w, small_params)
+        params = replace(small_params, certainty_w=w)
+        cs = certainty(stack, params)
+        logits, _ = composed_certainty(stack, w, params)
         assert np.count_nonzero(softmax(logits[0])) == np.count_nonzero(softmax(logits[2])) == 1
         assert cs[0] == 1.0
         for row in range(3):
-            one_logits, one_c = certainty(stack[row], w, small_params)
+            one_logits, _ = composed_certainty(stack[row], w, params)
             assert np.array_equal(logits[row], one_logits)
+            one_c = certainty(stack[row], params)
             assert cs[row] == one_c == one_vector_certainty(stack[row], w, small_params)[1]
 
 
@@ -383,12 +390,9 @@ class TestCertaintyEqualsComposedForm:
         )
         size = (rows, 12) if rows else 12
         sync = (rng.normal(size=size) * spread).astype(np.float32)
-        want_logits, want_c = composed_certainty(sync, w, params)
-        for head in (w, params.certainty_w):
-            logits, c = certainty(sync, head, params)
-            assert logits.dtype == np.float32
-            assert logits.tobytes() == want_logits.tobytes()
-            assert np.array(c).tobytes() == np.array(want_c).tobytes()
+        _, want_c = composed_certainty(sync, w, params)
+        c = certainty(sync, params)
+        assert np.array(c).tobytes() == np.array(want_c).tobytes()
 
 
 class TestHaltDecision:
@@ -545,7 +549,7 @@ class TestRunSlab:
             z = mu_mlp(hist, params.factor_a, params.factor_b, params.bias)
             states.append(z)
         sync = sync_update(state.sync, states, params)
-        _, c = certainty(sync, params.certainty_w, params)
+        c = certainty(sync, params)
         carried = gated_carry(z, synapse(z, fvec, params.synapse_w), params.config.carry_beta)
 
         assert np.array_equal(new_state.sync, sync)

@@ -298,7 +298,7 @@ class TestBranchPermutations:
         decide_step = episode.decide_step
 
         def decide(*args, **kwargs):
-            passed.append(args[4])
+            passed.append(args[3])
             return decide_step(*args, **kwargs)
 
         def in_a_step(*args):

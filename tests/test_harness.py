@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import model_tensors
+from reference import composed_certainty
 from tickslab.config import MAX_PARAMETERS, Config, ConsensusConfig, EngineConfig
 from tickslab.engine import certainty, initial_state, run_slab
 from tickslab.envelope import canonical_json_bytes
@@ -628,6 +629,30 @@ class TestMetrics:
         assert cli_main(["metrics", "--logs", str(tmp_path)]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["c_merged", "epsilon"])
+    @pytest.mark.parametrize(
+        "text, shown", [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf")]
+    )
+    def test_non_finite_float_names_line_and_field(self, tmp_path, capsys, field, text, shown):
+        # run_episode writes only finite floats: certainty is finite, and the
+        # canonical encoder refuses any other
+        doc = self._log("a", "success", ["ok", "ok"]).to_dict()
+        doc["records"][1][field] = "@"
+        path = tmp_path / "episodes.jsonl"
+        path.write_text(json.dumps(doc).replace('"@"', text) + "\n")
+        refusal = f"line 1: records[1].{field}: must be finite, got {shown}"
+        with pytest.raises(SchemaViolation, match=re.escape(refusal)):
+            read_logs(path)
+        assert cli_main(["metrics", "--logs", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {refusal}\n"
+
+    def test_an_int_past_float_range_is_a_finite_float_field(self, tmp_path):
+        doc = self._log("a", "success", ["ok"]).to_dict()
+        doc["records"][0]["c_merged"] = 10**400
+        path = tmp_path / "episodes.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        assert read_logs(path)[0].records[0].c_merged == 10**400
+
     @pytest.mark.parametrize("where", ["log", "record"])
     def test_unknown_key_names_line_and_key(self, tmp_path, where):
         doc = self._log("a", "success", ["ok", "ok"]).to_dict()
@@ -1187,7 +1212,8 @@ class TestModelBuild:
         worst = np.sign(model.ctm.certainty_w).astype(np.float32) * limit
         drawn = rng.uniform(-1, 1, (8, shape[1])).astype(np.float32) * limit
         syncs = np.concatenate([worst, -worst, drawn])
-        logits, cs = certainty(syncs, model.ctm.certainty_w, model.ctm)
+        logits, _ = composed_certainty(syncs, model.ctm.certainty_w, model.ctm)
+        cs = certainty(syncs, model.ctm)
         assert np.all(np.isfinite(logits)) and all(map(math.isfinite, cs))
 
     def test_bundles_carry_their_config_sections(self):
