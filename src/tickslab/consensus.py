@@ -140,18 +140,20 @@ def run_branch(
     epsilon: float,
     episode_seed: int,
     branch_id: int,
-) -> tuple[BranchOutcome, BranchState]:
+) -> tuple[Optional[BranchOutcome], BranchState]:
     """Run one branch on its own to its halt decision; pure given its arguments.
 
     The per-branch reference only; no decision step calls it.
     ``shared_branches`` reads the same outcome out of the shared trajectory,
     and the tests compare the two.  The final state is also the outcome's.
+    A seed already at the slab budget runs no slab: ``(None, seed_state)``.
     """
     branch_params = perturb_for_branch(params, episode_seed, branch_id)
     state, reason = seed_state, None
-    while reason is None:
+    while reason is None and state.slab < params.config.max_slabs:
         state, reason = run_slab(state, f, branch_params, epsilon)
-    return BranchOutcome(branch_id, state, reason == "threshold"), state
+    outcome = None if reason is None else BranchOutcome(branch_id, state, reason == "threshold")
+    return outcome, state
 
 
 def shared_branches(
@@ -312,8 +314,9 @@ def select_step(
     merged = merge_set(outcomes, consensus.wait_policy)
     if not merged:
         return timeout_safe_pass(cache, params.config.sync_pairs), outcomes[0].state
-    result = merge(merged, params)
-    return result, replace(merged[0].state, sync=result.sync_merged.copy())
+    result, won = merge(merged, params), merged[0].state
+    sync = result.sync_merged.copy()
+    return result, BranchState(won.z, won.history, sync, won.slab, won.certainty_trace)
 
 
 def decide_step(

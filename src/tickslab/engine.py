@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import EngineConfig
-from .errors import EmptySlab, NonFiniteState
+from .errors import NonFiniteState
 from .numerics import F32_OVERFLOW, bounded_tanh, einsum, hold_float64, matvec
 
 
@@ -227,17 +227,15 @@ def slab_ticks(
 def run_slab(
     state: BranchState, f: np.ndarray, params: CtmParams, epsilon: float
 ) -> tuple[BranchState, str | None]:
-    """Run one slab of ticks_per_slab ticks; ``EmptySlab`` past the slab budget.
+    """Run one slab of ticks_per_slab ticks from ``state``.
 
     Collects the post-readout states, folds them into the synchrony
     accumulators, reads certainty off them, and blends the hidden state for
     the next slab through the gated carry.  Returns the next state, whose
     certainty trace ends with this slab's certainty, and
-    ``halt_decision``'s reason to halt (None to go on).
+    ``halt_decision``'s reason to halt (None to go on; never None at ``max_slabs``).
     """
     config = params.config
-    if state.slab >= config.max_slabs:
-        raise EmptySlab("slab budget exhausted before the slab started")
     states, hist, carried = slab_ticks(state.z, state.history, f, params)
     sync = sync_update(state.sync, states, params)
     slab = state.slab + 1

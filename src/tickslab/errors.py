@@ -5,10 +5,6 @@ class TickslabError(Exception):
     """Base class for all runtime errors."""
 
 
-class EmptySlab(TickslabError):
-    pass
-
-
 class NonFiniteState(TickslabError):
     """A readout left the float32 range; the model's numbers have diverged."""
 

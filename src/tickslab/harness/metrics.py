@@ -24,9 +24,6 @@ class MetricsReport:
     ael: float
     episode_count: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def summary(self) -> str:
         """The line ``tickslab run`` and ``tickslab metrics`` print."""
         return (f"episodes={self.episode_count} tsr={self.tsr:.6f} "
@@ -67,4 +64,4 @@ def read_log_dir(directory: str | Path) -> list[EpisodeLog]:
 
 
 def write_report(path: str | Path, report: MetricsReport) -> None:
-    Path(path).write_bytes(canonical_json_bytes(report.to_dict()) + b"\n")
+    Path(path).write_bytes(canonical_json_bytes(asdict(report)) + b"\n")

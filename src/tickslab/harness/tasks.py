@@ -44,9 +44,6 @@ class TaskRecord:
     steps: tuple                        # TaskStep sequence, non-empty
     budget_steps: int = DEFAULT_BUDGET_STEPS
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _validate_record(doc) -> TaskRecord:
     """The task in ``doc``; anything that does not fit raises SchemaViolation.
@@ -109,7 +106,7 @@ def load_tasks(path: str | Path) -> list[TaskRecord]:
 def save_tasks(path: str | Path, tasks: list[TaskRecord]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for task in tasks:
-            handle.write(json.dumps(task.to_dict(), sort_keys=True) + "\n")
+            handle.write(json.dumps(asdict(task), sort_keys=True) + "\n")
 
 
 def _move_chain(obj: str, src: str, dst: str) -> list[TaskStep]:

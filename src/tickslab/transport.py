@@ -1,16 +1,17 @@
 """Newline-delimited JSON-RPC framing over stdio or TCP, and in-process calls.
 
-One canonical-JSON frame per line.  The server side answers ``tool/<name>``
-calls and a ``registry/list`` introspection method, echoing an int or string
-request id; it carries out a notification (a request without an id) and
-sends no reply to it (JSON-RPC 2.0 §4.1).  The client side,
-``dispatch``, sends one envelope frame through an ``exchange`` function and
-checks the one response frame it returns for a matching id.  In process,
-that function is the server's own ``handle_frame``:
-``dispatch(envelope, server.handle_frame)``.  On a stream, a peer that goes
-away, whether the stream ends (EOF) or the stream raises an ``OSError`` such
-as a connection reset or a broken pipe, surfaces as ``TransportClosed``; a
-socket timeout surfaces as ``TransportTimeout``.
+One canonical-JSON frame per line; the last line may end at EOF with no
+newline, and a line may end in CR LF, since CR is JSON whitespace.  The
+server side answers ``tool/<name>`` calls and a ``registry/list``
+introspection method, echoing an int or string request id; it carries out
+a notification (a request without an id) and sends no reply to it
+(JSON-RPC 2.0 §4.1).  The client side, ``dispatch``, sends one envelope
+frame through an ``exchange`` function and checks the one response frame it
+returns for a matching id.  In process, that function is the server's own
+``handle_frame``: ``dispatch(envelope, server.handle_frame)``.  On a stream,
+a peer that goes away, whether the stream ends (EOF) or the stream raises
+an ``OSError`` such as a connection reset or a broken pipe, surfaces as
+``TransportClosed``; a socket timeout surfaces as ``TransportTimeout``.
 A line longer than ``MAX_FRAME_BYTES`` raises ``FrameTooLong``, which the
 server answers with one invalid-request frame before it ends the connection.
 Unknown tools come back as error results, not crashes, and a result that

@@ -475,6 +475,36 @@ class TestLayout:
                 ]
         assert doubled == []
 
+    def test_no_dataclasses_replace_on_the_step_path(self):
+        # the step path builds its records with their constructors, which
+        # cost about half of dataclasses.replace; the references may use it
+        step_path = {
+            "consensus.py": {"shared_branches", "merge", "timeout_safe_pass", "select_step",
+                             "decide_step", "SlabMemo.lookup"},
+            "episode.py": {"run_episode"},
+        }
+        found, replacing = set(), []
+        for path in sorted((SRC / "tickslab").rglob("*.py")):
+            names = step_path.get(path.name, set())
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                defs = node.body if isinstance(node, ast.ClassDef) else [node]
+                for fn in defs:
+                    if not isinstance(fn, ast.FunctionDef):
+                        continue
+                    qualified = f"{node.name}.{fn.name}" if fn is not node else fn.name
+                    if qualified not in names:
+                        continue
+                    found.add(f"{path.stem}.{qualified}")
+                    replacing += [
+                        f"{path.name}:{call.lineno} {qualified}"
+                        for call in ast.walk(fn)
+                        if isinstance(call, ast.Call)
+                        and "replace" in (getattr(call.func, "id", None),
+                                          getattr(call.func, "attr", None))
+                    ]
+        assert len(found) == 7
+        assert replacing == []
+
     def test_every_error_type_is_raised(self):
         # an error type that no code raises names no failure; a subclass
         # counts only by its own raise, not by its base's

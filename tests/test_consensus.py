@@ -602,12 +602,11 @@ def counting_slab_ticks():
 
 
 def reference_outcomes(seed_state, f, params, epsilon, k, episode_seed):
-    """run_branch's outcome for every branch that does not raise."""
+    """run_branch's outcome for every branch that has one."""
     outcomes = {}
     for branch_id in range(k):
-        try:
-            outcome, state = run_branch(seed_state, f, params, epsilon, episode_seed, branch_id)
-        except Exception:
+        outcome, state = run_branch(seed_state, f, params, epsilon, episode_seed, branch_id)
+        if outcome is None:
             continue
         # the final state that run_branch returns is its outcome's
         assert outcome.state is state
@@ -731,13 +730,16 @@ class TestSharedTrajectory:
 
     def test_a_spent_seed_runs_no_slab_and_logs_nothing(self, small_params, fvec, caplog):
         # Slab budget already spent: the budget stops the trajectory before
-        # its first slab, where run_branch would raise EmptySlab.
+        # its first slab, and every branch's own run before its first slab.
         spent = replace(initial_state(small_params), slab=small_params.config.max_slabs)
         with caplog.at_level("DEBUG"), counting_slab_ticks() as counter:
             result, next_seed = decide_step(
                 spent, SlabMemo(fvec, small_params), 0.75,
                 episode_perms(small_params, 3, 11), None, four_slab_window(small_params, 3),
             )
+            for branch_id in range(3):
+                outcome, state = run_branch(spent, fvec, small_params, 0.75, 11, branch_id)
+                assert outcome is None and state is spent
         assert caplog.records == []
         assert counter.call_count == 0
         assert result.fallback

@@ -11,7 +11,6 @@ from reference import composed_certainty, mu_mlp, push_history, softmax, synapse
 from tickslab.config import Config, EngineConfig
 from tickslab.consensus import run_branch
 from tickslab.engine import (
-    BranchState,
     accumulate,
     certainty,
     gated_carry,
@@ -22,7 +21,7 @@ from tickslab.engine import (
     slab_ticks,
     sync_update,
 )
-from tickslab.errors import EmptySlab, NonFiniteState
+from tickslab.errors import NonFiniteState
 from tickslab.params import build_model
 
 TICK_WEIGHTS = ("synapse_w", "factor_a", "factor_b", "bias")
@@ -484,14 +483,6 @@ class TestRunSlab:
             state, _ = run_slab(state, fvec, params, epsilon=2.0)
             assert np.all(np.abs(state.z) < 1.0)
             assert np.all(np.abs(state.history) < 1.0)
-
-    def test_budget_exhaustion_raises(self, small_params, fvec):
-        state = initial_state(small_params)
-        state = BranchState(
-            z=state.z, history=state.history, sync=state.sync, slab=small_params.config.max_slabs
-        )
-        with pytest.raises(EmptySlab):
-            run_slab(state, fvec, small_params, 0.75)
 
     def test_run_branch_respects_budget(self, fvec):
         params = make_ctm(seed=4)

@@ -186,8 +186,8 @@ class TestGenTasks:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_different_seeds_differ(self):
-        a = [t.to_dict() for t in gen_tasks(1, 10)]
-        b = [t.to_dict() for t in gen_tasks(2, 10)]
+        a = [dataclasses.asdict(t) for t in gen_tasks(1, 10)]
+        b = [dataclasses.asdict(t) for t in gen_tasks(2, 10)]
         assert a != b
 
     def test_thousand_tasks_schema_valid(self, tmp_path):
@@ -1021,7 +1021,7 @@ class TestInputFuzz:
     STEP = StepRecord(0, 1, 4, 0.5, 0.75, "noop", {}, "ok", False)
     DOCS = {
         "config": [dataclasses.asdict(SMALL)],
-        "tasks": [task.to_dict() for task in gen_tasks(3, 2)],
+        "tasks": [dataclasses.asdict(task) for task in gen_tasks(3, 2)],
         "logs": [
             EpisodeLog("a", [STEP], "success", 1).to_dict(),
             EpisodeLog("b", [], "budget_exhausted", 0).to_dict(),

@@ -4,6 +4,7 @@ import struct
 import threading
 import time
 from contextlib import contextmanager
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -378,8 +379,6 @@ class TestFrameFuzz:
 
 class TestServeStream:
     def test_notifications_get_no_frame_and_string_ids_are_echoed(self):
-        from io import BytesIO
-
         calls = []
 
         def handler(name, args):
@@ -480,6 +479,37 @@ def deepest_echo(send):
         else:
             decodes = depth
     return json.loads(send(echo_frame(decodes)))
+
+
+def replies_to(raw, over):
+    """The reply frames to the bytes ``raw``, sent whole and then ended: on a
+    stream over ``BytesIO``, or over TCP with the client shutting its writing
+    side."""
+    if over == "stream":
+        written = BytesIO()
+        make_server().serve_stream(StreamTransport(BytesIO(raw), written))
+        return written.getvalue().splitlines()
+    with serving_tcp(make_server(), 1) as (port, _):
+        with client_socket(port) as sock:
+            sock.sendall(raw)
+            sock.shutdown(socket.SHUT_WR)
+            with sock.makefile("rb") as replies:
+                return replies.read().splitlines()
+
+
+NOOP_FRAMES = [b'{"jsonrpc":"2.0","id":%d,"method":"tool/noop"}' % i for i in (1, 2)]
+
+
+@pytest.mark.parametrize("over", ["stream", "tcp"])
+class TestLineEnds:
+    def test_last_frame_without_a_newline_gets_its_reply(self, over):
+        replies = replies_to(NOOP_FRAMES[0] + b"\n" + NOOP_FRAMES[1], over)
+        assert replies == [make_server().handle_frame(frame) for frame in NOOP_FRAMES]
+
+    def test_frame_ending_in_crlf_gets_its_reply(self, over):
+        # CR is JSON whitespace, so the frame decodes with it left on
+        replies = replies_to(b"".join(frame + b"\r\n" for frame in NOOP_FRAMES), over)
+        assert replies == [make_server().handle_frame(frame) for frame in NOOP_FRAMES]
 
 
 class TestTcp:
@@ -754,8 +784,6 @@ class TestPathsAgree:
 
 class TestFraming:
     def test_stream_framing_round_trip(self):
-        from io import BytesIO
-
         from tickslab.transport import StreamTransport
 
         buffer = BytesIO()
@@ -765,8 +793,6 @@ class TestFraming:
         assert writer_side.recv_frame() == b'{"pong":1}'
 
     def test_frame_length_is_bounded(self):
-        from io import BytesIO
-
         longest = b"x" * MAX_FRAME_BYTES
         for tail in (b"\n", b""):
             assert StreamTransport(BytesIO(longest + tail), BytesIO()).recv_frame() == longest
