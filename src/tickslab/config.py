@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,8 +42,8 @@ MAX_PARAMETERS = 2**24
 def _check_fields(section, prefix: str, **rules) -> None:
     """Check every field of a config section when it is built.
 
-    Each value must have the JSON type of its annotation, and a float must be
-    finite.  ``rules[name]`` is a ``(test, text)`` pair the value must also
+    Each value must have the JSON type of its annotation, under which a float
+    is finite.  ``rules[name]`` is a ``(test, text)`` pair the value must also
     pass; an int without one must be at least 1 (the ints are sizes and
     counts).
     """
@@ -52,9 +51,6 @@ def _check_fields(section, prefix: str, **rules) -> None:
         name, value = f"{prefix}.{f.name}", getattr(section, f.name)
         if not json_type_ok(value, f.type):
             raise ConfigError(f"{name} must be {f.type}, got {type_name(value)}")
-        # false for NaN, the infinities and ints too large for a float
-        if f.type == "float" and not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"{name} must be finite, got {value!r}")
         rule = rules.get(f.name, _at_least(1) if f.type == "int" else None)
         if rule is not None and not rule[0](value):
             raise ConfigError(f"{name} must be {rule[1]}, got {value!r}")

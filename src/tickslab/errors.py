@@ -23,10 +23,6 @@ class SchemaViolation(TickslabError):
         self.detail = detail
 
 
-class UnknownTool(TickslabError):
-    pass
-
-
 class TransportClosed(TickslabError):
     pass
 

@@ -10,7 +10,6 @@ final step's expected string doubles as the episode's goal predicate.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -70,8 +69,7 @@ def _validate_record(doc) -> TaskRecord:
             raise SchemaViolation(f"steps[{i}].tool", f"{raw['tool']!r} is not a tool the world runs")
         for slot, value in raw["args"].items():
             # context holds only strings, so every other type is refused
-            finite = json_type_ok(value, "float") and abs(value) < math.inf
-            if not finite and value not in doc["context"]:
+            if not json_type_ok(value, "float") and value not in doc["context"]:
                 raise SchemaViolation(
                     f"steps[{i}].args.{slot}", f"{value!r} is not in context or a finite number"
                 )
@@ -84,11 +82,12 @@ def _validate_record(doc) -> TaskRecord:
 def read_jsonl(path: str | Path, parse) -> list:
     """``parse(value)`` for the JSON value of each non-blank line, in order.
 
-    A line that is not UTF-8 JSON, or whose value ``parse`` refuses with a
+    Lines end at LF alone, as frames do (CR is JSON whitespace).  A line
+    that is not UTF-8 JSON, or whose value ``parse`` refuses with a
     SchemaViolation, raises ``SchemaViolation("line N", reason)``.
     """
     parsed = []
-    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_bytes().split(b"\n"), start=1):
         try:
             line = raw.decode("utf-8")
             if line.strip():

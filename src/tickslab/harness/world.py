@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import UnknownTool
 from ..registry import MAX_JOINTS, NOOP_TOOL, SlotKind, ToolRegistry, ToolSpec
 from ..schema import json_type_ok
 from ..transport import ToolResult, error_result, ok_result
@@ -84,7 +83,7 @@ def goal_holds(state: WorldState, predicate: str) -> bool:
 
 
 def _actuate(args: dict) -> ToolResult:
-    """Echo the call's duty cycles; the [0, 1] bounds also refuse NaN and infinities."""
+    """Echo the call's duty cycles; the float type rule refuses NaN and infinities."""
     duty = args.get("duty")
     if not isinstance(duty, list) or len(duty) > MAX_JOINTS or not all(
         json_type_ok(d, "float") and 0 <= d <= 1 for d in duty
@@ -127,7 +126,7 @@ def step_env(state: WorldState, tool: str, args: dict) -> tuple[WorldState, Tool
     if tool == "actuate":
         return state, _actuate(args)
 
-    raise UnknownTool(tool)
+    return state, error_result(f"no such tool: {tool!r}")
 
 
 class WorldSession:

@@ -18,13 +18,11 @@ from .affect import AffectParams
 from .config import Config, EngineConfig
 from .engine import CtmParams
 from .errors import ConfigError
+from .numerics import F32_OVERFLOW
 from .perception import EncoderWeights
 from .rng import derive_seed, fan_in_matrix, sample_pairs
 from .router import RouterParams
 from .weights import load_weights
-
-F32_MAX = float(np.finfo(np.float32).max)
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -95,11 +93,11 @@ def check_logit_bound(engine: EngineConfig, certainty_w: np.ndarray) -> None:
         return
     reach = float(np.max(np.sum(np.abs(certainty_w.astype(np.float64)), axis=1)))
     bound = abs(engine.logit_scale) * reach / (1.0 - engine.decay)
-    if not bound < F32_MAX:
+    if not bound < F32_OVERFLOW:
         raise ConfigError(
             f"ctm/certainty's largest row sum {reach:.6g} x engine.logit_scale "
             f"{engine.logit_scale!r} / (1 - engine.decay {engine.decay!r}) reaches the "
-            f"float32 maximum, so the logits could overflow"
+            f"float32 overflow limit, so the logits could overflow"
         )
 
 

@@ -265,7 +265,7 @@ class TestBadArguments:
             (["metrics", "--logs", "{tmp}/empty.jsonl"], "{tmp}/empty.jsonl"),
             (
                 ["metrics", "--logs", "{tmp}/nan"],
-                "error: line 1: records[0].c_merged: must be finite, got nan\n",
+                "error: line 1: records[0].c_merged: expected float, got nan\n",
             ),
             (["serve", "--transport", "tcp", "--addr", "127.0.0.1:70000"], "--addr"),
         ],

@@ -27,10 +27,11 @@ from tickslab.harness.episode import (
 )
 from tickslab.harness.tasks import gen_tasks, load_tasks
 from tickslab.harness.world import build_registry
-from tickslab.params import F32_MAX, build_model
+from tickslab.params import build_model
 from tickslab.weights import save_weights
 
 TASKS = Path(__file__).parent / "fixtures" / "tasks50.jsonl"
+F32_MAX = float(np.finfo(np.float32).max)
 
 # SHA-256 over the reply frames, each followed by "\n", of the 61 actuate
 # calls of a tasks50 ctm run with the default config, in process.  Pinned

@@ -621,10 +621,13 @@ class TestTcp:
         thread = threading.Thread(target=close_on_accept, daemon=True)
         thread.start()
         transport = connect(port)
-        with pytest.raises(TransportClosed):
-            transport.send_frame(b"{}")
-            transport.recv_frame()
-        listener.close()
+        try:
+            with pytest.raises(TransportClosed):
+                transport.send_frame(b"{}")
+                transport.recv_frame()
+        finally:
+            transport.close()
+            listener.close()
 
     def test_client_reset_does_not_stop_server(self):
         with serving_tcp(make_server(), 2) as (port, thread):
