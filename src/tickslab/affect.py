@@ -38,8 +38,11 @@ def modulate_epsilon(affect: np.ndarray, params: AffectParams) -> float:
     """Halting threshold epsilon0 * (1 + alpha * ||e||_2).
 
     Always >= epsilon0 and monotone in the affect norm; the engine caps the
-    value it actually compares against certainty.
+    value it actually compares against certainty.  The squares are summed
+    left to right in Python floats, not by BLAS, ``sum()`` (compensated
+    since Python 3.12) or ``np.add.reduce`` (a pairwise tree over 8).
     """
-    e64 = affect.astype(np.float64)
-    norm = math.sqrt(e64.dot(e64))    # np.linalg.norm's sqrt(e . e), without its wrapper
-    return params.config.epsilon0 * (1.0 + params.config.alpha * norm)
+    squares = 0.0
+    for entry in affect.tolist():
+        squares += entry * entry
+    return params.config.epsilon0 * (1.0 + params.config.alpha * math.sqrt(squares))

@@ -19,7 +19,7 @@ from .envelope import AFFECT_DIMS
 from .errors import ConfigError
 from .perception import WAVE_SAMPLES
 from .registry import MAX_JOINTS
-from .schema import json_type_ok, type_name
+from .schema import json_type_ok, type_name, value_repr
 
 
 def _at_least(low):
@@ -53,7 +53,7 @@ def _check_fields(section, prefix: str, **rules) -> None:
             raise ConfigError(f"{name} must be {f.type}, got {type_name(value)}")
         rule = rules.get(f.name, _at_least(1) if f.type == "int" else None)
         if rule is not None and not rule[0](value):
-            raise ConfigError(f"{name} must be {rule[1]}, got {value!r}")
+            raise ConfigError(f"{name} must be {rule[1]}, got {value_repr(value)}")
 
 
 @dataclass(frozen=True)
@@ -182,8 +182,8 @@ class Config:
             if total > MAX_PARAMETERS:
                 name, count, sizes = max(counts, key=lambda t: t[1])
                 raise ConfigError(
-                    f"{holder} would hold {total} {unit}, more than {MAX_PARAMETERS}; "
-                    f"{name} alone holds {count}, sized by {sizes}"
+                    f"{holder} would hold {value_repr(total)} {unit}, more than {MAX_PARAMETERS}; "
+                    f"{name} alone holds {value_repr(count)}, sized by {sizes}"
                 )
 
     def tensor_shapes(self, tools: int = 1, slots: int = 1) -> list[tuple[str, int, int, str]]:

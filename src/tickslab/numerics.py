@@ -1,13 +1,12 @@
 """Shared float discipline: float64 weights and accumulation, float32 state.
 
-Matrix-vector products avoid BLAS on purpose: ``np.einsum`` with a plain
-subscript spec runs numpy's own fixed-order sum-of-products loop, which
-keeps results identical run-to-run regardless of thread count or BLAS
-backend.  Activations are evaluated in float64 and clamped to the largest
-float32 strictly inside (-1, 1) before storage, so saturation can never
-round to exactly +-1.  Every weight is drawn as float32 and held once, in
-float64, by its parameter bundle (``hold_float64``), so ``matvec`` casts no
-weight on any call.
+Every product on the step path is a fixed-order sum: ``matvec``'s
+``np.einsum`` with a plain subscript spec (numpy's own sum-of-products loop)
+or ``affect.modulate_epsilon``'s left-to-right loop, never BLAS, whose
+kernel OpenBLAS picks per CPU.  Activations are evaluated in float64 and
+clamped to the largest float32 strictly inside (-1, 1) before storage, so
+saturation never rounds to exactly +-1.  Every weight is drawn as float32 and
+held once, in float64, by its bundle (``hold_float64``), so no call casts one.
 """
 
 from __future__ import annotations
@@ -32,9 +31,8 @@ _LOWER, _UPPER = np.array(-F32_INTERIOR), np.array(F32_INTERIOR)
 
 def matvec(weights: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """float64 product ``weights @ vec``, per row if ``vec`` is 2-D; fixed order."""
-    w = weights.astype(np.float64, copy=False)
     x = vec.astype(np.float64, copy=False)
-    return einsum("ij,j->i" if vec.ndim == 1 else "ij,bj->bi", w, x)
+    return einsum("ij,j->i" if vec.ndim == 1 else "ij,bj->bi", weights, x)
 
 
 def hold_float64(bundle, *names: str) -> None:

@@ -37,13 +37,13 @@ class RouterParams:
 
 def _fill_slot(slot_index: int, sync: np.ndarray, params: RouterParams) -> str:
     """The candidate that best matches object-ref slot ``slot_index``'s
-    projection of ``sync``."""
+    projection of ``sync``; one ``matvec`` scores them all, not BLAS's ``np.dot``."""
     width = params.config.slot_embed_width
     rows = params.slot_head[slot_index * width : (slot_index + 1) * width]
     projection = matvec(rows, sync)
     if not params.candidates:
         raise NoCandidates(f"object_ref slot {slot_index} has no candidates")
-    scores = [float(np.dot(emb, projection)) for _, emb in params.candidates]
+    scores = matvec(np.array([emb for _, emb in params.candidates]), projection)
     return params.candidates[int(np.argmax(scores))][0]
 
 

@@ -31,13 +31,21 @@ def json_type_ok(value, kind: str) -> bool:
 
 def type_name(value) -> str:
     """The type of ``value`` as a refusal names it; a number that no float
-    holds shows its ``repr``, and a string that is not valid Unicode says so."""
+    holds shows its ``value_repr``, and a string that is not valid Unicode says so."""
     if isinstance(value, str) and not _unicode_ok(value):
         return "a string that is not valid Unicode (lone surrogate)"
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if number and not json_type_ok(value, "float"):
-        return repr(value)
+        return value_repr(value)
     return type(value).__name__
+
+
+def value_repr(value) -> str:
+    """``repr(value)``, or the bit length of an int past Python's digit limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<int of {value.bit_length()} bits>"
 
 
 def _unicode_ok(text: str) -> bool:

@@ -364,6 +364,30 @@ def referenced(tree, outside=False):
             yield node.value
 
 
+# numpy functions and methods that hand a product to BLAS
+BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot"}
+
+
+def blas_reaches(tree):
+    """(line, source) of each node in ``tree`` that can reach BLAS: a call
+    named in BLAS_NAMES, ``@``, ``linalg`` or an ``einsum`` given ``optimize``
+    (its contraction paths hand products to BLAS)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            hit = isinstance(node.op, ast.MatMult)
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            optimized = any(keyword.arg == "optimize" for keyword in node.keywords)
+            hit = name in BLAS_NAMES or (name == "einsum" and optimized)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+            hit = any("linalg" in module for module in modules)
+        else:
+            hit = isinstance(node, ast.Attribute) and node.attr == "linalg"
+        if hit:
+            yield node.lineno, ast.unparse(node)
+
+
 def defaulted_parameters(tree):
     """(qualified name, function name, position, parameter) of each defaulted
     parameter defined in ``tree``; a keyword-only one has no position, and a
@@ -504,6 +528,23 @@ class TestLayout:
                     ]
         assert len(found) == 7
         assert replacing == []
+
+    def test_no_call_reaches_blas(self):
+        # OpenBLAS picks its kernel by CPU, and its kernels sum in different
+        # orders, so one BLAS product on the step path moved 5 of the 6
+        # golden digests under the Prescott kernel (see test_blas_free.py)
+        forms = ["np.dot(a, b)", "a.dot(b)", "a @ b", "a @= b", "np.matmul(a, b)",
+                 "np.inner(a, b)", "np.vdot(a, b)", "np.tensordot(a, b)", "np.linalg.norm(a)",
+                 "from numpy.linalg import norm", "from numpy import linalg",
+                 "np.einsum('ij,j', a, b, optimize=True)"]
+        assert [form for form in forms if not list(blas_reaches(ast.parse(form)))] == []
+        assert list(blas_reaches(ast.parse("np.einsum('ij,j->i', a, b)"))) == []
+        reaching = [
+            f"{path.relative_to(SRC)}:{line} {source}"
+            for path in sorted((SRC / "tickslab").rglob("*.py"))
+            for line, source in blas_reaches(ast.parse(path.read_text(encoding="utf-8")))
+        ]
+        assert reaching == []
 
     def test_every_error_type_is_raised(self):
         # an error type that no code raises names no failure; a subclass

@@ -990,6 +990,22 @@ class TestNumbers:
                     load(path)
                 assert field in str(err.value), (field, text[:12])
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"engine": {"neurons": 10**5000}}, "engine.neurons"),        # the size refusal
+            ({"engine": {"sync_pairs": 10**5000}}, "engine.sync_pairs"),  # a range rule
+            ({"affect": {"epsilon0": 10**5000}}, "affect.epsilon0"),      # the type rule
+            ({"router": {"gamma": 10**5000}}, "router.gamma"),
+        ],
+        ids=["size", "rule", "type-epsilon0", "type-gamma"],
+    )
+    def test_an_int_past_the_digit_limit_is_named_by_its_bit_length(self, doc, field):
+        # only a config built in code can hold one: json.loads refuses the literal
+        with pytest.raises(ConfigError) as err:
+            Config.from_dict(doc)
+        assert field in str(err.value) and re.search(r"<int of \d+ bits>", str(err.value))
+
 
 # Pieces that make byte strings look like JSON lines or weight files, so
 # the loaders get past their first check more often than random bytes do.
