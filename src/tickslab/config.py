@@ -16,22 +16,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .envelope import AFFECT_DIMS
-from .errors import ConfigError
+from .errors import ConfigError, SchemaViolation
 from .perception import WAVE_SAMPLES
 from .registry import MAX_JOINTS
-from .schema import json_type_ok, type_name, value_repr
-
-
-def _at_least(low):
-    return (lambda v: v >= low), f">= {low}"
-
-
-def _between(low, high):
-    return (lambda v: low <= v <= high), f"in [{low}, {high}]"
-
+from .schema import at_least, between, check_record, every_int, one_of, value_repr
 
 _POSITIVE = (lambda v: v > 0), "> 0"
-_UNIT = _between(0, 1)
+_UNIT = between(0, 1)
 
 # The most weights a model may hold, 2**24 (128 MiB as float64, about 84
 # times the defaults), and the most values a decision step's work arrays
@@ -39,21 +30,20 @@ _UNIT = _between(0, 1)
 MAX_PARAMETERS = 2**24
 
 
-def _check_fields(section, prefix: str, **rules) -> None:
-    """Check every field of a config section when it is built.
+def _check(cls, doc, path: str = "", **rules) -> None:
+    """``check_record`` with its refusal re-raised as a ConfigError; a
+    document that is not an object is named ``config``."""
+    try:
+        check_record(cls, doc, path, **rules)
+    except SchemaViolation as exc:
+        raise ConfigError(f"{exc.path or 'config'}: {exc.detail}") from exc
 
-    Each value must have the JSON type of its annotation, under which a float
-    is finite.  ``rules[name]`` is a ``(test, text)`` pair the value must also
-    pass; an int without one must be at least 1 (the ints are sizes and
-    counts).
-    """
-    for f in dataclasses.fields(section):
-        name, value = f"{prefix}.{f.name}", getattr(section, f.name)
-        if not json_type_ok(value, f.type):
-            raise ConfigError(f"{name} must be {f.type}, got {type_name(value)}")
-        rule = rules.get(f.name, _at_least(1) if f.type == "int" else None)
-        if rule is not None and not rule[0](value):
-            raise ConfigError(f"{name} must be {rule[1]}, got {value_repr(value)}")
+
+def _check_fields(section, prefix: str, **rules) -> None:
+    """Check a config section's fields when it is built, as its JSON record
+    under ``rules``; an int without a rule is a size or count, at least 1."""
+    sizes = every_int(section, at_least(1))
+    _check(type(section), vars(section), prefix + ".", **{**sizes, **rules})
 
 
 @dataclass(frozen=True)
@@ -68,7 +58,7 @@ class PerceptionConfig:
 
     def __post_init__(self):
         # the featurizer's audio window gives at most WAVE_SAMPLES // 2 bins
-        _check_fields(self, "perception", audio_in=_between(1, WAVE_SAMPLES // 2))
+        _check_fields(self, "perception", audio_in=between(1, WAVE_SAMPLES // 2))
 
     @property
     def concat_dim(self) -> int:
@@ -94,9 +84,9 @@ class EngineConfig:
     def __post_init__(self):
         pairs = ((lambda v: 1 <= v <= self.neurons**2), "in [1, neurons**2]")
         _check_fields(
-            self, "engine", sync_pairs=pairs, logit_count=_at_least(2),
+            self, "engine", sync_pairs=pairs, logit_count=at_least(2),
             decay=((lambda v: 0 < v <= 1), "in (0, 1]"), carry_beta=_UNIT, halt_cap=_UNIT,
-            plateau_epsilon=_at_least(0),
+            plateau_epsilon=at_least(0),
         )
 
 
@@ -110,8 +100,8 @@ class ConsensusConfig:
 
     def __post_init__(self):
         _check_fields(
-            self, "consensus", deadline_ticks=_at_least(0), deadline_ms=_POSITIVE,
-            wait_policy=((lambda v: v in ("off", "one")), '"off" or "one"'),
+            self, "consensus", deadline_ticks=at_least(0), deadline_ms=_POSITIVE,
+            wait_policy=one_of("off", "one"),
         )
 
 
@@ -122,7 +112,7 @@ class AffectConfig:
     alpha: float = 0.5
 
     def __post_init__(self):
-        _check_fields(self, "affect", epsilon0=_POSITIVE, alpha=_at_least(0))
+        _check_fields(self, "affect", epsilon0=_POSITIVE, alpha=at_least(0))
         # every affect entry lies in (-1, 1), so the affect norm is below
         # sqrt(AFFECT_DIMS) and the threshold below this finite ceiling
         if not math.isfinite(self.epsilon0 * (1.0 + self.alpha * math.sqrt(AFFECT_DIMS))):
@@ -150,7 +140,7 @@ class ActuatorConfig:
     gain: float = 1.0
 
     def __post_init__(self):
-        _check_fields(self, "actuator", joints=_between(1, MAX_JOINTS), torque_limit=_POSITIVE)
+        _check_fields(self, "actuator", joints=between(1, MAX_JOINTS), torque_limit=_POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -221,27 +211,9 @@ class Config:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Config":
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        kwargs = {}
-        for key, value in doc.items():
-            if key not in fields:
-                raise ConfigError(f"unknown config key {key!r}")
-            section = fields[key].default_factory
-            if section is dataclasses.MISSING:  # seed, weights_path
-                kind = fields[key].type
-                if not json_type_ok(value, kind):
-                    raise ConfigError(f"{key} must be {kind}, got {type_name(value)}")
-            else:
-                if not isinstance(value, dict):
-                    raise ConfigError(f"section {key!r} must be an object")
-                unknown = set(value) - {f.name for f in dataclasses.fields(section)}
-                if unknown:
-                    raise ConfigError(f"unknown keys in {key!r}: {sorted(unknown)}")
-                value = section(**value)
-            kwargs[key] = value
-        return cls(**kwargs)
+        _check(cls, doc)  # after which only a section holds an object
+        built = {f.name: f.default_factory for f in dataclasses.fields(cls)}
+        return cls(**{k: built[k](**v) if isinstance(v, dict) else v for k, v in doc.items()})
 
     @classmethod
     def load(cls, path: str | Path) -> "Config":

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 from ..actuator import ActuatorParams, plan_torque, torque_to_pwm
@@ -42,7 +42,7 @@ from ..perception import encode_modality, fuse
 from ..registry import NOOP_TOOL, SlotKind, ToolSpec
 from ..router import EnvelopeSession, select_action
 from ..rng import derive_seed
-from ..schema import check_record
+from ..schema import check_record, every_int, one_of
 from ..transport import STATUS_ERROR, STATUS_OK, ToolServer, dispatch
 from .featurize import featurize, goal_frames
 from .tasks import TaskRecord
@@ -63,6 +63,10 @@ class Policy(enum.Enum):
 OUTCOME_SUCCESS = "success"
 OUTCOME_BUDGET = "budget_exhausted"
 OUTCOME_ERROR = "error"
+
+# A log's ints are counts; bounding them keeps every metric over them a
+# finite float (the type rule already keeps every float finite).
+_COUNT = (lambda v: 0 <= v < 2**63), "in [0, 2**63)"
 
 
 @dataclass(frozen=True)
@@ -94,38 +98,19 @@ class EpisodeLog:
     def from_dict(cls, doc: dict) -> "EpisodeLog":
         """The log in ``doc``; a field that does not fit, or one that
         ``run_episode`` cannot write, raises SchemaViolation."""
+        outcomes = one_of(OUTCOME_SUCCESS, OUTCOME_BUDGET, OUTCOME_ERROR)
+        check_record(cls, doc, **every_int(cls, _COUNT), outcome=outcomes)
+        rules = {**every_int(StepRecord, _COUNT), "tool_status": one_of(STATUS_OK, STATUS_ERROR)}
         records = [
-            StepRecord(**_checked(StepRecord, r, f"records[{i}]."))
-            for i, r in enumerate(_checked(cls, doc)["records"])
+            StepRecord(**check_record(StepRecord, r, f"records[{i}].", **rules))
+            for i, r in enumerate(doc["records"])
         ]
-        _one_of("outcome", doc["outcome"], (OUTCOME_SUCCESS, OUTCOME_BUDGET, OUTCOME_ERROR))
-        for i, record in enumerate(records):
-            _one_of(f"records[{i}].tool_status", record.tool_status, (STATUS_OK, STATUS_ERROR))
         # run_episode counts a step once its record is appended, abort or not
         if doc["steps_used"] != len(records):
             raise SchemaViolation(
                 "steps_used", f"must equal the {len(records)} records, got {doc['steps_used']}"
             )
         return cls(**{**doc, "records": records})
-
-
-def _checked(cls, doc, path: str = "") -> dict:
-    """``doc`` if it fits record ``cls`` and its ints are in [0, 2**63); an
-    error names the field after ``path``.
-
-    The type rule already keeps every float finite.  Ints are counts, and
-    bounding them keeps every metric over them a finite float.
-    """
-    check_record(cls, doc, path)
-    for f in fields(cls):
-        if f.type == "int" and f.name in doc and not 0 <= doc[f.name] < 2**63:
-            raise SchemaViolation(f"{path}{f.name}", f"must be in [0, 2**63), got {doc[f.name]}")
-    return doc
-
-
-def _one_of(name: str, value: str, allowed: tuple) -> None:
-    if value not in allowed:
-        raise SchemaViolation(name, f"must be one of {', '.join(allowed)}, got {value!r}")
 
 
 def call_args(tool: ToolSpec, args: dict, sync, actuator: ActuatorParams) -> dict:

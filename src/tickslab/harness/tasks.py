@@ -15,7 +15,7 @@ from pathlib import Path
 
 from ..errors import SchemaViolation
 from ..rng import SplitMix64, derive_seed
-from ..schema import check_record, json_type_ok
+from ..schema import at_least, check_record, json_type_ok, type_name
 from .world import build_registry
 
 DEFAULT_BUDGET_STEPS = 20
@@ -44,38 +44,33 @@ class TaskRecord:
     budget_steps: int = DEFAULT_BUDGET_STEPS
 
 
+_NON_EMPTY = bool, "non-empty"
+_TASK_RULES = {"id": _NON_EMPTY, "goal": _NON_EMPTY, "steps": _NON_EMPTY, "budget_steps": at_least(1)}
+_STEP_RULES = {"tool": ((lambda v: v in TOOLS), "a tool the world runs"), "expected": _NON_EMPTY}
+
+
 def _validate_record(doc) -> TaskRecord:
     """The task in ``doc``; anything that does not fit raises SchemaViolation.
 
-    Beyond the JSON types: strings are non-empty, there is at least one
-    step, a step's tool is one the world runs, and an arg is a context name
-    or a finite number, the values an envelope can carry.
+    Beyond the JSON types, the task and each step pass their rule table.
+    The two rules on a list's contents are checked here, so a refusal never
+    echoes the list: context holds names, and an arg is a context name or a
+    finite number, the values an envelope can carry.
     """
-    check_record(TaskRecord, doc)
-    for key in ("id", "goal"):
-        if not doc[key]:
-            raise SchemaViolation(key, "expected a non-empty string")
+    check_record(TaskRecord, doc, **_TASK_RULES)
     if not all(json_type_ok(c, "str") for c in doc["context"]):
         raise SchemaViolation("context", "expected a list of names")
-    if not doc["steps"]:
-        raise SchemaViolation("steps", "expected a non-empty list")
     steps = []
     for i, raw in enumerate(doc["steps"]):
-        check_record(TaskStep, raw, f"steps[{i}].")
-        for key in ("tool", "expected"):
-            if not raw[key]:
-                raise SchemaViolation(f"steps[{i}].{key}", "expected a non-empty string")
-        if raw["tool"] not in TOOLS:
-            raise SchemaViolation(f"steps[{i}].tool", f"{raw['tool']!r} is not a tool the world runs")
+        check_record(TaskStep, raw, f"steps[{i}].", **_STEP_RULES)
         for slot, value in raw["args"].items():
             # context holds only strings, so every other type is refused
             if not json_type_ok(value, "float") and value not in doc["context"]:
+                shown = repr(value) if isinstance(value, str) else type_name(value)
                 raise SchemaViolation(
-                    f"steps[{i}].args.{slot}", f"{value!r} is not in context or a finite number"
+                    f"steps[{i}].args.{slot}", f"must be a context name or a finite number, got {shown}"
                 )
         steps.append(TaskStep(**raw))
-    if doc.get("budget_steps", DEFAULT_BUDGET_STEPS) < 1:
-        raise SchemaViolation("budget_steps", "expected a positive integer")
     return TaskRecord(**{**doc, "context": tuple(doc["context"]), "steps": tuple(steps)})
 
 

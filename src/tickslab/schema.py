@@ -1,4 +1,4 @@
-"""The one rule that matches a JSON object against a record's fields.
+"""The one reader of a JSON record: the config, a task line and a log line.
 
 A record is a dataclass whose field annotations name JSON types.  Python
 counts a bool as an int, so bools are told apart here: a bool field takes
@@ -6,7 +6,8 @@ only a bool, an int field an int, a float field an int or a float that a
 float64 holds: the one finite-float rule, so NaN, the infinities (which
 RFC 8259 keeps out of JSON) and ints past float range are refused.  JSON's
 ``\ud800`` escapes decode to lone surrogates, which no UTF-8 text can hold,
-so a str field takes only a string that encodes as UTF-8.
+so a str field takes only a string that encodes as UTF-8.  A reader states
+its other rules as ``(test, text)`` pairs such as ``at_least(1)``.
 """
 
 from __future__ import annotations
@@ -58,12 +59,31 @@ def _unicode_ok(text: str) -> bool:
     return True
 
 
-def check_record(cls, doc, path: str = "") -> dict:
+def at_least(low):
+    return (lambda v: v >= low), f">= {low}"
+
+
+def between(low, high):
+    return (lambda v: low <= v <= high), f"in [{low}, {high}]"
+
+
+def one_of(*allowed):
+    return (lambda v: v in allowed), f"one of {', '.join(map(repr, allowed))}"
+
+
+def every_int(cls, rule) -> dict:
+    """``rule`` for each int field of dataclass ``cls``, as ``check_record`` takes it."""
+    return {f.name: rule for f in dataclasses.fields(cls) if f.type == "int"}
+
+
+def check_record(cls, doc, path: str = "", **rules) -> dict:
     """``doc`` if it is an object that fits the fields of dataclass ``cls``.
 
-    Unknown keys are refused, a field without a default must be present and
-    each present field must have its JSON type.  A failure raises
-    ``SchemaViolation(path + name, reason)``; an empty key is named ``''``.
+    Unknown keys are refused and a field without a default must be present.
+    A field whose default a dataclass builds is a nested record, checked in
+    turn; any other present field must have its JSON type, then pass
+    ``rules[name]``, a ``(test, text)`` pair, if there is one.  A failure
+    raises ``SchemaViolation(path + name, reason)``; an empty key is named ``''``.
     """
     if not isinstance(doc, dict):
         raise SchemaViolation(path.rstrip("."), "expected an object")
@@ -72,9 +92,13 @@ def check_record(cls, doc, path: str = "") -> dict:
         if key not in fields:
             raise SchemaViolation(f"{path}{key or repr(key)}", "unknown field")
     for name, f in fields.items():
-        if name in doc:
-            if not json_type_ok(doc[name], f.type):
-                raise SchemaViolation(f"{path}{name}", f"expected {f.type}, got {type_name(doc[name])}")
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise SchemaViolation(f"{path}{name}", "missing field")
+        if name not in doc:
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise SchemaViolation(f"{path}{name}", "missing field")
+        elif dataclasses.is_dataclass(f.default_factory):
+            check_record(f.default_factory, doc[name], f"{path}{name}.")
+        elif not json_type_ok(doc[name], f.type):
+            raise SchemaViolation(f"{path}{name}", f"expected {f.type}, got {type_name(doc[name])}")
+        elif name in rules and not rules[name][0](doc[name]):
+            raise SchemaViolation(f"{path}{name}", f"must be {rules[name][1]}, got {value_repr(doc[name])}")
     return doc

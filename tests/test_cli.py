@@ -9,6 +9,7 @@ import shlex
 import socket
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,17 @@ class TestRun:
             "--policy", "oracle", "--out", str(tmp_path / "out"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("doc", ["[1]", "null", '"engine"'])
+    def test_config_that_is_not_an_object_is_named(self, tmp_path, task_file, capsys, doc):
+        bad = tmp_path / "config.json"
+        bad.write_text(doc)
+        code = run_cli(
+            "run", "--tasks", str(task_file), "--config", str(bad),
+            "--policy", "oracle", "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: config: expected an object\n"
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -425,6 +437,19 @@ class TestLayout:
         "transport.ToolServer.serve_tcp": "one client's failure drops it; the server keeps serving",
         "episode.run_episode": "a failing step ends its episode as a logged error outcome",
     }
+    # module.function: how many field refusals it raises by hand, beside the
+    # one record reader, schema.check_record
+    SCHEMA_RAISES = {
+        "tasks.read_jsonl": 1,              # names the line of a refusal
+        "tasks._validate_record": 2,        # context names and args: list contents
+        "episode.EpisodeLog.from_dict": 1,  # steps_used against the record count
+    }
+    # config.py's ConfigError raises: the one re-raise of a field refusal, the
+    # rules no single field holds, and the file read
+    CONFIG_RAISES = {
+        "config._check": 1, "config.AffectConfig.__post_init__": 1,
+        "config.Config.__post_init__": 1, "config.Config.load": 2,
+    }
 
     def test_only_the_references_lack_a_caller(self):
         package = syntax_trees(SRC / "tickslab")
@@ -458,14 +483,21 @@ class TestLayout:
 
     @staticmethod
     def raises():
-        """(file name, line, raised name) of every ``raise`` in ``src/``;
-        the name is "" for a bare ``raise``."""
+        """(file name, line, raised name, module.function) of every ``raise``
+        in ``src/``; the name is "" for a bare ``raise``."""
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield from visit(child, f"{scope}.{child.name}")
+                    continue
+                if isinstance(child, ast.Raise):
+                    exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                    yield child.lineno, getattr(exc, "id", None) or getattr(exc, "attr", None) or "", scope
+                yield from visit(child, scope)
+
         for path in sorted((SRC / "tickslab").rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Raise):
-                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                    name = getattr(exc, "id", None) or getattr(exc, "attr", None) or ""
-                    yield path.name, node.lineno, name
+            for line, name, scope in visit(ast.parse(path.read_text(encoding="utf-8")), path.stem):
+                yield path.name, line, name, scope
 
     def test_every_raise_names_a_tickslab_error(self):
         # the CLI turns only TickslabError and OSError into an error line, so
@@ -476,10 +508,26 @@ class TestLayout:
 
         stray = [
             f"{file}:{line} {name or 'bare raise'}"
-            for file, line, name in self.raises()
+            for file, line, name, _ in self.raises()
             if (file, name) not in self.RAISE_EXEMPT and not ours(name)
         ]
         assert stray == []
+
+    def test_field_refusals_come_from_the_record_reader(self):
+        # schema.check_record states a refusal once for the config, task and
+        # log readers; a hand-written copy would drift from its form
+        raised = Counter((scope, name) for _, _, name, scope in self.raises())
+        assert raised["schema.check_record", "SchemaViolation"] > 0
+        by_hand = {
+            scope: count for (scope, name), count in raised.items()
+            if name == "SchemaViolation" and scope != "schema.check_record"
+        }
+        assert by_hand == self.SCHEMA_RAISES
+        config = {
+            scope: count for (scope, name), count in raised.items()
+            if name == "ConfigError" and scope.startswith("config.")
+        }
+        assert config == self.CONFIG_RAISES
 
     def test_no_call_passes_a_bundle_beside_its_own_field(self):
         # a callee that takes a bundle reads its fields from it, so each
@@ -554,7 +602,7 @@ class TestLayout:
             for name, cls in vars(errors).items()
             if isinstance(cls, type) and issubclass(cls, errors.TickslabError)
         }
-        raised = {name for _, _, name in self.raises()}
+        raised = {name for _, _, name, _ in self.raises()}
         assert sorted(kinds - raised - {"TickslabError"}) == []
 
     def test_every_catch_all_is_a_boundary(self):

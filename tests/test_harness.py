@@ -175,7 +175,21 @@ class TestLoadTasks:
         path.write_text(json.dumps({"id": "t1", "goal": "g", "context": [], "steps": steps}) + "\n")
         with pytest.raises(SchemaViolation) as err:
             load_tasks(path)
-        assert str(err.value) == "line 1: steps[1].tool: 'fly' is not a tool the world runs"
+        assert str(err.value) == "line 1: steps[1].tool: must be a tool the world runs, got 'fly'"
+
+    @pytest.mark.parametrize("where", ["context", "steps[0].args.to"])
+    def test_a_refused_list_is_not_echoed(self, tmp_path, where):
+        # the list-content rules name the field, not the 100000 items
+        doc = json.loads(TASKS50.read_text().splitlines()[0])
+        if where == "context":
+            doc["context"] = list(range(100_000))
+        else:
+            doc["steps"][0]["args"]["to"] = list(range(100_000))
+        path = tmp_path / "tasks.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(SchemaViolation) as err:
+            load_tasks(path)
+        assert str(err.value).startswith(f"line 1: {where}: ") and len(str(err.value)) < 200
 
     def test_a_record_holding_a_bare_cr_loads(self, tmp_path):
         # lines end at LF alone, as transport frames do, and CR is JSON whitespace
@@ -737,7 +751,7 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             Config.from_dict({"engine": {"neurons": 8, "warp": 1}})
-        with pytest.raises(ConfigError, match="unknown config key 'harness'"):
+        with pytest.raises(ConfigError, match="^harness: unknown field$"):
             Config.from_dict({"harness": {"budget_steps_default": 20}})
 
     def test_invalid_values_rejected(self):
@@ -746,9 +760,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             Config.from_dict({"consensus": {"branches": 0}})
         # keys that had a single legal value are gone: setting one is unknown
-        with pytest.raises(ConfigError, match="unknown keys"):
+        with pytest.raises(ConfigError, match=re.escape("affect.dims: unknown field")):
             Config.from_dict({"affect": {"dims": 8}})
-        with pytest.raises(ConfigError, match="unknown keys"):
+        with pytest.raises(ConfigError, match=re.escape("perception.spectrum_bins: unknown field")):
             Config.from_dict({"perception": {"spectrum_bins": 80}})
 
     SIZES = {
@@ -1005,6 +1019,51 @@ class TestNumbers:
         with pytest.raises(ConfigError) as err:
             Config.from_dict(doc)
         assert field in str(err.value) and re.search(r"<int of \d+ bits>", str(err.value))
+
+
+class TestRefusalForm:
+    """Every record reader refuses in one form: ``<path>: expected <type>, got
+    <type>`` for a value of the wrong JSON type, and ``<path>: must be <text>,
+    got <value>`` for one that its rule table refuses."""
+
+    TASK = json.loads(TASKS50.read_text().splitlines()[0])
+    LOG = EpisodeLog(
+        "a", [StepRecord(0, 1, 4, 0.5, 0.75, "noop", {}, "ok", False)], "success", 1
+    ).to_dict()
+
+    @pytest.mark.parametrize(
+        "reader, change, refusal",
+        [
+            ("config", {"consensus": {"deadline_ms": "x"}},
+             "consensus.deadline_ms: expected float, got str"),
+            ("config", {"consensus": {"deadline_ms": 0}}, "consensus.deadline_ms: must be > 0, got 0"),
+            ("section", {"branches": True}, "consensus.branches: expected int, got bool"),
+            ("section", {"wait_policy": "all"},
+             "consensus.wait_policy: must be one of 'off', 'one', got 'all'"),
+            ("task", {"budget_steps": "8"}, "line 1: budget_steps: expected int, got str"),
+            ("task", {"budget_steps": 0}, "line 1: budget_steps: must be >= 1, got 0"),
+            ("log", {"steps_used": 1.0}, "line 1: steps_used: expected int, got float"),
+            ("log", {"outcome": "won"},
+             "line 1: outcome: must be one of 'success', 'budget_exhausted', 'error', got 'won'"),
+        ],
+        ids=["config-type", "config-rule", "section-type", "section-rule",
+             "task-type", "task-rule", "log-type", "log-rule"],
+    )
+    def test_every_reader_refuses_in_one_form(self, tmp_path, reader, change, refusal):
+        if reader == "section":
+            with pytest.raises(ConfigError) as err:
+                ConsensusConfig(**change)
+        else:
+            doc, load, error = {
+                "config": (change, Config.load, ConfigError),
+                "task": ({**self.TASK, **change}, load_tasks, SchemaViolation),
+                "log": ({**self.LOG, **change}, read_logs, SchemaViolation),
+            }[reader]
+            path = tmp_path / "input.jsonl"
+            path.write_text(json.dumps(doc) + "\n")
+            with pytest.raises(error) as err:
+                load(path)
+        assert str(err.value) == refusal
 
 
 # Pieces that make byte strings look like JSON lines or weight files, so
