@@ -14,7 +14,9 @@ the fallback flag.  The tool's arguments are strings, finite numbers, or
 lists of finite numbers, such as actuate's duty cycles.  Each value is made
 finite and typed where it is built, so the serializer encodes the fields as
 they are; the encoder still refuses a NaN or an infinity (``ValueError``),
-and the tool server checks each value it reads.
+and the tool server checks each value it reads.  The meta object is
+``EnvelopeMeta``'s fields, and a reply's ``result`` is ``ToolResult``'s
+(``transport``), so each wire key is stated once, as a field name.
 """
 
 from __future__ import annotations
@@ -65,23 +67,11 @@ def canonical_json_bytes(obj) -> bytes:
 
 
 def serialize_envelope(envelope: Envelope) -> bytes:
-    """Canonical bytes of the envelope, encoded field by field."""
+    """Canonical bytes of the envelope; its meta object is ``EnvelopeMeta``'s fields."""
     doc = {
         "jsonrpc": JSONRPC_VERSION,
         "id": envelope.id,
         "method": envelope.method,
-        "params": {
-            "args": envelope.args,
-            "meta": {
-                "episode": envelope.meta.episode,
-                "step": envelope.meta.step,
-                "slab_count": envelope.meta.slab_count,
-                "ticks": envelope.meta.ticks,
-                "confidence": envelope.meta.confidence,
-                "affect": envelope.meta.affect,
-                "sync_digest": envelope.meta.sync_digest,
-                "fallback": envelope.meta.fallback,
-            },
-        },
+        "params": {"args": envelope.args, "meta": vars(envelope.meta)},
     }
     return canonical_json_bytes(doc)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from ..errors import SchemaViolation
 from ..rng import SplitMix64, derive_seed
-from ..schema import at_least, check_record, json_type_ok, type_name
+from ..schema import at_least, check_record, json_type_ok, type_name, value_repr
 from .world import build_registry
 
 DEFAULT_BUDGET_STEPS = 20
@@ -66,7 +66,7 @@ def _validate_record(doc) -> TaskRecord:
         for slot, value in raw["args"].items():
             # context holds only strings, so every other type is refused
             if not json_type_ok(value, "float") and value not in doc["context"]:
-                shown = repr(value) if isinstance(value, str) else type_name(value)
+                shown = value_repr(value) if isinstance(value, str) else type_name(value)
                 raise SchemaViolation(
                     f"steps[{i}].args.{slot}", f"must be a context name or a finite number, got {shown}"
                 )

@@ -42,11 +42,13 @@ def type_name(value) -> str:
 
 
 def value_repr(value) -> str:
-    """``repr(value)``, or the bit length of an int past Python's digit limit."""
+    """``repr(value)``, cut after its first 80 characters and then sized, or
+    the bit length of an int past Python's digit limit."""
     try:
-        return repr(value)
+        text = repr(value)
     except ValueError:
         return f"<int of {value.bit_length()} bits>"
+    return text if len(text) <= 80 else f"{text[:80]}... <repr of {len(text)} characters>"
 
 
 def _unicode_ok(text: str) -> bool:

@@ -123,19 +123,16 @@ class ToolServer:
     """Executes tool calls against a handler and serves registry introspection.
 
     ``handler(name, args)`` returns a ToolResult; no handler reads the
-    envelope metadata, so it is not passed on.  The registry is not changed
-    after construction, so its ``registry/list`` table is built once.
+    envelope metadata, so it is not passed on.  A reply's ``result`` is the
+    ToolResult's fields and each ``registry/list`` entry a ToolSpec's; the
+    registry is not changed after construction, so that table is built once.
     """
 
     def __init__(self, registry: ToolRegistry, handler: Callable[[str, dict], ToolResult]):
         self.registry = registry
         self.handler = handler
         self._tools = [
-            {
-                "name": s.name,
-                "arg_slots": [[slot, kind.value] for slot, kind in s.arg_slots],
-                "description": s.description,
-            }
+            {**vars(s), "arg_slots": [[slot, kind.value] for slot, kind in s.arg_slots]}
             for s in registry.specs
         ]
 
@@ -189,9 +186,7 @@ class ToolServer:
                 logger.warning("tool %s raised: %r", name, exc)
                 result = error_result(f"tool raised: {exc!r}")
             try:
-                return self._result_frame(
-                    req_id, {"status": result.status, "payload": result.payload}
-                )
+                return self._result_frame(req_id, vars(result))
             except (RecursionError, TypeError, ValueError) as exc:
                 # too deep, not JSON data, or not finite
                 logger.warning("tool %s result not encodable: %r", name, exc)

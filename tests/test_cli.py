@@ -242,6 +242,20 @@ class TestRun:
         if code:
             assert "line 1: steps[0].args.to" in capsys.readouterr().err
 
+    def test_a_long_refused_value_is_cut_on_the_error_line(self, tmp_path, config_file, capsys):
+        doc = {
+            "id": "t", "goal": "g", "context": [], "budget_steps": 1,
+            "steps": [{"tool": "x" * 1_000_000, "args": {}, "expected": "e"}],
+        }
+        tasks = tmp_path / "tasks.jsonl"
+        tasks.write_text(json.dumps(doc) + "\n")
+        argv = ["run", "--tasks", str(tasks), "--config", str(config_file), "--out", str(tmp_path)]
+        assert run_cli(*argv, "--policy", "oracle") == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: steps[0].tool: must be a tool the world runs, got '"
+            + "x" * 79 + "... <repr of 1000002 characters>\n"
+        )
+
     @pytest.mark.parametrize("field", ["id", "goal", "config"])
     def test_lone_surrogate_string_exits_2(self, tmp_path, task_file, capsys, field):
         doc = json.loads(task_file.read_text().splitlines()[0])
@@ -427,8 +441,14 @@ class TestLayout:
     UNCALLED = {"save_weights"}
     # ends the accept loop, which only a test needs; a server runs until killed
     PASSED_BY_TESTS_ONLY = {"ToolServer.serve_tcp.max_clients"}
-    # EpisodeLog.to_dict writes these records whole, each field a log key
-    WRITTEN_WHOLE = {"StepRecord", "EpisodeLog"}
+    # record: the writer that writes it whole, each field a wire or log key
+    WRITTEN_WHOLE = {
+        "StepRecord": "EpisodeLog.to_dict, each record of a log line",
+        "EpisodeLog": "EpisodeLog.to_dict, one log line",
+        "EnvelopeMeta": "serialize_envelope, the request's params.meta",
+        "ToolResult": "ToolServer._answer, the reply's result",
+        "ToolSpec": "ToolServer.__init__, each registry/list entry",
+    }
     # (file, raised name): the CLI's exit
     RAISE_EXEMPT = {("cli.py", "SystemExit")}
     # module.function: why a catch-all there is a boundary, not a hidden failure

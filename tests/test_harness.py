@@ -1066,6 +1066,33 @@ class TestRefusalForm:
         assert str(err.value) == refusal
 
 
+class TestLongRefusal:
+    """A refused value of a million characters shows its first 80 and its length,
+    in the form of every other refusal."""
+
+    LONG = "x" * 1_000_000
+    CUT = "'" + "x" * 79 + "... <repr of 1000002 characters>"
+
+    @pytest.mark.parametrize(
+        "reader, change, refusal",
+        [
+            ("config", {"consensus": {"wait_policy": LONG}},
+             "consensus.wait_policy: must be one of 'off', 'one', got " + CUT),
+            ("section", {"wait_policy": LONG},
+             "consensus.wait_policy: must be one of 'off', 'one', got " + CUT),
+            ("task", {"steps": [{"tool": LONG, "args": {}, "expected": "e"}]},
+             "line 1: steps[0].tool: must be a tool the world runs, got " + CUT),
+            ("task", {"steps": [{"tool": "navigate", "args": {"to": LONG}, "expected": "e"}]},
+             "line 1: steps[0].args.to: must be a context name or a finite number, got " + CUT),
+            ("log", {"outcome": LONG},
+             "line 1: outcome: must be one of 'success', 'budget_exhausted', 'error', got " + CUT),
+        ],
+        ids=["config", "section", "task-tool", "task-arg", "log"],
+    )
+    def test_a_long_refused_value_is_cut(self, tmp_path, reader, change, refusal):
+        TestRefusalForm().test_every_reader_refuses_in_one_form(tmp_path, reader, change, refusal)
+
+
 # Pieces that make byte strings look like JSON lines or weight files, so
 # the loaders get past their first check more often than random bytes do.
 FRAGMENTS = (

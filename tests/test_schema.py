@@ -4,7 +4,7 @@ import json
 import pytest
 
 from tickslab.errors import SchemaViolation
-from tickslab.schema import check_record, json_type_ok, type_name
+from tickslab.schema import check_record, json_type_ok, type_name, value_repr
 
 # field annotation -> the Python types of the JSON values it takes
 ACCEPTED = {
@@ -48,3 +48,16 @@ def test_refusal_names_a_lone_surrogate():
 
     with pytest.raises(SchemaViolation, match="name: expected str, got a string that is not valid Unicode"):
         check_record(Record, json.loads('{"name": "\\ud800"}'))
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        ("x" * 78, "'" + "x" * 78 + "'"),                       # a repr of 80 characters
+        ("x" * 79, "'" + "x" * 79 + "... <repr of 81 characters>"),
+        (10**100, "1" + "0" * 79 + "... <repr of 101 characters>"),
+    ],
+    ids=["80", "81", "int"],
+)
+def test_value_repr_shows_at_most_80_characters(value, shown):
+    assert value_repr(value) == shown

@@ -265,6 +265,57 @@ class TestToolArgs:
         }
 
 
+# (request, reply) frames of one session on the demo world, the reply bytes
+# written out by hand: keys sorted, no whitespace, as a client reads them.
+REPLY_BYTES = [
+    (
+        '{"jsonrpc":"2.0","id":1,"method":"registry/list"}',
+        '{"id":1,"jsonrpc":"2.0","result":{"tools":['
+        '{"arg_slots":[],"description":"do nothing","name":"noop"},'
+        '{"arg_slots":[["to","object_ref"]],"description":"move the robot to a location",'
+        '"name":"navigate"},'
+        '{"arg_slots":[["object","object_ref"]],"description":"grasp a co-located object",'
+        '"name":"pick"},'
+        '{"arg_slots":[["object","object_ref"]],"description":"put down the held object",'
+        '"name":"place"},'
+        '{"arg_slots":[["duty","duty"]],"description":"set one PWM duty cycle in [0, 1] per joint",'
+        '"name":"actuate"}]}}',
+    ),
+    (
+        '{"jsonrpc":"2.0","id":2,"method":"tool/navigate","params":{"args":{"to":"counter"}}}',
+        '{"id":2,"jsonrpc":"2.0","result":{"payload":{"robot_at":"counter"},"status":"ok"}}',
+    ),
+    (
+        '{"jsonrpc":"2.0","id":3,"method":"tool/pick","params":{"args":{"object":"cup"}}}',
+        '{"id":3,"jsonrpc":"2.0","result":{"payload":{"holding":"cup"},"status":"ok"}}',
+    ),
+    (
+        '{"jsonrpc":"2.0","id":4,"method":"tool/place","params":{"args":{"object":"cup"}}}',
+        '{"id":4,"jsonrpc":"2.0","result":{"payload":{"at":"counter","placed":"cup"},"status":"ok"}}',
+    ),
+    (
+        '{"jsonrpc":"2.0","id":5,"method":"tool/noop"}',
+        '{"id":5,"jsonrpc":"2.0","result":{"payload":{},"status":"ok"}}',
+    ),
+    (
+        '{"jsonrpc":"2.0","id":6,"method":"tool/actuate","params":{"args":{"duty":[0.25,0.5,1]}}}',
+        '{"id":6,"jsonrpc":"2.0","result":{"payload":{"duty":[0.25,0.5,1],"waypoints":10},'
+        '"status":"ok"}}',
+    ),
+    (
+        '{"jsonrpc":"2.0","id":7,"method":"tool/fly"}',
+        '{"error":{"code":-32601,"message":"UnknownTool: fly"},"id":7,"jsonrpc":"2.0"}',
+    ),
+]
+
+
+class TestReplyBytes:
+    def test_demo_world_replies_are_pinned(self):
+        server = world_server()
+        replies = [server.handle_frame(request.encode()) for request, _ in REPLY_BYTES]
+        assert replies == [reply.encode() for _, reply in REPLY_BYTES]
+
+
 # Requests whose method holds a lone surrogate, which JSON's \ud800 escape
 # decodes to and which no UTF-8 frame can carry back.
 SURROGATE_FRAMES = [
