@@ -16,7 +16,8 @@ finite and typed where it is built, so the serializer encodes the fields as
 they are; the encoder still refuses a NaN or an infinity (``ValueError``),
 and the tool server checks each value it reads.  The meta object is
 ``EnvelopeMeta``'s fields, and a reply's ``result`` is ``ToolResult``'s
-(``transport``), so each wire key is stated once, as a field name.
+(``transport``), so each wire key is stated once, as a field name; and
+``frame`` writes every frame, request or reply, so its shape is stated once.
 """
 
 from __future__ import annotations
@@ -66,12 +67,12 @@ def canonical_json_bytes(obj) -> bytes:
     return _CANONICAL.encode(obj).encode("utf-8")
 
 
+def frame(req_id, **member) -> bytes:
+    """The JSON-RPC 2.0 frame with id ``req_id``: method and params, a result, or an error."""
+    return canonical_json_bytes({"jsonrpc": JSONRPC_VERSION, "id": req_id, **member})
+
+
 def serialize_envelope(envelope: Envelope) -> bytes:
-    """Canonical bytes of the envelope; its meta object is ``EnvelopeMeta``'s fields."""
-    doc = {
-        "jsonrpc": JSONRPC_VERSION,
-        "id": envelope.id,
-        "method": envelope.method,
-        "params": {"args": envelope.args, "meta": vars(envelope.meta)},
-    }
-    return canonical_json_bytes(doc)
+    """The envelope's request frame; its meta object is ``EnvelopeMeta``'s fields."""
+    params = {"args": envelope.args, "meta": vars(envelope.meta)}
+    return frame(envelope.id, method=envelope.method, params=params)

@@ -14,10 +14,11 @@ class NoCandidates(TickslabError):
 
 
 class SchemaViolation(TickslabError):
-    """An input that does not fit its record: ``path`` names the field, or a
-    JSONL file's line as ``line N``, and then ``detail`` is that line's refusal."""
+    """An input that does not fit its record: ``path`` names the field, cut past 80
+    characters, or a JSONL file's line as ``line N``, and then ``detail`` is that line's refusal."""
 
     def __init__(self, path: str, detail: str = ""):
+        path = path if len(path) <= 80 else f"{path[:80]}... <path of {len(path)} characters>"
         super().__init__(": ".join(part for part in (path, detail) if part))
         self.path = path
         self.detail = detail

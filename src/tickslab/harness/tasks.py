@@ -67,9 +67,8 @@ def _validate_record(doc) -> TaskRecord:
             # context holds only strings, so every other type is refused
             if not json_type_ok(value, "float") and value not in doc["context"]:
                 shown = value_repr(value) if isinstance(value, str) else type_name(value)
-                raise SchemaViolation(
-                    f"steps[{i}].args.{slot}", f"must be a context name or a finite number, got {shown}"
-                )
+                detail = f"must be a context name or a finite number, got {shown}"
+                raise SchemaViolation(f"steps[{i}].args.{slot or repr(slot)}", detail)
         steps.append(TaskStep(**raw))
     return TaskRecord(**{**doc, "context": tuple(doc["context"]), "steps": tuple(steps)})
 

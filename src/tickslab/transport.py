@@ -26,10 +26,10 @@ import socket
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Optional
 
-from .envelope import JSONRPC_VERSION, METHOD_PREFIX, canonical_json_bytes, serialize_envelope
+from .envelope import JSONRPC_VERSION, METHOD_PREFIX, frame, serialize_envelope
 from .errors import FrameTooLong, IdMismatch, TransportClosed, TransportTimeout
 from .registry import ToolRegistry
-from .schema import json_type_ok
+from .schema import json_type_ok, value_repr
 
 logger = logging.getLogger("tickslab.transport")
 
@@ -74,9 +74,9 @@ class StreamTransport:
         self._reader = reader
         self._writer = writer
 
-    def send_frame(self, frame: bytes) -> None:
+    def send_frame(self, raw: bytes) -> None:
         try:
-            self._writer.write(frame + b"\n")
+            self._writer.write(raw + b"\n")
             self._writer.flush()
         except TimeoutError as exc:
             raise TransportTimeout(f"timed out writing the stream: {exc}") from exc
@@ -136,11 +136,11 @@ class ToolServer:
             for s in registry.specs
         ]
 
-    def handle_frame(self, frame: bytes) -> Optional[bytes]:
-        """The reply frame to ``frame``; None for a notification, which is
+    def handle_frame(self, raw: bytes) -> Optional[bytes]:
+        """The reply frame to ``raw``; None for a notification, which is
         carried out as a request would be.  A bool, float or null id is invalid."""
         try:
-            doc = json.loads(frame.decode("utf-8"))
+            doc = json.loads(raw.decode("utf-8"))
         except (ValueError, RecursionError) as exc:
             # bad UTF-8 or JSON, an int past Python's digit limit, too deep
             return self._error_frame(None, _CODE_PARSE_ERROR, f"parse error: {exc}")
@@ -167,7 +167,7 @@ class ToolServer:
             )
 
         if method == "registry/list":
-            return self._result_frame(req_id, {"tools": self._tools})
+            return frame(req_id, result={"tools": self._tools})
 
         if method.startswith(METHOD_PREFIX):
             name = method[len(METHOD_PREFIX) :]
@@ -186,7 +186,7 @@ class ToolServer:
                 logger.warning("tool %s raised: %r", name, exc)
                 result = error_result(f"tool raised: {exc!r}")
             try:
-                return self._result_frame(req_id, vars(result))
+                return frame(req_id, result=vars(result))
             except (RecursionError, TypeError, ValueError) as exc:
                 # too deep, not JSON data, or not finite
                 logger.warning("tool %s result not encodable: %r", name, exc)
@@ -197,20 +197,8 @@ class ToolServer:
         return self._error_frame(req_id, _CODE_METHOD_NOT_FOUND, f"no such method: {method}")
 
     @staticmethod
-    def _result_frame(req_id, result: dict) -> bytes:
-        return canonical_json_bytes(
-            {"jsonrpc": JSONRPC_VERSION, "id": req_id, "result": result}
-        )
-
-    @staticmethod
     def _error_frame(req_id, code: int, message: str) -> bytes:
-        return canonical_json_bytes(
-            {
-                "jsonrpc": JSONRPC_VERSION,
-                "id": req_id,
-                "error": {"code": code, "message": message},
-            }
-        )
+        return frame(req_id, error={"code": code, "message": message})
 
     def serve_stream(self, transport: StreamTransport) -> None:
         """Answer frames until the peer hangs up or times out, while reading or replying.
@@ -282,7 +270,7 @@ def dispatch(envelope, exchange: Callable[[bytes], bytes]) -> ToolResult:
     if not isinstance(doc, dict) or doc.get("jsonrpc") != JSONRPC_VERSION:
         raise TransportClosed("response is not a JSON-RPC 2.0 object")
     if not json_type_ok(doc.get("id"), "int") or doc["id"] != envelope.id:
-        raise IdMismatch(f"request id {envelope.id}, response id {doc.get('id')}")
+        raise IdMismatch(f"request id {envelope.id}, response id {value_repr(doc.get('id'))}")
     if ("error" in doc) == ("result" in doc):
         raise TransportClosed("response holds not exactly one of result and error")
     if "error" in doc:
@@ -296,7 +284,7 @@ def dispatch(envelope, exchange: Callable[[bytes], bytes]) -> ToolResult:
     status = result.get("status")
     payload = result.get("payload")
     if status not in (STATUS_OK, STATUS_ERROR):
-        raise TransportClosed(f"unknown result status {status!r}")
+        raise TransportClosed(f"unknown result status {value_repr(status)}")
     if not isinstance(payload, dict):
         raise TransportClosed("response payload is not an object")
     return ToolResult(status, payload)

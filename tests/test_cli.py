@@ -256,6 +256,16 @@ class TestRun:
             + "x" * 79 + "... <repr of 1000002 characters>\n"
         )
 
+    def test_a_long_key_is_cut_on_the_error_line(self, tmp_path, task_file, config_file, capsys):
+        doc = json.loads(task_file.read_text().splitlines()[0])
+        tasks = tmp_path / "long_key.jsonl"
+        tasks.write_text(json.dumps({**doc, "y" * 1_000_000: 1}) + "\n")
+        argv = ["run", "--tasks", str(tasks), "--config", str(config_file), "--out", str(tmp_path)]
+        assert run_cli(*argv, "--policy", "oracle") == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: " + "y" * 80 + "... <path of 1000000 characters>: unknown field\n"
+        )
+
     @pytest.mark.parametrize("field", ["id", "goal", "config"])
     def test_lone_surrogate_string_exits_2(self, tmp_path, task_file, capsys, field):
         doc = json.loads(task_file.read_text().splitlines()[0])
@@ -613,6 +623,27 @@ class TestLayout:
             for line, source in blas_reaches(ast.parse(path.read_text(encoding="utf-8")))
         ]
         assert reaching == []
+
+    def test_only_envelope_frame_builds_a_frame(self):
+        # the JSON-RPC 2.0 frame shape is stated once; a request or a reply
+        # built anywhere else would restate it
+        def builders(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield from builders(child, f"{scope}.{child.name}")
+                    continue
+                if isinstance(child, ast.Dict) and any(
+                    isinstance(key, ast.Constant) and key.value == "jsonrpc" for key in child.keys
+                ):
+                    yield scope
+                yield from builders(child, scope)
+
+        found = [
+            scope
+            for path in sorted((SRC / "tickslab").rglob("*.py"))
+            for scope in builders(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        ]
+        assert found == ["envelope.frame"]
 
     def test_every_error_type_is_raised(self):
         # an error type that no code raises names no failure; a subclass

@@ -167,6 +167,17 @@ class TestLoadTasks:
             load_tasks(path)
         assert str(err.value) == f"line 1: {named}: unknown field"
 
+    def test_an_empty_arg_slot_is_named(self, tmp_path):
+        line = {"id": "t", "goal": "g", "context": [],
+                "steps": [{"tool": "navigate", "args": {"": "nope"}, "expected": "x"}]}
+        path = tmp_path / "tasks.jsonl"
+        path.write_text(json.dumps(line) + "\n")
+        with pytest.raises(SchemaViolation) as err:
+            load_tasks(path)
+        assert str(err.value) == (
+            "line 1: steps[0].args.'': must be a context name or a finite number, got 'nope'"
+        )
+
     def test_tool_the_world_does_not_run_rejected(self, tmp_path):
         # such a step used to load, and the oracle's episode then ended in error
         steps = [{"tool": "noop", "args": {}, "expected": "x"},
@@ -1090,6 +1101,27 @@ class TestLongRefusal:
         ids=["config", "section", "task-tool", "task-arg", "log"],
     )
     def test_a_long_refused_value_is_cut(self, tmp_path, reader, change, refusal):
+        TestRefusalForm().test_every_reader_refuses_in_one_form(tmp_path, reader, change, refusal)
+
+    KEY = "y" * 1_000_000
+
+    @pytest.mark.parametrize(
+        "reader, change, refusal",
+        [
+            ("config", {"engine": {KEY: 1}},
+             "engine." + "y" * 73 + "... <path of 1000007 characters>: unknown field"),
+            ("task", {KEY: 1}, "line 1: " + "y" * 80 + "... <path of 1000000 characters>: unknown field"),
+            ("task", {"y" * 80: 1}, "line 1: " + "y" * 80 + ": unknown field"),
+            ("task", {"steps": [{"tool": "navigate", "args": {KEY: "x"}, "expected": "e"}]},
+             "line 1: steps[0].args." + "y" * 66 + "... <path of 1000014 characters>: "
+             "must be a context name or a finite number, got 'x'"),
+            ("log", {KEY: 1}, "line 1: " + "y" * 80 + "... <path of 1000000 characters>: unknown field"),
+            ("log", {"records": [{**TestRefusalForm.LOG["records"][0], KEY: 1}]},
+             "line 1: records[0]." + "y" * 69 + "... <path of 1000011 characters>: unknown field"),
+        ],
+        ids=["config", "task", "task-80", "task-arg", "log", "log-record"],
+    )
+    def test_a_long_key_is_cut(self, tmp_path, reader, change, refusal):
         TestRefusalForm().test_every_reader_refuses_in_one_form(tmp_path, reader, change, refusal)
 
 

@@ -110,6 +110,22 @@ class TestLoopback:
         with pytest.raises(IdMismatch):
             dispatch(envelope(), reply_with(reply))
 
+    @pytest.mark.parametrize(
+        "reply, error, shown",
+        [
+            ({"id": "i" * 1_000_000, "result": {}}, IdMismatch, "request id 1, response id 'i"),
+            ({"id": 1, "result": {"status": "s" * 1_000_000, "payload": {}}},
+             TransportClosed, "unknown result status 's"),
+        ],
+        ids=["id", "status"],
+    )
+    def test_a_long_reply_value_is_cut_in_the_error(self, reply, error, shown):
+        raw = json.dumps({"jsonrpc": "2.0", **reply}).encode()
+        with pytest.raises(error) as err:
+            dispatch(envelope(), reply_with(raw))
+        # the repr's first 80 characters are a quote and 79 copies of one character
+        assert str(err.value) == shown + shown[-1] * 78 + "... <repr of 1000002 characters>"
+
     def test_response_nested_too_deep_is_closed(self):
         with pytest.raises(TransportClosed):
             dispatch(envelope(), reply_with(b"[" * 100_000))
@@ -314,6 +330,61 @@ class TestReplyBytes:
         server = world_server()
         replies = [server.handle_frame(request.encode()) for request, _ in REPLY_BYTES]
         assert replies == [reply.encode() for _, reply in REPLY_BYTES]
+
+
+def unencodable_handler(name, args):
+    return ok_result(value={1})  # a set is not JSON data
+
+
+# (request, reply) frames of every error form the server writes, the reply
+# bytes written out by hand; the tool frames go to unencodable_handler.
+ERROR_BYTES = [
+    (
+        b"{nope",
+        b'{"error":{"code":-32700,"message":"parse error: Expecting property name enclosed in '
+        b'double quotes: line 1 column 2 (char 1)"},"id":null,"jsonrpc":"2.0"}',
+    ),
+    (
+        b'{"jsonrpc":"2.0","id":true,"method":"tool/noop"}',
+        b'{"error":{"code":-32600,"message":"invalid request"},"id":null,"jsonrpc":"2.0"}',
+    ),
+    (
+        b'{"jsonrpc":"2.0","id":5,"method":"tool/noop","params":[1]}',
+        b'{"error":{"code":-32602,"message":"invalid params: params must be an object"},'
+        b'"id":5,"jsonrpc":"2.0"}',
+    ),
+    (
+        b'{"jsonrpc":"2.0","id":6,"method":"tool/echo","params":{"args":[1]}}',
+        b'{"error":{"code":-32602,"message":"invalid params: args must be an object"},'
+        b'"id":6,"jsonrpc":"2.0"}',
+    ),
+    (
+        b'{"jsonrpc":"2.0","id":7,"method":"ping"}',
+        b'{"error":{"code":-32601,"message":"no such method: ping"},"id":7,"jsonrpc":"2.0"}',
+    ),
+    (
+        b'{"jsonrpc":"2.0","id":"e8","method":"tool/noop"}',
+        b'{"error":{"code":-32603,"message":"internal error: unencodable result: '
+        b"TypeError('Object of type set is not JSON serializable')\"},\"id\":\"e8\",\"jsonrpc\":\"2.0\"}",
+    ),
+]
+
+
+class TestErrorBytes:
+    @pytest.mark.parametrize(
+        "request_frame, reply", ERROR_BYTES,
+        ids=["parse", "invalid-request", "params", "args", "no-method", "internal"],
+    )
+    def test_error_replies_are_pinned(self, request_frame, reply):
+        assert make_server(unencodable_handler).handle_frame(request_frame) == reply
+
+    def test_a_stream_gets_each_error_frame_and_none_for_a_notification(self):
+        frames = [request for request, _ in ERROR_BYTES]
+        frames.insert(3, b'{"jsonrpc":"2.0","method":"ping"}')
+        written = BytesIO()
+        stream = StreamTransport(BytesIO(b"".join(frame + b"\n" for frame in frames)), written)
+        make_server(unencodable_handler).serve_stream(stream)
+        assert written.getvalue() == b"".join(reply + b"\n" for _, reply in ERROR_BYTES)
 
 
 # Requests whose method holds a lone surrogate, which JSON's \ud800 escape
